@@ -442,6 +442,13 @@ def _add_format_flag(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
+def _nonnegative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chowkit",
@@ -457,7 +464,7 @@ def build_parser():
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--battery", metavar="NAMES", help="comma-separated ambient catalog rings")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_nonnegative, default=100)
     _add_format_flag(p)
 
     p = sub.add_parser("decompose", help="print the motive decomposition")
@@ -471,7 +478,7 @@ def build_parser():
 
     p = sub.add_parser("identities", help="run the composition identity batteries")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_nonnegative, default=100)
     _add_format_flag(p)
 
     return parser

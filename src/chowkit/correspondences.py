@@ -158,7 +158,7 @@ def act(f, x):
     coeffs = {}
     for key, c in f.cycle.coeffs.items():
         a, b = f.ring._key_to_pair[key]
-        d = src.degree(src.multiply(x, src.basis_cycle(a)))
+        d = sum(cx * src.pair_degree(kx, a.key) for kx, cx in x.coeffs.items())
         if d:
             coeffs[b.key] = coeffs.get(b.key, 0) + c * d
     mode = RATIONAL if (x.mode == RATIONAL or f.cycle.mode == RATIONAL) else INTEGER
@@ -173,14 +173,12 @@ def compose(g, f):
         )
     mid = f.target
     ring = kunneth_product(f.source, g.target)
-    # cache middle pairings: deg(b * b') for the cells that actually occur
     gsplit = [(g.ring._key_to_pair[k], c) for k, c in g.cycle.coeffs.items()]
     coeffs = {}
     for kf, cf in f.cycle.coeffs.items():
         a, b = f.ring._key_to_pair[kf]
-        xb = mid.basis_cycle(b)
         for (b2, c2), cg in gsplit:
-            d = mid.degree(mid.multiply(xb, mid.basis_cycle(b2)))
+            d = mid.pair_degree(b.key, b2.key)
             if d:
                 key = ring._pair_to_key[(a.key, c2.key)]
                 coeffs[key] = coeffs.get(key, 0) + cf * cg * d

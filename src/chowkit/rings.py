@@ -206,6 +206,8 @@ class ChowRing:
         self.unit_cell = self._by_codim[0][0]
         self.point_cell = self._by_codim[dimension][0]
         self._table = self._build_table(products)
+        self._pairings = {}  # codim p -> pairing_matrix(p)
+        self._kunneth = {}  # right factor -> kunneth_product(self, right)
         if validate:
             self._validate_associativity()
 
@@ -260,22 +262,20 @@ class ChowRing:
         return table
 
     def _validate_associativity(self):
-        # all basis triples; desk-scale rings keep this cheap
-        for a in self.cells:
-            xa = self.basis_cycle(a)
-            for b in self.cells:
-                if b.codim + a.codim > self.dimension:
-                    continue
-                ab = self.multiply(xa, self.basis_cycle(b))
-                for c in self.cells:
-                    if a.codim + b.codim + c.codim > self.dimension:
-                        continue
-                    xc = self.basis_cycle(c)
-                    bc = self.multiply(self.basis_cycle(b), xc)
-                    if self.multiply(ab, xc) != self.multiply(xa, bc):
-                        raise ValueError(
-                            f"associativity fails at ({a.label}, {b.label}, {c.label})"
-                        )
+        # every basis triple (a, b, c) with a < c: the table is symmetrized, so
+        # (c, b, a) is the same identity and (a, b, a) holds outright; triples
+        # through the unit hold by the unit law _build_table enforced
+        table, n = self._table, self.dimension
+        keys = [cell.key for cell in self.cells[1:]]  # sorted by codim, unit first
+        for i, a in enumerate(keys):
+            for b in keys:
+                ab = table[a].get(b, {})
+                for c in keys[i + 1:]:
+                    if a[0] + b[0] + c[0] > n:
+                        break
+                    if _times(table, ab, c) != _times(table, table[b].get(c, {}), a):
+                        a_, b_, c_ = (self._by_key[k].label for k in (a, b, c))
+                        raise ValueError(f"associativity fails at ({a_}, {b_}, {c_})")
 
     # -- basis access --------------------------------------------------------
 
@@ -351,17 +351,30 @@ class ChowRing:
             raise ValueError("degree: cycle lives in a different ring")
         return a.coeffs.get(self.point_cell.key, Fraction(0) if a.mode == RATIONAL else 0)
 
+    def pair_degree(self, k1, k2):
+        """degree(tau_k1 * tau_k2) for two cell keys, read off the table."""
+        return self._table[k1].get(k2, {}).get(self.point_cell.key, 0)
+
     def pairing_matrix(self, p):
         """Matrix of degree(tau_{p,i} * tau_{n-p,j}) over the cell orderings."""
-        rows = self.cells_of_codim(p)
-        cols = self.cells_of_codim(self.dimension - p)
-        return tuple(
-            tuple(self.degree(self.multiply(self.basis_cycle(r), self.basis_cycle(c))) for c in cols)
-            for r in rows
-        )
+        if p not in self._pairings:
+            cols = self.cells_of_codim(self.dimension - p)
+            self._pairings[p] = tuple(
+                tuple(self.pair_degree(r.key, c.key) for c in cols) for r in self.cells_of_codim(p)
+            )
+        return self._pairings[p]
 
     def __repr__(self):
         return f"<ChowRing {self.name} dim={self.dimension} ranks={self.ranks}>"
+
+
+def _times(table, terms, key):
+    """{cell key: coeff} times the basis cell ``key``, zero terms dropped."""
+    out = {}
+    for k, v in terms.items():
+        for k2, w in table[k].get(key, {}).items():
+            out[k2] = out.get(k2, 0) + v * w
+    return {k: v for k, v in out.items() if v}
 
 
 # -- module-level operation surface -----------------------------------------
@@ -428,9 +441,6 @@ def is_delta_normalized(ring):
 
 # -- Kunneth products ---------------------------------------------------------
 
-_KUNNETH_CACHE = {}
-
-
 class KunnethRing(ChowRing):
     """Product ring A x B whose cells are ordered pairs of factor cells.
 
@@ -466,21 +476,23 @@ class KunnethRing(ChowRing):
                 cells.append(cell)
                 self._pair_to_key[(a.key, b.key)] = cell.key
                 self._key_to_pair[cell.key] = (a, b)
-        products = {}
-        for (ka, kb), key1 in self._pair_to_key.items():
-            for (kc, kd), key2 in self._pair_to_key.items():
-                if key1 > key2 or ka[0] + kb[0] + kc[0] + kd[0] > dimension:
-                    continue
-                pa = left.multiply(left.basis_cycle(ka), left.basis_cycle(kc))
-                pb = right.multiply(right.basis_cycle(kb), right.basis_cycle(kd))
-                entry = {}
-                for k1, c1 in pa.coeffs.items():
-                    for k2, c2 in pb.coeffs.items():
-                        entry[self._pair_to_key[(k1, k2)]] = c1 * c2
-                products[(key1, key2)] = entry
-        # factor laws give associativity componentwise; skip the cubic re-check
-        super().__init__(dimension, cells, products,
-                         name=f"{left.name} x {right.name}", validate=False)
+        # factor laws give the axioms componentwise; skip the cubic re-check
+        super().__init__(dimension, cells, None, name=f"{left.name} x {right.name}", validate=False)
+
+    def _build_table(self, _products):
+        # (a x b) * (c x d) = (a * c) x (b * d), entry by entry from the
+        # factor tables, each unordered pair once; the unit rows carry over
+        lt, rt, pk = self.left._table, self.right._table, self._pair_to_key
+        table = {key: {} for key in pk.values()}
+        for (ka, kb), key1 in pk.items():
+            for kc, pa in lt[ka].items():
+                for kd, pb in rt[kb].items():
+                    key2 = pk[(kc, kd)]
+                    if pa and pb and key1 <= key2:
+                        table[key1][key2] = table[key2][key1] = {
+                            pk[(k1, k2)]: c1 * c2 for k1, c1 in pa.items() for k2, c2 in pb.items()
+                        }
+        return table
 
     def pair_cell(self, a_spec, b_spec):
         a = self.left.cell(a_spec)
@@ -493,17 +505,16 @@ class KunnethRing(ChowRing):
 
 
 def kunneth_product(left, right):
-    """The product ring of two cellular rings, memoized per factor pair."""
-    cache_key = (id(left), id(right))
-    ring = _KUNNETH_CACHE.get(cache_key)
+    """The product ring of two cellular rings, memoized on the left factor
+    so that it is freed together with its factors."""
+    ring = left._kunneth.get(right)
     if ring is None:
-        ring = KunnethRing(left, right)
-        _KUNNETH_CACHE[cache_key] = ring
+        ring = left._kunneth[right] = KunnethRing(left, right)
     return ring
 
 
 def registered_product(left, right):
-    ring = _KUNNETH_CACHE.get((id(left), id(right)))
+    ring = left._kunneth.get(right)
     if ring is None:
         raise ValueError(
             f"product ring not registered: call kunneth_product({left.name}, {right.name}) first"

@@ -213,3 +213,24 @@ def test_argparse_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--catalog", "p2", "--suite", "identities", "--samples", "-5"),
+        ("identities", "--samples", "-1"),
+        ("ck", "--catalog", "p2", "--samples", "-5"),  # ck has no --samples at all
+    ],
+)
+def test_negative_samples_is_a_parse_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_zero_samples_still_parses(capsys):
+    code, out, _ = run(capsys, "identities", "--samples", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["samples"] == 0

@@ -1,5 +1,7 @@
 """Ring layer: cells, exact cycles, products, pairing, Kunneth."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,12 +10,15 @@ from chowkit import (
     BasisCell,
     ChowRing,
     Cycle,
+    dump_ring,
     external_product,
     is_delta_normalized,
     kunneth_product,
+    parse_ring,
     verify_pairing,
 )
 from chowkit.catalog import grassmannian, point, projective_space
+from chowkit.rings import registered_product
 
 
 def simple_p2():
@@ -271,3 +276,150 @@ def test_ring_mismatch_raises():
         r1.basis_cycle("h") + r2.basis_cycle("h")
     with pytest.raises(ValueError):
         r1.multiply(r1.basis_cycle("h"), r2.basis_cycle("h"))
+
+
+# -- the flat table kernels against the cycle-by-cycle routes they replace ----
+
+
+def brute_force_failure(ring):
+    """Every graded basis triple through Cycles; the first non-associative
+    triple, or None."""
+    for a in ring.cells:
+        xa = ring.basis_cycle(a)
+        for b in ring.cells:
+            if a.codim + b.codim > ring.dimension:
+                continue
+            ab = ring.multiply(xa, ring.basis_cycle(b))
+            for c in ring.cells:
+                if a.codim + b.codim + c.codim > ring.dimension:
+                    continue
+                xc = ring.basis_cycle(c)
+                if ring.multiply(ab, xc) != ring.multiply(xa, ring.multiply(ring.basis_cycle(b), xc)):
+                    return a, b, c
+    return None
+
+
+def degenerate_surface():
+    # the ring of test_cli.degenerate_surface_doc: e * e = 0, zero middle pairing
+    cells = [BasisCell(0, 1, "1"), BasisCell(1, 1, "e"), BasisCell(2, 1, "f")]
+    return ChowRing(2, cells, {}, name="degenerate")
+
+
+def off_unit_constants(ring):
+    """Every (k1, k2, k) with k1 <= k2 off the unit and k in codim k1 + k2,
+    with the constant, zero ones included."""
+    unit = ring.unit_cell.key
+    keys = [c.key for c in ring.cells if c.key != unit]
+    for k1 in keys:
+        for k2 in keys:
+            if k1 <= k2 and k1[0] + k2[0] <= ring.dimension:
+                entry = ring._table[k1].get(k2, {})
+                for cell in ring.cells_of_codim(k1[0] + k2[0]):
+                    yield k1, k2, cell.key, entry.get(cell.key, 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: projective_space(4),
+        lambda: grassmannian(2, 4),
+        lambda: grassmannian(2, 5),
+        lambda: parse_ring(dump_ring(kunneth_product(grassmannian(2, 4), projective_space(3)))),
+        lambda: degenerate_surface(),  # e * e = f stays associative
+    ],
+    ids=["p4", "gr24", "gr25", "gr24xp3-file", "degenerate"],
+)
+def test_pruned_associativity_agrees_with_brute_force(make):
+    ring = make()
+    assert brute_force_failure(ring) is None
+    unit = ring.unit_cell.key
+    base = {
+        (k1, k2): dict(entry)
+        for k1, row in ring._table.items()
+        for k2, entry in row.items()
+        if unit not in (k1, k2) and k1 <= k2
+    }
+    verdicts = set()
+    for k1, k2, key, value in off_unit_constants(ring):
+        products = {pair: dict(entry) for pair, entry in base.items()}
+        products.setdefault((k1, k2), {})[key] = value + 1
+        reference = brute_force_failure(ChowRing(ring.dimension, ring.cells, products, validate=False))
+        try:
+            ChowRing(ring.dimension, ring.cells, products)
+        except ValueError as e:
+            verdicts.add("rejected")
+            assert reference is not None, (k1, k2, key)
+            labels = str(e).split("associativity fails at (")[1][:-1].split(", ")
+            perturbed = ChowRing(ring.dimension, ring.cells, products, validate=False)
+            x, y, z = (perturbed.basis_cycle(label) for label in labels)
+            assert (x * y) * z != x * (y * z)
+        else:
+            verdicts.add("accepted")
+            assert reference is None, (k1, k2, key, reference)
+    assert verdicts == ({"accepted"} if ring.name == "degenerate" else {"rejected"})
+
+
+def reference_kunneth_table(left, right, ring):
+    """The product table one basis_cycle + multiply per cell pair."""
+    out = {}
+    for (ka, kb), key1 in ring._pair_to_key.items():
+        for (kc, kd), key2 in ring._pair_to_key.items():
+            pa = left.multiply(left.basis_cycle(ka), left.basis_cycle(kc))
+            pb = right.multiply(right.basis_cycle(kb), right.basis_cycle(kd))
+            entry = {}
+            for k1, c1 in pa.coeffs.items():
+                for k2, c2 in pb.coeffs.items():
+                    entry[ring._pair_to_key[(k1, k2)]] = c1 * c2
+            if entry:
+                out[(key1, key2)] = entry
+    return out
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: (grassmannian(2, 4), projective_space(3)),
+        lambda: (projective_space(3), grassmannian(2, 4)),
+        lambda: (grassmannian(2, 5), projective_space(2)),
+        lambda: (projective_space(2), projective_space(2)),
+        lambda: (degenerate_surface(), projective_space(1)),
+    ],
+    ids=["gr24xp3", "p3xgr24", "gr25xp2", "p2xp2", "degeneratexp1"],
+)
+def test_kunneth_table_matches_per_pair_products(pair):
+    left, right = pair()
+    ring = kunneth_product(left, right)
+    flat = {
+        (k1, k2): entry for k1, row in ring._table.items() for k2, entry in row.items() if entry
+    }
+    assert flat == reference_kunneth_table(left, right, ring)
+    assert all(v for entry in flat.values() for v in entry.values())
+    rebuilt = ChowRing(ring.dimension, ring.cells, reference_kunneth_table(left, right, ring),
+                       name=ring.name)
+    assert dump_ring(ring) == dump_ring(rebuilt)
+    assert verify_pairing(ring).matrices == verify_pairing(rebuilt).matrices
+
+
+def test_pairing_matrix_reads_table_degrees():
+    ring = kunneth_product(grassmannian(2, 4), projective_space(2))
+    for p in range(ring.dimension + 1):
+        want = tuple(
+            tuple(ring.degree(ring.basis_cycle(r) * ring.basis_cycle(c))
+                  for c in ring.cells_of_codim(ring.dimension - p))
+            for r in ring.cells_of_codim(p)
+        )
+        assert ring.pairing_matrix(p) == want
+        assert ring.pairing_matrix(p) is ring.pairing_matrix(p)
+
+
+def test_kunneth_product_dies_with_its_factors():
+    left, right = simple_p2(), simple_p2()
+    ring = kunneth_product(left, right)
+    assert kunneth_product(left, right) is ring
+    assert registered_product(left, right) is ring
+    with pytest.raises(ValueError, match="not registered"):
+        registered_product(right, left)
+    ref = weakref.ref(ring)
+    del left, right, ring
+    gc.collect()
+    assert ref() is None
