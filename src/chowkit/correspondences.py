@@ -33,7 +33,11 @@ def dual_basis_cycles(ring, p):
 
     Exists iff the pairing between CH^{n-p} and CH^p is perfect; for a
     delta-normalized ring e_j is just the same-index cell tau_{n-p,j}.
+    Cached per ring and codimension; a pairing that is not perfect raises on
+    every call.
     """
+    if p in ring._duals:
+        return ring._duals[p]
     n = ring.dimension
     rows = ring.cells_of_codim(n - p)
     cols = ring.cells_of_codim(p)
@@ -45,10 +49,11 @@ def dual_basis_cycles(ring, p):
         dual = invert(ring.pairing_matrix(n - p))
     except ValueError:
         raise ValueError(f"{ring.name}: pairing at codim {p} is degenerate") from None
-    return tuple(
+    ring._duals[p] = tuple(
         _demote(Cycle(ring, {rows[i].key: dual[j][i] for i in range(len(rows))}, RATIONAL))
         for j in range(len(cols))
     )
+    return ring._duals[p]
 
 
 def _demote(cycle):

@@ -15,14 +15,18 @@ The projector family attached to a model peels a cycle from the top
 generator downward: each projector multiplies by the dual generator, pushes
 to the base, pulls back, multiplies by the generator itself, after first
 subtracting the lexicographically greater projectors.  A single descending
-sweep evaluates the whole family at linear cost.
+sweep evaluates the whole family at linear cost.  Operators built from the
+family (rho_g, lifted blocks, motive pieces) are exact per-codim sparse
+matrices, read off one sweep per module basis element.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
+from .correspondences import act
 from .rings import (
     INTEGER,
     RATIONAL,
@@ -58,6 +62,10 @@ class FiberedCycle:
         """Base-cycle coefficient of one generator."""
         gkey = tuple(gkey)
         return self.parts.get(gkey, self.model.base.zero())
+
+    def vector(self):
+        """The cycle as a sparse vector {(generator key, base cell key): coefficient}."""
+        return {(g, k): c for g, cyc in self.parts.items() for k, c in cyc.coeffs.items()}
 
     def codims(self):
         out = set()
@@ -227,25 +235,33 @@ class FibrationModel:
     def rank(self, p):
         return sum(self.base.rank(p - g[0]) for g in self.generators)
 
+    def basis_keys(self, p=None):
+        """Keys (g, base cell key) of the basis cycles pi^*(x) * T_g, all of
+        them or those of codim p, in module_basis order."""
+        return [
+            (g, cell.key)
+            for g in self.generators
+            for cell in self.base.cells
+            if p is None or cell.codim + g[0] == p
+        ]
+
     def module_basis(self, p=None):
         """The basis cycles pi^*(x) * T_g, all of them or those of codim p."""
-        out = []
-        for g in self.generators:
-            for cell in self.base.cells:
-                if p is not None and cell.codim + g[0] != p:
-                    continue
-                out.append(FiberedCycle(self, {g: self.base.basis_cycle(cell)}))
-        return out
+        return [FiberedCycle(self, {g: self.base.basis_cycle(k)}) for g, k in self.basis_keys(p)]
 
     def coordinates(self, y, p):
         """Coefficients of the codim-p part of y along module_basis(p)."""
-        out = []
-        for g in self.generators:
-            for cell in self.base.cells:
-                if cell.codim + g[0] != p:
-                    continue
-                out.append(y.fiber_component(g).coefficient(cell))
-        return tuple(out)
+        return tuple(y.fiber_component(g).coefficient(k) for g, k in self.basis_keys(p))
+
+    def from_vector(self, vec):
+        """The cycle with the given sparse vector (inverse of FiberedCycle.vector)."""
+        parts, modes = {}, {}
+        for (g, k), c in vec.items():
+            parts.setdefault(g, {})[k] = c
+            if isinstance(c, Fraction):
+                modes[g] = RATIONAL
+        cycles = {g: Cycle(self.base, cs, modes.get(g, INTEGER)) for g, cs in parts.items()}
+        return FiberedCycle(self, cycles)
 
     def __repr__(self):
         return f"<FibrationModel {self.name} dim={self.dimension}>"
@@ -445,54 +461,111 @@ def validate_fibration(model):
 
 
 class YOperator:
-    """A linear operator on the cycles of one fibration model.
+    """A linear operator on the cycles of one fibration model, held as an
+    exact sparse matrix per codimension.
 
-    Wraps the evaluation function; algebra is pointwise, composition chains
-    evaluations.  Equality of operators is decidable on the module basis
-    (they are linear), which ``equals`` checks exactly.
+    ``columns[p]`` maps each basis key of codim p (see ``basis_keys``), in
+    ``model.coordinates`` order, to its image as a sparse vector {basis key:
+    nonzero coefficient}.  An image component outside codim p stays in its
+    column, so grading remains checkable.  Sums, differences and composition
+    are sparse matrix sums and products; ``equals`` compares the matrices.
     """
 
-    def __init__(self, model, fn, name="operator"):
+    def __init__(self, model, columns, name="operator"):
         self.model = model
-        self.fn = fn
+        self.columns = columns
         self.name = name
+
+    def apply_vector(self, vec):
+        """Image of a sparse vector (see FiberedCycle.vector)."""
+        return _combine((c, self.columns[g[0] + k[0]][g, k]) for (g, k), c in vec.items())
 
     def __call__(self, y):
         if y.model is not self.model:
             raise ValueError(f"operator on {self.model.name} applied to {y.model.name}")
-        return self.fn(y)
+        return self.model.from_vector(self.apply_vector(y.vector()))
+
+    def _plus(self, other, sign):
+        if not isinstance(other, YOperator) or other.model is not self.model:
+            return NotImplemented
+        return YOperator(self.model, {
+            p: {b: _combine(((1, col), (sign, other.columns[p][b]))) for b, col in cols.items()}
+            for p, cols in self.columns.items()
+        }, f"{self.name} {'+' if sign > 0 else '-'} {other.name}")
 
     def __add__(self, other):
-        if not isinstance(other, YOperator) or other.model is not self.model:
-            return NotImplemented
-        return YOperator(self.model, lambda y: self(y) + other(y), f"{self.name} + {other.name}")
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, YOperator) or other.model is not self.model:
-            return NotImplemented
-        return YOperator(self.model, lambda y: self(y) - other(y), f"{self.name} - {other.name}")
+        return self._plus(other, -1)
 
     def __matmul__(self, other):
         """Composition: (f @ g)(y) = f(g(y))."""
         if not isinstance(other, YOperator) or other.model is not self.model:
             return NotImplemented
-        return YOperator(self.model, lambda y: self(other(y)), f"{self.name} o {other.name}")
+        return YOperator(self.model, {
+            p: {b: self.apply_vector(col) for b, col in cols.items()}
+            for p, cols in other.columns.items()
+        }, f"{self.name} o {other.name}")
 
     def equals(self, other, basis=None):
         if basis is None:
-            basis = self.model.module_basis()
+            return self.columns == other.columns
         return all(self(y) == other(y) for y in basis)
+
+    def matrix(self, p):
+        """The codim-p block: entry [r][c] is the coefficient of basis element
+        r in the image of basis element c, both in model.coordinates order."""
+        cols = self.columns[p]
+        return tuple(tuple(col.get(r, 0) for col in cols.values()) for r in cols)
+
+    def stray_codims(self, p):
+        """Codims other than p reached by images of codim-p basis elements."""
+        return sorted({g[0] + k[0] for col in self.columns[p].values() for g, k in col} - {p})
 
     def __repr__(self):
         return f"<YOperator {self.name} on {self.model.name}>"
 
 
+def _combine(terms):
+    """The sparse vector sum of scale * vec over (scale, vec) pairs."""
+    out = {}
+    for scale, vec in terms:
+        for key, c in vec.items():
+            out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
+
+
 def zero_operator(model):
-    return YOperator(model, lambda y: model.zero(), "0")
+    return YOperator(model, {
+        p: {b: {} for b in model.basis_keys(p)} for p in range(model.dimension + 1)
+    }, "0")
 
 
 def identity_operator(model):
-    return YOperator(model, lambda y: y, "id")
+    return YOperator(model, {
+        p: {b: {b: 1} for b in model.basis_keys(p)} for p in range(model.dimension + 1)
+    }, "id")
+
+
+def projector_system_failures(model, ops):
+    """Where the operators {name: YOperator} fail to be a complete system of
+    orthogonal idempotents, checked by sparse products and sums on every
+    codim: ([(k, p)] not idempotent, [(l, k, p)] with l after k nonzero,
+    [p] where the sum is not the identity)."""
+    codims = range(model.dimension + 1)
+    idem, orth = [], []
+    total = zero_operator(model)
+    for k, op in ops.items():
+        square = op @ op
+        idem += [(k, p) for p in codims if square.columns[p] != op.columns[p]]
+        for l, other in ops.items():
+            if l != k:
+                prod = other @ op
+                orth += [(l, k, p) for p in codims if any(prod.columns[p].values())]
+        total = total + op
+    ident = identity_operator(model)
+    return idem, orth, [p for p in codims if total.columns[p] != ident.columns[p]]
 
 
 # -- projector family ----------------------------------------------------------
@@ -502,23 +575,20 @@ def identity_operator(model):
 class ProjectorFamily:
     """The peeling projectors of a model, in descending generator order.
 
-    ``order`` lists generator keys lexicographically descending; ``w_sets``
-    records, for each key, the strictly greater keys whose projectors are
-    subtracted before its own pairing step.  ``apply_all`` performs the whole
-    descending sweep once, which evaluates every projector honestly (each
-    one sees exactly the residual its definition prescribes).
+    ``order`` lists generator keys lexicographically descending.
+    ``apply_all`` performs the whole descending sweep once, which evaluates
+    every projector honestly (each one sees exactly the residual its
+    definition prescribes).  Operators built from the family come from one
+    cached sweep per module basis element.
     """
 
     model: FibrationModel
     order: tuple = ()
-    w_sets: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.order:
             self.order = tuple(sorted(self.model.generators, reverse=True))
-            self.w_sets = {
-                g: tuple(self.order[:k]) for k, g in enumerate(self.order)
-            }
+        self._sweeps = {}  # codim p -> {basis key: sweep of that basis element}
 
     def apply_all_with_coefficients(self, y):
         """{generator key: (base coefficient, projected piece)} for every projector."""
@@ -536,16 +606,40 @@ class ProjectorFamily:
     def apply_all(self, y):
         return {g: piece for g, (_, piece) in self.apply_all_with_coefficients(y).items()}
 
-    def apply(self, gkey, y):
-        return self.apply_all(y)[tuple(gkey)]
-
     def coefficient(self, gkey, y):
-        """The base cycle alpha with apply(gkey, y) = pi^*(alpha) * T_gkey."""
+        """The base cycle alpha with apply_all(y)[gkey] = pi^*(alpha) * T_gkey."""
         return self.apply_all_with_coefficients(y)[tuple(gkey)][0]
+
+    def basis_sweep(self, p):
+        """{basis key: apply_all_with_coefficients(basis cycle)} over
+        module_basis(p), swept once and kept."""
+        if p not in self._sweeps:
+            model = self.model
+            self._sweeps[p] = {
+                b: self.apply_all_with_coefficients(y)
+                for b, y in zip(model.basis_keys(p), model.module_basis(p))
+            }
+        return self._sweeps[p]
+
+    def peeled_operator(self, phis, name):
+        """The operator y -> sum over g in phis of pi^*(phi_g(alpha_g)) * T_g,
+        alpha_g being the peeled coefficient of y at T_g.  phi_g is a base
+        self-correspondence, or None for the identity."""
+        columns = {}
+        for p in range(self.model.dimension + 1):
+            columns[p] = {}
+            for b, coeffs in self.basis_sweep(p).items():
+                col = {}
+                for g, phi in phis.items():
+                    alpha = coeffs[g][0]
+                    image = alpha if phi is None else act(phi, alpha)
+                    col.update(((g, k), c) for k, c in image.coeffs.items())
+                columns[p][b] = col
+        return YOperator(self.model, columns, name)
 
     def operator(self, gkey):
         gkey = tuple(gkey)
-        return YOperator(self.model, lambda y: self.apply(gkey, y), f"rho{gkey}")
+        return self.peeled_operator({gkey: None}, f"rho{gkey}")
 
 
 def build_projector_family(model):

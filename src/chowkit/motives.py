@@ -11,7 +11,6 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .correspondences import (
     Correspondence,
@@ -24,9 +23,9 @@ from .correspondences import (
     tensor,
 )
 from .fibrations import (
-    YOperator,
     build_projector_family,
     from_kunneth,
+    projector_system_failures,
     to_kunneth,
     trivial_fibration,
 )
@@ -271,70 +270,41 @@ class ModelMotiveDecomposition:
         }
 
 
-def _model_operator_rank(model, op, p):
-    basis = model.module_basis(p)
-    cols = [model.coordinates(op(b), p) for b in basis]
-    n = len(basis)
-    return matrix_rank(tuple(tuple(Fraction(cols[c][r]) for c in range(n)) for r in range(n)))
-
-
 def decompose_model(model, family=None):
     """Split the cycles of a fibration model into rank-one pieces.
 
     Each piece keeps one fiber generator and one base cell: the peeled
     coefficient is projected onto the cell's span and reassembled.  The
-    system is verified exactly on the module basis before returning.
+    pieces are exact matrices built from one sweep per module basis element;
+    the system is verified by matrix products, codimension by codimension,
+    before returning.
     """
     fam = family if family is not None else build_projector_family(model)
     base_ps = fiber_projectors(model.base)
-
-    def make(gkey, proj):
-        def run(y):
-            alpha = fam.apply_all_with_coefficients(y)[gkey][0]
-            return model.multiply(model.generator(gkey), model.pullback(act(proj, alpha)))
-
-        return run
-
     pieces = []
     for g in model.generators:
         gen_label = model.fiber.cell(g).label
         for cell, bp in zip(model.base.cells, base_ps):
             label = f"(T[{gen_label}], {cell.label})"
-            op = YOperator(model, make(g, bp), label)
-            pieces.append((label, g[0] + cell.codim, op))
+            pieces.append((label, g[0] + cell.codim, fam.peeled_operator({g: bp}, label)))
 
     report = SystemReport(model.name)
-    basis = model.module_basis()
-    idem, orth, complete = [], [], []
-    images = {label: [op(b) for b in basis] for label, _, op in pieces}
-    for label, _, op in pieces:
-        for b, img in zip(basis, images[label]):
-            if op(img) != img:
-                idem.append(f"piece {label} is not idempotent on {b!r}")
-    report.add("idempotence", idem)
-    for label, _, op in pieces:
-        for other, _, _ in pieces:
-            if other == label:
-                continue
-            for img in images[other]:
-                if not op(img).is_zero():
-                    orth.append(f"pieces {label} and {other} do not compose to zero")
-    report.add("pairwise orthogonality", orth)
-    for i, b in enumerate(basis):
-        total = model.zero()
-        for label, _, _ in pieces:
-            total = total + images[label][i]
-        if total != b:
-            complete.append(f"piece sum differs from the identity on {b!r}")
-    report.add("completeness (sum = identity)", complete)
-
-    ranks = []
-    for label, codim, op in pieces:
-        for p in range(model.dimension + 1):
-            want = 1 if p == codim else 0
-            if _model_operator_rank(model, op, p) != want:
-                ranks.append(f"piece {label} has unexpected rank on codim {p}")
-    report.add("rank-one images", ranks)
+    idem, orth, complete = projector_system_failures(
+        model, {label: op for label, _, op in pieces}
+    )
+    report.add("idempotence", [f"piece {k} is not idempotent on codim {p}" for k, p in idem])
+    report.add("pairwise orthogonality", [
+        f"pieces {l} and {k} do not compose to zero on codim {p}" for l, k, p in orth
+    ])
+    report.add("completeness (sum = identity)", [
+        f"piece sum differs from the identity on codim {p}" for p in complete
+    ])
+    report.add("rank-one images", [
+        f"piece {label} has unexpected rank on codim {p}"
+        for label, codim, op in pieces
+        for p in range(model.dimension + 1)
+        if matrix_rank(op.matrix(p)) != (1 if p == codim else 0)
+    ])
     if not report.passed:
         raise ValueError("\n".join(report.lines()))
 

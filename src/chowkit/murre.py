@@ -13,7 +13,6 @@ full module basis where they are operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .correspondences import (
     Correspondence,
@@ -28,14 +27,14 @@ from .correspondences import (
 )
 from .fibrations import (
     BatteryReport,
-    YOperator,
     ambient_extend,
     build_projector_family,
     from_kunneth,
+    projector_system_failures,
     to_kunneth,
     zero_operator,
 )
-from .linalg import identity_matrix, mat_mul, rank as matrix_rank
+from .linalg import rank as matrix_rank
 from .motives import SystemReport
 from .rings import kunneth_product
 from .sampling import random_fibered_cycle, seeded_rng
@@ -148,15 +147,6 @@ class ActionReport:
         }
 
 
-def operator_matrix(model, op, p):
-    """Matrix of a codim-preserving operator on module_basis(p), one column
-    per basis cycle."""
-    basis = model.module_basis(p)
-    cols = [model.coordinates(op(b), p) for b in basis]
-    n = len(basis)
-    return tuple(tuple(Fraction(cols[c][r]) for c in range(n)) for r in range(n))
-
-
 def _window_entry(table, violations, k, j, r):
     table[(k, j)] = r
     if r and not (j <= k <= 2 * j):
@@ -173,10 +163,9 @@ def verify_action_window(ck):
             for j in range(ring.dimension + 1):
                 _window_entry(table, violations, k, j, matrix_rank(action_matrix(proj, j)))
     else:
-        model = ck.space
         for k, op in ck.projectors.items():
-            for j in range(model.dimension + 1):
-                _window_entry(table, violations, k, j, matrix_rank(operator_matrix(model, op, j)))
+            for j in range(ck.space.dimension + 1):
+                _window_entry(table, violations, k, j, matrix_rank(op.matrix(j)))
     return ActionReport(ck.name, table, violations)
 
 
@@ -248,58 +237,25 @@ def _verify_cycle_ck(ck, report):
 
 def _verify_operator_ck(ck, report):
     model = ck.space
-    grading = []
-    mats = {}
-    for j in range(model.dimension + 1):
-        basis = model.module_basis(j)
-        n = len(basis)
-        for k, op in ck.projectors.items():
-            cols = []
-            for b in basis:
-                img = op(b)
-                stray = set(img.codims()) - {j}
-                if stray:
-                    grading.append(
-                        f"projector {k} moves codim {j} into codims {sorted(stray)}"
-                    )
-                cols.append(model.coordinates(img, j))
-            mats[(k, j)] = tuple(
-                tuple(Fraction(cols[c][r]) for c in range(n)) for r in range(n)
-            )
-    report.add("grading (projectors preserve codimension)", grading)
+    codims = range(model.dimension + 1)
+    projs = ck.projectors
+    report.add("grading (projectors preserve codimension)", [
+        f"projector {k} moves codim {j} into codims {stray}"
+        for k, op in projs.items()
+        for j in codims
+        if (stray := op.stray_codims(j))
+    ])
 
-    degrees = sorted(ck.projectors)
-    idem = []
-    for k in degrees:
-        for j in range(model.dimension + 1):
-            m = mats[(k, j)]
-            if mat_mul(m, m) != m:
-                idem.append(f"projector {k} is not idempotent on codim {j}")
-    report.add("(a) idempotence", idem)
-
-    orth = []
-    for k in degrees:
-        for l in degrees:
-            if k == l:
-                continue
-            for j in range(model.dimension + 1):
-                prod = mat_mul(mats[(l, j)], mats[(k, j)])
-                if any(entry for row in prod for entry in row):
-                    orth.append(f"projectors {l} and {k} do not compose to zero on codim {j}")
-    report.add("(a) orthogonality", orth)
-
-    complete = []
-    for j in range(model.dimension + 1):
-        n = len(model.module_basis(j))
-        total = [[Fraction(0)] * n for _ in range(n)]
-        for k in degrees:
-            m = mats[(k, j)]
-            total = [[total[r][c] + m[r][c] for c in range(n)] for r in range(n)]
-        if tuple(tuple(row) for row in total) != identity_matrix(n):
-            complete.append(f"projector sum is not the identity on codim {j}")
-    report.add("(a) completeness (sum = identity)", complete)
-
-    return mats
+    idem, orth, complete = projector_system_failures(model, projs)
+    report.add("(a) idempotence", [
+        f"projector {k} is not idempotent on codim {j}" for k, j in idem
+    ])
+    report.add("(a) orthogonality", [
+        f"projectors {l} and {k} do not compose to zero on codim {j}" for l, k, j in orth
+    ])
+    report.add("(a) completeness (sum = identity)", [
+        f"projector sum is not the identity on codim {j}" for j in complete
+    ])
 
 
 def verify_ck(ck):
@@ -308,13 +264,9 @@ def verify_ck(ck):
     report = CKReport(ck.name)
     if ck.kind == "cycle":
         _verify_cycle_ck(ck, report)
-        action = verify_action_window(ck)
     else:
-        mats = _verify_operator_ck(ck, report)
-        table, violations = {}, []
-        for (k, j), m in mats.items():
-            _window_entry(table, violations, k, j, matrix_rank(m))
-        action = ActionReport(ck.name, table, violations)
+        _verify_operator_ck(ck, report)
+    action = verify_action_window(ck)
     report.action = action
     report.add(
         "(b) action window (degree k acts only on codims j with j <= k <= 2j)",
@@ -374,16 +326,7 @@ def lift_base_correspondence(model, phi, j, family=None):
     if not slots:
         return zero_operator(model)
     fam = family if family is not None else build_projector_family(model)
-
-    def run(y):
-        coeffs = fam.apply_all_with_coefficients(y)
-        out = model.zero()
-        for g in slots:
-            alpha = coeffs[g][0]
-            out = out + model.multiply(model.generator(g), model.pullback(act(phi, alpha)))
-        return out
-
-    return YOperator(model, run, f"lift_{j}")
+    return fam.peeled_operator(dict.fromkeys(slots, phi), f"lift_{j}")
 
 
 @dataclass
@@ -483,7 +426,7 @@ def lift_ck(model, base_ck=None, validate=True):
 def verify_block_diagonality(model, base_ck=None, samples=20, seed=0, bound=10):
     """Blocks compose like matrix units: a block followed by another is the
     first block again when the indices match and zero otherwise.  Checked on
-    random cycles."""
+    random cycles, each block applied as a matrix-vector product."""
     if base_ck is None:
         base_ck = cellular_ck(model.base)
     plan = build_lift_plan(model, base_ck)
@@ -495,12 +438,12 @@ def verify_block_diagonality(model, base_ck=None, samples=20, seed=0, bound=10):
     rng = seeded_rng(seed)
     failures = []
     for s in range(samples):
-        y = random_fibered_cycle(rng, model, bound=bound)
-        images = {key: op(y) for key, op in blocks.items()}
+        y = random_fibered_cycle(rng, model, bound=bound).vector()
+        images = {key: op.apply_vector(y) for key, op in blocks.items()}
         for key2, op2 in blocks.items():
             for key, img in images.items():
-                want = img if key2 == key else model.zero()
-                if op2(img) != want:
+                want = img if key2 == key else {}
+                if op2.apply_vector(img) != want:
                     failures.append(
                         f"sample {s}: block {key2} after block {key} is not "
                         f"{'the block itself' if key2 == key else 'zero'}"

@@ -207,6 +207,7 @@ class ChowRing:
         self.point_cell = self._by_codim[dimension][0]
         self._table = self._build_table(products)
         self._pairings = {}  # codim p -> pairing_matrix(p)
+        self._duals = {}  # codim p -> correspondences.dual_basis_cycles(self, p)
         self._kunneth = {}  # right factor -> kunneth_product(self, right)
         if validate:
             self._validate_associativity()

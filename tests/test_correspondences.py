@@ -53,6 +53,28 @@ def test_dual_basis_cycles_degenerate_raises():
         dual_basis_cycles(r, 1)
 
 
+def test_dual_basis_cycles_cached_per_ring_and_codim():
+    from test_cli import degenerate_surface_doc
+
+    from chowkit.fileio import parse_ring
+
+    g = grassmannian(2, 4)
+    first = {p: dual_basis_cycles(g, p) for p in range(5)}
+    for p in range(5):
+        assert dual_basis_cycles(g, p) == first[p]
+    # a failed inversion is not cached: the same error comes back every call
+    degenerate = parse_ring(degenerate_surface_doc(), name="degenerate surface")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="pairing at codim 1 is degenerate"):
+            dual_basis_cycles(degenerate, 1)
+    cells = [BasisCell(0, 1, "1"), BasisCell(1, 1, "a"), BasisCell(1, 2, "b"),
+             BasisCell(2, 1, "c"), BasisCell(3, 1, "pt")]
+    lopsided = ChowRing(3, cells, {}, name="lopsided")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different ranks"):
+            dual_basis_cycles(lopsided, 1)
+
+
 def test_diagonal_is_identity_correspondence():
     for ring in (point(), projective_space(1), projective_space(2), grassmannian(2, 4)):
         d = diagonal(ring)

@@ -188,8 +188,12 @@ def test_ck_battery_reverifies_ambient_extensions():
 
 
 def test_compare_lift_to_cellular_on_trivial_models():
-    m = product_model(projective_space(1), projective_space(1))
-    report = compare_lift_to_cellular(m)
-    assert report.passed
+    from chowkit.catalog import standard_models
+
+    trivial = [m for m in standard_models() if m.is_trivial]
+    assert len(trivial) == 10  # nine products and hirzebruch(0)
+    for m in trivial:
+        report = compare_lift_to_cellular(m)
+        assert report.passed, "\n".join(report.lines())
     with pytest.raises(ValueError, match="trivial"):
         compare_lift_to_cellular(hirzebruch(1))
