@@ -1,9 +1,8 @@
 """Golden reports: fixed-seed ``--format json`` output, locked byte for byte.
 
 Each file under ``tests/golden/`` is the exact stdout of one CLI run.  The
-set covers ``verify --suite all`` on every catalog entry (except
-``product:p2,gr24``, whose run alone takes seconds) plus one ``ck`` and one
-``decompose`` run.  A deliberate change to a report regenerates the files
+set covers ``verify --suite all`` on every catalog entry plus one ``ck`` and
+one ``decompose`` run.  A deliberate change to a report regenerates the files
 with ``PYTHONPATH=src python tests/test_golden.py`` and says so in
 CHANGES.md; a speed-up must leave them untouched.
 """
@@ -18,7 +17,6 @@ from chowkit.catalog import catalog_entries
 from chowkit.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-SLOW = {"product:p2,gr24"}
 VERIFY = ("--suite", "all", "--seed", "0", "--samples", "20", "--format", "json")
 
 
@@ -26,7 +24,6 @@ def cases():
     out = {
         f"verify-{entry.name}": ["verify", "--catalog", entry.name, *VERIFY]
         for entry in catalog_entries()
-        if entry.name not in SLOW
     }
     out["ck-p30"] = ["ck", "--catalog", "p30", "--format", "json"]
     out["decompose-hirzebruch:2"] = ["decompose", "--catalog", "hirzebruch:2", "--format", "json"]
