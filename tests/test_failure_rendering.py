@@ -1,0 +1,260 @@
+"""Failing reports, locked byte for byte.
+
+Every golden under ``tests/golden/`` is a passing report, so this module
+locks the other half: the text lines and the JSON document of one failing
+report of each kind, built from the inputs the mutation tests use (a
+duplicated or swapped cellular Chow-Kunneth projector, a perturbed lifted
+projector, the degenerate surface, broken fibration tables, a doubled
+decomposition piece).  The files live in ``tests/golden/failing/``, apart
+from the CLI goldens; ``PYTHONPATH=src python tests/test_failure_rendering.py``
+rewrites them after a deliberate change to the rendering.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from chowkit import (
+    CKDecomposition,
+    FibrationModel,
+    build_projector_family,
+    decompose_model,
+    decompose_motive,
+    duality_report,
+    hirzebruch,
+    identity_operator,
+    lift_ck,
+    manin_battery,
+    point,
+    projective_space,
+    validate_fibration,
+    verify_action_window,
+    verify_block_diagonality,
+    verify_ck,
+    verify_pairing,
+    verify_projector_family,
+    verify_projector_system,
+)
+from chowkit import identities, motives
+from chowkit.cli import main
+from chowkit.fibrations import ProjectorFamily
+from chowkit.fileio import parse_ring
+from chowkit.motives import fiber_projectors
+from chowkit.murre import LiftPlan, cellular_ck
+
+FAILING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "failing")
+
+DEGENERATE_SURFACE = {
+    "dimension": 2,
+    "cells": [
+        {"codim": 0, "index": 1, "label": "1"},
+        {"codim": 1, "index": 1, "label": "e"},
+        {"codim": 2, "index": 1, "label": "f"},
+    ],
+    "products": [],
+}
+
+
+def rendered(report):
+    return {"lines": report.lines(), "data": report.to_dict()}
+
+
+def raised(build):
+    with pytest.raises(ValueError) as err:
+        build()
+    return {"error": str(err.value).splitlines()}
+
+
+def flat_square():
+    # u*u = 0 kills the unit top coefficient the complementary pair needs
+    p1, p2 = projective_space(1), projective_space(2)
+    return FibrationModel(p1, p2, {((1, 1), (1, 1)): {}}, name="flat square")
+
+
+def nonassociative():
+    p2 = projective_space(2)
+    table = {
+        ((1, 1), (1, 1)): {(2, 1): p2.unit()},
+        ((1, 1), (2, 1)): {(1, 1): p2.cycle({"h^2": 1})},
+        ((2, 1), (2, 1)): {},
+    }
+    return FibrationModel(p2, projective_space(2), table, name="nonassociative")
+
+
+def collapsed_products():
+    # every product of non-unit generators lands on the unit generator: more
+    # failure details than any other kind would print
+    p1 = projective_space(1)
+    table = {((a, 1), (b, 1)): {(0, 1): p1.unit()} for a in range(1, 5) for b in range(a, 5)}
+    return FibrationModel(p1, projective_space(4), table, name="collapsed products")
+
+
+def cellular_p1_with(edit, name):
+    p1 = projective_space(1)
+    projs = dict(cellular_ck(p1).projectors)
+    edit(projs)
+    return CKDecomposition(p1, projs, kind="cycle", name=name)
+
+
+def duplicated(projs):
+    projs[2] = projs[0]
+
+
+def swapped(projs):
+    projs[0], projs[2] = projs[2], projs[0]
+
+
+def perturbed_pi2():
+    ck = lift_ck(hirzebruch(1), validate=False)
+    col = next(col for col in ck.projectors[2].columns[1].values() if col)
+    col[next(iter(col))] += 1
+    return ck
+
+
+def off_codim_image():
+    model = hirzebruch(1)
+    ck = lift_ck(model, validate=False)
+    (b,) = ck.projectors[0].columns[0]
+    ck.projectors[0].columns[0][b][model.basis_keys(1)[0]] = 1
+    return ck
+
+
+def case_pairing(mp):
+    return rendered(verify_pairing(parse_ring(DEGENERATE_SURFACE)))
+
+
+def case_fibration_model(mp):
+    return {
+        "flat square": rendered(validate_fibration(flat_square())),
+        "nonassociative": rendered(validate_fibration(nonassociative())),
+        "collapsed products": rendered(validate_fibration(collapsed_products())),
+    }
+
+
+def case_projector_family(mp):
+    model = flat_square()
+    return {
+        "family": rendered(verify_projector_family(build_projector_family(model), samples=2)),
+        "duality": rendered(duality_report(model, samples=2)),
+    }
+
+
+def case_ambient_battery(mp):
+    battery = (point(), projective_space(1))
+    return rendered(manin_battery(flat_square(), battery=battery, samples=2))
+
+
+def case_projector_system(mp):
+    ps = fiber_projectors(projective_space(1))
+    return rendered(verify_projector_system([ps[0], ps[0], ps[1]]))
+
+
+def case_identity_battery(mp):
+    compose = identities.compose
+    mp.setattr(identities, "compose", lambda g, f: compose(g, f) * 2)
+    return rendered(identities.run_identity_battery(samples=2, seed=1))
+
+
+def case_oracle_battery(mp):
+    compose = identities.compose
+    mp.setattr(identities, "compose_oracle", lambda g, f: compose(g, f).cycle * 2)
+    rings = (projective_space(1), projective_space(2))
+    return rendered(identities.compose_oracle_battery(rings, samples=2, seed=1))
+
+
+def case_block_diagonality(mp):
+    block = LiftPlan.block
+
+    def perturbed(plan, i, j):
+        op = block(plan, i, j)
+        return op + identity_operator(plan.model) if (i, j) == (0, 0) else op
+
+    mp.setattr(LiftPlan, "block", perturbed)
+    return rendered(verify_block_diagonality(hirzebruch(1), samples=4, seed=3))
+
+
+def case_chow_kunneth(mp):
+    return {
+        "duplicated": rendered(verify_ck(cellular_p1_with(duplicated, "broken"))),
+        "swapped": rendered(verify_ck(cellular_p1_with(swapped, "swapped"))),
+        "perturbed Pi_2": rendered(verify_ck(perturbed_pi2())),
+        "off-codim image": rendered(verify_ck(off_codim_image())),
+    }
+
+
+def case_action_window(mp):
+    return rendered(verify_action_window(cellular_p1_with(swapped, "swapped")))
+
+
+def case_decompose_model(mp):
+    peeled = ProjectorFamily.peeled_operator
+
+    def doubled(family, phis, name):
+        op = peeled(family, phis, name)
+        return op + op if name == "(T[h], 1)" else op
+
+    mp.setattr(ProjectorFamily, "peeled_operator", doubled)
+    return raised(lambda: decompose_model(hirzebruch(1)))
+
+
+def case_decompose_motive(mp):
+    mp.setattr(motives, "fiber_projectors", lambda ring: [fiber_projectors(ring)[0]] * 2)
+    return raised(lambda: decompose_motive(projective_space(1)))
+
+
+def case_cli_degenerate_surface(mp):
+    # the projectors suite is left out: it raises on this ring instead of
+    # reporting a failure
+    docs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(DEGENERATE_SURFACE, fh)
+        for suite in ("ck", "duality", "manin", "motives", "murre", "pairing"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", "--ring-file", path, "--suite", suite, "--format", "json"])
+            docs[suite] = {"exit": code, "report": json.loads(out.getvalue())}
+    return docs
+
+
+CASES = {
+    name[len("case_"):]: fn for name, fn in sorted(globals().items()) if name.startswith("case_")
+}
+
+
+def document(name, mp):
+    return json.dumps(CASES[name](mp), indent=2) + "\n"
+
+
+def failing_path(name):
+    return os.path.join(FAILING, name + ".json")
+
+
+def test_failing_set_matches_cases():
+    on_disk = sorted(f for f in os.listdir(FAILING) if f.endswith(".json"))
+    assert on_disk == sorted(os.path.basename(failing_path(n)) for n in CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_failing_report_rendering(name, monkeypatch):
+    got = document(name, monkeypatch)
+    with open(failing_path(name), encoding="utf-8") as fh:
+        assert got == fh.read()
+    assert '"passed": false' in got or '"error"' in got
+
+
+if __name__ == "__main__":
+    import sys
+
+    os.makedirs(FAILING, exist_ok=True)
+    for name in sorted(CASES):
+        with pytest.MonkeyPatch.context() as mp:
+            doc = document(name, mp)
+        with open(failing_path(name), "w", encoding="utf-8") as fh:
+            fh.write(doc)
+        print(name, file=sys.stderr)
