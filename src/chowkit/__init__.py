@@ -5,6 +5,7 @@ correspondences, fibration projector families, motive decompositions and
 Chow-Kunneth lifts are all verified as exact identities, never numerically.
 """
 
+from .report import Report
 from .rings import (
     INTEGER,
     RATIONAL,
@@ -12,7 +13,6 @@ from .rings import (
     ChowRing,
     Cycle,
     KunnethRing,
-    PairingReport,
     external_product,
     is_delta_normalized,
     kunneth_product,
@@ -39,13 +39,10 @@ from .correspondences import (
     zero_correspondence,
 )
 from .fibrations import (
-    BatteryReport,
-    FamilyReport,
     FiberedCycle,
     FibrationModel,
     MotiveIsoPair,
     ProjectorFamily,
-    ValidationReport,
     YOperator,
     ambient_extend,
     build_projector_family,
@@ -65,7 +62,6 @@ from .motives import (
     ModelMotiveDecomposition,
     Motive,
     MotiveDecomposition,
-    SystemReport,
     decompose_model,
     decompose_motive,
     fiber_projectors,
@@ -74,9 +70,7 @@ from .motives import (
     verify_projector_system,
 )
 from .murre import (
-    ActionReport,
     CKDecomposition,
-    CKReport,
     build_lift_plan,
     cellular_ck,
     ck_battery,

@@ -24,7 +24,6 @@ from .fibrations import (
 )
 from .fileio import FileFormatError, load_fibration, load_ring
 from .motives import (
-    SystemReport,
     decompose_model,
     decompose_motive,
     fiber_projectors,
@@ -38,6 +37,7 @@ from .murre import (
     verify_block_diagonality,
     verify_ck,
 )
+from .report import Report
 from .rings import ChowRing, verify_pairing
 
 EXIT_PASS = 0
@@ -156,7 +156,7 @@ def _suite_duality(target, config):
     if isinstance(target, ChowRing):
         from .correspondences import dual_basis_cycles
 
-        report = SystemReport(target.name)
+        report = Report("projector-system", target.name)
         fails = []
         for p in range(target.dimension + 1):
             try:
@@ -213,12 +213,7 @@ def _suite_motives(target, config):
         dec = decompose_motive(target) if isinstance(target, ChowRing) else decompose_model(target)
     except ValueError as e:
         return _fail("motives", str(e))
-    return {
-        "suite": "motives",
-        "passed": dec.report.passed,
-        "lines": dec.lines(),
-        "data": dec.to_dict(),
-    }
+    return _wrap("motives", dec.report)
 
 
 def _build_ck(target):
@@ -442,10 +437,10 @@ def _add_format_flag(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _nonnegative(text):
+def _positive(text):
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
 
 
@@ -464,7 +459,7 @@ def build_parser():
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--battery", metavar="NAMES", help="comma-separated ambient catalog rings")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_nonnegative, default=100)
+    p.add_argument("--samples", type=_positive, default=100)
     _add_format_flag(p)
 
     p = sub.add_parser("decompose", help="print the motive decomposition")
@@ -478,7 +473,7 @@ def build_parser():
 
     p = sub.add_parser("identities", help="run the composition identity batteries")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_nonnegative, default=100)
+    p.add_argument("--samples", type=_positive, default=100)
     _add_format_flag(p)
 
     return parser

@@ -23,10 +23,11 @@ matrices, read off one sweep per module basis element.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .correspondences import act
+from .report import Report
 from .rings import (
     INTEGER,
     RATIONAL,
@@ -334,7 +335,7 @@ def duality_report(model, samples=20, seed=0, bound=10):
         (f"random {s}", sampling.random_cycle(rng, model.base, bound=bound))
         for s in range(samples)
     ]
-    report = FamilyReport(model.name)
+    report = Report("projector-family", model.name)
     fails = []
     count = 0
     for g1 in model.generators:
@@ -355,42 +356,10 @@ def duality_report(model, samples=20, seed=0, bound=10):
 # -- validation ----------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of the fibration model laws, one entry per check."""
-
-    model_name: str
-    checks: list = field(default_factory=list)  # (name, passed, [detail lines])
-
-    def add(self, name, failures):
-        self.checks.append((name, not failures, list(failures)))
-
-    @property
-    def passed(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def lines(self):
-        out = [f"fibration model {self.model_name}: {'pass' if self.passed else 'FAIL'}"]
-        for name, ok, details in self.checks:
-            out.append(f"  {name}: {'pass' if ok else 'FAIL'}")
-            out.extend(f"    {d}" for d in details)
-        return out
-
-    def to_dict(self):
-        return {
-            "check": "fibration-model",
-            "model": self.model_name,
-            "passed": self.passed,
-            "checks": [
-                {"name": n, "passed": ok, "details": list(d)} for n, ok, d in self.checks
-            ],
-        }
-
-
 def validate_fibration(model):
     """Check the model laws: fiber normalization, grading, unit,
     commutativity, associativity on generators, and fiberwise duality."""
-    report = ValidationReport(model.name)
+    report = Report("fibration-model", model.name)
     base, fiber = model.base, model.fiber
     n = fiber.dimension
 
@@ -646,43 +615,6 @@ def build_projector_family(model):
     return ProjectorFamily(model)
 
 
-@dataclass
-class FamilyReport:
-    """Exact verification of a projector family's operator identities."""
-
-    model_name: str
-    checks: list = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
-
-    def add(self, name, failures, count=None):
-        self.checks.append((name, not failures, list(failures)))
-        if count is not None:
-            self.counts[name] = count
-
-    @property
-    def passed(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def lines(self):
-        out = [f"projector family on {self.model_name}: {'pass' if self.passed else 'FAIL'}"]
-        for name, ok, details in self.checks:
-            suffix = f" ({self.counts[name]} instances)" if name in self.counts else ""
-            out.append(f"  {name}: {'pass' if ok else 'FAIL'}{suffix}")
-            out.extend(f"    {d}" for d in details[:20])
-        return out
-
-    def to_dict(self):
-        return {
-            "check": "projector-family",
-            "model": self.model_name,
-            "passed": self.passed,
-            "checks": [
-                {"name": n, "passed": ok, "details": list(d), "count": self.counts.get(n)}
-                for n, ok, d in self.checks
-            ],
-        }
-
-
 def verify_projector_family(family, samples=100, seed=0, bound=10):
     """Exact check of degree preservation, idempotence, pairwise
     orthogonality, completeness, the coefficient-extraction action formula,
@@ -694,7 +626,7 @@ def verify_projector_family(family, samples=100, seed=0, bound=10):
     from . import sampling
 
     model = family.model
-    report = FamilyReport(model.name)
+    report = Report("projector-family", model.name)
     basis = model.module_basis()
 
     degree_fail, idem_fail, orth_fail, complete_fail = [], [], [], []
@@ -787,33 +719,6 @@ def ambient_extend(model, ambient):
     )
 
 
-@dataclass
-class BatteryReport:
-    """Identity-principle surrogate: family re-verified over ambient factors."""
-
-    model_name: str
-    entries: list = field(default_factory=list)  # (ambient name, FamilyReport)
-
-    @property
-    def passed(self):
-        return all(rep.passed for _, rep in self.entries)
-
-    def lines(self):
-        out = [f"ambient battery for {self.model_name}: {'pass' if self.passed else 'FAIL'}"]
-        for name, rep in self.entries:
-            out.append(f"  over {name}:")
-            out.extend("  " + line for line in rep.lines())
-        return out
-
-    def to_dict(self):
-        return {
-            "check": "ambient-battery",
-            "model": self.model_name,
-            "passed": self.passed,
-            "entries": [{"ambient": n, "report": r.to_dict()} for n, r in self.entries],
-        }
-
-
 def manin_battery(model, battery=None, samples=25, seed=0, bound=10):
     """Re-verify the projector family after extending by each battery ring.
 
@@ -825,11 +730,11 @@ def manin_battery(model, battery=None, samples=25, seed=0, bound=10):
         from .catalog import projective_space
 
         battery = [projective_space(0), projective_space(1), projective_space(2)]
-    report = BatteryReport(model.name)
+    report = Report("ambient-battery", model.name)
     for ambient in battery:
         extended = ambient_extend(model, ambient)
         family = build_projector_family(extended)
-        report.entries.append((ambient.name, verify_projector_family(family, samples, seed, bound)))
+        report.children.append((ambient.name, verify_projector_family(family, samples, seed, bound)))
     return report
 
 
@@ -885,7 +790,7 @@ class MotiveIsoPair:
     def verify(self):
         """Check both composites piecewise against the projectors, on every
         module basis element of both models."""
-        report = FamilyReport(f"{self.model1.name} ~ {self.model2.name}")
+        report = Report("projector-family", f"{self.model1.name} ~ {self.model2.name}")
         piece_fail, full_fail = [], []
         count = 0
         for model, family, fwd, bwd in (

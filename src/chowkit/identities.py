@@ -29,7 +29,7 @@ from .correspondences import (
     tensor,
 )
 from .linalg import mat_mul
-from .motives import SystemReport
+from .report import Report
 from .rings import kunneth_product
 from .sampling import random_correspondence, random_cycle, seeded_rng
 
@@ -86,7 +86,7 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
     Z = right if right is not None else projective_space(2)
     ring = kunneth_product(X, Z)
     rng = seeded_rng(seed)
-    report = SystemReport(f"composition identities over ({X.name}, {Z.name})")
+    report = Report("identity-battery", f"composition identities over ({X.name}, {Z.name})")
 
     morphisms = standard_morphisms()
     into_Z = [m for m in morphisms if m.target is Z]
@@ -101,7 +101,7 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
         want = phi.cycle * _external_into(ring, X.unit(), alpha)
         if compose(multiplication_correspondence(Z, alpha), phi).cycle != want:
             fails.append(f"sample {s}: alpha {alpha!r}")
-    report.add(f"c_alpha o phi = (1 x alpha) . phi ({samples} instances)", fails)
+    report.add("c_alpha o phi = (1 x alpha) . phi", fails, samples)
 
     fails = []
     for s in range(samples):
@@ -110,7 +110,7 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
         want = _external_into(ring, alpha, Z.unit()) * psi.cycle
         if compose(psi, multiplication_correspondence(X, alpha)).cycle != want:
             fails.append(f"sample {s}: alpha {alpha!r}")
-    report.add(f"psi o c_alpha = (alpha x 1) . psi ({samples} instances)", fails)
+    report.add("psi o c_alpha = (alpha x 1) . psi", fails, samples)
 
     # graphs composed on the left: pullback and pushforward of the cycle
     prods_3 = {m.name: product_morphism(identity_morphism(X), m) for m in into_Z}
@@ -121,7 +121,7 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
         phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
         if compose(c, phi).cycle != prods_3[f.name].pullback(phi.cycle):
             fails.append(f"sample {s}: morphism {f.name}")
-    report.add(f"c(f) o phi = (id x f)^* phi ({samples} instances)", fails)
+    report.add("c(f) o phi = (id x f)^* phi", fails, samples)
 
     prods_4 = {m.name: product_morphism(identity_morphism(X), m) for m in from_Z}
     fails = []
@@ -131,7 +131,7 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
         phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
         if compose(c_t, phi).cycle != prods_4[g.name].pushforward(phi.cycle):
             fails.append(f"sample {s}: morphism {g.name}")
-    report.add(f"c(g)^t o phi = (id x g)_* phi ({samples} instances)", fails)
+    report.add("c(g)^t o phi = (id x g)_* phi", fails, samples)
 
     prods_56 = {m.name: product_morphism(m, identity_morphism(Z)) for m in into_X}
     fails = []
@@ -143,7 +143,7 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
         )
         if compose(tau, c).cycle != prods_56[f.name].pushforward(tau.cycle):
             fails.append(f"sample {s}: morphism {f.name}")
-    report.add(f"tau o c(f) = (f x id)_* tau ({samples} instances)", fails)
+    report.add("tau o c(f) = (f x id)_* tau", fails, samples)
 
     fails = []
     for s in range(samples):
@@ -152,7 +152,7 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
         psi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
         if compose(psi, c_t).cycle != prods_56[f.name].pullback(psi.cycle):
             fails.append(f"sample {s}: morphism {f.name}")
-    report.add(f"psi o c(f)^t = (f x id)^* psi ({samples} instances)", fails)
+    report.add("psi o c(f)^t = (f x id)^* psi", fails, samples)
 
     _graph_functoriality(report, morphisms)
     _associativity(report, rng, X, Z, samples, bound)
@@ -183,7 +183,7 @@ def _graph_functoriality(report, morphisms, ambient=None):
             cyc = big_source.basis_cycle(cell)
             if act(tct, cyc) != pm.pushforward(cyc):
                 fails.append(f"pushforward of {cell.label} along id x {m.name}")
-    report.add(f"graphs extend over an ambient factor ({count} instances)", fails)
+    report.add("graphs extend over an ambient factor", fails, count)
 
 
 def _associativity(report, rng, X, Z, samples, bound):
@@ -194,7 +194,7 @@ def _associativity(report, rng, X, Z, samples, bound):
         h = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
         if compose(h, compose(g, f)) != compose(compose(h, g), f):
             fails.append(f"sample {s}")
-    report.add(f"composition is associative ({samples} instances)", fails)
+    report.add("composition is associative", fails, samples)
 
 
 # -- triple-product oracle ----------------------------------------------------
@@ -240,7 +240,7 @@ def compose_oracle_battery(rings=None, samples=100, seed=0, bound=10):
 
     if rings is None:
         rings = (projective_space(1), projective_space(2), grassmannian(2, 4))
-    report = SystemReport("composition oracle")
+    report = Report("identity-battery", "composition oracle")
     for na, A in enumerate(rings):
         for nb, B in enumerate(rings):
             rng = seeded_rng(seed * 997 + 31 * na + nb)
@@ -262,5 +262,5 @@ def compose_oracle_battery(rings=None, samples=100, seed=0, bound=10):
                     if direct != chained:
                         fails.append(f"sample {s}: matrices differ on codim {p}")
                         break
-            report.add(f"{A.name} => {B.name} => {A.name} ({samples} instances)", fails)
+            report.add(f"{A.name} => {B.name} => {A.name}", fails, samples)
     return report

@@ -18,22 +18,10 @@ def mat_mul(a, b):
     )
 
 
-def mat_vec(a, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
 def transpose(a):
     if not a:
         return ()
     return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
-def is_identity(a):
-    return all(
-        (1 if i == j else 0) == entry
-        for i, row in enumerate(a)
-        for j, entry in enumerate(row)
-    )
 
 
 def rank(a):

@@ -10,7 +10,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .correspondences import (
     Correspondence,
@@ -30,6 +30,7 @@ from .fibrations import (
     trivial_fibration,
 )
 from .linalg import rank as matrix_rank
+from .report import Report
 from .rings import kunneth_product
 
 
@@ -81,38 +82,6 @@ def fiber_projectors(ring):
     return out
 
 
-@dataclass
-class SystemReport:
-    """Exact-identity verification of a projector system."""
-
-    name: str
-    checks: list = field(default_factory=list)
-
-    def add(self, label, failures):
-        self.checks.append((label, not failures, list(failures)))
-
-    @property
-    def passed(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def lines(self):
-        out = [f"projector system on {self.name}: {'pass' if self.passed else 'FAIL'}"]
-        for label, ok, details in self.checks:
-            out.append(f"  {label}: {'pass' if ok else 'FAIL'}")
-            out.extend(f"    {d}" for d in details[:20])
-        return out
-
-    def to_dict(self):
-        return {
-            "check": "projector-system",
-            "name": self.name,
-            "passed": self.passed,
-            "checks": [
-                {"name": n, "passed": ok, "details": list(d)} for n, ok, d in self.checks
-            ],
-        }
-
-
 def verify_projector_system(projectors):
     """Idempotence, pairwise orthogonality, and completeness (sum equals the
     diagonal), all as exact cycle identities."""
@@ -123,7 +92,7 @@ def verify_projector_system(projectors):
     for p in ps:
         if p.source is not ring or p.target is not ring:
             raise ValueError("projector system must live on a single ring")
-    report = SystemReport(ring.name)
+    report = Report("projector-system", ring.name)
 
     idem = []
     for k, p in enumerate(ps):
@@ -155,7 +124,7 @@ class MotiveDecomposition:
     parent: Motive
     pieces: tuple
     rank_table: dict  # codim -> tuple of per-piece ranks
-    report: SystemReport
+    report: Report  # the verified checks; the table lists each piece's codim
 
     @property
     def piece_count(self):
@@ -163,33 +132,7 @@ class MotiveDecomposition:
 
     def codim_profile(self):
         """For each piece, the codimension where its image sits."""
-        out = []
-        for k in range(len(self.pieces)):
-            support = [p for p, ranks in sorted(self.rank_table.items()) if ranks[k]]
-            out.append(support[0] if support else None)
-        return tuple(out)
-
-    def lines(self):
-        ring = self.parent.ring
-        out = [f"motive decomposition of {ring.name}: {self.piece_count} piece(s)"]
-        for k, piece in enumerate(self.pieces):
-            codim = self.codim_profile()[k]
-            out.append(f"  {piece.name}: rank 1 in codim {codim}")
-        totals = {p: sum(ranks) for p, ranks in sorted(self.rank_table.items())}
-        out.append("  per-codim rank totals: " + ", ".join(
-            f"CH^{p}={r}" for p, r in totals.items()
-        ))
-        return out
-
-    def to_dict(self):
-        return {
-            "check": "motive-decomposition",
-            "ring": self.parent.ring.name,
-            "pieces": [p.name for p in self.pieces],
-            "codim_profile": list(self.codim_profile()),
-            "rank_table": {str(p): list(r) for p, r in self.rank_table.items()},
-            "passed": self.report.passed,
-        }
+        return tuple(codim for _, codim in self.report.table["pieces"])
 
 
 def decompose_motive(ring):
@@ -229,6 +172,14 @@ def decompose_motive(ring):
         Motive(ring, p, name=f"({ring.name}, {cell.label})")
         for cell, p in zip(ring.cells, ps)
     )
+    codims = [
+        next((p for p, ranks in sorted(rank_table.items()) if ranks[k]), None)
+        for k in range(len(pieces))
+    ]
+    report = Report("ring-decomposition", ring.name, report.checks, table={
+        "pieces": [(piece.name, codim) for piece, codim in zip(pieces, codims)],
+        "rank_table": rank_table,
+    })
     return MotiveDecomposition(unit_motive(ring), pieces, rank_table, report)
 
 
@@ -240,34 +191,14 @@ class ModelMotiveDecomposition:
     model: object
     pieces: tuple  # (label, codim, YOperator)
     rank_table: dict  # codim -> piece count
-    report: SystemReport
+    report: Report  # the verified checks; the table lists the pieces
 
     @property
     def piece_count(self):
         return len(self.pieces)
 
     def rank_profile(self):
-        return tuple(self.rank_table.get(p, 0) for p in range(self.model.dimension + 1))
-
-    def lines(self):
-        out = [f"motive decomposition of {self.model.name}: {self.piece_count} piece(s)"]
-        for label, codim, _ in self.pieces:
-            out.append(f"  {label}: rank 1 in codim {codim}")
-        out.append("  per-codim rank totals: " + ", ".join(
-            f"CH^{p}={r}" for p, r in sorted(self.rank_table.items())
-        ))
-        return out
-
-    def to_dict(self):
-        return {
-            "check": "motive-decomposition",
-            "model": self.model.name,
-            "pieces": [
-                {"name": label, "codim": codim} for label, codim, _ in self.pieces
-            ],
-            "rank_profile": list(self.rank_profile()),
-            "passed": self.report.passed,
-        }
+        return tuple(self.report.table["rank_profile"])
 
 
 def decompose_model(model, family=None):
@@ -288,7 +219,7 @@ def decompose_model(model, family=None):
             label = f"(T[{gen_label}], {cell.label})"
             pieces.append((label, g[0] + cell.codim, fam.peeled_operator({g: bp}, label)))
 
-    report = SystemReport(model.name)
+    report = Report("projector-system", model.name)
     idem, orth, complete = projector_system_failures(
         model, {label: op for label, _, op in pieces}
     )
@@ -314,6 +245,10 @@ def decompose_model(model, family=None):
     for p, r in rank_table.items():
         if r != model.rank(p):
             raise ValueError(f"piece count {r} at codim {p} differs from module rank {model.rank(p)}")
+    report = Report("model-decomposition", model.name, report.checks, table={
+        "pieces": [(label, codim) for label, codim, _ in pieces],
+        "rank_profile": [rank_table.get(p, 0) for p in range(model.dimension + 1)],
+    })
     return ModelMotiveDecomposition(model, tuple(pieces), rank_table, report)
 
 
@@ -330,7 +265,7 @@ def tensor_identity_check(left, right):
     ring = kunneth_product(left, right)
     ps = fiber_projectors(right)
     d_left = diagonal(left)
-    report = SystemReport(f"{left.name} x {right.name} tensor identity")
+    report = Report("projector-system", f"{left.name} x {right.name} tensor identity")
     cycles = {cell.key: tensor(d_left, p) for cell, p in zip(right.cells, ps)}
     for b in ring.cells:
         cyc = ring.basis_cycle(b)

@@ -12,7 +12,7 @@ full module basis where they are operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .correspondences import (
     Correspondence,
@@ -26,7 +26,6 @@ from .correspondences import (
     zero_correspondence,
 )
 from .fibrations import (
-    BatteryReport,
     ambient_extend,
     build_projector_family,
     from_kunneth,
@@ -35,7 +34,7 @@ from .fibrations import (
     zero_operator,
 )
 from .linalg import rank as matrix_rank
-from .motives import SystemReport
+from .report import Check, Report
 from .rings import kunneth_product
 from .sampling import random_fibered_cycle, seeded_rng
 
@@ -83,68 +82,7 @@ class CKDecomposition:
         return self.projectors[k]
 
 
-# -- action-window report ------------------------------------------------------
-
-
-@dataclass
-class ActionReport:
-    """Rank of each projector's action in each codimension.
-
-    table maps (projector degree k, codimension j) to the rank of the
-    induced map on the codim-j group.  A nonzero rank outside the window
-    j <= k <= 2j is a violation.
-    """
-
-    name: str
-    table: dict
-    violations: list
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def projector_rank(self, k):
-        return sum(r for (k_, _), r in self.table.items() if k_ == k)
-
-    def lines(self):
-        degrees = sorted({k for k, _ in self.table})
-        codims = sorted({j for _, j in self.table})
-        out = [f"action support of {self.name} (rows: degree, columns: codim, entries: rank)"]
-        header = "   k\\j |" + "".join(f"{j:>3}" for j in codims)
-        out.append(header)
-        out.append("  " + "-" * (len(header) - 2))
-        for k in degrees:
-            row = "".join(
-                f"{self.table[(k, j)]:>3}" if self.table[(k, j)] else "  ." for j in codims
-            )
-            out.append(f"  {k:>4} |{row}")
-        out.append(
-            "  projector ranks: "
-            + ", ".join(f"deg {k}: {self.projector_rank(k)}" for k in degrees)
-        )
-        if self.violations:
-            out.append("  window violations:")
-            out.extend(
-                f"    degree {k} acts with rank {r} on codim {j}"
-                for k, j, r in self.violations
-            )
-        else:
-            out.append("  window violations: none")
-        return out
-
-    def to_dict(self):
-        return {
-            "check": "action-window",
-            "name": self.name,
-            "passed": self.passed,
-            "table": [
-                {"degree": k, "codim": j, "rank": r}
-                for (k, j), r in sorted(self.table.items())
-            ],
-            "violations": [
-                {"degree": k, "codim": j, "rank": r} for k, j, r in self.violations
-            ],
-        }
+# -- action window -------------------------------------------------------------
 
 
 def _window_entry(table, violations, k, j, r):
@@ -166,47 +104,10 @@ def verify_action_window(ck):
         for k, op in ck.projectors.items():
             for j in range(ck.space.dimension + 1):
                 _window_entry(table, violations, k, j, matrix_rank(op.matrix(j)))
-    return ActionReport(ck.name, table, violations)
+    return Report("action-window", ck.name, table={"ranks": table, "violations": violations})
 
 
 # -- verification --------------------------------------------------------------
-
-
-@dataclass
-class CKReport:
-    """Pass/fail per Chow-Kunneth condition, plus the action-window table."""
-
-    name: str
-    conditions: list = field(default_factory=list)
-    action: ActionReport = None
-
-    def add(self, label, failures):
-        self.conditions.append((label, "pass" if not failures else "FAIL", list(failures)))
-
-    @property
-    def passed(self):
-        return all(status != "FAIL" for _, status, _ in self.conditions)
-
-    def lines(self):
-        out = [f"Chow-Kunneth conditions for {self.name}: {'pass' if self.passed else 'FAIL'}"]
-        for label, status, details in self.conditions:
-            out.append(f"  {label}: {status}")
-            out.extend(f"    {d}" for d in details[:20])
-        if self.action is not None:
-            out.extend(self.action.lines())
-        return out
-
-    def to_dict(self):
-        return {
-            "check": "chow-kunneth",
-            "name": self.name,
-            "passed": self.passed,
-            "conditions": [
-                {"name": n, "status": s, "details": list(d)}
-                for n, s, d in self.conditions
-            ],
-            "action": self.action.to_dict() if self.action is not None else None,
-        }
 
 
 def _verify_cycle_ck(ck, report):
@@ -261,18 +162,18 @@ def _verify_operator_ck(ck, report):
 def verify_ck(ck):
     """Check (a) idempotence/orthogonality/completeness and (b) the action
     window, exactly.  Condition (c) is reported but never checked."""
-    report = CKReport(ck.name)
+    report = Report("chow-kunneth", ck.name)
     if ck.kind == "cycle":
         _verify_cycle_ck(ck, report)
     else:
         _verify_operator_ck(ck, report)
     action = verify_action_window(ck)
-    report.action = action
+    report.children.append(("action", action))
     report.add(
         "(b) action window (degree k acts only on codims j with j <= k <= 2j)",
-        [f"degree {k} acts with rank {r} on codim {j}" for k, j, r in action.violations],
+        [f"degree {k} acts with rank {r} on codim {j}" for k, j, r in action.table["violations"]],
     )
-    report.conditions.append(("condition (c)", "not checked - out of scope", []))
+    report.checks.append(Check("condition (c)", "not checked - out of scope", []))
     return report
 
 
@@ -435,12 +336,17 @@ def verify_block_diagonality(model, base_ck=None, samples=20, seed=0, bound=10):
         for i in range(plan.base_top + 1)
         for j in range(plan.fiber_top + 1)
     }
+    # a pair with a zero block passes exactly: its image, or its input, is 0
+    nonzero = {
+        key: op for key, op in blocks.items()
+        if any(col for cols in op.columns.values() for col in cols.values())
+    }
     rng = seeded_rng(seed)
     failures = []
     for s in range(samples):
         y = random_fibered_cycle(rng, model, bound=bound).vector()
-        images = {key: op.apply_vector(y) for key, op in blocks.items()}
-        for key2, op2 in blocks.items():
+        images = {key: op.apply_vector(y) for key, op in nonzero.items()}
+        for key2, op2 in nonzero.items():
             for key, img in images.items():
                 want = img if key2 == key else {}
                 if op2.apply_vector(img) != want:
@@ -448,8 +354,8 @@ def verify_block_diagonality(model, base_ck=None, samples=20, seed=0, bound=10):
                         f"sample {s}: block {key2} after block {key} is not "
                         f"{'the block itself' if key2 == key else 'zero'}"
                     )
-    report = SystemReport(f"block diagonality on {model.name}")
-    report.add(f"{samples} random cycles, {len(blocks)} blocks", failures)
+    report = Report("projector-system", f"block diagonality on {model.name}")
+    report.add(f"{samples} random cycles, {len(blocks)} blocks", failures, samples)
     return report
 
 
@@ -471,7 +377,7 @@ def ck_battery(model, battery=None, base_ck=None):
         base2 = cellular_ck(kunneth_product(ambient, model.base))
         lifted2 = lift_ck(extended, base2)
         entries.append((extended.name, lifted2.report))
-    return BatteryReport(f"Chow-Kunneth battery for {model.name}", entries)
+    return Report("ambient-battery", f"Chow-Kunneth battery for {model.name}", children=entries)
 
 
 def compare_lift_to_cellular(model, lifted=None):
@@ -493,6 +399,6 @@ def compare_lift_to_cellular(model, lifted=None):
             got = to_kunneth(model, op(from_kunneth(model, cyc)))
             if got != want:
                 failures.append(f"degree {k} differs on {cell.label}")
-    report = SystemReport(f"lift vs cellular on {model.name}")
+    report = Report("projector-system", f"lift vs cellular on {model.name}")
     report.add("operator agreement on every basis cell", failures)
     return report

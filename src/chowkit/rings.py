@@ -20,8 +20,10 @@ rational mode.  No floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+
+from .report import Report
 
 INTEGER = "integer"
 RATIONAL = "rational"
@@ -389,35 +391,6 @@ def degree(ring, a):
     return ring.degree(a)
 
 
-@dataclass
-class PairingReport:
-    """Result of checking the delta-normalization of a ring's basis."""
-
-    ring_name: str
-    dimension: int
-    matrices: dict
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def lines(self):
-        out = [f"pairing delta-pattern on {self.ring_name}: {'pass' if self.passed else 'FAIL'}"]
-        for p, i, j, value in self.violations:
-            out.append(f"  P_{p}[{i},{j}] = {value} (expected {1 if i == j else 0})")
-        return out
-
-    def to_dict(self):
-        return {
-            "check": "pairing",
-            "ring": self.ring_name,
-            "passed": self.passed,
-            "matrices": {str(p): [list(row) for row in m] for p, m in self.matrices.items()},
-            "violations": [list(v) for v in self.violations],
-        }
-
-
 def verify_pairing(ring):
     """Check that every pairing matrix P_p is the identity.
 
@@ -433,7 +406,7 @@ def verify_pairing(ring):
             for j, value in enumerate(row, start=1):
                 if value != (1 if i == j else 0):
                     violations.append((p, i, j, value))
-    return PairingReport(ring.name, ring.dimension, matrices, violations)
+    return Report("pairing", ring.name, table={"matrices": matrices, "violations": violations})
 
 
 def is_delta_normalized(ring):

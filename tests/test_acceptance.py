@@ -46,6 +46,11 @@ from chowkit.schubert import lr_product, partitions_in_box, pieri_product
 PRODUCT_FACTORS = (projective_space(1), projective_space(2), grassmannian(2, 4))
 
 
+def projector_rank(action, k):
+    """Total rank of the degree-k projector over all codims of an action window."""
+    return sum(r for (k_, _), r in action.table["ranks"].items() if k_ == k)
+
+
 def test_criterion_01_pairing():
     """Exact delta pairing for the singles; for products, exact outside the
     middle degree, which is covered by the xfail/obstruction pair below.
@@ -63,7 +68,7 @@ def test_criterion_01_pairing():
                 assert report.passed, "\n".join(report.lines())
             else:
                 mid = ring.dimension // 2
-                assert {p for p, _, _, _ in report.violations} <= {mid}
+                assert {p for p, _, _, _ in report.table["violations"]} <= {mid}
     assert time.perf_counter() - started < 5.0
 
 
@@ -110,7 +115,7 @@ def test_criterion_01_middle_degree_obstruction():
         value = sum(x[i] * m[i][j] * x[j] for i in range(n) for j in range(n))
         assert value == -2
         report = verify_pairing(ring)
-        assert {p for p, _, _, _ in report.violations} == {mid}
+        assert {p for p, _, _, _ in report.table["violations"]} == {mid}
 
 
 def test_criterion_02_duality_delta_pattern():
@@ -134,13 +139,13 @@ def test_criterion_03_projector_family_with_ambient_battery():
         family = build_projector_family(model)
         report = verify_projector_family(family, samples=25, seed=0)
         assert report.passed, "\n".join(report.lines())
-        names = [n for n, _, _ in report.checks]
+        names = [c.label for c in report.checks]
         for wanted in ("degree preservation", "idempotence", "pairwise orthogonality",
                        "completeness"):
             assert wanted in names
         battery = manin_battery(model, samples=10, seed=0)
         assert battery.passed, "\n".join(battery.lines())
-        assert [n for n, _ in battery.entries] == ["point", "P^1", "P^2"]
+        assert [n for n, _ in battery.children] == ["point", "P^1", "P^2"]
     assert time.perf_counter() - started < 30.0
 
 
@@ -151,7 +156,7 @@ def test_criterion_04_action_formula_on_random_cycles():
         family = build_projector_family(model)
         report = verify_projector_family(family, samples=100, seed=1)
         assert report.passed, "\n".join(report.lines())
-        assert report.counts["coefficient extraction on random cycles"] == 100
+        assert {c.label: c.count for c in report.checks}["coefficient extraction on random cycles"] == 100
 
 
 def test_criterion_05_fiber_projector_systems():
@@ -180,7 +185,7 @@ def test_criterion_07_motive_isomorphism():
     pair = motive_iso_pair(hirzebruch(0), hirzebruch(2))
     report = pair.verify()
     assert report.passed, "\n".join(report.lines())
-    labels = [n for n, _, _ in report.checks]
+    labels = [c.label for c in report.checks]
     assert "piecewise roundtrip equals projector" in labels
     assert "roundtrip completeness" in labels
 
@@ -191,7 +196,7 @@ def test_criterion_08_composition_identities():
     both the exhaustive cell basis and 100+ random cycles."""
     report = run_identity_battery(samples=100, seed=0)
     assert report.passed, "\n".join(report.lines())
-    identity_checks = [n for n, _, _ in report.checks if "(100 instances)" in n]
+    identity_checks = [c["name"] for c in report.to_dict()["checks"] if "(100 instances)" in c["name"]]
     assert len(identity_checks) == 7  # six identities + associativity
 
     # functoriality on random cycles as well: the battery's own check is
@@ -230,8 +235,9 @@ def test_criterion_09_ck_lift():
         assert ck.report.passed, "\n".join(ck.report.lines())
         action = verify_action_window(ck)
         assert action.passed
-        assert [action.projector_rank(k) for k in sorted(set(k for k, _ in action.table))] == ranks
-        for (k, j), r in action.table.items():
+        table = action.table["ranks"]
+        assert [projector_rank(action, k) for k in sorted(set(k for k, _ in table))] == ranks
+        for (k, j), r in table.items():
             if k < j or k > 2 * j:
                 assert r == 0
     assert time.perf_counter() - started < 30.0
@@ -243,7 +249,7 @@ def test_criterion_10_composition_oracle():
     report = compose_oracle_battery(samples=100, seed=0)
     assert report.passed, "\n".join(report.lines())
     assert len(report.checks) == 9
-    assert all("(100 instances)" in n for n, _, _ in report.checks)
+    assert all("(100 instances)" in c["name"] for c in report.to_dict()["checks"])
 
 
 def test_criterion_11_rank_identity():

@@ -230,7 +230,16 @@ def test_negative_samples_is_a_parse_error(capsys, argv):
     assert "--samples" in capsys.readouterr().err
 
 
-def test_zero_samples_still_parses(capsys):
-    code, out, _ = run(capsys, "identities", "--samples", "0", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["samples"] == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identities", "--samples", "0"),
+        ("verify", "--catalog", "p2", "--suite", "identities", "--samples", "0"),
+    ],
+)
+def test_zero_samples_is_a_parse_error(capsys, argv):
+    # a battery that checks nothing must not pass
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "expected a positive integer, got 0" in capsys.readouterr().err

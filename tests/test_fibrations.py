@@ -153,7 +153,7 @@ def test_validate_fibration_catches_broken_duality():
     bad2 = FibrationModel(p1, p1, table2, name="broken grading")
     rep2 = validate_fibration(bad2)
     assert not rep2.passed
-    names = [n for n, ok, _ in rep2.checks if not ok]
+    names = [c.label for c in rep2.checks if not c.passed]
     assert "grading" in names
 
 
@@ -169,7 +169,7 @@ def test_validate_fibration_catches_nonassociative_table():
     weird = FibrationModel(p2, fiber, table, name="nonassociative")
     rep = validate_fibration(weird)
     assert not rep.passed
-    failed = {n for n, ok, _ in rep.checks if not ok}
+    failed = {c.label for c in rep.checks if not c.passed}
     assert "associativity on generators" in failed
 
 
@@ -181,7 +181,7 @@ def test_validate_fibration_catches_broken_fiber_duality():
     flat = FibrationModel(p1, fiber, table, name="flat square")
     rep = validate_fibration(flat)
     assert not rep.passed
-    failed = {n for n, ok, _ in rep.checks if not ok}
+    failed = {c.label for c in rep.checks if not c.passed}
     assert "fiberwise duality" in failed
 
 
@@ -235,6 +235,18 @@ def test_projector_family_verifies_on_standard_models():
         assert rep.passed, rep.lines()
 
 
+def test_projector_family_with_zero_samples_is_not_passed():
+    rep = verify_projector_family(build_projector_family(hirzebruch(1)), samples=0)
+    assert not rep.passed
+    assert "  coefficient extraction on random cycles: skipped (0 instances)" in rep.lines()
+    check = rep.to_dict()["checks"][4]
+    assert check == {
+        "name": "coefficient extraction on random cycles", "passed": False, "details": [], "count": 0
+    }
+    # the exhaustive checks still ran and passed
+    assert "  idempotence: pass (4 instances)" in rep.lines()
+
+
 def test_ambient_extend_structure():
     m = hirzebruch(1)
     amb = projective_space(1)
@@ -251,9 +263,9 @@ def test_ambient_extend_structure():
 def test_manin_battery_default_and_custom():
     rep = manin_battery(hirzebruch(2), samples=5)
     assert rep.passed
-    assert [name for name, _ in rep.entries] == ["point", "P^1", "P^2"]
+    assert [name for name, _ in rep.children] == ["point", "P^1", "P^2"]
     rep2 = manin_battery(hirzebruch(2), battery=[grassmannian(2, 4)], samples=3)
-    assert rep2.passed and rep2.entries[0][0] == "Gr(2,4)"
+    assert rep2.passed and rep2.children[0][0] == "Gr(2,4)"
 
 
 def test_motive_iso_pair_roundtrips():

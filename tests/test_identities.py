@@ -36,8 +36,8 @@ def test_standard_morphisms_validate_on_construction():
 def test_identity_battery_green():
     report = run_identity_battery(samples=25, seed=7)
     assert report.passed, "\n".join(report.lines())
-    assert report.name == "composition identities over (P^1, P^2)"
-    labels = [label for label, _, _ in report.checks]
+    assert report.subject == "composition identities over (P^1, P^2)"
+    labels = [c["name"] for c in report.to_dict()["checks"]]
     assert len(labels) == 8
     assert labels[0].startswith("c_alpha o phi")
     assert labels[-1].startswith("composition is associative")
@@ -48,7 +48,21 @@ def test_identity_battery_green():
 def test_identity_battery_other_pairs():
     report = run_identity_battery(projective_space(2), projective_space(1), samples=10, seed=3)
     assert report.passed
-    assert report.name == "composition identities over (P^2, P^1)"
+    assert report.subject == "composition identities over (P^2, P^1)"
+
+
+def test_zero_sample_batteries_are_skipped_not_passed():
+    report = run_identity_battery(samples=0)
+    assert not report.passed
+    assert "  c_alpha o phi = (1 x alpha) . phi: skipped (0 instances)" in report.lines()
+    assert report.lines()[0].endswith(": FAIL")
+    # the exhaustive functoriality check still runs on every cell
+    assert "  graphs extend over an ambient factor (88 instances): pass" in report.lines()
+    oracle = compose_oracle_battery((projective_space(1),), samples=0)
+    assert not oracle.passed
+    assert oracle.to_dict()["checks"] == [
+        {"name": "P^1 => P^1 => P^1", "passed": False, "details": []}
+    ]
 
 
 def test_identity_battery_deterministic():
@@ -96,8 +110,9 @@ def test_oracle_battery_green():
     report = compose_oracle_battery(samples=10, seed=5)
     assert report.passed, "\n".join(report.lines())
     assert len(report.checks) == 9  # ordered pairs of three rings
-    assert report.checks[0][0] == "P^1 => P^1 => P^1 (10 instances)"
-    assert report.checks[-1][0] == "Gr(2,4) => Gr(2,4) => Gr(2,4) (10 instances)"
+    labels = [c["name"] for c in report.to_dict()["checks"]]
+    assert labels[0] == "P^1 => P^1 => P^1 (10 instances)"
+    assert labels[-1] == "Gr(2,4) => Gr(2,4) => Gr(2,4) (10 instances)"
 
 
 def test_oracle_battery_custom_rings_and_determinism():

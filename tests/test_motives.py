@@ -37,7 +37,7 @@ def test_projector_system_verifies():
     for ring in (point(), projective_space(1), grassmannian(2, 4)):
         report = verify_projector_system(fiber_projectors(ring))
         assert report.passed
-        labels = [label for label, _, _ in report.checks]
+        labels = [c.label for c in report.checks]
         assert labels == ["idempotence", "pairwise orthogonality", "completeness (sum = diagonal)"]
         d = report.to_dict()
         assert d["check"] == "projector-system" and d["passed"]
@@ -48,7 +48,7 @@ def test_duplicated_projector_breaks_the_system():
     ps = fiber_projectors(p1)
     report = verify_projector_system([ps[0], ps[0], ps[1]])
     assert not report.passed
-    failed = {label for label, ok, _ in report.checks if not ok}
+    failed = {c.label for c in report.checks if not c.passed}
     # each projector is still idempotent; the duplicate wrecks the other two
     assert failed == {"pairwise orthogonality", "completeness (sum = diagonal)"}
     assert any("FAIL" in line for line in report.lines())
@@ -93,9 +93,9 @@ def test_decompose_p2():
     assert dec.codim_profile() == (0, 1, 2)
     assert [p.name for p in dec.pieces] == ["(P^2, 1)", "(P^2, h)", "(P^2, h^2)"]
     assert dec.report.passed
-    assert dec.lines()[0] == "motive decomposition of P^2: 3 piece(s)"
-    assert dec.lines()[-1] == "  per-codim rank totals: CH^0=1, CH^1=1, CH^2=1"
-    d = dec.to_dict()
+    assert dec.report.lines()[0] == "motive decomposition of P^2: 3 piece(s)"
+    assert dec.report.lines()[-1] == "  per-codim rank totals: CH^0=1, CH^1=1, CH^2=1"
+    d = dec.report.to_dict()
     assert d["codim_profile"] == [0, 1, 2]
     assert d["rank_table"]["1"] == [0, 1, 0]
 
@@ -126,8 +126,8 @@ def test_decompose_model_hirzebruch():
         ("(T[h], 1)", 1),
         ("(T[h], h)", 2),
     ]
-    assert dec.lines()[0] == "motive decomposition of hirzebruch(2): 4 piece(s)"
-    d = dec.to_dict()
+    assert dec.report.lines()[0] == "motive decomposition of hirzebruch(2): 4 piece(s)"
+    d = dec.report.to_dict()
     assert d["rank_profile"] == [1, 2, 1] and d["passed"]
 
 
@@ -156,6 +156,6 @@ def test_tensor_identity_small_pairs():
         report = tensor_identity_check(left, right)
         assert report.passed, "\n".join(report.lines())
     report = tensor_identity_check(p1, p1)
-    assert report.name == "P^1 x P^1 tensor identity"
+    assert report.subject == "P^1 x P^1 tensor identity"
     # one group of checks per product basis cell
     assert len(report.checks) == 4

@@ -25,6 +25,11 @@ from chowkit.correspondences import act
 from chowkit.murre import LiftPlan
 
 
+def projector_rank(action, k):
+    """Total rank of the degree-k projector over all codims of an action window."""
+    return sum(r for (k_, _), r in action.table["ranks"].items() if k_ == k)
+
+
 def test_cellular_ck_point_is_the_diagonal():
     pt = point()
     ck = cellular_ck(pt)
@@ -75,13 +80,15 @@ def test_decomposition_container_validation():
 def test_verify_ck_reports_conditions():
     report = verify_ck(cellular_ck(projective_space(2), validate=False))
     assert report.passed
-    names = [n for n, _, _ in report.conditions]
+    names = [c.label for c in report.checks]
     assert "(a) idempotence" in names
     assert "(a) orthogonality" in names
     assert "(a) completeness (sum = diagonal)" in names
     assert any(n.startswith("(b) action window") for n in names)
     # condition (c) is declared, never evaluated
-    assert ("condition (c)", "not checked - out of scope", []) in report.conditions
+    assert ("condition (c)", "not checked - out of scope", []) in [
+        (c.label, c.status, c.details) for c in report.checks
+    ]
     d = report.to_dict()
     assert d["check"] == "chow-kunneth" and d["passed"]
     assert d["action"]["check"] == "action-window"
@@ -95,7 +102,7 @@ def test_verify_ck_catches_a_duplicated_projector():
     broken = CKDecomposition(p1, projs, kind="cycle", name="broken")
     report = verify_ck(broken)
     assert not report.passed
-    status = {n: s for n, s, _ in report.conditions}
+    status = {c.label: c.status for c in report.checks}
     assert status["(a) idempotence"] == "pass"
     assert status["(a) orthogonality"] == "FAIL"
     assert status["(a) completeness (sum = diagonal)"] == "FAIL"
@@ -106,9 +113,9 @@ def test_verify_ck_catches_a_duplicated_projector():
 def test_action_window_cellular():
     rep = verify_action_window(cellular_ck(projective_space(2)))
     assert rep.passed
-    support = sorted((k, j, r) for (k, j), r in rep.table.items() if r)
+    support = sorted((k, j, r) for (k, j), r in rep.table["ranks"].items() if r)
     assert support == [(0, 0, 1), (2, 1, 1), (4, 2, 1)]
-    assert rep.projector_rank(2) == 1 and rep.projector_rank(3) == 0
+    assert projector_rank(rep, 2) == 1 and projector_rank(rep, 3) == 0
     assert rep.lines()[0].startswith("action support of cellular CK of P^2")
     assert rep.lines()[-1] == "  window violations: none"
 
@@ -123,7 +130,7 @@ def test_action_window_flags_out_of_window_rank():
     swapped = CKDecomposition(p1, projs, kind="cycle", name="swapped")
     rep = verify_action_window(swapped)
     assert not rep.passed
-    assert (0, 1, 1) in rep.violations and (2, 0, 1) in rep.violations
+    assert (0, 1, 1) in rep.table["violations"] and (2, 0, 1) in rep.table["violations"]
     assert any(line.strip() == "window violations:" for line in rep.lines())
     assert not verify_ck(swapped).passed
 
@@ -164,14 +171,14 @@ def test_lift_ck_hirzebruch():
     assert ck.name == "lifted CK of hirzebruch(1)"
     assert ck.report.passed
     rep = verify_action_window(ck)
-    assert [rep.projector_rank(k) for k in range(5)] == [1, 0, 2, 0, 1]
+    assert [projector_rank(rep, k) for k in range(5)] == [1, 0, 2, 0, 1]
     assert rep.passed
 
 
 def test_lift_ck_product_ranks():
     m = product_model(projective_space(2), projective_space(1))
     rep = verify_action_window(lift_ck(m))
-    assert [rep.projector_rank(k) for k in range(7)] == [1, 0, 2, 0, 2, 0, 1]
+    assert [projector_rank(rep, k) for k in range(7)] == [1, 0, 2, 0, 2, 0, 1]
 
 
 def test_block_diagonality():
@@ -180,10 +187,19 @@ def test_block_diagonality():
     assert report.lines()[0] == "projector system on block diagonality on hirzebruch(1): pass"
 
 
+def test_block_diagonality_with_zero_samples_is_not_passed():
+    report = verify_block_diagonality(hirzebruch(1), samples=0)
+    assert not report.passed
+    assert report.lines() == [
+        "projector system on block diagonality on hirzebruch(1): FAIL",
+        "  0 random cycles, 9 blocks: skipped (0 instances)",
+    ]
+
+
 def test_ck_battery_reverifies_ambient_extensions():
     report = ck_battery(hirzebruch(1), battery=(point(), projective_space(1)))
     assert report.passed
-    names = [name for name, _ in report.entries]
+    names = [name for name, _ in report.children]
     assert names == ["hirzebruch(1)", "point x hirzebruch(1)", "P^1 x hirzebruch(1)"]
 
 

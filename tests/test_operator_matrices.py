@@ -106,7 +106,7 @@ def test_sweeps_run_once_per_basis_element(monkeypatch):
 
 
 def conditions(report):
-    return {name: (status, details) for name, status, details in report.conditions}
+    return {c.label: (c.status, c.details) for c in report.checks}
 
 
 def test_verify_ck_catches_a_perturbed_entry():
@@ -144,7 +144,8 @@ def test_block_diagonality_catches_a_perturbed_block(monkeypatch):
     monkeypatch.setattr(LiftPlan, "block", perturbed)
     report = verify_block_diagonality(hirzebruch(1), samples=2, seed=3)
     assert not report.passed
-    label, ok, details = report.checks[0]
+    check = report.checks[0]
+    label, ok, details = check.label, check.passed, check.details
     assert label == "2 random cycles, 9 blocks" and not ok
     assert "sample 0: block (0, 0) after block (0, 0) is not the block itself" in details
     assert "sample 1: block (0, 2) after block (0, 0) is not zero" in details

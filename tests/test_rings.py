@@ -182,7 +182,7 @@ def test_pairing_matrices_and_report():
     r = simple_p2()
     rep = verify_pairing(r)
     assert rep.passed
-    assert rep.matrices[1] == ((1,),)
+    assert rep.table["matrices"][1] == ((1,),)
     assert is_delta_normalized(r)
     text = "\n".join(rep.lines())
     assert "pass" in text
@@ -195,7 +195,7 @@ def test_pairing_violation_reported_with_location():
     r = ChowRing(2, cells, {((1, 1), (1, 1)): {(2, 1): 2}}, name="doubled")
     rep = verify_pairing(r)
     assert not rep.passed
-    assert (1, 1, 1, 2) in rep.violations
+    assert (1, 1, 1, 2) in rep.table["violations"]
     assert not is_delta_normalized(r)
 
 
@@ -232,12 +232,12 @@ def test_kunneth_pairing_delta_except_middle():
     even = kunneth_product(p1, p1)
     rep = verify_pairing(even)
     assert not rep.passed
-    assert {v[0] for v in rep.violations} == {1}
-    assert rep.matrices[1] == ((0, 1), (1, 0))
+    assert {v[0] for v in rep.table["violations"]} == {1}
+    assert rep.table["matrices"][1] == ((0, 1), (1, 0))
     bigger = kunneth_product(p2, grassmannian(2, 4))
     rep = verify_pairing(bigger)
-    assert {v[0] for v in rep.violations} == {3}
-    mid = rep.matrices[3]
+    assert {v[0] for v in rep.table["violations"]} == {3}
+    mid = rep.table["matrices"][3]
     n = len(mid)
     assert all(sum(mid[i]) == 1 for i in range(n))
     assert all(mid[i][j] == mid[j][i] for i in range(n) for j in range(n))
@@ -398,7 +398,7 @@ def test_kunneth_table_matches_per_pair_products(pair):
     assert all(v for entry in flat.values() for v in entry.values())
     rebuilt = ChowRing(ring.dimension, ring.cells, reference, name=ring.name)
     assert dump_ring(ring) == dump_ring(rebuilt)
-    assert verify_pairing(ring).matrices == verify_pairing(rebuilt).matrices
+    assert verify_pairing(ring).table["matrices"] == verify_pairing(rebuilt).table["matrices"]
 
 
 def test_pairing_matrix_reads_table_degrees():
