@@ -41,7 +41,8 @@ class Report:
     table: dict | None = None
 
     def add(self, label, failures, count=None):
-        """Record a check that failed on each item of ``failures``."""
+        """Record one check: each item of ``failures`` details one failure,
+        and a ``count`` of 0 instances makes the check skipped."""
         status = FAIL if failures else SKIPPED if count == 0 else PASS
         self.checks.append(Check(label, status, list(failures), count))
 
