@@ -18,12 +18,24 @@ from .rings import BasisCell, ChowRing
 from .schubert import complement, lr_product, partitions_in_box
 
 
-@lru_cache(maxsize=None)
-def projective_space(n):
-    """The ring of P^n: one cell h^p per codimension, h^a * h^b truncated."""
+def projective_space(n, max_dim=100):
+    """The ring of P^n: one cell h^p per codimension, h^a * h^b truncated.
+
+    The associativity check at construction is cubic in n, hence the guard;
+    the ring is memoized on n alone, so an override returns the same object.
+    """
     if n < 0:
         raise ValueError("projective space needs n >= 0")
+    if n > max_dim:
+        raise ValueError(
+            f"P^{n} has dimension {n}, beyond the guard {max_dim}; "
+            f"pass max_dim explicitly to override"
+        )
+    return _projective_space(n)
 
+
+@lru_cache(maxsize=None)
+def _projective_space(n):
     def label(p):
         return "1" if p == 0 else ("h" if p == 1 else f"h^{p}")
 

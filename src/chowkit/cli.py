@@ -173,7 +173,11 @@ def _suite_duality(target, config):
 
 def _suite_projectors(target, config):
     if isinstance(target, ChowRing):
-        return _wrap("projectors", verify_projector_system(fiber_projectors(target)))
+        try:
+            projectors = fiber_projectors(target)
+        except ValueError as e:
+            return _fail("projectors", str(e))
+        return _wrap("projectors", verify_projector_system(projectors))
     family = build_projector_family(target)
     reports = [
         verify_projector_family(

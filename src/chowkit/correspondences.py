@@ -307,13 +307,22 @@ def action_matrix(f, p):
     """
     if f.offset is None:
         raise ValueError("action_matrix needs a homogeneous correspondence")
-    src_cells = f.source.cells_of_codim(p)
-    tgt_cells = f.target.cells_of_codim(p + f.offset)
-    images = [act(f, f.source.basis_cycle(c)) for c in src_cells]
-    return tuple(
-        tuple(images[j].coefficient(tgt_cells[i]) for j in range(len(src_cells)))
-        for i in range(len(tgt_cells))
-    )
+    src = f.source
+    q = p + f.offset
+    src_cells = src.cells_of_codim(p)
+    zero = Fraction(0) if f.cycle.mode == RATIONAL else 0
+    rows = [[zero] * len(src_cells) for _ in range(f.target.rank(q))]
+    # term c * (a x b) sends tau_{p,j} to c * deg(tau_{p,j} a) * b
+    for key, c in f.cycle.coeffs.items():
+        a, b = f.ring._key_to_pair[key]
+        if b.codim != q:
+            continue
+        row = rows[b.index - 1]
+        for j, cell in enumerate(src_cells):
+            d = src.pair_degree(cell.key, a.key)
+            if d:
+                row[j] += c * d
+    return tuple(tuple(row) for row in rows)
 
 
 def ambient_act(f, ambient, c):

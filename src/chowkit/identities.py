@@ -30,7 +30,7 @@ from .correspondences import (
 )
 from .linalg import mat_mul
 from .report import Report
-from .rings import kunneth_product
+from .rings import Cycle, kunneth_product
 from .sampling import random_correspondence, random_cycle, seeded_rng
 
 
@@ -214,23 +214,24 @@ def compose_oracle(g, f):
     triple = kunneth_product(AB, C)
 
     lift_f = _external_into(triple, f.cycle, C.unit())
-    unit_a = A.cells_of_codim(0)[0]
+    unit_a = A.unit_cell.key
     data = {}
     for key, coeff in g.cycle.coeffs.items():
-        b_key, c_key = g.cycle.ring.split_cell(key)
-        ab = AB.pair_cell(unit_a, b_key)
-        data[triple.pair_cell(ab, c_key).key] = coeff
-    lift_g = triple.cycle(data, mode=g.cycle.mode)
+        b, c = g.ring._key_to_pair[key]
+        data[triple._pair_to_key[(AB._pair_to_key[(unit_a, b.key)], c.key)]] = coeff
+    lift_g = Cycle(triple, data, g.cycle.mode)
 
     prod = lift_f * lift_g
-    out = AC.zero(mode=prod.mode)
+    # integrating out B keeps the terms on B's point class, with degree 1
+    point_b = B.point_cell.key
+    coeffs = {}
     for key, coeff in prod.coeffs.items():
-        ab_key, c_key = triple.split_cell(key)
-        a_key, b_key = AB.split_cell(ab_key)
-        weight = B.degree(B.basis_cycle(b_key, mode=prod.mode))
-        if weight:
-            out = out + AC.cycle({AC.pair_cell(a_key, c_key).key: coeff * weight}, mode=prod.mode)
-    return _demote(out)
+        ab, c = triple._key_to_pair[key]
+        a, b = AB._key_to_pair[ab.key]
+        if b.key == point_b:
+            ac = AC._pair_to_key[(a.key, c.key)]
+            coeffs[ac] = coeffs.get(ac, 0) + coeff
+    return _demote(Cycle(AC, coeffs, prod.mode))
 
 
 def compose_oracle_battery(rings=None, samples=100, seed=0, bound=10):

@@ -20,7 +20,7 @@ rational mode.  No floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .report import Report
@@ -36,13 +36,17 @@ class BasisCell:
     codim: int
     index: int
     label: str
+    # (codim, index), read on every hot path; equality and hashing stay on
+    # the three fields above
+    key: tuple = field(init=False, compare=False, repr=False)
 
-    @property
-    def key(self):
-        return (self.codim, self.index)
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.codim, self.index))
 
 
 def _check_coeff(value):
+    if type(value) is int or type(value) is Fraction:  # the common case, cheaply
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"exact integer or Fraction coefficient expected, got {value!r}")
     return value
@@ -68,14 +72,16 @@ class Cycle:
         clean = {}
         for key, value in coeffs.items():
             _check_coeff(value)
-            if mode == INTEGER and isinstance(value, Fraction):
+            if mode == INTEGER and type(value) is not int:  # a Fraction (or int subclass)
                 if value.denominator != 1:
                     raise ValueError(f"non-integral coefficient {value} in integer mode")
                 value = int(value)
             if value != 0:
                 if key not in ring._by_key:
                     raise ValueError(f"unknown cell key {key!r} for {ring.name}")
-                clean[key] = Fraction(value) if mode == RATIONAL else value
+                if mode == RATIONAL and type(value) is not Fraction:
+                    value = Fraction(value)
+                clean[key] = value
         self.ring = ring
         self.coeffs = clean
         self.mode = mode

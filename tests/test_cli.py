@@ -1,6 +1,7 @@
 """CLI surface: targets, suites, formats, exit codes 0/1/2/3."""
 
 import json
+import time
 
 import pytest
 
@@ -139,6 +140,27 @@ def test_failed_suite_exits_one(capsys, tmp_path):
     assert code == 1
     assert "[pairing] FAIL" in out
     assert out.rstrip().splitlines()[-2] == "result: FAIL"
+
+
+@pytest.mark.parametrize("suite", ["projectors", "all"])
+def test_degenerate_ring_fails_projectors_without_traceback(capsys, tmp_path, suite):
+    # fiber_projectors needs dual bases, which a degenerate pairing lacks
+    rp = tmp_path / "ring.json"
+    rp.write_text(json.dumps(degenerate_surface_doc()))
+    code, out, err = run(capsys, "verify", "--ring-file", str(rp), "--suite", suite)
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("[projectors] FAIL")
+    assert "pairing at codim 1 is degenerate" in lines[at + 1]
+    assert "Traceback" not in out + err
+
+
+def test_projective_space_guard_refuses_fast(capsys):
+    started = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--catalog", "p400", "--suite", "pairing")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "P^400 has dimension 400, beyond the guard 100" in err
 
 
 def test_battery_must_name_rings(capsys):
