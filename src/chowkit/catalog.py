@@ -18,24 +18,12 @@ from .rings import BasisCell, ChowRing
 from .schubert import complement, lr_product, partitions_in_box
 
 
-def projective_space(n, max_dim=100):
-    """The ring of P^n: one cell h^p per codimension, h^a * h^b truncated.
-
-    The associativity check at construction is cubic in n, hence the guard;
-    the ring is memoized on n alone, so an override returns the same object.
-    """
+@lru_cache(maxsize=None)
+def projective_space(n):
+    """The ring of P^n: one cell h^p per codimension, h^a * h^b truncated."""
     if n < 0:
         raise ValueError("projective space needs n >= 0")
-    if n > max_dim:
-        raise ValueError(
-            f"P^{n} has dimension {n}, beyond the guard {max_dim}; "
-            f"pass max_dim explicitly to override"
-        )
-    return _projective_space(n)
 
-
-@lru_cache(maxsize=None)
-def _projective_space(n):
     def label(p):
         return "1" if p == 0 else ("h" if p == 1 else f"h^{p}")
 
@@ -221,7 +209,11 @@ def resolve(name):
     if text == "point":
         return projective_space(0)
     if re.fullmatch(r"p\d+", text):
-        return projective_space(int(text[1:]))
+        n = int(text[1:])
+        # the associativity check at construction is cubic in n
+        if n > 100:
+            raise ValueError(f"P^{n} has dimension {n}, beyond the guard 100")
+        return projective_space(n)
     if re.fullmatch(r"gr\d\d", text):
         return grassmannian(int(text[2]), int(text[3]))
     if text.startswith("hirzebruch:"):

@@ -81,18 +81,12 @@ def test_grassmannian_guard_and_middle_check():
         grassmannian(0, 3)
 
 
-def test_projective_space_guard_and_override():
-    with pytest.raises(ValueError, match="beyond the guard 100; pass max_dim explicitly"):
-        projective_space(101)
-    with pytest.raises(ValueError, match="beyond the guard 100"):
+def test_resolve_guards_projective_space_dimension():
+    with pytest.raises(ValueError, match="P\\^101 has dimension 101, beyond the guard 100"):
         resolve("p101")
-    with pytest.raises(ValueError, match="P\\^5 has dimension 5, beyond the guard 4"):
-        projective_space(5, max_dim=4)
-    big = projective_space(101, max_dim=101)
-    assert big.dimension == 101 and big.ranks == (1,) * 102
-    # the guard is not part of the memo key: one ring per n
-    assert projective_space(101, max_dim=500) is big
-    assert projective_space(3, max_dim=3) is projective_space(3)
+    with pytest.raises(ValueError, match="beyond the guard 100"):
+        resolve("product:p1,p400")
+    assert resolve("p100") is projective_space(100)
 
 
 def test_hirzebruch_twist_table():
