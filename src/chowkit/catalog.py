@@ -45,7 +45,6 @@ def schubert_label(lam):
     return "1" if not lam else "s[" + ",".join(str(p) for p in lam) + "]"
 
 
-@lru_cache(maxsize=None)
 def grassmannian(k, n, max_dim=8):
     """Gr(k, n) with its Schubert basis, dual cells sharing their index.
 
@@ -58,13 +57,20 @@ def grassmannian(k, n, max_dim=8):
     """
     if not 0 < k < n:
         raise ValueError("grassmannian needs 0 < k < n")
-    rows, cols = k, n - k
-    dim = rows * cols
+    dim = k * (n - k)
     if dim > max_dim:
         raise ValueError(
             f"Gr({k},{n}) has dimension {dim}, beyond the guard {max_dim}; "
             f"pass max_dim explicitly to override"
         )
+    return _grassmannian(k, n)
+
+
+@lru_cache(maxsize=None)
+def _grassmannian(k, n):
+    """The build behind ``grassmannian``, cached on (k, n) only."""
+    rows, cols = k, n - k
+    dim = rows * cols
     order = {}
     for p in range(dim + 1):
         if 2 * p > dim:

@@ -97,7 +97,7 @@ def dump_ring(ring):
         for b in ring.cells:
             if b.key < a.key or a.codim == 0 or b.codim == 0:
                 continue
-            entry = ring._table.get(a.key, {}).get(b.key, {})
+            entry = ring._table[a.key].get(b.key, {})
             if not entry:
                 continue
             products.append(

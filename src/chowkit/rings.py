@@ -344,7 +344,7 @@ class ChowRing:
             raise ValueError("multiply: cycles must live in this ring")
         coeffs = {}
         for k1, c1 in a.coeffs.items():
-            row = self._table.get(k1, {})
+            row = self._table[k1]
             for k2, c2 in b.coeffs.items():
                 entry = row.get(k2)
                 if not entry:
@@ -432,6 +432,9 @@ class KunnethRing(ChowRing):
     the pairing matrix is the duality involution's permutation matrix, which
     is the identity only when every middle cell is self-dual; in general no
     basis fixes this, the middle intersection form being indefinite.)
+
+    Table rows are built from the factor rows on first read; degrees come
+    from the factor degrees, so pairings and correspondences build no row.
     """
 
     def __init__(self, left, right):
@@ -460,19 +463,12 @@ class KunnethRing(ChowRing):
         super().__init__(dimension, cells, None, name=f"{left.name} x {right.name}", validate=False)
 
     def _build_table(self, _products):
-        # (a x b) * (c x d) = (a * c) x (b * d), entry by entry from the
-        # factor tables, each unordered pair once; the unit rows carry over
-        lt, rt, pk = self.left._table, self.right._table, self._pair_to_key
-        table = {key: {} for key in pk.values()}
-        for (ka, kb), key1 in pk.items():
-            for kc, pa in lt[ka].items():
-                for kd, pb in rt[kb].items():
-                    key2 = pk[(kc, kd)]
-                    if pa and pb and key1 <= key2:
-                        table[key1][key2] = table[key2][key1] = {
-                            pk[(k1, k2)]: c1 * c2 for k1, c1 in pa.items() for k2, c2 in pb.items()
-                        }
-        return table
+        return _KunnethRows(self)
+
+    def pair_degree(self, k1, k2):
+        """deg_A(ac) * deg_B(bd) for (a x b) and (c x d); builds no row."""
+        (a, b), (c, d) = self._key_to_pair[k1], self._key_to_pair[k2]
+        return self.left.pair_degree(a.key, c.key) * self.right.pair_degree(b.key, d.key)
 
     def pair_cell(self, a_spec, b_spec):
         a = self.left.cell(a_spec)
@@ -482,6 +478,30 @@ class KunnethRing(ChowRing):
     def split_cell(self, spec):
         cell = self.cell(spec)
         return self._key_to_pair[cell.key]
+
+
+class _KunnethRows(dict):
+    """A Kunneth product's table, one row per cell key, each built on first
+    read (``rows[key]``; ``dict.get`` would miss unbuilt rows)."""
+
+    def __init__(self, ring):
+        super().__init__()
+        self._ring = ring
+
+    def __missing__(self, key):
+        # (a x b) * (c x d) = (a * c) x (b * d), entry by entry from the
+        # factor rows of a and b
+        ring = self._ring
+        a, b = ring._key_to_pair[key]
+        right_row, pk = ring.right._table[b.key], ring._pair_to_key
+        row = self[key] = {}
+        for kc, pa in ring.left._table[a.key].items():
+            for kd, pb in right_row.items():
+                if pa and pb:
+                    row[pk[(kc, kd)]] = {
+                        pk[(k1, k2)]: c1 * c2 for k1, c1 in pa.items() for k2, c2 in pb.items()
+                    }
+        return row
 
 
 def kunneth_product(left, right):

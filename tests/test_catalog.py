@@ -2,7 +2,7 @@
 
 import pytest
 
-from chowkit import is_delta_normalized, validate_fibration
+from chowkit import compose, diagonal, is_delta_normalized, validate_fibration
 from chowkit.catalog import (
     catalog_entries,
     grassmannian,
@@ -79,6 +79,15 @@ def test_grassmannian_guard_and_middle_check():
         grassmannian(3, 7, max_dim=12)
     with pytest.raises(ValueError):
         grassmannian(0, 3)
+
+
+def test_grassmannian_cache_ignores_the_guard():
+    # max_dim only admits a build; it must not key a second copy of the ring
+    g = grassmannian(2, 4)
+    assert g is grassmannian(2, 4, max_dim=9)
+    assert g is grassmannian(2, 4, 8)
+    d = diagonal(g)
+    assert compose(d, diagonal(grassmannian(2, 4, max_dim=9))) == d
 
 
 def test_resolve_guards_projective_space_dimension():

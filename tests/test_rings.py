@@ -10,12 +10,21 @@ from chowkit import (
     BasisCell,
     ChowRing,
     Cycle,
+    KunnethRing,
+    act,
+    action_matrix,
+    cellular_ck,
+    compose,
+    diagonal,
     dump_ring,
     external_product,
+    fiber_projectors,
     is_delta_normalized,
     kunneth_product,
     parse_ring,
+    transpose,
     verify_pairing,
+    verify_projector_system,
 )
 from chowkit.catalog import grassmannian, point, projective_space
 from chowkit.rings import registered_product
@@ -376,7 +385,7 @@ def reference_kunneth_table(left, right, ring):
     return out
 
 
-@pytest.mark.parametrize(
+KUNNETH_PAIRS = pytest.mark.parametrize(
     "pair",
     [
         lambda: (grassmannian(2, 4), projective_space(3)),
@@ -387,18 +396,68 @@ def reference_kunneth_table(left, right, ring):
     ],
     ids=["gr24xp3", "p3xgr24", "gr25xp2", "p2xp2", "degeneratexp1"],
 )
+
+
+def full_rows(ring):
+    """Every row of a product table, read by key so that unbuilt rows are
+    built (iterating ``_table`` sees only the rows built so far)."""
+    return {k: ring._table[k] for k in ring._by_key}
+
+
+@KUNNETH_PAIRS
 def test_kunneth_table_matches_per_pair_products(pair):
     left, right = pair()
+    # a fresh product with no row built yet: a table reader that used
+    # dict.get would dump no products here
+    untouched = dump_ring(KunnethRing(left, right))
     ring = kunneth_product(left, right)
     flat = {
-        (k1, k2): entry for k1, row in ring._table.items() for k2, entry in row.items() if entry
+        (k1, k2): entry for k1, row in full_rows(ring).items() for k2, entry in row.items() if entry
     }
     reference = reference_kunneth_table(left, right, ring)
     assert flat == reference
     assert all(v for entry in flat.values() for v in entry.values())
     rebuilt = ChowRing(ring.dimension, ring.cells, reference, name=ring.name)
     assert dump_ring(ring) == dump_ring(rebuilt)
+    assert untouched == dump_ring(rebuilt)
     assert verify_pairing(ring).table["matrices"] == verify_pairing(rebuilt).table["matrices"]
+
+
+@KUNNETH_PAIRS
+def test_kunneth_pairing_reads_factor_degrees(pair):
+    left, right = pair()
+    ring = KunnethRing(left, right)
+    matrices = [ring.pairing_matrix(p) for p in range(ring.dimension + 1)]
+    degrees = {(k1, k2): ring.pair_degree(k1, k2) for k1 in ring._by_key for k2 in ring._by_key}
+    assert not ring._table  # the pairing comes from the factors
+    point = ring.point_cell.key
+    rows = full_rows(ring)
+    for (k1, k2), value in degrees.items():
+        assert value == rows[k1].get(k2, {}).get(point, 0), (k1, k2)
+    for p, matrix in enumerate(matrices):
+        assert matrix == tuple(
+            tuple(rows[r.key].get(c.key, {}).get(point, 0)
+                  for c in ring.cells_of_codim(ring.dimension - p))
+            for r in ring.cells_of_codim(p)
+        )
+
+
+def test_kunneth_rows_stay_unbuilt_where_nothing_multiplies():
+    # a private copy of P^12, so no other test can have built a row of its square
+    p = parse_ring(dump_ring(projective_space(12)))
+    ring = kunneth_product(p, p)
+    ck = cellular_ck(p)
+    assert verify_projector_system(fiber_projectors(p)).passed
+    verify_pairing(ring)
+    d = diagonal(p)
+    for f in ck.projectors.values():
+        assert compose(d, f) == f == compose(f, d)
+        assert transpose(transpose(f)) == f
+        for q in range(p.dimension + 1):
+            x = p.basis_cycle((q, 1))
+            [[m]] = action_matrix(f, q)
+            assert act(f, x) == m * x
+    assert len(ring._table) == 0
 
 
 def test_pairing_matrix_reads_table_degrees():
