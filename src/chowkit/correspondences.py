@@ -325,6 +325,28 @@ def action_matrix(f, p):
     return tuple(tuple(row) for row in rows)
 
 
+def action_columns(f):
+    """The action of a degree-0 (or zero) self-correspondence as sparse
+    columns {codim: {cell key: {cell key: coefficient}}}.  Raises the
+    dual_basis_cycles error unless every pairing is perfect, since only then
+    does the action determine the cycle."""
+    ring = f.source
+    if f.target is not ring or not (f.is_zero() or f.offset == 0):
+        raise ValueError("action_columns needs a degree-0 self-correspondence")
+    # a term a x b acts only on codim(b); the other blocks are zero
+    hit = {f.ring._key_to_pair[key][1].codim for key in f.cycle.coeffs}
+    columns = {}
+    for p in range(ring.dimension + 1):
+        dual_basis_cycles(ring, p)
+        cells = ring.cells_of_codim(p)
+        matrix = action_matrix(f, p) if p in hit else ()
+        columns[p] = {
+            cell.key: {row.key: m[j] for row, m in zip(cells, matrix) if m[j]}
+            for j, cell in enumerate(cells)
+        }
+    return columns
+
+
 def ambient_act(f, ambient, c):
     """Action of id_ambient x f on a cycle of ambient x source."""
     return act(tensor(diagonal(ambient), f), c)

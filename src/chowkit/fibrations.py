@@ -485,8 +485,7 @@ class YOperator:
     def matrix(self, p):
         """The codim-p block: entry [r][c] is the coefficient of basis element
         r in the image of basis element c, both in model.coordinates order."""
-        cols = self.columns[p]
-        return tuple(tuple(col.get(r, 0) for col in cols.values()) for r in cols)
+        return column_matrix(self.columns[p])
 
     def stray_codims(self, p):
         """Codims other than p reached by images of codim-p basis elements."""
@@ -494,6 +493,11 @@ class YOperator:
 
     def __repr__(self):
         return f"<YOperator {self.name} on {self.model.name}>"
+
+
+def column_matrix(cols):
+    """Dense matrix of sparse columns {basis key: column}, as YOperator.matrix."""
+    return tuple(tuple(col.get(r, 0) for col in cols.values()) for r in cols)
 
 
 def _combine(terms):
@@ -517,24 +521,40 @@ def identity_operator(model):
     }, "id")
 
 
-def projector_system_failures(model, ops):
-    """Where the operators {name: YOperator} fail to be a complete system of
-    orthogonal idempotents, checked by sparse products and sums on every
-    codim: ([(k, p)] not idempotent, [(l, k, p)] with l after k nonzero,
-    [p] where the sum is not the identity)."""
-    codims = range(model.dimension + 1)
-    idem, orth = [], []
-    total = zero_operator(model)
-    for k, op in ops.items():
-        square = op @ op
-        idem += [(k, p) for p in codims if square.columns[p] != op.columns[p]]
-        for l, other in ops.items():
-            if l != k:
-                prod = other @ op
-                orth += [(l, k, p) for p in codims if any(prod.columns[p].values())]
-        total = total + op
-    ident = identity_operator(model)
-    return idem, orth, [p for p in codims if total.columns[p] != ident.columns[p]]
+def _after(f, g):
+    """f after g, both flat sparse matrices {basis key: sparse column}."""
+    return {b: _combine((c, f[key]) for key, c in col.items()) for b, col in g.items()}
+
+
+def projector_system_failures(systems):
+    """Where {name: matrices laid out as YOperator.columns} on one shared basis
+    fail to be a complete system of orthogonal idempotents, by failing codim p:
+    ([(k, p)] not idempotent, [(l, k, p)] l after k nonzero, [p] sum not identity).
+
+    Over Q, idempotents summing to the identity are orthogonal: tr P = rank P,
+    so the image ranks add up to dim V and the images' sum is direct.  Pairwise
+    products run only when a square or the sum fails, to name witnesses."""
+    codims = next(iter(systems.values()))
+    flat = {
+        k: {b: col for cols in system.values() for b, col in cols.items()}
+        for k, system in systems.items()
+    }
+    idem = []
+    for k, f in flat.items():
+        square = _after(f, f)
+        idem += [(k, p) for p, keys in codims.items() if any(square[b] != f[b] for b in keys)]
+    complete = [
+        p for p, keys in codims.items()
+        if any(_combine((1, f[b]) for f in flat.values()) != {b: 1} for b in keys)
+    ]
+    orth = []
+    if idem or complete:
+        for k, f in flat.items():
+            for l, g in flat.items():
+                if l != k:
+                    prod = _after(g, f)
+                    orth += [(l, k, p) for p, keys in codims.items() if any(prod[b] for b in keys)]
+    return idem, orth, complete
 
 
 # -- projector family ----------------------------------------------------------

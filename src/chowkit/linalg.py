@@ -25,10 +25,10 @@ def transpose(a):
 
 
 def rank(a):
-    """Rank by Gaussian elimination over Fraction."""
-    if not a or not a[0]:
+    """Rank by Gaussian elimination over Fraction; zero rows are skipped."""
+    work = [[Fraction(x) for x in row] for row in a if any(row)]
+    if not work:
         return 0
-    work = [[Fraction(x) for x in row] for row in a]
     r = 0
     for col in range(len(work[0])):
         pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)

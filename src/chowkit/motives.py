@@ -17,6 +17,7 @@ from .correspondences import (
     _demote,
     _external_into,
     act,
+    action_columns,
     compose,
     diagonal,
     dual_basis_cycles,
@@ -84,36 +85,28 @@ def fiber_projectors(ring):
 
 def verify_projector_system(projectors):
     """Idempotence, pairwise orthogonality, and completeness (sum equals the
-    diagonal), all as exact cycle identities."""
+    diagonal) of degree-0 correspondences, read through their action."""
     ps = list(projectors)
     if not ps:
         raise ValueError("empty projector system")
     ring = ps[0].source
-    for p in ps:
-        if p.source is not ring or p.target is not ring:
-            raise ValueError("projector system must live on a single ring")
+    if any(p.source is not ring or p.target is not ring for p in ps):
+        raise ValueError("projector system must live on a single ring")
+    idem, orth, complete = projector_system_failures(
+        {k: action_columns(p) for k, p in enumerate(ps)}
+    )
     report = Report("projector-system", ring.name)
-
-    idem = []
-    for k, p in enumerate(ps):
-        if compose(p, p) != p:
-            idem.append(f"projector {k} is not idempotent")
-    report.add("idempotence", idem)
-
-    orth = []
-    for k, p in enumerate(ps):
-        for l, q in enumerate(ps):
-            if k != l and not compose(p, q).is_zero():
-                orth.append(f"projectors {k} and {l} do not compose to zero")
-    report.add("pairwise orthogonality", orth)
-
-    total = ps[0]
-    for p in ps[1:]:
-        total = total + p
-    complete = []
-    if total != diagonal(ring):
-        complete.append("projector sum differs from the diagonal")
-    report.add("completeness (sum = diagonal)", complete)
+    report.add("idempotence", [
+        f"projector {k} is not idempotent" for k in dict.fromkeys(k for k, _ in idem)
+    ])
+    report.add("pairwise orthogonality", [
+        f"projectors {l} and {k} do not compose to zero"
+        for l, k in sorted({(l, k) for l, k, _ in orth})
+    ])
+    report.add(
+        "completeness (sum = diagonal)",
+        ["projector sum differs from the diagonal"] if complete else [],
+    )
     return report
 
 
@@ -221,7 +214,7 @@ def decompose_model(model, family=None):
 
     report = Report("projector-system", model.name)
     idem, orth, complete = projector_system_failures(
-        model, {label: op for label, _, op in pieces}
+        {label: op.columns for label, _, op in pieces}
     )
     report.add("idempotence", [f"piece {k} is not idempotent on codim {p}" for k, p in idem])
     report.add("pairwise orthogonality", [

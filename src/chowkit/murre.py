@@ -6,8 +6,8 @@ single codimension.  Over a fibration whose fiber is cellular, a
 decomposition of the base lifts degree by degree: the fiber projector
 family peels a cycle into base coefficients, each base projector is applied
 to its slice, and the pieces are reassembled.  Everything here is verified
-as exact identities, cycle-level where the projectors are cycles and on the
-full module basis where they are operators.
+as exact identities on a full basis: through their action where the
+projectors are cycles, and as matrices where they are operators.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ from .correspondences import (
     _demote,
     _external_into,
     act,
-    action_matrix,
-    compose,
-    diagonal,
+    action_columns,
     dual_basis_cycles,
     zero_correspondence,
 )
 from .fibrations import (
     ambient_extend,
     build_projector_family,
+    column_matrix,
     from_kunneth,
     projector_system_failures,
     to_kunneth,
@@ -81,92 +80,61 @@ class CKDecomposition:
     def projector(self, k):
         return self.projectors[k]
 
+    def columns(self):
+        """{degree: sparse columns}; a cycle projector is read through its action."""
+        if self.kind == "cycle":
+            return {k: action_columns(p) for k, p in self.projectors.items()}
+        return {k: op.columns for k, op in self.projectors.items()}
 
-# -- action window -------------------------------------------------------------
 
-
-def _window_entry(table, violations, k, j, r):
-    table[(k, j)] = r
-    if r and not (j <= k <= 2 * j):
-        violations.append((k, j, r))
+# -- verification --------------------------------------------------------------
 
 
 def verify_action_window(ck):
     """Rank table of every projector in every codimension, with violations
     of the support window j <= k <= 2j."""
     table, violations = {}, []
-    if ck.kind == "cycle":
-        ring = ck.space
-        for k, proj in ck.projectors.items():
-            for j in range(ring.dimension + 1):
-                _window_entry(table, violations, k, j, matrix_rank(action_matrix(proj, j)))
-    else:
-        for k, op in ck.projectors.items():
-            for j in range(ck.space.dimension + 1):
-                _window_entry(table, violations, k, j, matrix_rank(op.matrix(j)))
+    for k, columns in ck.columns().items():
+        for j, cols in columns.items():
+            r = table[(k, j)] = matrix_rank(column_matrix(cols))
+            if r and not (j <= k <= 2 * j):
+                violations.append((k, j, r))
     return Report("action-window", ck.name, table={"ranks": table, "violations": violations})
-
-
-# -- verification --------------------------------------------------------------
-
-
-def _verify_cycle_ck(ck, report):
-    ring = ck.space
-    projs = ck.projectors
-
-    idem = []
-    for k, p in projs.items():
-        if compose(p, p) != p:
-            idem.append(f"projector {k} is not idempotent")
-    report.add("(a) idempotence", idem)
-
-    orth = []
-    for k, p in projs.items():
-        for l, q in projs.items():
-            if k != l and not compose(q, p).is_zero():
-                orth.append(f"projectors {l} and {k} do not compose to zero")
-    report.add("(a) orthogonality", orth)
-
-    total = zero_correspondence(ring, ring, 0)
-    for p in projs.values():
-        total = total + p
-    report.add(
-        "(a) completeness (sum = diagonal)",
-        [] if total == diagonal(ring) else ["projector sum differs from the diagonal"],
-    )
-
-
-def _verify_operator_ck(ck, report):
-    model = ck.space
-    codims = range(model.dimension + 1)
-    projs = ck.projectors
-    report.add("grading (projectors preserve codimension)", [
-        f"projector {k} moves codim {j} into codims {stray}"
-        for k, op in projs.items()
-        for j in codims
-        if (stray := op.stray_codims(j))
-    ])
-
-    idem, orth, complete = projector_system_failures(model, projs)
-    report.add("(a) idempotence", [
-        f"projector {k} is not idempotent on codim {j}" for k, j in idem
-    ])
-    report.add("(a) orthogonality", [
-        f"projectors {l} and {k} do not compose to zero on codim {j}" for l, k, j in orth
-    ])
-    report.add("(a) completeness (sum = identity)", [
-        f"projector sum is not the identity on codim {j}" for j in complete
-    ])
 
 
 def verify_ck(ck):
     """Check (a) idempotence/orthogonality/completeness and (b) the action
     window, exactly.  Condition (c) is reported but never checked."""
     report = Report("chow-kunneth", ck.name)
+    idem, orth, complete = projector_system_failures(ck.columns())
     if ck.kind == "cycle":
-        _verify_cycle_ck(ck, report)
+        report.add("(a) idempotence", [
+            f"projector {k} is not idempotent" for k in dict.fromkeys(k for k, _ in idem)
+        ])
+        report.add("(a) orthogonality", [
+            f"projectors {l} and {k} do not compose to zero"
+            for l, k in dict.fromkeys((l, k) for l, k, _ in orth)
+        ])
+        report.add(
+            "(a) completeness (sum = diagonal)",
+            ["projector sum differs from the diagonal"] if complete else [],
+        )
     else:
-        _verify_operator_ck(ck, report)
+        report.add("grading (projectors preserve codimension)", [
+            f"projector {k} moves codim {j} into codims {stray}"
+            for k, op in ck.projectors.items()
+            for j in range(ck.space.dimension + 1)
+            if (stray := op.stray_codims(j))
+        ])
+        report.add("(a) idempotence", [
+            f"projector {k} is not idempotent on codim {j}" for k, j in idem
+        ])
+        report.add("(a) orthogonality", [
+            f"projectors {l} and {k} do not compose to zero on codim {j}" for l, k, j in orth
+        ])
+        report.add("(a) completeness (sum = identity)", [
+            f"projector sum is not the identity on codim {j}" for j in complete
+        ])
     action = verify_action_window(ck)
     report.children.append(("action", action))
     report.add(
