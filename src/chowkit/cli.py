@@ -165,10 +165,7 @@ def _suite_duality(target, config):
                 fails.append(f"codim {p}: {e}")
         report.add("perfect degree pairings (dual bases exist)", fails)
         return _wrap("duality", report)
-    return _wrap(
-        "duality",
-        duality_report(target, samples=config.samples, seed=config.seed, bound=config.bound),
-    )
+    return _wrap("duality", duality_report(target, samples=config.samples, seed=config.seed))
 
 
 def _suite_projectors(target, config):
@@ -179,19 +176,11 @@ def _suite_projectors(target, config):
             return _fail("projectors", str(e))
         return _wrap("projectors", verify_projector_system(projectors))
     family = build_projector_family(target)
-    reports = [
-        verify_projector_family(
-            family, samples=config.samples, seed=config.seed, bound=config.bound
-        )
-    ]
+    reports = [verify_projector_family(family, samples=config.samples, seed=config.seed)]
     if config.battery:
         reports.append(
             manin_battery(
-                target,
-                battery=config.battery,
-                samples=config.samples,
-                seed=config.seed,
-                bound=config.bound,
+                target, battery=config.battery, samples=config.samples, seed=config.seed
             )
         )
     return _wrap("projectors", *reports)
@@ -202,13 +191,7 @@ def _suite_manin(target, config):
         return _skip("manin", "needs a fibration model")
     return _wrap(
         "manin",
-        manin_battery(
-            target,
-            battery=config.battery,
-            samples=config.samples,
-            seed=config.seed,
-            bound=config.bound,
-        ),
+        manin_battery(target, battery=config.battery, samples=config.samples, seed=config.seed),
     )
 
 
@@ -245,9 +228,7 @@ def _suite_murre(target, config):
     reports = [verify_action_window(ck)]
     if isinstance(target, FibrationModel):
         reports.append(
-            verify_block_diagonality(
-                target, samples=min(config.samples, 20), seed=config.seed, bound=config.bound
-            )
+            verify_block_diagonality(target, samples=min(config.samples, 20), seed=config.seed)
         )
     return _wrap("murre", *reports)
 
@@ -257,8 +238,8 @@ def _suite_identities(target, config):
 
     return _wrap(
         "identities",
-        run_identity_battery(samples=config.samples, seed=config.seed, bound=config.bound),
-        compose_oracle_battery(samples=config.samples, seed=config.seed, bound=config.bound),
+        run_identity_battery(samples=config.samples, seed=config.seed),
+        compose_oracle_battery(samples=config.samples, seed=config.seed),
     )
 
 
@@ -277,11 +258,10 @@ _SUITES = {
 class RunConfig:
     """Run parameters; the seed fully determines every randomized check."""
 
-    def __init__(self, battery=None, seed=0, samples=100, bound=10):
+    def __init__(self, battery=None, seed=0, samples=100):
         self.battery = battery
         self.seed = seed
         self.samples = samples
-        self.bound = bound
 
 
 # -- report rendering ----------------------------------------------------------
@@ -313,6 +293,20 @@ def _emit(report, fmt, started):
 
 
 # -- subcommands ----------------------------------------------------------------
+
+
+def _finish(args, started, target, suites, **run):
+    """Print the report document of a run and map its verdict to an exit
+    code; ``run`` holds the seed and sample count of a randomized run."""
+    report = {
+        "command": args.command,
+        "target": target,
+        **run,
+        "suites": suites,
+        "passed": all(s["passed"] for s in suites),
+    }
+    _emit(report, args.format, started)
+    return EXIT_PASS if report["passed"] else EXIT_SUITE_FAILURE
 
 
 def _cmd_catalog(args, started):
@@ -359,73 +353,35 @@ def _cmd_verify(args, started):
     )
     wanted = SUITE_NAMES if args.suite == "all" else (args.suite,)
     suites = [_SUITES[s](target, config) for s in sorted(wanted)]
-    report = {
-        "command": "verify",
-        "target": name,
-        "seed": config.seed,
-        "samples": config.samples,
-        "suites": suites,
-        "passed": all(s["passed"] for s in suites),
-    }
-    _emit(report, args.format, started)
-    return EXIT_PASS if report["passed"] else EXIT_SUITE_FAILURE
+    return _finish(args, started, name, suites, seed=config.seed, samples=config.samples)
 
 
 def _cmd_decompose(args, started):
     name, target = load_target(args)
-    suite = _suite_motives(target, RunConfig())
-    report = {
-        "command": "decompose",
-        "target": name,
-        "suites": [suite],
-        "passed": suite["passed"],
-    }
-    _emit(report, args.format, started)
-    return EXIT_PASS if report["passed"] else EXIT_SUITE_FAILURE
+    return _finish(args, started, name, [_suite_motives(target, RunConfig())])
 
 
 def _cmd_ck(args, started):
     name, target = load_target(args)
-    config = RunConfig(battery=_parse_battery(args.battery))
+    battery = _parse_battery(args.battery)
     # a failure before the lifted projectors exist is a hypothesis failure
     try:
         ck = _build_ck(target)
     except ValueError as e:
         raise CliError(str(e), EXIT_VALIDATION_FAILURE) from e
     reports = [verify_ck(ck)]
-    if config.battery and isinstance(target, FibrationModel):
+    if battery and isinstance(target, FibrationModel):
         try:
-            reports.append(ck_battery(target, battery=config.battery))
+            reports.append(ck_battery(target, battery=battery))
         except ValueError as e:
-            return _finish_ck(args, name, [_fail("ck", str(e))], started)
-    suites = [_wrap("ck", *reports)]
-    return _finish_ck(args, name, suites, started)
-
-
-def _finish_ck(args, name, suites, started):
-    report = {
-        "command": "ck",
-        "target": name,
-        "suites": suites,
-        "passed": all(s["passed"] for s in suites),
-    }
-    _emit(report, args.format, started)
-    return EXIT_PASS if report["passed"] else EXIT_SUITE_FAILURE
+            return _finish(args, started, name, [_fail("ck", str(e))])
+    return _finish(args, started, name, [_wrap("ck", *reports)])
 
 
 def _cmd_identities(args, started):
     config = RunConfig(seed=args.seed, samples=args.samples)
-    suite = _suite_identities(None, config)
-    report = {
-        "command": "identities",
-        "target": "(P^1, P^2)",
-        "seed": config.seed,
-        "samples": config.samples,
-        "suites": [suite],
-        "passed": suite["passed"],
-    }
-    _emit(report, args.format, started)
-    return EXIT_PASS if report["passed"] else EXIT_SUITE_FAILURE
+    suites = [_suite_identities(None, config)]
+    return _finish(args, started, "(P^1, P^2)", suites, seed=config.seed, samples=config.samples)
 
 
 # -- argument parsing ------------------------------------------------------------

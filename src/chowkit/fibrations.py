@@ -23,7 +23,6 @@ matrices, read off one sweep per module basis element.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .correspondences import act
@@ -152,6 +151,7 @@ class FibrationModel:
         self.is_trivial = is_trivial
         self._gen_cells = {c.key: c for c in fiber.cells}
         self.generators = tuple(sorted(self._gen_cells))
+        self._family = None  # see build_projector_family
         table = {}
 
         def put(g1, g2, entry):
@@ -268,17 +268,6 @@ class FibrationModel:
         return f"<FibrationModel {self.name} dim={self.dimension}>"
 
 
-# -- module-level operation surface -------------------------------------------
-
-
-def pullback(model, a):
-    return model.pullback(a)
-
-
-def pushforward(model, y):
-    return model.pushforward(y)
-
-
 def trivial_fibration(base, fiber, name=None):
     """The product fibration: structure constants are the fiber's own."""
     table = {}
@@ -318,7 +307,7 @@ def duality_triple(model, alpha, left, right):
     return model.pushforward(y)
 
 
-def duality_report(model, samples=20, seed=0, bound=10):
+def duality_report(model, samples=20, seed=0):
     """The delta pattern of the duality triple over every admissible
     generator pair.
 
@@ -332,7 +321,7 @@ def duality_report(model, samples=20, seed=0, bound=10):
     rng = sampling.seeded_rng(seed)
     alphas = [("basis " + c.label, model.base.basis_cycle(c)) for c in model.base.cells]
     alphas += [
-        (f"random {s}", sampling.random_cycle(rng, model.base, bound=bound))
+        (f"random {s}", sampling.random_cycle(rng, model.base))
         for s in range(samples)
     ]
     report = Report("projector-family", model.name)
@@ -477,10 +466,8 @@ class YOperator:
             for p, cols in other.columns.items()
         }, f"{self.name} o {other.name}")
 
-    def equals(self, other, basis=None):
-        if basis is None:
-            return self.columns == other.columns
-        return all(self(y) == other(y) for y in basis)
+    def equals(self, other):
+        return self.columns == other.columns
 
     def matrix(self, p):
         """The codim-p block: entry [r][c] is the coefficient of basis element
@@ -560,7 +547,6 @@ def projector_system_failures(systems):
 # -- projector family ----------------------------------------------------------
 
 
-@dataclass
 class ProjectorFamily:
     """The peeling projectors of a model, in descending generator order.
 
@@ -568,15 +554,13 @@ class ProjectorFamily:
     ``apply_all`` performs the whole descending sweep once, which evaluates
     every projector honestly (each one sees exactly the residual its
     definition prescribes).  Operators built from the family come from one
-    cached sweep per module basis element.
+    cached sweep per module basis element.  A model's family is the one
+    build_projector_family keeps on it, so every caller shares those sweeps.
     """
 
-    model: FibrationModel
-    order: tuple = ()
-
-    def __post_init__(self):
-        if not self.order:
-            self.order = tuple(sorted(self.model.generators, reverse=True))
+    def __init__(self, model):
+        self.model = model
+        self.order = tuple(sorted(model.generators, reverse=True))
         self._sweeps = {}  # codim p -> {basis key: sweep of that basis element}
 
     def apply_all_with_coefficients(self, y):
@@ -632,10 +616,14 @@ class ProjectorFamily:
 
 
 def build_projector_family(model):
-    return ProjectorFamily(model)
+    """The model's one projector family, built on first use and kept on the
+    model, so its basis sweeps live as long as the model does."""
+    if model._family is None:
+        model._family = ProjectorFamily(model)
+    return model._family
 
 
-def verify_projector_family(family, samples=100, seed=0, bound=10):
+def verify_projector_family(family, samples=100, seed=0):
     """Exact check of degree preservation, idempotence, pairwise
     orthogonality, completeness, the coefficient-extraction action formula,
     section recovery, and the per-codim rank identity.
@@ -677,8 +665,7 @@ def verify_projector_family(family, samples=100, seed=0, bound=10):
     action_fail = []
     for _ in range(samples):
         coeffs = {
-            g: sampling.random_cycle(rng, model.base, bound=bound)
-            for g in model.generators
+            g: sampling.random_cycle(rng, model.base) for g in model.generators
         }
         y = model.zero()
         for g, a in coeffs.items():
@@ -739,7 +726,7 @@ def ambient_extend(model, ambient):
     )
 
 
-def manin_battery(model, battery=None, samples=25, seed=0, bound=10):
+def manin_battery(model, battery=None, samples=25, seed=0):
     """Re-verify the projector family after extending by each battery ring.
 
     The default battery is {point, P^1, P^2}; extending by T and checking the
@@ -754,7 +741,7 @@ def manin_battery(model, battery=None, samples=25, seed=0, bound=10):
     for ambient in battery:
         extended = ambient_extend(model, ambient)
         family = build_projector_family(extended)
-        report.children.append((ambient.name, verify_projector_family(family, samples, seed, bound)))
+        report.children.append((ambient.name, verify_projector_family(family, samples, seed)))
     return report
 
 

@@ -76,7 +76,7 @@ def _random_offset(rng, source, target):
     return rng.randint(-source.dimension, target.dimension)
 
 
-def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
+def run_identity_battery(left=None, right=None, samples=100, seed=0):
     """Check the six composition identities, graph functoriality over an
     ambient line, and associativity; every instance is an exact cycle
     comparison."""
@@ -96,8 +96,8 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
 
     fails = []
     for s in range(samples):
-        alpha = random_cycle(rng, Z, bound=bound, codim=rng.randint(0, Z.dimension))
-        phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
+        alpha = random_cycle(rng, Z, codim=rng.randint(0, Z.dimension))
+        phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
         want = phi.cycle * _external_into(ring, X.unit(), alpha)
         if compose(multiplication_correspondence(Z, alpha), phi).cycle != want:
             fails.append(f"sample {s}: alpha {alpha!r}")
@@ -105,8 +105,8 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
 
     fails = []
     for s in range(samples):
-        alpha = random_cycle(rng, X, bound=bound, codim=rng.randint(0, X.dimension))
-        psi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
+        alpha = random_cycle(rng, X, codim=rng.randint(0, X.dimension))
+        psi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
         want = _external_into(ring, alpha, Z.unit()) * psi.cycle
         if compose(psi, multiplication_correspondence(X, alpha)).cycle != want:
             fails.append(f"sample {s}: alpha {alpha!r}")
@@ -118,7 +118,7 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
     for s in range(samples):
         f = into_Z[s % len(into_Z)]
         c, _ = graphs[f.name]
-        phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
+        phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
         if compose(c, phi).cycle != prods_3[f.name].pullback(phi.cycle):
             fails.append(f"sample {s}: morphism {f.name}")
     report.add("c(f) o phi = (id x f)^* phi", fails, samples)
@@ -128,7 +128,7 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
     for s in range(samples):
         g = from_Z[s % len(from_Z)]
         _, c_t = graphs[g.name]
-        phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
+        phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
         if compose(c_t, phi).cycle != prods_4[g.name].pushforward(phi.cycle):
             fails.append(f"sample {s}: morphism {g.name}")
     report.add("c(g)^t o phi = (id x g)_* phi", fails, samples)
@@ -138,9 +138,7 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
     for s in range(samples):
         f = into_X[s % len(into_X)]
         c, _ = graphs[f.name]
-        tau = random_correspondence(
-            rng, f.source, Z, offset=_random_offset(rng, f.source, Z), bound=bound
-        )
+        tau = random_correspondence(rng, f.source, Z, offset=_random_offset(rng, f.source, Z))
         if compose(tau, c).cycle != prods_56[f.name].pushforward(tau.cycle):
             fails.append(f"sample {s}: morphism {f.name}")
     report.add("tau o c(f) = (f x id)_* tau", fails, samples)
@@ -149,21 +147,22 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0, bound=10):
     for s in range(samples):
         f = into_X[s % len(into_X)]
         _, c_t = graphs[f.name]
-        psi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
+        psi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
         if compose(psi, c_t).cycle != prods_56[f.name].pullback(psi.cycle):
             fails.append(f"sample {s}: morphism {f.name}")
     report.add("psi o c(f)^t = (f x id)^* psi", fails, samples)
 
     _graph_functoriality(report, morphisms)
-    _associativity(report, rng, X, Z, samples, bound)
+    _associativity(report, rng, X, Z, samples)
     return report
 
 
-def _graph_functoriality(report, morphisms, ambient=None):
-    """Tensoring a graph with a diagonal acts as the product morphism."""
+def _graph_functoriality(report, morphisms):
+    """Tensoring a graph with the diagonal of the line acts as the product
+    morphism."""
     from .catalog import projective_space
 
-    T = ambient if ambient is not None else projective_space(1)
+    T = projective_space(1)
     d = diagonal(T)
     fails = []
     count = 0
@@ -186,12 +185,12 @@ def _graph_functoriality(report, morphisms, ambient=None):
     report.add("graphs extend over an ambient factor", fails, count)
 
 
-def _associativity(report, rng, X, Z, samples, bound):
+def _associativity(report, rng, X, Z, samples):
     fails = []
     for s in range(samples):
-        f = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
-        g = random_correspondence(rng, Z, X, offset=_random_offset(rng, Z, X), bound=bound)
-        h = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z), bound=bound)
+        f = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
+        g = random_correspondence(rng, Z, X, offset=_random_offset(rng, Z, X))
+        h = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
         if compose(h, compose(g, f)) != compose(compose(h, g), f):
             fails.append(f"sample {s}")
     report.add("composition is associative", fails, samples)
@@ -234,7 +233,7 @@ def compose_oracle(g, f):
     return _demote(Cycle(AC, coeffs, prod.mode))
 
 
-def compose_oracle_battery(rings=None, samples=100, seed=0, bound=10):
+def compose_oracle_battery(rings=None, samples=100, seed=0):
     """Direct contraction vs triple-product oracle vs matrix composition,
     on random degree-0 correspondences for every ordered ring pair."""
     from .catalog import grassmannian, projective_space
@@ -247,8 +246,8 @@ def compose_oracle_battery(rings=None, samples=100, seed=0, bound=10):
             rng = seeded_rng(seed * 997 + 31 * na + nb)
             fails = []
             for s in range(samples):
-                f = random_correspondence(rng, A, B, offset=0, bound=bound)
-                g = random_correspondence(rng, B, A, offset=0, bound=bound)
+                f = random_correspondence(rng, A, B, offset=0)
+                g = random_correspondence(rng, B, A, offset=0)
                 comp = compose(g, f)
                 if comp.cycle != compose_oracle(g, f):
                     fails.append(f"sample {s}: contraction differs from the oracle")

@@ -25,6 +25,7 @@ from .correspondences import (
 )
 from .fibrations import (
     build_projector_family,
+    column_matrix,
     from_kunneth,
     projector_system_failures,
     to_kunneth,
@@ -32,7 +33,7 @@ from .fibrations import (
 )
 from .linalg import rank as matrix_rank
 from .report import Report
-from .rings import kunneth_product
+from .rings import RATIONAL, Cycle, kunneth_product
 
 
 @dataclass
@@ -92,9 +93,12 @@ def verify_projector_system(projectors):
     ring = ps[0].source
     if any(p.source is not ring or p.target is not ring for p in ps):
         raise ValueError("projector system must live on a single ring")
-    idem, orth, complete = projector_system_failures(
-        {k: action_columns(p) for k, p in enumerate(ps)}
-    )
+    return _system_report(ring, {k: action_columns(p) for k, p in enumerate(ps)})
+
+
+def _system_report(ring, columns):
+    """verify_projector_system on the action columns of its projectors."""
+    idem, orth, complete = projector_system_failures(columns)
     report = Report("projector-system", ring.name)
     report.add("idempotence", [
         f"projector {k} is not idempotent" for k in dict.fromkeys(k for k, _ in idem)
@@ -136,22 +140,23 @@ def decompose_motive(ring):
     onto its cell's span.
     """
     ps = fiber_projectors(ring)
-    report = verify_projector_system(ps)
+    columns = {k: action_columns(p) for k, p in enumerate(ps)}
+    report = _system_report(ring, columns)
 
     image = []
-    for cell, p in zip(ring.cells, ps):
+    for cell, cols in zip(ring.cells, columns.values()):
         for other in ring.cells:
-            got = act(p, ring.basis_cycle(other))
-            want = ring.basis_cycle(cell) if other is cell else ring.zero()
-            if got != want:
+            got = cols[other.codim][other.key]
+            if got != ({cell.key: 1} if other is cell else {}):
                 image.append(
-                    f"projector of {cell.label} sends {other.label} to {got!r}"
+                    f"projector of {cell.label} sends {other.label} to "
+                    f"{Cycle(ring, got, RATIONAL)!r}"
                 )
     report.add("rank-one images", image)
 
     rank_table = {}
     for p in range(ring.dimension + 1):
-        ranks = tuple(matrix_rank(proj.matrix(p)) for proj in ps)
+        ranks = tuple(matrix_rank(column_matrix(cols[p])) for cols in columns.values())
         rank_table[p] = ranks
         if sum(ranks) != ring.rank(p):
             report.add(
@@ -194,7 +199,7 @@ class ModelMotiveDecomposition:
         return tuple(self.report.table["rank_profile"])
 
 
-def decompose_model(model, family=None):
+def decompose_model(model):
     """Split the cycles of a fibration model into rank-one pieces.
 
     Each piece keeps one fiber generator and one base cell: the peeled
@@ -203,14 +208,14 @@ def decompose_model(model, family=None):
     the system is verified by matrix products, codimension by codimension,
     before returning.
     """
-    fam = family if family is not None else build_projector_family(model)
+    family = build_projector_family(model)
     base_ps = fiber_projectors(model.base)
     pieces = []
     for g in model.generators:
         gen_label = model.fiber.cell(g).label
         for cell, bp in zip(model.base.cells, base_ps):
             label = f"(T[{gen_label}], {cell.label})"
-            pieces.append((label, g[0] + cell.codim, fam.peeled_operator({g: bp}, label)))
+            pieces.append((label, g[0] + cell.codim, family.peeled_operator({g: bp}, label)))
 
     report = Report("projector-system", model.name)
     idem, orth, complete = projector_system_failures(

@@ -34,7 +34,7 @@ from .fibrations import (
 )
 from .linalg import rank as matrix_rank
 from .report import Check, Report
-from .rings import kunneth_product
+from .rings import ChowRing, kunneth_product
 from .sampling import random_fibered_cycle, seeded_rng
 
 
@@ -45,19 +45,17 @@ from .sampling import random_fibered_cycle, seeded_rng
 class CKDecomposition:
     """Projectors indexed by degree 0..2*dim, as cycles or as operators.
 
-    kind "cycle": each projector is a degree-0 self-correspondence of the
-    ring.  kind "operator": each is a YOperator on a fibration model.
+    The kind follows the space.  On a ChowRing it is "cycle": each projector
+    is a degree-0 self-correspondence of the ring.  On a fibration model it
+    is "operator": each projector is a YOperator on the model.
     """
 
     space: object
     projectors: dict
-    kind: str
     name: str = ""
     report: object = None
 
     def __post_init__(self):
-        if self.kind not in ("cycle", "operator"):
-            raise ValueError(f"unknown projector kind {self.kind!r}")
         expected = set(range(2 * self.space.dimension + 1))
         if set(self.projectors) != expected:
             raise ValueError("projectors must cover every degree 0..2*dim exactly once")
@@ -72,6 +70,10 @@ class CKDecomposition:
                     raise ValueError(f"projector {k} lives on the wrong model")
         if not self.name:
             self.name = f"CK({self.space.name})"
+
+    @property
+    def kind(self):
+        return "cycle" if isinstance(self.space, ChowRing) else "operator"
 
     @property
     def top_degree(self):
@@ -93,20 +95,26 @@ class CKDecomposition:
 def verify_action_window(ck):
     """Rank table of every projector in every codimension, with violations
     of the support window j <= k <= 2j."""
+    return _action_window(ck.name, ck.columns())
+
+
+def _action_window(name, columns):
+    """verify_action_window on the columns ck.columns() returned."""
     table, violations = {}, []
-    for k, columns in ck.columns().items():
-        for j, cols in columns.items():
+    for k, system in columns.items():
+        for j, cols in system.items():
             r = table[(k, j)] = matrix_rank(column_matrix(cols))
             if r and not (j <= k <= 2 * j):
                 violations.append((k, j, r))
-    return Report("action-window", ck.name, table={"ranks": table, "violations": violations})
+    return Report("action-window", name, table={"ranks": table, "violations": violations})
 
 
 def verify_ck(ck):
     """Check (a) idempotence/orthogonality/completeness and (b) the action
     window, exactly.  Condition (c) is reported but never checked."""
     report = Report("chow-kunneth", ck.name)
-    idem, orth, complete = projector_system_failures(ck.columns())
+    columns = ck.columns()
+    idem, orth, complete = projector_system_failures(columns)
     if ck.kind == "cycle":
         report.add("(a) idempotence", [
             f"projector {k} is not idempotent" for k in dict.fromkeys(k for k, _ in idem)
@@ -135,7 +143,7 @@ def verify_ck(ck):
         report.add("(a) completeness (sum = identity)", [
             f"projector sum is not the identity on codim {j}" for j in complete
         ])
-    action = verify_action_window(ck)
+    action = _action_window(ck.name, columns)
     report.children.append(("action", action))
     report.add(
         "(b) action window (degree k acts only on codims j with j <= k <= 2j)",
@@ -167,7 +175,7 @@ def cellular_ck(ring, validate=True):
         for cell in ring.cells_of_codim(i):
             cyc = cyc + _external_into(ring2, duals[cell.index - 1], ring.basis_cycle(cell))
         projs[k] = Correspondence(ring, ring, _demote(cyc), 0)
-    ck = CKDecomposition(ring, projs, kind="cycle", name=f"cellular CK of {ring.name}")
+    ck = CKDecomposition(ring, projs, name=f"cellular CK of {ring.name}")
     if validate:
         report = verify_ck(ck)
         ck.report = report
@@ -179,7 +187,7 @@ def cellular_ck(ring, validate=True):
 # -- the lift ------------------------------------------------------------------
 
 
-def lift_base_correspondence(model, phi, j, family=None):
+def lift_base_correspondence(model, phi, j):
     """The degree-j lift of a base self-correspondence to the fibered module.
 
     Odd j gives zero: the fiber basis sits in even degrees only.  For even
@@ -194,8 +202,8 @@ def lift_base_correspondence(model, phi, j, family=None):
     slots = tuple(g for g in model.generators if g[0] == i)
     if not slots:
         return zero_operator(model)
-    fam = family if family is not None else build_projector_family(model)
-    return fam.peeled_operator(dict.fromkeys(slots, phi), f"lift_{j}")
+    family = build_projector_family(model)
+    return family.peeled_operator(dict.fromkeys(slots, phi), f"lift_{j}")
 
 
 @dataclass
@@ -208,13 +216,10 @@ class LiftPlan:
 
     model: object
     base_ck: CKDecomposition
-    family: object = None
 
     def __post_init__(self):
         if self.base_ck.space is not self.model.base:
             raise ValueError("base decomposition must live on the model's base")
-        if self.family is None:
-            self.family = build_projector_family(self.model)
         self.base_top = 2 * self.model.base.dimension
         self.fiber_top = 2 * self.model.fiber.dimension
         self.top = self.base_top + self.fiber_top
@@ -244,7 +249,7 @@ class LiftPlan:
         return failures
 
     def block(self, i, j):
-        return lift_base_correspondence(self.model, self.base_ck.projectors[i], j, self.family)
+        return lift_base_correspondence(self.model, self.base_ck.projectors[i], j)
 
     def operator(self, k):
         op = zero_operator(self.model)
@@ -261,10 +266,10 @@ class LiftPlan:
         return out
 
 
-def build_lift_plan(model, base_ck=None, family=None):
+def build_lift_plan(model, base_ck=None):
     if base_ck is None:
         base_ck = cellular_ck(model.base)
-    return LiftPlan(model, base_ck, family)
+    return LiftPlan(model, base_ck)
 
 
 def lift_ck(model, base_ck=None, validate=True):
@@ -283,7 +288,7 @@ def lift_ck(model, base_ck=None, validate=True):
     if bad:
         raise ValueError("degenerate lift plan:\n" + "\n".join(bad))
     projs = {k: plan.operator(k) for k in range(plan.top + 1)}
-    ck = CKDecomposition(model, projs, kind="operator", name=f"lifted CK of {model.name}")
+    ck = CKDecomposition(model, projs, name=f"lifted CK of {model.name}")
     if validate:
         report = verify_ck(ck)
         ck.report = report
@@ -292,13 +297,11 @@ def lift_ck(model, base_ck=None, validate=True):
     return ck
 
 
-def verify_block_diagonality(model, base_ck=None, samples=20, seed=0, bound=10):
+def verify_block_diagonality(model, samples=20, seed=0):
     """Blocks compose like matrix units: a block followed by another is the
     first block again when the indices match and zero otherwise.  Checked on
     random cycles, each block applied as a matrix-vector product."""
-    if base_ck is None:
-        base_ck = cellular_ck(model.base)
-    plan = build_lift_plan(model, base_ck)
+    plan = build_lift_plan(model)
     blocks = {
         (i, j): plan.block(i, j)
         for i in range(plan.base_top + 1)
@@ -312,7 +315,7 @@ def verify_block_diagonality(model, base_ck=None, samples=20, seed=0, bound=10):
     rng = seeded_rng(seed)
     failures = []
     for s in range(samples):
-        y = random_fibered_cycle(rng, model, bound=bound).vector()
+        y = random_fibered_cycle(rng, model).vector()
         images = {key: op.apply_vector(y) for key, op in nonzero.items()}
         for key2, op2 in nonzero.items():
             for key, img in images.items():
@@ -330,7 +333,7 @@ def verify_block_diagonality(model, base_ck=None, samples=20, seed=0, bound=10):
 # -- batteries and cross-checks ------------------------------------------------
 
 
-def ck_battery(model, battery=None, base_ck=None):
+def ck_battery(model, battery=None):
     """Lift over the model itself and over its extension by each ambient
     factor, re-verifying every decomposition from scratch."""
     if battery is None:
@@ -338,7 +341,7 @@ def ck_battery(model, battery=None, base_ck=None):
 
         battery = (point(), projective_space(1), projective_space(2))
     entries = []
-    lifted = lift_ck(model, base_ck)
+    lifted = lift_ck(model)
     entries.append((model.name, lifted.report))
     for ambient in battery:
         extended = ambient_extend(model, ambient)
@@ -348,15 +351,14 @@ def ck_battery(model, battery=None, base_ck=None):
     return Report("ambient-battery", f"Chow-Kunneth battery for {model.name}", children=entries)
 
 
-def compare_lift_to_cellular(model, lifted=None):
+def compare_lift_to_cellular(model):
     """On a trivial model the lifted operators must match the cellular
     decomposition of the product ring, cell by cell."""
     if not model.is_trivial:
         raise ValueError("comparison only makes sense for a trivial model")
     ring = kunneth_product(model.base, model.fiber)
     cellular = cellular_ck(ring)
-    if lifted is None:
-        lifted = lift_ck(model)
+    lifted = lift_ck(model)
     failures = []
     for k in range(2 * model.dimension + 1):
         proj = cellular.projectors[k]

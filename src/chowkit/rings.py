@@ -386,17 +386,6 @@ def _times(table, terms, key):
     return {k: v for k, v in out.items() if v}
 
 
-# -- module-level operation surface -----------------------------------------
-
-
-def multiply(ring, a, b):
-    return ring.multiply(a, b)
-
-
-def degree(ring, a):
-    return ring.degree(a)
-
-
 def verify_pairing(ring):
     """Check that every pairing matrix P_p is the identity.
 

@@ -97,7 +97,7 @@ def cellular_p1_with(edit, name):
     p1 = projective_space(1)
     projs = dict(cellular_ck(p1).projectors)
     edit(projs)
-    return CKDecomposition(p1, projs, kind="cycle", name=name)
+    return CKDecomposition(p1, projs, name=name)
 
 
 def duplicated(projs):

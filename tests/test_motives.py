@@ -19,6 +19,7 @@ from chowkit import (
     verify_projector_system,
     zero_correspondence,
 )
+from chowkit import correspondences
 from chowkit.correspondences import act
 
 
@@ -98,6 +99,15 @@ def test_decompose_p2():
     d = dec.report.to_dict()
     assert d["codim_profile"] == [0, 1, 2]
     assert d["rank_table"]["1"] == [0, 1, 0]
+
+
+def test_decompose_motive_reads_each_action_once(monkeypatch):
+    calls = []
+    read = correspondences.action_matrix
+    monkeypatch.setattr(correspondences, "action_matrix", lambda f, p: calls.append(p) or read(f, p))
+    dec = decompose_motive(projective_space(4))
+    assert dec.rank_table == {p: tuple(int(k == p) for k in range(5)) for p in range(5)}
+    assert len(calls) == 5  # one nonzero codim per cell projector
 
 
 def test_decompose_point():

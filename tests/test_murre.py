@@ -21,6 +21,7 @@ from chowkit import (
     verify_ck,
     zero_correspondence,
 )
+from chowkit import murre
 from chowkit.correspondences import act
 from chowkit.murre import LiftPlan
 
@@ -65,16 +66,28 @@ def test_cellular_ck_sums_to_diagonal():
 def test_decomposition_container_validation():
     p1 = projective_space(1)
     ck = cellular_ck(p1)
-    with pytest.raises(ValueError, match="unknown projector kind"):
-        CKDecomposition(p1, dict(ck.projectors), kind="matrix")
     missing = {k: v for k, v in ck.projectors.items() if k != 2}
     with pytest.raises(ValueError, match="every degree"):
-        CKDecomposition(p1, missing, kind="cycle")
+        CKDecomposition(p1, missing)
     p2 = projective_space(2)
     alien = dict(ck.projectors)
     alien[0] = diagonal(p2)
     with pytest.raises(ValueError, match="self-correspondence"):
-        CKDecomposition(p1, alien, kind="cycle")
+        CKDecomposition(p1, alien)
+
+
+def test_decomposition_kind_follows_the_space():
+    assert cellular_ck(projective_space(1)).kind == "cycle"
+    assert lift_ck(hirzebruch(1)).kind == "operator"
+
+
+def test_verify_ck_reads_the_columns_once(monkeypatch):
+    ck = cellular_ck(projective_space(3), validate=False)
+    calls = []
+    read = murre.action_columns
+    monkeypatch.setattr(murre, "action_columns", lambda f: calls.append(f) or read(f))
+    assert verify_ck(ck).passed
+    assert len(calls) == len(ck.projectors) == 7
 
 
 def test_verify_ck_reports_conditions():
@@ -99,7 +112,7 @@ def test_verify_ck_catches_a_duplicated_projector():
     ck = cellular_ck(p1)
     projs = dict(ck.projectors)
     projs[2] = projs[0]  # still idempotent, no longer orthogonal or complete
-    broken = CKDecomposition(p1, projs, kind="cycle", name="broken")
+    broken = CKDecomposition(p1, projs, name="broken")
     report = verify_ck(broken)
     assert not report.passed
     status = {c.label: c.status for c in report.checks}
@@ -127,7 +140,7 @@ def test_action_window_flags_out_of_window_rank():
     ck = cellular_ck(p1)
     projs = dict(ck.projectors)
     projs[0], projs[2] = projs[2], projs[0]
-    swapped = CKDecomposition(p1, projs, kind="cycle", name="swapped")
+    swapped = CKDecomposition(p1, projs, name="swapped")
     rep = verify_action_window(swapped)
     assert not rep.passed
     assert (0, 1, 1) in rep.table["violations"] and (2, 0, 1) in rep.table["violations"]

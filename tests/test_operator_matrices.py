@@ -10,10 +10,14 @@ import pytest
 from chowkit import (
     ambient_extend,
     build_lift_plan,
+    build_projector_family,
     decompose_model,
+    diagonal,
     hirzebruch,
     identity_operator,
+    lift_base_correspondence,
     lift_ck,
+    projective_bundle_model,
     projective_space,
     verify_block_diagonality,
     verify_ck,
@@ -52,7 +56,8 @@ def reference_block(plan, i, j):
     phi = plan.base_ck.projectors[i]
     if j % 2 or phi.is_zero():
         return lambda y: model.zero()
-    return reference_peel(model, plan.family, {g: phi for g in model.generators if g[0] == j // 2})
+    family = build_projector_family(model)
+    return reference_peel(model, family, {g: phi for g in model.generators if g[0] == j // 2})
 
 
 def reference_projector(plan, k):
@@ -76,30 +81,61 @@ def test_matrices_match_the_closure_route(model):
     for k in range(plan.top + 1):
         pairs.append((f"Pi_{k}", plan.operator(k), reference_projector(plan, k)))
     base_ps = fiber_projectors(model.base)
-    dec = decompose_model(model, plan.family)
+    dec = decompose_model(model)
     expected = [(g, bp) for g in model.generators for bp in base_ps]
     assert len(dec.pieces) == len(expected)
     for (label, _, op), (g, bp) in zip(dec.pieces, expected):
-        pairs.append((f"piece {label}", op, reference_peel(model, plan.family, {g: bp})))
+        family = build_projector_family(model)
+        pairs.append((f"piece {label}", op, reference_peel(model, family, {g: bp})))
     for name, op, ref in pairs:
         for n, y in enumerate(ys):
             assert op(y) == ref(y), f"{name} differs on input {n} of {model.name}"
 
 
-def test_sweeps_run_once_per_basis_element(monkeypatch):
-    model = hirzebruch(1)
-    plan = build_lift_plan(model)
+def fresh_model():
+    """A model no other test has swept: the catalog's hirzebruch(1) is cached."""
+    p1 = projective_space(1)
+    return projective_bundle_model(p1, [p1.cycle({"h": 1})], name="fresh hirzebruch(1)")
+
+
+def count_sweeps(monkeypatch):
     calls = []
-    sweep = type(plan.family).apply_all_with_coefficients
+    sweep = ProjectorFamily.apply_all_with_coefficients
     monkeypatch.setattr(
-        type(plan.family),
+        ProjectorFamily,
         "apply_all_with_coefficients",
         lambda fam, y: calls.append(y) or sweep(fam, y),
     )
+    return calls
+
+
+def test_sweeps_run_once_per_basis_element(monkeypatch):
+    model = fresh_model()
+    plan = build_lift_plan(model)
+    calls = count_sweeps(monkeypatch)
     for k in range(plan.top + 1):
         plan.operator(k)
-    decompose_model(model, plan.family)
+    decompose_model(model)
     assert len(calls) == len(model.module_basis())
+
+
+def test_one_family_serves_every_operator_of_a_model(monkeypatch):
+    model = fresh_model()
+    calls = count_sweeps(monkeypatch)
+    lift_ck(model)
+    assert verify_block_diagonality(model).passed
+    decompose_model(model)
+    lift_base_correspondence(model, diagonal(model.base), 2)
+    assert len(calls) == len(model.module_basis())
+
+
+def test_a_model_keeps_its_family():
+    model = fresh_model()
+    family = build_projector_family(model)
+    assert build_projector_family(model) is family
+    extended = ambient_extend(model, projective_space(1))
+    assert build_projector_family(extended) is not family
+    assert build_projector_family(extended).model is extended
 
 
 # -- the matrix checkers can fail -------------------------------------------------

@@ -109,7 +109,7 @@ def test_verify_ck_matches_the_compose_checks(ring):
     ck = cellular_ck(ring, validate=False)
     degrees = list(ck.projectors)
     for name, ps in mutants(list(ck.projectors.values()), top_joins_degree_0).items():
-        mutant = CKDecomposition(ring, dict(zip(degrees, ps)), kind="cycle", name=name)
+        mutant = CKDecomposition(ring, dict(zip(degrees, ps)), name=name)
         want = compose_ck_details(mutant)
         assert details(verify_ck(mutant), want) == want, f"{name} on {ring.name}"
 
