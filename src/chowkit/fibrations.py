@@ -15,8 +15,9 @@ The projector family attached to a model peels a cycle from the top
 generator downward: each projector multiplies by the dual generator, pushes
 to the base, pulls back, multiplies by the generator itself, after first
 subtracting the lexicographically greater projectors.  A single descending
-sweep evaluates the whole family at linear cost.  Operators built from the
-family (rho_g, lifted blocks, motive pieces) are exact per-codim sparse
+sweep evaluates the whole family at linear cost, reading each pushforward
+off the top-generator components of the model table.  Operators built from
+the family (rho_g, lifted blocks, motive pieces) are exact per-codim sparse
 matrices, read off one sweep per module basis element.
 """
 
@@ -564,16 +565,34 @@ class ProjectorFamily:
         self._sweeps = {}  # codim p -> {basis key: sweep of that basis element}
 
     def apply_all_with_coefficients(self, y):
-        """{generator key: (base coefficient, projected piece)} for every projector."""
+        """{generator key: (base coefficient, projected piece)} for every projector.
+
+        alpha_g = pi_*(T_dual * residual) sums b * t over the residual's parts
+        pi^*(b) * T_h, t being the top-generator component of T_dual * T_h in
+        the model table.  The unit laws the constructors enforce make the
+        piece pi^*(alpha_g) * T_g the cycle {g: alpha_g}, so peeling it only
+        changes the residual's coefficient at g."""
         model = self.model
-        residual = y
+        if y.model is not model:
+            raise ValueError("multiply: cycles must live in this model")
+        base, top = model.base, model.fiber.point_cell.key
+        residual = dict(y.parts)
         out = {}
         for g in self.order:
             dual = model.fiber.dual_cell(g).key
-            alpha = model.pushforward(model.multiply(model.generator(dual), residual))
-            piece = model.multiply(model.generator(g), model.pullback(alpha))
-            out[g] = (alpha, piece)
-            residual = residual - piece
+            alpha = None
+            for h, b in residual.items():
+                t = model.t_entry(dual, h).get(top)
+                if t is None:
+                    continue
+                term = base.multiply(b, t)
+                if not term.is_zero():
+                    alpha = term if alpha is None else alpha + term
+            if alpha is None or alpha.is_zero():
+                alpha = base.zero()
+            out[g] = (alpha, FiberedCycle(model, {g: alpha}))
+            if not alpha.is_zero():
+                residual[g] = residual[g] - alpha if g in residual else -alpha
         return out
 
     def apply_all(self, y):
@@ -667,16 +686,18 @@ def verify_projector_family(family, samples=100, seed=0):
         coeffs = {
             g: sampling.random_cycle(rng, model.base) for g in model.generators
         }
-        y = model.zero()
-        for g, a in coeffs.items():
-            y = y + model.multiply(model.generator(g), model.pullback(a))
+        # the generic model product builds y and the expected pieces, an
+        # independent route from the sweep's read of the top components
+        terms = {
+            g: model.multiply(model.generator(g), model.pullback(a)) for g, a in coeffs.items()
+        }
+        y = sum(terms.values(), model.zero())
         got = family.apply_all_with_coefficients(y)
         for g in model.generators:
             alpha, piece = got[g]
             if alpha != coeffs[g]:
                 action_fail.append(f"coefficient at T{g} came back {alpha!r}, fed {coeffs[g]!r}")
-            want = model.multiply(model.generator(g), model.pullback(coeffs[g]))
-            if piece != want:
+            if piece != terms[g]:
                 action_fail.append(f"projection at T{g} is not pi^*(alpha)*T{g}")
     report.add("coefficient extraction on random cycles", action_fail, samples)
 
