@@ -212,7 +212,7 @@ def resolve(name):
         return projective_space(0)
     if re.fullmatch(r"p\d+", text):
         n = int(text[1:])
-        # the associativity check at construction is cubic in n
+        # the associativity check at construction is quadratic in n
         if n > 100:
             raise ValueError(f"P^{n} has dimension {n}, beyond the guard 100")
         return projective_space(n)

@@ -419,17 +419,18 @@ class MorphismData:
     def _validate(self):
         src, tgt = self.source, self.target
         if self.pullback(tgt.unit()) != src.unit():
-            raise ValueError(f"{self.name}: pullback does not send unit to unit")
+            raise ValueError(f"{self.name}: pullback of {tgt.unit_cell.label} is not the unit")
         for y1 in tgt.cells:
             py1 = self.pullback(tgt.basis_cycle(y1))
             for y2 in tgt.cells:
                 if y2.key < y1.key:
                     continue
-                lhs = self.pullback(tgt.multiply(tgt.basis_cycle(y1), tgt.basis_cycle(y2)))
+                prod = tgt.multiply(tgt.basis_cycle(y1), tgt.basis_cycle(y2))
                 rhs = src.multiply(py1, self.pullback(tgt.basis_cycle(y2)))
-                if lhs != rhs:
+                if self.pullback(prod) != rhs:
                     raise ValueError(
-                        f"{self.name}: pullback not multiplicative at ({y1.label}, {y2.label})"
+                        f"{self.name}: pullback not multiplicative at ({y1.label}, {y2.label}),"
+                        f" product {prod!r}"
                     )
         for x in src.cells:
             cyc = src.basis_cycle(x)
@@ -437,15 +438,17 @@ class MorphismData:
                 raise ValueError(f"{self.name}: pushforward changes the degree of {x.label}")
             for y in tgt.cells:
                 yc = tgt.basis_cycle(y)
-                lhs = self.pushforward(src.multiply(cyc, self.pullback(yc)))
+                # x f^*(y), whose pushforward entries the projection formula reads
+                xy = src.multiply(cyc, self.pullback(yc))
                 rhs = tgt.multiply(self.pushforward(cyc), yc)
-                if lhs != rhs:
+                if self.pushforward(xy) != rhs:
                     raise ValueError(
-                        f"{self.name}: projection formula fails at ({x.label}, {y.label})"
+                        f"{self.name}: projection formula fails at ({x.label}, {y.label}),"
+                        f" x f^*y = {xy!r}"
                     )
-                if tgt.degree(rhs) != src.degree(src.multiply(cyc, self.pullback(yc))):
+                if tgt.degree(rhs) != src.degree(xy):
                     raise ValueError(
-                        f"{self.name}: adjointness fails at ({x.label}, {y.label})"
+                        f"{self.name}: adjointness fails at ({x.label}, {y.label}), x f^*y = {xy!r}"
                     )
 
     def __repr__(self):

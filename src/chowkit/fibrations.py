@@ -792,9 +792,7 @@ class MotiveIsoPair:
         coeffs = source_family.apply_all_with_coefficients(y)
         out = target_model.zero()
         for g, (alpha, _) in coeffs.items():
-            out = out + target_model.multiply(
-                target_model.generator(g), target_model.pullback(alpha)
-            )
+            out = out + _lift(target_model, g, alpha)
         return out
 
     def forward(self, y):
@@ -803,35 +801,23 @@ class MotiveIsoPair:
     def backward(self, y):
         return self._transport(self.family2, self.model1, y)
 
-    def forward_piece(self, gkey, y):
-        alpha = self.family1.coefficient(gkey, y)
-        return self.model2.multiply(
-            self.model2.generator(tuple(gkey)), self.model2.pullback(alpha)
-        )
-
-    def backward_piece(self, gkey, y):
-        alpha = self.family2.coefficient(gkey, y)
-        return self.model1.multiply(
-            self.model1.generator(tuple(gkey)), self.model1.pullback(alpha)
-        )
-
     def verify(self):
         """Check both composites piecewise against the projectors, on every
-        module basis element of both models."""
+        module basis element of both models: one sweep gives every piece and
+        forward coefficient, and each piece's image is swept back once."""
         report = Report("projector-family", f"{self.model1.name} ~ {self.model2.name}")
         piece_fail, full_fail = [], []
         count = 0
-        for model, family, fwd, bwd in (
-            (self.model1, self.family1, self.forward_piece, self.backward_piece),
-            (self.model2, self.family2, self.backward_piece, self.forward_piece),
+        for model, family, other, other_family in (
+            (self.model1, self.family1, self.model2, self.family2),
+            (self.model2, self.family2, self.model1, self.family1),
         ):
             for y in model.module_basis():
                 count += 1
-                pieces = family.apply_all(y)
                 total = model.zero()
-                for g, piece in pieces.items():
-                    # fwd/bwd are already swapped per model by the loop tuple
-                    roundtrip = bwd(g, fwd(g, y))
+                for g, (alpha, piece) in family.apply_all_with_coefficients(y).items():
+                    image = _lift(other, g, alpha)
+                    roundtrip = _lift(model, g, other_family.coefficient(g, image))
                     if roundtrip != piece:
                         piece_fail.append(
                             f"piece {g} roundtrip differs from projector on {y!r} of {model.name}"
@@ -842,6 +828,11 @@ class MotiveIsoPair:
         report.add("piecewise roundtrip equals projector", piece_fail, count)
         report.add("roundtrip completeness", full_fail, count)
         return report
+
+
+def _lift(model, gkey, alpha):
+    """pi^*(alpha) * T_gkey on the model."""
+    return model.multiply(model.generator(gkey), model.pullback(alpha))
 
 
 def motive_iso_pair(model1, model2):

@@ -26,23 +26,30 @@ def transpose(a):
 
 def rank(a):
     """Rank by Gaussian elimination over Fraction; zero rows are skipped."""
-    work = [[Fraction(x) for x in row] for row in a if any(row)]
-    if not work:
-        return 0
-    r = 0
-    for col in range(len(work[0])):
+    return len(pivot_columns(a))
+
+
+def pivot_columns(a):
+    """The pivot columns of an echelon form of ``a``, ascending: each is the
+    first column outside the span of the columns before it.  Rows are
+    reduced below each pivot only, by exact int or Fraction factors."""
+    work = [list(row) for row in a if any(row)]
+    pivots = []
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        scale = work[r][col]
-        work[r] = [x / scale for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return r
+        top = work[r]
+        for i in range(r + 1, len(work)):
+            if work[i][col] != 0:
+                # an exact integer quotient keeps integer rows integral
+                q, rem = divmod(work[i][col], top[col])
+                factor = Fraction(work[i][col], top[col]) if rem else q
+                work[i] = [x - factor * y for x, y in zip(work[i], top)]
+        pivots.append(col)
+    return pivots
 
 
 def invert(a):

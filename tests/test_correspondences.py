@@ -4,6 +4,7 @@ import pytest
 
 from chowkit import (
     Correspondence,
+    MorphismData,
     act,
     action_matrix,
     ambient_act,
@@ -24,6 +25,7 @@ from chowkit import (
     zero_correspondence,
 )
 from chowkit.catalog import grassmannian, linear_embedding, point, projective_space
+from chowkit.identities import collapse_morphism
 from chowkit.rings import BasisCell, ChowRing
 
 
@@ -279,3 +281,74 @@ def test_product_morphism_componentwise():
     src = pm.source
     x = external_product(p1.basis_cycle("h"), p1.unit())
     assert pm.pushforward(x) == external_product(p1.basis_cycle("h"), p2.basis_cycle("h"))
+
+
+# -- mutation tests of the morphism laws --------------------------------------
+
+
+def tables(m):
+    """m's pullback and pushforward tables, every cell listed."""
+    pull = {c.key: m.pullback(m.target.basis_cycle(c)) for c in m.target.cells}
+    push = {c.key: m.pushforward(m.source.basis_cycle(c)) for c in m.source.cells}
+    return pull, push
+
+
+def perturbed_tables(m):
+    """m's tables with +1 on one coefficient of one pullback or pushforward
+    entry, codim kept: (perturbed cell's ring, its label, pull, push)."""
+    src, tgt = m.source, m.target
+    pull, push = tables(m)
+    for cell in tgt.cells:
+        for hit in src.cells_of_codim(cell.codim):
+            yield tgt, cell.label, {**pull, cell.key: pull[cell.key] + src.basis_cycle(hit)}, push
+    for cell in src.cells:
+        for hit in tgt.cells_of_codim(cell.codim + m.shift):
+            yield src, cell.label, pull, {**push, cell.key: push[cell.key] + tgt.basis_cycle(hit)}
+
+
+def named_cells(m, message):
+    """The (ring, label) pairs a MorphismData validation error names: the
+    pair it fails at, and the cells of the product whose table entry the
+    failing identity reads."""
+    law = message.split(": ", 1)[1]
+    if " at (" in law:
+        pair, product = law.split(" at (", 1)[1].rsplit("), ", 1)
+        left, right = pair.split(", ")
+        terms = product.split(" = ")[-1].removeprefix("product ").split(" ")
+        cells = {term.lstrip("-").split("*")[-1] for term in terms if term not in ("+", "-")}
+        if law.startswith("pullback not multiplicative"):
+            return {(m.target, label) for label in {left, right} | cells}
+        return {(m.source, left), (m.target, right)} | {(m.source, label) for label in cells}
+    if law.startswith("pushforward changes the degree of "):
+        return {(m.source, law.rsplit(" of ", 1)[1])}
+    assert law.startswith("pullback of ") and law.endswith(" is not the unit"), message
+    return {(m.target, law[len("pullback of "):-len(" is not the unit")])}
+
+
+def p1xp2_projection(factor):
+    prod = kunneth_product(projective_space(1), projective_space(2))
+    return projection_morphism(prod, factor)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: linear_embedding(1, 2),
+        collapse_morphism,
+        lambda: p1xp2_projection("left"),
+        lambda: p1xp2_projection("right"),
+    ],
+    ids=["embedding", "collapse", "pr-left", "pr-right"],
+)
+def test_morphism_data_names_a_perturbed_entry(make):
+    m = make()
+    # the projections are built unvalidated; their tables pass validation
+    MorphismData(m.source, m.target, *tables(m), name=m.name)
+    # every perturbation breaks a law: none of these tables has a legal +1
+    perturbations = 0
+    for ring, label, pull, push in perturbed_tables(m):
+        perturbations += 1
+        with pytest.raises(ValueError) as failure:
+            MorphismData(m.source, m.target, pull, push, name=m.name)
+        assert (ring, label) in named_cells(m, str(failure.value)), (label, str(failure.value))
+    assert perturbations > 0

@@ -7,6 +7,7 @@ import pytest
 from chowkit import (
     FiberedCycle,
     FibrationModel,
+    ProjectorFamily,
     ambient_extend,
     build_projector_family,
     duality_report,
@@ -22,7 +23,13 @@ from chowkit import (
     verify_projector_family,
     zero_operator,
 )
-from chowkit.catalog import grassmannian, hirzebruch, product_model, projective_space
+from chowkit.catalog import (
+    grassmannian,
+    hirzebruch,
+    product_model,
+    projective_bundle_model,
+    projective_space,
+)
 from chowkit.sampling import random_fibered_cycle, seeded_rng
 
 
@@ -277,6 +284,27 @@ def test_motive_iso_pair_roundtrips():
         assert pair.backward(pair.forward(y)) == y
     for y in hirzebruch(2).module_basis():
         assert pair.forward(pair.backward(y)) == y
+
+
+def test_motive_iso_pair_sweeps_once_per_element_and_piece(monkeypatch):
+    # one sweep reads every piece and forward coefficient of a basis element;
+    # each piece's image is swept back once: (m + 1) sweeps, not 2m + 1
+    gr = grassmannian(2, 4)
+    pair = motive_iso_pair(
+        projective_bundle_model(gr, [gr.cycle({"s[1]": 1})], rank=3),
+        projective_bundle_model(gr, [gr.cycle({"s[1]": 2})], rank=3),
+    )
+    sweeps = []
+    sweep = ProjectorFamily.apply_all_with_coefficients
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "apply_all_with_coefficients",
+        lambda family, y: sweeps.append(1) or sweep(family, y),
+    )
+    rep = pair.verify()
+    assert rep.passed, rep.lines()
+    assert [check.count for check in rep.checks] == [36, 36]
+    assert len(sweeps) == 36 * (3 + 1)
 
 
 def test_motive_iso_requires_shared_base_and_fiber():

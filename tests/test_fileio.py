@@ -10,6 +10,7 @@ from chowkit import (
     dump_ring,
     grassmannian,
     hirzebruch,
+    kunneth_product,
     load_fibration,
     load_ring,
     parse_fibration,
@@ -19,6 +20,7 @@ from chowkit import (
     save_ring,
     trivial_fibration,
 )
+from chowkit.catalog import standard_rings
 
 
 def p2_doc():
@@ -53,6 +55,22 @@ def test_ring_roundtrip_semantic():
                 got = back.multiply(back.basis_cycle(a.label), back.basis_cycle(b.label))
                 want = ring.multiply(ring.basis_cycle(a), ring.basis_cycle(b))
                 assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda ring=ring: ring for ring in standard_rings()]
+    + [
+        lambda: projective_space(30),
+        lambda: kunneth_product(projective_space(1), grassmannian(2, 4)),
+        lambda: kunneth_product(grassmannian(2, 4), projective_space(3)),
+    ],
+    ids=lambda make: make().name,
+)
+def test_ring_document_roundtrip_is_exact(make):
+    # parse_ring validates, so each document also passes the associativity certificate
+    doc = dump_ring(make())
+    assert dump_ring(parse_ring(json.loads(json.dumps(doc)))) == doc
 
 
 def test_dump_ring_omits_unit_and_zero_products():

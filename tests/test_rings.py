@@ -5,6 +5,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowkit import (
     BasisCell,
@@ -27,6 +28,8 @@ from chowkit import (
     verify_projector_system,
 )
 from chowkit.catalog import grassmannian, point, projective_space
+from chowkit import rings
+from chowkit.linalg import rank as linalg_rank
 from chowkit.rings import registered_product
 
 
@@ -314,6 +317,13 @@ def degenerate_surface():
     return ChowRing(2, cells, {}, name="degenerate")
 
 
+def flat_ring():
+    # every positive-codim product is zero, so every cell is a generator
+    cells = [BasisCell(0, 1, "1"), BasisCell(1, 1, "a"), BasisCell(1, 2, "b"),
+             BasisCell(2, 1, "u"), BasisCell(2, 2, "v"), BasisCell(3, 1, "pt")]
+    return ChowRing(3, cells, {}, name="flat")
+
+
 def off_unit_constants(ring):
     """Every (k1, k2, k) with k1 <= k2 off the unit and k in codim k1 + k2,
     with the constant, zero ones included."""
@@ -335,8 +345,11 @@ def off_unit_constants(ring):
         lambda: grassmannian(2, 5),
         lambda: parse_ring(dump_ring(kunneth_product(grassmannian(2, 4), projective_space(3)))),
         degenerate_surface,  # e * e = f stays associative
+        lambda: projective_space(6),
+        lambda: grassmannian(2, 6),
+        flat_ring,  # one +1 makes one product nonzero, and a triple needs two
     ],
-    ids=["p4", "gr24", "gr25", "gr24xp3-file", "degenerate"],
+    ids=["p4", "gr24", "gr25", "gr24xp3-file", "degenerate", "p6", "gr26", "flat"],
 )
 def test_pruned_associativity_agrees_with_brute_force(make):
     ring = make()
@@ -365,7 +378,84 @@ def test_pruned_associativity_agrees_with_brute_force(make):
         else:
             verdicts.add("accepted")
             assert reference is None, (k1, k2, key, reference)
-    assert verdicts == ({"accepted"} if ring.name == "degenerate" else {"rejected"})
+    assert verdicts == ({"accepted"} if ring.name in ("degenerate", "flat") else {"rejected"})
+
+
+@pytest.mark.parametrize(
+    "make, labels",
+    [
+        (lambda: projective_space(4), ["h"]),
+        (lambda: grassmannian(2, 4), ["s[1]", "s[1,1]"]),
+        (lambda: grassmannian(2, 6), ["s[1]", "s[1,1]"]),
+        (
+            lambda: parse_ring(dump_ring(kunneth_product(grassmannian(2, 4), projective_space(3)))),
+            ["(1,h)", "(s[1],1)", "(s[1,1],1)"],
+        ),
+        (flat_ring, ["a", "b", "u", "v", "pt"]),
+        (degenerate_surface, ["e", "f"]),
+    ],
+    ids=["p4", "gr24", "gr26", "gr24xp3-file", "flat", "degenerate"],
+)
+def test_associativity_generators(make, labels):
+    ring = make()
+    gens = ring._generators()
+    assert [ring._by_key[k].label for k in gens] == labels
+    # the products of generators with cells, and the generators, span every CH^p
+    for p in range(1, ring.dimension + 1):
+        rows = [
+            [ring._table[s].get(c.key, {}).get(k.key, 0) for k in ring.cells_of_codim(p)]
+            for s in gens
+            for c in ring.cells_of_codim(p - s[0])
+        ]
+        rows += [[int(k.key == s) for k in ring.cells_of_codim(p)] for s in gens if s[0] == p]
+        assert linalg_rank(rows) == ring.rank(p)
+
+
+def test_associativity_of_p80_costs_a_generator_not_every_cell(monkeypatch):
+    calls = []
+    times = rings._times
+    monkeypatch.setattr(rings, "_times", lambda *args: calls.append(1) or times(*args))
+    ring = projective_space.__wrapped__(80)  # a fresh build, not the cached ring
+    assert ring._generators() == [(1, 1)]
+    # 3,003 triples (h, h^b, h^c) with 2 <= c and b + c <= 79, two products each;
+    # the all-triples check (a < c, pruned by grading) made 80,600
+    assert len(calls) <= 6100
+
+
+def random_graded_ring(draw):
+    """A graded, commutative, unital table of dimension <= 4, at most two
+    cells per codim in between, constants in [-2, 2]."""
+    n = draw(st.integers(1, 4))
+    ranks = [1] + [draw(st.integers(1, 2)) for _ in range(1, n)] + [1]
+    cells = [BasisCell(p, i, f"c{p}{i}") for p in range(n + 1) for i in range(1, ranks[p] + 1)]
+    keys = [c.key for c in cells if c.codim]
+    products = {}
+    for k1 in keys:
+        for k2 in keys:
+            if k1 <= k2 and k1[0] + k2[0] <= n:
+                products[(k1, k2)] = {
+                    (k1[0] + k2[0], i): draw(st.integers(-2, 2))
+                    for i in range(1, ranks[k1[0] + k2[0]] + 1)
+                }
+    return n, cells, products
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_certificate_agrees_with_brute_force_on_random_tables(data):
+    n, cells, products = random_graded_ring(data.draw)
+    reference = brute_force_failure(ChowRing(n, cells, products, validate=False))
+    try:
+        ring = ChowRing(n, cells, products)
+    except ValueError as e:
+        assert reference is not None
+        ring = ChowRing(n, cells, products, validate=False)
+        labels = str(e).split("associativity fails at (")[1][:-1].split(", ")
+        x, y, z = (ring.basis_cycle(label) for label in labels)
+        assert (x * y) * z != x * (y * z)
+        assert ring.cell(labels[0]).key in ring._generators()
+    else:
+        assert reference is None, reference
 
 
 def reference_kunneth_table(left, right, ring):
