@@ -71,12 +71,12 @@ from .motives import (
 )
 from .murre import (
     CKDecomposition,
-    build_lift_plan,
     cellular_ck,
     ck_battery,
     compare_lift_to_cellular,
     lift_base_correspondence,
     lift_ck,
+    lifted_blocks,
     verify_action_window,
     verify_block_diagonality,
     verify_ck,

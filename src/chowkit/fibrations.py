@@ -18,7 +18,7 @@ subtracting the lexicographically greater projectors.  A single descending
 sweep evaluates the whole family at linear cost, reading each pushforward
 off the top-generator components of the model table.  Operators built from
 the family (rho_g, lifted blocks, motive pieces) are exact per-codim sparse
-matrices, read off one sweep per module basis element.
+matrices, read off one sweep per module basis element in one pass.
 """
 
 from __future__ import annotations
@@ -153,6 +153,12 @@ class FibrationModel:
         self._gen_cells = {c.key: c for c in fiber.cells}
         self.generators = tuple(sorted(self._gen_cells))
         self._family = None  # see build_projector_family
+        keys = {}  # codim, or None for all of them -> basis keys in module order
+        for g in self.generators:
+            for cell in base.cells:
+                for p in (None, g[0] + cell.codim):
+                    keys.setdefault(p, []).append((g, cell.key))
+        self._basis_keys = {p: tuple(ks) for p, ks in keys.items()}
         table = {}
 
         def put(g1, g2, entry):
@@ -239,13 +245,8 @@ class FibrationModel:
 
     def basis_keys(self, p=None):
         """Keys (g, base cell key) of the basis cycles pi^*(x) * T_g, all of
-        them or those of codim p, in module_basis order."""
-        return [
-            (g, cell.key)
-            for g in self.generators
-            for cell in self.base.cells
-            if p is None or cell.codim + g[0] == p
-        ]
+        them or those of codim p, in module_basis order; computed once."""
+        return self._basis_keys.get(p, ())
 
     def module_basis(self, p=None):
         """The basis cycles pi^*(x) * T_g, all of them or those of codim p."""
@@ -503,6 +504,18 @@ def zero_operator(model):
     }, "0")
 
 
+def operator_sum(model, ops, name):
+    """The sum of operators on one model, adding only their nonzero columns."""
+    total = zero_operator(model)
+    total.name = name
+    for op in ops:
+        for p, cols in op.columns.items():
+            for b, col in cols.items():
+                if col:
+                    total.columns[p][b] = _combine(((1, total.columns[p][b]), (1, col)))
+    return total
+
+
 def identity_operator(model):
     return YOperator(model, {
         p: {b: {b: 1} for b in model.basis_keys(p)} for p in range(model.dimension + 1)
@@ -555,14 +568,17 @@ class ProjectorFamily:
     ``apply_all`` performs the whole descending sweep once, which evaluates
     every projector honestly (each one sees exactly the residual its
     definition prescribes).  Operators built from the family come from one
-    cached sweep per module basis element.  A model's family is the one
-    build_projector_family keeps on it, so every caller shares those sweeps.
+    cached sweep per module basis element, read in one pass by
+    ``peeled_operators``.  A model's family is the one build_projector_family
+    keeps on it, so every caller shares those sweeps, and the lifted blocks
+    built from them (murre.lifted_blocks) are kept next to them.
     """
 
     def __init__(self, model):
         self.model = model
         self.order = tuple(sorted(model.generators, reverse=True))
         self._sweeps = {}  # codim p -> {basis key: sweep of that basis element}
+        self.blocks = None  # see murre.lifted_blocks
 
     def apply_all_with_coefficients(self, y):
         """{generator key: (base coefficient, projected piece)} for every projector.
@@ -613,25 +629,35 @@ class ProjectorFamily:
             }
         return self._sweeps[p]
 
-    def peeled_operator(self, phis, name):
-        """The operator y -> sum over g in phis of pi^*(phi_g(alpha_g)) * T_g,
-        alpha_g being the peeled coefficient of y at T_g.  phi_g is a base
-        self-correspondence, or None for the identity."""
-        columns = {}
-        for p in range(self.model.dimension + 1):
-            columns[p] = {}
-            for b, coeffs in self.basis_sweep(p).items():
-                col = {}
-                for g, phi in phis.items():
-                    alpha = coeffs[g][0]
-                    image = alpha if phi is None else act(phi, alpha)
-                    col.update(((g, k), c) for k, c in image.coeffs.items())
-                columns[p][b] = col
-        return YOperator(self.model, columns, name)
+    def peeled_operators(self, maps):
+        """{name: operator} for maps {name: {g: phi_g}}, built in one pass
+        over the basis sweeps.  The operator named n is y -> sum over g of
+        pi^*(phi_g(alpha_g)) * T_g, alpha_g being the peeled coefficient of y
+        at T_g; phi_g is a base self-correspondence, or None for the identity.
+        Zero coefficients and zero maps are skipped."""
+        model = self.model
+        users = {}  # g -> [(name, phi_g)] over the nonzero maps
+        for name, phis in maps.items():
+            for g, phi in phis.items():
+                if phi is None or not phi.is_zero():
+                    users.setdefault(g, []).append((name, phi))
+        columns = {name: {} for name in maps}
+        for p in range(model.dimension + 1):
+            sweep = self.basis_sweep(p)
+            for name in maps:
+                columns[name][p] = {b: {} for b in sweep}
+            for b, coeffs in sweep.items():
+                for g, (alpha, _) in coeffs.items():
+                    if not alpha.coeffs:
+                        continue
+                    for name, phi in users.get(g, ()):
+                        image = alpha if phi is None else act(phi, alpha)
+                        columns[name][p][b].update(((g, k), c) for k, c in image.coeffs.items())
+        return {name: YOperator(model, columns[name], str(name)) for name in maps}
 
     def operator(self, gkey):
-        gkey = tuple(gkey)
-        return self.peeled_operator({gkey: None}, f"rho{gkey}")
+        name = f"rho{tuple(gkey)}"
+        return self.peeled_operators({name: {tuple(gkey): None}})[name]
 
 
 def build_projector_family(model):

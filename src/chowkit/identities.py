@@ -152,14 +152,14 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0):
             fails.append(f"sample {s}: morphism {f.name}")
     report.add("psi o c(f)^t = (f x id)^* psi", fails, samples)
 
-    _graph_functoriality(report, morphisms)
+    _graph_functoriality(report, morphisms, graphs)
     _associativity(report, rng, X, Z, samples)
     return report
 
 
-def _graph_functoriality(report, morphisms):
+def _graph_functoriality(report, morphisms, graphs):
     """Tensoring a graph with the diagonal of the line acts as the product
-    morphism."""
+    morphism; graphs maps each morphism's name to its graph and transpose."""
     from .catalog import projective_space
 
     T = projective_space(1)
@@ -167,7 +167,7 @@ def _graph_functoriality(report, morphisms):
     fails = []
     count = 0
     for m in morphisms:
-        c, c_t = graph_from_morphism(m)
+        c, c_t = graphs[m.name]
         pm = product_morphism(identity_morphism(T), m)
         big_target = kunneth_product(T, m.target)
         big_source = kunneth_product(T, m.source)

@@ -204,18 +204,19 @@ def decompose_model(model):
 
     Each piece keeps one fiber generator and one base cell: the peeled
     coefficient is projected onto the cell's span and reassembled.  The
-    pieces are exact matrices built from one sweep per module basis element;
+    pieces are exact matrices built in one pass over the model's sweeps;
     the system is verified by matrix products, codimension by codimension,
     before returning.
     """
-    family = build_projector_family(model)
     base_ps = fiber_projectors(model.base)
-    pieces = []
+    maps, codims = {}, {}
     for g in model.generators:
         gen_label = model.fiber.cell(g).label
         for cell, bp in zip(model.base.cells, base_ps):
             label = f"(T[{gen_label}], {cell.label})"
-            pieces.append((label, g[0] + cell.codim, family.peeled_operator({g: bp}, label)))
+            maps[label], codims[label] = {g: bp}, g[0] + cell.codim
+    ops = build_projector_family(model).peeled_operators(maps)
+    pieces = [(label, codims[label], op) for label, op in ops.items()]
 
     report = Report("projector-system", model.name)
     idem, orth, complete = projector_system_failures(

@@ -24,13 +24,14 @@ from .correspondences import (
     zero_correspondence,
 )
 from .fibrations import (
+    _combine,
     ambient_extend,
     build_projector_family,
     column_matrix,
     from_kunneth,
+    operator_sum,
     projector_system_failures,
     to_kunneth,
-    zero_operator,
 )
 from .linalg import rank as matrix_rank
 from .report import Check, Report
@@ -103,7 +104,7 @@ def _action_window(name, columns):
     table, violations = {}, []
     for k, system in columns.items():
         for j, cols in system.items():
-            r = table[(k, j)] = matrix_rank(column_matrix(cols))
+            r = table[(k, j)] = matrix_rank(column_matrix(cols)) if any(cols.values()) else 0
             if r and not (j <= k <= 2 * j):
                 violations.append((k, j, r))
     return Report("action-window", name, table={"ranks": table, "violations": violations})
@@ -196,98 +197,57 @@ def lift_base_correspondence(model, phi, j):
     """
     if phi.source is not model.base or phi.target is not model.base:
         raise ValueError("can only lift a self-correspondence of the base")
-    if j % 2 or phi.is_zero():
-        return zero_operator(model)
-    i = j // 2
-    slots = tuple(g for g in model.generators if g[0] == i)
-    if not slots:
-        return zero_operator(model)
+    slots = {g: phi for g in model.generators if 2 * g[0] == j}
+    name = f"lift_{j}"
+    return build_projector_family(model).peeled_operators({name: slots})[name]
+
+
+def _lift_blocks(family, base_ck):
+    """{(i, j): block} in (i, j) order: block (i, j) lifts base projector i in
+    fiber degree j, and the degree-k lifted projector sums the blocks with
+    i + j = k.  Zero blocks (odd j, a zero base projector, no generator of
+    codim j/2) are left out; the rest are built in one pass."""
+    model = family.model
+    maps = {}
+    for i, phi in base_ck.projectors.items():
+        if phi.is_zero():
+            continue
+        for q in range(model.fiber.dimension + 1):
+            slots = {g: phi for g in model.generators if g[0] == q}
+            if slots:
+                maps[(i, 2 * q)] = slots
+    return family.peeled_operators(maps)
+
+
+def lifted_blocks(model):
+    """The blocks of the lift of the base's cellular CK, built and checked
+    once per model and kept on its projector family."""
     family = build_projector_family(model)
-    return family.peeled_operator(dict.fromkeys(slots, phi), f"lift_{j}")
-
-
-@dataclass
-class LiftPlan:
-    """Bookkeeping for assembling lifted projectors.
-
-    The degree-k lifted projector sums the blocks (i, j) with i + j = k,
-    base degree i in 0..2*dim(base), fiber degree j in 0..2*dim(fiber).
-    """
-
-    model: object
-    base_ck: CKDecomposition
-
-    def __post_init__(self):
-        if self.base_ck.space is not self.model.base:
-            raise ValueError("base decomposition must live on the model's base")
-        self.base_top = 2 * self.model.base.dimension
-        self.fiber_top = 2 * self.model.fiber.dimension
-        self.top = self.base_top + self.fiber_top
-
-    def index_set(self, k):
-        return tuple(
-            (i, k - i) for i in range(self.base_top + 1) if 0 <= k - i <= self.fiber_top
-        )
-
-    def index_sets(self):
-        return {k: self.index_set(k) for k in range(self.top + 1)}
-
-    def verify(self):
-        """Index sets must partition the block grid, degree by degree."""
-        failures = []
-        seen = {}
-        for k, pairs in self.index_sets().items():
-            for i, j in pairs:
-                if i + j != k:
-                    failures.append(f"block ({i}, {j}) filed under degree {k}")
-                if (i, j) in seen:
-                    failures.append(f"block ({i}, {j}) appears in degrees {seen[(i, j)]} and {k}")
-                seen[(i, j)] = k
-        expected = (self.base_top + 1) * (self.fiber_top + 1)
-        if len(seen) != expected:
-            failures.append(f"{len(seen)} blocks filed, grid has {expected}")
-        return failures
-
-    def block(self, i, j):
-        return lift_base_correspondence(self.model, self.base_ck.projectors[i], j)
-
-    def operator(self, k):
-        op = zero_operator(self.model)
-        for i, j in self.index_set(k):
-            op = op + self.block(i, j)
-        op.name = f"Pi_{k}"
-        return op
-
-    def lines(self):
-        out = [f"lift plan for {self.model.name}: degrees 0..{self.top}"]
-        for k, pairs in self.index_sets().items():
-            shown = ", ".join(f"({i},{j})" for i, j in pairs)
-            out.append(f"  degree {k}: {shown}")
-        return out
-
-
-def build_lift_plan(model, base_ck=None):
-    if base_ck is None:
-        base_ck = cellular_ck(model.base)
-    return LiftPlan(model, base_ck)
+    if family.blocks is None:
+        family.blocks = _lift_blocks(family, cellular_ck(model.base))
+    return family.blocks
 
 
 def lift_ck(model, base_ck=None, validate=True):
     """Lift a Chow-Kunneth decomposition of the base across the fibration.
 
-    The base decomposition is verified first, the lifted one after
-    assembly; failure of either raises with the full report.
+    The base decomposition is verified first (the cellular one once per
+    model), the lifted one after assembly; failure of either raises with
+    the full report.
     """
     if base_ck is None:
-        base_ck = cellular_ck(model.base)
-    pre = verify_ck(base_ck)
-    if not pre.passed:
-        raise ValueError("base decomposition fails:\n" + "\n".join(pre.lines()))
-    plan = build_lift_plan(model, base_ck)
-    bad = plan.verify()
-    if bad:
-        raise ValueError("degenerate lift plan:\n" + "\n".join(bad))
-    projs = {k: plan.operator(k) for k in range(plan.top + 1)}
+        blocks = lifted_blocks(model)
+    else:
+        if base_ck.space is not model.base:
+            raise ValueError("base decomposition must live on the model's base")
+        pre = verify_ck(base_ck)
+        if not pre.passed:
+            raise ValueError("base decomposition fails:\n" + "\n".join(pre.lines()))
+        blocks = _lift_blocks(build_projector_family(model), base_ck)
+    projs = {
+        k: operator_sum(model, [op for (i, j), op in blocks.items() if i + j == k], f"Pi_{k}")
+        for k in range(2 * model.dimension + 1)
+    }
     ck = CKDecomposition(model, projs, name=f"lifted CK of {model.name}")
     if validate:
         report = verify_ck(ck)
@@ -300,33 +260,39 @@ def lift_ck(model, base_ck=None, validate=True):
 def verify_block_diagonality(model, samples=20, seed=0):
     """Blocks compose like matrix units: a block followed by another is the
     first block again when the indices match and zero otherwise.  Checked on
-    random cycles, each block applied as a matrix-vector product."""
-    plan = build_lift_plan(model)
-    blocks = {
-        (i, j): plan.block(i, j)
-        for i in range(plan.base_top + 1)
-        for j in range(plan.fiber_top + 1)
-    }
-    # a pair with a zero block passes exactly: its image, or its input, is 0
-    nonzero = {
-        key: op for key, op in blocks.items()
-        if any(col for cols in op.columns.values() for col in cols.values())
-    }
+    random cycles.  A block is applied to an image only when it has a
+    nonzero column at one of the image's keys, since every other pair
+    composes to exactly zero; the diagonal pair is always applied."""
+    blocks = lifted_blocks(model)
+    owners = {}  # basis key -> the blocks with a nonzero column there
+    for key, op in blocks.items():
+        for cols in op.columns.values():
+            for b, col in cols.items():
+                if col:
+                    owners.setdefault(b, []).append(key)
     rng = seeded_rng(seed)
     failures = []
     for s in range(samples):
         y = random_fibered_cycle(rng, model).vector()
-        images = {key: op.apply_vector(y) for key, op in nonzero.items()}
-        for key2, op2 in nonzero.items():
-            for key, img in images.items():
+        terms = {}
+        for (g, k), c in y.items():
+            for key in owners.get((g, k), ()):
+                terms.setdefault(key, []).append((c, blocks[key].columns[g[0] + k[0]][g, k]))
+        failed = []
+        for key in blocks:
+            img = _combine(terms.get(key, ()))
+            for key2 in {key}.union(*(owners.get(b, ()) for b in img)):
                 want = img if key2 == key else {}
-                if op2.apply_vector(img) != want:
-                    failures.append(
-                        f"sample {s}: block {key2} after block {key} is not "
-                        f"{'the block itself' if key2 == key else 'zero'}"
-                    )
+                if blocks[key2].apply_vector(img) != want:
+                    failed.append((key2, key))
+        failures += [
+            f"sample {s}: block {key2} after block {key} is not "
+            f"{'the block itself' if key2 == key else 'zero'}"
+            for key2, key in sorted(failed)
+        ]
     report = Report("projector-system", f"block diagonality on {model.name}")
-    report.add(f"{samples} random cycles, {len(blocks)} blocks", failures, samples)
+    grid = (2 * model.base.dimension + 1) * (2 * model.fiber.dimension + 1)
+    report.add(f"{samples} random cycles, {grid} blocks", failures, samples)
     return report
 
 
@@ -345,9 +311,7 @@ def ck_battery(model, battery=None):
     entries.append((model.name, lifted.report))
     for ambient in battery:
         extended = ambient_extend(model, ambient)
-        base2 = cellular_ck(kunneth_product(ambient, model.base))
-        lifted2 = lift_ck(extended, base2)
-        entries.append((extended.name, lifted2.report))
+        entries.append((extended.name, lift_ck(extended).report))
     return Report("ambient-battery", f"Chow-Kunneth battery for {model.name}", children=entries)
 
 

@@ -44,7 +44,7 @@ from chowkit.cli import main
 from chowkit.fibrations import ProjectorFamily
 from chowkit.fileio import parse_ring
 from chowkit.motives import fiber_projectors
-from chowkit.murre import LiftPlan, cellular_ck
+from chowkit.murre import cellular_ck
 
 FAILING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "failing")
 
@@ -167,14 +167,19 @@ def case_oracle_battery(mp):
 
 
 def case_block_diagonality(mp):
-    block = LiftPlan.block
+    build = ProjectorFamily.peeled_operators
 
-    def perturbed(plan, i, j):
-        op = block(plan, i, j)
-        return op + identity_operator(plan.model) if (i, j) == (0, 0) else op
+    def perturbed(family, maps):
+        ops = build(family, maps)
+        if (0, 0) in ops:
+            ops[0, 0] = ops[0, 0] + identity_operator(family.model)
+        return ops
 
-    mp.setattr(LiftPlan, "block", perturbed)
-    return rendered(verify_block_diagonality(hirzebruch(1), samples=4, seed=3))
+    model = hirzebruch(1)
+    # the model's family keeps its blocks: drop them for the run, restore after
+    mp.setattr(build_projector_family(model), "blocks", None)
+    mp.setattr(ProjectorFamily, "peeled_operators", perturbed)
+    return rendered(verify_block_diagonality(model, samples=4, seed=3))
 
 
 def case_chow_kunneth(mp):
@@ -191,13 +196,15 @@ def case_action_window(mp):
 
 
 def case_decompose_model(mp):
-    peeled = ProjectorFamily.peeled_operator
+    build = ProjectorFamily.peeled_operators
 
-    def doubled(family, phis, name):
-        op = peeled(family, phis, name)
-        return op + op if name == "(T[h], 1)" else op
+    def doubled(family, maps):
+        ops = build(family, maps)
+        if "(T[h], 1)" in ops:
+            ops["(T[h], 1)"] = ops["(T[h], 1)"] + ops["(T[h], 1)"]
+        return ops
 
-    mp.setattr(ProjectorFamily, "peeled_operator", doubled)
+    mp.setattr(ProjectorFamily, "peeled_operators", doubled)
     return raised(lambda: decompose_model(hirzebruch(1)))
 
 

@@ -90,6 +90,18 @@ def test_rank_identity_all_models():
     assert total == len(m.module_basis())
 
 
+def test_basis_keys_are_computed_once_in_module_order():
+    from chowkit.catalog import standard_models
+
+    for m in standard_models():
+        keys = m.basis_keys()
+        assert isinstance(keys, tuple) and m.basis_keys() is keys
+        assert keys == tuple((g, c.key) for g in m.generators for c in m.base.cells)
+        for p in range(-1, m.dimension + 2):
+            want = tuple((g, k) for g, k in keys if g[0] + m.base.cell(k).codim == p)
+            assert m.basis_keys(p) == want and m.basis_keys(p) is m.basis_keys(p)
+
+
 def test_coordinates_roundtrip():
     m = hirzebruch(1)
     rng = seeded_rng(5)

@@ -71,6 +71,16 @@ def test_identity_battery_deterministic():
     assert a == b
 
 
+def test_identity_battery_builds_each_graph_once(monkeypatch):
+    from chowkit import identities
+
+    calls = []
+    build = identities.graph_from_morphism
+    monkeypatch.setattr(identities, "graph_from_morphism", lambda m: calls.append(m) or build(m))
+    assert run_identity_battery(samples=2, seed=1).passed
+    assert len(calls) == len(standard_morphisms())
+
+
 def test_compose_oracle_matches_contraction():
     p1, p2 = projective_space(1), projective_space(2)
     emb = linear_embedding(1, 2)

@@ -4,7 +4,6 @@ import pytest
 
 from chowkit import (
     CKDecomposition,
-    build_lift_plan,
     cellular_ck,
     ck_battery,
     compare_lift_to_cellular,
@@ -13,6 +12,7 @@ from chowkit import (
     hirzebruch,
     lift_base_correspondence,
     lift_ck,
+    lifted_blocks,
     point,
     product_model,
     projective_space,
@@ -23,7 +23,7 @@ from chowkit import (
 )
 from chowkit import murre
 from chowkit.correspondences import act
-from chowkit.murre import LiftPlan
+from chowkit.fibrations import operator_sum
 
 
 def projector_rank(action, k):
@@ -167,15 +167,19 @@ def test_lift_base_correspondence_even_degree_peels():
     assert lift_base_correspondence(m, d, 2)(y) == m.cycle({(1, 1): m.base.cycle({"1": 5})})
 
 
-def test_lift_plan_partitions_the_grid():
-    plan = build_lift_plan(hirzebruch(1))
-    assert plan.top == 4
-    assert plan.index_set(2) == ((0, 2), (1, 1), (2, 0))
-    assert plan.index_set(0) == ((0, 0),)
-    assert plan.verify() == []
-    assert plan.lines()[0] == "lift plan for hirzebruch(1): degrees 0..4"
+def test_lifted_blocks_partition_the_grid():
+    model = hirzebruch(1)
+    blocks = lifted_blocks(model)
+    # the zero blocks (odd base or fiber degree) are never built
+    assert list(blocks) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    ck = lift_ck(model)
+    assert sorted(ck.projectors) == [0, 1, 2, 3, 4]
+    for k, op in ck.projectors.items():
+        parts = [blocks[i, j] for i, j in blocks if i + j == k]
+        assert op.equals(operator_sum(model, parts, f"Pi_{k}"))
+    assert ck.projectors[2].equals(blocks[0, 2] + blocks[2, 0])
     with pytest.raises(ValueError, match="model's base"):
-        LiftPlan(hirzebruch(1), cellular_ck(projective_space(2)))
+        lift_ck(hirzebruch(1), cellular_ck(projective_space(2)))
 
 
 def test_lift_ck_hirzebruch():

@@ -1,35 +1,45 @@
 """Fibration operators as exact per-codim matrices.
 
 The matrices are checked against the closure route they replace (sweep the
-input, peel, act, reassemble, on every call), and the matrix checkers are
+input, peel, act, reassemble, on every call) and against the per-operator
+walk the one-pass builder replaced (one walk of every basis sweep per
+operator, blocks summed from zero operators), and the matrix checkers are
 shown to fail on perturbed operators.
 """
 
 import pytest
 
 from chowkit import (
+    YOperator,
     ambient_extend,
-    build_lift_plan,
     build_projector_family,
+    cellular_ck,
     decompose_model,
     diagonal,
     hirzebruch,
     identity_operator,
     lift_base_correspondence,
     lift_ck,
+    lifted_blocks,
+    product_model,
     projective_bundle_model,
     projective_space,
     verify_block_diagonality,
     verify_ck,
+    zero_operator,
 )
+from chowkit import murre
 from chowkit.catalog import standard_models
 from chowkit.fibrations import ProjectorFamily
 from chowkit.correspondences import act
 from chowkit.motives import fiber_projectors
-from chowkit.murre import LiftPlan
 from chowkit.sampling import random_fibered_cycle, seeded_rng
+from test_peeling_sweep import bundle_over_gr24
 
-MODELS = standard_models() + [ambient_extend(hirzebruch(1), projective_space(1))]
+MODELS = standard_models() + [
+    ambient_extend(hirzebruch(1), projective_space(1)),
+    bundle_over_gr24(),
+]
 
 
 # -- the closure route, kept here as the reference ------------------------------
@@ -51,18 +61,25 @@ def reference_peel(model, family, phis):
     return run
 
 
-def reference_block(plan, i, j):
-    model = plan.model
-    phi = plan.base_ck.projectors[i]
+def grid(model):
+    return [
+        (i, j)
+        for i in range(2 * model.base.dimension + 1)
+        for j in range(2 * model.fiber.dimension + 1)
+    ]
+
+
+def reference_block(model, base_ck, i, j):
+    phi = base_ck.projectors[i]
     if j % 2 or phi.is_zero():
         return lambda y: model.zero()
     family = build_projector_family(model)
     return reference_peel(model, family, {g: phi for g in model.generators if g[0] == j // 2})
 
 
-def reference_projector(plan, k):
-    blocks = [reference_block(plan, i, j) for i, j in plan.index_set(k)]
-    return lambda y: sum((b(y) for b in blocks), plan.model.zero())
+def reference_projector(model, base_ck, k):
+    blocks = [reference_block(model, base_ck, i, j) for i, j in grid(model) if i + j == k]
+    return lambda y: sum((b(y) for b in blocks), model.zero())
 
 
 def inputs(model):
@@ -72,14 +89,16 @@ def inputs(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
 def test_matrices_match_the_closure_route(model):
-    plan = build_lift_plan(model)
+    base_ck = cellular_ck(model.base)
+    blocks = lifted_blocks(model)
     ys = inputs(model)
     pairs = []
-    for i in range(plan.base_top + 1):
-        for j in range(plan.fiber_top + 1):
-            pairs.append((f"block ({i}, {j})", plan.block(i, j), reference_block(plan, i, j)))
-    for k in range(plan.top + 1):
-        pairs.append((f"Pi_{k}", plan.operator(k), reference_projector(plan, k)))
+    for i, j in grid(model):
+        op = blocks.get((i, j), zero_operator(model))
+        pairs.append((f"block ({i}, {j})", op, reference_block(model, base_ck, i, j)))
+    lifted = lift_ck(model)
+    for k in range(2 * model.dimension + 1):
+        pairs.append((f"Pi_{k}", lifted.projectors[k], reference_projector(model, base_ck, k)))
     base_ps = fiber_projectors(model.base)
     dec = decompose_model(model)
     expected = [(g, bp) for g in model.generators for bp in base_ps]
@@ -90,6 +109,73 @@ def test_matrices_match_the_closure_route(model):
     for name, op, ref in pairs:
         for n, y in enumerate(ys):
             assert op(y) == ref(y), f"{name} differs on input {n} of {model.name}"
+
+
+# -- the per-operator walk, kept here as the reference --------------------------
+
+
+def walked_operator(family, phis, name):
+    """One walk of every basis sweep for one operator: y -> sum over g in phis
+    of pi^*(phi_g(alpha_g)) * T_g, phi_g None being the identity."""
+    columns = {}
+    for p in range(family.model.dimension + 1):
+        columns[p] = {}
+        for b, coeffs in family.basis_sweep(p).items():
+            col = {}
+            for g, phi in phis.items():
+                alpha = coeffs[g][0]
+                image = alpha if phi is None else act(phi, alpha)
+                col.update(((g, k), c) for k, c in image.coeffs.items())
+            columns[p][b] = col
+    return YOperator(family.model, columns, name)
+
+
+def walked_block(model, base_ck, i, j):
+    """A block as lift_base_correspondence built it: a zero operator for a
+    zero block, else one walk."""
+    phi = base_ck.projectors[i]
+    slots = [g for g in model.generators if g[0] == j // 2]
+    if j % 2 or phi.is_zero() or not slots:
+        return zero_operator(model)
+    family = build_projector_family(model)
+    return walked_operator(family, dict.fromkeys(slots, phi), f"lift_{j}")
+
+
+def walked_projector(model, base_ck, k):
+    """Pi_k as the block sum from a zero operator."""
+    op = zero_operator(model)
+    for i, j in grid(model):
+        if i + j == k:
+            op = op + walked_block(model, base_ck, i, j)
+    return op
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+def test_one_pass_matches_the_per_operator_walk(model):
+    base_ck = cellular_ck(model.base)
+    blocks = lifted_blocks(model)
+    for i, j in grid(model):
+        want = walked_block(model, base_ck, i, j)
+        got = blocks.get((i, j))
+        if got is None:
+            assert not any(col for cols in want.columns.values() for col in cols.values())
+        else:
+            assert got.equals(want), f"block ({i}, {j}) of {model.name}"
+    lifted = lift_ck(model)
+    for k in range(2 * model.dimension + 1):
+        assert lifted.projectors[k].equals(walked_projector(model, base_ck, k)), f"Pi_{k}"
+    family = build_projector_family(model)
+    dec = decompose_model(model)
+    expected = [(g, bp) for g in model.generators for bp in fiber_projectors(model.base)]
+    for (label, _, op), (g, bp) in zip(dec.pieces, expected):
+        assert op.equals(walked_operator(family, {g: bp}, label)), f"piece {label}"
+    for g in model.generators:
+        assert family.operator(g).equals(walked_operator(family, {g: None}, "rho"))
+    d = diagonal(model.base)
+    for j in range(2 * model.fiber.dimension + 2):
+        slots = {g: d for g in model.generators if 2 * g[0] == j}  # none for odd j
+        got = lift_base_correspondence(model, d, j)
+        assert got.equals(walked_operator(family, slots, "lift")), f"lift_{j}"
 
 
 def fresh_model():
@@ -109,12 +195,21 @@ def count_sweeps(monkeypatch):
     return calls
 
 
+def count_builds(monkeypatch):
+    calls = []
+    build = ProjectorFamily.peeled_operators
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "peeled_operators",
+        lambda fam, maps: calls.append(list(maps)) or build(fam, maps),
+    )
+    return calls
+
+
 def test_sweeps_run_once_per_basis_element(monkeypatch):
     model = fresh_model()
-    plan = build_lift_plan(model)
     calls = count_sweeps(monkeypatch)
-    for k in range(plan.top + 1):
-        plan.operator(k)
+    lift_ck(model)
     decompose_model(model)
     assert len(calls) == len(model.module_basis())
 
@@ -127,6 +222,62 @@ def test_one_family_serves_every_operator_of_a_model(monkeypatch):
     decompose_model(model)
     lift_base_correspondence(model, diagonal(model.base), 2)
     assert len(calls) == len(model.module_basis())
+
+
+def test_blocks_are_built_once_per_model(monkeypatch):
+    model = fresh_model()
+    builds = count_builds(monkeypatch)
+    base_checks = []
+    cellular = murre.cellular_ck
+    monkeypatch.setattr(murre, "cellular_ck", lambda ring: base_checks.append(ring) or cellular(ring))
+    first = lift_ck(model)
+    second = lift_ck(model)
+    assert verify_block_diagonality(model).passed
+    assert builds == [[(0, 0), (0, 2), (2, 0), (2, 2)]]
+    assert base_checks == [model.base]  # the base's cellular CK is built and checked once
+    assert build_projector_family(model).blocks is lifted_blocks(model)
+    # each lift sums the kept blocks into fresh matrices
+    assert first.projectors[2].equals(second.projectors[2])
+    assert first.projectors[2].columns is not second.projectors[2].columns
+    decompose_model(model)
+    assert len(builds) == 2 and len(builds[1]) == len(model.module_basis())
+
+
+def count_products(monkeypatch):
+    calls = []
+    apply = YOperator.apply_vector
+    monkeypatch.setattr(
+        YOperator, "apply_vector", lambda op, vec: calls.append(op) or apply(op, vec)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("model", [
+    hirzebruch(1),
+    bundle_over_gr24(),
+    product_model(projective_space(4), projective_space(3)),
+], ids=lambda m: m.name)
+def test_block_products_stay_within_the_touched_pairs(model, monkeypatch):
+    blocks = lifted_blocks(model)
+    owners = {}
+    for key, op in blocks.items():
+        for cols in op.columns.values():
+            for b, col in cols.items():
+                if col:
+                    owners.setdefault(b, set()).add(key)
+    # every block a block's image can reach, plus the block itself
+    bound = sum(
+        len({key}.union(*(owners.get(r, ()) for cols in op.columns.values()
+                          for col in cols.values() for r in col)))
+        for key, op in blocks.items()
+    )
+    samples = 3
+    calls = count_products(monkeypatch)
+    assert verify_block_diagonality(model, samples=samples, seed=1).passed
+    assert len(calls) <= samples * bound
+    assert samples * len(blocks) <= len(calls)  # the diagonal pairs
+    if len(blocks) > 4:
+        assert len(calls) < samples * len(blocks) ** 2
 
 
 def test_a_model_keeps_its_family():
@@ -171,14 +322,18 @@ def test_verify_ck_catches_an_off_codim_image():
 
 
 def test_block_diagonality_catches_a_perturbed_block(monkeypatch):
-    block = LiftPlan.block
+    build = ProjectorFamily.peeled_operators
 
-    def perturbed(plan, i, j):
-        op = block(plan, i, j)
-        return op + identity_operator(plan.model) if (i, j) == (0, 0) else op
+    def perturbed(family, maps):
+        ops = build(family, maps)
+        if (0, 0) in ops:
+            ops[0, 0] = ops[0, 0] + identity_operator(family.model)
+        return ops
 
-    monkeypatch.setattr(LiftPlan, "block", perturbed)
-    report = verify_block_diagonality(hirzebruch(1), samples=2, seed=3)
+    model = hirzebruch(1)
+    monkeypatch.setattr(build_projector_family(model), "blocks", None)
+    monkeypatch.setattr(ProjectorFamily, "peeled_operators", perturbed)
+    report = verify_block_diagonality(model, samples=2, seed=3)
     assert not report.passed
     check = report.checks[0]
     label, ok, details = check.label, check.passed, check.details
@@ -188,13 +343,15 @@ def test_block_diagonality_catches_a_perturbed_block(monkeypatch):
 
 
 def test_decompose_model_catches_a_perturbed_piece(monkeypatch):
-    peeled = ProjectorFamily.peeled_operator
+    build = ProjectorFamily.peeled_operators
 
-    def perturbed(family, phis, name):
-        op = peeled(family, phis, name)
-        return op + op if name == "(T[h], 1)" else op
+    def perturbed(family, maps):
+        ops = build(family, maps)
+        if "(T[h], 1)" in ops:
+            ops["(T[h], 1)"] = ops["(T[h], 1)"] + ops["(T[h], 1)"]
+        return ops
 
-    monkeypatch.setattr(ProjectorFamily, "peeled_operator", perturbed)
+    monkeypatch.setattr(ProjectorFamily, "peeled_operators", perturbed)
     with pytest.raises(ValueError) as err:
         decompose_model(hirzebruch(1))
     message = str(err.value)
