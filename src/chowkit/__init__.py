@@ -56,7 +56,6 @@ from .fibrations import (
     trivial_fibration,
     validate_fibration,
     verify_projector_family,
-    zero_operator,
 )
 from .motives import (
     ModelMotiveDecomposition,

@@ -326,10 +326,11 @@ def action_matrix(f, p):
 
 
 def action_columns(f):
-    """The action of a degree-0 (or zero) self-correspondence as sparse
-    columns {codim: {cell key: {cell key: coefficient}}}.  Raises the
-    dual_basis_cycles error unless every pairing is perfect, since only then
-    does the action determine the cycle."""
+    """The action of a degree-0 (or zero) self-correspondence as a sparse
+    matrix {cell key: nonzero column {cell key: coefficient}}, laid out as
+    YOperator.columns.  Raises the dual_basis_cycles error unless every
+    pairing is perfect, since only then does the action determine the
+    cycle."""
     ring = f.source
     if f.target is not ring or not (f.is_zero() or f.offset == 0):
         raise ValueError("action_columns needs a degree-0 self-correspondence")
@@ -340,10 +341,9 @@ def action_columns(f):
         dual_basis_cycles(ring, p)
         cells = ring.cells_of_codim(p)
         matrix = action_matrix(f, p) if p in hit else ()
-        columns[p] = {
-            cell.key: {row.key: m[j] for row, m in zip(cells, matrix) if m[j]}
-            for j, cell in enumerate(cells)
-        }
+        for j, cell in enumerate(cells):
+            if col := {row.key: m[j] for row, m in zip(cells, matrix) if m[j]}:
+                columns[cell.key] = col
     return columns
 
 

@@ -27,6 +27,7 @@ import warnings
 from fractions import Fraction
 
 from .correspondences import act
+from .linalg import rank as matrix_rank
 from .report import Report
 from .rings import (
     INTEGER,
@@ -417,19 +418,20 @@ def validate_fibration(model):
     return report
 
 
-# -- operators on a model's cycles ----------------------------------------------
+# -- operators: sparse matrices {basis key: nonzero column} ---------------------
+#
+# A YOperator, and the action of a cycle projector (action_columns), is a flat
+# sparse matrix on the basis of its space, a FibrationModel or a ChowRing,
+# whose space.basis_keys(p) lists the codim-p keys.  A missing key is a zero
+# column, and no column is empty.
 
 
 class YOperator:
-    """A linear operator on the cycles of one fibration model, held as an
-    exact sparse matrix per codimension.
-
-    ``columns[p]`` maps each basis key of codim p (see ``basis_keys``), in
-    ``model.coordinates`` order, to its image as a sparse vector {basis key:
-    nonzero coefficient}.  An image component outside codim p stays in its
-    column, so grading remains checkable.  Sums, differences and composition
-    are sparse matrix sums and products; ``equals`` compares the matrices.
-    """
+    """A linear operator on the cycles of one fibration model, held as one
+    exact sparse matrix: ``columns`` maps a basis key (see ``basis_keys``)
+    to its image {basis key: nonzero coefficient}, and the zero operator is
+    ``YOperator(model, {})``.  An image component outside the column's codim
+    stays in its column, so grading remains checkable."""
 
     def __init__(self, model, columns, name="operator"):
         self.model = model
@@ -438,7 +440,7 @@ class YOperator:
 
     def apply_vector(self, vec):
         """Image of a sparse vector (see FiberedCycle.vector)."""
-        return _combine((c, self.columns[g[0] + k[0]][g, k]) for (g, k), c in vec.items())
+        return _apply(self.columns, vec)
 
     def __call__(self, y):
         if y.model is not self.model:
@@ -448,10 +450,8 @@ class YOperator:
     def _plus(self, other, sign):
         if not isinstance(other, YOperator) or other.model is not self.model:
             return NotImplemented
-        return YOperator(self.model, {
-            p: {b: _combine(((1, col), (sign, other.columns[p][b]))) for b, col in cols.items()}
-            for p, cols in self.columns.items()
-        }, f"{self.name} {'+' if sign > 0 else '-'} {other.name}")
+        name = f"{self.name} {'+' if sign > 0 else '-'} {other.name}"
+        return YOperator(self.model, _sum(((1, self.columns), (sign, other.columns))), name)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -463,30 +463,22 @@ class YOperator:
         """Composition: (f @ g)(y) = f(g(y))."""
         if not isinstance(other, YOperator) or other.model is not self.model:
             return NotImplemented
-        return YOperator(self.model, {
-            p: {b: self.apply_vector(col) for b, col in cols.items()}
-            for p, cols in other.columns.items()
-        }, f"{self.name} o {other.name}")
+        name = f"{self.name} o {other.name}"
+        return YOperator(self.model, _after(self.columns, other.columns), name)
 
     def equals(self, other):
         return self.columns == other.columns
-
-    def matrix(self, p):
-        """The codim-p block: entry [r][c] is the coefficient of basis element
-        r in the image of basis element c, both in model.coordinates order."""
-        return column_matrix(self.columns[p])
-
-    def stray_codims(self, p):
-        """Codims other than p reached by images of codim-p basis elements."""
-        return sorted({g[0] + k[0] for col in self.columns[p].values() for g, k in col} - {p})
 
     def __repr__(self):
         return f"<YOperator {self.name} on {self.model.name}>"
 
 
-def column_matrix(cols):
-    """Dense matrix of sparse columns {basis key: column}, as YOperator.matrix."""
-    return tuple(tuple(col.get(r, 0) for col in cols.values()) for r in cols)
+def operator_sum(model, ops, name):
+    return YOperator(model, _sum((1, op.columns) for op in ops), name)
+
+
+def identity_operator(model):
+    return YOperator(model, {b: {b: 1} for b in model.basis_keys()}, "id")
 
 
 def _combine(terms):
@@ -498,63 +490,67 @@ def _combine(terms):
     return {key: c for key, c in out.items() if c}
 
 
-def zero_operator(model):
-    return YOperator(model, {
-        p: {b: {} for b in model.basis_keys(p)} for p in range(model.dimension + 1)
-    }, "0")
-
-
-def operator_sum(model, ops, name):
-    """The sum of operators on one model, adding only their nonzero columns."""
-    total = zero_operator(model)
-    total.name = name
-    for op in ops:
-        for p, cols in op.columns.items():
-            for b, col in cols.items():
-                if col:
-                    total.columns[p][b] = _combine(((1, total.columns[p][b]), (1, col)))
-    return total
-
-
-def identity_operator(model):
-    return YOperator(model, {
-        p: {b: {b: 1} for b in model.basis_keys(p)} for p in range(model.dimension + 1)
-    }, "id")
+def _apply(f, vec):
+    """The image of a sparse vector under the sparse matrix f."""
+    return _combine((c, f[key]) for key, c in vec.items() if key in f)
 
 
 def _after(f, g):
-    """f after g, both flat sparse matrices {basis key: sparse column}."""
-    return {b: _combine((c, f[key]) for key, c in col.items()) for b, col in g.items()}
+    """f after g."""
+    return {b: image for b, col in g.items() if (image := _apply(f, col))}
 
 
-def projector_system_failures(systems):
-    """Where {name: matrices laid out as YOperator.columns} on one shared basis
-    fail to be a complete system of orthogonal idempotents, by failing codim p:
-    ([(k, p)] not idempotent, [(l, k, p)] l after k nonzero, [p] sum not identity).
+def _sum(terms):
+    """The sum of scale * m over (scale, sparse matrix m) pairs."""
+    cols = {}
+    for scale, m in terms:
+        for b, col in m.items():
+            cols.setdefault(b, []).append((scale, col))
+    return {b: col for b, vecs in cols.items() if (col := _combine(vecs))}
+
+
+def codim_blocks(space, systems):
+    """The codim of every basis key of space, and {name: {p: [column]}}: the
+    columns of each sparse matrix in systems grouped by the codim of their
+    key, once."""
+    codim_of = {b: p for p in range(space.dimension + 1) for b in space.basis_keys(p)}
+    blocks = {name: {} for name in systems}
+    for name, columns in systems.items():
+        for b, col in columns.items():
+            blocks[name].setdefault(codim_of[b], []).append(col)
+    return codim_of, blocks
+
+
+def block_rank(codim_of, by_codim, p):
+    """The rank of block p of one matrix's codim_blocks, laid out on its
+    codim-p rows only: an image component outside codim p never raises it."""
+    block = by_codim.get(p, ())
+    rows = dict.fromkeys(r for col in block for r in col if codim_of[r] == p)
+    return matrix_rank(tuple(tuple(col.get(r, 0) for col in block) for r in rows)) if rows else 0
+
+
+def projector_system_failures(space, systems):
+    """Where {name: sparse matrix} on the basis of space fail to be a complete
+    system of orthogonal idempotents, by failing codim p: ([(k, p)] not
+    idempotent, [(l, k, p)] l after k nonzero, [p] sum not identity).
 
     Over Q, idempotents summing to the identity are orthogonal: tr P = rank P,
     so the image ranks add up to dim V and the images' sum is direct.  Pairwise
     products run only when a square or the sum fails, to name witnesses."""
-    codims = next(iter(systems.values()))
-    flat = {
-        k: {b: col for cols in system.values() for b, col in cols.items()}
-        for k, system in systems.items()
-    }
+    codim_of = {b: p for p in range(space.dimension + 1) for b in space.basis_keys(p)}
     idem = []
-    for k, f in flat.items():
+    for k, f in systems.items():
         square = _after(f, f)
-        idem += [(k, p) for p, keys in codims.items() if any(square[b] != f[b] for b in keys)]
-    complete = [
-        p for p, keys in codims.items()
-        if any(_combine((1, f[b]) for f in flat.values()) != {b: 1} for b in keys)
-    ]
+        bad = {codim_of[b] for b in square.keys() | f.keys() if square.get(b, {}) != f.get(b, {})}
+        idem += [(k, p) for p in sorted(bad)]
+    total = _sum((1, f) for f in systems.values())
+    complete = sorted({p for b, p in codim_of.items() if total.get(b) != {b: 1}})
     orth = []
     if idem or complete:
-        for k, f in flat.items():
-            for l, g in flat.items():
+        for k, f in systems.items():
+            for l, g in systems.items():
                 if l != k:
-                    prod = _after(g, f)
-                    orth += [(l, k, p) for p, keys in codims.items() if any(prod[b] for b in keys)]
+                    orth += [(l, k, p) for p in sorted({codim_of[b] for b in _after(g, f)})]
     return idem, orth, complete
 
 
@@ -634,7 +630,7 @@ class ProjectorFamily:
         over the basis sweeps.  The operator named n is y -> sum over g of
         pi^*(phi_g(alpha_g)) * T_g, alpha_g being the peeled coefficient of y
         at T_g; phi_g is a base self-correspondence, or None for the identity.
-        Zero coefficients and zero maps are skipped."""
+        Zero coefficients, maps and images are skipped, so no column is empty."""
         model = self.model
         users = {}  # g -> [(name, phi_g)] over the nonzero maps
         for name, phis in maps.items():
@@ -643,16 +639,15 @@ class ProjectorFamily:
                     users.setdefault(g, []).append((name, phi))
         columns = {name: {} for name in maps}
         for p in range(model.dimension + 1):
-            sweep = self.basis_sweep(p)
-            for name in maps:
-                columns[name][p] = {b: {} for b in sweep}
-            for b, coeffs in sweep.items():
+            for b, coeffs in self.basis_sweep(p).items():
                 for g, (alpha, _) in coeffs.items():
                     if not alpha.coeffs:
                         continue
                     for name, phi in users.get(g, ()):
                         image = alpha if phi is None else act(phi, alpha)
-                        columns[name][p][b].update(((g, k), c) for k, c in image.coeffs.items())
+                        if image.coeffs:
+                            col = columns[name].setdefault(b, {})
+                            col.update(((g, k), c) for k, c in image.coeffs.items())
         return {name: YOperator(model, columns[name], str(name)) for name in maps}
 
     def operator(self, gkey):

@@ -24,8 +24,9 @@ from .correspondences import (
     tensor,
 )
 from .fibrations import (
+    block_rank,
     build_projector_family,
-    column_matrix,
+    codim_blocks,
     from_kunneth,
     projector_system_failures,
     to_kunneth,
@@ -98,7 +99,7 @@ def verify_projector_system(projectors):
 
 def _system_report(ring, columns):
     """verify_projector_system on the action columns of its projectors."""
-    idem, orth, complete = projector_system_failures(columns)
+    idem, orth, complete = projector_system_failures(ring, columns)
     report = Report("projector-system", ring.name)
     report.add("idempotence", [
         f"projector {k} is not idempotent" for k in dict.fromkeys(k for k, _ in idem)
@@ -146,7 +147,7 @@ def decompose_motive(ring):
     image = []
     for cell, cols in zip(ring.cells, columns.values()):
         for other in ring.cells:
-            got = cols[other.codim][other.key]
+            got = cols.get(other.key, {})
             if got != ({cell.key: 1} if other is cell else {}):
                 image.append(
                     f"projector of {cell.label} sends {other.label} to "
@@ -154,9 +155,10 @@ def decompose_motive(ring):
                 )
     report.add("rank-one images", image)
 
+    codim_of, blocks = codim_blocks(ring, columns)
     rank_table = {}
     for p in range(ring.dimension + 1):
-        ranks = tuple(matrix_rank(column_matrix(cols[p])) for cols in columns.values())
+        ranks = tuple(block_rank(codim_of, b, p) for b in blocks.values())
         rank_table[p] = ranks
         if sum(ranks) != ring.rank(p):
             report.add(
@@ -219,9 +221,8 @@ def decompose_model(model):
     pieces = [(label, codims[label], op) for label, op in ops.items()]
 
     report = Report("projector-system", model.name)
-    idem, orth, complete = projector_system_failures(
-        {label: op.columns for label, _, op in pieces}
-    )
+    columns = {label: op.columns for label, _, op in pieces}
+    idem, orth, complete = projector_system_failures(model, columns)
     report.add("idempotence", [f"piece {k} is not idempotent on codim {p}" for k, p in idem])
     report.add("pairwise orthogonality", [
         f"pieces {l} and {k} do not compose to zero on codim {p}" for l, k, p in orth
@@ -229,11 +230,12 @@ def decompose_model(model):
     report.add("completeness (sum = identity)", [
         f"piece sum differs from the identity on codim {p}" for p in complete
     ])
+    codim_of, blocks = codim_blocks(model, columns)
     report.add("rank-one images", [
         f"piece {label} has unexpected rank on codim {p}"
-        for label, codim, op in pieces
+        for label, codim, _ in pieces
         for p in range(model.dimension + 1)
-        if matrix_rank(op.matrix(p)) != (1 if p == codim else 0)
+        if block_rank(codim_of, blocks[label], p) != (1 if p == codim else 0)
     ])
     if not report.passed:
         raise ValueError("\n".join(report.lines()))

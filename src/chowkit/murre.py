@@ -26,14 +26,14 @@ from .correspondences import (
 from .fibrations import (
     _combine,
     ambient_extend,
+    block_rank,
     build_projector_family,
-    column_matrix,
+    codim_blocks,
     from_kunneth,
     operator_sum,
     projector_system_failures,
     to_kunneth,
 )
-from .linalg import rank as matrix_rank
 from .report import Check, Report
 from .rings import ChowRing, kunneth_product
 from .sampling import random_fibered_cycle, seeded_rng
@@ -84,7 +84,7 @@ class CKDecomposition:
         return self.projectors[k]
 
     def columns(self):
-        """{degree: sparse columns}; a cycle projector is read through its action."""
+        """{degree: sparse matrix}; a cycle projector is read through its action."""
         if self.kind == "cycle":
             return {k: action_columns(p) for k, p in self.projectors.items()}
         return {k: op.columns for k, op in self.projectors.items()}
@@ -96,18 +96,18 @@ class CKDecomposition:
 def verify_action_window(ck):
     """Rank table of every projector in every codimension, with violations
     of the support window j <= k <= 2j."""
-    return _action_window(ck.name, ck.columns())
+    return _action_window(ck, *codim_blocks(ck.space, ck.columns()))
 
 
-def _action_window(name, columns):
-    """verify_action_window on the columns ck.columns() returned."""
+def _action_window(ck, codim_of, blocks):
+    """verify_action_window on the projectors' blocks codim_blocks returned."""
     table, violations = {}, []
-    for k, system in columns.items():
-        for j, cols in system.items():
-            r = table[(k, j)] = matrix_rank(column_matrix(cols)) if any(cols.values()) else 0
+    for k, by_codim in blocks.items():
+        for j in range(ck.space.dimension + 1):
+            r = table[(k, j)] = block_rank(codim_of, by_codim, j)
             if r and not (j <= k <= 2 * j):
                 violations.append((k, j, r))
-    return Report("action-window", name, table={"ranks": table, "violations": violations})
+    return Report("action-window", ck.name, table={"ranks": table, "violations": violations})
 
 
 def verify_ck(ck):
@@ -115,7 +115,8 @@ def verify_ck(ck):
     window, exactly.  Condition (c) is reported but never checked."""
     report = Report("chow-kunneth", ck.name)
     columns = ck.columns()
-    idem, orth, complete = projector_system_failures(columns)
+    codim_of, blocks = codim_blocks(ck.space, columns)
+    idem, orth, complete = projector_system_failures(ck.space, columns)
     if ck.kind == "cycle":
         report.add("(a) idempotence", [
             f"projector {k} is not idempotent" for k in dict.fromkeys(k for k, _ in idem)
@@ -131,9 +132,9 @@ def verify_ck(ck):
     else:
         report.add("grading (projectors preserve codimension)", [
             f"projector {k} moves codim {j} into codims {stray}"
-            for k, op in ck.projectors.items()
+            for k, by_codim in blocks.items()
             for j in range(ck.space.dimension + 1)
-            if (stray := op.stray_codims(j))
+            if (stray := sorted({codim_of[r] for col in by_codim.get(j, ()) for r in col} - {j}))
         ])
         report.add("(a) idempotence", [
             f"projector {k} is not idempotent on codim {j}" for k, j in idem
@@ -144,7 +145,7 @@ def verify_ck(ck):
         report.add("(a) completeness (sum = identity)", [
             f"projector sum is not the identity on codim {j}" for j in complete
         ])
-    action = _action_window(ck.name, columns)
+    action = _action_window(ck, codim_of, blocks)
     report.children.append(("action", action))
     report.add(
         "(b) action window (degree k acts only on codims j with j <= k <= 2j)",
@@ -266,10 +267,8 @@ def verify_block_diagonality(model, samples=20, seed=0):
     blocks = lifted_blocks(model)
     owners = {}  # basis key -> the blocks with a nonzero column there
     for key, op in blocks.items():
-        for cols in op.columns.values():
-            for b, col in cols.items():
-                if col:
-                    owners.setdefault(b, []).append(key)
+        for b in op.columns:
+            owners.setdefault(b, []).append(key)
     rng = seeded_rng(seed)
     failures = []
     for s in range(samples):
@@ -277,7 +276,7 @@ def verify_block_diagonality(model, samples=20, seed=0):
         terms = {}
         for (g, k), c in y.items():
             for key in owners.get((g, k), ()):
-                terms.setdefault(key, []).append((c, blocks[key].columns[g[0] + k[0]][g, k]))
+                terms.setdefault(key, []).append((c, blocks[key].columns[g, k]))
         failed = []
         for key in blocks:
             img = _combine(terms.get(key, ()))

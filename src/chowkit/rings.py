@@ -342,6 +342,9 @@ class ChowRing:
     def rank(self, p):
         return len(self._by_codim.get(p, ()))
 
+    def basis_keys(self, p):
+        return tuple(c.key for c in self._by_codim.get(p, ()))
+
     def basis_cycle(self, spec, mode=INTEGER):
         return Cycle(self, {self.cell(spec).key: 1}, mode)
 

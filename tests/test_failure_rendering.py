@@ -109,8 +109,10 @@ def swapped(projs):
 
 
 def perturbed_pi2():
-    ck = lift_ck(hirzebruch(1), validate=False)
-    col = next(col for col in ck.projectors[2].columns[1].values() if col)
+    model = hirzebruch(1)
+    ck = lift_ck(model, validate=False)
+    cols = ck.projectors[2].columns
+    col = cols[next(b for b in model.basis_keys(1) if b in cols)]
     col[next(iter(col))] += 1
     return ck
 
@@ -118,8 +120,8 @@ def perturbed_pi2():
 def off_codim_image():
     model = hirzebruch(1)
     ck = lift_ck(model, validate=False)
-    (b,) = ck.projectors[0].columns[0]
-    ck.projectors[0].columns[0][b][model.basis_keys(1)[0]] = 1
+    (b,) = model.basis_keys(0)
+    ck.projectors[0].columns[b][model.basis_keys(1)[0]] = 1
     return ck
 
 

@@ -8,6 +8,7 @@ from chowkit import (
     FiberedCycle,
     FibrationModel,
     ProjectorFamily,
+    YOperator,
     ambient_extend,
     build_projector_family,
     duality_report,
@@ -21,7 +22,6 @@ from chowkit import (
     trivial_fibration,
     validate_fibration,
     verify_projector_family,
-    zero_operator,
 )
 from chowkit.catalog import (
     grassmannian,
@@ -225,7 +225,7 @@ def test_fibration_model_structural_errors():
 def test_y_operator_algebra():
     m = hirzebruch(1)
     ident = identity_operator(m)
-    zero = zero_operator(m)
+    zero = YOperator(m, {})
     xi_mult = build_projector_family(m).operator((1, 1))
     assert (ident - ident).equals(zero)
     assert (ident @ ident).equals(ident)
