@@ -57,6 +57,8 @@ def dual_basis_cycles(ring, p):
 
 
 def _demote(cycle):
+    if cycle.mode == INTEGER:
+        return cycle
     try:
         return cycle.to_integer()
     except ValueError:
@@ -154,16 +156,16 @@ def zero_correspondence(source, target, offset=None):
 def act(f, x):
     """Apply a correspondence to a cycle of its source ring.
 
-    Pull back, multiply, push forward; in coordinates the left factor is
-    contracted against x through the source ring's degree map.
+    Pull back, multiply, push forward; in coordinates the left factor a of
+    each term is contracted against x over a's partners in the source ring.
     """
     if x.ring is not f.source:
         raise ValueError(f"act: cycle lives in {x.ring.name}, not {f.source.name}")
-    src = f.source
+    partners, split, xs = f.source.partners, f.ring._key_to_pair, x.coeffs
     coeffs = {}
     for key, c in f.cycle.coeffs.items():
-        a, b = f.ring._key_to_pair[key]
-        d = sum(cx * src.pair_degree(kx, a.key) for kx, cx in x.coeffs.items())
+        a, b = split[key]
+        d = sum(xs[k] * e for k, e in partners(a.key) if k in xs)
         if d:
             coeffs[b.key] = coeffs.get(b.key, 0) + c * d
     mode = RATIONAL if (x.mode == RATIONAL or f.cycle.mode == RATIONAL) else INTEGER
@@ -171,21 +173,25 @@ def act(f, x):
 
 
 def compose(g, f):
-    """g after f: contract the middle factor through its degree pairing."""
+    """g after f: contract the middle factor through its degree pairing,
+    each f-term against the g-terms of complementary middle codim."""
     if f.target is not g.source:
         raise ValueError(
             f"compose: {f.target.name} (target of f) differs from {g.source.name} (source of g)"
         )
     mid = f.target
     ring = kunneth_product(f.source, g.target)
-    gsplit = [(g.ring._key_to_pair[k], c) for k, c in g.cycle.coeffs.items()]
+    gsplit = {}  # middle codim -> [(middle key, target key, coefficient)]
+    for k, c in g.cycle.coeffs.items():
+        b2, c2 = g.ring._key_to_pair[k]
+        gsplit.setdefault(b2.codim, []).append((b2.key, c2.key, c))
     coeffs = {}
     for kf, cf in f.cycle.coeffs.items():
         a, b = f.ring._key_to_pair[kf]
-        for (b2, c2), cg in gsplit:
-            d = mid.pair_degree(b.key, b2.key)
+        for b2, c2, cg in gsplit.get(mid.dimension - b.codim, ()):
+            d = mid.pair_degree(b.key, b2)
             if d:
-                key = ring._pair_to_key[(a.key, c2.key)]
+                key = ring._pair_to_key[(a.key, c2)]
                 coeffs[key] = coeffs.get(key, 0) + cf * cg * d
     mode = RATIONAL if RATIONAL in (f.cycle.mode, g.cycle.mode) else INTEGER
     offset = None if f.offset is None or g.offset is None else f.offset + g.offset
@@ -299,6 +305,21 @@ def multiplication_correspondence(ring, alpha):
     return total
 
 
+def _action_map(f):
+    """act(f, -) on the source cells, in one walk over f's terms: {source
+    key: nonzero image {target key: coefficient}}.  A term c (a x b) sends
+    each partner k of a, with deg(k a) = d, to c d b."""
+    partners, split = f.source.partners, f.ring._key_to_pair
+    columns = {}
+    for key, c in f.cycle.coeffs.items():
+        a, b = split[key]
+        b = b.key
+        for k, d in partners(a.key):
+            col = columns.setdefault(k, {})
+            col[b] = col.get(b, 0) + c * d
+    return {k: image for k, col in columns.items() if (image := {b: v for b, v in col.items() if v})}
+
+
 def action_matrix(f, p):
     """Matrix of act(f, -): CH^p(source) -> CH^{p+r}(target) in the cell bases.
 
@@ -307,21 +328,13 @@ def action_matrix(f, p):
     """
     if f.offset is None:
         raise ValueError("action_matrix needs a homogeneous correspondence")
-    src = f.source
-    q = p + f.offset
-    src_cells = src.cells_of_codim(p)
+    keys = f.source.basis_keys(p)
     zero = Fraction(0) if f.cycle.mode == RATIONAL else 0
-    rows = [[zero] * len(src_cells) for _ in range(f.target.rank(q))]
-    # term c * (a x b) sends tau_{p,j} to c * deg(tau_{p,j} a) * b
-    for key, c in f.cycle.coeffs.items():
-        a, b = f.ring._key_to_pair[key]
-        if b.codim != q:
-            continue
-        row = rows[b.index - 1]
-        for j, cell in enumerate(src_cells):
-            d = src.pair_degree(cell.key, a.key)
-            if d:
-                row[j] += c * d
+    rows = [[zero] * len(keys) for _ in range(f.target.rank(p + f.offset))]
+    columns = _action_map(f)
+    for j, k in enumerate(keys):
+        for (_, i), v in columns.get(k, {}).items():
+            rows[i - 1][j] = v
     return tuple(tuple(row) for row in rows)
 
 
@@ -334,17 +347,9 @@ def action_columns(f):
     ring = f.source
     if f.target is not ring or not (f.is_zero() or f.offset == 0):
         raise ValueError("action_columns needs a degree-0 self-correspondence")
-    # a term a x b acts only on codim(b); the other blocks are zero
-    hit = {f.ring._key_to_pair[key][1].codim for key in f.cycle.coeffs}
-    columns = {}
     for p in range(ring.dimension + 1):
         dual_basis_cycles(ring, p)
-        cells = ring.cells_of_codim(p)
-        matrix = action_matrix(f, p) if p in hit else ()
-        for j, cell in enumerate(cells):
-            if col := {row.key: m[j] for row, m in zip(cells, matrix) if m[j]}:
-                columns[cell.key] = col
-    return columns
+    return _action_map(f)
 
 
 def ambient_act(f, ambient, c):

@@ -574,6 +574,7 @@ class ProjectorFamily:
         self.model = model
         self.order = tuple(sorted(model.generators, reverse=True))
         self._sweeps = {}  # codim p -> {basis key: sweep of that basis element}
+        self._duals = None  # generator key -> its fiber dual's key, from the first sweep
         self.blocks = None  # see murre.lifted_blocks
 
     def apply_all_with_coefficients(self, y):
@@ -587,11 +588,13 @@ class ProjectorFamily:
         model = self.model
         if y.model is not model:
             raise ValueError("multiply: cycles must live in this model")
+        if self._duals is None:
+            self._duals = {g: model.fiber.dual_cell(g).key for g in self.order}
         base, top = model.base, model.fiber.point_cell.key
         residual = dict(y.parts)
         out = {}
         for g in self.order:
-            dual = model.fiber.dual_cell(g).key
+            dual = self._duals[g]
             alpha = None
             for h, b in residual.items():
                 t = model.t_entry(dual, h).get(top)

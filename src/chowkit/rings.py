@@ -68,21 +68,29 @@ class Cycle:
     __slots__ = ("ring", "coeffs", "mode")
 
     def __init__(self, ring, coeffs, mode=INTEGER):
-        if mode not in (INTEGER, RATIONAL):
+        # one loop per mode; a value of the mode's own type skips the checks
+        known, clean = ring._by_key, {}
+        if mode == INTEGER:
+            for key, value in coeffs.items():
+                if type(value) is not int:  # a Fraction (or int subclass)
+                    _check_coeff(value)
+                    if value.denominator != 1:
+                        raise ValueError(f"non-integral coefficient {value} in integer mode")
+                    value = int(value)
+                if value:
+                    if key not in known:
+                        raise ValueError(f"unknown cell key {key!r} for {ring.name}")
+                    clean[key] = value
+        elif mode == RATIONAL:
+            for key, value in coeffs.items():
+                if type(value) is not Fraction:
+                    value = Fraction(_check_coeff(value))
+                if value:
+                    if key not in known:
+                        raise ValueError(f"unknown cell key {key!r} for {ring.name}")
+                    clean[key] = value
+        else:
             raise ValueError(f"unknown coefficient mode {mode!r}")
-        clean = {}
-        for key, value in coeffs.items():
-            _check_coeff(value)
-            if mode == INTEGER and type(value) is not int:  # a Fraction (or int subclass)
-                if value.denominator != 1:
-                    raise ValueError(f"non-integral coefficient {value} in integer mode")
-                value = int(value)
-            if value != 0:
-                if key not in ring._by_key:
-                    raise ValueError(f"unknown cell key {key!r} for {ring.name}")
-                if mode == RATIONAL and type(value) is not Fraction:
-                    value = Fraction(value)
-                clean[key] = value
         self.ring = ring
         self.coeffs = clean
         self.mode = mode
@@ -217,6 +225,7 @@ class ChowRing:
         self._table = self._build_table(products)
         self._pairings = {}  # codim p -> pairing_matrix(p)
         self._duals = {}  # codim p -> correspondences.dual_basis_cycles(self, p)
+        self._partners = {}  # cell key -> partners(key)
         self._kunneth = {}  # right factor -> kunneth_product(self, right)
         if validate:
             self._validate_associativity()
@@ -399,6 +408,19 @@ class ChowRing:
     def pair_degree(self, k1, k2):
         """degree(tau_k1 * tau_k2) for two cell keys, read off the table."""
         return self._table[k1].get(k2, {}).get(self.point_cell.key, 0)
+
+    def partners(self, key):
+        """((cell key, degree), ...) over the cells whose product with the
+        cell ``key`` has a nonzero degree, in cell order; read off
+        pair_degree on first use and kept."""
+        found = self._partners.get(key)
+        if found is None:
+            found = self._partners[key] = tuple(
+                (c.key, d)
+                for c in self._by_codim.get(self.dimension - key[0], ())
+                if (d := self.pair_degree(key, c.key))
+            )
+        return found
 
     def pairing_matrix(self, p):
         """Matrix of degree(tau_{p,i} * tau_{n-p,j}) over the cell orderings."""

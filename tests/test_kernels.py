@@ -1,8 +1,11 @@
 """The flat correspondence kernels against the routes they replaced.
 
-``action_matrix`` reads its matrix straight off the correspondence cycle and
-``compose_oracle`` works on cell keys; both are checked here against the
-straightforward cycle-by-cycle routes, kept in this file as references.
+``act``, ``action_matrix`` and ``action_columns`` read a correspondence's
+action in one walk over its terms through the source ring's partner index,
+and ``compose_oracle`` works on cell keys; all are checked here against
+straightforward routes kept in this file as references: the cycle-by-cycle
+routes, and ``act`` and ``action_matrix`` as they were before the partner
+index, reading ``pair_degree`` cell by cell.
 """
 
 import random
@@ -11,17 +14,54 @@ from fractions import Fraction
 import pytest
 
 from chowkit import (
+    BasisCell,
+    ChowRing,
     Correspondence,
     act,
     action_matrix,
     compose,
     compose_oracle,
+    compose_oracle_battery,
+    dump_ring,
+    fiber_projectors,
     grassmannian,
     kunneth_product,
+    parse_ring,
     projective_space,
+    zero_correspondence,
 )
-from chowkit.correspondences import _demote, _external_into
-from chowkit.sampling import random_correspondence
+from chowkit import identities
+from chowkit.catalog import standard_rings
+from chowkit.correspondences import _demote, _external_into, action_columns
+from chowkit.linalg import mat_mul
+from chowkit.rings import INTEGER, RATIONAL, Cycle
+from chowkit.sampling import random_correspondence, random_cycle
+
+
+def rebased_gr24():
+    """Gr(2,4) in the middle basis s[2], s[2] + s[1,1].  Its middle pairing
+    is [[1, 1], [1, 2]], so a middle cell has two partners."""
+    g = grassmannian(2, 4)
+    middle = {(2, 1): {(2, 1): 1}, (2, 2): {(2, 1): 1, (2, 2): 1}}
+
+    def old(key):
+        return g.cycle(middle.get(key, {key: 1}))
+
+    def new(cycle):
+        # s[2] = t_1 and s[1,1] = t_2 - t_1
+        coeffs = dict(cycle.coeffs)
+        s2, s11 = coeffs.pop((2, 1), 0), coeffs.pop((2, 2), 0)
+        coeffs.update({(2, 1): s2 - s11, (2, 2): s11})
+        return {k: v for k, v in coeffs.items() if v}
+
+    labels = {(2, 2): "s[2]+s[1,1]"}
+    cells = [BasisCell(c.codim, c.index, labels.get(c.key, c.label)) for c in g.cells]
+    keys = [c.key for c in g.cells]
+    products = {(k1, k2): new(g.multiply(old(k1), old(k2))) for k1 in keys for k2 in keys if k1 <= k2}
+    return ChowRing(4, cells, products, name="Gr(2,4)'")
+
+
+REBASED = rebased_gr24()
 
 
 def _rings():
@@ -32,6 +72,7 @@ def _rings():
         "Gr(2,4)": grassmannian(2, 4),
         "P^1 x P^1": kunneth_product(p1, p1),
         "P^1 x P^2": kunneth_product(p1, p2),
+        "Gr(2,4)'": REBASED,
     }
 
 
@@ -49,6 +90,51 @@ def column_route(f, p):
         tuple(images[j].coefficient(tgt_cells[i]) for j in range(len(src_cells)))
         for i in range(len(tgt_cells))
     )
+
+
+def reference_act(f, x):
+    """act before the partner index: pair_degree against every term of x."""
+    src = f.source
+    coeffs = {}
+    for key, c in f.cycle.coeffs.items():
+        a, b = f.ring._key_to_pair[key]
+        d = sum(cx * src.pair_degree(kx, a.key) for kx, cx in x.coeffs.items())
+        if d:
+            coeffs[b.key] = coeffs.get(b.key, 0) + c * d
+    mode = RATIONAL if (x.mode == RATIONAL or f.cycle.mode == RATIONAL) else INTEGER
+    return Cycle(f.target, coeffs, mode)
+
+
+def reference_action_matrix(f, p):
+    """action_matrix before the partner index: one scan of f's terms per
+    codim, one pair_degree per source cell."""
+    src = f.source
+    q = p + f.offset
+    src_cells = src.cells_of_codim(p)
+    zero = Fraction(0) if f.cycle.mode == RATIONAL else 0
+    rows = [[zero] * len(src_cells) for _ in range(f.target.rank(q))]
+    for key, c in f.cycle.coeffs.items():
+        a, b = f.ring._key_to_pair[key]
+        if b.codim != q:
+            continue
+        row = rows[b.index - 1]
+        for j, cell in enumerate(src_cells):
+            d = src.pair_degree(cell.key, a.key)
+            if d:
+                row[j] += c * d
+    return tuple(tuple(row) for row in rows)
+
+
+def reference_action_columns(f):
+    """action_columns read off the dense reference matrices."""
+    ring, columns = f.source, {}
+    for p in range(ring.dimension + 1):
+        cells = ring.cells_of_codim(p)
+        matrix = reference_action_matrix(f, p)
+        for j, cell in enumerate(cells):
+            if col := {row.key: m[j] for row, m in zip(cells, matrix) if m[j]}:
+                columns[cell.key] = col
+    return columns
 
 
 def reference_oracle(g, f):
@@ -100,6 +186,134 @@ def test_action_matrix_matches_column_route(source, target):
                     assert got == want, (offset, p)
                     # Fraction entries, zeros included, in rational mode
                     assert _types(got) == _types(want), (offset, p)
+
+
+REFERENCE_RINGS = MATRIX_RINGS + ("Gr(2,4)'",)
+
+
+def _entries(cycle):
+    return [(k, v, type(v)) for k, v in cycle.coeffs.items()]
+
+
+@pytest.mark.parametrize("source", REFERENCE_RINGS)
+@pytest.mark.parametrize("target", REFERENCE_RINGS)
+def test_act_and_action_matrix_match_the_pair_degree_references(source, target):
+    rings = _rings()
+    A, B = rings[source], rings[target]
+    rng = random.Random(f"{source}=>{target} references")
+    xs = [random_cycle(rng, A, bound=3), random_cycle(rng, A, bound=3, mode=RATIONAL) * Fraction(1, 2)]
+    xs += [A.basis_cycle(c) for c in A.cells]
+    for offset in range(-A.dimension, B.dimension + 1):
+        for _ in range(2):
+            f = random_correspondence(rng, A, B, offset=offset, bound=5)
+            for g in (f, _rational(f)):
+                for x in xs:
+                    got, want = act(g, x), reference_act(g, x)
+                    assert got.mode == want.mode and _entries(got) == _entries(want), (offset, x)
+                for p in range(-1, A.dimension + 2):
+                    got, want = action_matrix(g, p), reference_action_matrix(g, p)
+                    assert got == want, (offset, p)
+                    assert _types(got) == _types(want), (offset, p)
+
+
+@pytest.mark.parametrize("name", REFERENCE_RINGS)
+def test_action_columns_match_the_dense_reference(name):
+    ring = _rings()[name]
+    rng = random.Random(f"{name} columns")
+    fs = [random_correspondence(rng, ring, ring, offset=0, bound=3) for _ in range(4)]
+    fs += fiber_projectors(ring) + [zero_correspondence(ring, ring, 0)]
+    for f in fs:
+        for g in (f, _rational(f)):
+            got, want = action_columns(g), reference_action_columns(g)
+            assert got == want
+
+            def types(columns):
+                return {(k, r): type(v) for k, col in columns.items() for r, v in col.items()}
+
+            assert types(got) == types(want)
+
+
+def test_partners_are_the_nonzero_pairing_entries():
+    p1, p2, g24 = projective_space(1), projective_space(2), grassmannian(2, 4)
+    rings = standard_rings() + [
+        kunneth_product(p1, p1),
+        kunneth_product(p1, p2),
+        kunneth_product(g24, p2),
+        REBASED,
+        kunneth_product(REBASED, p1),
+    ]
+    for ring in rings:
+        n = ring.dimension
+        for p in range(n + 1):
+            cols = ring.cells_of_codim(n - p)
+            for cell, row in zip(ring.cells_of_codim(p), ring.pairing_matrix(p)):
+                want = tuple((c.key, d) for c, d in zip(cols, row) if d)
+                assert ring.partners(cell.key) == want, (ring.name, cell.label)
+    assert REBASED.pairing_matrix(2) == ((1, 1), (1, 2))
+    assert REBASED.partners((2, 2)) == (((2, 1), 1), ((2, 2), 2))
+
+
+def test_kunneth_partners_build_no_row():
+    p = parse_ring(dump_ring(projective_space(3)))  # private, so no row is built elsewhere
+    ring = kunneth_product(p, p)
+    for cell in ring.cells:
+        [(key, d)] = ring.partners(cell.key)  # one dual, of the same index off the middle
+        assert key[0] == 6 - cell.codim and d == 1
+    assert len(ring._table) == 0
+
+
+def dense_battery_failures(rings, samples, seed):
+    """{check label: failures} of compose_oracle_battery as it was, with its
+    dense per-codim matrix loop, calling compose and compose_oracle through
+    the identities module so that a patch there reaches both."""
+    out = {}
+    for na, A in enumerate(rings):
+        for nb, B in enumerate(rings):
+            rng = random.Random(seed * 997 + 31 * na + nb)
+            fails = []
+            for s in range(samples):
+                f = random_correspondence(rng, A, B, offset=0)
+                g = random_correspondence(rng, B, A, offset=0)
+                comp = identities.compose(g, f)
+                if comp.cycle != identities.compose_oracle(g, f):
+                    fails.append(f"sample {s}: contraction differs from the oracle")
+                    continue
+                for p in range(A.dimension + 1):
+                    direct = reference_action_matrix(comp, p)
+                    if B.rank(p):
+                        chained = mat_mul(reference_action_matrix(g, p), reference_action_matrix(f, p))
+                    else:
+                        chained = tuple((0,) * A.rank(p) for _ in range(A.rank(p)))
+                    if direct != chained:
+                        fails.append(f"sample {s}: matrices differ on codim {p}")
+                        break
+            out[f"{A.name} => {B.name} => {A.name}"] = fails
+    return out
+
+
+def test_oracle_battery_names_the_lowest_differing_codim(monkeypatch):
+    """compose and the oracle agree on a perturbed composition whose action
+    differs from g's after f's at two codims, on every other sample."""
+
+    def perturbed(g, f):
+        comp = compose(g, f)
+        A = comp.source
+        if sum(f.cycle.coeffs.values()) % 2:
+            return comp
+        # plus the rank-one projectors of the first cells of the top two codims
+        cell = dict(zip((c.key for c in A.cells), fiber_projectors(A)))
+        terms = comp.cycle + cell[(A.dimension, 1)].cycle + cell[(A.dimension - 1, 1)].cycle
+        return Correspondence(A, A, terms, 0)
+
+    monkeypatch.setattr(identities, "compose", perturbed)
+    monkeypatch.setattr(identities, "compose_oracle", lambda g, f: perturbed(g, f).cycle)
+    rings = (projective_space(1), projective_space(2), grassmannian(2, 4))
+    report = compose_oracle_battery(rings, samples=6, seed=3)
+    got = {check.label: check.details for check in report.checks}
+    want = dense_battery_failures(rings, 6, 3)
+    assert got == want
+    assert all(want.values()) and not all(len(fails) == 6 for fails in want.values())
+    assert {line.split(" codim ")[1] for fails in want.values() for line in fails} == {"0", "1", "3"}
 
 
 ORACLE_RINGS = ("P^1", "P^2", "Gr(2,4)", "P^1 x P^1")

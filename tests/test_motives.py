@@ -103,11 +103,11 @@ def test_decompose_p2():
 
 def test_decompose_motive_reads_each_action_once(monkeypatch):
     calls = []
-    read = correspondences.action_matrix
-    monkeypatch.setattr(correspondences, "action_matrix", lambda f, p: calls.append(p) or read(f, p))
+    read = correspondences._action_map
+    monkeypatch.setattr(correspondences, "_action_map", lambda f: calls.append(f) or read(f))
     dec = decompose_motive(projective_space(4))
     assert dec.rank_table == {p: tuple(int(k == p) for k in range(5)) for p in range(5)}
-    assert len(calls) == 5  # one nonzero codim per cell projector
+    assert len(calls) == 5  # one walk per cell projector
 
 
 def test_decompose_point():

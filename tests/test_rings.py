@@ -153,6 +153,45 @@ def test_cycle_rejects_float_and_bool_coefficients():
         Cycle(r, {(1, 1): True})
 
 
+@pytest.mark.parametrize("mode", ["integer", "rational"])
+@pytest.mark.parametrize("coeffs, error, message", [
+    ({(1, 1): True}, TypeError, "exact integer or Fraction coefficient expected, got True"),
+    ({(1, 1): False}, TypeError, "exact integer or Fraction coefficient expected, got False"),
+    ({(1, 1): 0.5}, TypeError, "exact integer or Fraction coefficient expected, got 0.5"),
+    ({(9, 9): 0.0}, TypeError, "exact integer or Fraction coefficient expected, got 0.0"),
+    ({(1, 1): 1, (9, 9): 2}, ValueError, "unknown cell key (9, 9) for P2-by-hand"),
+    ({(9, 9): Fraction(2)}, ValueError, "unknown cell key (9, 9) for P2-by-hand"),
+])
+def test_cycle_constructor_refusals(mode, coeffs, error, message):
+    with pytest.raises(error) as caught:
+        Cycle(simple_p2(), coeffs, mode)
+    assert str(caught.value) == message
+
+
+def test_cycle_constructor_modes():
+    r = simple_p2()
+    with pytest.raises(ValueError) as caught:
+        Cycle(r, {(1, 1): Fraction(1, 3)})
+    assert str(caught.value) == "non-integral coefficient 1/3 in integer mode"
+    # the mode is checked first, even with nothing to convert
+    for coeffs in ({}, {(1, 1): 0.5}):
+        with pytest.raises(ValueError) as caught:
+            Cycle(r, coeffs, "real")
+        assert str(caught.value) == "unknown coefficient mode 'real'"
+    # a zero at an unknown key is dropped, whatever its exact type
+    zeros = {(9, 9): 0, (8, 8): Fraction(0)}
+    for mode in ("integer", "rational"):
+        assert Cycle(r, {**zeros, (1, 1): 2}, mode).coeffs == {(1, 1): 2}
+    # each mode holds one type, and the keys keep their order
+    given = {(2, 1): Fraction(4, 2), (0, 1): 3, (1, 1): 0}
+    x = Cycle(r, given)
+    assert list(x.coeffs.items()) == [((2, 1), 2), ((0, 1), 3)]
+    assert {type(v) for v in x.coeffs.values()} == {int}
+    y = Cycle(r, given, "rational")
+    assert list(y.coeffs.items()) == [((2, 1), 2), ((0, 1), 3)]
+    assert {type(v) for v in y.coeffs.values()} == {Fraction}
+
+
 def test_rational_mode_and_demotion():
     r = simple_p2()
     x = r.basis_cycle("h", mode="rational") * Fraction(1, 2)
