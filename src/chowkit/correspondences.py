@@ -22,6 +22,7 @@ from .rings import (
     RATIONAL,
     BasisCell,
     Cycle,
+    external_product,
     kunneth_product,
 )
 
@@ -264,18 +265,8 @@ def correspondence_from_action(source, target, action, offset=0):
                 raise ValueError(
                     f"action of {cell.label} has codim {image.codims()}, expected {want}"
                 )
-            total = total + _external_into(ring, e, image)
+            total = total + external_product(e, image)
     return Correspondence(source, target, _demote(total), offset)
-
-
-def _external_into(ring, a, b):
-    """External product a x b landing in the given registered product ring."""
-    coeffs = {}
-    for ka, ca in a.coeffs.items():
-        for kb, cb in b.coeffs.items():
-            coeffs[ring._pair_to_key[(ka, kb)]] = ca * cb
-    mode = RATIONAL if RATIONAL in (a.mode, b.mode) else INTEGER
-    return Cycle(ring, coeffs, mode)
 
 
 def diagonal(ring):
@@ -506,12 +497,12 @@ def product_morphism(m1, m2):
     for cell in tgt.cells:
         a, b = tgt.split_cell(cell)
         pa, pb = m1.pullback(m1.target.basis_cycle(a)), m2.pullback(m2.target.basis_cycle(b))
-        pull[cell.key] = _external_into(src, pa, pb)
+        pull[cell.key] = external_product(pa, pb)
     push = {}
     for cell in src.cells:
         a, b = src.split_cell(cell)
         qa, qb = m1.pushforward(m1.source.basis_cycle(a)), m2.pushforward(m2.source.basis_cycle(b))
-        push[cell.key] = _external_into(tgt, qa, qb)
+        push[cell.key] = external_product(qa, qb)
     return MorphismData(src, tgt, pull, push, name=f"{m1.name} x {m2.name}", validate=False)
 
 

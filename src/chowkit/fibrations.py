@@ -561,10 +561,10 @@ class ProjectorFamily:
     """The peeling projectors of a model, in descending generator order.
 
     ``order`` lists generator keys lexicographically descending.
-    ``apply_all`` performs the whole descending sweep once, which evaluates
-    every projector honestly (each one sees exactly the residual its
-    definition prescribes).  Operators built from the family come from one
-    cached sweep per module basis element, read in one pass by
+    ``apply_all_with_coefficients`` performs the whole descending sweep once,
+    which evaluates every projector honestly (each one sees exactly the
+    residual its definition prescribes).  Operators built from the family
+    come from one cached sweep per module basis element, read in one pass by
     ``peeled_operators``.  A model's family is the one build_projector_family
     keeps on it, so every caller shares those sweeps, and the lifted blocks
     built from them (murre.lifted_blocks) are kept next to them.
@@ -578,13 +578,15 @@ class ProjectorFamily:
         self.blocks = None  # see murre.lifted_blocks
 
     def apply_all_with_coefficients(self, y):
-        """{generator key: (base coefficient, projected piece)} for every projector.
+        """{generator key: alpha_g} over the nonzero peeled coefficients, in
+        descending generator order; a missing key is a zero coefficient.
 
         alpha_g = pi_*(T_dual * residual) sums b * t over the residual's parts
         pi^*(b) * T_h, t being the top-generator component of T_dual * T_h in
         the model table.  The unit laws the constructors enforce make the
         piece pi^*(alpha_g) * T_g the cycle {g: alpha_g}, so peeling it only
-        changes the residual's coefficient at g."""
+        changes the residual's coefficient at g, and the pieces of y are
+        model.cycle({g: alpha_g})."""
         model = self.model
         if y.model is not model:
             raise ValueError("multiply: cycles must live in this model")
@@ -603,19 +605,10 @@ class ProjectorFamily:
                 term = base.multiply(b, t)
                 if not term.is_zero():
                     alpha = term if alpha is None else alpha + term
-            if alpha is None or alpha.is_zero():
-                alpha = base.zero()
-            out[g] = (alpha, FiberedCycle(model, {g: alpha}))
-            if not alpha.is_zero():
+            if alpha is not None and not alpha.is_zero():
+                out[g] = alpha
                 residual[g] = residual[g] - alpha if g in residual else -alpha
         return out
-
-    def apply_all(self, y):
-        return {g: piece for g, (_, piece) in self.apply_all_with_coefficients(y).items()}
-
-    def coefficient(self, gkey, y):
-        """The base cycle alpha with apply_all(y)[gkey] = pi^*(alpha) * T_gkey."""
-        return self.apply_all_with_coefficients(y)[tuple(gkey)][0]
 
     def basis_sweep(self, p):
         """{basis key: apply_all_with_coefficients(basis cycle)} over
@@ -633,7 +626,8 @@ class ProjectorFamily:
         over the basis sweeps.  The operator named n is y -> sum over g of
         pi^*(phi_g(alpha_g)) * T_g, alpha_g being the peeled coefficient of y
         at T_g; phi_g is a base self-correspondence, or None for the identity.
-        Zero coefficients, maps and images are skipped, so no column is empty."""
+        The sweeps hold no zero coefficient, and zero maps and images are
+        skipped, so no column is empty."""
         model = self.model
         users = {}  # g -> [(name, phi_g)] over the nonzero maps
         for name, phis in maps.items():
@@ -643,9 +637,7 @@ class ProjectorFamily:
         columns = {name: {} for name in maps}
         for p in range(model.dimension + 1):
             for b, coeffs in self.basis_sweep(p).items():
-                for g, (alpha, _) in coeffs.items():
-                    if not alpha.coeffs:
-                        continue
+                for g, alpha in coeffs.items():
                     for name, phi in users.get(g, ()):
                         image = alpha if phi is None else act(phi, alpha)
                         if image.coeffs:
@@ -672,7 +664,9 @@ def verify_projector_family(family, samples=100, seed=0):
     section recovery, and the per-codim rank identity.
 
     The operator identities are verified on every module basis element
-    (complete, by linearity) and on seeded random cycles besides.
+    (complete, by linearity) and on seeded random cycles besides.  Each
+    nonzero piece is swept once more; a zero piece is skipped, since its
+    sweep is that of the zero cycle, which is empty by construction.
     """
     from . import sampling
 
@@ -683,20 +677,18 @@ def verify_projector_family(family, samples=100, seed=0):
     degree_fail, idem_fail, orth_fail, complete_fail = [], [], [], []
     for y in basis:
         p = y.codim()
-        pieces = family.apply_all(y)
-        total = model.zero()
-        for g, piece in pieces.items():
-            total = total + piece
-            if not piece.is_zero() and piece.codims() != [p]:
+        coeffs = family.apply_all_with_coefficients(y)
+        for g, alpha in coeffs.items():
+            piece = model.cycle({g: alpha})
+            if piece.codims() != [p]:
                 degree_fail.append(f"rho{g} moved a codim-{p} cycle to {piece.codims()}")
-            replay = family.apply_all(piece)
-            for h, again in replay.items():
-                want = piece if h == g else model.zero()
-                if again != want:
-                    (idem_fail if h == g else orth_fail).append(
-                        f"rho{h} o rho{g} != {'rho' + str(g) if h == g else '0'} on {y!r}"
-                    )
-        if total != y:
+            replay = family.apply_all_with_coefficients(piece)
+            for h in family.order:
+                if h == g and replay.get(h) != alpha:
+                    idem_fail.append(f"rho{g} o rho{g} != rho{g} on {y!r}")
+                elif h != g and h in replay:
+                    orth_fail.append(f"rho{h} o rho{g} != 0 on {y!r}")
+        if model.cycle(coeffs) != y:
             complete_fail.append(f"sum of projections differs from input on {y!r}")
     count = len(basis)
     report.add("degree preservation", degree_fail, count)
@@ -705,6 +697,7 @@ def verify_projector_family(family, samples=100, seed=0):
     report.add("completeness", complete_fail, count)
 
     rng = sampling.seeded_rng(seed)
+    zero = model.base.zero()
     action_fail = []
     for _ in range(samples):
         coeffs = {
@@ -718,10 +711,10 @@ def verify_projector_family(family, samples=100, seed=0):
         y = sum(terms.values(), model.zero())
         got = family.apply_all_with_coefficients(y)
         for g in model.generators:
-            alpha, piece = got[g]
+            alpha = got.get(g, zero)
             if alpha != coeffs[g]:
                 action_fail.append(f"coefficient at T{g} came back {alpha!r}, fed {coeffs[g]!r}")
-            if piece != terms[g]:
+            if model.cycle({g: alpha}) != terms[g]:
                 action_fail.append(f"projection at T{g} is not pi^*(alpha)*T{g}")
     report.add("coefficient extraction on random cycles", action_fail, samples)
 
@@ -812,23 +805,16 @@ class MotiveIsoPair:
         self.family1 = build_projector_family(model1)
         self.family2 = build_projector_family(model2)
 
-    def _transport(self, source_family, target_model, y):
-        coeffs = source_family.apply_all_with_coefficients(y)
-        out = target_model.zero()
-        for g, (alpha, _) in coeffs.items():
-            out = out + _lift(target_model, g, alpha)
-        return out
-
     def forward(self, y):
-        return self._transport(self.family1, self.model2, y)
+        return self.model2.cycle(self.family1.apply_all_with_coefficients(y))
 
     def backward(self, y):
-        return self._transport(self.family2, self.model1, y)
+        return self.model1.cycle(self.family2.apply_all_with_coefficients(y))
 
     def verify(self):
         """Check both composites piecewise against the projectors, on every
-        module basis element of both models: one sweep gives every piece and
-        forward coefficient, and each piece's image is swept back once."""
+        module basis element of both models: one sweep gives every nonzero
+        piece {g: alpha_g}, and each piece's image is swept back once."""
         report = Report("projector-family", f"{self.model1.name} ~ {self.model2.name}")
         piece_fail, full_fail = [], []
         count = 0
@@ -838,25 +824,20 @@ class MotiveIsoPair:
         ):
             for y in model.module_basis():
                 count += 1
-                total = model.zero()
-                for g, (alpha, piece) in family.apply_all_with_coefficients(y).items():
-                    image = _lift(other, g, alpha)
-                    roundtrip = _lift(model, g, other_family.coefficient(g, image))
-                    if roundtrip != piece:
+                total = {}
+                for g, alpha in family.apply_all_with_coefficients(y).items():
+                    back = other_family.apply_all_with_coefficients(other.cycle({g: alpha})).get(g)
+                    if back != alpha:
                         piece_fail.append(
                             f"piece {g} roundtrip differs from projector on {y!r} of {model.name}"
                         )
-                    total = total + roundtrip
-                if total != y:
+                    if back is not None:
+                        total[g] = back
+                if model.cycle(total) != y:
                     full_fail.append(f"roundtrip sum differs from input on {y!r} of {model.name}")
         report.add("piecewise roundtrip equals projector", piece_fail, count)
         report.add("roundtrip completeness", full_fail, count)
         return report
-
-
-def _lift(model, gkey, alpha):
-    """pi^*(alpha) * T_gkey on the model."""
-    return model.multiply(model.generator(gkey), model.pullback(alpha))
 
 
 def motive_iso_pair(model1, model2):

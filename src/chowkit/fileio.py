@@ -30,6 +30,11 @@ def _expect(doc, key, types, where):
     return value
 
 
+def _optional(doc, key, types, where, default):
+    """A field that may be left out, type-checked when present."""
+    return _expect(doc, key, types, where) if key in doc else default
+
+
 def _coeff(value, where):
     # bools are ints in Python; reject them explicitly
     if isinstance(value, bool) or not isinstance(value, int):
@@ -60,7 +65,7 @@ def parse_ring(doc, name=None):
         cells.append(cell)
 
     products = {}
-    for i, entry in enumerate(doc.get("products", ())):
+    for i, entry in enumerate(_optional(doc, "products", list, "ring", ())):
         where = f"products[{i}]"
         if not isinstance(entry, dict):
             raise FileFormatError(f"{where}: expected an object")
@@ -83,7 +88,8 @@ def parse_ring(doc, name=None):
             raise FileFormatError(f"{where}: conflicting duplicate for {left!r} * {right!r}")
         products[pair] = result
 
-    return ChowRing(dimension, cells, products, name=name or doc.get("name"))
+    doc_name = _optional(doc, "name", str, "ring", None)
+    return ChowRing(dimension, cells, products, name=name or doc_name)
 
 
 def dump_ring(ring):
@@ -144,7 +150,8 @@ def parse_fibration(doc, name=None):
     base = _resolve_ring(_expect(doc, "base", (str, dict), "fibration"), "fibration.base")
     fiber = _resolve_ring(_expect(doc, "fiber", (str, dict), "fibration"), "fibration.fiber")
     kind = doc.get("kind", "fibration")
-    name = name or doc.get("name")
+    doc_name = _optional(doc, "name", str, "fibration", None)
+    name = name or doc_name
     if kind == "trivial":
         if "t_products" in doc:
             raise FileFormatError("fibration: trivial kind must not carry t_products")

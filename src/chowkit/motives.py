@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .correspondences import (
     Correspondence,
     _demote,
-    _external_into,
     act,
     action_columns,
     compose,
@@ -34,7 +33,7 @@ from .fibrations import (
 )
 from .linalg import rank as matrix_rank
 from .report import Report
-from .rings import RATIONAL, Cycle, kunneth_product
+from .rings import RATIONAL, Cycle, external_product, kunneth_product
 
 
 @dataclass
@@ -75,12 +74,12 @@ def fiber_projectors(ring):
     cell; in general the honest dual basis is used (pairings must be
     perfect).  Returned in the ring's cell order.
     """
-    ring2 = kunneth_product(ring, ring)
+    kunneth_product(ring, ring)  # registers the ring external_product lands in
     duals = {p: dual_basis_cycles(ring, p) for p in range(ring.dimension + 1)}
     out = []
     for cell in ring.cells:
         e = duals[cell.codim][cell.index - 1]
-        cyc = _external_into(ring2, e, ring.basis_cycle(cell))
+        cyc = external_product(e, ring.basis_cycle(cell))
         out.append(Correspondence(ring, ring, _demote(cyc), 0))
     return out
 
@@ -270,11 +269,11 @@ def tensor_identity_check(left, right):
     cycles = {cell.key: tensor(d_left, p) for cell, p in zip(right.cells, ps)}
     for b in ring.cells:
         cyc = ring.basis_cycle(b)
-        pieces = family.apply_all(from_kunneth(model, cyc))
+        coeffs = family.apply_all_with_coefficients(from_kunneth(model, cyc))
         fails = []
         for gkey, q in cycles.items():
             lhs = act(q, cyc)
-            rhs = to_kunneth(model, pieces[gkey])
+            rhs = to_kunneth(model, model.cycle({gkey: coeffs[gkey]} if gkey in coeffs else {}))
             if lhs != rhs:
                 fails.append(
                     f"operator and cycle projections differ at generator {gkey} on {b.label}"

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .correspondences import (
     Correspondence,
     _demote,
-    _external_into,
     act,
     action_columns,
     dual_basis_cycles,
@@ -35,7 +34,7 @@ from .fibrations import (
     to_kunneth,
 )
 from .report import Check, Report
-from .rings import ChowRing, kunneth_product
+from .rings import ChowRing, external_product, kunneth_product
 from .sampling import random_fibered_cycle, seeded_rng
 
 
@@ -175,7 +174,7 @@ def cellular_ck(ring, validate=True):
         duals = dual_basis_cycles(ring, i)
         cyc = ring2.zero()
         for cell in ring.cells_of_codim(i):
-            cyc = cyc + _external_into(ring2, duals[cell.index - 1], ring.basis_cycle(cell))
+            cyc = cyc + external_product(duals[cell.index - 1], ring.basis_cycle(cell))
         projs[k] = Correspondence(ring, ring, _demote(cyc), 0)
     ck = CKDecomposition(ring, projs, name=f"cellular CK of {ring.name}")
     if validate:

@@ -93,6 +93,27 @@ def test_malformed_json_is_a_parse_error(capsys, tmp_path):
     assert "invalid JSON at line 1" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, flag",
+    [
+        ("products", 5, "--ring-file"),
+        ("name", ["x"], "--ring-file"),
+        ("name", ["x"], "--fibration-file"),
+    ],
+)
+def test_malformed_optional_field_is_a_parse_error(capsys, tmp_path, field, value, flag):
+    if flag == "--ring-file":
+        doc, where = degenerate_surface_doc(), "ring"
+    else:
+        doc, where = {"base": "p1", "fiber": "p1", "kind": "trivial"}, "fibration"
+    doc[field] = value
+    bad = tmp_path / "doc.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", flag, str(bad), "--suite", "pairing")
+    assert code == 2 and out == ""
+    assert f"{where}.{field}: expected" in err and "Traceback" not in err
+
+
 def test_invalid_ring_math_is_a_validation_error(capsys, tmp_path):
     doc = {
         "dimension": 1,

@@ -239,11 +239,17 @@ def test_projector_family_order_and_pieces():
     fam = build_projector_family(m)
     assert fam.order == ((1, 1), (0, 1))  # descending: top generator first
     y = m.cycle({(0, 1): m.base.cycle({"h": 4}), (1, 1): m.base.cycle({"1": 7})})
-    pieces = fam.apply_all(y)
-    assert sum(pieces.values(), m.zero()) == y
-    assert pieces[(1, 1)] == m.cycle({(1, 1): m.base.cycle({"1": 7})})
-    assert pieces[(0, 1)] == m.cycle({(0, 1): m.base.cycle({"h": 4})})
-    assert fam.coefficient((1, 1), y) == m.base.cycle({"1": 7})
+    coeffs = fam.apply_all_with_coefficients(y)
+    assert list(coeffs) == [(1, 1), (0, 1)]  # descending, like the order
+    assert m.cycle(coeffs) == y
+    assert m.cycle({(1, 1): coeffs[(1, 1)]}) == m.cycle({(1, 1): m.base.cycle({"1": 7})})
+    assert m.cycle({(0, 1): coeffs[(0, 1)]}) == m.cycle({(0, 1): m.base.cycle({"h": 4})})
+    assert coeffs[(1, 1)] == m.base.cycle({"1": 7})
+    # a zero coefficient is a missing key, not a zero entry
+    assert fam.apply_all_with_coefficients(m.cycle({(0, 1): m.base.cycle({"h": 4})})) == {
+        (0, 1): m.base.cycle({"h": 4})
+    }
+    assert fam.apply_all_with_coefficients(m.zero()) == {}
 
 
 def test_projector_family_verifies_on_standard_models():
@@ -299,8 +305,9 @@ def test_motive_iso_pair_roundtrips():
 
 
 def test_motive_iso_pair_sweeps_once_per_element_and_piece(monkeypatch):
-    # one sweep reads every piece and forward coefficient of a basis element;
-    # each piece's image is swept back once: (m + 1) sweeps, not 2m + 1
+    # one sweep reads every nonzero piece of a basis element, and each such
+    # piece's image is swept back once; a validated model's basis element has
+    # one nonzero piece, so 2 sweeps per element, not m + 1
     gr = grassmannian(2, 4)
     pair = motive_iso_pair(
         projective_bundle_model(gr, [gr.cycle({"s[1]": 1})], rank=3),
@@ -316,7 +323,7 @@ def test_motive_iso_pair_sweeps_once_per_element_and_piece(monkeypatch):
     rep = pair.verify()
     assert rep.passed, rep.lines()
     assert [check.count for check in rep.checks] == [36, 36]
-    assert len(sweeps) == 36 * (3 + 1)
+    assert len(sweeps) == 36 * 2
 
 
 def test_motive_iso_requires_shared_base_and_fiber():

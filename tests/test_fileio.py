@@ -104,6 +104,38 @@ def test_parse_ring_shape_errors():
         parse_ring(doc)
 
 
+def test_parse_ring_checks_optional_fields_when_present():
+    doc = p2_doc()
+    doc["products"] = 5
+    with pytest.raises(FileFormatError, match=r"^ring\.products: expected <class 'list'>, got int$"):
+        parse_ring(doc)
+    doc = p2_doc()
+    doc["name"] = ["x"]
+    with pytest.raises(FileFormatError, match=r"^ring\.name: expected <class 'str'>, got list$"):
+        parse_ring(doc)
+    # an explicit name does not excuse a malformed one in the document
+    with pytest.raises(FileFormatError, match=r"^ring\.name: "):
+        parse_ring(doc, name="plane")
+    doc = p2_doc()
+    del doc["products"], doc["name"]  # both may be left out
+    assert parse_ring(doc).ranks == (1, 1, 1)
+
+
+def test_parse_fibration_checks_its_name():
+    doc = dump_fibration(hirzebruch(1), base_ref="p1", fiber_ref="p1")
+    doc["name"] = ["x"]
+    with pytest.raises(FileFormatError, match=r"^fibration\.name: expected <class 'str'>, got list$"):
+        parse_fibration(doc)
+    with pytest.raises(FileFormatError, match=r"^fibration\.name: "):
+        parse_fibration({"base": "p1", "fiber": "p1", "kind": "trivial", "name": 7})
+    # an inline ring's name is checked as that ring's
+    inline = {"base": "p1", "fiber": dict(p2_doc(), name=3), "kind": "trivial"}
+    with pytest.raises(FileFormatError, match=r"^ring\.name: expected <class 'str'>, got int$"):
+        parse_fibration(inline)
+    doc["name"] = "twisted plane"
+    assert parse_fibration(doc).name == "twisted plane"
+
+
 def test_parse_ring_conflicting_duplicates():
     doc = p2_doc()
     doc["products"].append(

@@ -23,6 +23,7 @@ from chowkit import (
     compose_oracle,
     compose_oracle_battery,
     dump_ring,
+    external_product,
     fiber_projectors,
     grassmannian,
     kunneth_product,
@@ -32,7 +33,7 @@ from chowkit import (
 )
 from chowkit import identities
 from chowkit.catalog import standard_rings
-from chowkit.correspondences import _demote, _external_into, action_columns
+from chowkit.correspondences import _demote, action_columns
 from chowkit.linalg import mat_mul
 from chowkit.rings import INTEGER, RATIONAL, Cycle
 from chowkit.sampling import random_correspondence, random_cycle
@@ -144,7 +145,7 @@ def reference_oracle(g, f):
     AC = kunneth_product(A, C)
     triple = kunneth_product(AB, C)
 
-    lift_f = _external_into(triple, f.cycle, C.unit())
+    lift_f = external_product(f.cycle, C.unit())
     unit_a = A.cells_of_codim(0)[0]
     data = {}
     for key, coeff in g.cycle.coeffs.items():

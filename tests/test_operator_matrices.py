@@ -52,7 +52,7 @@ def reference_peel(model, family, phis):
         coeffs = family.apply_all_with_coefficients(y)
         out = model.zero()
         for g, phi in phis.items():
-            alpha = coeffs[g][0]
+            alpha = coeffs.get(g, model.base.zero())
             image = alpha if phi is None else act(phi, alpha)
             out = out + model.multiply(model.generator(g), model.pullback(image))
         return out
@@ -121,7 +121,7 @@ def walked_operator(family, phis, name):
         for b, coeffs in family.basis_sweep(p).items():
             col = {}
             for g, phi in phis.items():
-                alpha = coeffs[g][0]
+                alpha = coeffs.get(g, family.model.base.zero())
                 image = alpha if phi is None else act(phi, alpha)
                 col.update(((g, k), c) for k, c in image.coeffs.items())
             if col:

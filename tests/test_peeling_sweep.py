@@ -2,13 +2,14 @@
 
 ``ProjectorFamily.apply_all_with_coefficients`` reads each pushforward
 pi_*(T_dual * residual) off the top-generator components of the model table
-and writes each piece as {g: alpha}.  The route kept here as the reference
-forms the two full model products T_dual * residual and T_g * pi^*(alpha)
-per generator instead.  The two must agree exactly, down to each
-coefficient's type and each cycle's mode, on every model and on models with
-broken tables.  ``verify_projector_family`` compares the sweep with the
-generic model product, so the sweep must not use it; and ``validate_fibration``
-must name the entry of a perturbed table.
+and returns the nonzero coefficients {g: alpha}, each piece being the cycle
+{g: alpha}.  The route kept here as the reference forms the two full model
+products T_dual * residual and T_g * pi^*(alpha) per generator instead.  The
+two must agree exactly, down to each coefficient's type and each cycle's
+mode, on every model and on models with broken tables.
+``verify_projector_family`` compares the sweep with the generic model
+product, so the sweep must not use it; and ``validate_fibration`` must name
+the entry of a perturbed table.
 """
 
 from fractions import Fraction
@@ -30,7 +31,7 @@ from chowkit import (
     verify_ck,
     verify_projector_family,
 )
-from chowkit.catalog import standard_models
+from chowkit.catalog import resolve, standard_models
 from chowkit.fibrations import FiberedCycle, ProjectorFamily
 from chowkit.rings import INTEGER, RATIONAL, Cycle
 from chowkit.sampling import random_cycle, random_fibered_cycle, seeded_rng
@@ -41,7 +42,8 @@ UNIT, A, B, C = (0, 1), (1, 1), (2, 1), (3, 1)  # generators of a P^3 fiber
 
 
 def reference_sweep(family, y):
-    """The sweep through two full model products per generator."""
+    """The sweep through two full model products per generator, returning
+    the nonzero coefficients; each product piece must be the cycle {g: alpha}."""
     model = family.model
     residual = y
     out = {}
@@ -49,7 +51,9 @@ def reference_sweep(family, y):
         dual = model.fiber.dual_cell(g).key
         alpha = model.pushforward(model.multiply(model.generator(dual), residual))
         piece = model.multiply(model.generator(g), model.pullback(alpha))
-        out[g] = (alpha, piece)
+        assert exact_parts(piece) == exact_parts(model.cycle({g: alpha})), g
+        if not alpha.is_zero():
+            out[g] = alpha
         residual = residual - piece
     return out
 
@@ -59,11 +63,12 @@ def exact(cycle):
     return cycle.mode, [(k, type(c), c) for k, c in cycle.coeffs.items()]
 
 
+def exact_parts(y):
+    return [(g, exact(c)) for g, c in y.parts.items()]
+
+
 def exact_sweep(out):
-    return [
-        (g, exact(alpha), [(h, exact(c)) for h, c in piece.parts.items()])
-        for g, (alpha, piece) in out.items()
-    ]
+    return [(g, exact(alpha)) for g, alpha in out.items()]
 
 
 def bundle_over_gr24():
@@ -187,6 +192,51 @@ def test_coefficient_extraction_catches_a_dropped_residual_term(monkeypatch):
         report = verify_projector_family(ProjectorFamily(model), samples=3)
         failed = {c.label for c in report.checks if not c.passed}
         assert "coefficient extraction on random cycles" in failed, model.name
+
+
+# -- the sweep returns only its nonzero coefficients -------------------------------
+
+
+@pytest.mark.parametrize(
+    "model",
+    STANDARD + [ambient_extend(m, projective_space(1)) for m in STANDARD],
+    ids=lambda m: m.name,
+)
+def test_sweep_of_a_basis_element_is_its_coordinate(model):
+    # the README's coordinate-projection lemma: on a validated model the
+    # sweep of pi^*(x) * T_g is {g: x}, with no other key
+    family = ProjectorFamily(model)
+    for y in model.module_basis():
+        assert exact_sweep(family.apply_all_with_coefficients(y)) == exact_parts(y), y
+
+
+@pytest.mark.parametrize("model", INDEPENDENCE_MODELS[:3], ids=lambda m: m.name)
+def test_verifier_replays_each_nonzero_piece_once(monkeypatch, model):
+    # N basis sweeps, one replay of the one nonzero piece of each, s samples
+    samples = 3
+    calls = []
+    sweep = ProjectorFamily.apply_all_with_coefficients
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "apply_all_with_coefficients",
+        lambda fam, y: calls.append(1) or sweep(fam, y),
+    )
+    assert verify_projector_family(ProjectorFamily(model), samples=samples).passed
+    assert len(calls) == 2 * len(model.module_basis()) + samples
+
+
+def test_sweeping_a_basis_constructs_no_fibered_cycle(monkeypatch):
+    model = resolve("product:p4,p4")
+    family = ProjectorFamily(model)
+    basis = model.module_basis()
+    built = []
+    init = FiberedCycle.__init__
+    monkeypatch.setattr(
+        FiberedCycle, "__init__", lambda y, m, parts: built.append(1) or init(y, m, parts)
+    )
+    sweeps = [family.apply_all_with_coefficients(y) for y in basis]
+    assert not built
+    assert [len(out) for out in sweeps] == [1] * len(basis) and len(basis) == 25
 
 
 # -- random projective bundles ---------------------------------------------------

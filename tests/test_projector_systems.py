@@ -17,6 +17,7 @@ from chowkit import (
     CKDecomposition,
     cellular_ck,
     diagonal,
+    external_product,
     grassmannian,
     kunneth_product,
     lift_ck,
@@ -29,7 +30,7 @@ from chowkit import (
 )
 from chowkit import fibrations
 from chowkit.catalog import standard_rings
-from chowkit.correspondences import Correspondence, _external_into, action_columns, compose
+from chowkit.correspondences import Correspondence, action_columns, compose
 from chowkit.fibrations import projector_system_failures
 from chowkit.fileio import parse_ring
 from chowkit.linalg import invert, mat_mul
@@ -278,7 +279,7 @@ def test_degenerate_pairing_is_refused():
     # action blind to the middle term
     cyc = ring2.zero()
     for a, b in (("1", "f"), ("e", "e"), ("f", "1")):
-        cyc = cyc + _external_into(ring2, ring.basis_cycle(a), ring.basis_cycle(b))
+        cyc = cyc + external_product(ring.basis_cycle(a), ring.basis_cycle(b))
     p = Correspondence(ring, ring, cyc, 0)
     with pytest.raises(ValueError, match="pairing at codim 1 is degenerate"):
         action_columns(p)
