@@ -9,7 +9,6 @@ the full fibration validation and raise on failure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .correspondences import MorphismData
@@ -240,14 +239,14 @@ def resolve(name):
     )
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
     """A named catalog object and how to read its name."""
 
-    name: str
-    kind: str  # "ring" | "model"
-    parameters: str
-    description: str
+    def __init__(self, name, kind, parameters, description):
+        self.name = name
+        self.kind = kind  # "ring" | "model"
+        self.parameters = parameters
+        self.description = description
 
     def build(self):
         return resolve(self.name)

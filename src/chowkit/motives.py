@@ -10,8 +10,6 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .correspondences import (
     Correspondence,
     _demote,
@@ -36,24 +34,20 @@ from .report import Report
 from .rings import RATIONAL, Cycle, external_product, kunneth_product
 
 
-@dataclass
 class Motive:
     """A cellular ring with an idempotent degree-0 correspondence on it."""
 
-    ring: object
-    projector: Correspondence
-    name: str = ""
-
-    def __post_init__(self):
-        p = self.projector
-        if p.source is not self.ring or p.target is not self.ring:
+    def __init__(self, ring, projector, name=""):
+        p = projector
+        if p.source is not ring or p.target is not ring:
             raise ValueError("motive projector must be a self-correspondence of the ring")
         if not p.is_zero() and p.offset != 0:
             raise ValueError("motive projector must have degree 0")
         if compose(p, p) != p:
-            raise ValueError(f"projector of {self.name or self.ring.name} is not idempotent")
-        if not self.name:
-            self.name = f"({self.ring.name}, p)"
+            raise ValueError(f"projector of {name or ring.name} is not idempotent")
+        self.ring = ring
+        self.projector = projector
+        self.name = name or f"({ring.name}, p)"
 
     def piece_rank(self, p):
         return matrix_rank(self.projector.matrix(p))
@@ -114,14 +108,14 @@ def _system_report(ring, columns):
     return report
 
 
-@dataclass
 class MotiveDecomposition:
     """The rank-one motives of a cellular ring, with their rank bookkeeping."""
 
-    parent: Motive
-    pieces: tuple
-    rank_table: dict  # codim -> tuple of per-piece ranks
-    report: Report  # the verified checks; the table lists each piece's codim
+    def __init__(self, parent, pieces, rank_table, report):
+        self.parent = parent  # the Motive h(X)
+        self.pieces = pieces
+        self.rank_table = rank_table  # codim -> tuple of per-piece ranks
+        self.report = report  # the verified checks; the table lists each piece's codim
 
     @property
     def piece_count(self):
@@ -182,15 +176,15 @@ def decompose_motive(ring):
     return MotiveDecomposition(unit_motive(ring), pieces, rank_table, report)
 
 
-@dataclass
 class ModelMotiveDecomposition:
     """Rank-one operator pieces of a fibration model, one per pair of a
     fiber generator and a base cell."""
 
-    model: object
-    pieces: tuple  # (label, codim, YOperator)
-    rank_table: dict  # codim -> piece count
-    report: Report  # the verified checks; the table lists the pieces
+    def __init__(self, model, pieces, rank_table, report):
+        self.model = model
+        self.pieces = pieces  # (label, codim, YOperator)
+        self.rank_table = rank_table  # codim -> piece count
+        self.report = report  # the verified checks; the table lists the pieces
 
     @property
     def piece_count(self):

@@ -12,8 +12,6 @@ projectors are cycles, and as matrices where they are operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .correspondences import (
     Correspondence,
     _demote,
@@ -41,7 +39,6 @@ from .sampling import random_fibered_cycle, seeded_rng
 # -- decomposition container ---------------------------------------------------
 
 
-@dataclass
 class CKDecomposition:
     """Projectors indexed by degree 0..2*dim, as cycles or as operators.
 
@@ -50,16 +47,14 @@ class CKDecomposition:
     is "operator": each projector is a YOperator on the model.
     """
 
-    space: object
-    projectors: dict
-    name: str = ""
-    report: object = None
-
-    def __post_init__(self):
-        expected = set(range(2 * self.space.dimension + 1))
-        if set(self.projectors) != expected:
+    def __init__(self, space, projectors, name="", report=None):
+        self.space = space
+        self.projectors = projectors
+        self.report = report
+        expected = set(range(2 * space.dimension + 1))
+        if set(projectors) != expected:
             raise ValueError("projectors must cover every degree 0..2*dim exactly once")
-        for k, p in self.projectors.items():
+        for k, p in projectors.items():
             if self.kind == "cycle":
                 if p.source is not self.space or p.target is not self.space:
                     raise ValueError(f"projector {k} is not a self-correspondence")
@@ -68,8 +63,7 @@ class CKDecomposition:
             else:
                 if p.model is not self.space:
                     raise ValueError(f"projector {k} lives on the wrong model")
-        if not self.name:
-            self.name = f"CK({self.space.name})"
+        self.name = name or f"CK({space.name})"
 
     @property
     def kind(self):

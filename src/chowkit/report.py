@@ -14,31 +14,30 @@ so it is kept here, in one table keyed by kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 PASS, FAIL, SKIPPED = "pass", "FAIL", "skipped"
 
 
-@dataclass
 class Check:
-    label: str
-    status: str  # PASS, FAIL, SKIPPED, or a note on a condition left unchecked
-    details: list
-    count: int | None = None  # instances checked
+    def __init__(self, label, status, details, count=None):
+        self.label = label
+        self.status = status  # PASS, FAIL, SKIPPED, or a note on a condition left unchecked
+        self.details = details
+        self.count = count  # instances checked, or None
 
     @property
     def passed(self):
         return self.status not in (FAIL, SKIPPED)
 
 
-@dataclass
 class Report:
-    kind: str
-    subject: str
-    checks: list = field(default_factory=list)
-    children: list = field(default_factory=list)  # (label, Report)
-    table: dict | None = None
+    def __init__(self, kind, subject, checks=None, children=None, table=None):
+        self.kind = kind
+        self.subject = subject
+        self.checks = [] if checks is None else checks
+        self.children = [] if children is None else children  # (label, Report)
+        self.table = table
 
     def add(self, label, failures, count=None):
         """Record one check: each item of ``failures`` details one failure,
@@ -142,9 +141,10 @@ def _window_lines(table):
     for k in degrees:
         row = "".join(f"{ranks[(k, j)]:>3}" if ranks[(k, j)] else "  ." for j in codims)
         out.append(f"  {k:>4} |{row}")
-    out.append("  projector ranks: " + ", ".join(
-        f"deg {k}: {sum(r for (k_, _), r in ranks.items() if k_ == k)}" for k in degrees
-    ))
+    totals = dict.fromkeys(degrees, 0)
+    for (k, _), r in ranks.items():
+        totals[k] += r
+    out.append("  projector ranks: " + ", ".join(f"deg {k}: {totals[k]}" for k in degrees))
     if not table["violations"]:
         return out + ["  window violations: none"]
     out.append("  window violations:")
@@ -195,17 +195,18 @@ def _model_pieces_dict(table):
 # -- the layout of each kind ---------------------------------------------------
 
 
-class _Layout(NamedTuple):
-    check: str  # the document's "check" field
-    header: str  # the first text line
-    subject: str  # the document's key for the subject
-    checks: str | None = None  # the document's key for the checks; None renders none
-    count: str | None = None  # where a nonzero count shows: "label", or "status" plus a field
-    details: int | None = 20  # failure details printed per check
-    children: str | None = None  # "entries": each under "over <label>:"; "action": one, appended
-    table_lines: Callable | None = None
-    table_dict: Callable | None = None
-    passed_last: bool = False
+# check: the document's "check" field; header: the first text line;
+# subject: the document's key for the subject;
+# checks: the document's key for the checks, or None to render none;
+# count: where a nonzero count shows, "label", or "status" plus a field;
+# details: failure details printed per check (None: all);
+# children: "entries", each under "over <label>:", or "action", one, appended;
+# table_lines, table_dict: the table payload's renderers
+_Layout = namedtuple(
+    "_Layout",
+    "check header subject checks count details children table_lines table_dict passed_last",
+    defaults=(None, None, 20, None, None, None, False),
+)
 
 
 _VERDICT = "{subject}: {verdict}"

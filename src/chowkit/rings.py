@@ -20,7 +20,6 @@ rational mode.  No floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import pivot_columns
@@ -30,19 +29,31 @@ INTEGER = "integer"
 RATIONAL = "rational"
 
 
-@dataclass(frozen=True)
 class BasisCell:
-    """One basis element: codimension, 1-based index within it, display label."""
+    """One basis element: codimension, 1-based index within it, display label.
 
-    codim: int
-    index: int
-    label: str
-    # (codim, index), read on every hot path; equality and hashing stay on
-    # the three fields above
-    key: tuple = field(init=False, compare=False, repr=False)
+    Immutable by convention.  ``key`` is (codim, index), read on every hot
+    path; equality and hashing stay on (codim, index, label).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", (self.codim, self.index))
+    __slots__ = ("codim", "index", "label", "key")
+
+    def __init__(self, codim, index, label):
+        self.codim = codim
+        self.index = index
+        self.label = label
+        self.key = (codim, index)
+
+    def __eq__(self, other):
+        if not isinstance(other, BasisCell):
+            return NotImplemented
+        return (self.codim, self.index, self.label) == (other.codim, other.index, other.label)
+
+    def __hash__(self):
+        return hash((self.codim, self.index, self.label))
+
+    def __repr__(self):
+        return f"BasisCell(codim={self.codim!r}, index={self.index!r}, label={self.label!r})"
 
 
 def _check_coeff(value):
@@ -494,9 +505,9 @@ class KunnethRing(ChowRing):
         for q in range(dimension + 1):
             pairs = [
                 (a, b)
-                for a in left.cells
-                for b in right.cells
-                if a.codim + b.codim == q
+                for p in range(max(0, q - right.dimension), min(q, left.dimension) + 1)
+                for a in left._by_codim[p]
+                for b in right._by_codim[q - p]
             ]
             reverse = 2 * q > dimension
             pairs.sort(key=lambda ab: (-ab[0].codim if reverse else ab[0].codim,

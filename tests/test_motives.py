@@ -69,9 +69,12 @@ def test_motive_rejects_bad_projectors():
     mult = multiplication_correspondence(p2, p2.basis_cycle("h"))
     with pytest.raises(ValueError, match="degree 0"):
         Motive(p2, mult)
-    # degree 0 but not idempotent: 2 * diagonal
-    with pytest.raises(ValueError, match="idempotent"):
+    # degree 0 but not idempotent: 2 * diagonal; the message names the motive
+    with pytest.raises(ValueError, match="projector of P\\^2 is not idempotent"):
         Motive(p2, diagonal(p2) + diagonal(p2))
+    with pytest.raises(ValueError, match="projector of twice is not idempotent"):
+        Motive(p2, diagonal(p2) + diagonal(p2), name="twice")
+    assert Motive(p2, diagonal(p2)).name == "(P^2, p)"
     p1 = projective_space(1)
     with pytest.raises(ValueError, match="self-correspondence"):
         Motive(p2, diagonal(p1))

@@ -66,6 +66,9 @@ def test_cellular_ck_sums_to_diagonal():
 def test_decomposition_container_validation():
     p1 = projective_space(1)
     ck = cellular_ck(p1)
+    plain = CKDecomposition(p1, ck.projectors)
+    assert plain.name == "CK(P^1)" and plain.report is None
+    assert CKDecomposition(p1, ck.projectors, name="mine").name == "mine"
     missing = {k: v for k, v in ck.projectors.items() if k != 2}
     with pytest.raises(ValueError, match="every degree"):
         CKDecomposition(p1, missing)
@@ -146,6 +149,24 @@ def test_action_window_flags_out_of_window_rank():
     assert (0, 1, 1) in rep.table["violations"] and (2, 0, 1) in rep.table["violations"]
     assert any(line.strip() == "window violations:" for line in rep.lines())
     assert not verify_ck(swapped).passed
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cellular_ck(projective_space(6)),
+        lambda: cellular_ck(grassmannian(2, 5)),
+        lambda: lift_ck(hirzebruch(1)),
+        lambda: lift_ck(product_model(projective_space(2), grassmannian(2, 4))),
+    ],
+    ids=["p6", "gr25", "hirzebruch1", "p2xgr24"],
+)
+def test_projector_ranks_line_sums_each_degree(make):
+    # the line as the per-degree rescan of the whole rank table printed it
+    rep = verify_action_window(make())
+    degrees = sorted({k for k, _ in rep.table["ranks"]})
+    want = "  projector ranks: " + ", ".join(f"deg {k}: {projector_rank(rep, k)}" for k in degrees)
+    assert want in rep.lines()
 
 
 def test_lift_base_correspondence_odd_degree_is_zero():

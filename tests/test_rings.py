@@ -612,3 +612,45 @@ def test_kunneth_product_dies_with_its_factors():
     del left, right, ring
     gc.collect()
     assert ref() is None
+
+
+def full_scan_cells(left, right):
+    """The Kunneth cells as the full factor-pair scan lists them: every
+    (a, b) pair is tested once per product codim."""
+    dimension = left.dimension + right.dimension
+    out = []
+    for q in range(dimension + 1):
+        pairs = [(a, b) for a in left.cells for b in right.cells if a.codim + b.codim == q]
+        reverse = 2 * q > dimension
+        pairs.sort(key=lambda ab: (-ab[0].codim if reverse else ab[0].codim,
+                                   ab[0].index, ab[1].index))
+        out.extend(
+            ((q, i), f"({a.label},{b.label})", (a.key, b.key))
+            for i, (a, b) in enumerate(pairs, start=1)
+        )
+    return out
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: (point(), point()),
+        lambda: (point(), projective_space(3)),
+        lambda: (projective_space(3), point()),
+        lambda: (grassmannian(2, 6), projective_space(2)),
+        lambda: (projective_space(2), grassmannian(2, 6)),
+        lambda: (projective_space(5), grassmannian(2, 4)),
+        lambda: (degenerate_surface(), projective_space(1)),
+    ],
+    ids=["ptxpt", "ptxp3", "p3xpt", "gr26xp2", "p2xgr26", "p5xgr24", "degeneratexp1"],
+)
+def test_kunneth_cells_match_the_full_pair_scan(pair):
+    left, right = pair()
+    ring = KunnethRing(left, right)
+    want = full_scan_cells(left, right)
+    assert [(c.key, c.label) for c in ring.cells] == [(key, label) for key, label, _ in want]
+    assert all(c.key == (c.codim, c.index) for c in ring.cells)
+    assert ring._pair_to_key == {pair_keys: key for key, _, pair_keys in want}
+    assert {k: (a.key, b.key) for k, (a, b) in ring._key_to_pair.items()} == {
+        key: pair_keys for key, _, pair_keys in want
+    }
