@@ -115,7 +115,6 @@ from .sampling import (
     random_correspondence,
     random_cycle,
     random_fibered_cycle,
-    random_homogeneous_cycle,
     seeded_rng,
 )
 

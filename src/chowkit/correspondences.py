@@ -251,7 +251,7 @@ def correspondence_from_action(source, target, action, offset=0):
             return table.get(cell.key, target.zero())
 
     ring = kunneth_product(source, target)
-    total = ring.zero()
+    pk, coeffs, mode = ring._pair_to_key, {}, INTEGER
     for p in range(source.dimension + 1):
         duals = dual_basis_cycles(source, p)
         for cell, e in zip(source.cells_of_codim(p), duals):
@@ -265,8 +265,13 @@ def correspondence_from_action(source, target, action, offset=0):
                 raise ValueError(
                     f"action of {cell.label} has codim {image.codims()}, expected {want}"
                 )
-            total = total + external_product(e, image)
-    return Correspondence(source, target, _demote(total), offset)
+            if RATIONAL in (e.mode, image.mode):
+                mode = RATIONAL
+            for ka, ca in e.coeffs.items():
+                for kb, cb in image.coeffs.items():
+                    key = pk[(ka, kb)]
+                    coeffs[key] = coeffs.get(key, 0) + ca * cb
+    return Correspondence(source, target, _demote(Cycle(ring, coeffs, mode)), offset)
 
 
 def diagonal(ring):
@@ -308,7 +313,13 @@ def _action_map(f):
         for k, d in partners(a.key):
             col = columns.setdefault(k, {})
             col[b] = col.get(b, 0) + c * d
-    return {k: image for k, col in columns.items() if (image := {b: v for b, v in col.items() if v})}
+    # zeros dropped once, rebuilding only the columns that hold one
+    for k in [k for k, col in columns.items() if not all(col.values())]:
+        if col := {b: v for b, v in columns[k].items() if v}:
+            columns[k] = col
+        else:
+            del columns[k]
+    return columns
 
 
 def action_matrix(f, p):
@@ -395,22 +406,12 @@ class MorphismData:
         """Linear extension of the pullback table to any cycle on the target."""
         if y.ring is not self.target:
             raise ValueError(f"pullback: cycle lives in {y.ring.name}, not {self.target.name}")
-        out = self.source.zero(y.mode)
-        for key, c in y.coeffs.items():
-            entry = self._pull.get(key)
-            if entry is not None:
-                out = out + entry * c
-        return out
+        return _extend(self._pull, self.source, y)
 
     def pushforward(self, x):
         if x.ring is not self.source:
             raise ValueError(f"pushforward: cycle lives in {x.ring.name}, not {self.source.name}")
-        out = self.target.zero(x.mode)
-        for key, c in x.coeffs.items():
-            entry = self._push.get(key)
-            if entry is not None:
-                out = out + entry * c
-        return out
+        return _extend(self._push, self.target, x)
 
     def _validate(self):
         src, tgt = self.source, self.target
@@ -449,6 +450,20 @@ class MorphismData:
 
     def __repr__(self):
         return f"<MorphismData {self.name}>"
+
+
+def _extend(table, ring, x):
+    """sum_k c_k table[k] on ring over the terms c_k tau_k of x, summed in one
+    dict; rational when x or any table entry it reads is."""
+    coeffs, mode = {}, x.mode
+    for key, c in x.coeffs.items():
+        entry = table.get(key)
+        if entry is not None:
+            if entry.mode == RATIONAL:
+                mode = RATIONAL
+            for k, v in entry.coeffs.items():
+                coeffs[k] = coeffs.get(k, 0) + v * c
+    return Cycle(ring, coeffs, mode)
 
 
 def identity_morphism(ring):

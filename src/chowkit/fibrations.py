@@ -290,7 +290,12 @@ def trivial_fibration(base, fiber, name=None):
 
 
 def duality_triple(model, alpha, left, right):
-    """pi_*(pi^*(alpha) * T_left * T_right).
+    """pi_*(pi^*(alpha) * T_left * T_right), read off the model table.
+
+    pi^*(alpha) is alpha on the unit generator, so the unit law makes
+    pi^*(alpha) * T_left the cycle {left: alpha}; times T_right it is
+    sum_k alpha * t_k over the components t_k of T_left * T_right, and
+    pi_* keeps the top generator's: the value is alpha * t_top(left, right).
 
     For fiber codimensions p + q <= n this follows the delta pattern: alpha
     back when the generators are same-index duals, zero otherwise.  Beyond
@@ -305,9 +310,8 @@ def duality_triple(model, alpha, left, right):
             f"{model.fiber.dimension}; got {lkey[0]} + {rkey[0]}",
             stacklevel=2,
         )
-    y = model.multiply(model.pullback(alpha), model.generator(lkey))
-    y = model.multiply(y, model.generator(rkey))
-    return model.pushforward(y)
+    top = model.t_entry(lkey, rkey).get(model.fiber.point_cell.key)
+    return model.base.zero() if top is None else model.base.multiply(alpha, top)
 
 
 def duality_report(model, samples=20, seed=0):
@@ -491,8 +495,15 @@ def _combine(terms):
 
 
 def _apply(f, vec):
-    """The image of a sparse vector under the sparse matrix f."""
-    return _combine((c, f[key]) for key, c in vec.items() if key in f)
+    """The image of a sparse vector under the sparse matrix f, summed in
+    one dict whose zeros are dropped once."""
+    out = {}
+    for key, c in vec.items():
+        col = f.get(key)
+        if col is not None:
+            for b, v in col.items():
+                out[b] = out.get(b, 0) + c * v
+    return out if all(out.values()) else {b: v for b, v in out.items() if v}
 
 
 def _after(f, g):

@@ -203,33 +203,34 @@ def compose_oracle(g, f):
 
     Both cycles are pulled up to the triple product (A x B) x C, multiplied
     there, and the middle factor is integrated out; returns the resulting
-    cycle on A x C."""
+    cycle on A x C.  The three key maps are read once per ring triple, from
+    key pairs only, and kept on the triple product."""
     if f.target is not g.source:
         raise ValueError("composition mismatch: f must land where g starts")
-    A, B, C = f.source, f.target, g.target
-    AB = kunneth_product(A, B)
-    AC = kunneth_product(A, C)
-    triple = kunneth_product(AB, C)
-
-    lift_f = external_product(f.cycle, C.unit())
-    unit_a = A.unit_cell.key
-    data = {}
-    for key, coeff in g.cycle.coeffs.items():
-        b, c = g.ring._key_to_pair[key]
-        data[triple._pair_to_key[(AB._pair_to_key[(unit_a, b.key)], c.key)]] = coeff
-    lift_g = Cycle(triple, data, g.cycle.mode)
-
-    prod = lift_f * lift_g
-    # integrating out B keeps the terms on B's point class, with degree 1
-    point_b = B.point_cell.key
-    coeffs = {}
-    for key, coeff in prod.coeffs.items():
-        ab, c = triple._key_to_pair[key]
-        a, b = AB._key_to_pair[ab.key]
-        if b.key == point_b:
-            ac = AC._pair_to_key[(a.key, c.key)]
-            coeffs[ac] = coeffs.get(ac, 0) + coeff
+    triple = kunneth_product(kunneth_product(f.source, f.target), g.target)
+    if triple._oracle is None:
+        triple._oracle = _oracle_maps(triple)
+    up_f, up_g, down, AC = triple._oracle
+    lift_f = Cycle(triple, {up_f[k]: c for k, c in f.cycle.coeffs.items()}, f.cycle.mode)
+    lift_g = Cycle(triple, {up_g[k]: c for k, c in g.cycle.coeffs.items()}, g.cycle.mode)
+    prod = triple.multiply(lift_f, lift_g)
+    coeffs = {down[k]: c for k, c in prod.coeffs.items() if k in down}
     return _demote(Cycle(AC, coeffs, prod.mode))
+
+
+def _oracle_maps(triple):
+    """compose_oracle's key maps on (A x B) x C, and A x C: f's lift {A x B
+    key: key of (ab, 1_C)}, g's lift {B x C key: key of ((1_A, b), c)}, and
+    the integral over B {key of ((a, point_B), c): A x C key}, which keeps
+    the terms on B's point class, of degree 1."""
+    AB, C = triple.left, triple.right
+    A, B = AB.left, AB.right
+    AC, ab, abc = kunneth_product(A, C), AB._pair_to_key, triple._pair_to_key
+    up_f = {k: abc[(k, C.unit_cell.key)] for k in AB._key_to_pair}
+    pairs = kunneth_product(B, C)._pair_to_key.items()
+    up_g = {bc: abc[(ab[(A.unit_cell.key, b)], c)] for (b, c), bc in pairs}
+    down = {abc[(ab[(a, B.point_cell.key)], c)]: ac for (a, c), ac in AC._pair_to_key.items()}
+    return up_f, up_g, down, AC
 
 
 def compose_oracle_battery(rings=None, samples=100, seed=0):

@@ -517,6 +517,7 @@ class KunnethRing(ChowRing):
                 cells.append(cell)
                 self._pair_to_key[(a.key, b.key)] = cell.key
                 self._key_to_pair[cell.key] = (a, b)
+        self._oracle = None  # identities.compose_oracle's key maps, on a triple product
         # factor laws give the axioms componentwise; skip the cubic re-check
         super().__init__(dimension, cells, None, name=f"{left.name} x {right.name}", validate=False)
 

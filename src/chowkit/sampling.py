@@ -20,12 +20,9 @@ def seeded_rng(seed):
 def random_cycle(rng, ring, bound=10, codim=None, mode=INTEGER):
     """A random cycle, homogeneous of the given codim when one is passed."""
     cells = ring.cells if codim is None else ring.cells_of_codim(codim)
-    coeffs = {c.key: rng.randint(-bound, bound) for c in cells}
+    # randint(a, b) is randrange(a, b + 1): the same draws, one call fewer
+    coeffs = {c.key: rng.randrange(-bound, bound + 1) for c in cells}
     return Cycle(ring, coeffs, mode)
-
-
-def random_homogeneous_cycle(rng, ring, bound=10, mode=INTEGER):
-    return random_cycle(rng, ring, bound, codim=rng.randint(0, ring.dimension), mode=mode)
 
 
 def random_fibered_cycle(rng, model, bound=10, codim=None):

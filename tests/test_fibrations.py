@@ -30,7 +30,7 @@ from chowkit.catalog import (
     projective_bundle_model,
     projective_space,
 )
-from chowkit.sampling import random_fibered_cycle, seeded_rng
+from chowkit.sampling import random_cycle, random_fibered_cycle, seeded_rng
 
 
 def test_fibered_cycle_basics():
@@ -157,6 +157,57 @@ def test_duality_report_all_standard_models():
     for m in standard_models():
         rep = duality_report(m, samples=5)
         assert rep.passed, rep.lines()
+
+
+def generic_duality_triple(model, alpha, left, right):
+    """duality_triple through the generic model product, as it was."""
+    y = model.multiply(model.pullback(alpha), model.generator(left))
+    return model.pushforward(model.multiply(y, model.generator(right)))
+
+
+def test_duality_triple_reads_the_table_as_the_generic_product_does():
+    from chowkit.catalog import standard_models
+
+    rng = seeded_rng(11)
+    for m in standard_models() + [hirzebruch(-1), hirzebruch(3)]:
+        alphas = [m.base.basis_cycle(c) for c in m.base.cells] + [m.base.zero()]
+        alphas += [random_cycle(rng, m.base, bound=5) for _ in range(3)]
+        for g1 in m.generators:
+            for g2 in m.generators:
+                for alpha in alphas:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        got = duality_triple(m, alpha, g1, g2)
+                    assert got == generic_duality_triple(m, alpha, g1, g2), (m.name, g1, g2)
+
+
+def test_duality_report_makes_no_model_product(monkeypatch):
+    from chowkit.catalog import standard_models
+
+    def refuse(*args):
+        raise AssertionError("FibrationModel.multiply called")
+
+    monkeypatch.setattr(FibrationModel, "multiply", refuse)
+    for m in standard_models():
+        assert duality_report(m, samples=3).passed
+
+
+def test_duality_report_names_a_mutated_top_entry():
+    base, fiber = projective_space(1), grassmannian(2, 4)
+    model = trivial_fibration(base, fiber)
+    table = {(g1, g2): dict(entry) for g1, row in model._table.items() for g2, entry in row.items()}
+    # s[2] * s[1,1] has no point-class component; give it one, in both orders
+    for pair in (((2, 1), (2, 2)), ((2, 2), (2, 1))):
+        table[pair][fiber.point_cell.key] = base.unit()
+    mutated = FibrationModel(base, fiber, table, name="mutated")
+    assert duality_report(model, samples=2).passed
+    rep = duality_report(mutated, samples=2)
+    assert not rep.passed
+    (check,) = rep.checks
+    assert {line.split(" on ")[0] for line in check.details} == {
+        "pair (2, 1) * (2, 2)",
+        "pair (2, 2) * (2, 1)",
+    }
 
 
 def test_validate_fibration_catches_broken_duality():

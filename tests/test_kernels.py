@@ -28,6 +28,7 @@ from chowkit import (
     grassmannian,
     kunneth_product,
     parse_ring,
+    point,
     projective_space,
     zero_correspondence,
 )
@@ -163,6 +164,34 @@ def reference_oracle(g, f):
         if weight:
             out = out + AC.cycle({AC.pair_cell(a_key, c_key).key: coeff * weight}, mode=prod.mode)
     return _demote(out)
+
+
+def nested_oracle(g, f):
+    """compose_oracle as it was before its key maps: every term split and
+    re-keyed through the nested _key_to_pair and _pair_to_key lookups."""
+    A, B, C = f.source, f.target, g.target
+    AB = kunneth_product(A, B)
+    AC = kunneth_product(A, C)
+    triple = kunneth_product(AB, C)
+
+    lift_f = external_product(f.cycle, C.unit())
+    unit_a = A.unit_cell.key
+    data = {}
+    for key, coeff in g.cycle.coeffs.items():
+        b, c = g.ring._key_to_pair[key]
+        data[triple._pair_to_key[(AB._pair_to_key[(unit_a, b.key)], c.key)]] = coeff
+    lift_g = Cycle(triple, data, g.cycle.mode)
+
+    prod = lift_f * lift_g
+    point_b = B.point_cell.key
+    coeffs = {}
+    for key, coeff in prod.coeffs.items():
+        ab, c = triple._key_to_pair[key]
+        a, b = AB._key_to_pair[ab.key]
+        if b.key == point_b:
+            ac = AC._pair_to_key[(a.key, c.key)]
+            coeffs[ac] = coeffs.get(ac, 0) + coeff
+    return _demote(Cycle(AC, coeffs, prod.mode))
 
 
 def _types(matrix):
@@ -356,3 +385,50 @@ def test_oracle_does_not_use_the_middle_pairing(monkeypatch):
             assert compose_oracle(g, f) == before
             with pytest.raises(AssertionError, match="pair_degree called"):
                 compose(g, f)
+
+
+TRIPLE_RINGS = ("point", "P^1", "P^2", "Gr(2,4)")
+
+
+def _triple_rings():
+    return {"point": point(), **_rings()}
+
+
+@pytest.mark.parametrize("source", TRIPLE_RINGS)
+@pytest.mark.parametrize("middle", TRIPLE_RINGS)
+@pytest.mark.parametrize("target", TRIPLE_RINGS)
+def test_compose_oracle_matches_the_nested_route(source, middle, target):
+    rings = _triple_rings()
+    A, B, C = rings[source], rings[middle], rings[target]
+    rng = random.Random(f"{source}=>{middle}=>{target}")
+    for _ in range(3):
+        f = random_correspondence(rng, A, B, offset=rng.randint(-A.dimension, B.dimension))
+        g = random_correspondence(rng, B, C, offset=rng.randint(-B.dimension, C.dimension))
+        for ff, gg in ((f, g), (_rational(f), g), (f, _rational(g)), (_rational(f), _rational(g))):
+            got, want = compose_oracle(gg, ff), nested_oracle(gg, ff)
+            assert got.mode == want.mode and _entries(got) == _entries(want)
+            assert got == compose(gg, ff).cycle
+
+
+def test_oracle_maps_are_built_once_per_triple_and_kept_on_it(monkeypatch):
+    # private rings, so that no earlier test has built their maps
+    p1, p2 = (parse_ring(dump_ring(projective_space(n))) for n in (1, 2))
+    built = []
+    real = identities._oracle_maps
+    monkeypatch.setattr(identities, "_oracle_maps", lambda triple: built.append(triple) or real(triple))
+    multiplies = []
+    real_multiply = ChowRing.multiply
+    monkeypatch.setattr(ChowRing, "multiply", lambda ring, a, b: multiplies.append(ring) or real_multiply(ring, a, b))
+    rng = random.Random(7)
+    triples = [(p1, p2, p1), (p2, p1, p2), (p1, p2, p2)]
+    for _ in range(3):
+        for A, B, C in triples:
+            f = random_correspondence(rng, A, B, offset=0)
+            g = random_correspondence(rng, B, C, offset=0)
+            compose_oracle(g, f)
+    rings = [kunneth_product(kunneth_product(A, B), C) for A, B, C in triples]
+    assert built == rings  # one build per triple, on its first call
+    assert multiplies == [ring for _ in range(3) for ring in rings]  # one product per call
+    for (A, B, C), ring in zip(triples, rings):
+        assert ring._oracle is not None and ring._oracle[-1] is kunneth_product(A, C)
+        assert kunneth_product(A, B)._oracle is None and kunneth_product(A, C)._oracle is None
