@@ -41,18 +41,14 @@ from .correspondences import (
 from .fibrations import (
     FiberedCycle,
     FibrationModel,
-    MotiveIsoPair,
     ProjectorFamily,
     YOperator,
     ambient_extend,
     build_projector_family,
     duality_report,
     duality_triple,
-    from_kunneth,
     identity_operator,
     manin_battery,
-    motive_iso_pair,
-    to_kunneth,
     trivial_fibration,
     validate_fibration,
     verify_projector_family,
@@ -64,7 +60,6 @@ from .motives import (
     decompose_model,
     decompose_motive,
     fiber_projectors,
-    tensor_identity_check,
     unit_motive,
     verify_projector_system,
 )
@@ -72,13 +67,13 @@ from .murre import (
     CKDecomposition,
     cellular_ck,
     ck_battery,
-    compare_lift_to_cellular,
     lift_base_correspondence,
     lift_ck,
     lifted_blocks,
     verify_action_window,
     verify_block_diagonality,
     verify_ck,
+    verify_motive_isomorphism,
 )
 from .identities import (
     compose_oracle,

@@ -792,93 +792,3 @@ def manin_battery(model, battery=None, samples=25, seed=0):
         family = build_projector_family(extended)
         report.children.append((ambient.name, verify_projector_family(family, samples, seed)))
     return report
-
-
-# -- motive comparison between models with the same base and fiber ---------------
-
-
-class MotiveIsoPair:
-    """Mutually inverse piece maps between two models over one base and fiber.
-
-    The forward map reads off the base coefficients of a cycle with the first
-    model's projector family and rebuilds the cycle on the second model,
-    generator by generator; the backward map goes the other way.  On each
-    piece the two composites reproduce the corresponding projector.
-    """
-
-    def __init__(self, model1, model2):
-        if model1.base is not model2.base:
-            raise ValueError("motive comparison needs a common base ring")
-        if model1.fiber is not model2.fiber:
-            raise ValueError("motive comparison needs a common fiber ring")
-        self.model1 = model1
-        self.model2 = model2
-        self.family1 = build_projector_family(model1)
-        self.family2 = build_projector_family(model2)
-
-    def forward(self, y):
-        return self.model2.cycle(self.family1.apply_all_with_coefficients(y))
-
-    def backward(self, y):
-        return self.model1.cycle(self.family2.apply_all_with_coefficients(y))
-
-    def verify(self):
-        """Check both composites piecewise against the projectors, on every
-        module basis element of both models: one sweep gives every nonzero
-        piece {g: alpha_g}, and each piece's image is swept back once."""
-        report = Report("projector-family", f"{self.model1.name} ~ {self.model2.name}")
-        piece_fail, full_fail = [], []
-        count = 0
-        for model, family, other, other_family in (
-            (self.model1, self.family1, self.model2, self.family2),
-            (self.model2, self.family2, self.model1, self.family1),
-        ):
-            for y in model.module_basis():
-                count += 1
-                total = {}
-                for g, alpha in family.apply_all_with_coefficients(y).items():
-                    back = other_family.apply_all_with_coefficients(other.cycle({g: alpha})).get(g)
-                    if back != alpha:
-                        piece_fail.append(
-                            f"piece {g} roundtrip differs from projector on {y!r} of {model.name}"
-                        )
-                    if back is not None:
-                        total[g] = back
-                if model.cycle(total) != y:
-                    full_fail.append(f"roundtrip sum differs from input on {y!r} of {model.name}")
-        report.add("piecewise roundtrip equals projector", piece_fail, count)
-        report.add("roundtrip completeness", full_fail, count)
-        return report
-
-
-def motive_iso_pair(model1, model2):
-    return MotiveIsoPair(model1, model2)
-
-
-# -- bridges for trivial models --------------------------------------------------
-
-
-def to_kunneth(model, y):
-    """Coordinates of a trivial model's cycle on the product ring X x Z."""
-    if not model.is_trivial:
-        raise ValueError(f"{model.name} is not a trivial model")
-    ring = kunneth_product(model.base, model.fiber)
-    out = ring.zero()
-    for g, cyc in y.parts.items():
-        out = out + external_product(cyc, model.fiber.basis_cycle(g))
-    return out
-
-
-def from_kunneth(model, cycle):
-    """Inverse of to_kunneth: split a product-ring cycle along the fiber."""
-    if not model.is_trivial:
-        raise ValueError(f"{model.name} is not a trivial model")
-    ring = kunneth_product(model.base, model.fiber)
-    if cycle.ring is not ring:
-        raise ValueError(f"cycle lives in {cycle.ring.name}, not {ring.name}")
-    parts = {}
-    for key, c in cycle.coeffs.items():
-        a, b = ring._key_to_pair[key]
-        add = model.base.basis_cycle(a) * c
-        parts[b.key] = parts[b.key] + add if b.key in parts else add
-    return FiberedCycle(model, parts)

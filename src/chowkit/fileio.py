@@ -25,7 +25,8 @@ def _expect(doc, key, types, where):
     if key not in doc:
         raise FileFormatError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, types):
+    # bools are ints in Python; an int field refuses them
+    if not isinstance(value, types) or (types is int and isinstance(value, bool)):
         raise FileFormatError(f"{where}.{key}: expected {types}, got {type(value).__name__}")
     return value
 
@@ -49,6 +50,12 @@ def parse_ring(doc, name=None):
         raise FileFormatError("ring document must be an object")
     dimension = _expect(doc, "dimension", int, "ring")
     raw_cells = _expect(doc, "cells", list, "ring")
+    if dimension >= len(raw_cells):
+        # a cell in each codim 0..dimension: bounds the per-codim work by the document's size
+        raise FileFormatError(
+            f"ring.dimension: {dimension} needs a cell in each codim 0..{dimension}, "
+            f"got {len(raw_cells)} cell(s)"
+        )
     cells = []
     labels = {}
     for i, entry in enumerate(raw_cells):

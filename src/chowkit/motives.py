@@ -2,10 +2,9 @@
 
 A cellular ring with perfect degree pairings splits into rank-one motives,
 one per cell: the projector of a cell is its dual basis element crossed with
-the cell itself.  For a product ring these fiber projectors, tensored with
-the diagonal of the other factor, realize the same operators the fibration
-module builds by peeling; tensor_identity_check verifies that identity
-exactly.
+the cell itself.  Tensored with the diagonal of the base, these fiber
+projectors realize the operators the fibration module builds by peeling;
+murre.verify_motive_isomorphism checks that identity exactly.
 """
 
 from __future__ import annotations
@@ -13,21 +12,16 @@ from __future__ import annotations
 from .correspondences import (
     Correspondence,
     _demote,
-    act,
     action_columns,
     compose,
     diagonal,
     dual_basis_cycles,
-    tensor,
 )
 from .fibrations import (
     block_rank,
     build_projector_family,
     codim_blocks,
-    from_kunneth,
     projector_system_failures,
-    to_kunneth,
-    trivial_fibration,
 )
 from .linalg import rank as matrix_rank
 from .report import Report
@@ -244,33 +238,3 @@ def decompose_model(model):
         "rank_profile": [rank_table.get(p, 0) for p in range(model.dimension + 1)],
     })
     return ModelMotiveDecomposition(model, tuple(pieces), rank_table, report)
-
-
-def tensor_identity_check(left, right):
-    """Operator projectors of the trivial fibration vs diagonal-tensor cycles.
-
-    For each fiber cell (i,j), the peeling projector of trivial_fibration
-    (left, right) and the correspondence diagonal(left) x p_{i,j} must act
-    identically on every basis cell of the product ring; that is checked
-    exactly, codimension by codimension.
-    """
-    model = trivial_fibration(left, right)
-    family = build_projector_family(model)
-    ring = kunneth_product(left, right)
-    ps = fiber_projectors(right)
-    d_left = diagonal(left)
-    report = Report("projector-system", f"{left.name} x {right.name} tensor identity")
-    cycles = {cell.key: tensor(d_left, p) for cell, p in zip(right.cells, ps)}
-    for b in ring.cells:
-        cyc = ring.basis_cycle(b)
-        coeffs = family.apply_all_with_coefficients(from_kunneth(model, cyc))
-        fails = []
-        for gkey, q in cycles.items():
-            lhs = act(q, cyc)
-            rhs = to_kunneth(model, model.cycle({gkey: coeffs[gkey]} if gkey in coeffs else {}))
-            if lhs != rhs:
-                fails.append(
-                    f"operator and cycle projections differ at generator {gkey} on {b.label}"
-                )
-        report.add(f"actions on {b.label}", fails)
-    return report

@@ -8,6 +8,8 @@ family peels a cycle into base coefficients, each base projector is applied
 to its slice, and the pieces are reassembled.  Everything here is verified
 as exact identities on a full basis: through their action where the
 projectors are cycles, and as matrices where they are operators.
+verify_motive_isomorphism checks the map h(Y) = h(X) (x) h(Z) that carries
+the lifted decomposition to the cellular one of the product ring.
 """
 
 from __future__ import annotations
@@ -15,22 +17,23 @@ from __future__ import annotations
 from .correspondences import (
     Correspondence,
     _demote,
-    act,
     action_columns,
+    diagonal,
     dual_basis_cycles,
+    tensor,
     zero_correspondence,
 )
 from .fibrations import (
+    _after,
     _combine,
     ambient_extend,
     block_rank,
     build_projector_family,
     codim_blocks,
-    from_kunneth,
     operator_sum,
     projector_system_failures,
-    to_kunneth,
 )
+from .motives import fiber_projectors
 from .report import Check, Report
 from .rings import ChowRing, external_product, kunneth_product
 from .sampling import random_fibered_cycle, seeded_rng
@@ -307,24 +310,63 @@ def ck_battery(model, battery=None):
     return Report("ambient-battery", f"Chow-Kunneth battery for {model.name}", children=entries)
 
 
-def compare_lift_to_cellular(model):
-    """On a trivial model the lifted operators must match the cellular
-    decomposition of the product ring, cell by cell."""
-    if not model.is_trivial:
-        raise ValueError("comparison only makes sense for a trivial model")
-    ring = kunneth_product(model.base, model.fiber)
-    cellular = cellular_ck(ring)
-    lifted = lift_ck(model)
-    failures = []
-    for k in range(2 * model.dimension + 1):
-        proj = cellular.projectors[k]
-        op = lifted.projectors[k]
-        for cell in ring.cells:
-            cyc = ring.basis_cycle(cell)
-            want = act(proj, cyc)
-            got = to_kunneth(model, op(from_kunneth(model, cyc)))
-            if got != want:
-                failures.append(f"degree {k} differs on {cell.label}")
-    report = Report("projector-system", f"lift vs cellular on {model.name}")
-    report.add("operator agreement on every basis cell", failures)
+# -- the motive isomorphism h(Y) = h(X) (x) h(Z) ---------------------------------
+
+
+def _first_difference(what, lhs, rhs, keys):
+    """[a failure naming the first of keys where the sparse matrices lhs and
+    rhs differ], or [] when they agree on every key."""
+    key = next((b for b in keys if lhs.get(b) != rhs.get(b)), None)
+    return [] if key is None else [f"{what}: first differs at basis key {key}"]
+
+
+def verify_motive_isomorphism(model):
+    """The isomorphism h(Y) = h(X) (x) h(Z) as one exact map, checked column
+    by column on the module basis.
+
+    F: CH(Y) -> CH(X x Z) sends y to the sum of alpha_g(y) x [g], alpha_g
+    read off the family's cached basis sweeps, never built from coordinates.
+    Its inverse B sends a x [g] to pi^*(a) * T_g, which the unit law makes
+    the cycle {g: a}: the key relabeling (k, g) -> (g, k).  Checked:
+    B F = id (completeness), F B = id (the coordinate-projection lemma),
+    F Pi_k = pi_k F against the cellular CK of the product ring, and
+    F rho_g = (Delta_X (x) p_g) F against the fiber's cell projectors.  The
+    right-hand sides read the factor rings' pairings, never the model table.
+    """
+    base, fiber = model.base, model.fiber
+    ring = kunneth_product(base, fiber)
+    pk = ring._pair_to_key
+    family = build_projector_family(model)
+    keys, cells = model.basis_keys(), [cell.key for cell in ring.cells]
+    F = {}
+    for p in range(model.dimension + 1):
+        for b, coeffs in family.basis_sweep(p).items():
+            if coeffs:
+                F[b] = {pk[k, g]: c for g, alpha in coeffs.items() for k, c in alpha.coeffs.items()}
+    B = {pk[k, g]: {(g, k): 1} for g, k in keys}
+    Pi = lift_ck(model, validate=False).projectors
+    pi = cellular_ck(ring, validate=False).projectors
+    rho = family.peeled_operators({g: {g: None} for g in model.generators})
+    cell_projectors = dict(zip((cell.key for cell in fiber.cells), fiber_projectors(fiber)))
+    delta = diagonal(base)
+
+    def intertwines(what, lhs, rhs):
+        """F lhs = rhs F, compared on the module basis."""
+        return _first_difference(what, _after(F, lhs), _after(rhs, F), keys)
+
+    report = Report("projector-family", f"h({model.name}) = h({base.name}) x h({fiber.name})")
+    report.add("B F = id (completeness)", _first_difference(
+        "B F and id", _after(B, F), {b: {b: 1} for b in keys}, keys), len(keys))
+    report.add("F B = id (coordinate projection)", _first_difference(
+        "F B and id", _after(F, B), {c: {c: 1} for c in cells}, cells), len(cells))
+    report.add("F Pi_k = pi_k F (lifted vs cellular CK)", [
+        fail for k in Pi
+        for fail in intertwines(f"degree {k}", Pi[k].columns, action_columns(pi[k]))
+    ], len(Pi))
+    report.add("F rho_g = (Delta_X x p_g) F (peeled vs cell projectors)", [
+        fail for g in model.generators
+        for fail in intertwines(
+            f"generator {g}", rho[g].columns, action_columns(tensor(delta, cell_projectors[g]))
+        )
+    ], len(model.generators))
     return report

@@ -25,7 +25,6 @@ from chowkit import (
     kunneth_product,
     lift_ck,
     manin_battery,
-    motive_iso_pair,
     point,
     product_model,
     product_morphism,
@@ -34,12 +33,14 @@ from chowkit import (
     standard_models,
     standard_rings,
     tensor,
-    tensor_identity_check,
+    trivial_fibration,
     verify_action_window,
+    verify_motive_isomorphism,
     verify_pairing,
     verify_projector_family,
 )
 from chowkit.correspondences import act
+from chowkit.fibrations import _after
 from chowkit.sampling import random_cycle, seeded_rng
 from chowkit.schubert import lr_product, partitions_in_box, pieri_product
 
@@ -172,22 +173,41 @@ def test_criterion_05_fiber_projector_systems():
 
 def test_criterion_06_operator_vs_cycle_projectors():
     """Peeling projectors of the trivial fibration act exactly like the
-    diagonal-tensor cycles, graded piece by graded piece."""
+    diagonal-tensor cycles, and the lifted CK like the cellular CK of the
+    product ring, through the motive isomorphism F."""
     p1, p2 = projective_space(1), projective_space(2)
     for left, right in ((p1, p1), (p2, p1), (p1, p2)):
-        report = tensor_identity_check(left, right)
+        report = verify_motive_isomorphism(trivial_fibration(left, right))
         assert report.passed, "\n".join(report.lines())
+        counts = [c.count for c in report.checks]
+        assert counts[-1] == len(right.cells) and all(counts)
 
 
 def test_criterion_07_motive_isomorphism():
-    """hirzebruch(0) vs hirzebruch(2) over P^1: transported pieces compose
-    back to the projectors on every module basis element, both ways."""
-    pair = motive_iso_pair(hirzebruch(0), hirzebruch(2))
-    report = pair.verify()
-    assert report.passed, "\n".join(report.lines())
-    labels = [c.label for c in report.checks]
-    assert "piecewise roundtrip equals projector" in labels
-    assert "roundtrip completeness" in labels
+    """hirzebruch(0) and hirzebruch(2) are both h(P^1) x h(P^1): each F lands
+    in the same product ring, and B_2 F_0 and B_0 F_2, read off the two
+    families' basis sweeps, are mutually inverse on the module bases."""
+    h0, h2 = hirzebruch(0), hirzebruch(2)
+    ring = kunneth_product(projective_space(1), projective_space(1))
+    maps = {}
+    for model in (h0, h2):
+        report = verify_motive_isomorphism(model)
+        assert report.passed, "\n".join(report.lines())
+        family = build_projector_family(model)
+        maps[model] = {
+            b: {ring._pair_to_key[k, g]: c for g, a in coeffs.items() for k, c in a.coeffs.items()}
+            for p in range(model.dimension + 1)
+            for b, coeffs in family.basis_sweep(p).items()
+        }
+    back = {ring._pair_to_key[k, g]: (g, k) for g, k in h0.basis_keys()}
+
+    def transport(f):  # B F, B being the relabeling (k, g) -> (g, k) on either model
+        return {b: {back[key]: c for key, c in col.items()} for b, col in f.items()}
+
+    forward, backward = transport(maps[h0]), transport(maps[h2])
+    ident = {b: {b: 1} for b in h0.basis_keys()}
+    assert set(h0.basis_keys()) == set(h2.basis_keys())
+    assert _after(backward, forward) == ident and _after(forward, backward) == ident
 
 
 def test_criterion_08_composition_identities():

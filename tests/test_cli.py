@@ -114,6 +114,51 @@ def test_malformed_optional_field_is_a_parse_error(capsys, tmp_path, field, valu
     assert f"{where}.{field}: expected" in err and "Traceback" not in err
 
 
+def p1_doc():
+    return {
+        "dimension": 1,
+        "cells": [
+            {"codim": 0, "index": 1, "label": "1"},
+            {"codim": 1, "index": 1, "label": "h"},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda doc: doc.update(dimension=True), "ring.dimension"),
+        (lambda doc: doc["cells"][1].update(codim=True), "cells[1].codim"),
+        (lambda doc: doc["cells"][0].update(index=True), "cells[0].index"),
+    ],
+    ids=["dimension", "codim", "index"],
+)
+def test_boolean_integer_field_is_a_parse_error(capsys, tmp_path, edit, where):
+    # true == 1 in Python, so each edit would otherwise load as P^1
+    doc = p1_doc()
+    edit(doc)
+    bad = tmp_path / "ring.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--ring-file", str(bad), "--suite", "pairing")
+    assert code == 2 and out == ""
+    assert f"{where}: expected <class 'int'>, got bool" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--ring-file", "--fibration-file"])
+def test_dimension_beyond_the_cells_is_a_parse_error(capsys, tmp_path, flag):
+    # refused before any per-codim structure is built
+    ring = dict(p1_doc(), dimension=10**6)
+    doc = ring if flag == "--ring-file" else {"base": ring, "fiber": "p1", "kind": "trivial"}
+    bad = tmp_path / "doc.json"
+    bad.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", flag, str(bad), "--suite", "pairing")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert "ring.dimension: 1000000 needs a cell in each codim 0..1000000, got 2 cell(s)" in err
+    assert "Traceback" not in err
+
+
 def test_invalid_ring_math_is_a_validation_error(capsys, tmp_path):
     doc = {
         "dimension": 1,

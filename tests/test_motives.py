@@ -14,8 +14,9 @@ from chowkit import (
     point,
     product_model,
     projective_space,
-    tensor_identity_check,
+    trivial_fibration,
     unit_motive,
+    verify_motive_isomorphism,
     verify_projector_system,
     zero_correspondence,
 )
@@ -164,11 +165,14 @@ def test_decompose_model_product():
 
 
 def test_tensor_identity_small_pairs():
+    # F rho_g = (Delta_X x p_g) F: the peeled projector of each fiber cell
+    # acts like the diagonal-tensor cycle, one instance per generator
     p1, p2 = projective_space(1), projective_space(2)
     for left, right in ((p1, p1), (p2, p1), (p1, p2)):
-        report = tensor_identity_check(left, right)
+        report = verify_motive_isomorphism(trivial_fibration(left, right))
         assert report.passed, "\n".join(report.lines())
-    report = tensor_identity_check(p1, p1)
-    assert report.subject == "P^1 x P^1 tensor identity"
-    # one group of checks per product basis cell
-    assert len(report.checks) == 4
+        (check,) = [c for c in report.checks if c.label.startswith("F rho_g")]
+        assert check.count == len(right.cells)
+    report = verify_motive_isomorphism(trivial_fibration(p1, p1))
+    assert report.subject == "h(P^1 x P^1 (trivial)) = h(P^1) x h(P^1)"
+    assert [c.count for c in report.checks] == [4, 4, 5, 2]

@@ -10,17 +10,22 @@ from hypothesis import given, settings, strategies as st
 
 from chowkit import (
     act,
+    build_projector_family,
     compose,
+    decompose_model,
     external_product,
-    from_kunneth,
     kunneth_product,
+    lift_ck,
+    projective_bundle_model,
     projective_space,
     grassmannian,
     point,
     hirzebruch,
-    to_kunneth,
     transpose,
     trivial_fibration,
+    validate_fibration,
+    verify_motive_isomorphism,
+    verify_projector_family,
     Correspondence,
 )
 from chowkit.linalg import pivot_columns, rank
@@ -93,9 +98,55 @@ def test_external_product_multiplicative(a, b, c, d):
 @given(st.sampled_from((P1, P2)).flatmap(
     lambda r: st.tuples(st.just(r), cycles(kunneth_product(r, P1)))))
 def test_kunneth_coordinates_roundtrip(data):
+    # F B = id on every cycle, multi-term residuals included: B relabels
+    # a x [g] as the cycle {g: a}, and F reads it back off one sweep
     ring, cyc = data
     model = trivial_fibration(ring, P1)
-    assert to_kunneth(model, from_kunneth(model, cyc)) == cyc
+    product = kunneth_product(ring, P1)
+    vec = {}
+    for key, c in cyc.coeffs.items():
+        a, g = product._key_to_pair[key]
+        vec[g.key, a.key] = c
+    coeffs = build_projector_family(model).apply_all_with_coefficients(model.from_vector(vec))
+    back = {product._pair_to_key[k, g]: c for g, a in coeffs.items() for k, c in a.coeffs.items()}
+    assert back == cyc.coeffs
+
+
+MODEL_RINGS = (point(), P1, P2, projective_space(3), GR)
+
+
+def bundles(base):
+    """Rank-2 or rank-3 projective bundles over base, each Chern class a
+    combination of its codim's cells with coefficients in [-2, 2]."""
+
+    def chern(rank):
+        return st.tuples(*(
+            st.lists(st.integers(-2, 2), min_size=base.rank(i), max_size=base.rank(i)).map(
+                lambda cs, i=i: base.cycle(dict(zip(base.basis_keys(i), cs)))
+            )
+            for i in range(1, rank + 1)
+        )).map(lambda cs: projective_bundle_model(base, list(cs), rank=rank))
+
+    return st.sampled_from((2, 3)).flatmap(chern)
+
+
+random_models = st.one_of(
+    st.tuples(st.sampled_from(MODEL_RINGS), st.sampled_from(MODEL_RINGS)).map(
+        lambda pair: trivial_fibration(*pair)
+    ),
+    st.sampled_from((P1, P2, GR)).flatmap(bundles),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_models)
+def test_random_models_pass_every_verifier(model):
+    assert validate_fibration(model).passed
+    assert verify_projector_family(build_projector_family(model), samples=2).passed
+    lift_ck(model)  # each of these raises on a failed check
+    decompose_model(model)
+    report = verify_motive_isomorphism(model)
+    assert report.passed, "\n".join(report.lines())
 
 
 @given(cycles(P1), cycles(P1))
