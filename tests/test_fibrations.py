@@ -18,6 +18,7 @@ from chowkit import (
     manin_battery,
     trivial_fibration,
     validate_fibration,
+    verify_motive_isomorphism,
     verify_projector_family,
 )
 from chowkit.catalog import (
@@ -329,6 +330,28 @@ def test_ambient_extend_structure():
     entry = big.t_entry((1, 1), (1, 1))
     cell = big.base.pair_cell("1", "h")
     assert entry[(1, 1)] == big.base.cycle({cell.key: -1})
+
+
+def test_motive_iso_pair_roundtrips():
+    # hirzebruch(0) and hirzebruch(2) share base and fiber, so the peeled
+    # coefficients of one model are a cycle of the other: transporting a
+    # cycle there and back is the identity on every basis element
+    h0, h2 = hirzebruch(0), hirzebruch(2)
+    for model in (h0, h2):
+        rep = verify_motive_isomorphism(model)
+        assert rep.passed, rep.lines()
+    f0, f2 = build_projector_family(h0), build_projector_family(h2)
+
+    def forward(y):
+        return h2.cycle(f0.apply_all_with_coefficients(y))
+
+    def backward(y):
+        return h0.cycle(f2.apply_all_with_coefficients(y))
+
+    for y in h0.module_basis():
+        assert backward(forward(y)) == y
+    for y in h2.module_basis():
+        assert forward(backward(y)) == y
 
 
 def test_manin_battery_default_and_custom():
