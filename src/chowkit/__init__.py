@@ -42,12 +42,10 @@ from .fibrations import (
     FiberedCycle,
     FibrationModel,
     ProjectorFamily,
-    YOperator,
     ambient_extend,
     build_projector_family,
     duality_report,
     duality_triple,
-    identity_operator,
     manin_battery,
     trivial_fibration,
     validate_fibration,

@@ -342,8 +342,8 @@ def action_matrix(f, p):
 
 def action_columns(f):
     """The action of a degree-0 (or zero) self-correspondence as a sparse
-    matrix {cell key: nonzero column {cell key: coefficient}}, laid out as
-    YOperator.columns.  Raises the dual_basis_cycles error unless every
+    matrix {cell key: nonzero column {cell key: coefficient}}, the layout of
+    linalg that every model operator shares.  Raises the dual_basis_cycles error unless every
     pairing is perfect, since only then does the action determine the
     cycle."""
     ring = f.source

@@ -17,26 +17,18 @@ to the base, pulls back, multiplies by the generator itself, after first
 subtracting the lexicographically greater projectors.  A single descending
 sweep evaluates the whole family at linear cost, reading each pushforward
 off the top-generator components of the model table.  Operators built from
-the family (rho_g, lifted blocks, motive pieces) are exact per-codim sparse
-matrices, read off one sweep per module basis element in one pass.
+the family (rho_g, lifted blocks, motive pieces) are plain sparse matrices
+{basis key: nonzero column} on the model's basis_keys, the layout of
+linalg, read off one sweep per module basis element in one pass.
 """
 
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .correspondences import act
-from .linalg import rank as matrix_rank
 from .report import Report
-from .rings import (
-    INTEGER,
-    RATIONAL,
-    Cycle,
-    external_product,
-    kunneth_product,
-    verify_pairing,
-)
+from .rings import external_product, kunneth_product, verify_pairing
 
 
 class FiberedCycle:
@@ -257,16 +249,6 @@ class FibrationModel:
         """Coefficients of the codim-p part of y along module_basis(p)."""
         return tuple(y.fiber_component(g).coefficient(k) for g, k in self.basis_keys(p))
 
-    def from_vector(self, vec):
-        """The cycle with the given sparse vector (inverse of FiberedCycle.vector)."""
-        parts, modes = {}, {}
-        for (g, k), c in vec.items():
-            parts.setdefault(g, {})[k] = c
-            if isinstance(c, Fraction):
-                modes[g] = RATIONAL
-        cycles = {g: Cycle(self.base, cs, modes.get(g, INTEGER)) for g, cs in parts.items()}
-        return FiberedCycle(self, cycles)
-
     def __repr__(self):
         return f"<FibrationModel {self.name} dim={self.dimension}>"
 
@@ -422,149 +404,6 @@ def validate_fibration(model):
     return report
 
 
-# -- operators: sparse matrices {basis key: nonzero column} ---------------------
-#
-# A YOperator, and the action of a cycle projector (action_columns), is a flat
-# sparse matrix on the basis of its space, a FibrationModel or a ChowRing,
-# whose space.basis_keys(p) lists the codim-p keys.  A missing key is a zero
-# column, and no column is empty.
-
-
-class YOperator:
-    """A linear operator on the cycles of one fibration model, held as one
-    exact sparse matrix: ``columns`` maps a basis key (see ``basis_keys``)
-    to its image {basis key: nonzero coefficient}, and the zero operator is
-    ``YOperator(model, {})``.  An image component outside the column's codim
-    stays in its column, so grading remains checkable."""
-
-    def __init__(self, model, columns, name="operator"):
-        self.model = model
-        self.columns = columns
-        self.name = name
-
-    def apply_vector(self, vec):
-        """Image of a sparse vector (see FiberedCycle.vector)."""
-        return _apply(self.columns, vec)
-
-    def __call__(self, y):
-        if y.model is not self.model:
-            raise ValueError(f"operator on {self.model.name} applied to {y.model.name}")
-        return self.model.from_vector(self.apply_vector(y.vector()))
-
-    def _plus(self, other, sign):
-        if not isinstance(other, YOperator) or other.model is not self.model:
-            return NotImplemented
-        name = f"{self.name} {'+' if sign > 0 else '-'} {other.name}"
-        return YOperator(self.model, _sum(((1, self.columns), (sign, other.columns))), name)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __matmul__(self, other):
-        """Composition: (f @ g)(y) = f(g(y))."""
-        if not isinstance(other, YOperator) or other.model is not self.model:
-            return NotImplemented
-        name = f"{self.name} o {other.name}"
-        return YOperator(self.model, _after(self.columns, other.columns), name)
-
-    def equals(self, other):
-        return self.columns == other.columns
-
-    def __repr__(self):
-        return f"<YOperator {self.name} on {self.model.name}>"
-
-
-def operator_sum(model, ops, name):
-    return YOperator(model, _sum((1, op.columns) for op in ops), name)
-
-
-def identity_operator(model):
-    return YOperator(model, {b: {b: 1} for b in model.basis_keys()}, "id")
-
-
-def _combine(terms):
-    """The sparse vector sum of scale * vec over (scale, vec) pairs."""
-    out = {}
-    for scale, vec in terms:
-        for key, c in vec.items():
-            out[key] = out.get(key, 0) + scale * c
-    return {key: c for key, c in out.items() if c}
-
-
-def _apply(f, vec):
-    """The image of a sparse vector under the sparse matrix f, summed in
-    one dict whose zeros are dropped once."""
-    out = {}
-    for key, c in vec.items():
-        col = f.get(key)
-        if col is not None:
-            for b, v in col.items():
-                out[b] = out.get(b, 0) + c * v
-    return out if all(out.values()) else {b: v for b, v in out.items() if v}
-
-
-def _after(f, g):
-    """f after g."""
-    return {b: image for b, col in g.items() if (image := _apply(f, col))}
-
-
-def _sum(terms):
-    """The sum of scale * m over (scale, sparse matrix m) pairs."""
-    cols = {}
-    for scale, m in terms:
-        for b, col in m.items():
-            cols.setdefault(b, []).append((scale, col))
-    return {b: col for b, vecs in cols.items() if (col := _combine(vecs))}
-
-
-def codim_blocks(space, systems):
-    """The codim of every basis key of space, and {name: {p: [column]}}: the
-    columns of each sparse matrix in systems grouped by the codim of their
-    key, once."""
-    codim_of = {b: p for p in range(space.dimension + 1) for b in space.basis_keys(p)}
-    blocks = {name: {} for name in systems}
-    for name, columns in systems.items():
-        for b, col in columns.items():
-            blocks[name].setdefault(codim_of[b], []).append(col)
-    return codim_of, blocks
-
-
-def block_rank(codim_of, by_codim, p):
-    """The rank of block p of one matrix's codim_blocks, laid out on its
-    codim-p rows only: an image component outside codim p never raises it."""
-    block = by_codim.get(p, ())
-    rows = dict.fromkeys(r for col in block for r in col if codim_of[r] == p)
-    return matrix_rank(tuple(tuple(col.get(r, 0) for col in block) for r in rows)) if rows else 0
-
-
-def projector_system_failures(space, systems):
-    """Where {name: sparse matrix} on the basis of space fail to be a complete
-    system of orthogonal idempotents, by failing codim p: ([(k, p)] not
-    idempotent, [(l, k, p)] l after k nonzero, [p] sum not identity).
-
-    Over Q, idempotents summing to the identity are orthogonal: tr P = rank P,
-    so the image ranks add up to dim V and the images' sum is direct.  Pairwise
-    products run only when a square or the sum fails, to name witnesses."""
-    codim_of = {b: p for p in range(space.dimension + 1) for b in space.basis_keys(p)}
-    idem = []
-    for k, f in systems.items():
-        square = _after(f, f)
-        bad = {codim_of[b] for b in square.keys() | f.keys() if square.get(b, {}) != f.get(b, {})}
-        idem += [(k, p) for p in sorted(bad)]
-    total = _sum((1, f) for f in systems.values())
-    complete = sorted({p for b, p in codim_of.items() if total.get(b) != {b: 1}})
-    orth = []
-    if idem or complete:
-        for k, f in systems.items():
-            for l, g in systems.items():
-                if l != k:
-                    orth += [(l, k, p) for p in sorted({codim_of[b] for b in _after(g, f)})]
-    return idem, orth, complete
-
-
 # -- projector family ----------------------------------------------------------
 
 
@@ -600,7 +439,9 @@ class ProjectorFamily:
         model.cycle({g: alpha_g})."""
         model = self.model
         if y.model is not model:
-            raise ValueError("multiply: cycles must live in this model")
+            raise ValueError(
+                f"apply_all_with_coefficients: cycle lives in {y.model.name}, not {model.name}"
+            )
         if self._duals is None:
             self._duals = {g: model.fiber.dual_cell(g).key for g in self.order}
         base, top = model.base, model.fiber.point_cell.key
@@ -633,7 +474,7 @@ class ProjectorFamily:
         return self._sweeps[p]
 
     def peeled_operators(self, maps):
-        """{name: operator} for maps {name: {g: phi_g}}, built in one pass
+        """{name: sparse matrix} for maps {name: {g: phi_g}}, built in one pass
         over the basis sweeps.  The operator named n is y -> sum over g of
         pi^*(phi_g(alpha_g)) * T_g, alpha_g being the peeled coefficient of y
         at T_g; phi_g is a base self-correspondence, or None for the identity.
@@ -654,11 +495,7 @@ class ProjectorFamily:
                         if image.coeffs:
                             col = columns[name].setdefault(b, {})
                             col.update(((g, k), c) for k, c in image.coeffs.items())
-        return {name: YOperator(model, columns[name], str(name)) for name in maps}
-
-    def operator(self, gkey):
-        name = f"rho{tuple(gkey)}"
-        return self.peeled_operators({name: {tuple(gkey): None}})[name]
+        return columns
 
 
 def build_projector_family(model):
@@ -675,9 +512,10 @@ def verify_projector_family(family, samples=100, seed=0):
     section recovery, and the per-codim rank identity.
 
     The operator identities are verified on every module basis element
-    (complete, by linearity) and on seeded random cycles besides.  Each
-    nonzero piece is swept once more; a zero piece is skipped, since its
-    sweep is that of the zero cycle, which is empty by construction.
+    (complete, by linearity) and on seeded random cycles besides.  A basis
+    element's sweep is the family's cached basis_sweep; each nonzero piece
+    is swept once more, and a zero piece is skipped, since its sweep is
+    that of the zero cycle, which is empty by construction.
     """
     from . import sampling
 
@@ -686,9 +524,9 @@ def verify_projector_family(family, samples=100, seed=0):
     basis = model.module_basis()
 
     degree_fail, idem_fail, orth_fail, complete_fail = [], [], [], []
-    for y in basis:
+    for b, y in zip(model.basis_keys(), basis):
         p = y.codim()
-        coeffs = family.apply_all_with_coefficients(y)
+        coeffs = family.basis_sweep(p)[b]
         for g, alpha in coeffs.items():
             piece = model.cycle({g: alpha})
             if piece.codims() != [p]:

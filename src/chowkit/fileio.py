@@ -141,7 +141,10 @@ def _resolve_ring(value, where):
             raise FileFormatError(f"{where}: {value!r} names a model, not a ring")
         return thing
     if isinstance(value, dict):
-        return parse_ring(value, name=value.get("name", where))
+        try:
+            return parse_ring(value, name=value.get("name", where))
+        except FileFormatError as e:
+            raise FileFormatError(f"{where}.{e}") from e
     raise FileFormatError(f"{where}: expected a catalog name or an inline ring")
 
 

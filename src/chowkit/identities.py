@@ -27,7 +27,7 @@ from .correspondences import (
     product_morphism,
     tensor,
 )
-from .fibrations import _after
+from .linalg import after
 from .report import Report
 from .rings import Cycle, external_product, kunneth_product
 from .sampling import random_correspondence, random_cycle, seeded_rng
@@ -254,7 +254,7 @@ def compose_oracle_battery(rings=None, samples=100, seed=0):
                     continue
                 # the action of comp against g's after f's, column by column
                 direct = _action_map(comp)
-                chained = _after(_action_map(g), _action_map(f))
+                chained = after(_action_map(g), _action_map(f))
                 bad = [k for k in direct.keys() | chained.keys() if direct.get(k) != chained.get(k)]
                 if bad:
                     fails.append(f"sample {s}: matrices differ on codim {min(bad)[0]}")

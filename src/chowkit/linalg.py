@@ -1,7 +1,11 @@
 """Small exact linear algebra over Fraction.
 
-Matrices are tuples of row tuples.  Entries are ints or Fractions; nothing
-here ever produces a float.
+Dense matrices are tuples of row tuples.  A sparse matrix is a flat map
+{basis key: nonzero column {basis key: coefficient}} on the basis of a
+FibrationModel or a ChowRing (space.basis_keys(p) lists the codim-p keys);
+a missing key is a zero column, and no column is empty.  Every model
+operator and every cycle projector's action_columns is held this way.
+Entries are ints or Fractions; nothing here ever produces a float.
 """
 
 from __future__ import annotations
@@ -16,12 +20,6 @@ def mat_mul(a, b):
     return tuple(
         tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols) for row in a
     )
-
-
-def transpose(a):
-    if not a:
-        return ()
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
 
 
 def rank(a):
@@ -74,3 +72,86 @@ def invert(a):
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
                 inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
     return tuple(tuple(row) for row in inv)
+
+
+# -- sparse matrices {basis key: nonzero column} --------------------------------
+
+
+def combine(terms):
+    """The sparse vector sum of scale * vec over (scale, vec) pairs."""
+    out = {}
+    for scale, vec in terms:
+        for key, c in vec.items():
+            out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
+
+
+def apply(f, vec):
+    """The image of a sparse vector under the sparse matrix f, summed in
+    one dict whose zeros are dropped once."""
+    out = {}
+    for key, c in vec.items():
+        col = f.get(key)
+        if col is not None:
+            for b, v in col.items():
+                out[b] = out.get(b, 0) + c * v
+    return out if all(out.values()) else {b: v for b, v in out.items() if v}
+
+
+def after(f, g):
+    """The sparse matrix f after g."""
+    return {b: image for b, col in g.items() if (image := apply(f, col))}
+
+
+def matrix_sum(terms):
+    """The sum of scale * m over (scale, sparse matrix m) pairs."""
+    cols = {}
+    for scale, m in terms:
+        for b, col in m.items():
+            cols.setdefault(b, []).append((scale, col))
+    return {b: col for b, vecs in cols.items() if (col := combine(vecs))}
+
+
+def codim_blocks(space, systems):
+    """The codim of every basis key of space, and {name: {p: [column]}}: the
+    columns of each sparse matrix in systems grouped by the codim of their
+    key, once."""
+    codim_of = {b: p for p in range(space.dimension + 1) for b in space.basis_keys(p)}
+    blocks = {name: {} for name in systems}
+    for name, columns in systems.items():
+        for b, col in columns.items():
+            blocks[name].setdefault(codim_of[b], []).append(col)
+    return codim_of, blocks
+
+
+def block_rank(codim_of, by_codim, p):
+    """The rank of block p of one matrix's codim_blocks, laid out on its
+    codim-p rows only: an image component outside codim p never raises it."""
+    block = by_codim.get(p, ())
+    rows = dict.fromkeys(r for col in block for r in col if codim_of[r] == p)
+    return rank(tuple(tuple(col.get(r, 0) for col in block) for r in rows)) if rows else 0
+
+
+def projector_system_failures(space, systems):
+    """Where {name: sparse matrix} on the basis of space fail to be a complete
+    system of orthogonal idempotents, by failing codim p: ([(k, p)] not
+    idempotent, [(l, k, p)] l after k nonzero, [p] sum not identity).
+
+    Over Q, idempotents summing to the identity are orthogonal: tr P = rank P,
+    so the image ranks add up to dim V and the images' sum is direct.  Pairwise
+    products run only when a square or the sum fails, to name witnesses."""
+    codim_of = {b: p for p in range(space.dimension + 1) for b in space.basis_keys(p)}
+    idem = []
+    for k, f in systems.items():
+        square = after(f, f)
+        bad = {codim_of[b] for b in square.keys() | f.keys() if square.get(b, {}) != f.get(b, {})}
+        idem += [(k, p) for p in sorted(bad)]
+    total = matrix_sum((1, f) for f in systems.values())
+    complete = sorted({p for b, p in codim_of.items() if total.get(b) != {b: 1}})
+    orth = []
+    if idem or complete:
+        for k, f in systems.items():
+            for l, g in systems.items():
+                if l != k:
+                    orth += [(l, k, p) for p in sorted({codim_of[b] for b in after(g, f)})]
+    return idem, orth, complete

@@ -17,13 +17,8 @@ from .correspondences import (
     diagonal,
     dual_basis_cycles,
 )
-from .fibrations import (
-    block_rank,
-    build_projector_family,
-    codim_blocks,
-    projector_system_failures,
-)
-from .linalg import rank as matrix_rank
+from .fibrations import build_projector_family
+from .linalg import block_rank, codim_blocks, projector_system_failures, rank
 from .report import Report
 from .rings import RATIONAL, Cycle, external_product, kunneth_product
 
@@ -44,7 +39,7 @@ class Motive:
         self.name = name or f"({ring.name}, p)"
 
     def piece_rank(self, p):
-        return matrix_rank(self.projector.matrix(p))
+        return rank(self.projector.matrix(p))
 
     def __repr__(self):
         return f"<Motive {self.name}>"
@@ -176,7 +171,7 @@ class ModelMotiveDecomposition:
 
     def __init__(self, model, pieces, rank_table, report):
         self.model = model
-        self.pieces = pieces  # (label, codim, YOperator)
+        self.pieces = pieces  # (label, codim, sparse matrix)
         self.rank_table = rank_table  # codim -> piece count
         self.report = report  # the verified checks; the table lists the pieces
 
@@ -204,11 +199,10 @@ def decompose_model(model):
         for cell, bp in zip(model.base.cells, base_ps):
             label = f"(T[{gen_label}], {cell.label})"
             maps[label], codims[label] = {g: bp}, g[0] + cell.codim
-    ops = build_projector_family(model).peeled_operators(maps)
-    pieces = [(label, codims[label], op) for label, op in ops.items()]
+    columns = build_projector_family(model).peeled_operators(maps)
+    pieces = [(label, codims[label], m) for label, m in columns.items()]
 
     report = Report("projector-system", model.name)
-    columns = {label: op.columns for label, _, op in pieces}
     idem, orth, complete = projector_system_failures(model, columns)
     report.add("idempotence", [f"piece {k} is not idempotent on codim {p}" for k, p in idem])
     report.add("pairwise orthogonality", [

@@ -23,14 +23,14 @@ from .correspondences import (
     tensor,
     zero_correspondence,
 )
-from .fibrations import (
-    _after,
-    _combine,
-    ambient_extend,
+from .fibrations import ambient_extend, build_projector_family
+from .linalg import (
+    after,
+    apply,
     block_rank,
-    build_projector_family,
     codim_blocks,
-    operator_sum,
+    combine,
+    matrix_sum,
     projector_system_failures,
 )
 from .motives import fiber_projectors
@@ -47,7 +47,8 @@ class CKDecomposition:
 
     The kind follows the space.  On a ChowRing it is "cycle": each projector
     is a degree-0 self-correspondence of the ring.  On a fibration model it
-    is "operator": each projector is a YOperator on the model.
+    is "operator": each projector is a sparse matrix (see linalg) whose
+    column and row keys are all basis keys of the model.
     """
 
     def __init__(self, space, projectors, name="", report=None):
@@ -57,15 +58,17 @@ class CKDecomposition:
         expected = set(range(2 * space.dimension + 1))
         if set(projectors) != expected:
             raise ValueError("projectors must cover every degree 0..2*dim exactly once")
+        keys = set(space.basis_keys()) if self.kind == "operator" else None
         for k, p in projectors.items():
-            if self.kind == "cycle":
-                if p.source is not self.space or p.target is not self.space:
-                    raise ValueError(f"projector {k} is not a self-correspondence")
-                if not p.is_zero() and p.offset != 0:
-                    raise ValueError(f"projector {k} has nonzero degree")
-            else:
-                if p.model is not self.space:
-                    raise ValueError(f"projector {k} lives on the wrong model")
+            if keys is not None:
+                # every column key and every row key is a basis key of the model
+                stray = next((r for b, col in p.items() for r in (b, *col) if r not in keys), None)
+                if stray is not None:
+                    raise ValueError(f"projector {k} has key {stray!r} outside the basis of {space.name}")
+            elif p.source is not self.space or p.target is not self.space:
+                raise ValueError(f"projector {k} is not a self-correspondence")
+            elif not p.is_zero() and p.offset != 0:
+                raise ValueError(f"projector {k} has nonzero degree")
         self.name = name or f"CK({space.name})"
 
     @property
@@ -83,7 +86,7 @@ class CKDecomposition:
         """{degree: sparse matrix}; a cycle projector is read through its action."""
         if self.kind == "cycle":
             return {k: action_columns(p) for k, p in self.projectors.items()}
-        return {k: op.columns for k, op in self.projectors.items()}
+        return self.projectors
 
 
 # -- verification --------------------------------------------------------------
@@ -242,7 +245,7 @@ def lift_ck(model, base_ck=None, validate=True):
             raise ValueError("base decomposition fails:\n" + "\n".join(pre.lines()))
         blocks = _lift_blocks(build_projector_family(model), base_ck)
     projs = {
-        k: operator_sum(model, [op for (i, j), op in blocks.items() if i + j == k], f"Pi_{k}")
+        k: matrix_sum((1, m) for (i, j), m in blocks.items() if i + j == k)
         for k in range(2 * model.dimension + 1)
     }
     ck = CKDecomposition(model, projs, name=f"lifted CK of {model.name}")
@@ -262,8 +265,8 @@ def verify_block_diagonality(model, samples=20, seed=0):
     composes to exactly zero; the diagonal pair is always applied."""
     blocks = lifted_blocks(model)
     owners = {}  # basis key -> the blocks with a nonzero column there
-    for key, op in blocks.items():
-        for b in op.columns:
+    for key, m in blocks.items():
+        for b in m:
             owners.setdefault(b, []).append(key)
     rng = seeded_rng(seed)
     failures = []
@@ -272,13 +275,13 @@ def verify_block_diagonality(model, samples=20, seed=0):
         terms = {}
         for (g, k), c in y.items():
             for key in owners.get((g, k), ()):
-                terms.setdefault(key, []).append((c, blocks[key].columns[g, k]))
+                terms.setdefault(key, []).append((c, blocks[key][g, k]))
         failed = []
         for key in blocks:
-            img = _combine(terms.get(key, ()))
+            img = combine(terms.get(key, ()))
             for key2 in {key}.union(*(owners.get(b, ()) for b in img)):
                 want = img if key2 == key else {}
-                if blocks[key2].apply_vector(img) != want:
+                if apply(blocks[key2], img) != want:
                     failed.append((key2, key))
         failures += [
             f"sample {s}: block {key2} after block {key} is not "
@@ -352,21 +355,21 @@ def verify_motive_isomorphism(model):
 
     def intertwines(what, lhs, rhs):
         """F lhs = rhs F, compared on the module basis."""
-        return _first_difference(what, _after(F, lhs), _after(rhs, F), keys)
+        return _first_difference(what, after(F, lhs), after(rhs, F), keys)
 
     report = Report("projector-family", f"h({model.name}) = h({base.name}) x h({fiber.name})")
     report.add("B F = id (completeness)", _first_difference(
-        "B F and id", _after(B, F), {b: {b: 1} for b in keys}, keys), len(keys))
+        "B F and id", after(B, F), {b: {b: 1} for b in keys}, keys), len(keys))
     report.add("F B = id (coordinate projection)", _first_difference(
-        "F B and id", _after(F, B), {c: {c: 1} for c in cells}, cells), len(cells))
+        "F B and id", after(F, B), {c: {c: 1} for c in cells}, cells), len(cells))
     report.add("F Pi_k = pi_k F (lifted vs cellular CK)", [
         fail for k in Pi
-        for fail in intertwines(f"degree {k}", Pi[k].columns, action_columns(pi[k]))
+        for fail in intertwines(f"degree {k}", Pi[k], action_columns(pi[k]))
     ], len(Pi))
     report.add("F rho_g = (Delta_X x p_g) F (peeled vs cell projectors)", [
         fail for g in model.generators
         for fail in intertwines(
-            f"generator {g}", rho[g].columns, action_columns(tensor(delta, cell_projectors[g]))
+            f"generator {g}", rho[g], action_columns(tensor(delta, cell_projectors[g]))
         )
     ], len(model.generators))
     return report

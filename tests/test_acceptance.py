@@ -40,7 +40,7 @@ from chowkit import (
     verify_projector_family,
 )
 from chowkit.correspondences import act
-from chowkit.fibrations import _after
+from chowkit.linalg import after
 from chowkit.sampling import random_cycle, seeded_rng
 from chowkit.schubert import lr_product, partitions_in_box, pieri_product
 
@@ -207,7 +207,7 @@ def test_criterion_07_motive_isomorphism():
     forward, backward = transport(maps[h0]), transport(maps[h2])
     ident = {b: {b: 1} for b in h0.basis_keys()}
     assert set(h0.basis_keys()) == set(h2.basis_keys())
-    assert _after(backward, forward) == ident and _after(forward, backward) == ident
+    assert after(backward, forward) == ident and after(forward, backward) == ident
 
 
 def test_criterion_08_composition_identities():

@@ -15,8 +15,7 @@ from test_failure_rendering import off_codim_image, perturbed_pi2
 
 from chowkit import lift_ck, verify_action_window
 from chowkit.catalog import standard_models
-from chowkit.fibrations import block_rank, codim_blocks
-from chowkit.linalg import rank
+from chowkit.linalg import block_rank, codim_blocks, rank
 
 
 def dense_rank(space, columns, j):
@@ -29,9 +28,9 @@ def dense_rank(space, columns, j):
 
 def assert_window_matches(ck):
     ranks = verify_action_window(ck).table["ranks"]
-    for k, op in ck.projectors.items():
+    for k, m in ck.projectors.items():
         for j in range(ck.space.dimension + 1):
-            want = dense_rank(ck.space, op.columns, j)
+            want = dense_rank(ck.space, m, j)
             assert ranks[k, j] == want, f"block ({k}, {j}) of {ck.name}"
 
 

@@ -159,6 +159,25 @@ def test_dimension_beyond_the_cells_is_a_parse_error(capsys, tmp_path, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("side", ["base", "fiber"])
+def test_inline_ring_errors_name_their_side(capsys, tmp_path, side):
+    ring = p1_doc()
+    del ring["cells"][1]["label"]
+    ring["products"] = [{"left_label": "h", "right_label": "x", "result": []}]
+    doc = {"base": "p1", "fiber": "p1", "kind": "trivial"}
+    doc[side] = ring
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--fibration-file", str(bad), "--suite", "pairing")
+    assert code == 2 and out == ""
+    assert f"fibration.{side}.cells[1]: missing field 'label'" in err and "Traceback" not in err
+    ring["cells"][1]["label"] = "h"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--fibration-file", str(bad), "--suite", "pairing")
+    assert code == 2 and out == ""
+    assert f"fibration.{side}.products[0].right_label: unknown cell 'x'" in err
+
+
 def test_invalid_ring_math_is_a_validation_error(capsys, tmp_path):
     doc = {
         "dimension": 1,

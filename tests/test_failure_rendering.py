@@ -26,7 +26,6 @@ from chowkit import (
     decompose_motive,
     duality_report,
     hirzebruch,
-    identity_operator,
     lift_ck,
     manin_battery,
     point,
@@ -43,6 +42,7 @@ from chowkit import identities, motives
 from chowkit.cli import main
 from chowkit.fibrations import ProjectorFamily
 from chowkit.fileio import parse_ring
+from chowkit.linalg import matrix_sum
 from chowkit.motives import fiber_projectors
 from chowkit.murre import cellular_ck
 
@@ -111,7 +111,7 @@ def swapped(projs):
 def perturbed_pi2():
     model = hirzebruch(1)
     ck = lift_ck(model, validate=False)
-    cols = ck.projectors[2].columns
+    cols = ck.projectors[2]
     col = cols[next(b for b in model.basis_keys(1) if b in cols)]
     col[next(iter(col))] += 1
     return ck
@@ -121,7 +121,7 @@ def off_codim_image():
     model = hirzebruch(1)
     ck = lift_ck(model, validate=False)
     (b,) = model.basis_keys(0)
-    ck.projectors[0].columns[b][model.basis_keys(1)[0]] = 1
+    ck.projectors[0][b][model.basis_keys(1)[0]] = 1
     return ck
 
 
@@ -174,7 +174,8 @@ def case_block_diagonality(mp):
     def perturbed(family, maps):
         ops = build(family, maps)
         if (0, 0) in ops:
-            ops[0, 0] = ops[0, 0] + identity_operator(family.model)
+            ident = {b: {b: 1} for b in family.model.basis_keys()}
+            ops[0, 0] = matrix_sum(((1, ops[0, 0]), (1, ident)))
         return ops
 
     model = hirzebruch(1)
@@ -203,7 +204,7 @@ def case_decompose_model(mp):
     def doubled(family, maps):
         ops = build(family, maps)
         if "(T[h], 1)" in ops:
-            ops["(T[h], 1)"] = ops["(T[h], 1)"] + ops["(T[h], 1)"]
+            ops["(T[h], 1)"] = matrix_sum(((2, ops["(T[h], 1)"]),))
         return ops
 
     mp.setattr(ProjectorFamily, "peeled_operators", doubled)

@@ -7,13 +7,11 @@ import pytest
 from chowkit import (
     FiberedCycle,
     FibrationModel,
-    YOperator,
     ambient_extend,
     build_projector_family,
     duality_report,
     duality_triple,
     external_product,
-    identity_operator,
     kunneth_product,
     manin_battery,
     trivial_fibration,
@@ -24,7 +22,6 @@ from chowkit import (
 from chowkit.catalog import (
     grassmannian,
     hirzebruch,
-    product_model,
     projective_space,
 )
 from chowkit.sampling import random_cycle, random_fibered_cycle, seeded_rng
@@ -267,18 +264,6 @@ def test_fibration_model_structural_errors():
                 ((2, 1), (1, 1)): {(1, 1): p1.cycle({"h": 1})},
             },
         )
-
-
-def test_y_operator_algebra():
-    m = hirzebruch(1)
-    ident = identity_operator(m)
-    zero = YOperator(m, {})
-    xi_mult = build_projector_family(m).operator((1, 1))
-    assert (ident - ident).equals(zero)
-    assert (ident @ ident).equals(ident)
-    assert (xi_mult @ xi_mult).equals(xi_mult)  # projectors idempotent
-    with pytest.raises(ValueError):
-        ident(product_model(projective_space(1), projective_space(1)).unit())
 
 
 def test_projector_family_order_and_pieces():

@@ -128,9 +128,11 @@ def test_parse_fibration_checks_its_name():
         parse_fibration(doc)
     with pytest.raises(FileFormatError, match=r"^fibration\.name: "):
         parse_fibration({"base": "p1", "fiber": "p1", "kind": "trivial", "name": 7})
-    # an inline ring's name is checked as that ring's
+    # an inline ring's name is checked as that ring's, located on its side
     inline = {"base": "p1", "fiber": dict(p2_doc(), name=3), "kind": "trivial"}
-    with pytest.raises(FileFormatError, match=r"^ring\.name: expected <class 'str'>, got int$"):
+    with pytest.raises(
+        FileFormatError, match=r"^fibration\.fiber\.ring\.name: expected <class 'str'>, got int$"
+    ):
         parse_fibration(inline)
     doc["name"] = "twisted plane"
     assert parse_fibration(doc).name == "twisted plane"

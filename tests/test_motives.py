@@ -22,6 +22,7 @@ from chowkit import (
 )
 from chowkit import correspondences
 from chowkit.correspondences import act
+from chowkit.linalg import apply, combine
 
 
 def test_fiber_projectors_are_rank_one():
@@ -150,12 +151,10 @@ def test_decompose_model_pieces_act_as_projections():
     dec = decompose_model(m)
     ops = {label: op for label, _, op in dec.pieces}
     y = m.cycle({(0, 1): m.base.cycle({"1": 3, "h": 5}), (1, 1): m.base.cycle({"1": 7, "h": 2})})
-    total = m.zero()
-    for op in ops.values():
-        total = total + op(y)
-    assert total == y
-    piece = ops["(T[h], 1)"](y)
-    assert piece == m.cycle({(1, 1): 7 * m.base.unit()})
+    vec = y.vector()
+    assert combine((1, apply(op, vec)) for op in ops.values()) == vec
+    piece = apply(ops["(T[h], 1)"], vec)
+    assert piece == m.cycle({(1, 1): 7 * m.base.unit()}).vector()
 
 
 def test_decompose_model_product():

@@ -3,7 +3,7 @@ routes they replaced, kept here as references.
 
 ``correspondence_from_action``, ``MorphismData.pullback`` and
 ``pushforward`` add every term into one dict; ``_action_map`` and
-``fibrations._apply`` accumulate in place and drop zeros once;
+``linalg.apply`` accumulate in place and drop zeros once;
 ``random_cycle`` draws with ``randrange``.  Results must agree with the old
 routes entry by entry, coefficient types and modes included.
 """
@@ -26,7 +26,7 @@ from chowkit import (
 )
 from chowkit.catalog import linear_embedding
 from chowkit.correspondences import Correspondence, _action_map, _demote, identity_morphism
-from chowkit.fibrations import _after, _apply, _combine
+from chowkit.linalg import after, apply, combine
 from chowkit.identities import standard_morphisms
 from chowkit.rings import INTEGER, RATIONAL, BasisCell, ChowRing, Cycle
 from test_kernels import REBASED
@@ -179,12 +179,12 @@ def test_apply_drops_cancelled_terms():
     f = {"x": {"b": 1}, "y": {"b": 1, "c": 2}, "z": {"b": Fraction(1, 2)}}
     vecs = [{"x": 1, "y": -1}, {"x": 1, "z": -2}, {"x": 2, "y": 1}, {"w": 5}, {}, {"y": Fraction(1, 2)}]
     for vec in vecs:
-        got = _apply(f, vec)
-        assert got == _combine((c, f[k]) for k, c in vec.items() if k in f)
+        got = apply(f, vec)
+        assert got == combine((c, f[k]) for k, c in vec.items() if k in f)
         assert all(got.values())
-    assert _apply(f, {"x": 1, "z": -2}) == {}
+    assert apply(f, {"x": 1, "z": -2}) == {}
     # a column whose image cancels leaves no empty column after composition
-    assert _after(f, {"p": {"x": 1, "z": -2}, "q": {"y": 1}}) == {"q": {"b": 1, "c": 2}}
+    assert after(f, {"p": {"x": 1, "z": -2}, "q": {"y": 1}}) == {"q": {"b": 1, "c": 2}}
 
 
 def test_random_cycle_draws_as_randint():

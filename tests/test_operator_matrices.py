@@ -10,14 +10,12 @@ shown to fail on perturbed operators.
 import pytest
 
 from chowkit import (
-    YOperator,
     ambient_extend,
     build_projector_family,
     cellular_ck,
     decompose_model,
     diagonal,
     hirzebruch,
-    identity_operator,
     lift_base_correspondence,
     lift_ck,
     lifted_blocks,
@@ -26,11 +24,13 @@ from chowkit import (
     projective_space,
     verify_block_diagonality,
     verify_ck,
+    verify_projector_family,
 )
 from chowkit import murre
 from chowkit.catalog import standard_models
 from chowkit.fibrations import ProjectorFamily
 from chowkit.correspondences import act
+from chowkit.linalg import apply, matrix_sum
 from chowkit.motives import fiber_projectors
 from chowkit.sampling import random_fibered_cycle, seeded_rng
 from test_peeling_sweep import bundle_over_gr24
@@ -93,7 +93,7 @@ def test_matrices_match_the_closure_route(model):
     ys = inputs(model)
     pairs = []
     for i, j in grid(model):
-        op = blocks.get((i, j), YOperator(model, {}))
+        op = blocks.get((i, j), {})
         pairs.append((f"block ({i}, {j})", op, reference_block(model, base_ck, i, j)))
     lifted = lift_ck(model)
     for k in range(2 * model.dimension + 1):
@@ -107,13 +107,14 @@ def test_matrices_match_the_closure_route(model):
         pairs.append((f"piece {label}", op, reference_peel(model, family, {g: bp})))
     for name, op, ref in pairs:
         for n, y in enumerate(ys):
-            assert op(y) == ref(y), f"{name} differs on input {n} of {model.name}"
+            got = apply(op, y.vector())
+            assert got == ref(y).vector(), f"{name} differs on input {n} of {model.name}"
 
 
 # -- the per-operator walk, kept here as the reference --------------------------
 
 
-def walked_operator(family, phis, name):
+def walked_operator(family, phis):
     """One walk of every basis sweep for one operator: y -> sum over g in phis
     of pi^*(phi_g(alpha_g)) * T_g, phi_g None being the identity."""
     columns = {}
@@ -126,7 +127,7 @@ def walked_operator(family, phis, name):
                 col.update(((g, k), c) for k, c in image.coeffs.items())
             if col:
                 columns[b] = col
-    return YOperator(family.model, columns, name)
+    return columns
 
 
 def walked_block(model, base_ck, i, j):
@@ -135,17 +136,17 @@ def walked_block(model, base_ck, i, j):
     phi = base_ck.projectors[i]
     slots = [g for g in model.generators if g[0] == j // 2]
     if j % 2 or phi.is_zero() or not slots:
-        return YOperator(model, {})
+        return {}
     family = build_projector_family(model)
-    return walked_operator(family, dict.fromkeys(slots, phi), f"lift_{j}")
+    return walked_operator(family, dict.fromkeys(slots, phi))
 
 
 def walked_projector(model, base_ck, k):
     """Pi_k as the block sum from a zero operator."""
-    op = YOperator(model, {})
+    op = {}
     for i, j in grid(model):
         if i + j == k:
-            op = op + walked_block(model, base_ck, i, j)
+            op = matrix_sum(((1, op), (1, walked_block(model, base_ck, i, j))))
     return op
 
 
@@ -157,24 +158,25 @@ def test_one_pass_matches_the_per_operator_walk(model):
         want = walked_block(model, base_ck, i, j)
         got = blocks.get((i, j))
         if got is None:
-            assert not want.columns
+            assert not want
         else:
-            assert got.equals(want), f"block ({i}, {j}) of {model.name}"
+            assert got == want, f"block ({i}, {j}) of {model.name}"
     lifted = lift_ck(model)
     for k in range(2 * model.dimension + 1):
-        assert lifted.projectors[k].equals(walked_projector(model, base_ck, k)), f"Pi_{k}"
+        assert lifted.projectors[k] == walked_projector(model, base_ck, k), f"Pi_{k}"
     family = build_projector_family(model)
     dec = decompose_model(model)
     expected = [(g, bp) for g in model.generators for bp in fiber_projectors(model.base)]
     for (label, _, op), (g, bp) in zip(dec.pieces, expected):
-        assert op.equals(walked_operator(family, {g: bp}, label)), f"piece {label}"
+        assert op == walked_operator(family, {g: bp}), f"piece {label}"
+    rho = family.peeled_operators({g: {g: None} for g in model.generators})
     for g in model.generators:
-        assert family.operator(g).equals(walked_operator(family, {g: None}, "rho"))
+        assert rho[g] == walked_operator(family, {g: None}), f"rho{g}"
     d = diagonal(model.base)
     for j in range(2 * model.fiber.dimension + 2):
         slots = {g: d for g in model.generators if 2 * g[0] == j}  # none for odd j
         got = lift_base_correspondence(model, d, j)
-        assert got.equals(walked_operator(family, slots, "lift")), f"lift_{j}"
+        assert got == walked_operator(family, slots), f"lift_{j}"
 
 
 def fresh_model():
@@ -220,7 +222,15 @@ def test_one_family_serves_every_operator_of_a_model(monkeypatch):
     assert verify_block_diagonality(model).passed
     decompose_model(model)
     lift_base_correspondence(model, diagonal(model.base), 2)
-    assert len(calls) == len(model.module_basis())
+    n = len(model.module_basis())
+    assert len(calls) == n
+    # the verifier reads the cached basis sweeps, and sweeps each nonzero piece
+    # and each random sample once
+    family = build_projector_family(model)
+    sweeps = [s for p in range(model.dimension + 1) for s in family.basis_sweep(p).values()]
+    pieces = sum(map(len, sweeps))
+    assert verify_projector_family(family, samples=3).passed
+    assert len(calls) == n + pieces + 3 and pieces == n
 
 
 def test_blocks_are_built_once_per_model(monkeypatch):
@@ -236,18 +246,15 @@ def test_blocks_are_built_once_per_model(monkeypatch):
     assert base_checks == [model.base]  # the base's cellular CK is built and checked once
     assert build_projector_family(model).blocks is lifted_blocks(model)
     # each lift sums the kept blocks into fresh matrices
-    assert first.projectors[2].equals(second.projectors[2])
-    assert first.projectors[2].columns is not second.projectors[2].columns
+    assert first.projectors[2] == second.projectors[2]
+    assert first.projectors[2] is not second.projectors[2]
     decompose_model(model)
     assert len(builds) == 2 and len(builds[1]) == len(model.module_basis())
 
 
 def count_products(monkeypatch):
     calls = []
-    apply = YOperator.apply_vector
-    monkeypatch.setattr(
-        YOperator, "apply_vector", lambda op, vec: calls.append(op) or apply(op, vec)
-    )
+    monkeypatch.setattr(murre, "apply", lambda op, vec: calls.append(op) or apply(op, vec))
     return calls
 
 
@@ -259,13 +266,13 @@ def count_products(monkeypatch):
 def test_block_products_stay_within_the_touched_pairs(model, monkeypatch):
     blocks = lifted_blocks(model)
     owners = {}
-    for key, op in blocks.items():
-        for b in op.columns:
+    for key, m in blocks.items():
+        for b in m:
             owners.setdefault(b, set()).add(key)
     # every block a block's image can reach, plus the block itself
     bound = sum(
-        len({key}.union(*(owners.get(r, ()) for col in op.columns.values() for r in col)))
-        for key, op in blocks.items()
+        len({key}.union(*(owners.get(r, ()) for col in m.values() for r in col)))
+        for key, m in blocks.items()
     )
     samples = 3
     calls = count_products(monkeypatch)
@@ -295,7 +302,7 @@ def conditions(report):
 def test_verify_ck_catches_a_perturbed_entry():
     model = hirzebruch(1)
     ck = lift_ck(model, validate=False)
-    cols = ck.projectors[2].columns
+    cols = ck.projectors[2]
     col = cols[next(b for b in model.basis_keys(1) if b in cols)]
     col[next(iter(col))] += 1
     status = conditions(verify_ck(ck))
@@ -311,7 +318,7 @@ def test_verify_ck_catches_an_off_codim_image():
     ck = lift_ck(model, validate=False)
     (b,) = model.basis_keys(0)
     stray = model.basis_keys(1)[0]
-    ck.projectors[0].columns[b][stray] = 1
+    ck.projectors[0][b][stray] = 1
     report = verify_ck(ck)
     assert not report.passed
     assert conditions(report)["grading (projectors preserve codimension)"] == (
@@ -325,7 +332,8 @@ def test_block_diagonality_catches_a_perturbed_block(monkeypatch):
     def perturbed(family, maps):
         ops = build(family, maps)
         if (0, 0) in ops:
-            ops[0, 0] = ops[0, 0] + identity_operator(family.model)
+            ident = {b: {b: 1} for b in family.model.basis_keys()}
+            ops[0, 0] = matrix_sum(((1, ops[0, 0]), (1, ident)))
         return ops
 
     model = hirzebruch(1)
@@ -346,7 +354,7 @@ def test_decompose_model_catches_a_perturbed_piece(monkeypatch):
     def perturbed(family, maps):
         ops = build(family, maps)
         if "(T[h], 1)" in ops:
-            ops["(T[h], 1)"] = ops["(T[h], 1)"] + ops["(T[h], 1)"]
+            ops["(T[h], 1)"] = matrix_sum(((2, ops["(T[h], 1)"]),))
         return ops
 
     monkeypatch.setattr(ProjectorFamily, "peeled_operators", perturbed)

@@ -45,6 +45,10 @@ def reference_sweep(family, y):
     """The sweep through two full model products per generator, returning
     the nonzero coefficients; each product piece must be the cycle {g: alpha}."""
     model = family.model
+    if y.model is not model:
+        raise ValueError(
+            f"apply_all_with_coefficients: cycle lives in {y.model.name}, not {model.name}"
+        )
     residual = y
     out = {}
     for g in family.order:
@@ -138,7 +142,9 @@ def test_sweep_through_unpeeled_generators():
 def test_sweep_refuses_a_cycle_of_another_model():
     family = ProjectorFamily(hirzebruch(1))
     for sweep in (ProjectorFamily.apply_all_with_coefficients, reference_sweep):
-        with pytest.raises(ValueError, match=r"^multiply: cycles must live in this model$"):
+        with pytest.raises(ValueError, match=(
+            r"^apply_all_with_coefficients: cycle lives in hirzebruch\(2\), not hirzebruch\(1\)$"
+        )):
             sweep(family, hirzebruch(2).unit())
 
 

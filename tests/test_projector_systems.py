@@ -28,12 +28,11 @@ from chowkit import (
     verify_projector_system,
     zero_correspondence,
 )
-from chowkit import fibrations
+from chowkit import linalg
 from chowkit.catalog import standard_rings
 from chowkit.correspondences import Correspondence, action_columns, compose
-from chowkit.fibrations import projector_system_failures
 from chowkit.fileio import parse_ring
-from chowkit.linalg import invert, mat_mul
+from chowkit.linalg import invert, mat_mul, projector_system_failures
 from chowkit.motives import fiber_projectors
 
 RINGS = standard_rings() + [kunneth_product(projective_space(1), grassmannian(2, 4))]
@@ -242,13 +241,13 @@ def test_random_systems_agree_with_the_pairwise_loop():
 
 def count_products(monkeypatch):
     calls = {"squarings": 0, "pairwise": 0}
-    after = fibrations._after
+    after = linalg.after
 
     def counted(f, g):
         calls["squarings" if f is g else "pairwise"] += 1
         return after(f, g)
 
-    monkeypatch.setattr(fibrations, "_after", counted)
+    monkeypatch.setattr(linalg, "after", counted)
     return calls
 
 

@@ -103,11 +103,12 @@ def test_kunneth_coordinates_roundtrip(data):
     ring, cyc = data
     model = trivial_fibration(ring, P1)
     product = kunneth_product(ring, P1)
-    vec = {}
+    parts = {}
     for key, c in cyc.coeffs.items():
         a, g = product._key_to_pair[key]
-        vec[g.key, a.key] = c
-    coeffs = build_projector_family(model).apply_all_with_coefficients(model.from_vector(vec))
+        parts.setdefault(g.key, {})[a.key] = c
+    y = model.cycle({g: ring.cycle(cs) for g, cs in parts.items()})
+    coeffs = build_projector_family(model).apply_all_with_coefficients(y)
     back = {product._pair_to_key[k, g]: c for g, a in coeffs.items() for k, c in a.coeffs.items()}
     assert back == cyc.coeffs
 

@@ -13,7 +13,6 @@ from chowkit import (
     ambient_extend,
     cellular_ck,
     decompose_model,
-    identity_operator,
     lift_ck,
     lifted_blocks,
     projective_space,
@@ -21,7 +20,7 @@ from chowkit import (
 from chowkit import linalg
 from chowkit.catalog import resolve, standard_models, standard_rings
 from chowkit.correspondences import action_columns
-from chowkit.fibrations import operator_sum
+from chowkit.linalg import after, matrix_sum
 from chowkit.motives import fiber_projectors
 
 MODELS = standard_models() + [ambient_extend(m, projective_space(1)) for m in standard_models()]
@@ -39,23 +38,24 @@ def assert_sparse(keys, columns, what):
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
 def test_no_model_operator_holds_an_empty_column(model):
     keys = set(model.basis_keys())
-    ops = {f"block {key}": op for key, op in lifted_blocks(model).items()}
+    ops = {f"block {key}": m for key, m in lifted_blocks(model).items()}
     pis = lift_ck(model).projectors
-    ops.update((f"Pi_{k}", op) for k, op in pis.items())
-    ops.update((f"piece {label}", op) for label, _, op in decompose_model(model).pieces)
+    ops.update((f"Pi_{k}", m) for k, m in pis.items())
+    ops.update((f"piece {label}", m) for label, _, m in decompose_model(model).pieces)
     for k in range(len(pis) - 1):
-        ops[f"Pi_{k} + Pi_{k + 1}"] = pis[k] + pis[k + 1]
-        ops[f"Pi_{k} - Pi_{k}"] = pis[k] - pis[k]
-        ops[f"Pi_{k} @ Pi_{k}"] = pis[k] @ pis[k]
-        ops[f"Pi_{k} @ Pi_{k + 1}"] = pis[k] @ pis[k + 1]
-    total = operator_sum(model, pis.values(), "sum")
+        ops[f"Pi_{k} + Pi_{k + 1}"] = matrix_sum(((1, pis[k]), (1, pis[k + 1])))
+        ops[f"Pi_{k} - Pi_{k}"] = matrix_sum(((1, pis[k]), (-1, pis[k])))
+        ops[f"Pi_{k} @ Pi_{k}"] = after(pis[k], pis[k])
+        ops[f"Pi_{k} @ Pi_{k + 1}"] = after(pis[k], pis[k + 1])
+    total = matrix_sum((1, m) for m in pis.values())
+    identity = {b: {b: 1} for b in model.basis_keys()}
     ops["sum of Pi_k"] = total
-    ops["id - sum of Pi_k"] = identity_operator(model) - total
-    for what, op in ops.items():
-        assert_sparse(keys, op.columns, f"{what} on {model.name}")
+    ops["id - sum of Pi_k"] = matrix_sum(((1, identity), (-1, total)))
+    for what, m in ops.items():
+        assert_sparse(keys, m, f"{what} on {model.name}")
     # zero results hold no column at all
-    assert not ops["Pi_0 - Pi_0"].columns and not ops["id - sum of Pi_k"].columns
-    assert total.equals(identity_operator(model))
+    assert ops["Pi_0 - Pi_0"] == {} and ops["id - sum of Pi_k"] == {}
+    assert total == identity
 
 
 @pytest.mark.parametrize("ring", standard_rings(), ids=lambda r: r.name)
