@@ -87,7 +87,7 @@ class Correspondence:
             offset = cs[0] - source.dimension if len(cs) == 1 else None
         elif offset is not None:
             want = source.dimension + offset
-            if any(p != want for p in cycle.codims()):
+            if any(p != want for p, _ in cycle.coeffs):
                 raise ValueError(f"cycle is not homogeneous of codim {want}")
         self.source = source
         self.target = target
@@ -292,7 +292,7 @@ def multiplication_correspondence(ring, alpha):
     if len(cs) <= 1:
         offset = cs[0] if cs else 0
         return correspondence_from_action(
-            ring, ring, lambda cell: ring.multiply(alpha, ring.basis_cycle(cell)), offset
+            ring, ring, lambda cell: ring.multiply(alpha, Cycle(ring, {cell.key: 1})), offset
         )
     # inhomogeneous multiplier: sum the homogeneous pieces
     total = zero_correspondence(ring, ring)

@@ -237,6 +237,7 @@ class ChowRing:
         self._pairings = {}  # codim p -> pairing_matrix(p)
         self._duals = {}  # codim p -> correspondences.dual_basis_cycles(self, p)
         self._partners = {}  # cell key -> partners(key)
+        self._basis_keys = {}  # codim p, or None for all -> basis_keys(p)
         self._kunneth = {}  # right factor -> kunneth_product(self, right)
         if validate:
             self._validate_associativity()
@@ -362,8 +363,14 @@ class ChowRing:
     def rank(self, p):
         return len(self._by_codim.get(p, ()))
 
-    def basis_keys(self, p):
-        return tuple(c.key for c in self._by_codim.get(p, ()))
+    def basis_keys(self, p=None):
+        """The keys of the codim-p cells, or of every cell when p is None,
+        in cell order; kept."""
+        keys = self._basis_keys.get(p)
+        if keys is None:
+            cells = self.cells if p is None else self._by_codim.get(p, ())
+            keys = self._basis_keys[p] = tuple(c.key for c in cells)
+        return keys
 
     def basis_cycle(self, spec, mode=INTEGER):
         return Cycle(self, {self.cell(spec).key: 1}, mode)

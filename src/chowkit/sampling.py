@@ -19,10 +19,9 @@ def seeded_rng(seed):
 
 def random_cycle(rng, ring, bound=10, codim=None, mode=INTEGER):
     """A random cycle, homogeneous of the given codim when one is passed."""
-    cells = ring.cells if codim is None else ring.cells_of_codim(codim)
     # randint(a, b) is randrange(a, b + 1): the same draws, one call fewer
-    coeffs = {c.key: rng.randrange(-bound, bound + 1) for c in cells}
-    return Cycle(ring, coeffs, mode)
+    draw, top = rng.randrange, bound + 1
+    return Cycle(ring, {k: draw(-bound, top) for k in ring.basis_keys(codim)}, mode)
 
 
 def random_fibered_cycle(rng, model, bound=10, codim=None):

@@ -108,6 +108,20 @@ def test_correspondence_offset_inference():
         Correspondence(p1, p1, p1.unit())
 
 
+def test_declared_offset_refuses_a_cycle_off_its_codim():
+    p1, p2 = projective_space(1), projective_space(2)
+    ring = kunneth_product(p1, p2)
+    codim_1 = ring.cycle({"(h,1)": 2, "(1,h)": -1})
+    codim_2 = ring.cycle({"(h,h)": 1})
+    stray = codim_1 + ring.cycle({"(1,h^2)": 5})  # one term off codim 1
+    for offset, cycle in ((0, codim_1), (1, codim_2)):
+        assert Correspondence(p1, p2, cycle, offset=offset).offset == offset
+    for offset, cycle in ((0, stray), (0, codim_2), (1, codim_1)):
+        with pytest.raises(ValueError, match=rf"^cycle is not homogeneous of codim {1 + offset}$"):
+            Correspondence(p1, p2, cycle, offset=offset)
+        assert Correspondence(p1, p2, cycle, offset=None).offset is None
+
+
 def test_multiplication_correspondence_acts_as_multiplication():
     g = grassmannian(2, 4)
     alpha = g.cycle({"s[1]": 2})

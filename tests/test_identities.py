@@ -65,6 +65,28 @@ def test_zero_sample_batteries_are_skipped_not_passed():
     ]
 
 
+@pytest.mark.parametrize("left, right", [("P^1", "Gr(2,4)"), ("Gr(2,4)", "P^1")])
+def test_identities_with_no_standard_morphism_are_skipped(left, right, monkeypatch):
+    """The standard morphisms only connect P^1 and P^2: an identity whose
+    morphism family is empty draws nothing and is a skipped check."""
+    from chowkit import identities
+
+    rings = {"P^1": projective_space(1), "Gr(2,4)": grassmannian(2, 4)}
+    drawn = []
+    draw = identities.random_correspondence
+    monkeypatch.setattr(identities, "random_correspondence", lambda *a, **k: drawn.append(a) or draw(*a, **k))
+    report = run_identity_battery(rings[left], rings[right], samples=3, seed=4)
+    skipped = [check.label for check in report.checks if check.count == 0]
+    if left == "P^1":
+        assert skipped == ["c(f) o phi = (id x f)^* phi", "c(g)^t o phi = (id x g)_* phi"]
+    else:
+        assert skipped == ["tau o c(f) = (f x id)_* tau", "psi o c(f)^t = (f x id)^* psi"]
+    assert not report.passed
+    assert all(check.passed for check in report.checks if check.count)
+    # three draws per sample for associativity, one for each other sampled identity
+    assert len(drawn) == 3 * (3 + 4)
+
+
 def test_identity_battery_deterministic():
     a = run_identity_battery(samples=10, seed=11).to_dict()
     b = run_identity_battery(samples=10, seed=11).to_dict()

@@ -9,6 +9,7 @@ index, reading ``pair_degree`` cell by cell.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -387,6 +388,30 @@ def test_oracle_does_not_use_the_middle_pairing(monkeypatch):
                 compose(g, f)
 
 
+def test_oracle_battery_fails_on_one_corrupted_triple_table_entry():
+    """The oracle reads the triple product's table: scaling the B-point
+    coefficient of one entry in a built row of (P^1 x P^2) x P^1 fails the
+    battery on that ring pair, naming the samples, and on no other."""
+    # private rings, so that the corrupted row stays in this test
+    p1, p2 = (parse_ring(dump_ring(projective_space(n))) for n in (1, 2))
+    rng = random.Random(0)
+    compose_oracle(random_correspondence(rng, p2, p1), random_correspondence(rng, p1, p2))
+    AB, BC = kunneth_product(p1, p2), kunneth_product(p2, p1)
+    triple = kunneth_product(AB, p1)
+    up_f, up_g, down, _ = triple._oracle
+    h, unit = p2.cell("h").key, p1.unit_cell.key
+    # (1 x h) x 1 times (1 x h) x h is (1 x pt) x h: one term, on B's point class
+    row = triple._table[up_f[AB._pair_to_key[(unit, h)]]]
+    entry = row[up_g[BC._pair_to_key[(h, p1.cell("h").key)]]]
+    (point,) = [key for key in entry if key in down]
+    entry[point] *= 3
+    report = compose_oracle_battery((p1, p2), samples=6, seed=1)
+    got = {check.label: check.details for check in report.checks}
+    bad = got.pop("P^1 => P^2 => P^1")
+    assert bad and all(re.fullmatch(r"sample \d: contraction differs from the oracle", d) for d in bad)
+    assert not report.passed and not any(got.values())
+
+
 TRIPLE_RINGS = ("point", "P^1", "P^2", "Gr(2,4)")
 
 
@@ -416,9 +441,11 @@ def test_oracle_maps_are_built_once_per_triple_and_kept_on_it(monkeypatch):
     built = []
     real = identities._oracle_maps
     monkeypatch.setattr(identities, "_oracle_maps", lambda triple: built.append(triple) or real(triple))
-    multiplies = []
-    real_multiply = ChowRing.multiply
-    monkeypatch.setattr(ChowRing, "multiply", lambda ring, a, b: multiplies.append(ring) or real_multiply(ring, a, b))
+    # the oracle walks the triple product's table rows itself: no ring
+    # product and no contraction
+    calls = []
+    monkeypatch.setattr(ChowRing, "multiply", lambda *args: calls.append("multiply"))
+    monkeypatch.setattr(identities, "compose", lambda *args: calls.append("compose"))
     rng = random.Random(7)
     triples = [(p1, p2, p1), (p2, p1, p2), (p1, p2, p2)]
     for _ in range(3):
@@ -428,7 +455,7 @@ def test_oracle_maps_are_built_once_per_triple_and_kept_on_it(monkeypatch):
             compose_oracle(g, f)
     rings = [kunneth_product(kunneth_product(A, B), C) for A, B, C in triples]
     assert built == rings  # one build per triple, on its first call
-    assert multiplies == [ring for _ in range(3) for ring in rings]  # one product per call
+    assert calls == []
     for (A, B, C), ring in zip(triples, rings):
         assert ring._oracle is not None and ring._oracle[-1] is kunneth_product(A, C)
         assert kunneth_product(A, B)._oracle is None and kunneth_product(A, C)._oracle is None

@@ -29,6 +29,7 @@ from chowkit.correspondences import Correspondence, _action_map, _demote, identi
 from chowkit.linalg import after, apply, combine
 from chowkit.identities import standard_morphisms
 from chowkit.rings import INTEGER, RATIONAL, BasisCell, ChowRing, Cycle
+from chowkit.sampling import random_correspondence
 from test_kernels import REBASED
 
 
@@ -187,14 +188,29 @@ def test_apply_drops_cancelled_terms():
     assert after(f, {"p": {"x": 1, "z": -2}, "q": {"y": 1}}) == {"q": {"b": 1, "c": 2}}
 
 
+def _randint_reference(rng, ring, bound, codim):
+    """random_cycle's coefficients as (key, value) pairs in key order."""
+    cells = ring.cells if codim is None else ring.cells_of_codim(codim)
+    return [(k, v) for k, v in {c.key: rng.randint(-bound, bound) for c in cells}.items() if v]
+
+
 def test_random_cycle_draws_as_randint():
-    rings = [projective_space(3), grassmannian(2, 4), kunneth_product(projective_space(2), projective_space(1))]
+    """random_cycle and random_correspondence draw as the randint reference:
+    the same coefficients in the same key order, the same generator state
+    after, and the empty cycle at a codim out of range."""
+    p1, p2, gr24 = projective_space(1), projective_space(2), grassmannian(2, 4)
+    rings = [p1, p2, projective_space(3), gr24, kunneth_product(p2, p1)]
     for seed in range(10):
         rng, ref = random.Random(seed), random.Random(seed)
         for ring in rings:
-            for codim in [None] + list(range(ring.dimension + 1)):
+            for codim in [None, -1, ring.dimension + 1, *range(ring.dimension + 1)]:
                 for bound in (1, 10):
-                    cells = ring.cells if codim is None else ring.cells_of_codim(codim)
-                    want = {c.key: v for c in cells if (v := ref.randint(-bound, bound))}
-                    assert random_cycle(rng, ring, bound, codim=codim).coeffs == want
-        assert rng.getstate() == ref.getstate()
+                    want = _randint_reference(ref, ring, bound, codim)
+                    assert list(random_cycle(rng, ring, bound, codim=codim).coeffs.items()) == want
+                    assert rng.getstate() == ref.getstate()
+            for target in (p1, p2, gr24):
+                for offset in range(-ring.dimension - 1, target.dimension + 2):
+                    want = _randint_reference(ref, kunneth_product(ring, target), 10, ring.dimension + offset)
+                    f = random_correspondence(rng, ring, target, offset)
+                    assert list(f.cycle.coeffs.items()) == want and f.offset == offset
+                    assert rng.getstate() == ref.getstate()
