@@ -1,7 +1,7 @@
 """Built-in rings and fibration models at desk scale.
 
 Constructors are memoized where their arguments allow, so repeated lookups
-return identical objects and product-ring registrations are shared.  Every
+return identical objects and memoized product rings are shared.  Every
 entry validates at construction: rings run their axiom checks, models run
 the full fibration validation and raise on failure.
 """

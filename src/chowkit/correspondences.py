@@ -138,9 +138,6 @@ class Correspondence:
     def is_zero(self):
         return self.cycle.is_zero()
 
-    def act(self, x):
-        return act(self, x)
-
     def matrix(self, p):
         return action_matrix(self, p)
 
@@ -472,7 +469,7 @@ def identity_morphism(ring):
 
 
 def projection_morphism(product, factor="left"):
-    """The projection of a registered product ring onto one factor.
+    """The projection of a Kunneth product ring onto one factor.
 
     Pullback is external product with the other factor's unit; pushforward
     integrates the other factor (only its top cells survive).

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 
-from .correspondences import act
+from .linalg import apply
 from .report import Report
 from .rings import external_product, kunneth_product, verify_pairing
 
@@ -477,24 +477,24 @@ class ProjectorFamily:
         """{name: sparse matrix} for maps {name: {g: phi_g}}, built in one pass
         over the basis sweeps.  The operator named n is y -> sum over g of
         pi^*(phi_g(alpha_g)) * T_g, alpha_g being the peeled coefficient of y
-        at T_g; phi_g is a base self-correspondence, or None for the identity.
-        The sweeps hold no zero coefficient, and zero maps and images are
-        skipped, so no column is empty."""
+        at T_g and phi_g a sparse matrix on the base's basis keys (see
+        linalg).  The sweeps hold no zero coefficient, and zero maps and
+        images are skipped, so no column is empty."""
         model = self.model
         users = {}  # g -> [(name, phi_g)] over the nonzero maps
         for name, phis in maps.items():
             for g, phi in phis.items():
-                if phi is None or not phi.is_zero():
+                if phi:
                     users.setdefault(g, []).append((name, phi))
         columns = {name: {} for name in maps}
         for p in range(model.dimension + 1):
             for b, coeffs in self.basis_sweep(p).items():
                 for g, alpha in coeffs.items():
                     for name, phi in users.get(g, ()):
-                        image = alpha if phi is None else act(phi, alpha)
-                        if image.coeffs:
+                        image = apply(phi, alpha.coeffs)
+                        if image:
                             col = columns[name].setdefault(b, {})
-                            col.update(((g, k), c) for k, c in image.coeffs.items())
+                            col.update(((g, k), c) for k, c in image.items())
         return columns
 
 

@@ -112,6 +112,17 @@ def matrix_sum(terms):
     return {b: col for b, vecs in cols.items() if (col := combine(vecs))}
 
 
+def kron(f, g, pk):
+    """The Kronecker product of the sparse matrices f and g, keyed through
+    a Kunneth product's pair map pk: column (a, b) is column a of f times
+    column b of g.  A column pair with an empty side is left out."""
+    return {
+        pk[a, b]: {pk[k1, k2]: c1 * c2 for k1, c1 in fa.items() for k2, c2 in gb.items()}
+        for a, fa in f.items() if fa
+        for b, gb in g.items() if gb
+    }
+
+
 def codim_blocks(space, systems):
     """The codim of every basis key of space, and {name: {p: [column]}}: the
     columns of each sparse matrix in systems grouped by the codim of their

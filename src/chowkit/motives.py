@@ -20,7 +20,7 @@ from .correspondences import (
 from .fibrations import build_projector_family
 from .linalg import block_rank, codim_blocks, projector_system_failures, rank
 from .report import Report
-from .rings import RATIONAL, Cycle, external_product, kunneth_product
+from .rings import RATIONAL, Cycle, external_product
 
 
 class Motive:
@@ -57,7 +57,6 @@ def fiber_projectors(ring):
     cell; in general the honest dual basis is used (pairings must be
     perfect).  Returned in the ring's cell order.
     """
-    kunneth_product(ring, ring)  # registers the ring external_product lands in
     duals = {p: dual_basis_cycles(ring, p) for p in range(ring.dimension + 1)}
     out = []
     for cell in ring.cells:
@@ -100,8 +99,7 @@ def _system_report(ring, columns):
 class MotiveDecomposition:
     """The rank-one motives of a cellular ring, with their rank bookkeeping."""
 
-    def __init__(self, parent, pieces, rank_table, report):
-        self.parent = parent  # the Motive h(X)
+    def __init__(self, pieces, rank_table, report):
         self.pieces = pieces
         self.rank_table = rank_table  # codim -> tuple of per-piece ranks
         self.report = report  # the verified checks; the table lists each piece's codim
@@ -162,7 +160,7 @@ def decompose_motive(ring):
         "pieces": [(piece.name, codim) for piece, codim in zip(pieces, codims)],
         "rank_table": rank_table,
     })
-    return MotiveDecomposition(unit_motive(ring), pieces, rank_table, report)
+    return MotiveDecomposition(pieces, rank_table, report)
 
 
 class ModelMotiveDecomposition:
@@ -192,7 +190,7 @@ def decompose_model(model):
     the system is verified by matrix products, codimension by codimension,
     before returning.
     """
-    base_ps = fiber_projectors(model.base)
+    base_ps = [action_columns(p) for p in fiber_projectors(model.base)]
     maps, codims = {}, {}
     for g in model.generators:
         gen_label = model.fiber.cell(g).label

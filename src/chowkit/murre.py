@@ -14,15 +14,7 @@ the lifted decomposition to the cellular one of the product ring.
 
 from __future__ import annotations
 
-from .correspondences import (
-    Correspondence,
-    _demote,
-    action_columns,
-    diagonal,
-    dual_basis_cycles,
-    tensor,
-    zero_correspondence,
-)
+from .correspondences import _action_map, action_columns, zero_correspondence
 from .fibrations import ambient_extend, build_projector_family
 from .linalg import (
     after,
@@ -30,12 +22,13 @@ from .linalg import (
     block_rank,
     codim_blocks,
     combine,
+    kron,
     matrix_sum,
     projector_system_failures,
 )
 from .motives import fiber_projectors
 from .report import Check, Report
-from .rings import ChowRing, external_product, kunneth_product
+from .rings import ChowRing, kunneth_product
 from .sampling import random_fibered_cycle, seeded_rng
 
 
@@ -158,24 +151,17 @@ def verify_ck(ck):
 
 
 def cellular_ck(ring, validate=True):
-    """The diagonal split by codimension: the even projector 2i sums each
-    codim-i cell crossed with its dual, odd projectors vanish.
+    """The diagonal split by codimension: the even projector 2i sums the
+    cell projectors (fiber_projectors, each cell crossed with its dual) of
+    the codim-i cells, odd projectors vanish.
 
     Self-verifies on construction and raises when any condition fails.
     """
-    d = ring.dimension
-    ring2 = kunneth_product(ring, ring)
-    projs = {}
-    for k in range(2 * d + 1):
-        if k % 2:
-            projs[k] = zero_correspondence(ring, ring, 0)
-            continue
-        i = k // 2
-        duals = dual_basis_cycles(ring, i)
-        cyc = ring2.zero()
-        for cell in ring.cells_of_codim(i):
-            cyc = cyc + external_product(duals[cell.index - 1], ring.basis_cycle(cell))
-        projs[k] = Correspondence(ring, ring, _demote(cyc), 0)
+    by_degree = {}
+    for cell, p in zip(ring.cells, fiber_projectors(ring)):
+        by_degree.setdefault(2 * cell.codim, []).append(p)
+    zero = zero_correspondence(ring, ring, 0)
+    projs = {k: sum(by_degree.get(k, ()), zero) for k in range(2 * ring.dimension + 1)}
     ck = CKDecomposition(ring, projs, name=f"cellular CK of {ring.name}")
     if validate:
         report = verify_ck(ck)
@@ -197,7 +183,7 @@ def lift_base_correspondence(model, phi, j):
     """
     if phi.source is not model.base or phi.target is not model.base:
         raise ValueError("can only lift a self-correspondence of the base")
-    slots = {g: phi for g in model.generators if 2 * g[0] == j}
+    slots = dict.fromkeys((g for g in model.generators if 2 * g[0] == j), _action_map(phi))
     name = f"lift_{j}"
     return build_projector_family(model).peeled_operators({name: slots})[name]
 
@@ -209,8 +195,8 @@ def _lift_blocks(family, base_ck):
     codim j/2) are left out; the rest are built in one pass."""
     model = family.model
     maps = {}
-    for i, phi in base_ck.projectors.items():
-        if phi.is_zero():
+    for i, phi in base_ck.columns().items():
+        if not phi:
             continue
         for q in range(model.fiber.dimension + 1):
             slots = {g: phi for g in model.generators if g[0] == q}
@@ -334,7 +320,10 @@ def verify_motive_isomorphism(model):
     B F = id (completeness), F B = id (the coordinate-projection lemma),
     F Pi_k = pi_k F against the cellular CK of the product ring, and
     F rho_g = (Delta_X (x) p_g) F against the fiber's cell projectors.  The
-    right-hand sides read the factor rings' pairings, never the model table.
+    right-hand sides are Kronecker products of factor actions: pi_k is the
+    sum over i of pi^X_i (x) pi^Z_{k-i} over the factors' cellular CKs, and
+    Delta_X (x) p_g is id_X (x) p_g.  They read the factor rings' pairings,
+    never the model table, and build no product of X x Z with itself.
     """
     base, fiber = model.base, model.fiber
     ring = kunneth_product(base, fiber)
@@ -348,10 +337,14 @@ def verify_motive_isomorphism(model):
                 F[b] = {pk[k, g]: c for g, alpha in coeffs.items() for k, c in alpha.coeffs.items()}
     B = {pk[k, g]: {(g, k): 1} for g, k in keys}
     Pi = lift_ck(model, validate=False).projectors
-    pi = cellular_ck(ring, validate=False).projectors
-    rho = family.peeled_operators({g: {g: None} for g in model.generators})
-    cell_projectors = dict(zip((cell.key for cell in fiber.cells), fiber_projectors(fiber)))
-    delta = diagonal(base)
+    pi_x, pi_z = (cellular_ck(r, validate=False).columns() for r in (base, fiber))
+    pi = {
+        k: matrix_sum((1, kron(pi_x[i], pi_z[k - i], pk)) for i in pi_x if k - i in pi_z)
+        for k in Pi
+    }
+    ident = {k: {k: 1} for k in base.basis_keys()}
+    rho = family.peeled_operators({g: {g: ident} for g in model.generators})
+    cell_projectors = dict(zip(fiber.basis_keys(), fiber_projectors(fiber)))
 
     def intertwines(what, lhs, rhs):
         """F lhs = rhs F, compared on the module basis."""
@@ -364,12 +357,12 @@ def verify_motive_isomorphism(model):
         "F B and id", after(F, B), {c: {c: 1} for c in cells}, cells), len(cells))
     report.add("F Pi_k = pi_k F (lifted vs cellular CK)", [
         fail for k in Pi
-        for fail in intertwines(f"degree {k}", Pi[k], action_columns(pi[k]))
+        for fail in intertwines(f"degree {k}", Pi[k], pi[k])
     ], len(Pi))
     report.add("F rho_g = (Delta_X x p_g) F (peeled vs cell projectors)", [
         fail for g in model.generators
         for fail in intertwines(
-            f"generator {g}", rho[g], action_columns(tensor(delta, cell_projectors[g]))
+            f"generator {g}", rho[g], kron(ident, action_columns(cell_projectors[g]), pk)
         )
     ], len(model.generators))
     return report

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import pivot_columns
+from .linalg import kron, pivot_columns
 from .report import Report
 
 INTEGER = "integer"
@@ -378,9 +378,6 @@ class ChowRing:
     def unit(self, mode=INTEGER):
         return self.basis_cycle(self.unit_cell, mode)
 
-    def point(self, mode=INTEGER):
-        return self.basis_cycle(self.point_cell, mode)
-
     def zero(self, mode=INTEGER):
         return Cycle(self, {}, mode)
 
@@ -555,18 +552,11 @@ class _KunnethRows(dict):
         self._ring = ring
 
     def __missing__(self, key):
-        # (a x b) * (c x d) = (a * c) x (b * d), entry by entry from the
-        # factor rows of a and b
+        # (a x b) * (c x d) = (a * c) x (b * d): the row of a x b is the
+        # Kronecker product of the factor rows of a and b
         ring = self._ring
         a, b = ring._key_to_pair[key]
-        right_row, pk = ring.right._table[b.key], ring._pair_to_key
-        row = self[key] = {}
-        for kc, pa in ring.left._table[a.key].items():
-            for kd, pb in right_row.items():
-                if pa and pb:
-                    row[pk[(kc, kd)]] = {
-                        pk[(k1, k2)]: c1 * c2 for k1, c1 in pa.items() for k2, c2 in pb.items()
-                    }
+        row = self[key] = kron(ring.left._table[a.key], ring.right._table[b.key], ring._pair_to_key)
         return row
 
 
@@ -579,18 +569,9 @@ def kunneth_product(left, right):
     return ring
 
 
-def registered_product(left, right):
-    ring = left._kunneth.get(right)
-    if ring is None:
-        raise ValueError(
-            f"product ring not registered: call kunneth_product({left.name}, {right.name}) first"
-        )
-    return ring
-
-
 def external_product(a, b):
-    """a x b on the previously constructed product of the two carrier rings."""
-    ring = registered_product(a.ring, b.ring)
+    """a x b on kunneth_product of the two carrier rings."""
+    ring = kunneth_product(a.ring, b.ring)
     coeffs = {}
     for ka, ca in a.coeffs.items():
         for kb, cb in b.coeffs.items():
