@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .fibrations import (
     build_projector_family,
@@ -283,9 +284,39 @@ def render_text(report):
     return out
 
 
+# the exact leaf types json writes through one C call; any other leaf,
+# a subclass included, goes to json.dumps
+_JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
+
+
+def render_json(obj, _indent="\n"):
+    """json.dumps(obj, indent=2), byte for byte, with each container built in
+    one join: json's indented encoder is pure Python and takes a large
+    report two to three times as long."""
+    leaf = _JSON_LEAVES.get(type(obj))
+    if leaf:
+        return leaf(obj)
+    inner, get = _indent + "  ", _JSON_LEAVES.get
+    if isinstance(obj, dict):
+        # json coerces (or refuses) a key that is not a string: '{"<key>": 0}'
+        ends, items = "{}", [
+            f"{encode_basestring_ascii(k if isinstance(k, str) else json.dumps({k: 0})[2:-5])}: "
+            f"{leaf(v) if (leaf := get(type(v))) else render_json(v, inner)}"
+            for k, v in obj.items()
+        ]
+    elif isinstance(obj, (list, tuple)):
+        ends, items = "[]", [leaf(v) if (leaf := get(type(v))) else render_json(v, inner) for v in obj]
+    else:
+        return json.dumps(obj)
+    if not items:
+        return ends
+    return f"{ends[0]}{inner}" + f",{inner}".join(items) + f"{_indent}{ends[1]}"
+
+
 def _emit(report, fmt, started):
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(render_json(report))
     else:
         for line in render_text(report):
             print(line)
@@ -337,7 +368,7 @@ def _cmd_catalog(args, started):
         "entries": entries,
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(render_json(report))
     else:
         width = max(len(e["name"]) for e in entries)
         for e in entries:

@@ -74,7 +74,7 @@ class Correspondence:
     default derives it from the cycle.
     """
 
-    __slots__ = ("source", "target", "ring", "cycle", "offset")
+    __slots__ = ("source", "target", "ring", "cycle", "offset", "_columns")
 
     def __init__(self, source, target, cycle, offset=_AUTO):
         ring = kunneth_product(source, target)
@@ -94,6 +94,7 @@ class Correspondence:
         self.ring = ring
         self.cycle = cycle
         self.offset = offset
+        self._columns = None  # action_columns(self), kept
 
     # -- algebra -------------------------------------------------------------
 
@@ -342,13 +343,15 @@ def action_columns(f):
     matrix {cell key: nonzero column {cell key: coefficient}}, the layout of
     linalg that every model operator shares.  Raises the dual_basis_cycles error unless every
     pairing is perfect, since only then does the action determine the
-    cycle."""
-    ring = f.source
-    if f.target is not ring or not (f.is_zero() or f.offset == 0):
-        raise ValueError("action_columns needs a degree-0 self-correspondence")
-    for p in range(ring.dimension + 1):
-        dual_basis_cycles(ring, p)
-    return _action_map(f)
+    cycle.  Read once and kept on f, so callers share it and never mutate it."""
+    if f._columns is None:
+        ring = f.source
+        if f.target is not ring or not (f.is_zero() or f.offset == 0):
+            raise ValueError("action_columns needs a degree-0 self-correspondence")
+        for p in range(ring.dimension + 1):
+            dual_basis_cycles(ring, p)
+        f._columns = _action_map(f)
+    return f._columns
 
 
 def ambient_act(f, ambient, c):

@@ -55,15 +55,17 @@ def fiber_projectors(ring):
 
     For a delta-normalized basis the dual is the same-index complementary
     cell; in general the honest dual basis is used (pairings must be
-    perfect).  Returned in the ring's cell order.
+    perfect).  Returned in the ring's cell order, as a fresh list of the
+    ring's one system, kept on the ring so each action is read once.
     """
-    duals = {p: dual_basis_cycles(ring, p) for p in range(ring.dimension + 1)}
-    out = []
-    for cell in ring.cells:
-        e = duals[cell.codim][cell.index - 1]
-        cyc = external_product(e, ring.basis_cycle(cell))
-        out.append(Correspondence(ring, ring, _demote(cyc), 0))
-    return out
+    if ring._cell_projectors is None:
+        duals = {p: dual_basis_cycles(ring, p) for p in range(ring.dimension + 1)}
+        ring._cell_projectors = tuple(
+            Correspondence(ring, ring, _demote(external_product(
+                duals[cell.codim][cell.index - 1], ring.basis_cycle(cell))), 0)
+            for cell in ring.cells
+        )
+    return list(ring._cell_projectors)
 
 
 def verify_projector_system(projectors):

@@ -156,12 +156,15 @@ def cellular_ck(ring, validate=True):
     the codim-i cells, odd projectors vanish.
 
     Self-verifies on construction and raises when any condition fails.
+    Each projector's action is the sum of its cell projectors' kept ones.
     """
     by_degree = {}
     for cell, p in zip(ring.cells, fiber_projectors(ring)):
         by_degree.setdefault(2 * cell.codim, []).append(p)
     zero = zero_correspondence(ring, ring, 0)
     projs = {k: sum(by_degree.get(k, ()), zero) for k in range(2 * ring.dimension + 1)}
+    for k, p in projs.items():
+        p._columns = matrix_sum((1, action_columns(c)) for c in by_degree.get(k, ()))
     ck = CKDecomposition(ring, projs, name=f"cellular CK of {ring.name}")
     if validate:
         report = verify_ck(ck)

@@ -237,6 +237,7 @@ class ChowRing:
         self._pairings = {}  # codim p -> pairing_matrix(p)
         self._duals = {}  # codim p -> correspondences.dual_basis_cycles(self, p)
         self._partners = {}  # cell key -> partners(key)
+        self._cell_projectors = None  # motives.fiber_projectors(self), with kept actions
         self._basis_keys = {}  # codim p, or None for all -> basis_keys(p)
         self._kunneth = {}  # right factor -> kunneth_product(self, right)
         if validate:
@@ -507,15 +508,14 @@ class KunnethRing(ChowRing):
         self._key_to_pair = {}
         cells = []
         for q in range(dimension + 1):
+            # in cell order already: _by_codim lists each codim's cells by index
+            codims = range(max(0, q - right.dimension), min(q, left.dimension) + 1)
             pairs = [
                 (a, b)
-                for p in range(max(0, q - right.dimension), min(q, left.dimension) + 1)
+                for p in (reversed(codims) if 2 * q > dimension else codims)
                 for a in left._by_codim[p]
                 for b in right._by_codim[q - p]
             ]
-            reverse = 2 * q > dimension
-            pairs.sort(key=lambda ab: (-ab[0].codim if reverse else ab[0].codim,
-                                       ab[0].index, ab[1].index))
             for i, (a, b) in enumerate(pairs, start=1):
                 cell = BasisCell(q, i, f"({a.label},{b.label})")
                 cells.append(cell)

@@ -22,6 +22,7 @@ from chowkit import (
 )
 from chowkit import correspondences
 from chowkit.correspondences import act
+from chowkit.fileio import dump_ring, parse_ring
 from chowkit.linalg import apply, combine
 
 
@@ -107,12 +108,16 @@ def test_decompose_p2():
 
 
 def test_decompose_motive_reads_each_action_once(monkeypatch):
+    # a private ring, so that no earlier test has kept its cell projectors
+    ring = parse_ring(dump_ring(projective_space(4)))
     calls = []
     read = correspondences._action_map
     monkeypatch.setattr(correspondences, "_action_map", lambda f: calls.append(f) or read(f))
-    dec = decompose_motive(projective_space(4))
+    dec = decompose_motive(ring)
     assert dec.rank_table == {p: tuple(int(k == p) for k in range(5)) for p in range(5)}
     assert len(calls) == 5  # one walk per cell projector
+    decompose_motive(ring)
+    assert len(calls) == 5  # the ring keeps its cell projectors and their actions
 
 
 def test_decompose_point():

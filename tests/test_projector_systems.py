@@ -31,7 +31,7 @@ from chowkit import (
 from chowkit import linalg
 from chowkit.catalog import standard_rings
 from chowkit.correspondences import Correspondence, action_columns, compose
-from chowkit.fileio import parse_ring
+from chowkit.fileio import dump_ring, parse_ring
 from chowkit.linalg import invert, mat_mul, projector_system_failures
 from chowkit.motives import fiber_projectors
 
@@ -259,12 +259,15 @@ def test_a_passing_system_runs_no_pairwise_product(monkeypatch):
     assert calls == {"squarings": m, "pairwise": 0}
 
     calls = count_products(monkeypatch)
-    ps = fiber_projectors(projective_space(3))
+    # a private ring, so that no earlier test has kept its cell projectors
+    ps = fiber_projectors(parse_ring(dump_ring(projective_space(3))))
     assert verify_projector_system(ps).passed
     assert calls == {"squarings": len(ps), "pairwise": 0}
 
     calls = count_products(monkeypatch)
-    assert not verify_projector_system(ps + [ps[0]]).passed
+    # the repeat is a distinct object: a projector keeps its action columns,
+    # so ps[0] itself would share them and count as a squaring
+    assert not verify_projector_system(ps + [ps[0] * 1]).passed
     assert calls == {"squarings": len(ps) + 1, "pairwise": (len(ps) + 1) * len(ps)}
 
 
