@@ -343,7 +343,7 @@ def action_columns(f):
     matrix {cell key: nonzero column {cell key: coefficient}}, the layout of
     linalg that every model operator shares.  Raises the dual_basis_cycles error unless every
     pairing is perfect, since only then does the action determine the
-    cycle.  Read once and kept on f, so callers share it and never mutate it."""
+    cycle.  Read once and kept on f, so callers share it and must not mutate it."""
     if f._columns is None:
         ring = f.source
         if f.target is not ring or not (f.is_zero() or f.offset == 0):

@@ -6,11 +6,11 @@ read the kept ones."""
 import pytest
 
 from chowkit import cli, correspondences, motives
-from chowkit.catalog import grassmannian, product_model, projective_space
+from chowkit.catalog import grassmannian, product_model, projective_space, standard_rings
 from chowkit.correspondences import action_columns
 from chowkit.fileio import save_fibration, save_ring
 from chowkit.motives import fiber_projectors
-from chowkit.murre import verify_motive_isomorphism
+from chowkit.murre import cellular_ck, verify_motive_isomorphism
 
 
 @pytest.fixture
@@ -76,3 +76,12 @@ def test_fiber_projectors_hands_out_a_fresh_list():
     again = fiber_projectors(ring)
     assert again is not ps and again[0] is not ps[0]
     assert all(a is b for a, b in zip(again[1:], ps[1:]))
+
+
+@pytest.mark.parametrize("ring", standard_rings(), ids=lambda r: r.name)
+def test_the_cellular_projectors_keep_their_own_action(ring):
+    # cellular_ck keeps the sum of the cell actions as each projector's
+    # action; it must be the action a fresh walk of the summed cycle reads
+    read = correspondences._action_map
+    for p in cellular_ck(ring).projectors.values():
+        assert action_columns(p) == read(p)
