@@ -7,8 +7,6 @@ Chow-Kunneth lifts are all verified as exact identities, never numerically.
 
 from .report import Report
 from .rings import (
-    INTEGER,
-    RATIONAL,
     BasisCell,
     ChowRing,
     Cycle,

@@ -126,6 +126,9 @@ def projective_bundle_model(base, chern, rank=None, name=None):
             raise ValueError(f"c_{i} must live on {base.name}")
         if not c.is_zero() and c.codims() != [i]:
             raise ValueError(f"c_{i} must be homogeneous of codim {i}")
+        if any(type(v) is not int for v in c.coeffs.values()):
+            # a model's table is integral, and dump_fibration writes ints only
+            raise ValueError(f"c_{i} must have integer coefficients, got {c!r}")
     fiber = projective_space(r - 1)
 
     # xi-power coordinates: vec[t] is the coefficient of xi^t, t < r

@@ -2,7 +2,9 @@
 suites, print reports.
 
 Exit codes: 0 all checks pass, 1 a suite failed, 2 the input did not parse,
-3 the input parsed but failed validation.  With --format json the report is
+3 the input parsed but failed validation, 141 (128 + SIGPIPE) the reader
+closed stdout early, as ``chowkit ... | head`` does; nothing is printed for
+it.  With --format json the report is
 a single document whose "lines" fields reproduce the text rendering, so a
 saved report re-summarizes identically.
 """
@@ -45,6 +47,7 @@ EXIT_PASS = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_FAILURE = 3
+EXIT_BROKEN_PIPE = 141
 
 SUITE_NAMES = (
     "ck",
@@ -483,10 +486,18 @@ def main(argv=None):
     started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, started)
+        code = _COMMANDS[args.command](args, started)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
     except CliError as e:
         print(str(e), file=sys.stderr)
         return e.code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull first
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -14,17 +14,8 @@ the correspondence pair acting as pullback and pushforward.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import invert
-from .rings import (
-    INTEGER,
-    RATIONAL,
-    BasisCell,
-    Cycle,
-    external_product,
-    kunneth_product,
-)
+from .rings import BasisCell, Cycle, _exact, external_product, kunneth_product
 
 _AUTO = object()
 
@@ -51,19 +42,9 @@ def dual_basis_cycles(ring, p):
     except ValueError:
         raise ValueError(f"{ring.name}: pairing at codim {p} is degenerate") from None
     ring._duals[p] = tuple(
-        _demote(Cycle(ring, {rows[i].key: dual[j][i] for i in range(len(rows))}, RATIONAL))
-        for j in range(len(cols))
+        Cycle(ring, {rows[i].key: dual[j][i] for i in range(len(rows))}) for j in range(len(cols))
     )
     return ring._duals[p]
-
-
-def _demote(cycle):
-    if cycle.mode == INTEGER:
-        return cycle
-    try:
-        return cycle.to_integer()
-    except ValueError:
-        return cycle
 
 
 class Correspondence:
@@ -167,8 +148,7 @@ def act(f, x):
         d = sum(xs[k] * e for k, e in partners(a.key) if k in xs)
         if d:
             coeffs[b.key] = coeffs.get(b.key, 0) + c * d
-    mode = RATIONAL if (x.mode == RATIONAL or f.cycle.mode == RATIONAL) else INTEGER
-    return Cycle(f.target, coeffs, mode)
+    return Cycle(f.target, coeffs)
 
 
 def compose(g, f):
@@ -192,9 +172,8 @@ def compose(g, f):
             if d:
                 key = ring._pair_to_key[(a.key, c2)]
                 coeffs[key] = coeffs.get(key, 0) + cf * cg * d
-    mode = RATIONAL if RATIONAL in (f.cycle.mode, g.cycle.mode) else INTEGER
     offset = None if f.offset is None or g.offset is None else f.offset + g.offset
-    return Correspondence(f.source, g.target, Cycle(ring, coeffs, mode), offset)
+    return Correspondence(f.source, g.target, Cycle(ring, coeffs), offset)
 
 
 def transpose(f):
@@ -207,7 +186,7 @@ def transpose(f):
     offset = None
     if f.offset is not None:
         offset = f.offset + f.source.dimension - f.target.dimension
-    return Correspondence(f.target, f.source, Cycle(ring, coeffs, f.cycle.mode), offset)
+    return Correspondence(f.target, f.source, Cycle(ring, coeffs), offset)
 
 
 def tensor(f, g):
@@ -228,9 +207,8 @@ def tensor(f, g):
                 (src._pair_to_key[(a.key, c.key)], tgt._pair_to_key[(b.key, d.key)])
             ]
             coeffs[key] = cf * cg
-    mode = RATIONAL if RATIONAL in (f.cycle.mode, g.cycle.mode) else INTEGER
     offset = None if f.offset is None or g.offset is None else f.offset + g.offset
-    return Correspondence(src, tgt, Cycle(big, coeffs, mode), offset)
+    return Correspondence(src, tgt, Cycle(big, coeffs), offset)
 
 
 def correspondence_from_action(source, target, action, offset=0):
@@ -249,7 +227,7 @@ def correspondence_from_action(source, target, action, offset=0):
             return table.get(cell.key, target.zero())
 
     ring = kunneth_product(source, target)
-    pk, coeffs, mode = ring._pair_to_key, {}, INTEGER
+    pk, coeffs = ring._pair_to_key, {}
     for p in range(source.dimension + 1):
         duals = dual_basis_cycles(source, p)
         for cell, e in zip(source.cells_of_codim(p), duals):
@@ -263,13 +241,11 @@ def correspondence_from_action(source, target, action, offset=0):
                 raise ValueError(
                     f"action of {cell.label} has codim {image.codims()}, expected {want}"
                 )
-            if RATIONAL in (e.mode, image.mode):
-                mode = RATIONAL
             for ka, ca in e.coeffs.items():
                 for kb, cb in image.coeffs.items():
                     key = pk[(ka, kb)]
                     coeffs[key] = coeffs.get(key, 0) + ca * cb
-    return Correspondence(source, target, _demote(Cycle(ring, coeffs, mode)), offset)
+    return Correspondence(source, target, Cycle(ring, coeffs), offset)
 
 
 def diagonal(ring):
@@ -324,17 +300,17 @@ def action_matrix(f, p):
     """Matrix of act(f, -): CH^p(source) -> CH^{p+r}(target) in the cell bases.
 
     Column j is the image of the j-th codim-p source cell; entry [i][j] is
-    its coefficient on the i-th target cell.
+    its coefficient on the i-th target cell, an int when integral as in a
+    cycle.
     """
     if f.offset is None:
         raise ValueError("action_matrix needs a homogeneous correspondence")
     keys = f.source.basis_keys(p)
-    zero = Fraction(0) if f.cycle.mode == RATIONAL else 0
-    rows = [[zero] * len(keys) for _ in range(f.target.rank(p + f.offset))]
+    rows = [[0] * len(keys) for _ in range(f.target.rank(p + f.offset))]
     columns = _action_map(f)
     for j, k in enumerate(keys):
         for (_, i), v in columns.get(k, {}).items():
-            rows[i - 1][j] = v
+            rows[i - 1][j] = _exact(v)
     return tuple(tuple(row) for row in rows)
 
 
@@ -454,16 +430,14 @@ class MorphismData:
 
 def _extend(table, ring, x):
     """sum_k c_k table[k] on ring over the terms c_k tau_k of x, summed in one
-    dict; rational when x or any table entry it reads is."""
-    coeffs, mode = {}, x.mode
+    dict."""
+    coeffs = {}
     for key, c in x.coeffs.items():
         entry = table.get(key)
         if entry is not None:
-            if entry.mode == RATIONAL:
-                mode = RATIONAL
             for k, v in entry.coeffs.items():
                 coeffs[k] = coeffs.get(k, 0) + v * c
-    return Cycle(ring, coeffs, mode)
+    return Cycle(ring, coeffs)
 
 
 def identity_morphism(ring):

@@ -16,7 +16,6 @@ from __future__ import annotations
 from .correspondences import (
     Correspondence,
     _action_map,
-    _demote,
     act,
     compose,
     diagonal,
@@ -29,7 +28,7 @@ from .correspondences import (
 )
 from .linalg import after
 from .report import Report
-from .rings import INTEGER, RATIONAL, Cycle, external_product, kunneth_product
+from .rings import Cycle, external_product, kunneth_product
 from .sampling import random_correspondence, random_cycle, seeded_rng
 
 
@@ -226,8 +225,7 @@ def compose_oracle(g, f):
                     if key in down:
                         ac = down[key]
                         coeffs[ac] = coeffs.get(ac, 0) + scale * value
-    mode = RATIONAL if RATIONAL in (f.cycle.mode, g.cycle.mode) else INTEGER
-    return _demote(Cycle(AC, coeffs, mode))
+    return Cycle(AC, coeffs)
 
 
 def _oracle_maps(triple):

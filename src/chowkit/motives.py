@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .correspondences import (
     Correspondence,
-    _demote,
     action_columns,
     compose,
     diagonal,
@@ -20,7 +19,7 @@ from .correspondences import (
 from .fibrations import build_projector_family
 from .linalg import block_rank, codim_blocks, projector_system_failures, rank
 from .report import Report
-from .rings import RATIONAL, Cycle, external_product
+from .rings import Cycle, external_product
 
 
 class Motive:
@@ -61,8 +60,8 @@ def fiber_projectors(ring):
     if ring._cell_projectors is None:
         duals = {p: dual_basis_cycles(ring, p) for p in range(ring.dimension + 1)}
         ring._cell_projectors = tuple(
-            Correspondence(ring, ring, _demote(external_product(
-                duals[cell.codim][cell.index - 1], ring.basis_cycle(cell))), 0)
+            Correspondence(ring, ring, external_product(
+                duals[cell.codim][cell.index - 1], ring.basis_cycle(cell)), 0)
             for cell in ring.cells
         )
     return list(ring._cell_projectors)
@@ -133,7 +132,7 @@ def decompose_motive(ring):
             if got != ({cell.key: 1} if other is cell else {}):
                 image.append(
                     f"projector of {cell.label} sends {other.label} to "
-                    f"{Cycle(ring, got, RATIONAL)!r}"
+                    f"{Cycle(ring, got)!r}"
                 )
     report.add("rank-one images", image)
 

@@ -14,8 +14,9 @@ structure; ``verify_pairing`` reports on it rather than the constructor
 enforcing it, because some rings one wants to compute in (notably Kunneth
 products of even total dimension) provably admit no such basis.
 
-Coefficients are exact everywhere: Python ints in integer mode, Fraction in
-rational mode.  No floats.
+Coefficients are exact everywhere and stored one way: an integral value is
+a Python int, any other a Fraction.  Cycle is the one place that enforces
+this, so a value's type says whether it is integral.  No floats.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from fractions import Fraction
 
 from .linalg import kron, pivot_columns
 from .report import Report
-
-INTEGER = "integer"
-RATIONAL = "rational"
 
 
 class BasisCell:
@@ -56,55 +54,40 @@ class BasisCell:
         return f"BasisCell(codim={self.codim!r}, index={self.index!r}, label={self.label!r})"
 
 
-def _check_coeff(value):
-    if type(value) is int or type(value) is Fraction:  # the common case, cheaply
+def _exact(value):
+    """An exact coefficient in its one form: an int when integral, else a
+    Fraction.  Floats, bools and anything else inexact are refused."""
+    if type(value) is int:
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise TypeError(f"exact integer or Fraction coefficient expected, got {value!r}")
-    return value
-
-
-def _join_mode(*modes):
-    return RATIONAL if RATIONAL in modes else INTEGER
+    if type(value) is not Fraction:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise TypeError(f"exact integer or Fraction coefficient expected, got {value!r}")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class Cycle:
     """A formal combination of basis cells of one ring.
 
-    ``coeffs`` maps cell keys (codim, index) to nonzero exact coefficients;
-    absent keys are zero.  Instances are immutable by convention: every
-    operation returns a fresh cycle.
+    ``coeffs`` maps cell keys (codim, index) to nonzero exact coefficients,
+    each an int when integral and a Fraction otherwise; absent keys are
+    zero.  Instances are immutable by convention: every operation returns a
+    fresh cycle.
     """
 
-    __slots__ = ("ring", "coeffs", "mode")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring, coeffs, mode=INTEGER):
-        # one loop per mode; a value of the mode's own type skips the checks
+    def __init__(self, ring, coeffs):
         known, clean = ring._by_key, {}
-        if mode == INTEGER:
-            for key, value in coeffs.items():
-                if type(value) is not int:  # a Fraction (or int subclass)
-                    _check_coeff(value)
-                    if value.denominator != 1:
-                        raise ValueError(f"non-integral coefficient {value} in integer mode")
-                    value = int(value)
-                if value:
-                    if key not in known:
-                        raise ValueError(f"unknown cell key {key!r} for {ring.name}")
-                    clean[key] = value
-        elif mode == RATIONAL:
-            for key, value in coeffs.items():
-                if type(value) is not Fraction:
-                    value = Fraction(_check_coeff(value))
-                if value:
-                    if key not in known:
-                        raise ValueError(f"unknown cell key {key!r} for {ring.name}")
-                    clean[key] = value
-        else:
-            raise ValueError(f"unknown coefficient mode {mode!r}")
+        for key, value in coeffs.items():
+            if type(value) is not int:  # an exact int skips every check
+                value = _exact(value)
+            if value:
+                if key not in known:
+                    raise ValueError(f"unknown cell key {key!r} for {ring.name}")
+                clean[key] = value
         self.ring = ring
         self.coeffs = clean
-        self.mode = mode
 
     # -- structure ---------------------------------------------------------
 
@@ -125,20 +108,11 @@ class Cycle:
         return cs[0]
 
     def component(self, p):
-        return Cycle(self.ring, {k: v for k, v in self.coeffs.items() if k[0] == p}, self.mode)
+        return Cycle(self.ring, {k: v for k, v in self.coeffs.items() if k[0] == p})
 
     def coefficient(self, cell):
         key = cell.key if isinstance(cell, BasisCell) else self.ring.cell(cell).key
-        return self.coeffs.get(key, Fraction(0) if self.mode == RATIONAL else 0)
-
-    def to_rational(self):
-        return Cycle(self.ring, self.coeffs, RATIONAL)
-
-    def to_integer(self):
-        for key, value in self.coeffs.items():
-            if isinstance(value, Fraction) and value.denominator != 1:
-                raise ValueError(f"coefficient {value} of {self.ring._by_key[key].label} is not integral")
-        return Cycle(self.ring, {k: int(v) for k, v in self.coeffs.items()}, INTEGER)
+        return self.coeffs.get(key, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -153,10 +127,10 @@ class Cycle:
         coeffs = dict(self.coeffs)
         for key, value in other.coeffs.items():
             coeffs[key] = coeffs.get(key, 0) + value
-        return Cycle(self.ring, coeffs, _join_mode(self.mode, other.mode))
+        return Cycle(self.ring, coeffs)
 
     def __neg__(self):
-        return Cycle(self.ring, {k: -v for k, v in self.coeffs.items()}, self.mode)
+        return Cycle(self.ring, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Cycle):
@@ -166,9 +140,8 @@ class Cycle:
     def __mul__(self, other):
         if isinstance(other, Cycle):
             return self.ring.multiply(self, other)
-        _check_coeff(other)
-        mode = RATIONAL if isinstance(other, Fraction) else self.mode
-        return Cycle(self.ring, {k: v * other for k, v in self.coeffs.items()}, mode)
+        other = _exact(other)
+        return Cycle(self.ring, {k: v * other for k, v in self.coeffs.items()})
 
     def __rmul__(self, other):
         if isinstance(other, Cycle):
@@ -181,7 +154,7 @@ class Cycle:
         return self.ring is other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.ring), tuple(sorted((k, Fraction(v)) for k, v in self.coeffs.items()))))
+        return hash((id(self.ring), frozenset(self.coeffs.items())))
 
     def __repr__(self):
         if not self.coeffs:
@@ -264,11 +237,9 @@ class ChowRing:
             entry = {}
             for key, value in raw.items():
                 key = tuple(key)
-                _check_coeff(value)
-                if isinstance(value, Fraction):
-                    if value.denominator != 1:
-                        raise ValueError("structure constants must be integers")
-                    value = int(value)
+                value = _exact(value)
+                if type(value) is not int:
+                    raise ValueError("structure constants must be integers")
                 if value == 0:
                     continue
                 if key not in self._by_key:
@@ -373,22 +344,22 @@ class ChowRing:
             keys = self._basis_keys[p] = tuple(c.key for c in cells)
         return keys
 
-    def basis_cycle(self, spec, mode=INTEGER):
-        return Cycle(self, {self.cell(spec).key: 1}, mode)
+    def basis_cycle(self, spec):
+        return Cycle(self, {self.cell(spec).key: 1})
 
-    def unit(self, mode=INTEGER):
-        return self.basis_cycle(self.unit_cell, mode)
+    def unit(self):
+        return self.basis_cycle(self.unit_cell)
 
-    def zero(self, mode=INTEGER):
-        return Cycle(self, {}, mode)
+    def zero(self):
+        return Cycle(self, {})
 
-    def cycle(self, data, mode=INTEGER):
+    def cycle(self, data):
         """Build a cycle from {label or key: coefficient}."""
         coeffs = {}
         for spec, value in data.items():
             key = self.cell(spec).key
             coeffs[key] = coeffs.get(key, 0) + value
-        return Cycle(self, coeffs, mode)
+        return Cycle(self, coeffs)
 
     def dual_cell(self, spec):
         """Complementary-codimension cell with the same index (delta convention)."""
@@ -413,13 +384,13 @@ class ChowRing:
                 scale = c1 * c2
                 for key, value in entry.items():
                     coeffs[key] = coeffs.get(key, 0) + scale * value
-        return Cycle(self, coeffs, _join_mode(a.mode, b.mode))
+        return Cycle(self, coeffs)
 
     def degree(self, a):
         """Coefficient of the point class (the top-codimension component)."""
         if a.ring is not self:
             raise ValueError("degree: cycle lives in a different ring")
-        return a.coeffs.get(self.point_cell.key, Fraction(0) if a.mode == RATIONAL else 0)
+        return a.coeffs.get(self.point_cell.key, 0)
 
     def pair_degree(self, k1, k2):
         """degree(tau_k1 * tau_k2) for two cell keys, read off the table."""
@@ -576,4 +547,4 @@ def external_product(a, b):
     for ka, ca in a.coeffs.items():
         for kb, cb in b.coeffs.items():
             coeffs[ring._pair_to_key[(ka, kb)]] = ca * cb
-    return Cycle(ring, coeffs, _join_mode(a.mode, b.mode))
+    return Cycle(ring, coeffs)

@@ -10,18 +10,18 @@ from __future__ import annotations
 import random
 
 from .correspondences import Correspondence
-from .rings import INTEGER, Cycle, kunneth_product
+from .rings import Cycle, kunneth_product
 
 
 def seeded_rng(seed):
     return random.Random(seed)
 
 
-def random_cycle(rng, ring, bound=10, codim=None, mode=INTEGER):
+def random_cycle(rng, ring, bound=10, codim=None):
     """A random cycle, homogeneous of the given codim when one is passed."""
     # randint(a, b) is randrange(a, b + 1): the same draws, one call fewer
     draw, top = rng.randrange, bound + 1
-    return Cycle(ring, {k: draw(-bound, top) for k in ring.basis_keys(codim)}, mode)
+    return Cycle(ring, {k: draw(-bound, top) for k in ring.basis_keys(codim)})
 
 
 def random_fibered_cycle(rng, model, bound=10, codim=None):

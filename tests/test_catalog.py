@@ -1,5 +1,7 @@
 """Catalog constructors: frozen structure, naming grammar, invariants."""
 
+from fractions import Fraction
+
 import pytest
 
 from chowkit import compose, diagonal, is_delta_normalized, validate_fibration
@@ -132,6 +134,21 @@ def test_projective_bundle_rank_inference():
         projective_bundle_model(p2, [p2.cycle({"h^2": 1})])
     with pytest.raises(ValueError):
         projective_bundle_model(p2, [p2.cycle({"h": 1})] * 3, rank=2)
+
+
+def test_projective_bundle_refuses_non_integral_chern_classes():
+    # a model's table is integral, and dump_fibration writes ints only
+    p2 = projective_space(2)
+    half = p2.cycle({"h": Fraction(1, 2)})
+    for c1 in (half, {"h": Fraction(1, 2)}):
+        with pytest.raises(ValueError) as caught:
+            projective_bundle_model(p2, [c1])
+        assert str(caught.value) == "c_1 must have integer coefficients, got 1/2*h"
+    with pytest.raises(ValueError, match="c_2 must have integer coefficients"):
+        projective_bundle_model(p2, [p2.cycle({"h": 1}), p2.cycle({"h^2": Fraction(-3, 2)})])
+    # an integral Fraction is an int
+    got, want = (projective_bundle_model(p2, [p2.cycle({"h": c})]) for c in (Fraction(2, 2), 1))
+    assert got.t_entry((1, 1), (1, 1)) == want.t_entry((1, 1), (1, 1))
 
 
 def test_projective_bundle_relation():

@@ -1,10 +1,14 @@
 """CLI surface: targets, suites, formats, exit codes 0/1/2/3."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import chowkit
 from chowkit import diagonal, point, save_fibration, save_ring, trivial_fibration
 from chowkit.catalog import grassmannian, hirzebruch, projective_space
 from chowkit.cli import main, render_text
@@ -350,3 +354,23 @@ def test_zero_samples_is_a_parse_error(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "expected a positive integer, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_reader_closing_the_pipe_early_exits_141_quietly(fmt):
+    # the 2.2 MB p100 report outgrows any pipe buffer, so the writer is
+    # still writing when the reader stops after one line (as ``| head -1``)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chowkit.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chowkit", "ck", "--catalog", "p100", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first in (b"{\n", b"chowkit ck: p100\n")
+    assert err == b""

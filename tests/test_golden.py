@@ -2,7 +2,10 @@
 
 Each file under ``tests/golden/`` is the exact stdout of one CLI run.  The
 set covers ``verify --suite all`` on every catalog entry plus one ``ck`` and
-one ``decompose`` run.  A deliberate change to a report regenerates the files
+one ``decompose`` run, and ``verify --suite all`` on the two files under
+``tests/data/``: a plane whose h * h is twice the point, so its middle dual
+is h/2 and its cycles carry Fraction coefficients, and the trivial P^1
+fibration over it.  A deliberate change to a report regenerates the files
 with ``PYTHONPATH=src python tests/test_golden.py`` and says so in
 CHANGES.md; a speed-up must leave them untouched.
 """
@@ -16,7 +19,8 @@ import pytest
 from chowkit.catalog import catalog_entries
 from chowkit.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
 VERIFY = ("--suite", "all", "--seed", "0", "--samples", "20", "--format", "json")
 
 
@@ -27,6 +31,8 @@ def cases():
     }
     out["ck-p30"] = ["ck", "--catalog", "p30", "--format", "json"]
     out["decompose-hirzebruch:2"] = ["decompose", "--catalog", "hirzebruch:2", "--format", "json"]
+    for flag, name in (("--ring-file", "doubled_plane"), ("--fibration-file", "doubled_plane_p1")):
+        out[f"verify-file-{name}"] = ["verify", flag, os.path.join(HERE, "data", f"{name}.json"), *VERIFY]
     return out
 
 

@@ -35,9 +35,9 @@ from chowkit import (
 )
 from chowkit import identities
 from chowkit.catalog import standard_rings
-from chowkit.correspondences import _demote, action_columns
+from chowkit.correspondences import action_columns
 from chowkit.linalg import mat_mul
-from chowkit.rings import INTEGER, RATIONAL, Cycle
+from chowkit.rings import Cycle
 from chowkit.sampling import random_correspondence, random_cycle
 
 
@@ -80,7 +80,8 @@ def _rings():
 
 
 def _rational(f):
-    """f times a non-integral Fraction: a rational-mode correspondence."""
+    """f times a non-integral Fraction: a correspondence with Fraction
+    coefficients."""
     return Correspondence(f.source, f.target, f.cycle * Fraction(2, 3), f.offset)
 
 
@@ -104,8 +105,7 @@ def reference_act(f, x):
         d = sum(cx * src.pair_degree(kx, a.key) for kx, cx in x.coeffs.items())
         if d:
             coeffs[b.key] = coeffs.get(b.key, 0) + c * d
-    mode = RATIONAL if (x.mode == RATIONAL or f.cycle.mode == RATIONAL) else INTEGER
-    return Cycle(f.target, coeffs, mode)
+    return Cycle(f.target, coeffs)
 
 
 def reference_action_matrix(f, p):
@@ -114,8 +114,7 @@ def reference_action_matrix(f, p):
     src = f.source
     q = p + f.offset
     src_cells = src.cells_of_codim(p)
-    zero = Fraction(0) if f.cycle.mode == RATIONAL else 0
-    rows = [[zero] * len(src_cells) for _ in range(f.target.rank(q))]
+    rows = [[0] * len(src_cells) for _ in range(f.target.rank(q))]
     for key, c in f.cycle.coeffs.items():
         a, b = f.ring._key_to_pair[key]
         if b.codim != q:
@@ -154,17 +153,17 @@ def reference_oracle(g, f):
         b_key, c_key = g.cycle.ring.split_cell(key)
         ab = AB.pair_cell(unit_a, b_key)
         data[triple.pair_cell(ab, c_key).key] = coeff
-    lift_g = triple.cycle(data, mode=g.cycle.mode)
+    lift_g = triple.cycle(data)
 
     prod = lift_f * lift_g
-    out = AC.zero(mode=prod.mode)
+    out = AC.zero()
     for key, coeff in prod.coeffs.items():
         ab_key, c_key = triple.split_cell(key)
         a_key, b_key = AB.split_cell(ab_key)
-        weight = B.degree(B.basis_cycle(b_key, mode=prod.mode))
+        weight = B.degree(B.basis_cycle(b_key))
         if weight:
-            out = out + AC.cycle({AC.pair_cell(a_key, c_key).key: coeff * weight}, mode=prod.mode)
-    return _demote(out)
+            out = out + AC.cycle({AC.pair_cell(a_key, c_key).key: coeff * weight})
+    return out
 
 
 def nested_oracle(g, f):
@@ -181,7 +180,7 @@ def nested_oracle(g, f):
     for key, coeff in g.cycle.coeffs.items():
         b, c = g.ring._key_to_pair[key]
         data[triple._pair_to_key[(AB._pair_to_key[(unit_a, b.key)], c.key)]] = coeff
-    lift_g = Cycle(triple, data, g.cycle.mode)
+    lift_g = Cycle(triple, data)
 
     prod = lift_f * lift_g
     point_b = B.point_cell.key
@@ -192,11 +191,16 @@ def nested_oracle(g, f):
         if b.key == point_b:
             ac = AC._pair_to_key[(a.key, c.key)]
             coeffs[ac] = coeffs.get(ac, 0) + coeff
-    return _demote(Cycle(AC, coeffs, prod.mode))
+    return Cycle(AC, coeffs)
 
 
 def _types(matrix):
     return [type(x) for row in matrix for x in row]
+
+
+def _canonical(values):
+    """Every value an int, or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values)
 
 
 MATRIX_RINGS = ("P^1", "P^2", "Gr(2,4)", "P^1 x P^2")
@@ -215,8 +219,9 @@ def test_action_matrix_matches_column_route(source, target):
                 for p in range(-1, A.dimension + 2):
                     got, want = action_matrix(g, p), column_route(g, p)
                     assert got == want, (offset, p)
-                    # Fraction entries, zeros included, in rational mode
+                    # ints where integral, zeros included, as in a cycle
                     assert _types(got) == _types(want), (offset, p)
+                    assert _canonical(x for row in got for x in row), (offset, p)
 
 
 REFERENCE_RINGS = MATRIX_RINGS + ("Gr(2,4)'",)
@@ -232,7 +237,7 @@ def test_act_and_action_matrix_match_the_pair_degree_references(source, target):
     rings = _rings()
     A, B = rings[source], rings[target]
     rng = random.Random(f"{source}=>{target} references")
-    xs = [random_cycle(rng, A, bound=3), random_cycle(rng, A, bound=3, mode=RATIONAL) * Fraction(1, 2)]
+    xs = [random_cycle(rng, A, bound=3), random_cycle(rng, A, bound=3) * Fraction(1, 2)]
     xs += [A.basis_cycle(c) for c in A.cells]
     for offset in range(-A.dimension, B.dimension + 1):
         for _ in range(2):
@@ -240,11 +245,12 @@ def test_act_and_action_matrix_match_the_pair_degree_references(source, target):
             for g in (f, _rational(f)):
                 for x in xs:
                     got, want = act(g, x), reference_act(g, x)
-                    assert got.mode == want.mode and _entries(got) == _entries(want), (offset, x)
+                    assert _entries(got) == _entries(want), (offset, x)
+                    assert _canonical(got.coeffs.values()), (offset, x)
                 for p in range(-1, A.dimension + 2):
                     got, want = action_matrix(g, p), reference_action_matrix(g, p)
                     assert got == want, (offset, p)
-                    assert _types(got) == _types(want), (offset, p)
+                    assert _canonical(x for row in got for x in row), (offset, p)
 
 
 @pytest.mark.parametrize("name", REFERENCE_RINGS)
@@ -362,7 +368,7 @@ def test_compose_oracle_matches_reference(source, middle):
         for ff, gg in ((f, g), (_rational(f), g), (f, _rational(g))):
             got, want = compose_oracle(gg, ff), reference_oracle(gg, ff)
             assert got == want
-            assert got.mode == want.mode
+            assert _entries(got) == _entries(want) and _canonical(got.coeffs.values())
             assert got == compose(gg, ff).cycle
 
 
@@ -431,7 +437,7 @@ def test_compose_oracle_matches_the_nested_route(source, middle, target):
         g = random_correspondence(rng, B, C, offset=rng.randint(-B.dimension, C.dimension))
         for ff, gg in ((f, g), (_rational(f), g), (f, _rational(g)), (_rational(f), _rational(g))):
             got, want = compose_oracle(gg, ff), nested_oracle(gg, ff)
-            assert got.mode == want.mode and _entries(got) == _entries(want)
+            assert _entries(got) == _entries(want) and _canonical(got.coeffs.values())
             assert got == compose(gg, ff).cycle
 
 

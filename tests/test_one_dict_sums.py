@@ -5,7 +5,7 @@ routes they replaced, kept here as references.
 ``pushforward`` add every term into one dict; ``_action_map`` and
 ``linalg.apply`` accumulate in place and drop zeros once;
 ``random_cycle`` draws with ``randrange``.  Results must agree with the old
-routes entry by entry, coefficient types and modes included.
+routes entry by entry, coefficient types included.
 """
 
 import random
@@ -25,10 +25,10 @@ from chowkit import (
     random_cycle,
 )
 from chowkit.catalog import linear_embedding
-from chowkit.correspondences import Correspondence, _action_map, _demote, identity_morphism
+from chowkit.correspondences import Correspondence, _action_map, identity_morphism
 from chowkit.linalg import after, apply, combine
 from chowkit.identities import standard_morphisms
-from chowkit.rings import INTEGER, RATIONAL, BasisCell, ChowRing, Cycle
+from chowkit.rings import BasisCell, ChowRing, Cycle
 from chowkit.sampling import random_correspondence
 from test_kernels import REBASED
 
@@ -40,7 +40,7 @@ def doubled_plane():
 
 
 def _entries(cycle):
-    return cycle.mode, sorted((k, v, type(v)) for k, v in cycle.coeffs.items())
+    return sorted((k, v, type(v)) for k, v in cycle.coeffs.items())
 
 
 def cycle_sum_from_action(source, target, lookup, offset):
@@ -52,7 +52,7 @@ def cycle_sum_from_action(source, target, lookup, offset):
             image = lookup(cell)
             if not image.is_zero():
                 total = total + external_product(e, image)
-    return Correspondence(source, target, _demote(total), offset)
+    return Correspondence(source, target, total, offset)
 
 
 def _random_action(rng, source, target, offset, rational):
@@ -61,7 +61,7 @@ def _random_action(rng, source, target, offset, rational):
     for cell in source.cells:
         q = cell.codim + offset
         if rng.random() < 1 / 3 or not 0 <= q <= target.dimension:
-            images[cell] = target.zero(RATIONAL if rational else INTEGER)
+            images[cell] = target.zero()
             continue
         image = random_cycle(rng, target, bound=3, codim=q)
         images[cell] = image * Fraction(rng.randint(1, 3), rng.randint(2, 4)) if rational else image
@@ -73,7 +73,7 @@ def test_correspondence_from_action_matches_the_cycle_sum(rational):
     doubled = doubled_plane()
     p1 = projective_space(1)
     sources = [doubled, kunneth_product(doubled, p1), REBASED, grassmannian(2, 4)]
-    assert any(e.mode == RATIONAL for p in range(3) for e in dual_basis_cycles(doubled, p))
+    assert not all(_integral(e) for p in range(3) for e in dual_basis_cycles(doubled, p))
     rng = random.Random(f"from action {rational}")
     for source in sources:
         for target in (p1, doubled, REBASED):
@@ -93,15 +93,15 @@ def test_correspondence_from_action_demotes_a_sum_that_turns_integral():
     got = correspondence_from_action(doubled, doubled, action, offset=1)
     want = cycle_sum_from_action(doubled, doubled, lambda c: action.get(c.key, doubled.zero()), 1)
     h_pt = kunneth_product(doubled, doubled)._pair_to_key[((1, 1), (2, 1))]
-    assert _entries(got.cycle) == _entries(want.cycle) == (INTEGER, [(h_pt, 2, int)])
-    # only zero images: the zero correspondence, in integer mode
+    assert _entries(got.cycle) == _entries(want.cycle) == [(h_pt, 2, int)]
+    # only zero images: the zero correspondence
     nothing = correspondence_from_action(doubled, doubled, {}, offset=0)
-    assert nothing.cycle.is_zero() and nothing.cycle.mode == INTEGER
+    assert nothing.cycle.is_zero()
 
 
 def cycle_sum_extend(table, ring, x):
     """MorphismData.pullback and pushforward as they were."""
-    out = ring.zero(x.mode)
+    out = ring.zero()
     for key, c in x.coeffs.items():
         entry = table.get(key)
         if entry is not None:
@@ -127,20 +127,24 @@ def _morphisms():
 
 def test_pullback_and_pushforward_match_the_cycle_sum():
     rng = random.Random("extend")
-    modes = set()
+    kinds = set()
     for m in _morphisms():
         for ring, table, apply in ((m.target, m._pull, m.pullback), (m.source, m._push, m.pushforward)):
-            xs = [ring.basis_cycle(c) for c in ring.cells] + [ring.zero(), ring.zero(RATIONAL)]
+            xs = [ring.basis_cycle(c) for c in ring.cells] + [ring.zero()]
             xs += [random_cycle(rng, ring, bound=4) for _ in range(3)]
             xs += [random_cycle(rng, ring, bound=4) * Fraction(1, 3) for _ in range(3)]
-            xs += [random_cycle(rng, ring, bound=4, mode=RATIONAL) for _ in range(2)]
             other = m.source if ring is m.target else m.target
             for x in xs:
                 got, want = apply(x), cycle_sum_extend(table, other, x)
                 assert _entries(got) == _entries(want), (m.name, x)
-                modes.add((x.mode, got.mode))
-    # integer input through a rational table turns rational; rational stays
-    assert modes == {(INTEGER, INTEGER), (INTEGER, RATIONAL), (RATIONAL, RATIONAL)}
+                kinds.add((_integral(x), _integral(got)))
+    # through a rational table an integral input can come out rational and a
+    # rational input integral
+    assert kinds == {(True, True), (True, False), (False, False), (False, True)}
+
+
+def _integral(cycle):
+    return all(type(v) is int for v in cycle.coeffs.values())
 
 
 def old_action_map(f):

@@ -152,7 +152,6 @@ def test_cycle_rejects_float_and_bool_coefficients():
         Cycle(r, {(1, 1): True})
 
 
-@pytest.mark.parametrize("mode", ["integer", "rational"])
 @pytest.mark.parametrize("coeffs, error, message", [
     ({(1, 1): True}, TypeError, "exact integer or Fraction coefficient expected, got True"),
     ({(1, 1): False}, TypeError, "exact integer or Fraction coefficient expected, got False"),
@@ -161,55 +160,48 @@ def test_cycle_rejects_float_and_bool_coefficients():
     ({(1, 1): 1, (9, 9): 2}, ValueError, "unknown cell key (9, 9) for P2-by-hand"),
     ({(9, 9): Fraction(2)}, ValueError, "unknown cell key (9, 9) for P2-by-hand"),
 ])
-def test_cycle_constructor_refusals(mode, coeffs, error, message):
+def test_cycle_constructor_refusals(coeffs, error, message):
     with pytest.raises(error) as caught:
-        Cycle(simple_p2(), coeffs, mode)
+        Cycle(simple_p2(), coeffs)
     assert str(caught.value) == message
 
 
 def test_cycle_constructor_modes():
+    """One exactness rule: an integral value is stored as an int, any other
+    as a Fraction, zeros are dropped and the keys keep their order."""
     r = simple_p2()
-    with pytest.raises(ValueError) as caught:
-        Cycle(r, {(1, 1): Fraction(1, 3)})
-    assert str(caught.value) == "non-integral coefficient 1/3 in integer mode"
-    # the mode is checked first, even with nothing to convert
-    for coeffs in ({}, {(1, 1): 0.5}):
-        with pytest.raises(ValueError) as caught:
-            Cycle(r, coeffs, "real")
-        assert str(caught.value) == "unknown coefficient mode 'real'"
+    assert Cycle(r, {(1, 1): Fraction(1, 3)}).coeffs == {(1, 1): Fraction(1, 3)}
     # a zero at an unknown key is dropped, whatever its exact type
     zeros = {(9, 9): 0, (8, 8): Fraction(0)}
-    for mode in ("integer", "rational"):
-        assert Cycle(r, {**zeros, (1, 1): 2}, mode).coeffs == {(1, 1): 2}
-    # each mode holds one type, and the keys keep their order
+    assert Cycle(r, {**zeros, (1, 1): 2}).coeffs == {(1, 1): 2}
     given = {(2, 1): Fraction(4, 2), (0, 1): 3, (1, 1): 0}
     x = Cycle(r, given)
     assert list(x.coeffs.items()) == [((2, 1), 2), ((0, 1), 3)]
     assert {type(v) for v in x.coeffs.values()} == {int}
-    y = Cycle(r, given, "rational")
-    assert list(y.coeffs.items()) == [((2, 1), 2), ((0, 1), 3)]
-    assert {type(v) for v in y.coeffs.values()} == {Fraction}
+    y = Cycle(r, {**given, (1, 1): Fraction(-1, 2)})
+    assert list(y.coeffs.items()) == [((2, 1), 2), ((0, 1), 3), ((1, 1), Fraction(-1, 2))]
+    assert [type(v) for v in y.coeffs.values()] == [int, int, Fraction]
 
 
 def test_rational_mode_and_demotion():
     r = simple_p2()
-    x = r.basis_cycle("h", mode="rational") * Fraction(1, 2)
-    assert x.mode == "rational"
+    x = r.basis_cycle("h") * Fraction(1, 2)
     assert x.coefficient("h") == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        x.to_integer()
+    assert type(x.coefficient("h")) is Fraction
+    # a sum that turns integral is stored as an int
     y = x + x
-    assert y.to_integer() == r.basis_cycle("h")
-    # integer-mode construction refuses genuine fractions
-    with pytest.raises(ValueError):
-        Cycle(r, {(1, 1): Fraction(1, 3)})
+    assert y == r.basis_cycle("h")
+    assert type(y.coefficient("h")) is int
+    assert type((r.basis_cycle("h") * Fraction(4, 2)).coefficient("h")) is int
 
 
 def test_cross_mode_equality_and_mixing():
     r = simple_p2()
     h = r.basis_cycle("h")
-    assert h.to_rational() == h
-    assert (h.to_rational() + h).mode == "rational"
+    assert Cycle(r, {(1, 1): Fraction(1)}) == h
+    assert hash(Cycle(r, {(1, 1): Fraction(1)})) == hash(h)
+    mixed = h * Fraction(1, 2) + h
+    assert mixed.coeffs == {(1, 1): Fraction(3, 2)}
 
 
 def test_homogeneity_helpers():
