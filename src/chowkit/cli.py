@@ -218,9 +218,16 @@ def _suite_ck(target, config):
         ck = _build_ck(target)
     except ValueError as e:
         return _fail("ck", str(e))
+    return _verify_built_ck(target, ck, config)
+
+
+def _verify_built_ck(target, ck, config):
     reports = [verify_ck(ck)]
     if config.battery and isinstance(target, FibrationModel):
-        reports.append(ck_battery(target, battery=config.battery))
+        try:
+            reports.append(ck_battery(target, battery=config.battery))
+        except ValueError as e:
+            return _fail("ck", str(e))
     return _wrap("ck", *reports)
 
 
@@ -397,19 +404,13 @@ def _cmd_decompose(args, started):
 
 def _cmd_ck(args, started):
     name, target = load_target(args)
-    battery = _parse_battery(args.battery)
+    config = RunConfig(battery=_parse_battery(args.battery))
     # a failure before the lifted projectors exist is a hypothesis failure
     try:
         ck = _build_ck(target)
     except ValueError as e:
         raise CliError(str(e), EXIT_VALIDATION_FAILURE) from e
-    reports = [verify_ck(ck)]
-    if battery and isinstance(target, FibrationModel):
-        try:
-            reports.append(ck_battery(target, battery=battery))
-        except ValueError as e:
-            return _finish(args, started, name, [_fail("ck", str(e))])
-    return _finish(args, started, name, [_wrap("ck", *reports)])
+    return _finish(args, started, name, [_verify_built_ck(target, ck, config)])
 
 
 def _cmd_identities(args, started):

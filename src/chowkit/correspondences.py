@@ -319,15 +319,21 @@ def action_columns(f):
     matrix {cell key: nonzero column {cell key: coefficient}}, the layout of
     linalg that every model operator shares.  Raises the dual_basis_cycles error unless every
     pairing is perfect, since only then does the action determine the
-    cycle.  Read once and kept on f, so callers share it and must not mutate it."""
+    cycle.  Read once and kept on f, with integral entries as ints, so
+    callers share it and must not mutate it."""
     if f._columns is None:
         ring = f.source
         if f.target is not ring or not (f.is_zero() or f.offset == 0):
             raise ValueError("action_columns needs a degree-0 self-correspondence")
         for p in range(ring.dimension + 1):
             dual_basis_cycles(ring, p)
-        f._columns = _action_map(f)
+        f._columns = _exact_columns(_action_map(f))
     return f._columns
+
+
+def _exact_columns(m):
+    """The sparse matrix m with each entry an int when integral, as in a cycle."""
+    return {b: {r: _exact(v) for r, v in col.items()} for b, col in m.items()}
 
 
 def ambient_act(f, ambient, c):

@@ -335,8 +335,9 @@ def duality_report(model, samples=20, seed=0):
 
 
 def validate_fibration(model):
-    """Check the model laws: fiber normalization, grading, unit,
-    commutativity, associativity on generators, and fiberwise duality."""
+    """Check the model laws: fiber normalization, grading, associativity on
+    generators, and fiberwise duality.  The unit law and commutativity hold
+    by construction: FibrationModel refuses a table that breaks them."""
     report = Report("fibration-model", model.name)
     base, fiber = model.base, model.fiber
     n = fiber.dimension
@@ -350,30 +351,15 @@ def validate_fibration(model):
     grading = []
     for g1, row in model._table.items():
         for g2, entry in row.items():
+            # the constructor keeps no zero entry
             for gkey, cyc in entry.items():
                 want = g1[0] + g2[0] - gkey[0]
-                if cyc.is_zero():
-                    continue
                 if want < 0 or cyc.codims() != [want]:
                     grading.append(
                         f"T{g1}*T{g2} component at T{gkey} has base codims "
                         f"{cyc.codims()}, expected [{want}]"
                     )
     report.add("grading", grading)
-
-    unit_failures = []
-    ukey = fiber.unit_cell.key
-    for g in model.generators:
-        if model.t_entry(ukey, g) != {g: base.unit()}:
-            unit_failures.append(f"unit * T{g} != T{g}")
-    report.add("unit", unit_failures)
-
-    comm = []
-    for g1 in model.generators:
-        for g2 in model.generators:
-            if model.t_entry(g1, g2) != model.t_entry(g2, g1):
-                comm.append(f"T{g1}*T{g2} != T{g2}*T{g1}")
-    report.add("commutativity", comm)
 
     assoc = []
     gens = [model.generator(g) for g in model.generators]

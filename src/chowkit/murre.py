@@ -14,7 +14,7 @@ the lifted decomposition to the cellular one of the product ring.
 
 from __future__ import annotations
 
-from .correspondences import _action_map, action_columns, zero_correspondence
+from .correspondences import _action_map, _exact_columns, action_columns, zero_correspondence
 from .fibrations import ambient_extend, build_projector_family
 from .linalg import (
     after,
@@ -24,9 +24,8 @@ from .linalg import (
     combine,
     kron,
     matrix_sum,
-    projector_system_failures,
 )
-from .motives import fiber_projectors
+from .motives import add_system_checks, fiber_projectors
 from .report import Check, Report
 from .rings import ChowRing, kunneth_product
 from .sampling import random_fibered_cycle, seeded_rng
@@ -108,35 +107,17 @@ def verify_ck(ck):
     report = Report("chow-kunneth", ck.name)
     columns = ck.columns()
     codim_of, blocks = codim_blocks(ck.space, columns)
-    idem, orth, complete = projector_system_failures(ck.space, columns)
-    if ck.kind == "cycle":
-        report.add("(a) idempotence", [
-            f"projector {k} is not idempotent" for k in dict.fromkeys(k for k, _ in idem)
-        ])
-        report.add("(a) orthogonality", [
-            f"projectors {l} and {k} do not compose to zero"
-            for l, k in dict.fromkeys((l, k) for l, k, _ in orth)
-        ])
-        report.add(
-            "(a) completeness (sum = diagonal)",
-            ["projector sum differs from the diagonal"] if complete else [],
-        )
-    else:
+    if ck.kind == "operator":
         report.add("grading (projectors preserve codimension)", [
             f"projector {k} moves codim {j} into codims {stray}"
             for k, by_codim in blocks.items()
             for j in range(ck.space.dimension + 1)
             if (stray := sorted({codim_of[r] for col in by_codim.get(j, ()) for r in col} - {j}))
         ])
-        report.add("(a) idempotence", [
-            f"projector {k} is not idempotent on codim {j}" for k, j in idem
-        ])
-        report.add("(a) orthogonality", [
-            f"projectors {l} and {k} do not compose to zero on codim {j}" for l, k, j in orth
-        ])
-        report.add("(a) completeness (sum = identity)", [
-            f"projector sum is not the identity on codim {j}" for j in complete
-        ])
+    whole = "diagonal" if ck.kind == "cycle" else "identity"
+    add_system_checks(report, ck.space, columns, "projector", (
+        "(a) idempotence", "(a) orthogonality", f"(a) completeness (sum = {whole})"
+    ))
     action = _action_window(ck, codim_of, blocks)
     report.children.append(("action", action))
     report.add(
@@ -164,7 +145,8 @@ def cellular_ck(ring, validate=True):
     zero = zero_correspondence(ring, ring, 0)
     projs = {k: sum(by_degree.get(k, ()), zero) for k in range(2 * ring.dimension + 1)}
     for k, p in projs.items():
-        p._columns = matrix_sum((1, action_columns(c)) for c in by_degree.get(k, ()))
+        cells = by_degree.get(k, ())
+        p._columns = _exact_columns(matrix_sum((1, action_columns(c)) for c in cells))
     ck = CKDecomposition(ring, projs, name=f"cellular CK of {ring.name}")
     if validate:
         report = verify_ck(ck)

@@ -20,6 +20,7 @@ from chowkit import (
     Cycle,
     MorphismData,
     act,
+    cellular_ck,
     compose,
     compose_oracle,
     correspondence_from_action,
@@ -33,6 +34,8 @@ from chowkit import (
     tensor,
     transpose,
 )
+from chowkit.correspondences import action_columns
+from chowkit.motives import fiber_projectors
 
 P1, P2, GR = projective_space(1), projective_space(2), grassmannian(2, 4)
 DOUBLED = ChowRing(
@@ -147,6 +150,25 @@ def test_dual_basis_cycles_are_canonical():
             assert all(canonical(e) for e in dual_basis_cycles(ring, p))
     (e,) = dual_basis_cycles(DOUBLED, 1)
     assert e.coeffs == {(1, 1): Fraction(1, 2)}
+
+
+def canonical_matrix(m):
+    """True when every entry of the sparse matrix m is canonical."""
+    return all(canonical_value(v) for col in m.values() for v in col.values())
+
+
+@pytest.mark.parametrize("ring", (DOUBLED, GR, DOUBLED_P1), ids=lambda r: r.name)
+def test_kept_action_maps_are_canonical(ring):
+    # the kept cell actions and the cellular CK's summed columns
+    assert all(canonical_matrix(action_columns(p)) for p in fiber_projectors(ring))
+    assert all(canonical_matrix(m) for m in cellular_ck(ring).columns().values())
+
+
+def test_the_doubled_planes_middle_action_is_an_int():
+    # (h/2) x h sends h to (h/2 * h) h = h: a product of Fractions, kept as 1
+    (col,) = action_columns(fiber_projectors(DOUBLED)[1]).values()
+    assert list(col.items()) == [((1, 1), 1)] and type(col[1, 1]) is int
+    assert type(cellular_ck(DOUBLED).columns()[2][1, 1][1, 1]) is int
 
 
 def _morphisms():

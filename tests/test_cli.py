@@ -11,6 +11,7 @@ import pytest
 import chowkit
 from chowkit import diagonal, point, save_fibration, save_ring, trivial_fibration
 from chowkit.catalog import grassmannian, hirzebruch, projective_space
+from chowkit import cli
 from chowkit.cli import main, render_text
 from chowkit.murre import cellular_ck
 
@@ -281,6 +282,21 @@ def test_ck_command(capsys):
     for row in ranks:
         by_degree[row["degree"]] = by_degree.get(row["degree"], 0) + row["rank"]
     assert [by_degree[k] for k in range(5)] == [1, 0, 2, 0, 1]
+
+
+def test_ck_command_prints_the_ck_suite(capsys, monkeypatch):
+    # the README's battery example; each command verifies its CK once
+    flags = ("--catalog", "product:p2,p1", "--battery", "point,p1,p2", "--format", "json")
+    verified, verify_ck = [], cli.verify_ck
+    monkeypatch.setattr(cli, "verify_ck", lambda ck: verified.append(ck) or verify_ck(ck))
+    code, out, _ = run(capsys, "ck", *flags)
+    assert code == 0 and len(verified) == 1
+    code, suite_out, _ = run(capsys, "verify", "--suite", "ck", *flags)
+    assert code == 0 and len(verified) == 2
+    ck_doc, suite_doc = json.loads(out), json.loads(suite_out)
+    assert [s["suite"] for s in ck_doc["suites"]] == ["ck"]
+    assert ck_doc["suites"] == suite_doc["suites"] and ck_doc["passed"] is True
+    assert len(ck_doc["suites"][0]["data"]) == 2  # verify_ck, then the battery
 
 
 def test_ck_point_projector_is_the_diagonal(capsys):

@@ -363,4 +363,4 @@ def test_decompose_model_catches_a_perturbed_piece(monkeypatch):
         decompose_model(hirzebruch(1))
     message = str(err.value)
     assert "piece (T[h], 1) is not idempotent on codim 1" in message
-    assert "piece sum differs from the identity on codim 1" in message
+    assert "piece sum is not the identity on codim 1" in message

@@ -41,46 +41,54 @@ RINGS = standard_rings() + [kunneth_product(projective_space(1), grassmannian(2,
 # -- the compose-based cycle checks, kept here as the reference ------------------
 
 
-def compose_ck_details(ck):
-    """The cycle-level (a) checks verify_ck ran before it read actions."""
-    ring, projs = ck.space, ck.projectors
-    idem = [f"projector {k} is not idempotent" for k, p in projs.items() if compose(p, p) != p]
+def compose_failures(ring, projs):
+    """Where {name: projector} fails, on the compose route: ([(k, p)] with
+    compose(P_k, P_k) - P_k nonzero, [(l, k, p)] with compose(P_l, P_k)
+    nonzero, [p] with the sum minus the diagonal nonzero), by source codim
+    p, in the order projector_system_failures names them.  A term a x b of
+    a degree-0 self-correspondence acts on CH^{n - codim a}, so each
+    cycle's failing codims are read off its terms."""
+    n = ring.dimension
+
+    def codims(f):
+        return sorted({n - f.ring.split_cell(key)[0].codim for key in f.cycle.coeffs})
+
+    idem = [(k, p) for k, f in projs.items() for p in codims(compose(f, f) - f)]
     orth = [
-        f"projectors {l} and {k} do not compose to zero"
-        for k, p in projs.items()
-        for l, q in projs.items()
-        if k != l and not compose(q, p).is_zero()
+        (l, k, p)
+        for k, f in projs.items()
+        for l, g in projs.items()
+        if l != k
+        for p in codims(compose(g, f))
     ]
     total = zero_correspondence(ring, ring, 0)
-    for p in projs.values():
-        total = total + p
-    complete = [] if total == diagonal(ring) else ["projector sum differs from the diagonal"]
-    return {
-        "(a) idempotence": idem,
-        "(a) orthogonality": orth,
-        "(a) completeness (sum = diagonal)": complete,
-    }
+    for f in projs.values():
+        total = total + f
+    return idem, orth, codims(total - diagonal(ring))
+
+
+def compose_details(ring, projs, labels):
+    """The witnesses of compose_failures under the three labels."""
+    idem, orth, complete = compose_failures(ring, projs)
+    return dict(zip(labels, (
+        [f"projector {k} is not idempotent on codim {p}" for k, p in idem],
+        [f"projectors {l} and {k} do not compose to zero on codim {p}" for l, k, p in orth],
+        [f"projector sum is not the identity on codim {p}" for p in complete],
+    )))
+
+
+def compose_ck_details(ck):
+    """The cycle-level (a) checks verify_ck ran before it read actions."""
+    return compose_details(ck.space, ck.projectors, (
+        "(a) idempotence", "(a) orthogonality", "(a) completeness (sum = diagonal)"
+    ))
 
 
 def compose_system_details(ps):
     """The cycle-level checks verify_projector_system ran before it read actions."""
-    ring = ps[0].source
-    idem = [f"projector {k} is not idempotent" for k, p in enumerate(ps) if compose(p, p) != p]
-    orth = [
-        f"projectors {k} and {l} do not compose to zero"
-        for k, p in enumerate(ps)
-        for l, q in enumerate(ps)
-        if k != l and not compose(p, q).is_zero()
-    ]
-    total = ps[0]
-    for p in ps[1:]:
-        total = total + p
-    complete = [] if total == diagonal(ring) else ["projector sum differs from the diagonal"]
-    return {
-        "idempotence": idem,
-        "pairwise orthogonality": orth,
-        "completeness (sum = diagonal)": complete,
-    }
+    return compose_details(ps[0].source, dict(enumerate(ps)), (
+        "idempotence", "pairwise orthogonality", "completeness (sum = diagonal)"
+    ))
 
 
 def mutants(ps, extra):
