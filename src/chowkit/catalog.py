@@ -40,6 +40,11 @@ def point():
     return projective_space(0)
 
 
+def default_battery():
+    """The ambient rings T the identity-principle batteries extend by."""
+    return (point(), projective_space(1), projective_space(2))
+
+
 def schubert_label(lam):
     return "1" if not lam else "s[" + ",".join(str(p) for p in lam) + "]"
 

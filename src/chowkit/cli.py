@@ -222,13 +222,14 @@ def _suite_ck(target, config):
 
 
 def _verify_built_ck(target, ck, config):
-    reports = [verify_ck(ck)]
     if config.battery and isinstance(target, FibrationModel):
+        # the battery's first entry is the model's own verified lift
         try:
-            reports.append(ck_battery(target, battery=config.battery))
+            battery = ck_battery(target, battery=config.battery)
         except ValueError as e:
             return _fail("ck", str(e))
-    return _wrap("ck", *reports)
+        return _wrap("ck", battery.children[0][1], battery)
+    return _wrap("ck", verify_ck(ck))
 
 
 def _suite_murre(target, config):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 
-from .linalg import apply
+from .linalg import apply, codim_blocks, projector_system_failures
 from .report import Report
 from .rings import external_product, kunneth_product, verify_pairing
 
@@ -483,6 +483,12 @@ class ProjectorFamily:
                             col.update(((g, k), c) for k, c in image.items())
         return columns
 
+    def projectors(self):
+        """{g: rho_g} over the model's generators: rho_g keeps the piece
+        pi^*(alpha_g) * T_g of a cycle, as a sparse matrix."""
+        ident = {k: {k: 1} for k in self.model.base.basis_keys()}
+        return self.peeled_operators({g: {g: ident} for g in self.model.generators})
+
 
 def build_projector_family(model):
     """The model's one projector family, built on first use and kept on the
@@ -492,44 +498,48 @@ def build_projector_family(model):
     return model._family
 
 
+def add_system_checks(report, space, systems, noun, labels, count=None):
+    """Add to report, and return it, where {name: sparse matrix} on the basis
+    of space fail to be a complete system of orthogonal idempotents, under
+    the labels (idempotence, orthogonality, completeness), each check of
+    count instances: one witness per failing name and codim, in the order
+    linalg.projector_system_failures names them.  An optional first label
+    adds a grading check, naming each codim a matrix moves out of."""
+    *grading, idempotence, orthogonality, completeness = labels
+    if grading:
+        codim_of, blocks = codim_blocks(space, systems)
+        report.add(grading[0], [
+            f"{noun} {k} moves codim {j} into codims {stray}"
+            for k, by_codim in blocks.items()
+            for j in sorted(by_codim)
+            if (stray := sorted({codim_of[r] for col in by_codim[j] for r in col} - {j}))
+        ], count)
+    idem, orth, complete = projector_system_failures(space, systems)
+    report.add(idempotence, [f"{noun} {k} is not idempotent on codim {p}" for k, p in idem], count)
+    report.add(orthogonality, [
+        f"{noun}s {l} and {k} do not compose to zero on codim {p}" for l, k, p in orth
+    ], count)
+    report.add(completeness, [f"{noun} sum is not the identity on codim {p}" for p in complete], count)
+    return report
+
+
 def verify_projector_family(family, samples=100, seed=0):
     """Exact check of degree preservation, idempotence, pairwise
     orthogonality, completeness, the coefficient-extraction action formula,
     section recovery, and the per-codim rank identity.
 
-    The operator identities are verified on every module basis element
-    (complete, by linearity) and on seeded random cycles besides.  A basis
-    element's sweep is the family's cached basis_sweep; each nonzero piece
-    is swept once more, and a zero piece is skipped, since its sweep is
-    that of the zero cycle, which is empty by construction.
+    The first four check the family's projectors rho_g as one system of
+    sparse matrices, read off the cached basis sweeps: complete, by
+    linearity.  The action formula is checked on seeded random cycles
+    against the generic model product, an independent route.
     """
     from . import sampling
 
     model = family.model
     report = Report("projector-family", model.name)
-    basis = model.module_basis()
-
-    degree_fail, idem_fail, orth_fail, complete_fail = [], [], [], []
-    for b, y in zip(model.basis_keys(), basis):
-        p = y.codim()
-        coeffs = family.basis_sweep(p)[b]
-        for g, alpha in coeffs.items():
-            piece = model.cycle({g: alpha})
-            if piece.codims() != [p]:
-                degree_fail.append(f"rho{g} moved a codim-{p} cycle to {piece.codims()}")
-            replay = family.apply_all_with_coefficients(piece)
-            for h in family.order:
-                if h == g and replay.get(h) != alpha:
-                    idem_fail.append(f"rho{g} o rho{g} != rho{g} on {y!r}")
-                elif h != g and h in replay:
-                    orth_fail.append(f"rho{h} o rho{g} != 0 on {y!r}")
-        if model.cycle(coeffs) != y:
-            complete_fail.append(f"sum of projections differs from input on {y!r}")
-    count = len(basis)
-    report.add("degree preservation", degree_fail, count)
-    report.add("idempotence", idem_fail, count)
-    report.add("pairwise orthogonality", orth_fail, count)
-    report.add("completeness", complete_fail, count)
+    add_system_checks(report, model, family.projectors(), "rho", (
+        "degree preservation", "idempotence", "pairwise orthogonality", "completeness"
+    ), count=len(model.basis_keys()))
 
     rng = sampling.seeded_rng(seed)
     zero = model.base.zero()
@@ -602,14 +612,14 @@ def ambient_extend(model, ambient):
 def manin_battery(model, battery=None, samples=25, seed=0):
     """Re-verify the projector family after extending by each battery ring.
 
-    The default battery is {point, P^1, P^2}; extending by T and checking the
-    operator identities exactly on CH(T x Y) is the finite surrogate for the
-    identity principle's quantification over all T.
+    The default battery is catalog.default_battery(); extending by T and
+    checking the operator identities exactly on CH(T x Y) is the finite
+    surrogate for the identity principle's quantification over all T.
     """
     if battery is None:
-        from .catalog import projective_space
+        from .catalog import default_battery
 
-        battery = [projective_space(0), projective_space(1), projective_space(2)]
+        battery = default_battery()
     report = Report("ambient-battery", model.name)
     for ambient in battery:
         extended = ambient_extend(model, ambient)

@@ -16,8 +16,8 @@ from .correspondences import (
     diagonal,
     dual_basis_cycles,
 )
-from .fibrations import build_projector_family
-from .linalg import block_rank, codim_blocks, projector_system_failures, rank
+from .fibrations import add_system_checks, build_projector_family
+from .linalg import block_rank, codim_blocks, rank
 from .report import Report
 from .rings import Cycle, external_product
 
@@ -67,23 +67,6 @@ def fiber_projectors(ring):
     return list(ring._cell_projectors)
 
 
-def add_system_checks(report, space, systems, noun, labels):
-    """Add to report, under the three labels, where {name: sparse matrix} on
-    the basis of space fail to be a complete system of orthogonal
-    idempotents: one witness per failing name and codim, in the order
-    projector_system_failures names them.  Returns the report."""
-    idem, orth, complete = projector_system_failures(space, systems)
-    report.add(labels[0], [f"{noun} {k} is not idempotent on codim {p}" for k, p in idem])
-    report.add(labels[1], [
-        f"{noun}s {l} and {k} do not compose to zero on codim {p}" for l, k, p in orth
-    ])
-    report.add(labels[2], [f"{noun} sum is not the identity on codim {p}" for p in complete])
-    return report
-
-
-_RING_LABELS = ("idempotence", "pairwise orthogonality", "completeness (sum = diagonal)")
-
-
 def verify_projector_system(projectors):
     """Idempotence, pairwise orthogonality, and completeness (sum equals the
     diagonal) of degree-0 correspondences, read through their action."""
@@ -95,7 +78,9 @@ def verify_projector_system(projectors):
         raise ValueError("projector system must live on a single ring")
     columns = {k: action_columns(p) for k, p in enumerate(ps)}
     report = Report("projector-system", ring.name)
-    return add_system_checks(report, ring, columns, "projector", _RING_LABELS)
+    return add_system_checks(report, ring, columns, "projector", (
+        "idempotence", "pairwise orthogonality", "completeness (sum = diagonal)"
+    ))
 
 
 class MotiveDecomposition:
@@ -123,12 +108,10 @@ def decompose_motive(ring):
     onto its cell's span.
     """
     ps = fiber_projectors(ring)
-    columns = {k: action_columns(p) for k, p in enumerate(ps)}
-    report = Report("projector-system", ring.name)
-    add_system_checks(report, ring, columns, "projector", _RING_LABELS)
-
+    report = verify_projector_system(ps)
     image = []
-    for cell, cols in zip(ring.cells, columns.values()):
+    for cell, p in zip(ring.cells, ps):
+        cols = action_columns(p)
         for other in ring.cells:
             got = cols.get(other.key, {})
             if got != ({cell.key: 1} if other is cell else {}):
@@ -137,17 +120,6 @@ def decompose_motive(ring):
                     f"{Cycle(ring, got)!r}"
                 )
     report.add("rank-one images", image)
-
-    codim_of, blocks = codim_blocks(ring, columns)
-    rank_table = {}
-    for p in range(ring.dimension + 1):
-        ranks = tuple(block_rank(codim_of, b, p) for b in blocks.values())
-        rank_table[p] = ranks
-        if sum(ranks) != ring.rank(p):
-            report.add(
-                f"rank reconciliation at codim {p}",
-                [f"piece ranks sum to {sum(ranks)}, ring rank is {ring.rank(p)}"],
-            )
     if not report.passed:
         raise ValueError("\n".join(report.lines()))
 
@@ -155,12 +127,12 @@ def decompose_motive(ring):
         Motive(ring, p, name=f"({ring.name}, {cell.label})")
         for cell, p in zip(ring.cells, ps)
     )
-    codims = [
-        next((p for p, ranks in sorted(rank_table.items()) if ranks[k]), None)
-        for k in range(len(pieces))
-    ]
+    # each image is its own cell: one rank in that cell's codim, none elsewhere
+    rank_table = {
+        p: tuple(int(cell.codim == p) for cell in ring.cells) for p in range(ring.dimension + 1)
+    }
     report = Report("ring-decomposition", ring.name, report.checks, table={
-        "pieces": [(piece.name, codim) for piece, codim in zip(pieces, codims)],
+        "pieces": [(piece.name, cell.codim) for piece, cell in zip(pieces, ring.cells)],
         "rank_table": rank_table,
     })
     return MotiveDecomposition(pieces, rank_table, report)

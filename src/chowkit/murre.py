@@ -15,7 +15,7 @@ the lifted decomposition to the cellular one of the product ring.
 from __future__ import annotations
 
 from .correspondences import _action_map, _exact_columns, action_columns, zero_correspondence
-from .fibrations import ambient_extend, build_projector_family
+from .fibrations import add_system_checks, ambient_extend, build_projector_family
 from .linalg import (
     after,
     apply,
@@ -25,7 +25,7 @@ from .linalg import (
     kron,
     matrix_sum,
 )
-from .motives import add_system_checks, fiber_projectors
+from .motives import fiber_projectors
 from .report import Check, Report
 from .rings import ChowRing, kunneth_product
 from .sampling import random_fibered_cycle, seeded_rng
@@ -106,19 +106,12 @@ def verify_ck(ck):
     window, exactly.  Condition (c) is reported but never checked."""
     report = Report("chow-kunneth", ck.name)
     columns = ck.columns()
-    codim_of, blocks = codim_blocks(ck.space, columns)
-    if ck.kind == "operator":
-        report.add("grading (projectors preserve codimension)", [
-            f"projector {k} moves codim {j} into codims {stray}"
-            for k, by_codim in blocks.items()
-            for j in range(ck.space.dimension + 1)
-            if (stray := sorted({codim_of[r] for col in by_codim.get(j, ()) for r in col} - {j}))
-        ])
     whole = "diagonal" if ck.kind == "cycle" else "identity"
+    grading = ("grading (projectors preserve codimension)",) if ck.kind == "operator" else ()
     add_system_checks(report, ck.space, columns, "projector", (
-        "(a) idempotence", "(a) orthogonality", f"(a) completeness (sum = {whole})"
+        *grading, "(a) idempotence", "(a) orthogonality", f"(a) completeness (sum = {whole})"
     ))
-    action = _action_window(ck, codim_of, blocks)
+    action = _action_window(ck, *codim_blocks(ck.space, columns))
     report.children.append(("action", action))
     report.add(
         "(b) action window (degree k acts only on codims j with j <= k <= 2j)",
@@ -272,9 +265,9 @@ def ck_battery(model, battery=None):
     """Lift over the model itself and over its extension by each ambient
     factor, re-verifying every decomposition from scratch."""
     if battery is None:
-        from .catalog import point, projective_space
+        from .catalog import default_battery
 
-        battery = (point(), projective_space(1), projective_space(2))
+        battery = default_battery()
     entries = []
     lifted = lift_ck(model)
     entries.append((model.name, lifted.report))
@@ -328,7 +321,7 @@ def verify_motive_isomorphism(model):
         for k in Pi
     }
     ident = {k: {k: 1} for k in base.basis_keys()}
-    rho = family.peeled_operators({g: {g: ident} for g in model.generators})
+    rho = family.projectors()
     cell_projectors = dict(zip(fiber.basis_keys(), fiber_projectors(fiber)))
 
     def intertwines(what, lhs, rhs):

@@ -4,7 +4,9 @@ Block (k, j) of an operator holds the columns of its codim-j basis keys, and
 its rank lays out only the codim-j rows, so an image component outside
 codim j (an ill-graded operator) never raises it.  The dense rank the sparse
 layout replaced is kept here as the reference, on the lifted Chow-Kunneth
-blocks, on two ill-graded decompositions and on random sparse blocks.
+blocks, on two ill-graded decompositions and on random sparse blocks.  The
+rank table of a ring's motive decomposition, which reads each piece's rank
+off its cell, is checked against the block ranks it used to compute.
 """
 
 from types import SimpleNamespace
@@ -12,9 +14,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_failure_rendering import off_codim_image, perturbed_pi2
+from test_one_dict_sums import doubled_plane
 
-from chowkit import lift_ck, verify_action_window
-from chowkit.catalog import standard_models
+from chowkit import decompose_motive, fiber_projectors, grassmannian, lift_ck, verify_action_window
+from chowkit.catalog import standard_models, standard_rings
+from chowkit.correspondences import action_columns
 from chowkit.linalg import block_rank, codim_blocks, rank
 
 
@@ -32,6 +36,23 @@ def assert_window_matches(ck):
         for j in range(ck.space.dimension + 1):
             want = dense_rank(ck.space, m, j)
             assert ranks[k, j] == want, f"block ({k}, {j}) of {ck.name}"
+
+
+@pytest.mark.parametrize(
+    "ring", standard_rings() + [grassmannian(2, 6), doubled_plane()], ids=lambda r: r.name
+)
+def test_motive_rank_table_matches_the_block_ranks(ring):
+    columns = {k: action_columns(p) for k, p in enumerate(fiber_projectors(ring))}
+    codim_of, blocks = codim_blocks(ring, columns)
+    want = {
+        p: tuple(block_rank(codim_of, b, p) for b in blocks.values())
+        for p in range(ring.dimension + 1)
+    }
+    dec = decompose_motive(ring)
+    assert dec.rank_table == want
+    assert dec.codim_profile() == tuple(
+        next(p for p in sorted(want) if want[p][k]) for k in range(len(columns))
+    )
 
 
 @pytest.mark.parametrize("model", standard_models(), ids=lambda m: m.name)

@@ -10,8 +10,8 @@ import pytest
 
 import chowkit
 from chowkit import diagonal, point, save_fibration, save_ring, trivial_fibration
-from chowkit.catalog import grassmannian, hirzebruch, projective_space
-from chowkit import cli
+from chowkit.catalog import grassmannian, hirzebruch, projective_space, resolve
+from chowkit import build_projector_family, cli, murre
 from chowkit.cli import main, render_text
 from chowkit.murre import cellular_ck
 
@@ -285,18 +285,31 @@ def test_ck_command(capsys):
 
 
 def test_ck_command_prints_the_ck_suite(capsys, monkeypatch):
-    # the README's battery example; each command verifies its CK once
+    # the README's battery example; each command verifies each CK once: the
+    # suite reports the battery's first entry, the model's own lift
     flags = ("--catalog", "product:p2,p1", "--battery", "point,p1,p2", "--format", "json")
-    verified, verify_ck = [], cli.verify_ck
-    monkeypatch.setattr(cli, "verify_ck", lambda ck: verified.append(ck) or verify_ck(ck))
-    code, out, _ = run(capsys, "ck", *flags)
-    assert code == 0 and len(verified) == 1
-    code, suite_out, _ = run(capsys, "verify", "--suite", "ck", *flags)
-    assert code == 0 and len(verified) == 2
-    ck_doc, suite_doc = json.loads(out), json.loads(suite_out)
+    verified, verify_ck = [], murre.verify_ck
+
+    def counted(ck):
+        verified.append(ck.name)
+        return verify_ck(ck)
+
+    monkeypatch.setattr(cli, "verify_ck", counted)
+    monkeypatch.setattr(murre, "verify_ck", counted)
+    family = build_projector_family(resolve("product:p2,p1"))
+    docs = []
+    for command in (["ck"], ["verify", "--suite", "ck"]):
+        # the model keeps its lifted blocks: drop them, so the base CK is checked again
+        monkeypatch.setattr(family, "blocks", None)
+        del verified[:]
+        code, out, _ = run(capsys, *command, *flags)
+        assert code == 0 and len(verified) == 8 == len(set(verified))
+        assert "lifted CK of P^2 x P^1" in verified
+        docs.append(json.loads(out))
+    ck_doc, suite_doc = docs
     assert [s["suite"] for s in ck_doc["suites"]] == ["ck"]
     assert ck_doc["suites"] == suite_doc["suites"] and ck_doc["passed"] is True
-    assert len(ck_doc["suites"][0]["data"]) == 2  # verify_ck, then the battery
+    assert len(ck_doc["suites"][0]["data"]) == 2  # the model's lift, then the battery
 
 
 def test_ck_point_projector_is_the_diagonal(capsys):

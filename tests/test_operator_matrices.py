@@ -225,13 +225,9 @@ def test_one_family_serves_every_operator_of_a_model(monkeypatch):
     lift_base_correspondence(model, diagonal(model.base), 2)
     n = len(model.module_basis())
     assert len(calls) == n
-    # the verifier reads the cached basis sweeps, and sweeps each nonzero piece
-    # and each random sample once
-    family = build_projector_family(model)
-    sweeps = [s for p in range(model.dimension + 1) for s in family.basis_sweep(p).values()]
-    pieces = sum(map(len, sweeps))
-    assert verify_projector_family(family, samples=3).passed
-    assert len(calls) == n + pieces + 3 and pieces == n
+    # the verifier reads the cached basis sweeps and sweeps each random sample once
+    assert verify_projector_family(build_projector_family(model), samples=3).passed
+    assert len(calls) == n + 3
 
 
 def test_blocks_are_built_once_per_model(monkeypatch):

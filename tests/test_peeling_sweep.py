@@ -9,7 +9,10 @@ two must agree exactly, down to each coefficient's type and each cycle's
 key order, on every model and on models with broken tables.
 ``verify_projector_family`` compares the sweep with the generic model
 product, so the sweep must not use it; and ``validate_fibration`` must name
-the entry of a perturbed table.
+the entry of a perturbed table.  The verifier checks the projectors rho_g as
+sparse matrices read off the cached basis sweeps; the replay of every piece
+it replaced is kept here as the reference, and both must fail the same
+checks on every model and under linear perturbations of the sweep.
 """
 
 from fractions import Fraction
@@ -27,6 +30,7 @@ from chowkit import (
     lift_ck,
     projective_bundle_model,
     projective_space,
+    trivial_fibration,
     validate_fibration,
     verify_ck,
     verify_projector_family,
@@ -217,8 +221,8 @@ def test_sweep_of_a_basis_element_is_its_coordinate(model):
 
 
 @pytest.mark.parametrize("model", INDEPENDENCE_MODELS[:3], ids=lambda m: m.name)
-def test_verifier_replays_each_nonzero_piece_once(monkeypatch, model):
-    # N basis sweeps, one replay of the one nonzero piece of each, s samples
+def test_verifier_sweeps_each_basis_element_once(monkeypatch, model):
+    # N basis sweeps, read by rho_g and never replayed, then s samples
     samples = 3
     calls = []
     sweep = ProjectorFamily.apply_all_with_coefficients
@@ -228,7 +232,7 @@ def test_verifier_replays_each_nonzero_piece_once(monkeypatch, model):
         lambda fam, y: calls.append(1) or sweep(fam, y),
     )
     assert verify_projector_family(ProjectorFamily(model), samples=samples).passed
-    assert len(calls) == 2 * len(model.module_basis()) + samples
+    assert len(calls) == len(model.module_basis()) + samples
 
 
 def test_sweeping_a_basis_constructs_no_fibered_cycle(monkeypatch):
@@ -243,6 +247,110 @@ def test_sweeping_a_basis_constructs_no_fibered_cycle(monkeypatch):
     sweeps = [family.apply_all_with_coefficients(y) for y in basis]
     assert not built
     assert [len(out) for out in sweeps] == [1] * len(basis) and len(basis) == 25
+
+
+# -- the replay route rho_g replaced -----------------------------------------------
+
+SYSTEM_LABELS = ("degree preservation", "idempotence", "pairwise orthogonality", "completeness")
+
+
+def replay_failures(family):
+    """The failing system labels by the route verify_projector_family took
+    before it checked rho_g as sparse matrices: every nonzero piece {g: alpha}
+    of a basis element's cached sweep is swept once more and must come back
+    as itself alone, and the pieces must sum to the basis element."""
+    model = family.model
+    degree_fail, idem_fail, orth_fail, complete_fail = [], [], [], []
+    for b, y in zip(model.basis_keys(), model.module_basis()):
+        p = y.codim()
+        coeffs = family.basis_sweep(p)[b]
+        for g, alpha in coeffs.items():
+            piece = model.cycle({g: alpha})
+            if piece.codims() != [p]:
+                degree_fail.append(f"rho{g} moved a codim-{p} cycle to {piece.codims()}")
+            replay = family.apply_all_with_coefficients(piece)
+            for h in family.order:
+                if h == g and replay.get(h) != alpha:
+                    idem_fail.append(f"rho{g} o rho{g} != rho{g} on {y!r}")
+                elif h != g and h in replay:
+                    orth_fail.append(f"rho{h} o rho{g} != 0 on {y!r}")
+        if model.cycle(coeffs) != y:
+            complete_fail.append(f"sum of projections differs from input on {y!r}")
+    fails = (degree_fail, idem_fail, orth_fail, complete_fail)
+    return {label for label, details in zip(SYSTEM_LABELS, fails) if details}
+
+
+def system_failures(family):
+    report = verify_projector_family(family, samples=1)
+    return {c.label for c in report.checks if not c.passed} & set(SYSTEM_LABELS)
+
+
+def doubled_top(family, out):
+    """A linear sweep: the top generator's coefficient comes back doubled."""
+    top = family.order[0]
+    return {g: 2 * a if g == top else a for g, a in out.items()}
+
+
+def leaked_top(family, out):
+    """A linear sweep: the top generator's coefficient is copied onto the
+    unit generator, which moves its codim."""
+    top, unit = family.order[0], family.order[-1]
+    if top not in out:
+        return out
+    leaked = dict(out)
+    total = leaked.get(unit, family.model.base.zero()) + out[top]
+    leaked.pop(unit, None)
+    if not total.is_zero():
+        leaked[unit] = total
+    return leaked
+
+
+def dropped_unit(family, out):
+    """A linear sweep: the unit generator's coefficient is lost."""
+    return {g: a for g, a in out.items() if g != family.order[-1]}
+
+
+REPLAY_MODELS = (
+    STANDARD
+    + [ambient_extend(m, projective_space(1)) for m in STANDARD]
+    + [flat_square(), nonassociative()]
+)
+
+
+@pytest.mark.parametrize("model", REPLAY_MODELS, ids=lambda m: m.name)
+def test_rho_system_fails_where_the_replay_fails(model):
+    want = replay_failures(ProjectorFamily(model))
+    assert system_failures(ProjectorFamily(model)) == want
+    # the nonassociative table breaks no projector identity
+    assert bool(want) == (model.name == "flat square")
+
+
+@pytest.mark.parametrize("perturb", [doubled_top, leaked_top, dropped_unit], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("model", INDEPENDENCE_MODELS[:3], ids=lambda m: m.name)
+def test_rho_system_fails_where_the_replay_fails_on_a_perturbed_sweep(monkeypatch, model, perturb):
+    # the replay is a column of rho_h o rho_g only while the sweep is linear,
+    # so each perturbation is linear, and the cached sweeps come from it too
+    sweep = ProjectorFamily.apply_all_with_coefficients
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "apply_all_with_coefficients",
+        lambda fam, y: perturb(fam, sweep(fam, y)),
+    )
+    want = replay_failures(ProjectorFamily(model))
+    assert want and system_failures(ProjectorFamily(model)) == want
+
+
+def test_a_doubled_sweep_coefficient_fails_idempotence():
+    m = trivial_fibration(projective_space(2), projective_space(1))
+    family = ProjectorFamily(m)
+    b = ((0, 1), (1, 1))  # pi^*(h) * T_1
+    sweep = family.basis_sweep(1)
+    sweep[b][(0, 1)] = 2 * sweep[b][(0, 1)]
+    report = verify_projector_family(family, samples=2)
+    assert {c.label: c.details for c in report.checks if not c.passed} == {
+        "idempotence": ["rho (0, 1) is not idempotent on codim 1"],
+        "completeness": ["rho sum is not the identity on codim 1"],
+    }
 
 
 # -- random projective bundles ---------------------------------------------------
