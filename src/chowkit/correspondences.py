@@ -68,7 +68,7 @@ class Correspondence:
             offset = cs[0] - source.dimension if len(cs) == 1 else None
         elif offset is not None:
             want = source.dimension + offset
-            if any(p != want for p, _ in cycle.coeffs):
+            if not cycle.coeffs.keys() <= ring._key_sets[want]:
                 raise ValueError(f"cycle is not homogeneous of codim {want}")
         self.source = source
         self.target = target
@@ -137,40 +137,41 @@ def act(f, x):
     """Apply a correspondence to a cycle of its source ring.
 
     Pull back, multiply, push forward; in coordinates the left factor a of
-    each term is contracted against x over a's partners in the source ring.
+    each term is contracted against x over a's partners in the source ring,
+    read off the product's kept left plan.
     """
     if x.ring is not f.source:
         raise ValueError(f"act: cycle lives in {x.ring.name}, not {f.source.name}")
-    partners, split, xs = f.source.partners, f.ring._key_to_pair, x.coeffs
+    plan, xs = f.ring._left_partners, x.coeffs
     coeffs = {}
     for key, c in f.cycle.coeffs.items():
-        a, b = split[key]
-        d = sum(xs[k] * e for k, e in partners(a.key) if k in xs)
+        b, partners = plan[key]
+        d = sum(xs[k] * e for k, e in partners if k in xs)
         if d:
-            coeffs[b.key] = coeffs.get(b.key, 0) + c * d
+            coeffs[b] = coeffs.get(b, 0) + c * d
     return Cycle(f.target, coeffs)
 
 
 def compose(g, f):
     """g after f: contract the middle factor through its degree pairing,
-    each f-term against the g-terms of complementary middle codim."""
+    each f-term a x b against the g-terms on b's partners in the middle
+    ring, read off the products' kept plans."""
     if f.target is not g.source:
         raise ValueError(
             f"compose: {f.target.name} (target of f) differs from {g.source.name} (source of g)"
         )
-    mid = f.target
     ring = kunneth_product(f.source, g.target)
-    gsplit = {}  # middle codim -> [(middle key, target key, coefficient)]
+    split, gterms = g.ring._pair_keys, {}  # middle key -> [(target key, coefficient)]
     for k, c in g.cycle.coeffs.items():
-        b2, c2 = g.ring._key_to_pair[k]
-        gsplit.setdefault(b2.codim, []).append((b2.key, c2.key, c))
-    coeffs = {}
+        b2, c2 = split[k]
+        gterms.setdefault(b2, []).append((c2, c))
+    plan, rows, coeffs = f.ring._right_partners, ring._key_rows, {}
     for kf, cf in f.cycle.coeffs.items():
-        a, b = f.ring._key_to_pair[kf]
-        for b2, c2, cg in gsplit.get(mid.dimension - b.codim, ()):
-            d = mid.pair_degree(b.key, b2)
-            if d:
-                key = ring._pair_to_key[(a.key, c2)]
+        a, partners = plan[kf]
+        row = rows[a]
+        for b2, d in partners:
+            for c2, cg in gterms.get(b2, ()):
+                key = row[c2]
                 coeffs[key] = coeffs.get(key, 0) + cf * cg * d
     offset = None if f.offset is None or g.offset is None else f.offset + g.offset
     return Correspondence(f.source, g.target, Cycle(ring, coeffs), offset)
@@ -278,13 +279,12 @@ def multiplication_correspondence(ring, alpha):
 def _action_map(f):
     """act(f, -) on the source cells, in one walk over f's terms: {source
     key: nonzero image {target key: coefficient}}.  A term c (a x b) sends
-    each partner k of a, with deg(k a) = d, to c d b."""
-    partners, split = f.source.partners, f.ring._key_to_pair
-    columns = {}
+    each partner k of a, with deg(k a) = d, to c d b, read off the
+    product's kept left plan."""
+    plan, columns = f.ring._left_partners, {}
     for key, c in f.cycle.coeffs.items():
-        a, b = split[key]
-        b = b.key
-        for k, d in partners(a.key):
+        b, partners = plan[key]
+        for k, d in partners:
             col = columns.setdefault(k, {})
             col[b] = col.get(b, 0) + c * d
     # zeros dropped once, rebuilding only the columns that hold one

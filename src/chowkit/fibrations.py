@@ -574,7 +574,7 @@ def verify_projector_family(family, samples=100, seed=0):
 
     rank_fail = []
     for p in range(model.dimension + 1):
-        direct = len(model.module_basis(p))
+        direct = len(model.basis_keys(p))
         formula = sum(
             model.base.rank(p - q) * model.fiber.rank(q)
             for q in range(model.fiber.dimension + 1)

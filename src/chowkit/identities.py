@@ -209,7 +209,7 @@ def compose_oracle(g, f):
     per ring triple, from key pairs only, and kept on the triple product."""
     if f.target is not g.source:
         raise ValueError("composition mismatch: f must land where g starts")
-    triple = kunneth_product(kunneth_product(f.source, f.target), g.target)
+    triple = kunneth_product(f.ring, g.target)
     if triple._oracle is None:
         triple._oracle = _oracle_maps(triple)
     up_f, up_g, down, AC = triple._oracle

@@ -213,6 +213,8 @@ class ChowRing:
         self._cell_projectors = None  # motives.fiber_projectors(self), with kept actions
         self._basis_keys = {}  # codim p, or None for all -> basis_keys(p)
         self._kunneth = {}  # right factor -> kunneth_product(self, right)
+        self._unit_coeffs = {self.unit_cell.key: 1}  # the unit's coeffs, for multiply
+        self._key_sets = _Kept(lambda p: frozenset(self.basis_keys(p)))  # codim p -> keys
         if validate:
             self._validate_associativity()
 
@@ -374,6 +376,11 @@ class ChowRing:
     def multiply(self, a, b):
         if a.ring is not self or b.ring is not self:
             raise ValueError("multiply: cycles must live in this ring")
+        # the unit law _build_table enforces: a unit factor reads no row
+        if a.coeffs == self._unit_coeffs:
+            return Cycle(self, b.coeffs)
+        if b.coeffs == self._unit_coeffs:
+            return Cycle(self, a.coeffs)
         coeffs = {}
         for k1, c1 in a.coeffs.items():
             row = self._table[k1]
@@ -469,6 +476,10 @@ class KunnethRing(ChowRing):
 
     Table rows are built from the factor rows on first read; degrees come
     from the factor degrees, so pairings and correspondences build no row.
+    The contraction plans of act and compose are kept the same way, one
+    entry per key on first read: {key: (a key, b key)}; {key: (b key,
+    left.partners(a))} and its mirror {key: (a key, right.partners(b))};
+    and {a key: {c key: key of a x c}}.
     """
 
     def __init__(self, left, right):
@@ -493,11 +504,22 @@ class KunnethRing(ChowRing):
                 self._pair_to_key[(a.key, b.key)] = cell.key
                 self._key_to_pair[cell.key] = (a, b)
         self._oracle = None  # identities.compose_oracle's key maps, on a triple product
+        pairs, pk = self._key_to_pair, self._pair_to_key
+        self._pair_keys = _Kept(lambda k: (pairs[k][0].key, pairs[k][1].key))
+        self._left_partners = _Kept(lambda k: (pairs[k][1].key, left.partners(pairs[k][0].key)))
+        self._right_partners = _Kept(lambda k: (pairs[k][0].key, right.partners(pairs[k][1].key)))
+        self._key_rows = _Kept(lambda a: {c: pk[(a, c)] for c in right.basis_keys()})
         # factor laws give the axioms componentwise; skip the cubic re-check
         super().__init__(dimension, cells, None, name=f"{left.name} x {right.name}", validate=False)
 
     def _build_table(self, _products):
-        return _KunnethRows(self)
+        return _Kept(self._kron_row)
+
+    def _kron_row(self, key):
+        # (a x b) * (c x d) = (a * c) x (b * d): the row of a x b is the
+        # Kronecker product of the factor rows of a and b
+        a, b = self._key_to_pair[key]
+        return kron(self.left._table[a.key], self.right._table[b.key], self._pair_to_key)
 
     def pair_degree(self, k1, k2):
         """deg_A(ac) * deg_B(bd) for (a x b) and (c x d); builds no row."""
@@ -514,21 +536,20 @@ class KunnethRing(ChowRing):
         return self._key_to_pair[cell.key]
 
 
-class _KunnethRows(dict):
-    """A Kunneth product's table, one row per cell key, each built on first
-    read (``rows[key]``; ``dict.get`` would miss unbuilt rows)."""
+class _Kept(dict):
+    """A dict whose entry for a key is built by ``fill(key)`` on first read
+    (``kept[key]``; ``dict.get`` would miss unbuilt entries) and kept: a
+    Kunneth product's table rows and contraction plans, a ring's key sets."""
 
-    def __init__(self, ring):
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill):
         super().__init__()
-        self._ring = ring
+        self._fill = fill
 
     def __missing__(self, key):
-        # (a x b) * (c x d) = (a * c) x (b * d): the row of a x b is the
-        # Kronecker product of the factor rows of a and b
-        ring = self._ring
-        a, b = ring._key_to_pair[key]
-        row = self[key] = kron(ring.left._table[a.key], ring.right._table[b.key], ring._pair_to_key)
-        return row
+        value = self[key] = self._fill(key)
+        return value
 
 
 def kunneth_product(left, right):

@@ -18,10 +18,23 @@ def seeded_rng(seed):
 
 
 def random_cycle(rng, ring, bound=10, codim=None):
-    """A random cycle, homogeneous of the given codim when one is passed."""
-    # randint(a, b) is randrange(a, b + 1): the same draws, one call fewer
-    draw, top = rng.randrange, bound + 1
-    return Cycle(ring, {k: draw(-bound, top) for k in ring.basis_keys(codim)})
+    """A random cycle, homogeneous of the given codim when one is passed,
+    each coefficient drawn as ``rng.randint(-bound, bound)``."""
+    if type(bound) is not int:
+        raise TypeError(f"random_cycle: bound must be an int, got {bound!r}")
+    if bound < 0:
+        raise ValueError(f"random_cycle: bound must be nonnegative, got {bound}")
+    # randint(-bound, bound) redraws getrandbits(k) until it is below the
+    # width, then subtracts bound: the same values and generator state
+    # (CPython 3.10-3.13), without its two Python frames per coefficient
+    width = 2 * bound + 1
+    draw, k, coeffs = rng.getrandbits, width.bit_length(), {}
+    for key in ring.basis_keys(codim):
+        r = draw(k)
+        while r >= width:
+            r = draw(k)
+        coeffs[key] = r - bound
+    return Cycle(ring, coeffs)
 
 
 def random_fibered_cycle(rng, model, bound=10, codim=None):

@@ -372,26 +372,40 @@ def test_compose_oracle_matches_reference(source, middle):
             assert got == compose(gg, ff).cycle
 
 
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
 def test_oracle_does_not_use_the_middle_pairing(monkeypatch):
-    rings = _rings()
+    """The oracle reads neither B's pair_degree nor its partner index;
+    compose reads B's pairing, through the partners its kept plans hold."""
+    # private rings, so that no plan or partner index is filled yet
+    p1, p2, g24 = (parse_ring(dump_ring(r)) for r in (projective_space(1), projective_space(2), grassmannian(2, 4)))
     rng = random.Random(5)
-    for A, B, C in (
-        (rings["P^1"], rings["Gr(2,4)"], rings["P^2"]),
-        (rings["P^2"], rings["P^2"], rings["P^2"]),
-    ):
+    for A, B, C in ((p1, g24, p2), (p2, p2, p2)):
         f = random_correspondence(rng, A, B, offset=0)
         g = random_correspondence(rng, B, C, offset=0)
         before = compose_oracle(g, f)
-        assert before == compose(g, f).cycle and not before.is_zero()
-
-        def refuse(*args):
-            raise AssertionError("pair_degree called")
-
         with monkeypatch.context() as m:
-            m.setattr(B, "pair_degree", refuse)
+            m.setattr(B, "pair_degree", _refuse("pair_degree"))
+            m.setattr(B, "partners", _refuse("partners"))
+            assert compose_oracle(g, f) == before
+            with pytest.raises(AssertionError, match="partners called"):
+                compose(g, f)
+        assert before == compose(g, f).cycle and not before.is_zero()
+        # with the kept plan and partner index cleared, compose reads B's
+        # pair_degree again
+        f.ring._right_partners.clear()
+        B._partners.clear()
+        with monkeypatch.context() as m:
+            m.setattr(B, "pair_degree", _refuse("pair_degree"))
             assert compose_oracle(g, f) == before
             with pytest.raises(AssertionError, match="pair_degree called"):
                 compose(g, f)
+        assert compose(g, f).cycle == before
 
 
 def test_oracle_battery_fails_on_one_corrupted_triple_table_entry():

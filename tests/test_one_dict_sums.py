@@ -4,7 +4,8 @@ routes they replaced, kept here as references.
 ``correspondence_from_action``, ``MorphismData.pullback`` and
 ``pushforward`` add every term into one dict; ``_action_map`` and
 ``linalg.apply`` accumulate in place and drop zeros once;
-``random_cycle`` draws with ``randrange``.  Results must agree with the old
+``random_cycle`` draws each coefficient as ``randint`` would, straight from
+``getrandbits``.  Results must agree with the old
 routes entry by entry, coefficient types included.
 """
 
@@ -201,14 +202,16 @@ def _randint_reference(rng, ring, bound, codim):
 def test_random_cycle_draws_as_randint():
     """random_cycle and random_correspondence draw as the randint reference:
     the same coefficients in the same key order, the same generator state
-    after, and the empty cycle at a codim out of range."""
+    after, and the empty cycle at a codim out of range.  The bounds take
+    getrandbits widths k = 1, 2, 5, 5, 6, one below and one at a power of
+    two."""
     p1, p2, gr24 = projective_space(1), projective_space(2), grassmannian(2, 4)
     rings = [p1, p2, projective_space(3), gr24, kunneth_product(p2, p1)]
     for seed in range(10):
         rng, ref = random.Random(seed), random.Random(seed)
         for ring in rings:
             for codim in [None, -1, ring.dimension + 1, *range(ring.dimension + 1)]:
-                for bound in (1, 10):
+                for bound in (0, 1, 10, 15, 16):
                     want = _randint_reference(ref, ring, bound, codim)
                     assert list(random_cycle(rng, ring, bound, codim=codim).coeffs.items()) == want
                     assert rng.getstate() == ref.getstate()
@@ -218,3 +221,22 @@ def test_random_cycle_draws_as_randint():
                     f = random_correspondence(rng, ring, target, offset)
                     assert list(f.cycle.coeffs.items()) == want and f.offset == offset
                     assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("bound", [-1, -16, 1.0, Fraction(1), True, "3", None])
+def test_random_cycle_refuses_a_bad_bound_before_drawing(bound):
+    """randint raised on an empty range; a bare redraw loop over a width of
+    zero or less would never end.  A bad bound is refused before any draw."""
+
+    class Watched(random.Random):
+        def getrandbits(self, k):
+            raise AssertionError("drew before refusing the bound")
+
+    error = ValueError if type(bound) is int else TypeError
+    for rng in (Watched(3), random.Random(3)):
+        state = rng.getstate()
+        with pytest.raises(error, match="bound must be"):
+            random_cycle(rng, projective_space(2), bound)
+        with pytest.raises(error, match="bound must be"):
+            random_correspondence(rng, projective_space(1), projective_space(2), 0, bound)
+        assert rng.getstate() == state
