@@ -15,7 +15,7 @@ the correspondence pair acting as pullback and pushforward.
 from __future__ import annotations
 
 from .linalg import invert
-from .rings import BasisCell, Cycle, _exact, external_product, kunneth_product
+from .rings import BasisCell, Cycle, _cycle, _exact, external_product, kunneth_product
 
 _AUTO = object()
 
@@ -128,6 +128,15 @@ class Correspondence:
         return f"<Correspondence {self.source.name} -> {self.target.name} deg={r} {self.cycle!r}>"
 
 
+def _correspondence(source, target, ring, cycle, offset):
+    """Correspondence(source, target, cycle, offset) for a kernel whose cycle
+    lies on ring, their product, homogeneous of codim dim(source) + offset
+    unless offset is None: neither is looked up or checked."""
+    f = object.__new__(Correspondence)
+    f.source, f.target, f.ring, f.cycle, f.offset, f._columns = source, target, ring, cycle, offset, None
+    return f
+
+
 def zero_correspondence(source, target, offset=None):
     ring = kunneth_product(source, target)
     return Correspondence(source, target, ring.zero(), offset)
@@ -149,7 +158,7 @@ def act(f, x):
         d = sum(xs[k] * e for k, e in partners if k in xs)
         if d:
             coeffs[b] = coeffs.get(b, 0) + c * d
-    return Cycle(f.target, coeffs)
+    return _cycle(f.target, coeffs)
 
 
 def compose(g, f):
@@ -174,7 +183,7 @@ def compose(g, f):
                 key = row[c2]
                 coeffs[key] = coeffs.get(key, 0) + cf * cg * d
     offset = None if f.offset is None or g.offset is None else f.offset + g.offset
-    return Correspondence(f.source, g.target, Cycle(ring, coeffs), offset)
+    return _correspondence(f.source, g.target, ring, _cycle(ring, coeffs), offset)
 
 
 def transpose(f):
@@ -187,7 +196,7 @@ def transpose(f):
     offset = None
     if f.offset is not None:
         offset = f.offset + f.source.dimension - f.target.dimension
-    return Correspondence(f.target, f.source, Cycle(ring, coeffs), offset)
+    return _correspondence(f.target, f.source, ring, _cycle(ring, coeffs), offset)
 
 
 def tensor(f, g):
@@ -209,7 +218,7 @@ def tensor(f, g):
             ]
             coeffs[key] = cf * cg
     offset = None if f.offset is None or g.offset is None else f.offset + g.offset
-    return Correspondence(src, tgt, Cycle(big, coeffs), offset)
+    return _correspondence(src, tgt, big, _cycle(big, coeffs), offset)
 
 
 def correspondence_from_action(source, target, action, offset=0):
@@ -443,7 +452,7 @@ def _extend(table, ring, x):
         if entry is not None:
             for k, v in entry.coeffs.items():
                 coeffs[k] = coeffs.get(k, 0) + v * c
-    return Cycle(ring, coeffs)
+    return _cycle(ring, coeffs)
 
 
 def identity_morphism(ring):
@@ -509,10 +518,18 @@ def graph_from_morphism(m):
     """
     c = correspondence_from_action(m.target, m.source, lambda cell: m.pullback(m.target.basis_cycle(cell)), 0)
     c_t = transpose(c)
-    for cell in m.target.cells:
-        if act(c, m.target.basis_cycle(cell)) != m.pullback(m.target.basis_cycle(cell)):
-            raise ValueError(f"{m.name}: graph does not act as the pullback at {cell.label}")
-    for cell in m.source.cells:
-        if act(c_t, m.source.basis_cycle(cell)) != m.pushforward(m.source.basis_cycle(cell)):
-            raise ValueError(f"{m.name}: transposed graph does not act as the pushforward at {cell.label}")
+    for cell in _table_mismatches(c, m._pull, m.target.cells)[:1]:
+        raise ValueError(f"{m.name}: graph does not act as the pullback at {cell.label}")
+    for cell in _table_mismatches(c_t, m._push, m.source.cells)[:1]:
+        raise ValueError(f"{m.name}: transposed graph does not act as the pushforward at {cell.label}")
     return c, c_t
+
+
+def _table_mismatches(f, table, cells):
+    """The cells whose image under act(f, -), their column of f's action
+    map, is not their entry in a morphism table (missing is zero), in order."""
+    columns, empty = _action_map(f), {}
+    return [
+        cell for cell in cells
+        if columns.get(cell.key, empty) != (table[cell.key].coeffs if cell.key in table else empty)
+    ]

@@ -28,7 +28,7 @@ import warnings
 
 from .linalg import apply, codim_blocks, projector_system_failures
 from .report import Report
-from .rings import external_product, kunneth_product, verify_pairing
+from .rings import _cycle, _sum, external_product, kunneth_product, verify_pairing
 
 
 class FiberedCycle:
@@ -92,10 +92,10 @@ class FiberedCycle:
         parts = dict(self.parts)
         for g, cyc in other.parts.items():
             parts[g] = parts[g] + cyc if g in parts else cyc
-        return FiberedCycle(self.model, parts)
+        return _fibered(self.model, parts)
 
     def __neg__(self):
-        return FiberedCycle(self.model, {g: -c for g, c in self.parts.items()})
+        return _fibered(self.model, {g: -c for g, c in self.parts.items()})
 
     def __sub__(self, other):
         if not isinstance(other, FiberedCycle):
@@ -125,6 +125,15 @@ class FiberedCycle:
             label = self.model._gen_cells[g].label
             terms.append(f"pi*({self.parts[g]!r})*T[{label}]")
         return " + ".join(terms)
+
+
+def _fibered(model, parts):
+    """FiberedCycle(model, parts) for a kernel whose keys are generators and
+    whose cycles lie on the base by construction: zeros dropped, no check."""
+    y = object.__new__(FiberedCycle)
+    y.model = model
+    y.parts = {g: cyc for g, cyc in parts.items() if cyc.coeffs}
+    return y
 
 
 class FibrationModel:
@@ -193,7 +202,7 @@ class FibrationModel:
         return self._table.get(tuple(g1), {}).get(tuple(g2), {})
 
     def zero(self):
-        return FiberedCycle(self, {})
+        return _fibered(self, {})
 
     def generator(self, gkey):
         return FiberedCycle(self, {tuple(gkey): self.base.unit()})
@@ -208,7 +217,7 @@ class FibrationModel:
         """pi^*: a base cycle times the unit generator."""
         if a.ring is not self.base:
             raise ValueError(f"pullback: cycle lives in {a.ring.name}, not {self.base.name}")
-        return FiberedCycle(self, {self.fiber.unit_cell.key: a})
+        return _fibered(self, {self.fiber.unit_cell.key: a})
 
     def pushforward(self, y):
         """pi_*: the coefficient of the top fiber generator."""
@@ -231,7 +240,7 @@ class FibrationModel:
                     if term.is_zero():
                         continue
                     parts[k] = parts[k] + term if k in parts else term
-        return FiberedCycle(self, parts)
+        return _fibered(self, parts)
 
     def rank(self, p):
         return sum(self.base.rank(p - g[0]) for g in self.generators)
@@ -243,7 +252,8 @@ class FibrationModel:
 
     def module_basis(self, p=None):
         """The basis cycles pi^*(x) * T_g, all of them or those of codim p."""
-        return [FiberedCycle(self, {g: self.base.basis_cycle(k)}) for g, k in self.basis_keys(p)]
+        base = self.base
+        return [_fibered(self, {g: _cycle(base, {k: 1})}) for g, k in self.basis_keys(p)]
 
     def coordinates(self, y, p):
         """Coefficients of the codim-p part of y along module_basis(p)."""
@@ -412,6 +422,7 @@ class ProjectorFamily:
         self._sweeps = {}  # codim p -> {basis key: sweep of that basis element}
         self._duals = None  # generator key -> its fiber dual's key, from the first sweep
         self.blocks = None  # see murre.lifted_blocks
+        self._window = None  # murre's action-window table of lift_ck(model), see murre
 
     def apply_all_with_coefficients(self, y):
         """{generator key: alpha_g} over the nonzero peeled coefficients, in
@@ -422,7 +433,9 @@ class ProjectorFamily:
         the model table.  The unit laws the constructors enforce make the
         piece pi^*(alpha_g) * T_g the cycle {g: alpha_g}, so peeling it only
         changes the residual's coefficient at g, and the pieces of y are
-        model.cycle({g: alpha_g})."""
+        model.cycle({g: alpha_g}).  Residual and alphas are coefficient dicts,
+        multiplied as ChowRing.multiply and summed as Cycle does, in the same
+        key order; one Cycle is built per nonzero alpha_g."""
         model = self.model
         if y.model is not model:
             raise ValueError(
@@ -430,22 +443,18 @@ class ProjectorFamily:
             )
         if self._duals is None:
             self._duals = {g: model.fiber.dual_cell(g).key for g in self.order}
-        base, top = model.base, model.fiber.point_cell.key
-        residual = dict(y.parts)
+        base, top, rows = model.base, model.fiber.point_cell.key, model._table
+        residual = {h: b.coeffs for h, b in y.parts.items()}  # replaced, never mutated
         out = {}
         for g in self.order:
-            dual = self._duals[g]
-            alpha = None
+            row, alpha = rows.get(self._duals[g], {}), {}
             for h, b in residual.items():
-                t = model.t_entry(dual, h).get(top)
-                if t is None:
-                    continue
-                term = base.multiply(b, t)
-                if not term.is_zero():
-                    alpha = term if alpha is None else alpha + term
-            if alpha is not None and not alpha.is_zero():
-                out[g] = alpha
-                residual[g] = residual[g] - alpha if g in residual else -alpha
+                t = row.get(h, {}).get(top)
+                if t is not None:
+                    alpha = _sum(alpha, base._product(b, t.coeffs))
+            if alpha:
+                out[g] = _cycle(base, alpha)
+                residual[g] = _sum(residual.get(g, {}), alpha, -1)
         return out
 
     def basis_sweep(self, p):

@@ -44,6 +44,14 @@ class Motive:
         return f"<Motive {self.name}>"
 
 
+def _motive(ring, projector, name):
+    """Motive(ring, projector, name) for a piece of a system that passed
+    verify_projector_system: idempotence is not re-checked by compose."""
+    motive = object.__new__(Motive)
+    motive.ring, motive.projector, motive.name = ring, projector, name
+    return motive
+
+
 def unit_motive(ring):
     """h(X): the ring with its diagonal."""
     return Motive(ring, diagonal(ring), name=f"h({ring.name})")
@@ -124,7 +132,7 @@ def decompose_motive(ring):
         raise ValueError("\n".join(report.lines()))
 
     pieces = tuple(
-        Motive(ring, p, name=f"({ring.name}, {cell.label})")
+        _motive(ring, p, f"({ring.name}, {cell.label})")
         for cell, p in zip(ring.cells, ps)
     )
     # each image is its own cell: one rank in that cell's codim, none elsewhere

@@ -16,7 +16,8 @@ products of even total dimension) provably admit no such basis.
 
 Coefficients are exact everywhere and stored one way: an integral value is
 a Python int, any other a Fraction.  Cycle is the one place that enforces
-this, so a value's type says whether it is integral.  No floats.
+this, so a value's type says whether it is integral.  No floats.  Kernel
+outputs go through ``_cycle``, which keeps this rule and checks no key.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class Cycle:
         return cs[0]
 
     def component(self, p):
-        return Cycle(self.ring, {k: v for k, v in self.coeffs.items() if k[0] == p})
+        return _cycle(self.ring, {k: v for k, v in self.coeffs.items() if k[0] == p})
 
     def coefficient(self, cell):
         key = cell.key if isinstance(cell, BasisCell) else self.ring.cell(cell).key
@@ -124,24 +125,22 @@ class Cycle:
         if not isinstance(other, Cycle):
             return NotImplemented
         self._require_same_ring(other)
-        coeffs = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            coeffs[key] = coeffs.get(key, 0) + value
-        return Cycle(self.ring, coeffs)
+        return _cycle(self.ring, _sum(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return Cycle(self.ring, {k: -v for k, v in self.coeffs.items()})
+        return _cycle(self.ring, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Cycle):
             return NotImplemented
-        return self + (-other)
+        self._require_same_ring(other)
+        return _cycle(self.ring, _sum(self.coeffs, other.coeffs, -1))
 
     def __mul__(self, other):
         if isinstance(other, Cycle):
             return self.ring.multiply(self, other)
         other = _exact(other)
-        return Cycle(self.ring, {k: v * other for k, v in self.coeffs.items()})
+        return _cycle(self.ring, {k: v * other for k, v in self.coeffs.items()})
 
     def __rmul__(self, other):
         if isinstance(other, Cycle):
@@ -174,6 +173,29 @@ class Cycle:
         return out.replace("+ -", "- ")
 
 
+def _cycle(ring, coeffs):
+    """Cycle(ring, coeffs) for a kernel whose keys are cells of ring by
+    construction: values made exact and zeros dropped, no key checked.  A
+    dict of nonzero ints becomes the cycle's own, so hand over a fresh one."""
+    cycle = object.__new__(Cycle)
+    cycle.ring = ring
+    for v in coeffs.values():
+        if type(v) is not int or not v:
+            coeffs = {k: v if type(v) is int else _exact(v) for k, v in coeffs.items() if v}
+            break
+    cycle.coeffs = coeffs
+    return cycle
+
+
+def _sum(a, b, sign=1):
+    """a + sign * b on coefficient dicts, as Cycle adds: a fresh dict with
+    a's keys and then b's new ones, in order, and no zero."""
+    out = dict(a)
+    for key, value in b.items():
+        out[key] = out.get(key, 0) + sign * value
+    return out if all(out.values()) else {k: v for k, v in out.items() if v}
+
+
 class ChowRing:
     """Cellular Chow ring: graded basis plus exact structure constants.
 
@@ -185,38 +207,41 @@ class ChowRing:
     def __init__(self, dimension, cells, products, name=None, validate=True):
         if dimension < 0:
             raise ValueError("dimension must be nonnegative")
-        self.dimension = dimension
-        self.name = name or f"ring(dim={dimension})"
-        self.cells = tuple(sorted(cells, key=lambda c: c.key))
-        self._by_key = {c.key: c for c in self.cells}
-        self._by_label = {}
-        self._by_codim = {p: [] for p in range(dimension + 1)}
-        for cell in self.cells:
+        cells = tuple(sorted(cells, key=lambda c: c.key))
+        by_label, by_codim = {}, {p: [] for p in range(dimension + 1)}
+        for cell in cells:
             if not 0 <= cell.codim <= dimension:
                 raise ValueError(f"cell {cell.label!r} has codim {cell.codim} outside 0..{dimension}")
-            if cell.label in self._by_label:
+            if cell.label in by_label:
                 raise ValueError(f"duplicate cell label {cell.label!r}")
-            self._by_label[cell.label] = cell
-            self._by_codim[cell.codim].append(cell)
-        for p, group in self._by_codim.items():
+            by_label[cell.label] = cell
+            by_codim[cell.codim].append(cell)
+        for p, group in by_codim.items():
             if [c.index for c in group] != list(range(1, len(group) + 1)):
                 raise ValueError(f"cell indices at codim {p} must be 1..m_p contiguous")
-        if len(self._by_codim[0]) != 1 or len(self._by_codim[dimension]) != 1:
+        if len(by_codim[0]) != 1 or len(by_codim[dimension]) != 1:
             raise ValueError("need exactly one cell in codim 0 and one in top codim")
-        self.ranks = tuple(len(self._by_codim[p]) for p in range(dimension + 1))
-        self.unit_cell = self._by_codim[0][0]
-        self.point_cell = self._by_codim[dimension][0]
+        self._index(dimension, name, cells, {c.key: c for c in cells}, by_label, by_codim)
         self._table = self._build_table(products)
+        if validate:
+            self._validate_associativity()
+
+    def _index(self, dimension, name, cells, by_key, by_label, by_codim):
+        """Keep a checked, sorted basis with its indexes; start the caches empty."""
+        self.dimension, self.name = dimension, name or f"ring(dim={dimension})"
+        self.cells, self._by_key, self._by_label, self._by_codim = cells, by_key, by_label, by_codim
+        self.ranks = tuple(len(by_codim[p]) for p in range(dimension + 1))
+        self.unit_cell = by_codim[0][0]
+        self.point_cell = by_codim[dimension][0]
         self._pairings = {}  # codim p -> pairing_matrix(p)
         self._duals = {}  # codim p -> correspondences.dual_basis_cycles(self, p)
         self._partners = {}  # cell key -> partners(key)
         self._cell_projectors = None  # motives.fiber_projectors(self), with kept actions
+        self._window = None  # murre's action-window table of cellular_ck(self), see murre
         self._basis_keys = {}  # codim p, or None for all -> basis_keys(p)
         self._kunneth = {}  # right factor -> kunneth_product(self, right)
         self._unit_coeffs = {self.unit_cell.key: 1}  # the unit's coeffs, for multiply
         self._key_sets = _Kept(lambda p: frozenset(self.basis_keys(p)))  # codim p -> keys
-        if validate:
-            self._validate_associativity()
 
     # -- construction helpers ----------------------------------------------
 
@@ -347,13 +372,13 @@ class ChowRing:
         return keys
 
     def basis_cycle(self, spec):
-        return Cycle(self, {self.cell(spec).key: 1})
+        return _cycle(self, {self.cell(spec).key: 1})
 
     def unit(self):
-        return self.basis_cycle(self.unit_cell)
+        return _cycle(self, {self.unit_cell.key: 1})
 
     def zero(self):
-        return Cycle(self, {})
+        return _cycle(self, {})
 
     def cycle(self, data):
         """Build a cycle from {label or key: coefficient}."""
@@ -376,22 +401,26 @@ class ChowRing:
     def multiply(self, a, b):
         if a.ring is not self or b.ring is not self:
             raise ValueError("multiply: cycles must live in this ring")
-        # the unit law _build_table enforces: a unit factor reads no row
-        if a.coeffs == self._unit_coeffs:
-            return Cycle(self, b.coeffs)
-        if b.coeffs == self._unit_coeffs:
-            return Cycle(self, a.coeffs)
+        return _cycle(self, self._product(a.coeffs, b.coeffs))
+
+    def _product(self, a, b):
+        """a * b on coefficient dicts, in a fresh dict that may hold zeros; by
+        the unit law _build_table enforces, a unit factor reads no row."""
+        if a == self._unit_coeffs:
+            return dict(b)
+        if b == self._unit_coeffs:
+            return dict(a)
         coeffs = {}
-        for k1, c1 in a.coeffs.items():
+        for k1, c1 in a.items():
             row = self._table[k1]
-            for k2, c2 in b.coeffs.items():
+            for k2, c2 in b.items():
                 entry = row.get(k2)
                 if not entry:
                     continue
                 scale = c1 * c2
                 for key, value in entry.items():
                     coeffs[key] = coeffs.get(key, 0) + scale * value
-        return Cycle(self, coeffs)
+        return coeffs
 
     def degree(self, a):
         """Coefficient of the point class (the top-codimension component)."""
@@ -486,34 +515,32 @@ class KunnethRing(ChowRing):
         self.left = left
         self.right = right
         dimension = left.dimension + right.dimension
-        self._pair_to_key = {}
-        self._key_to_pair = {}
-        cells = []
+        # checked factors give sorted cells, contiguous indices and one unit and
+        # point cell, so one pass indexes them; only label clashes are checked
+        pk, pairs, cells, by_key, by_label, by_codim = {}, {}, [], {}, {}, {}
         for q in range(dimension + 1):
-            # in cell order already: _by_codim lists each codim's cells by index
             codims = range(max(0, q - right.dimension), min(q, left.dimension) + 1)
-            pairs = [
-                (a, b)
-                for p in (reversed(codims) if 2 * q > dimension else codims)
-                for a in left._by_codim[p]
-                for b in right._by_codim[q - p]
-            ]
-            for i, (a, b) in enumerate(pairs, start=1):
-                cell = BasisCell(q, i, f"({a.label},{b.label})")
-                cells.append(cell)
-                self._pair_to_key[(a.key, b.key)] = cell.key
-                self._key_to_pair[cell.key] = (a, b)
+            group = by_codim[q] = []
+            for p in (reversed(codims) if 2 * q > dimension else codims):
+                for a in left._by_codim[p]:
+                    for b in right._by_codim[q - p]:
+                        cell = BasisCell(q, len(group) + 1, f"({a.label},{b.label})")
+                        if cell.label in by_label:
+                            raise ValueError(f"duplicate cell label {cell.label!r}")
+                        by_label[cell.label] = by_key[cell.key] = cell
+                        group.append(cell)
+                        pk[a.key, b.key] = cell.key
+                        pairs[cell.key] = (a, b)
+            cells += group
+        self._pair_to_key, self._key_to_pair = pk, pairs
         self._oracle = None  # identities.compose_oracle's key maps, on a triple product
-        pairs, pk = self._key_to_pair, self._pair_to_key
         self._pair_keys = _Kept(lambda k: (pairs[k][0].key, pairs[k][1].key))
         self._left_partners = _Kept(lambda k: (pairs[k][1].key, left.partners(pairs[k][0].key)))
         self._right_partners = _Kept(lambda k: (pairs[k][0].key, right.partners(pairs[k][1].key)))
         self._key_rows = _Kept(lambda a: {c: pk[(a, c)] for c in right.basis_keys()})
+        self._index(dimension, f"{left.name} x {right.name}", tuple(cells), by_key, by_label, by_codim)
         # factor laws give the axioms componentwise; skip the cubic re-check
-        super().__init__(dimension, cells, None, name=f"{left.name} x {right.name}", validate=False)
-
-    def _build_table(self, _products):
-        return _Kept(self._kron_row)
+        self._table = _Kept(self._kron_row)
 
     def _kron_row(self, key):
         # (a x b) * (c x d) = (a * c) x (b * d): the row of a x b is the
@@ -568,4 +595,4 @@ def external_product(a, b):
     for ka, ca in a.coeffs.items():
         for kb, cb in b.coeffs.items():
             coeffs[ring._pair_to_key[(ka, kb)]] = ca * cb
-    return Cycle(ring, coeffs)
+    return _cycle(ring, coeffs)

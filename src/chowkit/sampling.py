@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 
-from .correspondences import Correspondence
-from .rings import Cycle, kunneth_product
+from .correspondences import _correspondence
+from .rings import _cycle, kunneth_product
 
 
 def seeded_rng(seed):
@@ -33,8 +33,22 @@ def random_cycle(rng, ring, bound=10, codim=None):
         r = draw(k)
         while r >= width:
             r = draw(k)
-        coeffs[key] = r - bound
-    return Cycle(ring, coeffs)
+        if r != bound:
+            coeffs[key] = r - bound
+    return _cycle(ring, coeffs)
+
+
+def _randint(rng, low, high):
+    """rng.randint(low, high) by random_cycle's loop, same value and state;
+    an empty range is refused first, as getrandbits(0) is 0 forever."""
+    width = high - low + 1
+    if width <= 0:
+        raise ValueError(f"empty range for a draw: ({low}, {high})")
+    draw, k = rng.getrandbits, width.bit_length()
+    r = draw(k)
+    while r >= width:
+        r = draw(k)
+    return low + r
 
 
 def random_fibered_cycle(rng, model, bound=10, codim=None):
@@ -53,4 +67,4 @@ def random_fibered_cycle(rng, model, bound=10, codim=None):
 def random_correspondence(rng, source, target, offset=0, bound=10):
     ring = kunneth_product(source, target)
     cyc = random_cycle(rng, ring, bound, codim=source.dimension + offset)
-    return Correspondence(source, target, cyc, offset)
+    return _correspondence(source, target, ring, cyc, offset)
