@@ -250,10 +250,9 @@ def resolve(name):
 class CatalogEntry:
     """A named catalog object and how to read its name."""
 
-    def __init__(self, name, kind, parameters, description):
+    def __init__(self, name, kind, description):
         self.name = name
         self.kind = kind  # "ring" | "model"
-        self.parameters = parameters
         self.description = description
 
     def build(self):
@@ -262,21 +261,21 @@ class CatalogEntry:
 
 def catalog_entries():
     entries = [
-        CatalogEntry("point", "ring", "", "zero-dimensional ring"),
-        CatalogEntry("p1", "ring", "n=1", "projective line"),
-        CatalogEntry("p2", "ring", "n=2", "projective plane"),
-        CatalogEntry("p3", "ring", "n=3", "projective 3-space"),
-        CatalogEntry("p4", "ring", "n=4", "projective 4-space"),
-        CatalogEntry("gr24", "ring", "k=2, n=4", "Grassmannian of 2-planes in 4-space"),
-        CatalogEntry("gr25", "ring", "k=2, n=5", "Grassmannian of 2-planes in 5-space"),
-        CatalogEntry("hirzebruch:0", "model", "a=0", "trivial plane bundle over the line"),
-        CatalogEntry("hirzebruch:1", "model", "a=1", "Hirzebruch surface of twist 1"),
-        CatalogEntry("hirzebruch:2", "model", "a=2", "Hirzebruch surface of twist 2"),
-        CatalogEntry("product:p1,p1", "model", "", "trivial fibration, line over line"),
-        CatalogEntry("product:p2,p1", "model", "", "trivial fibration, line over plane"),
-        CatalogEntry("product:p1,p2", "model", "", "trivial fibration, plane over line"),
-        CatalogEntry("product:p2,gr24", "model", "", "trivial fibration, Gr(2,4) over plane"),
-        CatalogEntry("pbundle:p2:h", "model", "c_1 = h", "projective bundle over the plane"),
+        CatalogEntry("point", "ring", "zero-dimensional ring"),
+        CatalogEntry("p1", "ring", "projective line"),
+        CatalogEntry("p2", "ring", "projective plane"),
+        CatalogEntry("p3", "ring", "projective 3-space"),
+        CatalogEntry("p4", "ring", "projective 4-space"),
+        CatalogEntry("gr24", "ring", "Grassmannian of 2-planes in 4-space"),
+        CatalogEntry("gr25", "ring", "Grassmannian of 2-planes in 5-space"),
+        CatalogEntry("hirzebruch:0", "model", "trivial plane bundle over the line"),
+        CatalogEntry("hirzebruch:1", "model", "Hirzebruch surface of twist 1"),
+        CatalogEntry("hirzebruch:2", "model", "Hirzebruch surface of twist 2"),
+        CatalogEntry("product:p1,p1", "model", "trivial fibration, line over line"),
+        CatalogEntry("product:p2,p1", "model", "trivial fibration, line over plane"),
+        CatalogEntry("product:p1,p2", "model", "trivial fibration, plane over line"),
+        CatalogEntry("product:p2,gr24", "model", "trivial fibration, Gr(2,4) over plane"),
+        CatalogEntry("pbundle:p2:h", "model", "projective bundle over the plane"),
     ]
     return tuple(entries)
 

@@ -357,18 +357,12 @@ def _cmd_catalog(args, started):
     entries = []
     for entry in catalog_entries():
         thing = entry.build()
-        if isinstance(thing, ChowRing):
-            ranks = list(thing.ranks)
-            dim = thing.dimension
-        else:
-            dim = thing.dimension
-            ranks = [thing.rank(p) for p in range(dim + 1)]
         entries.append(
             {
                 "name": entry.name,
                 "kind": entry.kind,
-                "dimension": dim,
-                "ranks": ranks,
+                "dimension": thing.dimension,
+                "ranks": [thing.rank(p) for p in range(thing.dimension + 1)],
                 "description": entry.description,
             }
         )

@@ -373,12 +373,11 @@ def validate_fibration(model):
 
     assoc = []
     gens = [model.generator(g) for g in model.generators]
+    prods = [[model.multiply(ta, tb) for tb in gens] for ta in gens]
     for i, ta in enumerate(gens):
-        for j, tb in enumerate(gens):
-            ab = model.multiply(ta, tb)
+        for j in range(len(gens)):
             for k, tc in enumerate(gens):
-                bc = model.multiply(tb, tc)
-                if model.multiply(ab, tc) != model.multiply(ta, bc):
+                if model.multiply(prods[i][j], tc) != model.multiply(ta, prods[j][k]):
                     assoc.append(
                         f"associativity fails at generators "
                         f"{model.generators[i]}, {model.generators[j]}, {model.generators[k]}"

@@ -191,7 +191,7 @@ def decompose_model(model):
     report.add("rank-one images", [
         f"piece {label} has unexpected rank on codim {p}"
         for label, codim, _ in pieces
-        for p in range(model.dimension + 1)
+        for p in sorted({codim, *blocks[label]})  # a codim with no column has rank 0
         if block_rank(codim_of, blocks[label], p) != (1 if p == codim else 0)
     ])
     if not report.passed:

@@ -148,12 +148,16 @@ def cellular_ck(ring, validate=True):
     for k, p in projs.items():
         cells = by_degree.get(k, ())
         p._columns = _exact_columns(matrix_sum((1, action_columns(c)) for c in cells))
-    ck = CKDecomposition(ring, projs, name=f"cellular CK of {ring.name}")
+    return _checked(CKDecomposition(ring, projs, name=f"cellular CK of {ring.name}"), validate)
+
+
+def _checked(ck, validate):
+    """ck, carrying its verify_ck report when validate is set; a failed
+    check raises with the full report."""
     if validate:
-        report = verify_ck(ck)
-        ck.report = report
-        if not report.passed:
-            raise ValueError("\n".join(report.lines()))
+        ck.report = verify_ck(ck)
+        if not ck.report.passed:
+            raise ValueError("\n".join(ck.report.lines()))
     return ck
 
 
@@ -174,59 +178,43 @@ def lift_base_correspondence(model, phi, j):
     return build_projector_family(model).peeled_operators({name: slots})[name]
 
 
-def _lift_blocks(family, base_ck):
-    """{(i, j): block} in (i, j) order: block (i, j) lifts base projector i in
-    fiber degree j, and the degree-k lifted projector sums the blocks with
-    i + j = k.  Zero blocks (odd j, a zero base projector, no generator of
-    codim j/2) are left out; the rest are built in one pass."""
-    model = family.model
-    maps = {}
-    for i, phi in base_ck.columns().items():
-        if not phi:
-            continue
-        for q in range(model.fiber.dimension + 1):
-            slots = {g: phi for g in model.generators if g[0] == q}
-            if slots:
-                maps[(i, 2 * q)] = slots
-    return family.peeled_operators(maps)
-
-
 def lifted_blocks(model):
-    """The blocks of the lift of the base's cellular CK, built and checked
-    once per model and kept on its projector family."""
+    """{(i, j): block} in (i, j) order, the lift of the base's cellular CK,
+    built and checked once per model and kept on its projector family.
+    Block (i, j) lifts base projector i in fiber degree j, and the degree-k
+    lifted projector sums the blocks with i + j = k.  Zero blocks (odd j, a
+    zero base projector, no generator of codim j/2) are left out; the rest
+    are built in one pass."""
     family = build_projector_family(model)
     if family.blocks is None:
-        family.blocks = _lift_blocks(family, cellular_ck(model.base))
+        maps = {}
+        for i, phi in cellular_ck(model.base).columns().items():
+            if not phi:
+                continue
+            for q in range(model.fiber.dimension + 1):
+                slots = {g: phi for g in model.generators if g[0] == q}
+                if slots:
+                    maps[(i, 2 * q)] = slots
+        family.blocks = family.peeled_operators(maps)
     return family.blocks
 
 
-def lift_ck(model, base_ck=None, validate=True):
-    """Lift a Chow-Kunneth decomposition of the base across the fibration.
+def lift_ck(model, *, validate=True):
+    """Lift the base's cellular Chow-Kunneth decomposition across the
+    fibration: Pi_k sums the lifted blocks (i, j) with i + j = k.
 
-    The base decomposition is verified first (the cellular one once per
-    model), the lifted one after assembly; failure of either raises with
-    the full report.
+    It is the only CK to lift on a cellular base: a degree-0 correspondence
+    is fixed by its action (the pairings are perfect), and a genuine
+    projector of degree 2j acts as the identity on CH^j and as zero on every
+    other codim, as the cellular one does.  The base's CK is verified once
+    per model (lifted_blocks); with validate, the lifted one is verified
+    after assembly, and a failure raises with the full report.
     """
-    if base_ck is None:
-        blocks = lifted_blocks(model)
-    else:
-        if base_ck.space is not model.base:
-            raise ValueError("base decomposition must live on the model's base")
-        pre = verify_ck(base_ck)
-        if not pre.passed:
-            raise ValueError("base decomposition fails:\n" + "\n".join(pre.lines()))
-        blocks = _lift_blocks(build_projector_family(model), base_ck)
-    projs = {
-        k: matrix_sum((1, m) for (i, j), m in blocks.items() if i + j == k)
-        for k in range(2 * model.dimension + 1)
-    }
-    ck = CKDecomposition(model, projs, name=f"lifted CK of {model.name}")
-    if validate:
-        report = verify_ck(ck)
-        ck.report = report
-        if not report.passed:
-            raise ValueError("\n".join(report.lines()))
-    return ck
+    terms = {k: [] for k in range(2 * model.dimension + 1)}
+    for (i, j), m in lifted_blocks(model).items():
+        terms[i + j].append((1, m))
+    projs = {k: matrix_sum(ts) for k, ts in terms.items()}
+    return _checked(CKDecomposition(model, projs, name=f"lifted CK of {model.name}"), validate)
 
 
 def verify_block_diagonality(model, samples=20, seed=0):

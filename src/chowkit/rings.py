@@ -344,7 +344,7 @@ class ChowRing:
     def cell(self, spec):
         """Resolve a cell from a BasisCell, a (codim, index) key, or a label."""
         if isinstance(spec, BasisCell):
-            if spec.key not in self._by_key or self._by_key[spec.key] != spec:
+            if (own := self._by_key.get(spec.key)) is not spec and own != spec:
                 raise ValueError(f"cell {spec!r} does not belong to {self.name}")
             return spec
         if isinstance(spec, str):

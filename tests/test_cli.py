@@ -9,8 +9,8 @@ import time
 import pytest
 
 import chowkit
-from chowkit import diagonal, point, save_fibration, save_ring, trivial_fibration
-from chowkit.catalog import grassmannian, hirzebruch, projective_space, resolve
+from chowkit import ChowRing, diagonal, point, save_fibration, save_ring, trivial_fibration
+from chowkit.catalog import catalog_entries, grassmannian, hirzebruch, projective_space, resolve
 from chowkit import build_projector_family, cli, murre
 from chowkit.cli import main, render_text
 from chowkit.murre import cellular_ck
@@ -47,6 +47,19 @@ def test_catalog_lists_entries(capsys):
     byname = {e["name"]: e for e in doc["entries"]}
     assert byname["p2"]["ranks"] == [1, 1, 1]
     assert byname["product:p2,p1"]["ranks"] == [1, 2, 2, 1]
+
+
+def test_catalog_reads_every_entry_through_dimension_and_rank(capsys):
+    code, out, _ = run(capsys, "catalog", "--format", "json")
+    assert code == 0
+    for entry, e in zip(catalog_entries(), json.loads(out)["entries"]):
+        thing = entry.build()
+        assert list(e) == ["name", "kind", "dimension", "ranks", "description"]
+        assert e["name"] == entry.name and e["dimension"] == thing.dimension
+        if isinstance(thing, ChowRing):
+            assert e["ranks"] == list(thing.ranks)
+        else:
+            assert e["ranks"] == [thing.rank(p) for p in range(thing.dimension + 1)]
 
 
 def test_verify_single_suite(capsys):

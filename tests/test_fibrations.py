@@ -22,6 +22,7 @@ from chowkit import (
 from chowkit.catalog import (
     grassmannian,
     hirzebruch,
+    product_model,
     projective_space,
 )
 from chowkit.sampling import random_cycle, random_fibered_cycle, seeded_rng
@@ -234,6 +235,21 @@ def test_validate_fibration_catches_nonassociative_table():
     assert not rep.passed
     failed = {c.label for c in rep.checks if not c.passed}
     assert "associativity on generators" in failed
+
+
+@pytest.mark.parametrize("make, m", [
+    (lambda: hirzebruch(1), 2),
+    (lambda: product_model(projective_space(2), grassmannian(2, 4)), 6),
+], ids=["hirzebruch1", "p2xgr24"])
+def test_validate_fibration_multiplies_each_generator_pair_once(make, m, monkeypatch):
+    # the m x m table of T_a T_b, then (T_a T_b) T_c and T_a (T_b T_c) per triple
+    model = make()
+    calls = []
+    real = FibrationModel.multiply
+    monkeypatch.setattr(FibrationModel, "multiply", lambda *a: calls.append(1) or real(*a))
+    assert len(model.generators) == m
+    assert validate_fibration(model).passed
+    assert len(calls) == m * m + 2 * m ** 3
 
 
 def test_validate_fibration_catches_broken_fiber_duality():

@@ -20,8 +20,9 @@ from chowkit import (
     verify_projector_system,
     zero_correspondence,
 )
-from chowkit import correspondences
+from chowkit import correspondences, motives
 from chowkit.correspondences import act
+from chowkit.fibrations import ProjectorFamily
 from chowkit.fileio import dump_ring, parse_ring
 from chowkit.linalg import apply, combine
 
@@ -166,6 +167,34 @@ def test_decompose_model_product():
     dec = decompose_model(product_model(projective_space(1), projective_space(2)))
     assert dec.piece_count == 6
     assert dec.rank_profile() == (1, 2, 2, 1)
+
+
+def test_decompose_model_ranks_each_piece_where_it_has_columns(monkeypatch):
+    # a product piece has columns in its own codim only: one rank per piece,
+    # where every codim of every piece was ranked before
+    calls = []
+    real = motives.block_rank
+    monkeypatch.setattr(motives, "block_rank", lambda *a: calls.append(a[2]) or real(*a))
+    p4 = projective_space(4)
+    dec = decompose_model(product_model.__wrapped__(p4, p4))
+    assert dec.piece_count == 25
+    assert calls == [codim for _, codim, _ in dec.pieces]
+
+
+def test_decompose_model_names_a_piece_with_a_column_outside_its_codim(monkeypatch):
+    build = ProjectorFamily.peeled_operators
+    low = ((0, 1), (0, 1))  # a codim-0 basis key of hirzebruch(1)
+
+    def strayed(family, maps):
+        ops = build(family, maps)
+        if "(T[h], 1)" in ops:
+            ops["(T[h], 1)"] = {**ops["(T[h], 1)"], low: {low: 1}}
+        return ops
+
+    monkeypatch.setattr(ProjectorFamily, "peeled_operators", strayed)
+    with pytest.raises(ValueError) as err:
+        decompose_model(hirzebruch.__wrapped__(1))
+    assert "piece (T[h], 1) has unexpected rank on codim 0" in str(err.value)
 
 
 def test_tensor_identity_small_pairs():

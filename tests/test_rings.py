@@ -58,6 +58,28 @@ def test_cell_lookup_by_label_key_and_cell():
         r.cell((3, 1))
 
 
+def test_cell_refuses_a_foreign_cell_and_accepts_an_equal_copy():
+    r = simple_p2()
+    with pytest.raises(ValueError, match=(
+        r"^cell BasisCell\(codim=1, index=1, label='H'\) does not belong to P2-by-hand$"
+    )):
+        r.cell(BasisCell(1, 1, "H"))
+    with pytest.raises(ValueError, match="does not belong to P2-by-hand"):
+        r.cell(BasisCell(3, 1, "h^3"))
+    copy = BasisCell(1, 1, "h")
+    assert r.cell(copy) is copy
+
+
+def test_cell_returns_the_rings_own_cell_without_comparing(monkeypatch):
+    r = simple_p2()
+    compared = []
+    real = BasisCell.__eq__
+    monkeypatch.setattr(BasisCell, "__eq__", lambda a, b: compared.append(b) or real(a, b))
+    for c in r.cells:
+        assert r.cell(c) is c
+    assert compared == []
+
+
 def test_unit_products_implied():
     r = simple_p2()
     h = r.basis_cycle("h")
