@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .fibrations import (
@@ -317,12 +318,34 @@ def render_json(obj, _indent="\n"):
             for k, v in obj.items()
         ]
     elif isinstance(obj, (list, tuple)):
+        if records := _records(obj, inner):
+            row, values = records
+            return f"[{inner}" + f",{inner}".join([row] * len(obj)) % values + f"{_indent}]"
         ends, items = "[]", [leaf(v) if (leaf := get(type(v))) else render_json(v, inner) for v in obj]
     else:
         return json.dumps(obj)
     if not items:
         return ends
     return f"{ends[0]}{inner}" + f",{inner}".join(items) + f"{_indent}{ends[1]}"
+
+
+def _records(rows, indent):
+    """(template of one row rendered at indent, every row's values in order)
+    when rows are exact dicts with one non-empty sequence of exact str keys
+    and exact int values, as the rank tables' records are, or None.  Each
+    key is encoded once, and each value goes in with %d, which writes an
+    exact int as repr does."""
+    if not rows or type(first := rows[0]) is not dict or not first:
+        return None
+    keys = list(first)
+    if {*map(type, keys)} != {str} or {*map(type, rows)} != {dict}:
+        return None
+    values = tuple(chain.from_iterable(map(dict.values, rows)))
+    if {*map(type, values)} != {int} or list(chain.from_iterable(rows)) != keys * len(rows):
+        return None
+    inner = indent + "  "
+    fields = f",{inner}".join(encode_basestring_ascii(k).replace("%", "%%") + ": %d" for k in keys)
+    return f"{{{inner}{fields}{indent}}}", values
 
 
 def _emit(report, fmt, started):

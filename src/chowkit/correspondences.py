@@ -83,17 +83,22 @@ class Correspondence:
         if self.source is not other.source or self.target is not other.target:
             raise ValueError("correspondences connect different ring pairs")
 
+    def _common_offset(self, other):
+        """The operands' degree when they share one, so a sum that cancels
+        keeps it; otherwise derived from the result."""
+        return self.offset if self.offset is not None and self.offset == other.offset else _AUTO
+
     def __add__(self, other):
         if not isinstance(other, Correspondence):
             return NotImplemented
         self._require_parallel(other)
-        return Correspondence(self.source, self.target, self.cycle + other.cycle)
+        return Correspondence(self.source, self.target, self.cycle + other.cycle, self._common_offset(other))
 
     def __sub__(self, other):
         if not isinstance(other, Correspondence):
             return NotImplemented
         self._require_parallel(other)
-        return Correspondence(self.source, self.target, self.cycle - other.cycle)
+        return Correspondence(self.source, self.target, self.cycle - other.cycle, self._common_offset(other))
 
     def __neg__(self):
         return Correspondence(self.source, self.target, -self.cycle, self.offset)
@@ -101,7 +106,7 @@ class Correspondence:
     def __mul__(self, scalar):
         if isinstance(scalar, Correspondence):
             return NotImplemented
-        return Correspondence(self.source, self.target, self.cycle * scalar)
+        return Correspondence(self.source, self.target, self.cycle * scalar, self.offset)
 
     __rmul__ = __mul__
 
@@ -226,7 +231,9 @@ def correspondence_from_action(source, target, action, offset=0):
 
     ``action`` maps each basis cell of the source to a cycle on the target
     (callable or mapping; missing entries are zero).  Built by contracting
-    the dual basis: u = sum_j e_j x action(tau_{p,j}).
+    the dual basis: u = sum_j e_j x action(tau_{p,j}).  Each nonzero image
+    is checked to lie on the target in codim p + offset, so the kernel tail
+    keeps only keys of that codim.
     """
     if callable(action):
         lookup = action
@@ -236,26 +243,37 @@ def correspondence_from_action(source, target, action, offset=0):
         def lookup(cell):
             return table.get(cell.key, target.zero())
 
+    def image(cell):
+        cycle = lookup(cell)
+        if cycle.is_zero():
+            return {}
+        if cycle.ring is not target:
+            raise ValueError("action must produce cycles on the target ring")
+        want = cell.codim + offset
+        if any(q != want for q in cycle.codims()):
+            raise ValueError(
+                f"action of {cell.label} has codim {cycle.codims()}, expected {want}"
+            )
+        return cycle.coeffs
+
+    return _from_images(source, target, image, offset)
+
+
+def _from_images(source, target, image, offset):
+    """u = sum_j e_j x image(tau_{p,j}) over the dual bases of source, in one
+    dict, for image(cell) a coefficient dict on target of codim
+    codim(cell) + offset (a zero value is skipped)."""
     ring = kunneth_product(source, target)
     pk, coeffs = ring._pair_to_key, {}
     for p in range(source.dimension + 1):
-        duals = dual_basis_cycles(source, p)
-        for cell, e in zip(source.cells_of_codim(p), duals):
-            image = lookup(cell)
-            if image.is_zero():
-                continue
-            if image.ring is not target:
-                raise ValueError("action must produce cycles on the target ring")
-            want = p + offset
-            if any(q != want for q in image.codims()):
-                raise ValueError(
-                    f"action of {cell.label} has codim {image.codims()}, expected {want}"
-                )
+        for cell, e in zip(source.cells_of_codim(p), dual_basis_cycles(source, p)):
+            terms = image(cell)
             for ka, ca in e.coeffs.items():
-                for kb, cb in image.coeffs.items():
-                    key = pk[(ka, kb)]
-                    coeffs[key] = coeffs.get(key, 0) + ca * cb
-    return Correspondence(source, target, Cycle(ring, coeffs), offset)
+                for kb, cb in terms.items():
+                    if cb:
+                        key = pk[(ka, kb)]
+                        coeffs[key] = coeffs.get(key, 0) + ca * cb
+    return _correspondence(source, target, ring, _cycle(ring, coeffs), offset)
 
 
 def diagonal(ring):
@@ -268,16 +286,15 @@ def diagonal(ring):
 
 
 def multiplication_correspondence(ring, alpha):
-    """The correspondence acting on CH(ring) as multiplication by alpha."""
+    """The correspondence acting on CH(ring) as multiplication by alpha: for
+    homogeneous alpha, u = sum_j e_j x (alpha tau_j) read off the ring's
+    products."""
     if alpha.ring is not ring:
         raise ValueError("alpha must live in the ring being acted on")
-    offset = None
     cs = alpha.codims()
     if len(cs) <= 1:
-        offset = cs[0] if cs else 0
-        return correspondence_from_action(
-            ring, ring, lambda cell: ring.multiply(alpha, Cycle(ring, {cell.key: 1})), offset
-        )
+        a = alpha.coeffs
+        return _from_images(ring, ring, lambda cell: ring._product(a, {cell.key: 1}), cs[0] if cs else 0)
     # inhomogeneous multiplier: sum the homogeneous pieces
     total = zero_correspondence(ring, ring)
     for p in cs:
@@ -289,13 +306,21 @@ def _action_map(f):
     """act(f, -) on the source cells, in one walk over f's terms: {source
     key: nonzero image {target key: coefficient}}.  A term c (a x b) sends
     each partner k of a, with deg(k a) = d, to c d b, read off the
-    product's kept left plan."""
-    plan, columns = f.ring._left_partners, {}
+    product's kept left plan.  Each entry is written once unless two terms
+    meet there: c and d are nonzero, so only such a sum can cancel."""
+    plan, columns, summed = f.ring._left_partners, {}, False
     for key, c in f.cycle.coeffs.items():
         b, partners = plan[key]
         for k, d in partners:
-            col = columns.setdefault(k, {})
-            col[b] = col.get(b, 0) + c * d
+            if (col := columns.get(k)) is None:
+                columns[k] = {b: c * d}
+            elif b in col:
+                col[b] += c * d
+                summed = True
+            else:
+                col[b] = c * d
+    if not summed:
+        return columns
     # zeros dropped once, rebuilding only the columns that hold one
     for k in [k for k, col in columns.items() if not all(col.values())]:
         if col := {b: v for b, v in columns[k].items() if v}:

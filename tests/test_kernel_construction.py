@@ -27,6 +27,7 @@ from chowkit import (
     hirzebruch,
     kunneth_product,
     parse_ring,
+    projective_bundle_model,
     projective_space,
     tensor,
     transpose,
@@ -357,28 +358,49 @@ def count_ranks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("make", [
-    lambda: parse_ring(dump_ring(projective_space(30))),
-    lambda: hirzebruch.__wrapped__(1),
+def count_tables(monkeypatch):
+    """[populated (degree, codim) blocks] per table that murre ranks."""
+    tables = []
+    real = murre.codim_blocks
+
+    def spy(space, systems):
+        codim_of, blocks = real(space, systems)
+        tables.append(sum(map(len, blocks.values())))
+        return codim_of, blocks
+
+    monkeypatch.setattr(murre, "codim_blocks", spy)
+    return tables
+
+
+def fresh_hirzebruch():
+    base = parse_ring(dump_ring(projective_space(1)))
+    return projective_bundle_model(base, [base.cycle({"h": 1})], name="hirzebruch(1)")
+
+
+@pytest.mark.parametrize("make, populated", [
+    (lambda: parse_ring(dump_ring(projective_space(30))), [31]),
+    # the base's table (P^1: degrees 0 and 2 on codims 0 and 1), then the lift's
+    (fresh_hirzebruch, [2, 3]),
 ], ids=["p30", "hirzebruch:1"])
-def test_ck_and_murre_suites_rank_one_table(make, monkeypatch):
+def test_ck_and_murre_suites_rank_one_table(make, populated, monkeypatch):
     target = make()
     config = cli.RunConfig(samples=5)
-    calls = count_ranks(monkeypatch)
+    tables, calls = count_tables(monkeypatch), count_ranks(monkeypatch)
     ck = cli._suite_ck(target, config)
-    ranked = len(calls)
-    window = cli._suite_murre(target, config)
-    # the ck suite ranks the target's table, (2 dim + 1) projectors over
-    # dim + 1 codims, and a lift also its base's unless the base keeps one;
+    # the ck suite ranks the target's table, and a lift also its base's;
+    # each ranks only the (degree, codim) blocks where a projector has a
+    # column: 31 of p30's 61 x 31, 5 on hirzebruch(1)
+    assert tables == populated
+    assert len(calls) == sum(populated)
     # the murre suite ranks nothing
-    assert ranked >= (2 * target.dimension + 1) * (target.dimension + 1)
-    assert len(calls) == ranked
+    window = cli._suite_murre(target, config)
+    assert tables == populated and len(calls) == sum(populated)
     assert ck["passed"] and window["passed"]
     # the kept table renders as a fresh one does
     fresh = make()
-    del calls[:]
+    del calls[:], tables[:]
     assert cli._suite_murre(fresh, config)["data"] == window["data"]
-    assert len(calls) == (2 * target.dimension + 1) * (target.dimension + 1)
+    assert tables == populated and len(calls) == sum(populated)
 
 
 @pytest.mark.parametrize("build", [
