@@ -175,11 +175,7 @@ def _suite_duality(target, config):
 
 def _suite_projectors(target, config):
     if isinstance(target, ChowRing):
-        try:
-            projectors = fiber_projectors(target)
-        except ValueError as e:
-            return _fail("projectors", str(e))
-        return _wrap("projectors", verify_projector_system(projectors))
+        return _wrap("projectors", verify_projector_system(fiber_projectors(target)))
     family = build_projector_family(target)
     reports = [verify_projector_family(family, samples=config.samples, seed=config.seed)]
     if config.battery:
@@ -201,44 +197,23 @@ def _suite_manin(target, config):
 
 
 def _suite_motives(target, config):
-    try:
-        dec = decompose_motive(target) if isinstance(target, ChowRing) else decompose_model(target)
-    except ValueError as e:
-        return _fail("motives", str(e))
+    dec = decompose_motive(target) if isinstance(target, ChowRing) else decompose_model(target)
     return _wrap("motives", dec.report)
 
 
-def _build_ck(target):
-    if isinstance(target, ChowRing):
-        return cellular_ck(target, validate=False)
-    return lift_ck(target, validate=False)
-
-
 def _suite_ck(target, config):
-    try:
-        ck = _build_ck(target)
-    except ValueError as e:
-        return _fail("ck", str(e))
-    return _verify_built_ck(target, ck, config)
-
-
-def _verify_built_ck(target, ck, config):
     if config.battery and isinstance(target, FibrationModel):
         # the battery's first entry is the model's own verified lift
-        try:
-            battery = ck_battery(target, battery=config.battery)
-        except ValueError as e:
-            return _fail("ck", str(e))
-        return _wrap("ck", battery.children[0][1], battery)
-    return _wrap("ck", verify_ck(ck))
+        battery = ck_battery(target, battery=config.battery)
+        reports = battery.children[0][1], battery
+    else:
+        reports = (verify_ck(config.ck(target)),)
+    config.windows[target] = dict(reports[0].children)["action"]
+    return _wrap("ck", *reports)
 
 
 def _suite_murre(target, config):
-    try:
-        ck = _build_ck(target)
-    except ValueError as e:
-        return _fail("murre", str(e))
-    reports = [verify_action_window(ck)]
+    reports = [config.windows.get(target) or verify_action_window(config.ck(target))]
     if isinstance(target, FibrationModel):
         reports.append(
             verify_block_diagonality(target, samples=min(config.samples, 20), seed=config.seed)
@@ -268,13 +243,38 @@ _SUITES = {
 }
 
 
+def _run(target, names, config):
+    """The documents of the named suites on target, in order; a suite whose
+    hypothesis fails (a ValueError) is that suite's failure."""
+    docs = []
+    for name in names:
+        try:
+            docs.append(_SUITES[name](target, config))
+        except ValueError as e:
+            docs.append(_fail(name, str(e)))
+    return docs
+
+
 class RunConfig:
-    """Run parameters; the seed fully determines every randomized check."""
+    """Run parameters; the seed fully determines every randomized check.
+
+    A run also keeps, per target and for itself only, the target's CK and
+    the action window its ck suite verified, which the murre suite renders.
+    """
 
     def __init__(self, battery=None, seed=0, samples=100):
         self.battery = battery
         self.seed = seed
         self.samples = samples
+        self.cks = {}  # target -> its CK, built unverified
+        self.windows = {}  # target -> the action window its ck suite verified
+
+    def ck(self, target):
+        """The target's CK, built once per run; a failed hypothesis raises."""
+        if target not in self.cks:
+            build = cellular_ck if isinstance(target, ChowRing) else lift_ck
+            self.cks[target] = build(target, validate=False)
+        return self.cks[target]
 
 
 # -- report rendering ----------------------------------------------------------
@@ -411,13 +411,13 @@ def _cmd_verify(args, started):
         battery=_parse_battery(args.battery), seed=args.seed, samples=args.samples
     )
     wanted = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    suites = [_SUITES[s](target, config) for s in sorted(wanted)]
+    suites = _run(target, sorted(wanted), config)
     return _finish(args, started, name, suites, seed=config.seed, samples=config.samples)
 
 
 def _cmd_decompose(args, started):
     name, target = load_target(args)
-    return _finish(args, started, name, [_suite_motives(target, RunConfig())])
+    return _finish(args, started, name, _run(target, ["motives"], RunConfig()))
 
 
 def _cmd_ck(args, started):
@@ -425,10 +425,10 @@ def _cmd_ck(args, started):
     config = RunConfig(battery=_parse_battery(args.battery))
     # a failure before the lifted projectors exist is a hypothesis failure
     try:
-        ck = _build_ck(target)
+        config.ck(target)
     except ValueError as e:
         raise CliError(str(e), EXIT_VALIDATION_FAILURE) from e
-    return _finish(args, started, name, [_verify_built_ck(target, ck, config)])
+    return _finish(args, started, name, _run(target, ["ck"], config))
 
 
 def _cmd_identities(args, started):

@@ -421,7 +421,6 @@ class ProjectorFamily:
         self._sweeps = {}  # codim p -> {basis key: sweep of that basis element}
         self._duals = None  # generator key -> its fiber dual's key, from the first sweep
         self.blocks = None  # see murre.lifted_blocks
-        self._window = None  # murre's action-window table of lift_ck(model), see murre
 
     def apply_all_with_coefficients(self, y):
         """{generator key: alpha_g} over the nonzero peeled coefficients, in

@@ -43,10 +43,10 @@ class CKDecomposition:
     column and row keys are all basis keys of the model.
     """
 
-    def __init__(self, space, projectors, name="", report=None):
+    def __init__(self, space, projectors, name=""):
         self.space = space
         self.projectors = projectors
-        self.report = report
+        self.report = None  # verify_ck's report, once _checked has run it
         expected = set(range(2 * space.dimension + 1))
         if set(projectors) != expected:
             raise ValueError("projectors must cover every degree 0..2*dim exactly once")
@@ -91,24 +91,16 @@ def verify_action_window(ck):
 
 
 def _action_window(ck, columns):
-    """verify_action_window on the projectors' columns.  The last table is
-    kept with a copy of the columns it ranks, on the ring or the model's
-    family, and read for equal columns, as cellular_ck and lift_ck build
-    them again per suite; other columns (hand-built, mutated) are ranked.
-    Only a codim where the projector has a column is ranked: the others
-    have rank 0."""
-    holder = ck.space if ck.kind == "cycle" else build_projector_family(ck.space)
-    if (kept := holder._window) is None or kept[0] != columns:
-        codim_of, blocks = codim_blocks(ck.space, columns)
-        table, violations = {}, []
-        for k, by_codim in blocks.items():
-            for j in range(ck.space.dimension + 1):
-                r = table[(k, j)] = block_rank(codim_of, by_codim, j) if j in by_codim else 0
-                if r and not (j <= k <= 2 * j):
-                    violations.append((k, j, r))
-        copy = {k: {b: dict(c) for b, c in m.items()} for k, m in columns.items()}
-        kept = holder._window = copy, table, violations
-    return Report("action-window", ck.name, table={"ranks": dict(kept[1]), "violations": list(kept[2])})
+    """verify_action_window on the projectors' columns.  Only a codim where
+    the projector has a column is ranked: the others have rank 0."""
+    codim_of, blocks = codim_blocks(ck.space, columns)
+    table, violations = {}, []
+    for k, by_codim in blocks.items():
+        for j in range(ck.space.dimension + 1):
+            r = table[(k, j)] = block_rank(codim_of, by_codim, j) if j in by_codim else 0
+            if r and not (j <= k <= 2 * j):
+                violations.append((k, j, r))
+    return Report("action-window", ck.name, table={"ranks": table, "violations": violations})
 
 
 def verify_ck(ck):

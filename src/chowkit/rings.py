@@ -237,7 +237,6 @@ class ChowRing:
         self._duals = {}  # codim p -> correspondences.dual_basis_cycles(self, p)
         self._partners = {}  # cell key -> partners(key)
         self._cell_projectors = None  # motives.fiber_projectors(self), with kept actions
-        self._window = None  # murre's action-window table of cellular_ck(self), see murre
         self._basis_keys = {}  # codim p, or None for all -> basis_keys(p)
         self._kunneth = {}  # right factor -> kunneth_product(self, right)
         self._unit_coeffs = {self.unit_cell.key: 1}  # the unit's coeffs, for multiply

@@ -13,6 +13,7 @@ from chowkit import ChowRing, diagonal, point, save_fibration, save_ring, trivia
 from chowkit.catalog import catalog_entries, grassmannian, hirzebruch, projective_space, resolve
 from chowkit import build_projector_family, cli, murre
 from chowkit.cli import main, render_text
+from chowkit.fileio import dump_fibration, dump_ring, parse_fibration, parse_ring
 from chowkit.murre import cellular_ck
 
 
@@ -338,6 +339,78 @@ def test_ck_degenerate_ring_is_a_validation_error(capsys, tmp_path):
     code, _, err = run(capsys, "ck", "--ring-file", str(rp))
     assert code == 3
     assert "pairing at codim 1 is degenerate" in err
+
+
+def test_verify_all_on_the_degenerate_ring_fails_suite_by_suite(capsys, tmp_path):
+    # a suite whose hypothesis fails (dual bases need perfect pairings) is
+    # that suite's FAIL document, and the run goes on to the next suite
+    rp = tmp_path / "ring.json"
+    rp.write_text(json.dumps(degenerate_surface_doc()))
+    code, out, err = run(capsys, "verify", "--ring-file", str(rp), "--suite", "all", "--format", "json")
+    assert code == 1 and err == ""
+    suites = json.loads(out)["suites"]
+    assert [s["suite"] for s in suites] == list(cli.SUITE_NAMES)
+    by_name = {s["suite"]: s for s in suites}
+    for name in ("ck", "motives", "murre", "projectors"):
+        assert by_name[name]["passed"] is False
+        assert by_name[name]["lines"] == ["ring(dim=2): pairing at codim 1 is degenerate"]
+    assert by_name["manin"]["skipped"] == "needs a fibration model"
+
+
+# -- one CK and one action-window table per target, for one run only ----------------
+
+
+def count_builds_and_tables(monkeypatch):
+    """([each CK the cli builds], [populated (degree, codim) blocks of each
+    action-window table that murre ranks])."""
+    builds, tables = [], []
+    for name in ("cellular_ck", "lift_ck"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, name=name, real=real, **k: builds.append(name) or real(*a, **k))
+    real_blocks = murre.codim_blocks
+
+    def spy(space, columns):
+        codim_of, blocks = real_blocks(space, columns)
+        tables.append(sum(map(len, blocks.values())))
+        return codim_of, blocks
+
+    monkeypatch.setattr(murre, "codim_blocks", spy)
+    return builds, tables
+
+
+@pytest.mark.parametrize("flag, save, build, tables", [
+    ("--ring-file", lambda path: save_ring(projective_space(3), path), "cellular_ck", [4]),
+    # the base's table (P^1: degrees 0 and 2 on codims 0 and 1), then the lift's
+    ("--fibration-file", lambda path: save_fibration(hirzebruch(1), path), "lift_ck", [2, 3]),
+], ids=["ring", "fibration"])
+def test_verify_all_builds_and_ranks_each_ck_once(capsys, tmp_path, monkeypatch, flag, save, build, tables):
+    path = tmp_path / "target.json"
+    save(path)
+    counted = count_builds_and_tables(monkeypatch)
+    code, _, _ = run(capsys, "verify", flag, str(path), "--suite", "all", "--samples", "3", "--format", "json")
+    assert code == 0
+    assert counted == ([build], tables)
+
+
+@pytest.mark.parametrize("make, build, table", [
+    (lambda: parse_ring(dump_ring(projective_space(3))), "cellular_ck", 4),
+    # the lifted blocks stay on the model, so a later run ranks only the lift's table
+    (lambda: parse_fibration(dump_fibration(hirzebruch(1))), "lift_ck", 3),
+], ids=["ring", "fibration"])
+def test_no_ck_state_outlives_its_run(monkeypatch, make, build, table):
+    target = make()
+    cli._run(target, ["ck", "murre"], cli.RunConfig(samples=3))
+    builds, tables = count_builds_and_tables(monkeypatch)
+    docs = [cli._run(target, ["ck", "murre"], cli.RunConfig(samples=3)) for _ in range(2)]
+    assert builds == [build] * 2 and tables == [table] * 2
+    assert docs[0] == docs[1] and all(doc["passed"] for doc in docs[0])
+
+
+@pytest.mark.parametrize("target, build", [("p3", "cellular_ck"), ("hirzebruch:1", "lift_ck")])
+def test_ck_command_builds_the_ck_once(capsys, monkeypatch, target, build):
+    builds, _ = count_builds_and_tables(monkeypatch)
+    code, _, _ = run(capsys, "ck", "--catalog", target, "--format", "json")
+    assert code == 0 and builds == [build]
 
 
 def test_identities_command_deterministic(capsys):

