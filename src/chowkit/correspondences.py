@@ -6,16 +6,16 @@ down to B; in cell coordinates both the action and composition are pairing
 contractions, with degree bookkeeping codim = dim A + r for a correspondence
 of degree r.
 
-Morphisms enter as MorphismData: explicit pullback and pushforward tables
-validated against the ring axioms (unit, grading, multiplicativity, the
-projection formula, adjointness).  graph_from_morphism turns such data into
+Morphisms enter as MorphismData: explicit pullback and pushforward tables,
+held as linalg sparse matrices and validated against the ring axioms (unit,
+grading, multiplicativity, the projection formula, adjointness).  graph_from_morphism turns such data into
 the correspondence pair acting as pullback and pushforward.
 """
 
 from __future__ import annotations
 
-from .linalg import invert
-from .rings import BasisCell, Cycle, _cycle, _exact, external_product, kunneth_product
+from .linalg import apply, invert, kron
+from .rings import Cycle, _cycle, _exact, kunneth_product
 
 _AUTO = object()
 
@@ -383,27 +383,29 @@ class MorphismData:
 
     ``pullback`` maps target cells to cycles on the source (codim preserved),
     ``pushforward`` maps source cells to cycles on the target (codim shifted
-    by dim target - dim source); missing entries are zero.  Construction
-    validates the ring axioms these tables must satisfy: unit and
-    multiplicativity of the pullback, degree preservation of the pushforward
-    on zero-cycles, the projection formula, and adjointness under the degree
-    pairings.
+    by dim target - dim source); missing entries are zero.  Each table is
+    held as a sparse matrix in linalg's layout, {cell key: nonzero column
+    {cell key: coefficient}}, so pullback and pushforward are linalg.apply.
+    Construction validates the ring axioms these tables must satisfy: unit
+    and multiplicativity of the pullback, degree preservation of the
+    pushforward on zero-cycles, the projection formula, and adjointness
+    under the degree pairings.
     """
 
-    def __init__(self, source, target, pullback, pushforward, name=None, validate=True):
+    def __init__(self, source, target, pullback, pushforward, name=None):
         self.source = source
         self.target = target
         self.name = name or f"{source.name} -> {target.name}"
         self.shift = target.dimension - source.dimension
-        self._pull = {}
+        pull = {}
         for spec, cyc in pullback.items():
             cell = target.cell(spec)
             if cyc.ring is not source:
                 raise ValueError(f"pullback of {cell.label} must live on {source.name}")
             if not cyc.is_zero() and cyc.codims() != [cell.codim]:
                 raise ValueError(f"pullback of {cell.label} must preserve codim {cell.codim}")
-            self._pull[cell.key] = cyc
-        self._push = {}
+            pull[cell.key] = cyc.coeffs
+        push = {}
         for spec, cyc in pushforward.items():
             cell = source.cell(spec)
             if cyc.ring is not target:
@@ -414,20 +416,22 @@ class MorphismData:
                     raise ValueError(f"pushforward of {cell.label} must vanish (codim {want})")
                 if cyc.codims() != [want]:
                     raise ValueError(f"pushforward of {cell.label} must have codim {want}")
-            self._push[cell.key] = cyc
-        if validate:
-            self._validate()
+            push[cell.key] = cyc.coeffs
+        # a zero entry is a missing column, so no column is empty
+        self._pull = {k: col for k, col in pull.items() if col}
+        self._push = {k: col for k, col in push.items() if col}
+        self._validate()
 
     def pullback(self, y):
         """Linear extension of the pullback table to any cycle on the target."""
         if y.ring is not self.target:
             raise ValueError(f"pullback: cycle lives in {y.ring.name}, not {self.target.name}")
-        return _extend(self._pull, self.source, y)
+        return _cycle(self.source, apply(self._pull, y.coeffs))
 
     def pushforward(self, x):
         if x.ring is not self.source:
             raise ValueError(f"pushforward: cycle lives in {x.ring.name}, not {self.source.name}")
-        return _extend(self._push, self.target, x)
+        return _cycle(self.target, apply(self._push, x.coeffs))
 
     def _validate(self):
         src, tgt = self.source, self.target
@@ -468,45 +472,35 @@ class MorphismData:
         return f"<MorphismData {self.name}>"
 
 
-def _extend(table, ring, x):
-    """sum_k c_k table[k] on ring over the terms c_k tau_k of x, summed in one
-    dict."""
-    coeffs = {}
-    for key, c in x.coeffs.items():
-        entry = table.get(key)
-        if entry is not None:
-            for k, v in entry.coeffs.items():
-                coeffs[k] = coeffs.get(k, 0) + v * c
-    return _cycle(ring, coeffs)
+def _morphism(source, target, pull, push, name):
+    """MorphismData(source, target, ...) for tables that hold by
+    construction, given as sparse matrices with no empty column: neither
+    the shape checks nor the ring axioms are run."""
+    m = object.__new__(MorphismData)
+    m.source, m.target, m.name, m._pull, m._push = source, target, name, pull, push
+    m.shift = target.dimension - source.dimension
+    return m
 
 
 def identity_morphism(ring):
-    table = {c.key: ring.basis_cycle(c) for c in ring.cells}
-    return MorphismData(ring, ring, table, dict(table), name=f"id_{ring.name}", validate=False)
+    table = {k: {k: 1} for k in ring.basis_keys()}
+    # tables are never mutated, so pullback and pushforward share one
+    return _morphism(ring, ring, table, table, f"id_{ring.name}")
 
 
 def projection_morphism(product, factor="left"):
     """The projection of a Kunneth product ring onto one factor.
 
     Pullback is external product with the other factor's unit; pushforward
-    integrates the other factor (only its top cells survive).
+    integrates the other factor (only its point cell survives, of degree 1).
     """
     keep = product.left if factor == "left" else product.right
     drop = product.right if factor == "left" else product.left
-    pull = {}
-    for c in keep.cells:
-        pair = (c, drop.unit_cell) if factor == "left" else (drop.unit_cell, c)
-        pull[c.key] = product.basis_cycle(product.pair_cell(pair[0], pair[1]))
-    push = {}
-    for cell in product.cells:
-        a, b = product.split_cell(cell)
-        kept, dropped = (a, b) if factor == "left" else (b, a)
-        d = drop.degree(drop.basis_cycle(dropped))
-        if d:
-            push[cell.key] = keep.basis_cycle(kept) * d
-    return MorphismData(
-        product, keep, pull, push, name=f"pr_{factor}({product.name})", validate=False
-    )
+    pk, unit, pt = product._pair_to_key, drop.unit_cell.key, drop.point_cell.key
+    pair = (lambda k, d: pk[k, d]) if factor == "left" else (lambda k, d: pk[d, k])
+    pull = {k: {pair(k, unit): 1} for k in keep.basis_keys()}
+    push = {pair(k, pt): {k: 1} for k in keep.basis_keys()}
+    return _morphism(product, keep, pull, push, f"pr_{factor}({product.name})")
 
 
 def constant_morphism(ring, point_ring):
@@ -519,20 +513,14 @@ def constant_morphism(ring, point_ring):
 
 
 def product_morphism(m1, m2):
-    """m1 x m2 on the product rings (used for id x f extensions)."""
+    """m1 x m2 on the product rings (used for id x f extensions): each table
+    is the Kronecker product of the factors' tables, (f x g)^* = f^* x g^*
+    and (f x g)_* = f_* x g_*."""
     src = kunneth_product(m1.source, m2.source)
     tgt = kunneth_product(m1.target, m2.target)
-    pull = {}
-    for cell in tgt.cells:
-        a, b = tgt.split_cell(cell)
-        pa, pb = m1.pullback(m1.target.basis_cycle(a)), m2.pullback(m2.target.basis_cycle(b))
-        pull[cell.key] = external_product(pa, pb)
-    push = {}
-    for cell in src.cells:
-        a, b = src.split_cell(cell)
-        qa, qb = m1.pushforward(m1.source.basis_cycle(a)), m2.pushforward(m2.source.basis_cycle(b))
-        push[cell.key] = external_product(qa, qb)
-    return MorphismData(src, tgt, pull, push, name=f"{m1.name} x {m2.name}", validate=False)
+    pull = kron(m1._pull, m2._pull, tgt._pair_to_key, src._pair_to_key)
+    push = kron(m1._push, m2._push, src._pair_to_key, tgt._pair_to_key)
+    return _morphism(src, tgt, pull, push, f"{m1.name} x {m2.name}")
 
 
 def graph_from_morphism(m):
@@ -541,7 +529,7 @@ def graph_from_morphism(m):
     c lives on B x A and acts as the pullback; its transpose c_t lives on
     A x B and acts as the pushforward.  Both are checked against the tables.
     """
-    c = correspondence_from_action(m.target, m.source, lambda cell: m.pullback(m.target.basis_cycle(cell)), 0)
+    c = _from_images(m.target, m.source, lambda cell: m._pull.get(cell.key, {}), 0)
     c_t = transpose(c)
     for cell in _table_mismatches(c, m._pull, m.target.cells)[:1]:
         raise ValueError(f"{m.name}: graph does not act as the pullback at {cell.label}")
@@ -552,9 +540,6 @@ def graph_from_morphism(m):
 
 def _table_mismatches(f, table, cells):
     """The cells whose image under act(f, -), their column of f's action
-    map, is not their entry in a morphism table (missing is zero), in order."""
+    map, is not their column of a morphism table (missing is zero), in order."""
     columns, empty = _action_map(f), {}
-    return [
-        cell for cell in cells
-        if columns.get(cell.key, empty) != (table[cell.key].coeffs if cell.key in table else empty)
-    ]
+    return [cell for cell in cells if columns.get(cell.key, empty) != table.get(cell.key, empty)]

@@ -4,7 +4,8 @@ Dense matrices are tuples of row tuples.  A sparse matrix is a flat map
 {basis key: nonzero column {basis key: coefficient}} on the basis of a
 FibrationModel or a ChowRing (space.basis_keys(p) lists the codim-p keys);
 a missing key is a zero column, and no column is empty.  Every model
-operator and every cycle projector's action_columns is held this way.
+operator, every cycle projector's action_columns and every morphism's
+pullback and pushforward table is held this way.
 Entries are ints or Fractions; nothing here ever produces a float.
 """
 
@@ -112,12 +113,14 @@ def matrix_sum(terms):
     return {b: col for b, vecs in cols.items() if (col := combine(vecs))}
 
 
-def kron(f, g, pk):
-    """The Kronecker product of the sparse matrices f and g, keyed through
-    a Kunneth product's pair map pk: column (a, b) is column a of f times
-    column b of g.  A column pair with an empty side is left out."""
+def kron(f, g, pk, rows=None):
+    """The Kronecker product of the sparse matrices f and g, its columns
+    keyed through a Kunneth product's pair map pk and its rows through
+    ``rows`` (pk by default): column (a, b) is column a of f times column b
+    of g.  A column pair with an empty side is left out."""
+    rows = pk if rows is None else rows
     return {
-        pk[a, b]: {pk[k1, k2]: c1 * c2 for k1, c1 in fa.items() for k2, c2 in gb.items()}
+        pk[a, b]: {rows[k1, k2]: c1 * c2 for k1, c1 in fa.items() for k2, c2 in gb.items()}
         for a, fa in f.items() if fa
         for b, gb in g.items() if gb
     }

@@ -326,8 +326,8 @@ def test_decompose_motive_composes_nothing(monkeypatch):
 def test_a_graph_that_misses_its_table_is_named():
     p2 = projective_space(2)
     ident = correspondences.identity_morphism(p2)
-    push = {**ident._push, (1, 1): p2.basis_cycle("h") * 2}
-    broken = correspondences.MorphismData(p2, p2, ident._pull, push, name="doubled h", validate=False)
+    push = {**ident._push, (1, 1): {(1, 1): 2}}
+    broken = correspondences._morphism(p2, p2, ident._pull, push, "doubled h")
     with pytest.raises(ValueError, match="doubled h: transposed graph does not act as the pushforward at h$"):
         correspondences.graph_from_morphism(broken)
 

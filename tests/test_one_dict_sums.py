@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from chowkit import (
-    MorphismData,
     correspondence_from_action,
     dual_basis_cycles,
     external_product,
@@ -26,7 +25,7 @@ from chowkit import (
     random_cycle,
 )
 from chowkit.catalog import linear_embedding
-from chowkit.correspondences import Correspondence, _action_map, identity_morphism
+from chowkit.correspondences import Correspondence, _action_map, _morphism, identity_morphism
 from chowkit.linalg import after, apply, combine
 from chowkit.identities import standard_morphisms
 from chowkit.rings import BasisCell, ChowRing, Cycle
@@ -101,12 +100,13 @@ def test_correspondence_from_action_demotes_a_sum_that_turns_integral():
 
 
 def cycle_sum_extend(table, ring, x):
-    """MorphismData.pullback and pushforward as they were."""
+    """MorphismData.pullback and pushforward as they were: each matrix
+    column a cycle, added cycle by cycle."""
     out = ring.zero()
     for key, c in x.coeffs.items():
-        entry = table.get(key)
-        if entry is not None:
-            out = out + entry * c
+        column = table.get(key)
+        if column is not None:
+            out = out + Cycle(ring, column) * c
     return out
 
 
@@ -116,13 +116,11 @@ def _morphisms():
     ms.append(product_morphism(identity_morphism(p1), linear_embedding(1, 2)))
     # rational tables: a scaled identity, and the line in the plane with a
     # rational pushforward entry (validation would refuse both)
-    half = {c.key: p2.basis_cycle(c) * Fraction(1, 2) for c in p2.cells}
-    ms.append(MorphismData(p2, p2, half, dict(half), name="half", validate=False))
+    half = {c.key: {c.key: Fraction(1, 2)} for c in p2.cells}
+    ms.append(_morphism(p2, p2, half, half, "half"))
     emb = linear_embedding(1, 2)
-    push = {k: emb.pushforward(p1.basis_cycle(k)) for k in ((0, 1), (1, 1))}
-    push[(0, 1)] = push[(0, 1)] * Fraction(2, 3)
-    pull = {k: emb.pullback(p2.basis_cycle(k)) for k in ((0, 1), (1, 1), (2, 1))}
-    ms.append(MorphismData(p1, p2, pull, push, name="thirds", validate=False))
+    push = {**emb._push, (0, 1): {k: v * Fraction(2, 3) for k, v in emb._push[0, 1].items()}}
+    ms.append(_morphism(p1, p2, emb._pull, push, "thirds"))
     return ms
 
 
