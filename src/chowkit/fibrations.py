@@ -16,17 +16,18 @@ generator downward: each projector multiplies by the dual generator, pushes
 to the base, pulls back, multiplies by the generator itself, after first
 subtracting the lexicographically greater projectors.  A single descending
 sweep evaluates the whole family at linear cost, reading each pushforward
-off the top-generator components of the model table.  Operators built from
-the family (rho_g, lifted blocks, motive pieces) are plain sparse matrices
-{basis key: nonzero column} on the model's basis_keys, the layout of
-linalg, read off one sweep per module basis element in one pass.
+off the top-generator components of the model table.  On a model that
+passes fiber delta-normalization, grading and fiberwise duality the sweep
+returns each cycle's own parts, so the family checks those laws once and
+writes its operators (rho_g, lifted blocks, motive pieces) from keys: plain
+sparse matrices {basis key: nonzero column} on the model's basis_keys.
 """
 
 from __future__ import annotations
 
 import warnings
 
-from .linalg import apply, codim_blocks, projector_system_failures
+from .linalg import codim_blocks, projector_system_failures
 from .report import Report
 from .rings import _cycle, _sum, external_product, kunneth_product, verify_pairing
 
@@ -344,32 +345,39 @@ def duality_report(model, samples=20, seed=0):
 # -- validation ----------------------------------------------------------------
 
 
+def _lemma_laws(model):
+    """{law: failure lines} for the laws of the coordinate-projection lemma,
+    in check order: fiber delta-normalization, grading, fiberwise duality."""
+    base, fiber, top = model.base, model.fiber, model.fiber.point_cell.key
+    pairing = verify_pairing(fiber)
+    return {
+        "fiber delta-normalization": [] if pairing.passed else pairing.lines()[1:],
+        "grading": [
+            f"T{g1}*T{g2} component at T{gkey} has base codims {cyc.codims()}, expected [{want}]"
+            for g1, row in model._table.items()
+            for g2, entry in row.items()
+            for gkey, cyc in entry.items()  # the constructor keeps no zero entry
+            if (want := g1[0] + g2[0] - gkey[0]) < 0 or cyc.codims() != [want]
+        ],
+        "fiberwise duality": [
+            f"top component of T{g1}*T{g2} is {got!r}, expected {want!r}"
+            for g1 in model.generators
+            for g2 in model.generators
+            if g1[0] + g2[0] == fiber.dimension
+            and (got := model.t_entry(g1, g2).get(top, base.zero()))
+            != (want := base.unit() if g1[1] == g2[1] else base.zero())
+        ],
+    }
+
+
 def validate_fibration(model):
     """Check the model laws: fiber normalization, grading, associativity on
     generators, and fiberwise duality.  The unit law and commutativity hold
     by construction: FibrationModel refuses a table that breaks them."""
     report = Report("fibration-model", model.name)
-    base, fiber = model.base, model.fiber
-    n = fiber.dimension
-
-    pairing = verify_pairing(fiber)
-    report.add(
-        "fiber delta-normalization",
-        [] if pairing.passed else pairing.lines()[1:],
-    )
-
-    grading = []
-    for g1, row in model._table.items():
-        for g2, entry in row.items():
-            # the constructor keeps no zero entry
-            for gkey, cyc in entry.items():
-                want = g1[0] + g2[0] - gkey[0]
-                if want < 0 or cyc.codims() != [want]:
-                    grading.append(
-                        f"T{g1}*T{g2} component at T{gkey} has base codims "
-                        f"{cyc.codims()}, expected [{want}]"
-                    )
-    report.add("grading", grading)
+    laws = _lemma_laws(model)
+    report.add("fiber delta-normalization", laws["fiber delta-normalization"])
+    report.add("grading", laws["grading"])
 
     assoc = []
     gens = [model.generator(g) for g in model.generators]
@@ -383,19 +391,7 @@ def validate_fibration(model):
                         f"{model.generators[i]}, {model.generators[j]}, {model.generators[k]}"
                     )
     report.add("associativity on generators", assoc)
-
-    duality = []
-    for g1 in model.generators:
-        for g2 in model.generators:
-            if g1[0] + g2[0] != n:
-                continue
-            top = model.t_entry(g1, g2).get(fiber.point_cell.key, base.zero())
-            want = base.unit() if g1[1] == g2[1] else base.zero()
-            if top != want:
-                duality.append(
-                    f"top component of T{g1}*T{g2} is {top!r}, expected {want!r}"
-                )
-    report.add("fiberwise duality", duality)
+    report.add("fiberwise duality", laws["fiberwise duality"])
     return report
 
 
@@ -409,17 +405,17 @@ class ProjectorFamily:
     ``apply_all_with_coefficients`` performs the whole descending sweep once,
     which evaluates every projector honestly (each one sees exactly the
     residual its definition prescribes).  Operators built from the family
-    come from one cached sweep per module basis element, read in one pass by
-    ``peeled_operators``.  A model's family is the one build_projector_family
-    keeps on it, so every caller shares those sweeps, and the lifted blocks
-    built from them (murre.lifted_blocks) are kept next to them.
+    (``projectors``, ``placed_operators``) are written from keys instead,
+    once ``_check_laws`` has passed.  A model's family is the one
+    build_projector_family keeps on it, so the check runs once per model,
+    and the lifted blocks (murre.lifted_blocks) are kept next to it.
     """
 
     def __init__(self, model):
         self.model = model
         self.order = tuple(sorted(model.generators, reverse=True))
-        self._sweeps = {}  # codim p -> {basis key: sweep of that basis element}
         self._duals = None  # generator key -> its fiber dual's key, from the first sweep
+        self._lawful = False  # the model passed _check_laws
         self.blocks = None  # see murre.lifted_blocks
 
     def apply_all_with_coefficients(self, y):
@@ -455,51 +451,45 @@ class ProjectorFamily:
                 residual[g] = _sum(residual.get(g, {}), alpha, -1)
         return out
 
-    def basis_sweep(self, p):
-        """{basis key: apply_all_with_coefficients(basis cycle)} over
-        module_basis(p), swept once and kept."""
-        if p not in self._sweeps:
-            model = self.model
-            self._sweeps[p] = {
-                b: self.apply_all_with_coefficients(y)
-                for b, y in zip(model.basis_keys(p), model.module_basis(p))
-            }
-        return self._sweeps[p]
+    def _check_laws(self):
+        """Raise a ValueError naming the first law of the coordinate-projection
+        lemma that the model fails, with its first witness.  Under the laws
+        the sweep of pi^*(x) * T_g is {g: x}; once passed, never checked again."""
+        if not self._lawful:
+            for law, witnesses in _lemma_laws(self.model).items():
+                if witnesses:
+                    raise ValueError(
+                        f"projector family on {self.model.name}: {law} fails: {witnesses[0].strip()}"
+                    )
+            self._lawful = True
 
-    def peeled_operators(self, maps):
-        """{name: sparse matrix} for maps {name: {g: phi_g}}, built in one pass
-        over the basis sweeps.  The operator named n is y -> sum over g of
-        pi^*(phi_g(alpha_g)) * T_g, alpha_g being the peeled coefficient of y
-        at T_g and phi_g a sparse matrix on the base's basis keys (see
-        linalg).  The sweeps hold no zero coefficient, and zero maps and
-        images are skipped, so no column is empty."""
-        model = self.model
-        users = {}  # g -> [(name, phi_g)] over the nonzero maps
-        for name, phis in maps.items():
-            for g, phi in phis.items():
-                if phi:
-                    users.setdefault(g, []).append((name, phi))
-        columns = {name: {} for name in maps}
-        for p in range(model.dimension + 1):
-            for b, coeffs in self.basis_sweep(p).items():
-                for g, alpha in coeffs.items():
-                    for name, phi in users.get(g, ()):
-                        image = apply(phi, alpha.coeffs)
-                        if image:
-                            col = columns[name].setdefault(b, {})
-                            col.update(((g, k), c) for k, c in image.items())
-        return columns
+    def placed_operators(self, maps):
+        """{name: sparse matrix} for maps {name: {g: phi_g}}, phi_g a sparse
+        matrix on the base's basis keys.  The operator named n is y -> sum
+        over g of pi^*(phi_g(alpha_g)) * T_g, alpha_g the peeled coefficient
+        of y at T_g, which _check_laws makes y's own: so column (g, x) is
+        column x of phi_g placed on T_g."""
+        self._check_laws()
+        return {
+            name: {
+                (g, x): {(g, k): c for k, c in col.items()}
+                for g, phi in phis.items()
+                for x, col in phi.items()
+            }
+            for name, phis in maps.items()
+        }
 
     def projectors(self):
         """{g: rho_g} over the model's generators: rho_g keeps the piece
-        pi^*(alpha_g) * T_g of a cycle, as a sparse matrix."""
+        pi^*(alpha_g) * T_g of a cycle, the coordinate projection onto the
+        basis keys of T_g, as a sparse matrix."""
         ident = {k: {k: 1} for k in self.model.base.basis_keys()}
-        return self.peeled_operators({g: {g: ident} for g in self.model.generators})
+        return self.placed_operators({g: {g: ident} for g in self.model.generators})
 
 
 def build_projector_family(model):
     """The model's one projector family, built on first use and kept on the
-    model, so its basis sweeps live as long as the model does."""
+    model, so its law check and lifted blocks live as long as the model does."""
     if model._family is None:
         model._family = ProjectorFamily(model)
     return model._family
@@ -536,9 +526,10 @@ def verify_projector_family(family, samples=100, seed=0):
     section recovery, and the per-codim rank identity.
 
     The first four check the family's projectors rho_g as one system of
-    sparse matrices, read off the cached basis sweeps: complete, by
-    linearity.  The action formula is checked on seeded random cycles
-    against the generic model product, an independent route.
+    sparse matrices, complete by linearity; building them raises unless the
+    model passes the family's laws.  The action formula checks the sweep
+    itself on seeded random cycles against the generic model product, an
+    independent route.
     """
     from . import sampling
 

@@ -167,11 +167,10 @@ class ModelMotiveDecomposition:
 def decompose_model(model):
     """Split the cycles of a fibration model into rank-one pieces.
 
-    Each piece keeps one fiber generator and one base cell: the peeled
-    coefficient is projected onto the cell's span and reassembled.  The
-    pieces are exact matrices built in one pass over the model's sweeps;
-    the system is verified by matrix products, codimension by codimension,
-    before returning.
+    Each piece keeps one fiber generator and one base cell: the cell's
+    projector placed on the generator.  The pieces are exact matrices built
+    in one pass; the system is verified by matrix products, codimension by
+    codimension, before returning.
     """
     base_ps = [action_columns(p) for p in fiber_projectors(model.base)]
     maps, codims = {}, {}
@@ -180,7 +179,7 @@ def decompose_model(model):
         for cell, bp in zip(model.base.cells, base_ps):
             label = f"(T[{gen_label}], {cell.label})"
             maps[label], codims[label] = {g: bp}, g[0] + cell.codim
-    columns = build_projector_family(model).peeled_operators(maps)
+    columns = build_projector_family(model).placed_operators(maps)
     pieces = [(label, codims[label], m) for label, m in columns.items()]
 
     report = Report("projector-system", model.name)

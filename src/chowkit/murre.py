@@ -169,16 +169,16 @@ def lift_base_correspondence(model, phi, j):
         raise ValueError("can only lift a self-correspondence of the base")
     slots = dict.fromkeys((g for g in model.generators if 2 * g[0] == j), _action_map(phi))
     name = f"lift_{j}"
-    return build_projector_family(model).peeled_operators({name: slots})[name]
+    return build_projector_family(model).placed_operators({name: slots})[name]
 
 
 def lifted_blocks(model):
     """{(i, j): block} in (i, j) order, the lift of the base's cellular CK,
     built and checked once per model and kept on its projector family.
-    Block (i, j) lifts base projector i in fiber degree j, and the degree-k
-    lifted projector sums the blocks with i + j = k.  Zero blocks (odd j, a
-    zero base projector, no generator of codim j/2) are left out; the rest
-    are built in one pass."""
+    Block (i, 2q) places base projector i on the generators of codim q, and
+    the degree-k lifted projector sums the blocks with i + j = k.  Zero
+    blocks (odd j, a zero base projector, no generator of codim j/2) are
+    left out; the rest are built in one pass."""
     family = build_projector_family(model)
     if family.blocks is None:
         maps = {}
@@ -189,7 +189,7 @@ def lifted_blocks(model):
                 slots = {g: phi for g in model.generators if g[0] == q}
                 if slots:
                     maps[(i, 2 * q)] = slots
-        family.blocks = family.peeled_operators(maps)
+        family.blocks = family.placed_operators(maps)
     return family.blocks
 
 
@@ -286,10 +286,11 @@ def verify_motive_isomorphism(model):
     """The isomorphism h(Y) = h(X) (x) h(Z) as one exact map, checked column
     by column on the module basis.
 
-    F: CH(Y) -> CH(X x Z) sends y to the sum of alpha_g(y) x [g], alpha_g
-    read off the family's cached basis sweeps, never built from coordinates.
-    Its inverse B sends a x [g] to pi^*(a) * T_g, which the unit law makes
-    the cycle {g: a}: the key relabeling (k, g) -> (g, k).  Checked:
+    F: CH(Y) -> CH(X x Z) sends y to the sum of alpha_g(y) x [g]; building
+    rho_g checks the laws under which alpha_g(y) is y's part at T_g, so F
+    is the key relabeling (g, k) -> (k, g).  Its inverse B sends a x [g] to
+    pi^*(a) * T_g, which the unit law makes the cycle {g: a}: the
+    relabeling (k, g) -> (g, k).  Checked:
     B F = id (completeness), F B = id (the coordinate-projection lemma),
     F Pi_k = pi_k F against the cellular CK of the product ring, and
     F rho_g = (Delta_X (x) p_g) F against the fiber's cell projectors.  The
@@ -301,13 +302,9 @@ def verify_motive_isomorphism(model):
     base, fiber = model.base, model.fiber
     ring = kunneth_product(base, fiber)
     pk = ring._pair_to_key
-    family = build_projector_family(model)
+    rho = build_projector_family(model).projectors()
     keys, cells = model.basis_keys(), [cell.key for cell in ring.cells]
-    F = {}
-    for p in range(model.dimension + 1):
-        for b, coeffs in family.basis_sweep(p).items():
-            if coeffs:
-                F[b] = {pk[k, g]: c for g, alpha in coeffs.items() for k, c in alpha.coeffs.items()}
+    F = {(g, k): {pk[k, g]: 1} for g, k in keys}
     B = {pk[k, g]: {(g, k): 1} for g, k in keys}
     Pi = lift_ck(model, validate=False).projectors
     pi_x, pi_z = (cellular_ck(r, validate=False).columns() for r in (base, fiber))
@@ -316,7 +313,6 @@ def verify_motive_isomorphism(model):
         for k in Pi
     }
     ident = {k: {k: 1} for k in base.basis_keys()}
-    rho = family.projectors()
     cell_projectors = dict(zip(fiber.basis_keys(), fiber_projectors(fiber)))
 
     def intertwines(what, lhs, rhs):

@@ -138,16 +138,17 @@ def case_fibration_model(mp):
 
 
 def case_projector_family(mp):
+    # the flat square fails fiberwise duality, so its family writes no operator
     model = flat_square()
     return {
-        "family": rendered(verify_projector_family(build_projector_family(model), samples=2)),
+        "family": raised(lambda: verify_projector_family(build_projector_family(model), samples=2)),
         "duality": rendered(duality_report(model, samples=2)),
     }
 
 
 def case_ambient_battery(mp):
     battery = (point(), projective_space(1))
-    return rendered(manin_battery(flat_square(), battery=battery, samples=2))
+    return raised(lambda: manin_battery(flat_square(), battery=battery, samples=2))
 
 
 def case_projector_system(mp):
@@ -168,8 +169,11 @@ def case_oracle_battery(mp):
     return rendered(identities.compose_oracle_battery(rings, samples=2, seed=1))
 
 
-def case_block_diagonality(mp):
-    build = ProjectorFamily.peeled_operators
+def identity_added_to_block_00(mp, model):
+    """Patch the operator builder so that the lifted block (0, 0) of model
+    comes back with the identity added; the model's family keeps its
+    blocks, so they are dropped for the run and restored after."""
+    build = ProjectorFamily.placed_operators
 
     def perturbed(family, maps):
         ops = build(family, maps)
@@ -178,10 +182,13 @@ def case_block_diagonality(mp):
             ops[0, 0] = matrix_sum(((1, ops[0, 0]), (1, ident)))
         return ops
 
-    model = hirzebruch(1)
-    # the model's family keeps its blocks: drop them for the run, restore after
     mp.setattr(build_projector_family(model), "blocks", None)
-    mp.setattr(ProjectorFamily, "peeled_operators", perturbed)
+    mp.setattr(ProjectorFamily, "placed_operators", perturbed)
+
+
+def case_block_diagonality(mp):
+    model = hirzebruch(1)
+    identity_added_to_block_00(mp, model)
     return rendered(verify_block_diagonality(model, samples=4, seed=3))
 
 
@@ -199,7 +206,7 @@ def case_action_window(mp):
 
 
 def case_decompose_model(mp):
-    build = ProjectorFamily.peeled_operators
+    build = ProjectorFamily.placed_operators
 
     def doubled(family, maps):
         ops = build(family, maps)
@@ -207,7 +214,7 @@ def case_decompose_model(mp):
             ops["(T[h], 1)"] = matrix_sum(((2, ops["(T[h], 1)"]),))
         return ops
 
-    mp.setattr(ProjectorFamily, "peeled_operators", doubled)
+    mp.setattr(ProjectorFamily, "placed_operators", doubled)
     return raised(lambda: decompose_model(hirzebruch(1)))
 
 

@@ -182,7 +182,7 @@ def test_decompose_model_ranks_each_piece_where_it_has_columns(monkeypatch):
 
 
 def test_decompose_model_names_a_piece_with_a_column_outside_its_codim(monkeypatch):
-    build = ProjectorFamily.peeled_operators
+    build = ProjectorFamily.placed_operators
     low = ((0, 1), (0, 1))  # a codim-0 basis key of hirzebruch(1)
 
     def strayed(family, maps):
@@ -191,7 +191,7 @@ def test_decompose_model_names_a_piece_with_a_column_outside_its_codim(monkeypat
             ops["(T[h], 1)"] = {**ops["(T[h], 1)"], low: {low: 1}}
         return ops
 
-    monkeypatch.setattr(ProjectorFamily, "peeled_operators", strayed)
+    monkeypatch.setattr(ProjectorFamily, "placed_operators", strayed)
     with pytest.raises(ValueError) as err:
         decompose_model(hirzebruch.__wrapped__(1))
     assert "piece (T[h], 1) has unexpected rank on codim 0" in str(err.value)

@@ -5,7 +5,6 @@ import pytest
 from chowkit import (
     CKDecomposition,
     ambient_extend,
-    build_projector_family,
     cellular_ck,
     ck_battery,
     correspondence_from_action,
@@ -325,36 +324,22 @@ def test_motive_isomorphism_on_every_model():
         ], m.name
 
 
-def test_motive_isomorphism_sweeps_each_basis_element_once(monkeypatch):
-    sweeps = []
-    sweep = ProjectorFamily.apply_all_with_coefficients
-    monkeypatch.setattr(
-        ProjectorFamily,
-        "apply_all_with_coefficients",
-        lambda family, y: sweeps.append(1) or sweep(family, y),
-    )
-    fresh, lifted = bundles_over_gr24()
-    assert verify_motive_isomorphism(fresh).passed
-    assert len(sweeps) == len(fresh.basis_keys()) == 18
-    lifted_blocks(lifted)
-    del sweeps[:]
-    assert verify_motive_isomorphism(lifted).passed
-    assert sweeps == []
-
-
 def failures(report):
     return {c.label.rsplit(" (", 1)[0]: c.details for c in report.checks if not c.passed}
 
 
-def test_motive_isomorphism_names_a_doubled_sweep_coefficient():
+def test_motive_isomorphism_names_a_doubled_rho_entry(monkeypatch):
     m = trivial_fibration(projective_space(2), projective_space(1))
-    sweep = build_projector_family(m).basis_sweep(1)
     b = ((0, 1), (1, 1))  # pi^*(h) * T_1
-    sweep[b][(0, 1)] = 2 * sweep[b][(0, 1)]
+    projectors = ProjectorFamily.projectors
+
+    def doubled(family):
+        rho = projectors(family)
+        rho[(0, 1)][b] = {b: 2}
+        return rho
+
+    monkeypatch.setattr(ProjectorFamily, "projectors", doubled)
     assert failures(verify_motive_isomorphism(m)) == {
-        "B F = id": ["B F and id: first differs at basis key ((0, 1), (1, 1))"],
-        "F B = id": ["F B and id: first differs at basis key (1, 2)"],
-        "F Pi_k = pi_k F": ["degree 2: first differs at basis key ((0, 1), (1, 1))"],
         "F rho_g = (Delta_X x p_g) F": [
             "generator (0, 1): first differs at basis key ((0, 1), (1, 1))"
         ],
@@ -374,14 +359,16 @@ def test_motive_isomorphism_names_swapped_lifted_blocks():
 
 
 def test_motive_isomorphism_on_the_failing_golden_models():
-    # u * u = 0 leaves the flat square's sweep unable to peel: F is not invertible
-    assert failures(verify_motive_isomorphism(flat_square())) == {
-        "B F = id": ["B F and id: first differs at basis key ((1, 1), (0, 1))"],
-        "F B = id": ["F B and id: first differs at basis key (1, 1)"],
-    }
-    # the nonassociative table breaks only a triple product; the sweep reads
-    # pairwise top components, which obey the duality pattern, so F is still
-    # a module isomorphism compatible with every projector, and only
+    # u * u = 0 leaves the flat square's sweep unable to peel: it fails
+    # fiberwise duality, so its family writes no F and no projector
+    with pytest.raises(ValueError, match=(
+        r"^projector family on flat square: fiberwise duality fails: "
+        r"top component of T\(1, 1\)\*T\(1, 1\) is 0, expected 1$"
+    )):
+        verify_motive_isomorphism(flat_square())
+    # the nonassociative table breaks only a triple product; its pairwise top
+    # components obey the duality pattern, so F is still a module
+    # isomorphism compatible with every projector, and only
     # validate_fibration sees the fault
     m = nonassociative()
     assert verify_motive_isomorphism(m).passed

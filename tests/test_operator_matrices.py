@@ -1,10 +1,11 @@
 """Fibration operators as exact sparse matrices.
 
-The matrices are checked against the closure route they replace (sweep the
-input, peel, act, reassemble, on every call) and against the per-operator
-walk the one-pass builder replaced (one walk of every basis sweep per
-operator, blocks summed from zero operators), and the matrix checkers are
-shown to fail on perturbed operators.
+The matrices are written from keys (ProjectorFamily.placed_operators).  They
+are checked against the closure route they replace (sweep the input, peel,
+act, reassemble, on every call) and against the per-operator walk the
+one-pass builder replaced (one walk of every basis element's sweep per
+operator, blocks summed from zero operators), both of which read the
+sweep, and the matrix checkers are shown to fail on perturbed operators.
 """
 
 import pytest
@@ -24,15 +25,17 @@ from chowkit import (
     projective_space,
     verify_block_diagonality,
     verify_ck,
+    verify_motive_isomorphism,
     verify_projector_family,
 )
-from chowkit import murre
+from chowkit import fibrations, murre
 from chowkit.catalog import standard_models
 from chowkit.fibrations import ProjectorFamily
 from chowkit.correspondences import act
 from chowkit.linalg import apply, matrix_sum
 from chowkit.motives import fiber_projectors
 from chowkit.sampling import random_fibered_cycle, seeded_rng
+from test_failure_rendering import identity_added_to_block_00
 from test_peeling_sweep import bundle_over_gr24
 
 MODELS = standard_models() + [
@@ -115,11 +118,14 @@ def test_matrices_match_the_closure_route(model):
 
 
 def walked_operator(family, phis):
-    """One walk of every basis sweep for one operator: y -> sum over g in phis
-    of pi^*(phi_g(alpha_g)) * T_g, each phi_g acting as a correspondence."""
+    """One walk of every basis element's sweep for one operator: y -> sum
+    over g in phis of pi^*(phi_g(alpha_g)) * T_g, each phi_g acting as a
+    correspondence."""
+    model = family.model
     columns = {}
-    for p in range(family.model.dimension + 1):
-        for b, coeffs in family.basis_sweep(p).items():
+    for p in range(model.dimension + 1):
+        for b, y in zip(model.basis_keys(p), model.module_basis(p)):
+            coeffs = family.apply_all_with_coefficients(y)
             col = {}
             for g, phi in phis.items():
                 alpha = coeffs.get(g, family.model.base.zero())
@@ -169,8 +175,7 @@ def test_one_pass_matches_the_per_operator_walk(model):
     for (label, _, op), (g, bp) in zip(dec.pieces, expected):
         assert op == walked_operator(family, {g: bp}), f"piece {label}"
     # the production builder takes sparse matrices; the walk acts by correspondences
-    ident = {k: {k: 1} for k in model.base.basis_keys()}
-    rho = family.peeled_operators({g: {g: ident} for g in model.generators})
+    rho = family.projectors()
     d = diagonal(model.base)
     for g in model.generators:
         assert rho[g] == walked_operator(family, {g: d}), f"rho{g}"
@@ -181,53 +186,36 @@ def test_one_pass_matches_the_per_operator_walk(model):
 
 
 def fresh_model():
-    """A model no other test has swept: the catalog's hirzebruch(1) is cached."""
+    """A model no other test has built a family for: the catalog's
+    hirzebruch(1) is cached."""
     p1 = projective_space(1)
     return projective_bundle_model(p1, [p1.cycle({"h": 1})], name="fresh hirzebruch(1)")
 
 
-def count_sweeps(monkeypatch):
-    calls = []
-    sweep = ProjectorFamily.apply_all_with_coefficients
-    monkeypatch.setattr(
-        ProjectorFamily,
-        "apply_all_with_coefficients",
-        lambda fam, y: calls.append(y) or sweep(fam, y),
-    )
-    return calls
-
-
 def count_builds(monkeypatch):
     calls = []
-    build = ProjectorFamily.peeled_operators
+    build = ProjectorFamily.placed_operators
     monkeypatch.setattr(
         ProjectorFamily,
-        "peeled_operators",
+        "placed_operators",
         lambda fam, maps: calls.append(list(maps)) or build(fam, maps),
     )
     return calls
 
 
-def test_sweeps_run_once_per_basis_element(monkeypatch):
-    model = fresh_model()
-    calls = count_sweeps(monkeypatch)
-    lift_ck(model)
-    decompose_model(model)
-    assert len(calls) == len(model.module_basis())
-
-
 def test_one_family_serves_every_operator_of_a_model(monkeypatch):
+    # the model's laws are checked once, by its one family, for every operator
     model = fresh_model()
-    calls = count_sweeps(monkeypatch)
+    checked = []
+    laws = fibrations._lemma_laws
+    monkeypatch.setattr(fibrations, "_lemma_laws", lambda m: checked.append(m) or laws(m))
     lift_ck(model)
     assert verify_block_diagonality(model).passed
     decompose_model(model)
     lift_base_correspondence(model, diagonal(model.base), 2)
-    n = len(model.module_basis())
-    assert len(calls) == n
-    # the verifier reads the cached basis sweeps and sweeps each random sample once
     assert verify_projector_family(build_projector_family(model), samples=3).passed
-    assert len(calls) == n + 3
+    assert verify_motive_isomorphism(model).passed
+    assert checked == [model]
 
 
 def test_blocks_are_built_once_per_model(monkeypatch):
@@ -324,18 +312,8 @@ def test_verify_ck_catches_an_off_codim_image():
 
 
 def test_block_diagonality_catches_a_perturbed_block(monkeypatch):
-    build = ProjectorFamily.peeled_operators
-
-    def perturbed(family, maps):
-        ops = build(family, maps)
-        if (0, 0) in ops:
-            ident = {b: {b: 1} for b in family.model.basis_keys()}
-            ops[0, 0] = matrix_sum(((1, ops[0, 0]), (1, ident)))
-        return ops
-
     model = hirzebruch(1)
-    monkeypatch.setattr(build_projector_family(model), "blocks", None)
-    monkeypatch.setattr(ProjectorFamily, "peeled_operators", perturbed)
+    identity_added_to_block_00(monkeypatch, model)
     report = verify_block_diagonality(model, samples=2, seed=3)
     assert not report.passed
     check = report.checks[0]
@@ -346,7 +324,7 @@ def test_block_diagonality_catches_a_perturbed_block(monkeypatch):
 
 
 def test_decompose_model_catches_a_perturbed_piece(monkeypatch):
-    build = ProjectorFamily.peeled_operators
+    build = ProjectorFamily.placed_operators
 
     def perturbed(family, maps):
         ops = build(family, maps)
@@ -354,7 +332,7 @@ def test_decompose_model_catches_a_perturbed_piece(monkeypatch):
             ops["(T[h], 1)"] = matrix_sum(((2, ops["(T[h], 1)"]),))
         return ops
 
-    monkeypatch.setattr(ProjectorFamily, "peeled_operators", perturbed)
+    monkeypatch.setattr(ProjectorFamily, "placed_operators", perturbed)
     with pytest.raises(ValueError) as err:
         decompose_model(hirzebruch(1))
     message = str(err.value)
