@@ -324,6 +324,26 @@ def test_motive_isomorphism_on_every_model():
         ], m.name
 
 
+def test_motive_isomorphism_sweeps_each_basis_element_once(monkeypatch):
+    # F and B are checked once on each basis element, and F is the key
+    # relabeling, so no basis element is swept, with or without lifted blocks
+    sweeps = []
+    sweep = ProjectorFamily.apply_all_with_coefficients
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "apply_all_with_coefficients",
+        lambda family, y: sweeps.append(1) or sweep(family, y),
+    )
+    fresh, lifted = bundles_over_gr24()
+    report = verify_motive_isomorphism(fresh)
+    assert report.passed
+    assert [c.count for c in report.checks[:2]] == [len(fresh.basis_keys())] * 2 == [18, 18]
+    assert sweeps == []
+    lifted_blocks(lifted)
+    assert verify_motive_isomorphism(lifted).passed
+    assert sweeps == []
+
+
 def failures(report):
     return {c.label.rsplit(" (", 1)[0]: c.details for c in report.checks if not c.passed}
 

@@ -192,6 +192,17 @@ def fresh_model():
     return projective_bundle_model(p1, [p1.cycle({"h": 1})], name="fresh hirzebruch(1)")
 
 
+def count_sweeps(monkeypatch):
+    calls = []
+    sweep = ProjectorFamily.apply_all_with_coefficients
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "apply_all_with_coefficients",
+        lambda fam, y: calls.append(y) or sweep(fam, y),
+    )
+    return calls
+
+
 def count_builds(monkeypatch):
     calls = []
     build = ProjectorFamily.placed_operators
@@ -201,6 +212,16 @@ def count_builds(monkeypatch):
         lambda fam, maps: calls.append(list(maps)) or build(fam, maps),
     )
     return calls
+
+
+def test_sweeps_run_once_per_basis_element(monkeypatch):
+    # at most once, and here never: the lift and the decomposition place
+    # every operator from keys
+    model = fresh_model()
+    calls = count_sweeps(monkeypatch)
+    assert verify_ck(lift_ck(model)).passed
+    assert decompose_model(model).report.passed
+    assert calls == []
 
 
 def test_one_family_serves_every_operator_of_a_model(monkeypatch):

@@ -35,7 +35,6 @@ from chowkit import (
     trivial_fibration,
     validate_fibration,
     verify_ck,
-    verify_motive_isomorphism,
     verify_projector_family,
 )
 from chowkit.catalog import resolve, standard_models
@@ -224,10 +223,28 @@ def test_sweep_of_a_basis_element_is_its_coordinate(model):
         assert exact_sweep(family.apply_all_with_coefficients(y)) == exact_parts(y), y
 
 
+@pytest.mark.parametrize("model", INDEPENDENCE_MODELS[:3], ids=lambda m: m.name)
+def test_verifier_sweeps_each_basis_element_once(monkeypatch, model):
+    # each basis element is one column of one rho_g, placed from its key and
+    # never swept; the verifier sweeps only its s samples
+    samples = 3
+    calls = []
+    sweep = ProjectorFamily.apply_all_with_coefficients
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "apply_all_with_coefficients",
+        lambda fam, y: calls.append(1) or sweep(fam, y),
+    )
+    family = ProjectorFamily(model)
+    assert verify_projector_family(family, samples=samples).passed
+    assert len(calls) == samples
+    columns = [b for rho in family.projectors().values() for b in rho]
+    assert sorted(columns) == sorted(model.basis_keys())
+
+
 def test_the_command_line_sweeps_only_the_sampled_cycles(monkeypatch, capsys):
     # s random cycles for the model and for each of its three battery
-    # extensions; every operator is written from keys, so the lift, the
-    # decomposition and the motive isomorphism sweep nothing
+    # extensions, and no basis element
     samples = 3
     calls = []
     sweep = ProjectorFamily.apply_all_with_coefficients
@@ -241,12 +258,6 @@ def test_the_command_line_sweeps_only_the_sampled_cycles(monkeypatch, capsys):
     capsys.readouterr()
     names = ["hirzebruch(1)"] + [f"{t} x hirzebruch(1)" for t in ("point", "P^1", "P^2")]
     assert sorted(calls) == sorted(names * samples)
-    del calls[:]
-    model = projective_bundle_model(projective_space(1), [projective_space(1).cycle({"h": 1})])
-    assert verify_ck(lift_ck(model)).passed
-    assert decompose_model(model).report.passed
-    assert verify_motive_isomorphism(model).passed
-    assert calls == []
 
 
 def test_sweeping_a_basis_constructs_no_fibered_cycle(monkeypatch):
