@@ -12,7 +12,6 @@ from .rings import (
     Cycle,
     KunnethRing,
     external_product,
-    is_delta_normalized,
     kunneth_product,
     verify_pairing,
 )
@@ -21,7 +20,6 @@ from .correspondences import (
     MorphismData,
     act,
     action_matrix,
-    ambient_act,
     compose,
     constant_morphism,
     correspondence_from_action,
@@ -56,7 +54,6 @@ from .motives import (
     decompose_model,
     decompose_motive,
     fiber_projectors,
-    unit_motive,
     verify_projector_system,
 )
 from .murre import (
@@ -88,8 +85,6 @@ from .catalog import (
     projective_bundle_model,
     projective_space,
     resolve,
-    standard_models,
-    standard_rings,
 )
 from .fileio import (
     FileFormatError,

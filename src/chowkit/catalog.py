@@ -278,21 +278,3 @@ def catalog_entries():
         CatalogEntry("pbundle:p2:h", "model", "projective bundle over the plane"),
     ]
     return tuple(entries)
-
-
-def standard_rings():
-    """The rings every pairing check runs over."""
-    return [projective_space(p) for p in range(5)] + [grassmannian(2, 4), grassmannian(2, 5)]
-
-
-def standard_models():
-    """The fibration models the theorem suites quantify over."""
-    fibers = [projective_space(1), projective_space(2), grassmannian(2, 4)]
-    models = [
-        product_model(projective_space(m), fiber)
-        for m in range(3)
-        for fiber in fibers
-    ]
-    models += [hirzebruch(a) for a in (0, 1, 2)]
-    models.append(_pbundle_p2_h())
-    return models

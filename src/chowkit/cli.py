@@ -113,13 +113,18 @@ def load_target(args):
 
 
 def _parse_battery(spec):
+    """The rings of a --battery list; a refusal names the entry's place and name."""
     if not spec:
         return None
     rings = []
-    for name in spec.split(","):
-        thing = _resolve_catalog(name.strip())
+    for n, name in enumerate(spec.split(","), start=1):
+        where = f"--battery entry {n} ({name.strip()!r}): "
+        try:
+            thing = _resolve_catalog(name.strip())
+        except CliError as e:
+            raise CliError(where + str(e), e.code) from e
         if not isinstance(thing, ChowRing):
-            raise CliError(f"battery entry {name!r} is a model, not a ring", EXIT_PARSE_ERROR)
+            raise CliError(where + "it is a model, not a ring", EXIT_PARSE_ERROR)
         rings.append(thing)
     return tuple(rings)
 

@@ -370,11 +370,6 @@ def _exact_columns(m):
     return {b: {r: _exact(v) for r, v in col.items()} for b, col in m.items()}
 
 
-def ambient_act(f, ambient, c):
-    """Action of id_ambient x f on a cycle of ambient x source."""
-    return act(tensor(diagonal(ambient), f), c)
-
-
 # -- morphism data -------------------------------------------------------------
 
 

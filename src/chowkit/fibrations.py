@@ -68,9 +68,6 @@ class FiberedCycle:
             out.update(gkey[0] + p for p in cyc.codims())
         return sorted(out)
 
-    def is_homogeneous(self):
-        return len(self.codims()) <= 1
-
     def codim(self):
         cs = self.codims()
         if len(cs) != 1:
@@ -248,17 +245,9 @@ class FibrationModel:
 
     def basis_keys(self, p=None):
         """Keys (g, base cell key) of the basis cycles pi^*(x) * T_g, all of
-        them or those of codim p, in module_basis order; computed once."""
+        them or those of codim p, in module order (generator, then base
+        cell); computed once."""
         return self._basis_keys.get(p, ())
-
-    def module_basis(self, p=None):
-        """The basis cycles pi^*(x) * T_g, all of them or those of codim p."""
-        base = self.base
-        return [_fibered(self, {g: _cycle(base, {k: 1})}) for g, k in self.basis_keys(p)]
-
-    def coordinates(self, y, p):
-        """Coefficients of the codim-p part of y along module_basis(p)."""
-        return tuple(y.fiber_component(g).coefficient(k) for g, k in self.basis_keys(p))
 
     def __repr__(self):
         return f"<FibrationModel {self.name} dim={self.dimension}>"

@@ -13,11 +13,10 @@ from .correspondences import (
     Correspondence,
     action_columns,
     compose,
-    diagonal,
     dual_basis_cycles,
 )
 from .fibrations import add_system_checks, build_projector_family
-from .linalg import block_rank, codim_blocks, rank
+from .linalg import block_rank, codim_blocks
 from .report import Report
 from .rings import Cycle, external_product
 
@@ -37,9 +36,6 @@ class Motive:
         self.projector = projector
         self.name = name or f"({ring.name}, p)"
 
-    def piece_rank(self, p):
-        return rank(self.projector.matrix(p))
-
     def __repr__(self):
         return f"<Motive {self.name}>"
 
@@ -50,11 +46,6 @@ def _motive(ring, projector, name):
     motive = object.__new__(Motive)
     motive.ring, motive.projector, motive.name = ring, projector, name
     return motive
-
-
-def unit_motive(ring):
-    """h(X): the ring with its diagonal."""
-    return Motive(ring, diagonal(ring), name=f"h({ring.name})")
 
 
 def fiber_projectors(ring):
@@ -98,10 +89,6 @@ class MotiveDecomposition:
         self.pieces = pieces
         self.rank_table = rank_table  # codim -> tuple of per-piece ranks
         self.report = report  # the verified checks; the table lists each piece's codim
-
-    @property
-    def piece_count(self):
-        return len(self.pieces)
 
     def codim_profile(self):
         """For each piece, the codimension where its image sits."""
@@ -155,10 +142,6 @@ class ModelMotiveDecomposition:
         self.pieces = pieces  # (label, codim, sparse matrix)
         self.rank_table = rank_table  # codim -> piece count
         self.report = report  # the verified checks; the table lists the pieces
-
-    @property
-    def piece_count(self):
-        return len(self.pieces)
 
     def rank_profile(self):
         return tuple(self.report.table["rank_profile"])

@@ -67,10 +67,6 @@ class CKDecomposition:
     def kind(self):
         return "cycle" if isinstance(self.space, ChowRing) else "operator"
 
-    @property
-    def top_degree(self):
-        return 2 * self.space.dimension
-
     def projector(self, k):
         return self.projectors[k]
 

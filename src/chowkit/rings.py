@@ -98,9 +98,6 @@ class Cycle:
     def codims(self):
         return sorted({p for p, _ in self.coeffs})
 
-    def is_homogeneous(self):
-        return len(self.codims()) <= 1
-
     def codim(self):
         """Codimension of a homogeneous nonzero cycle."""
         cs = self.codims()
@@ -484,10 +481,6 @@ def verify_pairing(ring):
     return Report("pairing", ring.name, table={"matrices": matrices, "violations": violations})
 
 
-def is_delta_normalized(ring):
-    return verify_pairing(ring).passed
-
-
 # -- Kunneth products ---------------------------------------------------------
 
 class KunnethRing(ChowRing):
@@ -551,15 +544,6 @@ class KunnethRing(ChowRing):
         """deg_A(ac) * deg_B(bd) for (a x b) and (c x d); builds no row."""
         (a, b), (c, d) = self._key_to_pair[k1], self._key_to_pair[k2]
         return self.left.pair_degree(a.key, c.key) * self.right.pair_degree(b.key, d.key)
-
-    def pair_cell(self, a_spec, b_spec):
-        a = self.left.cell(a_spec)
-        b = self.right.cell(b_spec)
-        return self._by_key[self._pair_to_key[(a.key, b.key)]]
-
-    def split_cell(self, spec):
-        cell = self.cell(spec)
-        return self._key_to_pair[cell.key]
 
 
 class _Kept(dict):

@@ -4,14 +4,12 @@ Partitions are tuples of weakly decreasing positive integers; the empty tuple
 is the unit class.  Products live in the Chow ring of a Grassmannian, so any
 partition leaving the box indexes the zero class and is dropped.
 
-Two independent multiplication routes: the Littlewood-Richardson rule
-(counting lattice-word skew tableaux) and a straightening recursion that only
-ever uses the Pieri rule.  Tests compare them exhaustively.
+Products follow the Littlewood-Richardson rule, counting lattice-word skew
+tableaux; the tests check it exhaustively against an independent route that
+only ever uses the Pieri rule.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 
 def fits_in_box(lam, rows, cols):
@@ -50,34 +48,6 @@ def complement(lam, rows, cols):
     padded = lam + (0,) * (rows - len(lam))
     out = tuple(cols - padded[rows - 1 - i] for i in range(rows))
     return tuple(p for p in out if p)
-
-
-def pieri(lam, k, rows, cols):
-    """Partitions mu in the box with mu/lam a horizontal strip of k boxes.
-
-    These index the terms of sigma_lam * sigma_(k); strips leaving the box
-    are dropped since their classes vanish in the quotient.
-    """
-    lam = tuple(lam)
-    if k < 0:
-        raise ValueError("strip size must be nonnegative")
-    if not fits_in_box(lam, rows, cols):
-        return []
-    out = []
-    nrows = min(rows, len(lam) + 1)
-
-    def rec(i, used, mu):
-        if i == nrows:
-            if used == k:
-                out.append(tuple(p for p in mu if p))
-            return
-        low = lam[i] if i < len(lam) else 0
-        high = cols if i == 0 else lam[i - 1]
-        for v in range(low, min(high, low + k - used) + 1):
-            rec(i + 1, used + v - low, mu + (v,))
-
-    rec(0, 0, ())
-    return sorted(out, reverse=True)
 
 
 def lr_coefficient(lam, mu, nu):
@@ -132,35 +102,3 @@ def lr_product(lam, mu, rows, cols):
         if c:
             out[nu] = c
     return out
-
-
-@lru_cache(maxsize=None)
-def _pieri_product(lam, mu, rows, cols):
-    if not mu:
-        return ((lam, 1),)
-    head, rest = mu[0], mu[1:]
-    acc = {}
-    for rho, c in _pieri_product(lam, rest, rows, cols):
-        for nu in pieri(rho, head, rows, cols):
-            acc[nu] = acc.get(nu, 0) + c
-    # straightening corrections: the other terms of sigma_rest * sigma_(head)
-    for nu in pieri(rest, head, rows, cols):
-        if nu == mu:
-            continue
-        for tau, c in _pieri_product(lam, nu, rows, cols):
-            acc[tau] = acc.get(tau, 0) - c
-    return tuple(sorted((nu, c) for nu, c in acc.items() if c))
-
-
-def pieri_product(lam, mu, rows, cols):
-    """Independent route to sigma_lam * sigma_mu using only the Pieri rule.
-
-    Peel mu's first row: multiply sigma_lam * sigma_{mu minus first row} by
-    the single-row class, then subtract the products indexed by the other
-    Pieri terms of that single-row product.  Every correction has a strictly
-    longer first row, so the recursion terminates at single-row classes.
-    """
-    lam, mu = tuple(lam), tuple(mu)
-    if not (fits_in_box(lam, rows, cols) and fits_in_box(mu, rows, cols)):
-        return {}
-    return dict(_pieri_product(lam, mu, rows, cols))

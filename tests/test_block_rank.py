@@ -14,12 +14,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_failure_rendering import off_codim_image, perturbed_pi2
-from test_one_dict_sums import doubled_plane
 
 from chowkit import decompose_motive, fiber_projectors, grassmannian, lift_ck, verify_action_window
-from chowkit.catalog import standard_models, standard_rings
 from chowkit.correspondences import action_columns
 from chowkit.linalg import block_rank, codim_blocks, rank
+
+from corpus import DOUBLED, standard_models, standard_rings
 
 
 def dense_rank(space, columns, j):
@@ -39,7 +39,7 @@ def assert_window_matches(ck):
 
 
 @pytest.mark.parametrize(
-    "ring", standard_rings() + [grassmannian(2, 6), doubled_plane()], ids=lambda r: r.name
+    "ring", standard_rings() + [grassmannian(2, 6), DOUBLED], ids=lambda r: r.name
 )
 def test_motive_rank_table_matches_the_block_ranks(ring):
     columns = {k: action_columns(p) for k, p in enumerate(fiber_projectors(ring))}

@@ -14,8 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowkit import (
-    BasisCell,
-    ChowRing,
     Correspondence,
     Cycle,
     act,
@@ -33,16 +31,14 @@ from chowkit import (
     tensor,
     transpose,
 )
-from chowkit.correspondences import _morphism, action_columns
+from chowkit.correspondences import action_columns
 from chowkit.motives import fiber_projectors
 
+import oracles
+from corpus import DOUBLED_PLANE, scaled_identity
+
 P1, P2, GR = projective_space(1), projective_space(2), grassmannian(2, 4)
-DOUBLED = ChowRing(
-    2,
-    [BasisCell(0, 1, "1"), BasisCell(1, 1, "h"), BasisCell(2, 1, "pt")],
-    {((1, 1), (1, 1)): {(2, 1): 2}},
-    name="doubled plane",
-)
+DOUBLED = DOUBLED_PLANE
 DOUBLED_P1 = kunneth_product(DOUBLED, P1)
 RINGS = (P2, GR, DOUBLED, DOUBLED_P1)
 SMALL = (P2, DOUBLED)  # for tensor, whose result lives on a four-fold product
@@ -56,13 +52,9 @@ scalars = st.one_of(values, st.sampled_from((Fraction(4, 2), Fraction(-3, 3), Fr
 rings = st.sampled_from(RINGS)
 
 
-def canonical_value(v):
-    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
-
-
 def canonical(cycle):
     """True when every value is an int or a Fraction that is not integral."""
-    return all(canonical_value(v) for v in cycle.coeffs.values())
+    return oracles.canonical(cycle.coeffs.values())
 
 
 def cycles(ring, codim=None):
@@ -90,7 +82,7 @@ def test_ring_arithmetic_is_canonical(data):
     assert canonical(a) and canonical(b)
     for out in (a + b, a - b, -a, a * s, s * a, a * b, ring.multiply(a, b)):
         assert canonical(out), out
-    assert canonical_value(ring.degree(a)) and canonical_value(a.coefficient(ring.unit_cell))
+    assert oracles.canonical([ring.degree(a), a.coefficient(ring.unit_cell)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,7 +145,7 @@ def test_dual_basis_cycles_are_canonical():
 
 def canonical_matrix(m):
     """True when every entry of the sparse matrix m is canonical."""
-    return all(canonical_value(v) for col in m.values() for v in col.values())
+    return oracles.canonical(v for col in m.values() for v in col.values())
 
 
 @pytest.mark.parametrize("ring", (DOUBLED, GR, DOUBLED_P1), ids=lambda r: r.name)
@@ -173,15 +165,12 @@ def test_the_doubled_planes_middle_action_is_an_int():
 def _morphisms():
     """Validated morphisms, and tables scaled by Fractions (left unvalidated,
     since validation would refuse them)."""
-    scaled = []
-    for ring, s in ((P2, Fraction(1, 2)), (DOUBLED, Fraction(2, 3))):
-        table = {c.key: {c.key: s} for c in ring.cells}
-        scaled.append(_morphism(ring, ring, table, table, f"{s} id"))
     return [
         identity_morphism(DOUBLED),
         projection_morphism(DOUBLED_P1, "left"),
         projection_morphism(DOUBLED_P1, "right"),
-        *scaled,
+        scaled_identity(P2, Fraction(1, 2)),
+        scaled_identity(DOUBLED, Fraction(2, 3)),
     ]
 
 

@@ -1,7 +1,7 @@
 """What each check catches: one row per known corruption of a model.
 
-Every row builds a corrupted model (or patches a kernel for the run) and
-runs every model verifier on it.  The table locks, per row, the labels of
+Every row builds a corrupted model of corpus.CORRUPTIONS (or patches a
+kernel for the run) and runs every model verifier on it.  The table locks, per row, the labels of
 the failing checks of each verifier that catches something, or the law at
 which the projector family refuses the model ("raises at <law>").  A row
 that nothing catches fails the test.
@@ -20,7 +20,6 @@ from chowkit import (
     build_projector_family,
     decompose_model,
     duality_report,
-    hirzebruch,
     lift_ck,
     validate_fibration,
     verify_block_diagonality,
@@ -28,15 +27,8 @@ from chowkit import (
     verify_motive_isomorphism,
     verify_projector_family,
 )
-from chowkit.fibrations import ProjectorFamily
 
-from test_failure_rendering import (
-    collapsed_products,
-    flat_square,
-    identity_added_to_block_00,
-    nonassociative,
-)
-from test_peeling_sweep import INDEPENDENCE_MODELS
+from corpus import CORRUPTIONS, INDEPENDENCE_MODELS
 
 CHECKERS = {
     "validate_fibration": validate_fibration,
@@ -67,65 +59,6 @@ def caught(model):
             out[name] = labels
     return out
 
-
-# -- the corruptions -----------------------------------------------------------
-
-
-def doubled_top(family, out):
-    """A linear sweep: the top generator's coefficient comes back doubled."""
-    top = family.order[0]
-    return {g: 2 * a if g == top else a for g, a in out.items()}
-
-
-def leaked_top(family, out):
-    """A linear sweep: the top generator's coefficient is copied onto the
-    unit generator, which moves its codim."""
-    top, unit = family.order[0], family.order[-1]
-    if top not in out:
-        return out
-    leaked = dict(out)
-    total = leaked.get(unit, family.model.base.zero()) + out[top]
-    leaked.pop(unit, None)
-    if not total.is_zero():
-        leaked[unit] = total
-    return leaked
-
-
-def dropped_unit(family, out):
-    """A linear sweep: the unit generator's coefficient is lost."""
-    return {g: a for g, a in out.items() if g != family.order[-1]}
-
-
-def perturbed_sweep(model, perturb):
-    def build(mp):
-        sweep = ProjectorFamily.apply_all_with_coefficients
-        mp.setattr(
-            ProjectorFamily,
-            "apply_all_with_coefficients",
-            lambda fam, y: perturb(fam, sweep(fam, y)),
-        )
-        return model
-
-    return build
-
-
-def block_00_plus_identity(mp):
-    model = hirzebruch(1)
-    identity_added_to_block_00(mp, model)
-    return model
-
-
-ROWS = {
-    "flat square": lambda mp: flat_square(),
-    "collapsed products": lambda mp: collapsed_products(),
-    "nonassociative": lambda mp: nonassociative(),
-    **{
-        f"{perturb.__name__} on {model.name}": perturbed_sweep(model, perturb)
-        for model in INDEPENDENCE_MODELS[:3]
-        for perturb in (doubled_top, leaked_top, dropped_unit)
-    },
-    "block (0, 0) plus identity": block_00_plus_identity,
-}
 
 SWEPT = {"verify_projector_family": ["coefficient extraction on random cycles"]}
 REFUSED_AT_DUALITY = {
@@ -171,11 +104,11 @@ CAUGHT = {
 
 
 def test_every_row_is_in_the_table():
-    assert list(CAUGHT) == list(ROWS)
+    assert list(CAUGHT) == list(CORRUPTIONS)
 
 
-@pytest.mark.parametrize("row", list(ROWS))
+@pytest.mark.parametrize("row", list(CORRUPTIONS))
 def test_catch_table(row, monkeypatch):
-    got = caught(ROWS[row](monkeypatch))
+    got = caught(CORRUPTIONS[row](monkeypatch))
     assert got, f"nothing catches {row}"
     assert got == CAUGHT[row]

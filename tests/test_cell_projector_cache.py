@@ -6,11 +6,13 @@ read the kept ones."""
 import pytest
 
 from chowkit import cli, correspondences, motives
-from chowkit.catalog import grassmannian, product_model, projective_space, standard_rings
+from chowkit.catalog import grassmannian, product_model, projective_space
 from chowkit.correspondences import action_columns
 from chowkit.fileio import save_fibration, save_ring
 from chowkit.motives import fiber_projectors
 from chowkit.murre import cellular_ck, verify_motive_isomorphism
+
+from corpus import standard_rings
 
 
 @pytest.fixture

@@ -9,31 +9,20 @@ import time
 import pytest
 
 import chowkit
-from chowkit import ChowRing, diagonal, point, save_fibration, save_ring, trivial_fibration
-from chowkit.catalog import catalog_entries, grassmannian, hirzebruch, projective_space, resolve
+from chowkit import ChowRing, diagonal, point, save_fibration, save_ring
+from chowkit.catalog import catalog_entries, hirzebruch, projective_space, resolve
 from chowkit import build_projector_family, cli, murre
 from chowkit.cli import main, render_text
 from chowkit.fileio import dump_fibration, dump_ring, parse_fibration, parse_ring
 from chowkit.murre import cellular_ck
+
+from corpus import degenerate_surface_doc
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def degenerate_surface_doc():
-    # associative and graded, but e*e = 0 kills the middle pairing
-    return {
-        "dimension": 2,
-        "cells": [
-            {"codim": 0, "index": 1, "label": "1"},
-            {"codim": 1, "index": 1, "label": "e"},
-            {"codim": 2, "index": 1, "label": "f"},
-        ],
-        "products": [],
-    }
 
 
 def test_catalog_lists_entries(capsys):
@@ -272,6 +261,14 @@ def test_battery_must_name_rings(capsys):
                        "--battery", "point,hirzebruch:1")
     assert code == 2
     assert "is a model, not a ring" in err
+    assert err.startswith("--battery entry 2 ('hirzebruch:1'): ")
+    # an empty entry, and a product cut in two by the list's own commas
+    for battery, where, message in (
+        ("p1,,p2", "--battery entry 2 (''): ", "unknown catalog name ''"),
+        ("point,product:p1,p1", "--battery entry 2 ('product:p1'): ", "product takes exactly two factor names"),
+    ):
+        code, _, err = run(capsys, "verify", "--catalog", "p2", "--suite", "manin", "--battery", battery)
+        assert code == 2 and err.startswith(where + message)
 
 
 def test_decompose_text_and_json(capsys):

@@ -20,7 +20,6 @@ import pytest
 
 from chowkit import (
     CKDecomposition,
-    FibrationModel,
     build_projector_family,
     decompose_model,
     decompose_motive,
@@ -46,17 +45,10 @@ from chowkit.linalg import matrix_sum
 from chowkit.motives import fiber_projectors
 from chowkit.murre import cellular_ck
 
-FAILING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "failing")
+from corpus import collapsed_products, degenerate_surface_doc, flat_square, identity_added_to_block_00
+from corpus import nonassociative
 
-DEGENERATE_SURFACE = {
-    "dimension": 2,
-    "cells": [
-        {"codim": 0, "index": 1, "label": "1"},
-        {"codim": 1, "index": 1, "label": "e"},
-        {"codim": 2, "index": 1, "label": "f"},
-    ],
-    "products": [],
-}
+FAILING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "failing")
 
 
 def rendered(report):
@@ -67,30 +59,6 @@ def raised(build):
     with pytest.raises(ValueError) as err:
         build()
     return {"error": str(err.value).splitlines()}
-
-
-def flat_square():
-    # u*u = 0 kills the unit top coefficient the complementary pair needs
-    p1, p2 = projective_space(1), projective_space(2)
-    return FibrationModel(p1, p2, {((1, 1), (1, 1)): {}}, name="flat square")
-
-
-def nonassociative():
-    p2 = projective_space(2)
-    table = {
-        ((1, 1), (1, 1)): {(2, 1): p2.unit()},
-        ((1, 1), (2, 1)): {(1, 1): p2.cycle({"h^2": 1})},
-        ((2, 1), (2, 1)): {},
-    }
-    return FibrationModel(p2, projective_space(2), table, name="nonassociative")
-
-
-def collapsed_products():
-    # every product of non-unit generators lands on the unit generator: more
-    # failure details than any other kind would print
-    p1 = projective_space(1)
-    table = {((a, 1), (b, 1)): {(0, 1): p1.unit()} for a in range(1, 5) for b in range(a, 5)}
-    return FibrationModel(p1, projective_space(4), table, name="collapsed products")
 
 
 def cellular_p1_with(edit, name):
@@ -126,7 +94,7 @@ def off_codim_image():
 
 
 def case_pairing(mp):
-    return rendered(verify_pairing(parse_ring(DEGENERATE_SURFACE)))
+    return rendered(verify_pairing(parse_ring(degenerate_surface_doc())))
 
 
 def case_fibration_model(mp):
@@ -167,23 +135,6 @@ def case_oracle_battery(mp):
     mp.setattr(identities, "compose_oracle", lambda g, f: compose(g, f).cycle * 2)
     rings = (projective_space(1), projective_space(2))
     return rendered(identities.compose_oracle_battery(rings, samples=2, seed=1))
-
-
-def identity_added_to_block_00(mp, model):
-    """Patch the operator builder so that the lifted block (0, 0) of model
-    comes back with the identity added; the model's family keeps its
-    blocks, so they are dropped for the run and restored after."""
-    build = ProjectorFamily.placed_operators
-
-    def perturbed(family, maps):
-        ops = build(family, maps)
-        if (0, 0) in ops:
-            ident = {b: {b: 1} for b in family.model.basis_keys()}
-            ops[0, 0] = matrix_sum(((1, ops[0, 0]), (1, ident)))
-        return ops
-
-    mp.setattr(build_projector_family(model), "blocks", None)
-    mp.setattr(ProjectorFamily, "placed_operators", perturbed)
 
 
 def case_block_diagonality(mp):
@@ -231,7 +182,7 @@ def case_cli_degenerate_surface(mp):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ring.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(DEGENERATE_SURFACE, fh)
+            json.dump(degenerate_surface_doc(), fh)
         for suite in ("ck", "duality", "manin", "motives", "murre", "pairing"):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):

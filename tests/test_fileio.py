@@ -20,7 +20,8 @@ from chowkit import (
     save_ring,
     trivial_fibration,
 )
-from chowkit.catalog import standard_rings
+
+from corpus import standard_rings
 
 
 def p2_doc():

@@ -1,4 +1,5 @@
-"""Every name a chowkit module imports at top level is used in that module.
+"""Every name a chowkit module imports at top level is used in that module,
+and every function, class and method it defines is named somewhere else.
 
 The package's ``__init__`` re-exports what it imports and is left out, and
 so is ``from __future__``.  Imports inside a function are that function's
@@ -6,13 +7,17 @@ business.  Read with the standard ``ast`` module only, so nothing is run.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import chowkit
 
-MODULES = sorted(p for p in Path(chowkit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(chowkit.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]  # the repository: README.md, perfbench/
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source):
@@ -37,3 +42,59 @@ def test_every_top_level_import_is_used(path):
 def test_an_unused_import_is_named():
     source = "from .rings import BasisCell, Cycle\nimport json\n\n\ndef f():\n    return Cycle\n"
     assert unused_imports(source) == [(1, "BasisCell"), (2, "json")]
+
+
+def named(tree):
+    """Counter of the names a tree reads: names, attributes, and the words of
+    its string constants other than docstrings (a tracer hooks "layer.name")."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef)
+    docs = {id(n.body[0].value) for n in ast.walk(tree)
+            if isinstance(n, scopes) and isinstance(n.body[0], ast.Expr)}
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def unnamed_defs(sources, defining, text=""):
+    """(module, line, name) of each top-level function, class or method of
+    the ``defining`` modules (dunders aside) that no source names outside its
+    own body and ``text`` does not mention.  sources maps a module name to
+    its code; an import does not count as naming."""
+    trees = {name: ast.parse(code) for name, code in sources.items()}
+    total = sum((named(tree) for tree in trees.values()), Counter())
+    words = set(re.findall(r"\w+", text))
+    out = []
+    for module in defining:
+        for node in trees[module].body:
+            for d in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not re.fullmatch("__.*__", d.name)
+                        and total[d.name] == named(d)[d.name] and d.name not in words):
+                    out.append((module, d.lineno, d.name))
+    return out
+
+
+def test_every_definition_is_named_somewhere_else():
+    """No code in src/ that only tests reach: every definition is named by
+    the package, the benchmark harness or the README."""
+    modules = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    bench = {f"perfbench/{p.name}": p.read_text() for p in (ROOT / "perfbench").glob("*.py")}
+    readme = (ROOT / "README.md").read_text()
+    assert unnamed_defs({**modules, **bench}, sorted(modules), readme) == []
+
+
+def test_an_unnamed_definition_is_named():
+    sources = {
+        "lib.py": "def used():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\n"
+                  "def planted(n):\n    return planted(n - 1) if n else 0\n\n\n"
+                  "class Box:\n    def kept(self):\n        return 1\n\n    def dropped(self):\n        return 2\n",
+        "run.py": 'HOOKS = ("lib.used", "lib.Box.kept")\n',
+    }
+    # a self-call is not a use; a hooked "module.Class.method" string is
+    assert unnamed_defs(sources, ["lib.py"]) == [("lib.py", 9, "planted"), ("lib.py", 17, "dropped")]
+    assert unnamed_defs(sources, ["lib.py"], "The README names `dropped`.") == [("lib.py", 9, "planted")]

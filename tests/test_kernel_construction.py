@@ -8,14 +8,13 @@ and homogeneity checks are skipped.  Here each kernel runs twice on the same
 inputs, once as it is and once with those paths routed through the public
 constructors, which re-check everything; both runs must agree in values,
 int/Fraction types and key order.  The peeling sweep on coefficient dicts is
-compared with the sweep on cycles it replaced, run on the public route.  The
+compared with its reference in oracles.py, run on the public route.  The
 public constructors must still refuse what they refused, and the draws of
 the identity battery must reproduce ``randint``.
 """
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -27,38 +26,30 @@ from chowkit import (
     hirzebruch,
     kunneth_product,
     parse_ring,
-    projective_bundle_model,
     projective_space,
     tensor,
     transpose,
 )
 from chowkit import cli, correspondences, fibrations, identities, motives, murre, rings, sampling
-from chowkit.catalog import standard_models, standard_rings
 from chowkit.fibrations import FiberedCycle, ProjectorFamily
-from chowkit.fileio import load_ring
 from chowkit.motives import Motive, decompose_motive
 from chowkit.murre import cellular_ck, lift_ck, verify_action_window
 from chowkit.report import Report
 from chowkit.rings import Cycle
 from chowkit.sampling import _randint, random_correspondence, random_cycle, seeded_rng
 
-DOUBLED = load_ring(Path(__file__).parent / "data" / "doubled_plane.json")
+import oracles
+from corpus import DOUBLED_PLANE as DOUBLED, correspondences as samples, fibered_cycles, fresh_hirzebruch
+from corpus import module_basis, standard_models, standard_rings
+
 RINGS = standard_rings() + [DOUBLED]
 MODELS = standard_models()
-
-
-def public_cycle(ring, coeffs):
-    return Cycle(ring, coeffs)
 
 
 def public_correspondence(source, target, ring, cycle, offset):
     f = Correspondence(source, target, cycle, offset)
     assert f.ring is ring
     return f
-
-
-def public_fibered(model, parts):
-    return FiberedCycle(model, parts)
 
 
 @pytest.fixture
@@ -68,10 +59,10 @@ def public_route(monkeypatch):
 
     def enter():
         for module in (rings, correspondences, sampling, identities, fibrations):
-            monkeypatch.setattr(module, "_cycle", public_cycle)
+            monkeypatch.setattr(module, "_cycle", Cycle)
         for module in (correspondences, sampling):
             monkeypatch.setattr(module, "_correspondence", public_correspondence)
-        monkeypatch.setattr(fibrations, "_fibered", public_fibered)
+        monkeypatch.setattr(fibrations, "_fibered", FiberedCycle)
 
     return enter
 
@@ -89,15 +80,6 @@ def exact(x):
     if isinstance(x, list):
         return [exact(v) for v in x]
     return x
-
-
-def samples(rng, source, target):
-    """Integer, sparse, rational and zero correspondences source -> target."""
-    out = []
-    for offset in range(-source.dimension, target.dimension + 1):
-        f = random_correspondence(rng, source, target, offset=offset, bound=3)
-        out += [f, f * Fraction(1, 2), f - f]
-    return out
 
 
 def both_routes(public_route, run):
@@ -183,48 +165,16 @@ def test_oracle_and_morphism_tables_match_the_public_route(public_route):
     assert private == public
 
 
-def cycle_sweep(family, y):
-    """The sweep as it was, on cycles: each term b * t a base product, each
-    alpha a sum of cycles and each residual update a cycle difference."""
-    model = family.model
-    base, top = model.base, model.fiber.point_cell.key
-    residual, out = dict(y.parts), {}
-    for g in family.order:
-        dual = model.fiber.dual_cell(g).key
-        alpha = None
-        for h, b in residual.items():
-            t = model.t_entry(dual, h).get(top)
-            if t is None:
-                continue
-            term = base.multiply(b, t)
-            if not term.is_zero():
-                alpha = term if alpha is None else alpha + term
-        if alpha is not None and not alpha.is_zero():
-            out[g] = alpha
-            residual[g] = residual[g] - alpha if g in residual else -alpha
-    return out
-
-
-def sweep_inputs(model, rng):
-    base = model.base
-    ys = model.module_basis()
-    ys += [sampling.random_fibered_cycle(rng, model, bound=3) for _ in range(3)]
-    ys.append(model.cycle({g: random_cycle(rng, base, 3) * Fraction(1, 3) for g in model.generators}))
-    # cancelling terms: two parts whose products into the same alpha are opposite
-    ys.append(model.cycle({g: base.unit() * (-1) ** n for n, g in enumerate(model.generators)}))
-    return ys
-
-
 @pytest.mark.parametrize("model", MODELS + [
     fibrations.trivial_fibration(DOUBLED, projective_space(1)),
     fibrations.ambient_extend(hirzebruch(1), DOUBLED),
 ], ids=lambda m: m.name)
 def test_sweep_matches_the_cycle_sweep_on_the_public_route(model, public_route):
-    ys = sweep_inputs(model, seeded_rng(2))
+    ys = fibered_cycles(seeded_rng(2), model)
     family = ProjectorFamily(model)
     private = [exact(family.apply_all_with_coefficients(y)) for y in ys]
     public_route()
-    assert private == [exact(cycle_sweep(family, y)) for y in ys]
+    assert private == [exact(oracles.sweep(model, y)) for y in ys]
     assert private == [exact(family.apply_all_with_coefficients(y)) for y in ys]
 
 
@@ -240,12 +190,12 @@ def test_sweep_sums_as_the_cycle_sweep_on_a_broken_table(public_route):
     ys = [
         model.cycle({(0, 1): one + h, (1, 1): -one, (2, 1): one * 3}),
         model.cycle({pt: h, (0, 1): one * Fraction(1, 2), (2, 1): one * Fraction(-1, 2)}),
-    ] + model.module_basis()
+    ] + module_basis(model)
     family = ProjectorFamily(model)
     private = [exact(family.apply_all_with_coefficients(y)) for y in ys]
     assert [k for k, _, _ in private[0][0][1][1]] == [(1, 1), (0, 1)]
     public_route()
-    assert private == [exact(cycle_sweep(family, y)) for y in ys]
+    assert private == [exact(oracles.sweep(model, y)) for y in ys]
 
 
 @pytest.mark.parametrize("model", MODELS[:4] + MODELS[-4:], ids=lambda m: m.name)
@@ -254,7 +204,7 @@ def test_model_kernels_match_the_public_route(model, public_route):
     ys = [sampling.random_fibered_cycle(rng, model, bound=3) for _ in range(3)]
 
     def run():
-        out = list(model.module_basis())
+        out = module_basis(model)
         for y in ys:
             out += [model.multiply(y, z) for z in ys]
             out += [y + ys[0], -y, y - y]
@@ -291,7 +241,7 @@ def test_the_public_correspondence_refuses_a_wrong_ring_or_degree():
     with pytest.raises(ValueError, match=r"must live on P\^1 x P\^2, got P\^2 x P\^1"):
         Correspondence(p1, p2, wrong)
     ring = kunneth_product(p1, p2)
-    mixed = ring.unit() + ring.basis_cycle(ring.pair_cell("h", "h"))
+    mixed = ring.unit() + ring.basis_cycle("(h,h)")
     with pytest.raises(ValueError, match="cycle is not homogeneous of codim 1"):
         Correspondence(p1, p2, mixed, 0)
     assert Correspondence(p1, p2, mixed).offset is None
@@ -318,7 +268,7 @@ def test_decompose_motive_composes_nothing(monkeypatch):
     real = motives.compose
     monkeypatch.setattr(motives, "compose", lambda g, f: calls.append(1) or real(g, f))
     dec = decompose_motive(ring)
-    assert dec.piece_count == 31 and not calls
+    assert len(dec.pieces) == 31 and not calls
     assert all(piece.ring is ring and piece.projector is p
                for piece, p in zip(dec.pieces, motives.fiber_projectors(ring)))
 
@@ -372,15 +322,10 @@ def count_tables(monkeypatch):
     return tables
 
 
-def fresh_hirzebruch():
-    base = parse_ring(dump_ring(projective_space(1)))
-    return projective_bundle_model(base, [base.cycle({"h": 1})], name="hirzebruch(1)")
-
-
 @pytest.mark.parametrize("make, populated", [
     (lambda: parse_ring(dump_ring(projective_space(30))), [31]),
     # the base's table (P^1: degrees 0 and 2 on codims 0 and 1), then the lift's
-    (fresh_hirzebruch, [2, 3]),
+    (lambda: fresh_hirzebruch(parse_ring(dump_ring(projective_space(1))), "hirzebruch(1)"), [2, 3]),
 ], ids=["p30", "hirzebruch:1"])
 def test_ck_and_murre_suites_rank_one_table(make, populated, monkeypatch):
     target = make()

@@ -1,9 +1,9 @@
 """One sparse Kronecker kernel, linalg.kron, behind the Kunneth table rows and
 the right-hand sides of the motive isomorphism h(Y) = h(X) (x) h(Z).
 
-The builds the kernel replaced are kept here as references: the nested row
-loop over the factor rows, and the action of the product ring's own cellular
-CK and of Delta_X (x) p_g on X x Z.
+Its references are in oracles.py: the Kunneth row read pair by pair off the
+factor products, and the action of the product ring's own cellular CK and of
+Delta_X (x) p_g on X x Z.
 """
 
 import pytest
@@ -12,7 +12,6 @@ from chowkit import (
     KunnethRing,
     build_projector_family,
     cellular_ck,
-    diagonal,
     dump_ring,
     fiber_projectors,
     grassmannian,
@@ -23,35 +22,16 @@ from chowkit import (
     point,
     product_model,
     projective_space,
-    standard_models,
-    tensor,
     verify_motive_isomorphism,
 )
 from chowkit import murre
 from chowkit.correspondences import action_columns
 from chowkit.linalg import kron, matrix_sum
 
-from test_failure_rendering import DEGENERATE_SURFACE
+import oracles
+from corpus import degenerate_surface, standard_models
+from oracles import typed
 from test_murre import failures
-
-
-def nested_row(ring, key):
-    """The table row of a Kunneth cell as the factor rows crossed by hand."""
-    a, b = ring._key_to_pair[key]
-    right_row, pk = ring.right._table[b.key], ring._pair_to_key
-    row = {}
-    for kc, pa in ring.left._table[a.key].items():
-        for kd, pb in right_row.items():
-            if pa and pb:
-                row[pk[(kc, kd)]] = {
-                    pk[(k1, k2)]: c1 * c2 for k1, c1 in pa.items() for k2, c2 in pb.items()
-                }
-    return row
-
-
-def entries(row):
-    """A row with its column order and every column's entry order."""
-    return [(k, list(col.items())) for k, col in row.items()]
 
 
 @pytest.mark.parametrize(
@@ -60,7 +40,7 @@ def entries(row):
         lambda: (point(), projective_space(3)),
         lambda: (projective_space(2), grassmannian(2, 4)),
         lambda: (kunneth_product(projective_space(1), projective_space(2)), projective_space(1)),
-        lambda: (parse_ring(DEGENERATE_SURFACE), projective_space(1)),
+        lambda: (degenerate_surface(), projective_space(1)),
     ],
     ids=["ptxp3", "p2xgr24", "p1xp2-xp1", "degeneratexp1"],
 )
@@ -71,24 +51,12 @@ def test_kron_rows_match_the_nested_build(pair):
     ring = KunnethRing(left, right)  # fresh: no row built yet
     for key in ring._by_key:
         got = ring._table[key]
-        assert entries(got) == entries(nested_row(ring, key)), ring._by_key[key].label
-
-
-def old_sides(model):
-    """pi_k and Delta_X (x) p_g as the action of the product ring's own
-    cellular CK and of the tensor correspondence."""
-    ring = kunneth_product(model.base, model.fiber)
-    pi = cellular_ck(ring, validate=False).projectors
-    delta = diagonal(model.base)
-    cells = dict(zip(model.fiber.basis_keys(), fiber_projectors(model.fiber)))
-    return (
-        {k: action_columns(p) for k, p in pi.items()},
-        {g: action_columns(tensor(delta, cells[g])) for g in model.generators},
-    )
+        assert typed(got) == typed(oracles.kunneth_row(ring, key)), ring._by_key[key].label
 
 
 def kron_sides(model):
-    """The same sides as Kronecker products of the factors' actions."""
+    """pi_k and Delta_X (x) p_g as verify_motive_isomorphism builds them:
+    Kronecker products of the factors' actions."""
     base, fiber = model.base, model.fiber
     pk = kunneth_product(base, fiber)._pair_to_key
     pi_x, pi_z = (cellular_ck(r, validate=False).columns() for r in (base, fiber))
@@ -103,9 +71,9 @@ def kron_sides(model):
 
 @pytest.mark.parametrize("model", standard_models() + [hirzebruch(3)], ids=lambda m: m.name)
 def test_kron_sides_match_the_product_ring_route(model):
-    (pi, rho), (old_pi, old_rho) = kron_sides(model), old_sides(model)
-    assert pi == old_pi
-    assert rho == old_rho
+    (pi, rho), (want_pi, want_rho) = kron_sides(model), oracles.isomorphism_sides(model)
+    assert pi == want_pi
+    assert rho == want_rho
 
 
 def test_isomorphism_builds_no_product_of_x_times_z_with_itself(monkeypatch):

@@ -15,7 +15,6 @@ from chowkit import (
     product_model,
     projective_space,
     trivial_fibration,
-    unit_motive,
     verify_motive_isomorphism,
     verify_projector_system,
     zero_correspondence,
@@ -24,7 +23,7 @@ from chowkit import correspondences, motives
 from chowkit.correspondences import act
 from chowkit.fibrations import ProjectorFamily
 from chowkit.fileio import dump_ring, parse_ring
-from chowkit.linalg import apply, combine
+from chowkit.linalg import apply, combine, rank
 
 
 def test_fiber_projectors_are_rank_one():
@@ -84,20 +83,20 @@ def test_motive_rejects_bad_projectors():
         Motive(p2, diagonal(p1))
     # the zero projector is allowed, whatever its nominal offset
     z = Motive(p2, zero_correspondence(p2, p2, 1), name="zero piece")
-    assert z.piece_rank(0) == 0
+    assert rank(z.projector.matrix(0)) == 0
 
 
 def test_unit_motive_ranks():
     g = grassmannian(2, 4)
-    h = unit_motive(g)
+    h = Motive(g, diagonal(g), name="h(Gr(2,4))")
     assert h.name == "h(Gr(2,4))"
-    assert tuple(h.piece_rank(p) for p in range(5)) == g.ranks
+    assert tuple(rank(h.projector.matrix(p)) for p in range(5)) == g.ranks
     assert "Motive" in repr(h)
 
 
 def test_decompose_p2():
     dec = decompose_motive(projective_space(2))
-    assert dec.piece_count == 3
+    assert len(dec.pieces) == 3
     assert dec.codim_profile() == (0, 1, 2)
     assert [p.name for p in dec.pieces] == ["(P^2, 1)", "(P^2, h)", "(P^2, h^2)"]
     assert dec.report.passed
@@ -123,23 +122,23 @@ def test_decompose_motive_reads_each_action_once(monkeypatch):
 
 def test_decompose_point():
     dec = decompose_motive(point())
-    assert dec.piece_count == 1
+    assert len(dec.pieces) == 1
     assert dec.codim_profile() == (0,)
 
 
 def test_decompose_grassmannian():
     dec = decompose_motive(grassmannian(2, 4))
-    assert dec.piece_count == 6
+    assert len(dec.pieces) == 6
     # two middle cells: s[2] and s[1,1]
     assert dec.codim_profile() == (0, 1, 2, 2, 3, 4)
     assert dec.pieces[4].name == "(Gr(2,4), s[2,1])"
     for piece in dec.pieces:
-        assert sum(piece.piece_rank(p) for p in range(5)) == 1
+        assert sum(rank(piece.projector.matrix(p)) for p in range(5)) == 1
 
 
 def test_decompose_model_hirzebruch():
     dec = decompose_model(hirzebruch(2))
-    assert dec.piece_count == 4
+    assert len(dec.pieces) == 4
     assert dec.rank_profile() == (1, 2, 1)
     assert [(label, codim) for label, codim, _ in dec.pieces] == [
         ("(T[1], 1)", 0),
@@ -165,7 +164,7 @@ def test_decompose_model_pieces_act_as_projections():
 
 def test_decompose_model_product():
     dec = decompose_model(product_model(projective_space(1), projective_space(2)))
-    assert dec.piece_count == 6
+    assert len(dec.pieces) == 6
     assert dec.rank_profile() == (1, 2, 2, 1)
 
 
@@ -177,7 +176,7 @@ def test_decompose_model_ranks_each_piece_where_it_has_columns(monkeypatch):
     monkeypatch.setattr(motives, "block_rank", lambda *a: calls.append(a[2]) or real(*a))
     p4 = projective_space(4)
     dec = decompose_model(product_model.__wrapped__(p4, p4))
-    assert dec.piece_count == 25
+    assert len(dec.pieces) == 25
     assert calls == [codim for _, codim, _ in dec.pieces]
 
 

@@ -19,8 +19,6 @@ from chowkit import (
     product_model,
     projective_bundle_model,
     projective_space,
-    standard_models,
-    standard_rings,
     trivial_fibration,
     validate_fibration,
     verify_action_window,
@@ -34,8 +32,7 @@ from chowkit.correspondences import act, action_columns
 from chowkit.fibrations import ProjectorFamily
 from chowkit.linalg import apply, matrix_sum
 
-from test_failure_rendering import flat_square, nonassociative
-from test_peeling_sweep import bundle_over_gr24
+from corpus import bundle_over_gr24, flat_square, nonassociative, standard_models, standard_rings
 
 
 def projector_rank(action, k):
@@ -46,7 +43,7 @@ def projector_rank(action, k):
 def test_cellular_ck_point_is_the_diagonal():
     pt = point()
     ck = cellular_ck(pt)
-    assert ck.top_degree == 0
+    assert set(ck.projectors) == {0}
     assert ck.projector(0) == diagonal(pt)
     assert ck.report is not None and ck.report.passed
 

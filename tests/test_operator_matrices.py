@@ -1,11 +1,10 @@
 """Fibration operators as exact sparse matrices.
 
 The matrices are written from keys (ProjectorFamily.placed_operators).  They
-are checked against the closure route they replace (sweep the input, peel,
-act, reassemble, on every call) and against the per-operator walk the
-one-pass builder replaced (one walk of every basis element's sweep per
-operator, blocks summed from zero operators), both of which read the
-sweep, and the matrix checkers are shown to fail on perturbed operators.
+are checked against their reference in oracles.py, the closure route (sweep
+the input, peel, act, reassemble, on every call), on random inputs and
+column by column on the module basis, and the matrix checkers are shown to
+fail on perturbed operators.
 """
 
 import pytest
@@ -13,7 +12,6 @@ import pytest
 from chowkit import (
     ambient_extend,
     build_projector_family,
-    cellular_ck,
     decompose_model,
     diagonal,
     hirzebruch,
@@ -21,7 +19,6 @@ from chowkit import (
     lift_ck,
     lifted_blocks,
     product_model,
-    projective_bundle_model,
     projective_space,
     verify_block_diagonality,
     verify_ck,
@@ -29,14 +26,14 @@ from chowkit import (
     verify_projector_family,
 )
 from chowkit import fibrations, murre
-from chowkit.catalog import standard_models
 from chowkit.fibrations import ProjectorFamily
-from chowkit.correspondences import act
 from chowkit.linalg import apply, matrix_sum
 from chowkit.motives import fiber_projectors
-from chowkit.sampling import random_fibered_cycle, seeded_rng
-from test_failure_rendering import identity_added_to_block_00
-from test_peeling_sweep import bundle_over_gr24
+from chowkit.sampling import seeded_rng
+
+import oracles
+from corpus import bundle_over_gr24, fibered_cycles, fresh_hirzebruch, identity_added_to_block_00, standard_models
+from test_differential import check_lift_ck, check_lifted_blocks, check_placed_operators
 
 MODELS = standard_models() + [
     ambient_extend(hirzebruch(1), projective_space(1)),
@@ -44,152 +41,36 @@ MODELS = standard_models() + [
 ]
 
 
-# -- the closure route, kept here as the reference ------------------------------
-
-
-def reference_peel(model, family, phis):
-    """y -> sum over g of pi^*(phi_g(alpha_g(y))) * T_g, sweeping y on every
-    call; phi_g None is the identity."""
-
-    def run(y):
-        coeffs = family.apply_all_with_coefficients(y)
-        out = model.zero()
-        for g, phi in phis.items():
-            alpha = coeffs.get(g, model.base.zero())
-            image = alpha if phi is None else act(phi, alpha)
-            out = out + model.multiply(model.generator(g), model.pullback(image))
-        return out
-
-    return run
-
-
-def grid(model):
-    return [
-        (i, j)
-        for i in range(2 * model.base.dimension + 1)
-        for j in range(2 * model.fiber.dimension + 1)
-    ]
-
-
-def reference_block(model, base_ck, i, j):
-    phi = base_ck.projectors[i]
-    if j % 2 or phi.is_zero():
-        return lambda y: model.zero()
-    family = build_projector_family(model)
-    return reference_peel(model, family, {g: phi for g in model.generators if g[0] == j // 2})
-
-
-def reference_projector(model, base_ck, k):
-    blocks = [reference_block(model, base_ck, i, j) for i, j in grid(model) if i + j == k]
-    return lambda y: sum((b(y) for b in blocks), model.zero())
-
-
-def inputs(model):
-    rng = seeded_rng(0)
-    return model.module_basis() + [random_fibered_cycle(rng, model, bound=5) for _ in range(10)]
-
-
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
 def test_matrices_match_the_closure_route(model):
-    base_ck = cellular_ck(model.base)
-    blocks = lifted_blocks(model)
-    ys = inputs(model)
-    pairs = []
-    for i, j in grid(model):
-        op = blocks.get((i, j), {})
-        pairs.append((f"block ({i}, {j})", op, reference_block(model, base_ck, i, j)))
+    # each operator applied to cycles, against the reference swept on each
+    blocks, slots = lifted_blocks(model), oracles.block_slots(model)
+    pairs = [(f"block {key}", blocks.get(key, {}), block) for key, block in slots.items()]
     lifted = lift_ck(model)
-    for k in range(2 * model.dimension + 1):
-        pairs.append((f"Pi_{k}", lifted.projectors[k], reference_projector(model, base_ck, k)))
+    pairs += [(f"Pi_{k}", lifted.projectors[k], [s for (i, j), b in slots.items() if i + j == k for s in b])
+              for k in range(2 * model.dimension + 1)]
     base_ps = fiber_projectors(model.base)
     dec = decompose_model(model)
     expected = [(g, bp) for g in model.generators for bp in base_ps]
     assert len(dec.pieces) == len(expected)
-    for (label, _, op), (g, bp) in zip(dec.pieces, expected):
-        family = build_projector_family(model)
-        pairs.append((f"piece {label}", op, reference_peel(model, family, {g: bp})))
-    for name, op, ref in pairs:
-        for n, y in enumerate(ys):
-            got = apply(op, y.vector())
-            assert got == ref(y).vector(), f"{name} differs on input {n} of {model.name}"
-
-
-# -- the per-operator walk, kept here as the reference --------------------------
-
-
-def walked_operator(family, phis):
-    """One walk of every basis element's sweep for one operator: y -> sum
-    over g in phis of pi^*(phi_g(alpha_g)) * T_g, each phi_g acting as a
-    correspondence."""
-    model = family.model
-    columns = {}
-    for p in range(model.dimension + 1):
-        for b, y in zip(model.basis_keys(p), model.module_basis(p)):
-            coeffs = family.apply_all_with_coefficients(y)
-            col = {}
-            for g, phi in phis.items():
-                alpha = coeffs.get(g, family.model.base.zero())
-                col.update(((g, k), c) for k, c in act(phi, alpha).coeffs.items())
-            if col:
-                columns[b] = col
-    return columns
-
-
-def walked_block(model, base_ck, i, j):
-    """A block as lift_base_correspondence built it: a zero operator for a
-    zero block, else one walk."""
-    phi = base_ck.projectors[i]
-    slots = [g for g in model.generators if g[0] == j // 2]
-    if j % 2 or phi.is_zero() or not slots:
-        return {}
-    family = build_projector_family(model)
-    return walked_operator(family, dict.fromkeys(slots, phi))
-
-
-def walked_projector(model, base_ck, k):
-    """Pi_k as the block sum from a zero operator."""
-    op = {}
-    for i, j in grid(model):
-        if i + j == k:
-            op = matrix_sum(((1, op), (1, walked_block(model, base_ck, i, j))))
-    return op
+    pairs += [(f"piece {label}", op, [slot]) for (label, _, op), slot in zip(dec.pieces, expected)]
+    for n, y in enumerate(fibered_cycles(seeded_rng(0), model)):
+        alphas = oracles.sweep(model, y)
+        for name, op, ref in pairs:
+            want = oracles.peeled(model, ref, alphas).vector()
+            assert apply(op, y.vector()) == want, f"{name} differs on input {n} of {model.name}"
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
 def test_one_pass_matches_the_per_operator_walk(model):
-    base_ck = cellular_ck(model.base)
-    blocks = lifted_blocks(model)
-    for i, j in grid(model):
-        want = walked_block(model, base_ck, i, j)
-        got = blocks.get((i, j))
-        if got is None:
-            assert not want
-        else:
-            assert got == want, f"block ({i}, {j}) of {model.name}"
-    lifted = lift_ck(model)
-    for k in range(2 * model.dimension + 1):
-        assert lifted.projectors[k] == walked_projector(model, base_ck, k), f"Pi_{k}"
-    family = build_projector_family(model)
-    dec = decompose_model(model)
-    expected = [(g, bp) for g in model.generators for bp in fiber_projectors(model.base)]
-    for (label, _, op), (g, bp) in zip(dec.pieces, expected):
-        assert op == walked_operator(family, {g: bp}), f"piece {label}"
-    # the production builder takes sparse matrices; the walk acts by correspondences
-    rho = family.projectors()
+    # every operator against the reference's matrix, one basis element per column
+    for check in (check_lifted_blocks, check_lift_ck, check_placed_operators):
+        check(model, None)
+    # the production builder takes sparse matrices; the reference acts by correspondences
     d = diagonal(model.base)
-    for g in model.generators:
-        assert rho[g] == walked_operator(family, {g: d}), f"rho{g}"
-    for j in range(2 * model.fiber.dimension + 2):
-        slots = {g: d for g in model.generators if 2 * g[0] == j}  # none for odd j
-        got = lift_base_correspondence(model, d, j)
-        assert got == walked_operator(family, slots), f"lift_{j}"
-
-
-def fresh_model():
-    """A model no other test has built a family for: the catalog's
-    hirzebruch(1) is cached."""
-    p1 = projective_space(1)
-    return projective_bundle_model(p1, [p1.cycle({"h": 1})], name="fresh hirzebruch(1)")
+    lifts = {j: [(g, d) for g in model.generators if 2 * g[0] == j] for j in range(2 * model.fiber.dimension + 2)}
+    for j, want in oracles.placed(model, lifts).items():  # no slot for odd j
+        assert lift_base_correspondence(model, d, j) == want, f"lift_{j}"
 
 
 def count_sweeps(monkeypatch):
@@ -217,7 +98,7 @@ def count_builds(monkeypatch):
 def test_sweeps_run_once_per_basis_element(monkeypatch):
     # at most once, and here never: the lift and the decomposition place
     # every operator from keys
-    model = fresh_model()
+    model = fresh_hirzebruch()
     calls = count_sweeps(monkeypatch)
     assert verify_ck(lift_ck(model)).passed
     assert decompose_model(model).report.passed
@@ -226,7 +107,7 @@ def test_sweeps_run_once_per_basis_element(monkeypatch):
 
 def test_one_family_serves_every_operator_of_a_model(monkeypatch):
     # the model's laws are checked once, by its one family, for every operator
-    model = fresh_model()
+    model = fresh_hirzebruch()
     checked = []
     laws = fibrations._lemma_laws
     monkeypatch.setattr(fibrations, "_lemma_laws", lambda m: checked.append(m) or laws(m))
@@ -240,7 +121,7 @@ def test_one_family_serves_every_operator_of_a_model(monkeypatch):
 
 
 def test_blocks_are_built_once_per_model(monkeypatch):
-    model = fresh_model()
+    model = fresh_hirzebruch()
     builds = count_builds(monkeypatch)
     base_checks = []
     cellular = murre.cellular_ck
@@ -255,7 +136,7 @@ def test_blocks_are_built_once_per_model(monkeypatch):
     assert first.projectors[2] == second.projectors[2]
     assert first.projectors[2] is not second.projectors[2]
     decompose_model(model)
-    assert len(builds) == 2 and len(builds[1]) == len(model.module_basis())
+    assert len(builds) == 2 and len(builds[1]) == len(model.basis_keys())
 
 
 def count_products(monkeypatch):
@@ -290,7 +171,7 @@ def test_block_products_stay_within_the_touched_pairs(model, monkeypatch):
 
 
 def test_a_model_keeps_its_family():
-    model = fresh_model()
+    model = fresh_hirzebruch()
     family = build_projector_family(model)
     assert build_projector_family(model) is family
     extended = ambient_extend(model, projective_space(1))

@@ -1,11 +1,11 @@
-"""The peeling sweep against the model-product route it replaced.
+"""The peeling sweep against its reference, the model-product route.
 
 ``ProjectorFamily.apply_all_with_coefficients`` reads each pushforward
 pi_*(T_dual * residual) off the top-generator components of the model table
 and returns the nonzero coefficients {g: alpha}, each piece being the cycle
-{g: alpha}.  The route kept here as the reference forms the two full model
-products T_dual * residual and T_g * pi^*(alpha) per generator instead.  The
-two must agree exactly, down to each coefficient's type and each cycle's
+{g: alpha}.  Its reference in oracles.py forms the two full model products
+T_dual * residual and T_g * pi^*(alpha) per generator instead.  The two
+must agree exactly, down to each coefficient's type and each cycle's
 key order, on every model and on models with broken tables.
 ``verify_projector_family`` compares the sweep with the generic model
 product, so the sweep must not use it; and ``validate_fibration`` must name
@@ -37,65 +37,25 @@ from chowkit import (
     verify_ck,
     verify_projector_family,
 )
-from chowkit.catalog import resolve, standard_models
+from chowkit.catalog import resolve
 from chowkit.cli import main
 from chowkit.fibrations import FiberedCycle, ProjectorFamily
 from chowkit.rings import Cycle
-from chowkit.sampling import random_cycle, random_fibered_cycle, seeded_rng
+from chowkit.sampling import seeded_rng
 
-from test_failure_rendering import flat_square, nonassociative
-
-UNIT, A, B, C = (0, 1), (1, 1), (2, 1), (3, 1)  # generators of a P^3 fiber
-
-
-def reference_sweep(family, y):
-    """The sweep through two full model products per generator, returning
-    the nonzero coefficients; each product piece must be the cycle {g: alpha}."""
-    model = family.model
-    if y.model is not model:
-        raise ValueError(
-            f"apply_all_with_coefficients: cycle lives in {y.model.name}, not {model.name}"
-        )
-    residual = y
-    out = {}
-    for g in family.order:
-        dual = model.fiber.dual_cell(g).key
-        alpha = model.pushforward(model.multiply(model.generator(dual), residual))
-        piece = model.multiply(model.generator(g), model.pullback(alpha))
-        assert exact_parts(piece) == exact_parts(model.cycle({g: alpha})), g
-        if not alpha.is_zero():
-            out[g] = alpha
-        residual = residual - piece
-    return out
-
-
-def exact(cycle):
-    """A base cycle down to its key order and coefficient types."""
-    return [(k, type(c), c) for k, c in cycle.coeffs.items()]
+import oracles
+from corpus import A, B, INDEPENDENCE_MODELS, UNIT, bundle_over_gr24, fibered_cycles, flat_square
+from corpus import module_basis, nonassociative, standard_models, unpeeled
+from test_differential import same_sweep
 
 
 def exact_parts(y):
-    return [(g, exact(c)) for g, c in y.parts.items()]
+    """A fibered cycle down to each part's key order and coefficient types."""
+    return [(g, oracles.entries(c)) for g, c in y.parts.items()]
 
 
 def exact_sweep(out):
-    return [(g, exact(alpha)) for g, alpha in out.items()]
-
-
-def bundle_over_gr24():
-    gr = grassmannian(2, 4)
-    chern = [gr.cycle({"s[1]": 2}), gr.cycle({"s[2]": -1, "s[1,1]": 1}), gr.cycle({"s[2,1]": 1})]
-    return projective_bundle_model(gr, chern, rank=3, name="rank-3 bundle over Gr(2,4)")
-
-
-def unpeeled():
-    """T_a T_b = 0 leaves T_a and T_b unpeeled, and T_b T_b = pi^*(h) T_c and
-    T_a T_c = pi^*(h) T_c carry them into later pushforwards, where a term can
-    vanish, cancel another, or land on a generator the residual lacks."""
-    p2 = projective_space(2)
-    h = p2.cycle({"h": 1})
-    table = {(A, B): {}, (B, B): {C: h}, (A, C): {C: h}}
-    return FibrationModel(p2, projective_space(3), table, name="unpeeled")
+    return [(g, oracles.entries(alpha)) for g, alpha in out.items()]
 
 
 STANDARD = standard_models()
@@ -107,69 +67,38 @@ SWEEP_MODELS = (
 
 
 def sweep_inputs(model):
-    """Every module basis element, then seeded integer, rational and mixed cycles."""
-    rng = seeded_rng(0)
-    base = model.base
-    ys = model.module_basis()
-    ys += [random_fibered_cycle(rng, model, bound=5) for _ in range(2)]
-    ys.append(random_fibered_cycle(rng, model, bound=5, codim=model.dimension // 2))
-    for _ in range(2):
-        ys.append(model.cycle({
-            g: random_cycle(rng, base, 5) * Fraction(1, rng.randint(1, 6))
-            for g in model.generators
-        }))
-    ys.append(model.cycle({
-        g: random_cycle(rng, base, 5) * (Fraction(1, 2), 1)[n % 2]
-        for n, g in enumerate(model.generators)
-    }))
-    return ys
+    return fibered_cycles(seeded_rng(0), model)
 
 
 @pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: m.name)
 def test_sweep_matches_the_model_product_route(model):
-    family = ProjectorFamily(model)
-    for n, y in enumerate(sweep_inputs(model)):
-        got = exact_sweep(family.apply_all_with_coefficients(y))
-        assert got == exact_sweep(reference_sweep(family, y)), f"input {n} of {model.name}"
+    same_sweep(model, sweep_inputs(model))
 
 
 def test_sweep_through_unpeeled_generators():
     model = unpeeled()
     one, h, pt = (model.base.basis_cycle(k) for k in ("1", "h", "h^2"))
-    family = ProjectorFamily(model)
-    for y in (
+    same_sweep(model, [
         model.cycle({A: pt * Fraction(1, 2), UNIT: one}),  # the rational term pt/2 * h vanishes
         model.cycle({A: one * Fraction(1, 2), UNIT: -h * Fraction(1, 2)}),  # -h/2 + h/2 cancels
         model.cycle({B: one}),  # T_a is peeled from a residual without T_a
-    ):
-        got = exact_sweep(family.apply_all_with_coefficients(y))
-        assert got == exact_sweep(reference_sweep(family, y))
+    ])
 
 
 def test_sweep_refuses_a_cycle_of_another_model():
-    family = ProjectorFamily(hirzebruch(1))
-    for sweep in (ProjectorFamily.apply_all_with_coefficients, reference_sweep):
+    model = hirzebruch(1)
+    for sweep in (ProjectorFamily(model).apply_all_with_coefficients, lambda y: oracles.sweep(model, y)):
         with pytest.raises(ValueError, match=(
             r"^apply_all_with_coefficients: cycle lives in hirzebruch\(2\), not hirzebruch\(1\)$"
         )):
-            sweep(family, hirzebruch(2).unit())
-
-
-INDEPENDENCE_MODELS = [
-    hirzebruch(1),
-    ambient_extend(hirzebruch(2), projective_space(1)),
-    bundle_over_gr24(),
-    flat_square(),
-    nonassociative(),
-    unpeeled(),
-]
+            sweep(hirzebruch(2).unit())
 
 
 def test_sweep_does_not_use_the_model_product(monkeypatch):
     cases = []
     for model in INDEPENDENCE_MODELS:
         family = ProjectorFamily(model)
-        cases += [(family, y, exact_sweep(reference_sweep(family, y))) for y in sweep_inputs(model)]
+        cases += [(family, y, exact_sweep(oracles.sweep(model, y))) for y in sweep_inputs(model)]
 
     def refuse(model, y1, y2):
         raise AssertionError("the sweep formed a model product")
@@ -219,7 +148,7 @@ def test_sweep_of_a_basis_element_is_its_coordinate(model):
     # the README's coordinate-projection lemma: on a validated model the
     # sweep of pi^*(x) * T_g is {g: x}, with no other key
     family = ProjectorFamily(model)
-    for y in model.module_basis():
+    for y in module_basis(model):
         assert exact_sweep(family.apply_all_with_coefficients(y)) == exact_parts(y), y
 
 
@@ -263,7 +192,7 @@ def test_the_command_line_sweeps_only_the_sampled_cycles(monkeypatch, capsys):
 def test_sweeping_a_basis_constructs_no_fibered_cycle(monkeypatch):
     model = resolve("product:p4,p4")
     family = ProjectorFamily(model)
-    basis = model.module_basis()
+    basis = module_basis(model)
     built = []
     init = FiberedCycle.__init__
     monkeypatch.setattr(
@@ -286,7 +215,7 @@ def replay_failures(family):
     itself alone, and the pieces must sum to the basis element."""
     model = family.model
     degree_fail, idem_fail, orth_fail, complete_fail = [], [], [], []
-    for y in model.module_basis():
+    for y in module_basis(model):
         p = y.codim()
         coeffs = family.apply_all_with_coefficients(y)
         for g, alpha in coeffs.items():
@@ -373,10 +302,7 @@ def test_random_bundles_pass_every_model_check(model):
     assert verify_projector_family(family, samples=3).passed
     assert verify_ck(lift_ck(model)).passed
     assert decompose_model(model).report.passed
-    for y in model.module_basis():
-        assert exact_sweep(family.apply_all_with_coefficients(y)) == exact_sweep(
-            reference_sweep(family, y)
-        )
+    same_sweep(model, module_basis(model))
 
 
 # -- perturbed fibration tables ---------------------------------------------------

@@ -11,7 +11,6 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from test_cli import degenerate_surface_doc
 
 from chowkit import (
     CKDecomposition,
@@ -29,11 +28,12 @@ from chowkit import (
     zero_correspondence,
 )
 from chowkit import linalg
-from chowkit.catalog import standard_rings
 from chowkit.correspondences import Correspondence, action_columns, compose
 from chowkit.fileio import dump_ring, parse_ring
 from chowkit.linalg import invert, mat_mul, projector_system_failures
 from chowkit.motives import fiber_projectors
+
+from corpus import degenerate_surface_doc, standard_rings
 
 RINGS = standard_rings() + [kunneth_product(projective_space(1), grassmannian(2, 4))]
 
@@ -51,7 +51,7 @@ def compose_failures(ring, projs):
     n = ring.dimension
 
     def codims(f):
-        return sorted({n - f.ring.split_cell(key)[0].codim for key in f.cycle.coeffs})
+        return sorted({n - f.ring._key_to_pair[key][0].codim for key in f.cycle.coeffs})
 
     idem = [(k, p) for k, f in projs.items() for p in codims(compose(f, f) - f)]
     orth = [

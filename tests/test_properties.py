@@ -30,6 +30,8 @@ from chowkit import (
 )
 from chowkit.linalg import pivot_columns, rank
 
+import oracles
+
 P1 = projective_space(1)
 P2 = projective_space(2)
 GR = grassmannian(2, 4)
@@ -158,24 +160,6 @@ def test_projection_formula_on_hirzebruch(beta, gamma):
     assert m.pushforward(m.pullback(gamma) * y) == gamma * m.pushforward(y)
 
 
-def reference_rank(rows):
-    """Gauss-Jordan over Fraction with normalized pivots, the oracle for
-    the shared elimination behind rank and pivot_columns."""
-    work = [[Fraction(x) for x in row] for row in rows if any(row)]
-    r = 0
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        work[r] = [x / work[r][col] for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                work[i] = [x - work[i][col] * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return r
-
-
 entries = st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
 
 
@@ -184,6 +168,6 @@ entries = st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
 def test_pivot_columns_are_the_columns_that_raise_the_rank(data):
     width = data.draw(st.integers(min_value=1, max_value=5))
     rows = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=6))
-    prefix = [reference_rank([row[:j] for row in rows]) for j in range(width + 1)]
+    prefix = [oracles.rank([row[:j] for row in rows]) for j in range(width + 1)]
     assert pivot_columns(rows) == [j for j in range(width) if prefix[j + 1] > prefix[j]]
     assert rank(rows) == prefix[width]

@@ -8,9 +8,9 @@ from chowkit.schubert import (
     lr_coefficient,
     lr_product,
     partitions_in_box,
-    pieri,
-    pieri_product,
 )
+
+from oracles import pieri, pieri_product
 
 
 def test_fits_in_box():

@@ -1,12 +1,12 @@
-"""The single-pass kernels of the cellular verify path against the routes
-they replaced, kept in this file as references.
+"""The single-pass kernels of the cellular verify path against their
+references in oracles.py.
 
 - ``_action_map`` writes each (column, row) entry once and sweeps zeros only
-  after two terms met in an entry; the reference is the two-pass walk that
-  summed every entry through ``get`` and then swept every column.
+  after two terms met in an entry; the reference walks every source cell's
+  pair_degree and sweeps every column.
 - ``multiplication_correspondence`` (homogeneous case) builds
   u = sum_j e_j x (alpha tau_j) in one dict, and ``correspondence_from_action``
-  returns through the same kernel tail; the reference is the route through
+  returns through the same kernel tail; the reference goes through
   ``ring.multiply``, the public ``Cycle`` and the public ``Correspondence``.
 - ``render_json`` renders a list of flat int records through one row
   template; the reference is ``json.dumps(obj, indent=2)``.
@@ -38,66 +38,22 @@ from chowkit import (
     zero_correspondence,
 )
 from chowkit import cli
-from chowkit.catalog import linear_embedding, standard_rings
-from chowkit.correspondences import _action_map, dual_basis_cycles, graph_from_morphism
+from chowkit.catalog import linear_embedding
+from chowkit.correspondences import _action_map, graph_from_morphism
 from chowkit.rings import Cycle
-from chowkit.sampling import random_correspondence, random_cycle
+from chowkit.sampling import random_cycle
 
-from test_kernels import rebased_gr24
-from test_one_dict_sums import doubled_plane
-
-REBASED = rebased_gr24()
-DOUBLED = doubled_plane()
-
-
-def _typed(columns):
-    """Every entry with its type, in key order."""
-    return [(k, [(b, v, type(v)) for b, v in col.items()]) for k, col in columns.items()]
-
-
-def _typed_cycle(cycle):
-    return [(k, v, type(v)) for k, v in cycle.coeffs.items()]
+import oracles
+from corpus import DOUBLED, REBASED, correspondences as _correspondences, standard_rings
+from oracles import entries as _typed_cycle, typed as _typed
+from test_differential import check_multiplication_correspondence
 
 
 # -- _action_map ------------------------------------------------------------------
 
 
-def first_pass(f):
-    """Every entry of f's action summed through get, zeros kept."""
-    plan, columns = f.ring._left_partners, {}
-    for key, c in f.cycle.coeffs.items():
-        b, partners = plan[key]
-        for k, d in partners:
-            col = columns.setdefault(k, {})
-            col[b] = col.get(b, 0) + c * d
-    return columns
-
-
-def two_pass_action_map(f):
-    """_action_map as it was: the first pass, then every column holding a
-    zero rebuilt or dropped."""
-    columns = first_pass(f)
-    for k in [k for k, col in columns.items() if not all(col.values())]:
-        if col := {b: v for b, v in columns[k].items() if v}:
-            columns[k] = col
-        else:
-            del columns[k]
-    return columns
-
-
-def _correspondences(rng, source, target):
-    """Degree-0 and shifted correspondences source -> target: random ones,
-    their halves, and the zero one."""
-    out = [zero_correspondence(source, target, 0)]
-    for offset in range(-source.dimension, target.dimension + 1):
-        for bound in (1, 3):
-            f = random_correspondence(rng, source, target, offset, bound)
-            out += [f, f * Fraction(1, 2)]
-    return out
-
-
 def _assert_same_action_map(f):
-    assert _typed(_action_map(f)) == _typed(two_pass_action_map(f))
+    assert _typed(_action_map(f)) == _typed(oracles.action_map(f))
 
 
 @pytest.mark.parametrize("ring", standard_rings() + [REBASED, DOUBLED], ids=lambda r: r.name)
@@ -121,16 +77,16 @@ def test_action_map_on_the_rebased_grassmannian_sums_and_cancels():
     t21, t22 = (ring._pair_to_key[(a, one)] for a in ((2, 1), (2, 2)))
     # partners of s[2]: s[2] (1), s[2]+s[1,1] (1); of s[2]+s[1,1]: s[2] (1), itself (2)
     f = Correspondence(REBASED, projective_space(1), Cycle(ring, {t21: 1, t22: -1}))
-    assert _action_map(f) == two_pass_action_map(f) == {(2, 2): {one: -1}}
+    assert _action_map(f) == oracles.action_map(f) == {(2, 2): {one: -1}}
     g = Correspondence(REBASED, projective_space(1), Cycle(ring, {t21: 2, t22: -1}))
-    assert _action_map(g) == two_pass_action_map(g) == {(2, 1): {one: 1}}
+    assert _action_map(g) == oracles.action_map(g) == {(2, 1): {one: 1}}
     rng = random.Random("rebased sums")
     cancelled = 0
     for _ in range(120):
         f = Correspondence(REBASED, projective_space(1), random_cycle(rng, ring, bound=1, codim=rng.choice((2, 3))))
         for g in (f, f * Fraction(1, 3)):
             _assert_same_action_map(g)
-        cancelled += any(0 in col.values() for col in first_pass(f).values())
+        cancelled += any(0 in col.values() for col in oracles.action_map(f, zeros=True).values())
     assert cancelled > 15  # sums that cancel are common here, not a corner case
 
 
@@ -139,7 +95,7 @@ def test_action_map_of_zero_and_cancelling_correspondences():
         d = diagonal(ring)
         for f in (d - d, d * 0, d + d * -1, zero_correspondence(ring, ring)):
             assert f.is_zero()
-            assert _action_map(f) == two_pass_action_map(f) == {}
+            assert _action_map(f) == oracles.action_map(f) == {}
         _assert_same_action_map(d * Fraction(2, 3) - d * Fraction(1, 3))
 
 
@@ -152,50 +108,6 @@ def test_action_map_on_the_doubled_plane_has_rational_entries():
 
 
 # -- multiplication_correspondence and correspondence_from_action -------------------
-
-
-def public_from_action(source, target, action, offset=0):
-    """correspondence_from_action as it was: every image checked, the
-    contraction summed in one dict, and the result built by the public
-    Cycle and Correspondence."""
-    if callable(action):
-        lookup = action
-    else:
-        table = {source.cell(k).key: v for k, v in action.items()}
-
-        def lookup(cell):
-            return table.get(cell.key, target.zero())
-
-    ring = kunneth_product(source, target)
-    pk, coeffs = ring._pair_to_key, {}
-    for p in range(source.dimension + 1):
-        for cell, e in zip(source.cells_of_codim(p), dual_basis_cycles(source, p)):
-            image = lookup(cell)
-            if image.is_zero():
-                continue
-            if image.ring is not target:
-                raise ValueError("action must produce cycles on the target ring")
-            want = p + offset
-            if any(q != want for q in image.codims()):
-                raise ValueError(f"action of {cell.label} has codim {image.codims()}, expected {want}")
-            for ka, ca in e.coeffs.items():
-                for kb, cb in image.coeffs.items():
-                    key = pk[(ka, kb)]
-                    coeffs[key] = coeffs.get(key, 0) + ca * cb
-    return Correspondence(source, target, Cycle(ring, coeffs), offset)
-
-
-def public_multiplication(ring, alpha):
-    """multiplication_correspondence as it was, through public_from_action."""
-    cs = alpha.codims()
-    if len(cs) <= 1:
-        return public_from_action(
-            ring, ring, lambda cell: ring.multiply(alpha, Cycle(ring, {cell.key: 1})), cs[0] if cs else 0
-        )
-    total = zero_correspondence(ring, ring)
-    for p in cs:
-        total = total + public_multiplication(ring, alpha.component(p))
-    return total
 
 
 def _assert_same_correspondence(got, want):
@@ -220,19 +132,7 @@ MULTIPLICATION_RINGS = standard_rings() + [
 
 @pytest.mark.parametrize("ring", MULTIPLICATION_RINGS, ids=lambda r: r.name)
 def test_multiplication_correspondence_matches_the_public_route(ring):
-    rng = random.Random(f"multiplication {ring.name}")
-    unit, top = ring.unit(), ring.basis_cycle(ring.point_cell)
-    alphas = [unit, ring.zero(), top, unit * 3, unit * Fraction(-2, 5)]
-    alphas += [ring.basis_cycle(c) for c in ring.cells]
-    alphas += [ring.basis_cycle(c) * Fraction(1, 3) for c in ring.cells]
-    # inhomogeneous multipliers, integral and rational
-    alphas += [unit + top, (unit - top) * Fraction(3, 2), random_cycle(rng, ring, 3)]
-    for p in range(ring.dimension + 1):
-        alphas += [random_cycle(rng, ring, 4, codim=p), random_cycle(rng, ring, 4, codim=p) * Fraction(1, 6)]
-        # coefficients of -1, 0 and 1, so products cancel
-        alphas += [random_cycle(rng, ring, 1, codim=p) for _ in range(10)]
-    for alpha in alphas:
-        _assert_same_correspondence(multiplication_correspondence(ring, alpha), public_multiplication(ring, alpha))
+    check_multiplication_correspondence(ring, random.Random(f"multiplication {ring.name}"))
 
 
 def test_multiplication_correspondence_degrees():
@@ -268,14 +168,14 @@ def test_correspondence_from_action_matches_the_public_route(ring):
     for source, target, action, offset in cases:
         _assert_same_correspondence(
             correspondence_from_action(source, target, action, offset),
-            public_from_action(source, target, action, offset),
+            oracles.from_action(source, target, action, offset),
         )
 
 
 def test_correspondence_from_action_on_a_morphism_graph():
     m = linear_embedding(1, 3)
     c, c_t = graph_from_morphism(m)
-    pull = public_from_action(m.target, m.source, lambda cell: m.pullback(m.target.basis_cycle(cell)), 0)
+    pull = oracles.from_action(m.target, m.source, lambda cell: m.pullback(m.target.basis_cycle(cell)), 0)
     _assert_same_correspondence(c, pull)
 
 
@@ -287,9 +187,8 @@ def test_correspondence_from_action_on_a_morphism_graph():
 ])
 def test_correspondence_from_action_refuses_as_before(action, offset, message):
     p2 = projective_space(2)
-    for build in (correspondence_from_action, public_from_action):
-        with pytest.raises(ValueError, match=message):
-            build(p2, p2, action, offset)
+    with pytest.raises(ValueError, match=message):
+        correspondence_from_action(p2, p2, action, offset)
 
 
 # -- degrees under sums and scalars ---------------------------------------------------

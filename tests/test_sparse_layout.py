@@ -18,10 +18,12 @@ from chowkit import (
     projective_space,
 )
 from chowkit import linalg
-from chowkit.catalog import resolve, standard_models, standard_rings
+from chowkit.catalog import resolve
 from chowkit.correspondences import action_columns
 from chowkit.linalg import after, matrix_sum
 from chowkit.motives import fiber_projectors
+
+from corpus import standard_models, standard_rings
 
 MODELS = standard_models() + [ambient_extend(m, projective_space(1)) for m in standard_models()]
 
@@ -86,5 +88,5 @@ def test_decompose_model_ranks_each_piece_once(monkeypatch):
     calls = count_ranks(monkeypatch)
     dec = decompose_model(model)
     # one elimination per piece at most, where one per (piece, codim) made 225
-    assert dec.piece_count == 25
-    assert 0 < len(calls) <= dec.piece_count
+    assert len(dec.pieces) == 25
+    assert 0 < len(calls) <= len(dec.pieces)
