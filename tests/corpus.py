@@ -35,7 +35,7 @@ from chowkit import (
 from chowkit.catalog import linear_embedding
 from chowkit.correspondences import _morphism, identity_morphism
 from chowkit.fibrations import ProjectorFamily
-from chowkit.fileio import load_ring, parse_ring
+from chowkit.fileio import dump_ring, load_ring, parse_ring
 from chowkit.identities import standard_morphisms
 from chowkit.linalg import matrix_sum
 from chowkit.sampling import random_correspondence, random_cycle, random_fibered_cycle
@@ -173,10 +173,10 @@ def fibered_cycles(rng, model):
     return ys + [model.cycle({g: base.unit() * (-1) ** n for n, g in enumerate(model.generators)})]
 
 
-def fresh_hirzebruch(base=None, name="fresh hirzebruch(1)"):
-    """hirzebruch(1) over base (P^1 by default) with no family built yet."""
-    base = base or projective_space(1)
-    return projective_bundle_model(base, [base.cycle({"h": 1})], name=name)
+def fresh_hirzebruch():
+    """hirzebruch(1) over a private P^1, with no table or family built yet."""
+    p1 = parse_ring(dump_ring(projective_space(1)))
+    return projective_bundle_model(p1, [p1.cycle({"h": 1})], name="fresh hirzebruch(1)")
 
 
 # the models whose sweep is checked for independence of the model product;

@@ -2,11 +2,13 @@
 
 Each reference is the route its kernel replaced, or the definition the
 kernel computes, built from public cycles, products and pair_degree rather
-than from the kernel's plans, kept rows or key maps.  test_differential.py
-plays every kernel against its reference on each corpus entry of its kind;
-the other test files use the same references.  Unless a docstring says
-otherwise, a reference gives its entries in the kernel's order, each an int
-or a Fraction as the kernel's arithmetic leaves it.
+than from the kernel's plans, kept rows or key maps: the one table read is
+a plain ring's, as given; a Kunneth ring's rows, which the kernel builds on
+first read, are rebuilt from its factors' (``table_row``).  checks.py plays
+every kernel against its reference, on each corpus entry of its kind in
+test_differential.py and on the inputs of the other test files.  Unless a
+docstring says otherwise, a reference gives its entries in the kernel's
+order, each an int or a Fraction as the kernel's arithmetic leaves it.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from fractions import Fraction
 from chowkit import (
     Correspondence,
     Cycle,
+    KunnethRing,
     cellular_ck,
     diagonal,
     dual_basis_cycles,
@@ -49,11 +52,17 @@ def typed(columns):
 # -- rings ---------------------------------------------------------------------
 
 
+def table_row(ring, key):
+    """Row key of ring's multiplication table: a plain ring's as it was
+    given, a Kunneth ring's from its factors' by kunneth_row."""
+    return kunneth_row(ring, key) if isinstance(ring, KunnethRing) else ring._table[key]
+
+
 def multiply(ring, a, b):
     """ChowRing.multiply: every product of two terms read off the table."""
     coeffs = {}
     for k1, c1 in a.coeffs.items():
-        row = ring._table[k1]
+        row = table_row(ring, k1)
         for k2, c2 in b.coeffs.items():
             for key, value in row.get(k2, {}).items():
                 coeffs[key] = coeffs.get(key, 0) + c1 * c2 * value
@@ -62,15 +71,15 @@ def multiply(ring, a, b):
 
 def kunneth_row(ring, key):
     """The table row of the Kunneth cell a x b: (a x b)(c x d) = (ac) x (bd),
-    one pair of factor products per pair of cells in the factor rows of a and
-    b; a pair with a zero side is left out."""
+    one pair of factor products, read as cycles off the factor rows of a and
+    b, per pair of cells c, d; a pair with a zero side is left out."""
     a, b = ring._key_to_pair[key]
     left, right, pk = ring.left, ring.right, ring._pair_to_key
-    row = {}
-    for kc in left._table[a.key]:
-        ac = left.multiply(left.basis_cycle(a), left.basis_cycle(kc)).coeffs
-        for kd in right._table[b.key]:
-            bd = right.multiply(right.basis_cycle(b), right.basis_cycle(kd)).coeffs
+    left_row, right_row, row = table_row(left, a.key), table_row(right, b.key), {}
+    for kc, ac in left_row.items():
+        ac = Cycle(left, ac).coeffs
+        for kd, bd in right_row.items():
+            bd = Cycle(right, bd).coeffs
             if ac and bd:
                 row[pk[kc, kd]] = {pk[k1, k2]: c1 * c2 for k1, c1 in ac.items() for k2, c2 in bd.items()}
     return row
@@ -269,17 +278,26 @@ def sweep(model, y):
     """apply_all_with_coefficients: the peeling sweep by two full model
     products per generator, in descending generator order.  alpha_g is
     pi_*(T_dual(g) * residual) and the piece pi^*(alpha_g) * T_g leaves the
-    residual; the nonzero alphas are returned."""
+    residual; the nonzero alphas are returned.  Each piece must be the
+    cycle {g: alpha_g}, down to its parts' key order and coefficient types,
+    on broken models too."""
     if y.model is not model:
         raise ValueError(f"apply_all_with_coefficients: cycle lives in {y.model.name}, not {model.name}")
     residual, out = y, {}
     for g in sorted(model.generators, reverse=True):
         dual = model.fiber.dual_cell(g).key
         alpha = model.pushforward(model.multiply(model.generator(dual), residual))
+        piece = model.multiply(model.generator(g), model.pullback(alpha))
+        assert parts(piece.parts) == parts(model.cycle({g: alpha}).parts), g
         if not alpha.is_zero():
             out[g] = alpha
-        residual = residual - model.multiply(model.generator(g), model.pullback(alpha))
+        residual = residual - piece
     return out
+
+
+def parts(alphas):
+    """A fibered cycle's parts or a sweep's coefficients, entries typed."""
+    return [(g, entries(c)) for g, c in alphas.items()]
 
 
 def peeled(model, slots, alphas):

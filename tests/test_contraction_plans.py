@@ -29,9 +29,9 @@ from chowkit.rings import Cycle
 from chowkit.sampling import random_cycle
 
 import oracles
+from checks import same_act, same_compose
 from corpus import RINGS, standard_rings
 from oracles import entries as _entries
-from test_differential import same_action, same_compose
 
 
 # P^1 x P^1 has a permutation middle pairing, the doubled plane a middle
@@ -51,7 +51,7 @@ def test_compose_matches_the_reference_on_every_triple(source, middle):
 @pytest.mark.parametrize("source", NAMES)
 @pytest.mark.parametrize("target", NAMES)
 def test_act_and_action_map_match_the_references(source, target):
-    same_action(RINGS[source], RINGS[target], random.Random(f"{source} -> {target} plans"))
+    same_act(RINGS[source], RINGS[target], random.Random(f"{source} -> {target} plans"))
 
 
 def test_cancelling_terms_leave_no_zero():

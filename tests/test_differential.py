@@ -1,286 +1,34 @@
-"""Every exact kernel against its one reference in oracles.py, on every
-corpus entry of the kinds it takes.
-
-One parametrized test runs {kernel} x {corpus entry}.  Cycles, action maps,
-Kunneth rows and tables built by key are compared entry by entry in order,
-each with its int or Fraction type.  Sparse operators are compared as
-mappings with their types, since every check reads them by key, and so
-are pullbacks and pushforwards, whose reference sums cycle by cycle.  Every
-value a kernel returns in a cycle, a table or an operator is an int, or a
-Fraction only where it is not integral.
-"""
+"""Every exact kernel against its one reference in oracles.py, through its
+check in checks.py, on every corpus entry of the kinds it takes."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from chowkit import (
-    act,
-    action_matrix,
-    build_projector_family,
-    compose,
-    compose_oracle,
-    correspondence_from_action,
-    decompose_model,
-    dual_basis_cycles,
-    fiber_projectors,
-    kunneth_product,
-    lift_ck,
-    lifted_blocks,
-    multiplication_correspondence,
-    product_morphism,
-    projection_morphism,
-    random_cycle,
-)
-from chowkit.correspondences import _action_map, action_columns
-from chowkit.linalg import rank
-from chowkit.sampling import random_correspondence
+from chowkit import dual_basis_cycles
 
+import checks
 import corpus
-import oracles
-from corpus import DOUBLED, P1, correspondences, fibered_cycles, variants
-from oracles import canonical, typed
-
-
-def entries(cycle):
-    """A cycle's entries in order, with their types; each must be canonical."""
-    assert canonical(cycle.coeffs.values()), cycle
-    return oracles.entries(cycle)
-
-
-def operator(columns):
-    """A sparse operator as a mapping, each entry with its type; canonical."""
-    assert canonical(v for col in columns.values() for v in col.values())
-    return dict(typed(columns))
-
-
-def cycles(rng, ring):
-    """Integer, rational, unit, zero and basis cycles of ring."""
-    x, unit = random_cycle(rng, ring, bound=3), ring.unit()
-    return [x, x * Fraction(1, 2), random_cycle(rng, ring, bound=1), unit, unit * 2, ring.zero(),
-            *(ring.basis_cycle(c) for c in ring.cells)]
-
-
-# -- rings ---------------------------------------------------------------------
-
-
-def check_multiply(ring, rng):
-    xs = cycles(rng, ring)
-    for a in xs:
-        for b in xs:
-            assert entries(ring.multiply(a, b)) == entries(oracles.multiply(ring, a, b))
-
-
-def check_kunneth_row(ring, rng):
-    for key in ring.basis_keys():
-        assert typed(ring._table[key]) == typed(oracles.kunneth_row(ring, key)), key
-
-
-def check_random_cycle(ring, rng):
-    seed = rng.random()
-    rng, ref = random.Random(seed), random.Random(seed)
-    for codim in (None, -1, ring.dimension + 1, *range(ring.dimension + 1)):
-        for bound in (0, 1, 10, 15, 16):
-            got = random_cycle(rng, ring, bound, codim=codim)
-            assert entries(got) == entries(oracles.random_cycle(ref, ring, bound, codim))
-            assert rng.getstate() == ref.getstate()
-    for offset in range(-ring.dimension - 1, P1.dimension + 2):
-        f = random_correspondence(rng, ring, P1, offset)
-        want = oracles.random_cycle(ref, kunneth_product(ring, P1), 10, ring.dimension + offset)
-        assert entries(f.cycle) == entries(want) and f.offset == offset
-        assert rng.getstate() == ref.getstate()
-
-
-def check_rank(ring, rng):
-    matrices = [ring.pairing_matrix(p) for p in range(ring.dimension + 1)]
-    matrices += [action_matrix(f, p) for f in correspondences(rng, ring, ring) for p in range(ring.dimension + 1)]
-    # a last row that a rational combination of the others makes dependent
-    matrices += [(*m, tuple(Fraction(2, 3) * x + Fraction(3, 2) * y for x, y in zip(m[0], m[-1])))
-                 for m in matrices if m]
-    for m in matrices:
-        assert rank(m) == oracles.rank(m), m
-
-
-# -- correspondences ---------------------------------------------------------------
-
-
-def matrix_entries(m):
-    """A dense matrix's entries with their types; each must be canonical."""
-    assert canonical(v for row in m for v in row)
-    return [[(v, type(v)) for v in row] for row in m]
-
-
-def same_action(source, target, rng):
-    """act, _action_map and action_matrix of every correspondence variant
-    source -> target against their references."""
-    xs = cycles(rng, source)
-    for f in correspondences(rng, source, target):
-        assert typed(_action_map(f)) == typed(oracles.action_map(f))
-        for x in xs:
-            assert entries(act(f, x)) == entries(oracles.act(f, x))
-        for p in range(-1, source.dimension + 2):
-            assert matrix_entries(action_matrix(f, p)) == matrix_entries(oracles.action_matrix(f, p))
-
-
-def same_columns(ring, rng):
-    """action_columns of degree-0 self-correspondences of ring and their
-    rational multiples."""
-    fs = variants(rng, ring, ring, 0) + fiber_projectors(ring)
-    for f in fs + [f * Fraction(2, 3) for f in fs]:
-        assert typed(action_columns(f)) == typed(oracles.action_columns(f))
-        operator(action_columns(f))
-
-
-def same_compose(source, middle, target, rng):
-    """compose and compose_oracle of every pair of variants source -> middle
-    -> target, at random offsets, against their references; compose_oracle
-    also equals compose."""
-    fs = variants(rng, source, middle, rng.randint(-source.dimension, middle.dimension))
-    gs = variants(rng, middle, target, rng.randint(-middle.dimension, target.dimension))
-    for f in fs:
-        for g in gs:
-            got, want = compose(g, f), oracles.compose(g, f)
-            assert got.offset == want.offset and entries(got.cycle) == entries(want.cycle)
-            oracle = compose_oracle(g, f)
-            assert entries(oracle) == entries(oracles.compose_oracle(g, f)) and oracle == got.cycle
-
-
-def check_action(ring, rng):
-    for target in (P1, ring):
-        same_action(ring, target, rng)
-    same_columns(ring, rng)
-
-
-def check_compose(ring, rng):
-    for middle in (P1, ring):
-        for target in (P1, DOUBLED):
-            same_compose(ring, middle, target, rng)
-
-
-def same_from_action(source, target, rng, rational=True):
-    """correspondence_from_action of a random action source -> target at
-    every offset, about a third of the images zero."""
-    for offset in range(-source.dimension, target.dimension + 1):
-        images = {}
-        for c in source.cells:
-            if rng.random() < 2 / 3:
-                image = random_cycle(rng, target, 3, codim=c.codim + offset)
-                images[c.key] = image * Fraction(rng.randint(1, 3), rng.randint(2, 4)) if rational else image
-
-        def action(cell, images=images, zero=target.zero()):
-            return images.get(cell.key, zero)
-
-        got = correspondence_from_action(source, target, action, offset)
-        want = oracles.from_action(source, target, action, offset)
-        assert got.offset == want.offset and entries(got.cycle) == entries(want.cycle)
-
-
-def check_correspondence_from_action(ring, rng):
-    for target in (P1, ring):
-        same_from_action(ring, target, rng)
-
-
-def check_multiplication_correspondence(ring, rng):
-    unit, top = ring.unit(), ring.basis_cycle(ring.point_cell)
-    alphas = [unit, ring.zero(), top, unit * 3, unit * Fraction(-2, 5)]
-    alphas += [ring.basis_cycle(c) * s for c in ring.cells for s in (1, Fraction(1, 3))]
-    # inhomogeneous multipliers, integral and rational
-    alphas += [unit + top, (unit - top) * Fraction(3, 2), random_cycle(rng, ring, 3)]
-    for p in range(ring.dimension + 1):
-        x = random_cycle(rng, ring, 4, codim=p)
-        # coefficients of -1, 0 and 1, so products cancel
-        alphas += [x, x * Fraction(1, 6), *(random_cycle(rng, ring, 1, codim=p) for _ in range(10))]
-    for alpha in alphas:
-        got, want = multiplication_correspondence(ring, alpha), oracles.multiplication_correspondence(ring, alpha)
-        assert got.offset == want.offset and entries(got.cycle) == entries(want.cycle)
-        assert got._columns is None and got.ring is want.ring
-
-
-# -- morphism tables ---------------------------------------------------------------
-
-
-def check_pullback_and_pushforward(m, rng):
-    for ring, other, table, extend in ((m.target, m.source, m._pull, m.pullback),
-                                       (m.source, m.target, m._push, m.pushforward)):
-        for x in cycles(rng, ring):
-            assert sorted(entries(extend(x))) == sorted(entries(oracles.extend(table, other, x))), x
-
-
-def same_tables(m, pull, push):
-    """m's pullback and pushforward of each basis cycle against reference
-    tables {cell key: cycle}, a missing key being zero."""
-    for ring, other, extend, table in ((m.target, m.source, m.pullback, pull),
-                                       (m.source, m.target, m.pushforward, push)):
-        for c in ring.cells:
-            assert entries(extend(ring.basis_cycle(c))) == entries(table.get(c.key, other.zero())), c.label
-
-
-def check_projection_morphism(ring, rng):
-    for factor in ("left", "right"):
-        same_tables(projection_morphism(ring, factor), *oracles.projection_tables(ring, factor))
-
-
-def check_product_morphism(m, rng):
-    for m2 in corpus.ENTRIES["morphism"].values():
-        same_tables(product_morphism(m, m2), *oracles.product_tables(m, m2))
-
-
-# -- fibration models ----------------------------------------------------------------
-
-
-def same_sweep(model, ys):
-    family = build_projector_family(model)
-    for y in ys:
-        got, want = family.apply_all_with_coefficients(y), oracles.sweep(model, y)
-        assert [(g, entries(a)) for g, a in got.items()] == [(g, entries(a)) for g, a in want.items()], y
-
-
-def check_sweep(model, rng):
-    same_sweep(model, fibered_cycles(rng, model))
-
-
-def same_operators(got, want):
-    """Two {name: sparse matrix} maps, names in the same order."""
-    assert list(got) == list(want)
-    assert {k: operator(m) for k, m in got.items()} == {k: operator(m) for k, m in want.items()}
-
-
-def check_placed_operators(model, rng):
-    # the projectors rho_g and the motive pieces
-    rho = build_projector_family(model).projectors()
-    same_operators(rho, oracles.placed(model, {g: [(g, None)] for g in rho}))
-    pieces = decompose_model(model).pieces
-    slots = [(g, p) for g in model.generators for p in fiber_projectors(model.base)]
-    maps = {label: [slot] for (label, _, _), slot in zip(pieces, slots, strict=True)}
-    same_operators({label: m for label, _, m in pieces}, oracles.placed(model, maps))
-
-
-def check_lifted_blocks(model, rng):
-    same_operators(lifted_blocks(model), oracles.lifted_blocks(model))
-
-
-def check_lift_ck(model, rng):
-    same_operators(lift_ck(model).projectors, oracles.lifted_projectors(model))
-
+from corpus import DOUBLED
 
 # {kernel: (corpus kinds, check(entry, rng))}
 KERNELS = {
-    "ChowRing.multiply": (("ring", "product"), check_multiply),
-    "Kunneth row": (("product",), check_kunneth_row),
-    "random_cycle": (("ring", "product"), check_random_cycle),
-    "linalg.rank": (("ring",), check_rank),
-    "act and the action map": (("ring",), check_action),
-    "compose and compose_oracle": (("ring",), check_compose),
-    "correspondence_from_action": (("ring",), check_correspondence_from_action),
-    "multiplication_correspondence": (("ring",), check_multiplication_correspondence),
-    "pullback and pushforward": (("morphism",), check_pullback_and_pushforward),
-    "projection_morphism": (("product",), check_projection_morphism),
-    "product_morphism": (("morphism",), check_product_morphism),
-    "apply_all_with_coefficients": (("model", "broken model"), check_sweep),
-    "placed_operators": (("model",), check_placed_operators),
-    "lifted_blocks": (("model",), check_lifted_blocks),
-    "lift_ck": (("model",), check_lift_ck),
+    "ChowRing.multiply": (("ring", "product"), checks.check_multiply),
+    "Kunneth row": (("product",), checks.check_kunneth_row),
+    "random_cycle": (("ring", "product"), checks.check_random_cycle),
+    "linalg.rank": (("ring",), checks.check_rank),
+    "act and the action map": (("ring",), checks.check_action),
+    "compose and compose_oracle": (("ring",), checks.check_compose),
+    "correspondence_from_action": (("ring",), checks.check_correspondence_from_action),
+    "multiplication_correspondence": (("ring",), checks.check_multiplication_correspondence),
+    "pullback and pushforward": (("morphism",), checks.check_pullback_and_pushforward),
+    "projection_morphism": (("product",), checks.check_projection_morphism),
+    "product_morphism": (("morphism",), checks.check_product_morphism),
+    "apply_all_with_coefficients": (("model", "broken model"), checks.check_sweep),
+    "placed_operators": (("model",), checks.check_placed_operators),
+    "lifted_blocks": (("model",), checks.check_lifted_blocks),
+    "lift_ck": (("model",), checks.check_lift_ck),
 }
 # {(kernel, entry name): entry}, an entry of two kinds taken once
 CASES = {(kernel, name): entry for kernel, (kinds, _) in KERNELS.items()

@@ -325,7 +325,7 @@ def count_tables(monkeypatch):
 @pytest.mark.parametrize("make, populated", [
     (lambda: parse_ring(dump_ring(projective_space(30))), [31]),
     # the base's table (P^1: degrees 0 and 2 on codims 0 and 1), then the lift's
-    (lambda: fresh_hirzebruch(parse_ring(dump_ring(projective_space(1))), "hirzebruch(1)"), [2, 3]),
+    (fresh_hirzebruch, [2, 3]),
 ], ids=["p30", "hirzebruch:1"])
 def test_ck_and_murre_suites_rank_one_table(make, populated, monkeypatch):
     target = make()

@@ -1,10 +1,10 @@
 """The flat correspondence kernels against their references in oracles.py.
 
-``act``, ``action_matrix`` and ``action_columns`` read a correspondence's
-action in one walk over its terms through the source ring's partner index,
-and ``compose_oracle`` works on cell keys; all are checked here against the
+``action_matrix`` and ``action_columns`` read a correspondence's action in
+one walk over its terms through the source ring's partner index, and
+``compose_oracle`` works on cell keys; all are checked here against the
 references, which read ``pair_degree`` cell by cell and build the triple
-product's cycles.
+product's cycles, and ``compose_oracle`` against ``compose`` too.
 """
 
 import random
@@ -32,8 +32,8 @@ from chowkit.linalg import mat_mul
 from chowkit.sampling import random_correspondence
 
 import oracles
+from checks import composable, matrix_entries, same_action_matrix, same_columns, same_compose_oracle
 from corpus import REBASED, RINGS, correspondences, standard_rings
-from test_differential import matrix_entries, same_action, same_columns, same_compose
 
 
 MATRIX_RINGS = ("P^1", "P^2", "Gr(2,4)", "P^1 x P^2")
@@ -59,7 +59,8 @@ REFERENCE_RINGS = MATRIX_RINGS + ("Gr(2,4)'",)
 @pytest.mark.parametrize("source", REFERENCE_RINGS)
 @pytest.mark.parametrize("target", REFERENCE_RINGS)
 def test_act_and_action_matrix_match_the_pair_degree_references(source, target):
-    same_action(RINGS[source], RINGS[target], random.Random(f"{source}=>{target} references"))
+    # act itself meets its reference in test_contraction_plans
+    same_action_matrix(RINGS[source], RINGS[target], random.Random(f"{source}=>{target} references"))
 
 
 @pytest.mark.parametrize("name", REFERENCE_RINGS)
@@ -156,7 +157,10 @@ ORACLE_RINGS = ("P^1", "P^2", "Gr(2,4)", "P^1 x P^1")
 @pytest.mark.parametrize("source", ORACLE_RINGS)
 @pytest.mark.parametrize("middle", ORACLE_RINGS)
 def test_compose_oracle_matches_reference(source, middle):
-    same_compose(RINGS[source], RINGS[middle], RINGS[source], random.Random(f"{source}=>{middle}"))
+    # the reference the battery holds the oracle to: the contraction compose
+    rng = random.Random(f"{source}=>{middle}")
+    for f, g in composable(rng, RINGS[source], RINGS[middle], RINGS[source]):
+        assert compose_oracle(g, f) == compose(g, f).cycle
 
 
 def _refuse(name):
@@ -227,7 +231,7 @@ TRIPLE_RINGS = ("point", "P^1", "P^2", "Gr(2,4)")
 @pytest.mark.parametrize("target", TRIPLE_RINGS)
 def test_compose_oracle_matches_the_nested_route(source, middle, target):
     rng = random.Random(f"{source}=>{middle}=>{target}")
-    same_compose(RINGS[source], RINGS[middle], RINGS[target], rng)
+    same_compose_oracle(RINGS[source], RINGS[middle], RINGS[target], rng)
 
 
 def test_oracle_maps_are_built_once_per_triple_and_kept_on_it(monkeypatch):

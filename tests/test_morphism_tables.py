@@ -26,8 +26,8 @@ from chowkit.correspondences import graph_from_morphism, identity_morphism
 from chowkit.identities import collapse_morphism, standard_morphisms
 
 import oracles
+from checks import same_tables
 from corpus import DOUBLED, morphisms as _morphisms
-from test_differential import same_tables
 
 
 @pytest.mark.parametrize(

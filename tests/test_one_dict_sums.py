@@ -26,9 +26,9 @@ from chowkit.rings import Cycle
 from chowkit.sampling import random_correspondence
 
 import oracles
+from checks import same_from_action
 from corpus import DOUBLED, REBASED
 from oracles import entries as _entries
-from test_differential import same_from_action
 
 
 @pytest.mark.parametrize("rational", [False, True])

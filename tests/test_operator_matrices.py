@@ -32,8 +32,8 @@ from chowkit.motives import fiber_projectors
 from chowkit.sampling import seeded_rng
 
 import oracles
+from checks import check_lift_ck, check_lifted_blocks, check_placed_operators
 from corpus import bundle_over_gr24, fibered_cycles, fresh_hirzebruch, identity_added_to_block_00, standard_models
-from test_differential import check_lift_ck, check_lifted_blocks, check_placed_operators
 
 MODELS = standard_models() + [
     ambient_extend(hirzebruch(1), projective_space(1)),

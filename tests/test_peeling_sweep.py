@@ -44,18 +44,9 @@ from chowkit.rings import Cycle
 from chowkit.sampling import seeded_rng
 
 import oracles
+from checks import same_sweep
 from corpus import A, B, INDEPENDENCE_MODELS, UNIT, bundle_over_gr24, fibered_cycles, flat_square
 from corpus import module_basis, nonassociative, standard_models, unpeeled
-from test_differential import same_sweep
-
-
-def exact_parts(y):
-    """A fibered cycle down to each part's key order and coefficient types."""
-    return [(g, oracles.entries(c)) for g, c in y.parts.items()]
-
-
-def exact_sweep(out):
-    return [(g, oracles.entries(alpha)) for g, alpha in out.items()]
 
 
 STANDARD = standard_models()
@@ -98,14 +89,14 @@ def test_sweep_does_not_use_the_model_product(monkeypatch):
     cases = []
     for model in INDEPENDENCE_MODELS:
         family = ProjectorFamily(model)
-        cases += [(family, y, exact_sweep(oracles.sweep(model, y))) for y in sweep_inputs(model)]
+        cases += [(family, y, oracles.parts(oracles.sweep(model, y))) for y in sweep_inputs(model)]
 
     def refuse(model, y1, y2):
         raise AssertionError("the sweep formed a model product")
 
     monkeypatch.setattr(FibrationModel, "multiply", refuse)
     for family, y, want in cases:
-        assert exact_sweep(family.apply_all_with_coefficients(y)) == want
+        assert oracles.parts(family.apply_all_with_coefficients(y)) == want
 
 
 @pytest.mark.parametrize("model", INDEPENDENCE_MODELS[:3], ids=lambda m: m.name)
@@ -149,7 +140,7 @@ def test_sweep_of_a_basis_element_is_its_coordinate(model):
     # sweep of pi^*(x) * T_g is {g: x}, with no other key
     family = ProjectorFamily(model)
     for y in module_basis(model):
-        assert exact_sweep(family.apply_all_with_coefficients(y)) == exact_parts(y), y
+        assert oracles.parts(family.apply_all_with_coefficients(y)) == oracles.parts(y.parts), y
 
 
 @pytest.mark.parametrize("model", INDEPENDENCE_MODELS[:3], ids=lambda m: m.name)

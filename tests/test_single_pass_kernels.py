@@ -44,16 +44,11 @@ from chowkit.rings import Cycle
 from chowkit.sampling import random_cycle
 
 import oracles
+from checks import check_multiplication_correspondence, same_action_map, same_correspondence
 from corpus import DOUBLED, REBASED, correspondences as _correspondences, standard_rings
-from oracles import entries as _typed_cycle, typed as _typed
-from test_differential import check_multiplication_correspondence
 
 
 # -- _action_map ------------------------------------------------------------------
-
-
-def _assert_same_action_map(f):
-    assert _typed(_action_map(f)) == _typed(oracles.action_map(f))
 
 
 @pytest.mark.parametrize("ring", standard_rings() + [REBASED, DOUBLED], ids=lambda r: r.name)
@@ -65,8 +60,8 @@ def test_action_map_matches_the_two_pass_walk(ring):
     p1 = projective_space(1)
     cases += _correspondences(rng, ring, p1) + _correspondences(rng, p1, ring)
     for f in cases:
-        _assert_same_action_map(f)
-        _assert_same_action_map(transpose(f))
+        same_action_map(f)
+        same_action_map(transpose(f))
 
 
 def test_action_map_on_the_rebased_grassmannian_sums_and_cancels():
@@ -85,7 +80,7 @@ def test_action_map_on_the_rebased_grassmannian_sums_and_cancels():
     for _ in range(120):
         f = Correspondence(REBASED, projective_space(1), random_cycle(rng, ring, bound=1, codim=rng.choice((2, 3))))
         for g in (f, f * Fraction(1, 3)):
-            _assert_same_action_map(g)
+            same_action_map(g)
         cancelled += any(0 in col.values() for col in oracles.action_map(f, zeros=True).values())
     assert cancelled > 15  # sums that cancel are common here, not a corner case
 
@@ -96,27 +91,18 @@ def test_action_map_of_zero_and_cancelling_correspondences():
         for f in (d - d, d * 0, d + d * -1, zero_correspondence(ring, ring)):
             assert f.is_zero()
             assert _action_map(f) == oracles.action_map(f) == {}
-        _assert_same_action_map(d * Fraction(2, 3) - d * Fraction(1, 3))
+        same_action_map(d * Fraction(2, 3) - d * Fraction(1, 3))
 
 
 def test_action_map_on_the_doubled_plane_has_rational_entries():
     d = diagonal(DOUBLED)
     # the middle dual is h/2: the diagonal holds h x h/2
     assert any(type(v) is Fraction for v in d.cycle.coeffs.values())
-    _assert_same_action_map(d)
+    same_action_map(d)
     assert _action_map(d) == {(0, 1): {(0, 1): 1}, (1, 1): {(1, 1): 1}, (2, 1): {(2, 1): 1}}
 
 
 # -- multiplication_correspondence and correspondence_from_action -------------------
-
-
-def _assert_same_correspondence(got, want):
-    assert type(got) is Correspondence
-    assert (got.source, got.target, got.ring) == (want.source, want.target, want.ring)
-    assert got.ring is want.ring and got.cycle.ring is want.cycle.ring
-    assert got.offset == want.offset
-    assert _typed_cycle(got.cycle) == _typed_cycle(want.cycle)
-    assert got._columns is None
 
 
 MULTIPLICATION_RINGS = standard_rings() + [
@@ -166,7 +152,7 @@ def test_correspondence_from_action_matches_the_public_route(ring):
         }
         cases += [(ring, ring, images, offset), (ring, ring, lambda cell, t=images: t.get(cell.key, ring.zero()), offset)]
     for source, target, action, offset in cases:
-        _assert_same_correspondence(
+        same_correspondence(
             correspondence_from_action(source, target, action, offset),
             oracles.from_action(source, target, action, offset),
         )
@@ -176,7 +162,7 @@ def test_correspondence_from_action_on_a_morphism_graph():
     m = linear_embedding(1, 3)
     c, c_t = graph_from_morphism(m)
     pull = oracles.from_action(m.target, m.source, lambda cell: m.pullback(m.target.basis_cycle(cell)), 0)
-    _assert_same_correspondence(c, pull)
+    same_correspondence(c, pull)
 
 
 @pytest.mark.parametrize("action, offset, message", [
