@@ -60,7 +60,6 @@ from .murre import (
     CKDecomposition,
     cellular_ck,
     ck_battery,
-    lift_base_correspondence,
     lift_ck,
     lifted_blocks,
     verify_action_window,

@@ -114,7 +114,7 @@ def load_target(args):
 
 def _parse_battery(spec):
     """The rings of a --battery list; a refusal names the entry's place and name."""
-    if not spec:
+    if spec is None:
         return None
     rings = []
     for n, name in enumerate(spec.split(","), start=1):

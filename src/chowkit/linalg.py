@@ -14,15 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def mat_mul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    cols = range(len(b[0])) if b else ()
-    return tuple(
-        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols) for row in a
-    )
-
-
 def rank(a):
     """Rank by Gaussian elimination over Fraction; zero rows are skipped."""
     return len(pivot_columns(a))

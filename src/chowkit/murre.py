@@ -14,7 +14,7 @@ the lifted decomposition to the cellular one of the product ring.
 
 from __future__ import annotations
 
-from .correspondences import _action_map, _exact_columns, action_columns, zero_correspondence
+from .correspondences import _exact_columns, action_columns, zero_correspondence
 from .fibrations import add_system_checks, ambient_extend, build_projector_family
 from .linalg import (
     after,
@@ -152,20 +152,6 @@ def _checked(ck, validate):
 
 
 # -- the lift ------------------------------------------------------------------
-
-
-def lift_base_correspondence(model, phi, j):
-    """The degree-j lift of a base self-correspondence to the fibered module.
-
-    Odd j gives zero: the fiber basis sits in even degrees only.  For even
-    j the operator peels a cycle into base coefficients, applies phi to the
-    coefficient of every fiber generator of codim j/2, and reassembles.
-    """
-    if phi.source is not model.base or phi.target is not model.base:
-        raise ValueError("can only lift a self-correspondence of the base")
-    slots = dict.fromkeys((g for g in model.generators if 2 * g[0] == j), _action_map(phi))
-    name = f"lift_{j}"
-    return build_projector_family(model).placed_operators({name: slots})[name]
 
 
 def lifted_blocks(model):

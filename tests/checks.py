@@ -1,6 +1,8 @@
-"""Each exact kernel against its one reference in oracles.py: ``check_*``
-on one corpus entry, for test_differential.py, and ``same_*`` on the
-inputs another test file gives.  Cycles, action maps, Kunneth rows and
+"""Each exact kernel against its one reference in oracles.py, one check per
+kernel, run by test_differential.py on every corpus entry of the kinds it
+takes: a ring, a pair or triple of rings, a morphism or a model.  The layer
+test files run ``same_correspondence``, ``same_action_map`` and
+``same_sweep`` on their named witnesses.  Cycles, action maps, Kunneth rows and
 tables built by key compare entry by entry in order, with their types;
 sparse operators, pullbacks and pushforwards (whose reference sums cycle by
 cycle) compare as mappings.  Every value a kernel returns is an int, or a
@@ -17,7 +19,7 @@ from chowkit.sampling import random_correspondence
 
 import corpus
 import oracles
-from corpus import DOUBLED, P1, P2, correspondences, fibered_cycles, variants
+from corpus import GR24, P1, P2, correspondences, fibered_cycles, variants
 from oracles import canonical, typed
 
 
@@ -72,7 +74,7 @@ def check_random_cycle(ring, rng):
                 got = chowkit.random_cycle(draw, ring, bound, codim=codim)
                 assert entries(got) == entries(oracles.random_cycle(ref, ring, bound, codim))
                 assert draw.getstate() == ref.getstate()
-        for target in (P1, P2, corpus.RINGS["Gr(2,4)"]):
+        for target in (P1, P2, GR24):
             for offset in range(-ring.dimension - 1, target.dimension + 2):
                 f = random_correspondence(draw, ring, target, offset)
                 want = oracles.random_cycle(ref, chowkit.kunneth_product(ring, target), 10, ring.dimension + offset)
@@ -125,70 +127,70 @@ def same_action_matrix(source, target, rng):
 
 
 def same_columns(ring, rng):
-    """action_columns of degree-0 self-correspondences of ring and their
-    rational multiples."""
-    fs = variants(rng, ring, ring, 0) + chowkit.fiber_projectors(ring)
-    for f in fs + [f * Fraction(2, 3) for f in fs]:
+    """action_columns of degree-0 self-correspondences of ring (random ones,
+    the cell projectors and the diagonal) and their rational multiples, and
+    the action map of those and of the multiplication correspondences of
+    the basis cycles, each transposed too."""
+    fs = variants(rng, ring, ring, 0) + chowkit.fiber_projectors(ring) + [chowkit.diagonal(ring)]
+    fs += [f * Fraction(2, 3) for f in fs]
+    for f in fs:
         assert typed(action_columns(f)) == typed(oracles.action_columns(f))
         operator(action_columns(f))
+    for f in fs + [chowkit.multiplication_correspondence(ring, ring.basis_cycle(c)) for c in ring.cells]:
+        same_action_map(f)
+        same_action_map(chowkit.transpose(f))
 
 
 def composable(rng, source, middle, target):
-    """Every pair (f, g) of variants source -> middle -> target, at random
-    offsets."""
-    fs = variants(rng, source, middle, rng.randint(-source.dimension, middle.dimension))
-    gs = variants(rng, middle, target, rng.randint(-middle.dimension, target.dimension))
-    return [(f, g) for f in fs for g in gs]
+    """Every pair (f, g) of variants source -> middle -> target, at two
+    random pairs of offsets."""
+    out = []
+    for _ in range(2):
+        fs = variants(rng, source, middle, rng.randint(-source.dimension, middle.dimension))
+        gs = variants(rng, middle, target, rng.randint(-middle.dimension, target.dimension))
+        out += [(f, g) for f in fs for g in gs]
+    return out
 
 
-def same_compose(source, middle, target, rng):
-    """compose of every composable pair of variants."""
-    for f, g in composable(rng, source, middle, target):
-        got, want = chowkit.compose(g, f), oracles.compose(g, f)
-        assert got.offset == want.offset and entries(got.cycle) == entries(want.cycle)
+def same_compose(source, middle, rng):
+    """compose of every composable pair of variants source -> middle ->
+    target, for each target of corpus.COMPOSED."""
+    for target in corpus.COMPOSED:
+        for f, g in composable(rng, source, middle, target):
+            got, want = chowkit.compose(g, f), oracles.compose(g, f)
+            assert got.offset == want.offset and entries(got.cycle) == entries(want.cycle)
 
 
 def same_compose_oracle(source, middle, target, rng):
     """compose_oracle of every composable pair of variants against the
-    nested triple-product route."""
+    nested triple-product route, and against compose, as the battery holds
+    it."""
     for f, g in composable(rng, source, middle, target):
-        assert entries(chowkit.compose_oracle(g, f)) == entries(oracles.compose_oracle(g, f))
+        got = chowkit.compose_oracle(g, f)
+        assert entries(got) == entries(oracles.compose_oracle(g, f))
+        assert got == chowkit.compose(g, f).cycle
 
 
-def check_action(ring, rng):
-    for target in (P1, ring):
-        same_act(ring, target, rng)
-        same_action_matrix(ring, target, rng)
-    same_columns(ring, rng)
-
-
-def check_compose(ring, rng):
-    for middle in (P1, ring):
-        for target in (P1, DOUBLED):
-            same_compose(ring, middle, target, rng)
-            same_compose_oracle(ring, middle, target, rng)
-
-
-def same_from_action(source, target, rng, rational=True):
-    """correspondence_from_action of a random action source -> target at
-    every offset, about a third of the images zero."""
+def same_from_action(source, target, rng):
+    """correspondence_from_action source -> target: of random actions at
+    every offset, integral and rational, about a third of the images zero,
+    each given as a callable and as a mapping; of the empty mapping, of the
+    zero action at an offset out of range and, on a ring and itself, of the
+    identity."""
+    cases = [({}, 0), (lambda cell: target.zero(), target.dimension + 2)]
+    if source is target:
+        cases.append((source.basis_cycle, 0))
     for offset in range(-source.dimension, target.dimension + 1):
-        images = {}
-        for c in source.cells:
-            if rng.random() < 2 / 3:
-                image = chowkit.random_cycle(rng, target, 3, codim=c.codim + offset)
-                images[c.key] = image * Fraction(rng.randint(1, 3), rng.randint(2, 4)) if rational else image
-
-        def action(cell, images=images, zero=target.zero()):
-            return images.get(cell.key, zero)
-
+        for rational in (False, True):
+            images = {}
+            for c in source.cells:
+                if rng.random() < 2 / 3:
+                    image = chowkit.random_cycle(rng, target, 3, codim=c.codim + offset)
+                    images[c.key] = image * Fraction(rng.randint(1, 3), rng.randint(2, 4)) if rational else image
+            cases += [(images, offset), (lambda cell, t=images: t.get(cell.key, target.zero()), offset)]
+    for action, offset in cases:
         same_correspondence(chowkit.correspondence_from_action(source, target, action, offset),
                             oracles.from_action(source, target, action, offset))
-
-
-def check_correspondence_from_action(ring, rng):
-    for target in (P1, ring):
-        same_from_action(ring, target, rng)
 
 
 def check_multiplication_correspondence(ring, rng):
@@ -226,8 +228,12 @@ def same_tables(m, pull, push):
 
 
 def check_projection_morphism(ring, rng):
+    """Both projections, against reference tables that pass the checks of
+    the public constructor."""
     for factor in ("left", "right"):
-        same_tables(chowkit.projection_morphism(ring, factor), *oracles.projection_tables(ring, factor))
+        pr, (pull, push) = chowkit.projection_morphism(ring, factor), oracles.projection_tables(ring, factor)
+        same_tables(pr, pull, push)
+        chowkit.MorphismData(ring, pr.target, pull, push, name=pr.name)
 
 
 def check_product_morphism(m, rng):
@@ -276,3 +282,9 @@ def check_lifted_blocks(model, rng):
 
 def check_lift_ck(model, rng):
     same_operators(chowkit.lift_ck(model).projectors, oracles.lifted_projectors(model))
+
+
+def check_kron_sides(model, rng):
+    """The Kronecker products of the motive isomorphism's right-hand sides
+    against the product ring's own actions."""
+    assert oracles.kron_sides(model) == oracles.isomorphism_sides(model)

@@ -1,8 +1,9 @@
 """The rings, models, morphisms and corruptions the tests run on.
 
 ``ENTRIES`` names the entries of the differential test (test_differential.py)
-by kind; ``CORRUPTIONS`` names the corrupted models of the catch table
-(test_catch_table.py).  The other test files take their inputs from here
+by kind: rings, Kunneth products, ordered pairs and triples of rings,
+models, broken models and morphisms.  ``CORRUPTIONS`` names the corrupted
+models of the catch table (test_catch_table.py).  The other test files take their inputs from here
 too, so each input is built by one function.
 
 The rational entries: the doubled plane (h * h = 2 pt, so its middle dual
@@ -23,6 +24,7 @@ from chowkit import (
     grassmannian,
     hirzebruch,
     kunneth_product,
+    lift_ck,
     point,
     product_model,
     product_morphism,
@@ -236,31 +238,76 @@ def correspondences(rng, source, target):
 
 # -- the differential test's entries ---------------------------------------------
 
-P1, P2 = projective_space(1), projective_space(2)
-# the rings the correspondence tests draw from, by name
-RINGS = {ring.name: ring for ring in (
-    point(), P1, P2, projective_space(3), grassmannian(2, 4), REBASED, DOUBLED,
-    kunneth_product(P1, P1),  # a permutation middle pairing
-    kunneth_product(P1, P2),
-)}
+P1, P2, GR24 = projective_space(1), projective_space(2), grassmannian(2, 4)
+# every ordered pair of these rings is a pair entry: P^1 x P^1 has a
+# permutation middle pairing, the doubled plane a middle pairing of 2
+PAIRED = (
+    point(), P1, P2, GR24, REBASED, DOUBLED,
+    kunneth_product(P1, P1), kunneth_product(P1, P2), kunneth_product(DOUBLED, P1),
+)
+# larger rings, each paired with itself and with P^1 either way; the middle
+# duals of Gr(2,4)' x P^1 have two terms each
+SINGLE = (
+    projective_space(3), projective_space(4), grassmannian(2, 5), grassmannian(2, 6),
+    kunneth_product(REBASED, P1),
+)
+# compose composes each pair entry into each of these rings
+COMPOSED = (point(), P1, P2, GR24, kunneth_product(P1, P1), DOUBLED)
+# every ordered triple of these rings is a triple entry
+TRIPLED = (point(), P1, P2, GR24)
+# the shape A => B => A of the oracle battery, over these rings
+BATTERY = (P1, P2, GR24, kunneth_product(P1, P1))
+
+
+def pairs():
+    """(source, target) of every correspondence kernel that takes two rings,
+    and (source, middle) of compose."""
+    out = [(a, b) for a in PAIRED for b in PAIRED]
+    return out + [pair for r in SINGLE for pair in ((r, r), (r, P1), (P1, r))]
+
+
+def triples():
+    """(source, middle, target) of compose_oracle: every triple of TRIPLED,
+    A => B => A over BATTERY, and each ring through P^1 or itself into P^1
+    or the doubled plane."""
+    out = [(a, b, c) for a in TRIPLED for b in TRIPLED for c in TRIPLED]
+    out += [(a, b, a) for a in BATTERY for b in BATTERY]
+    return out + [(r, m, t) for r in PAIRED + SINGLE for m in (P1, r) for t in (P1, DOUBLED)]
+
+
+def models():
+    """The models every model kernel runs on: the standard ones, the
+    rank-3 bundle, hirzebruch(3), the doubled plane times P^1, and
+    hirzebruch(1) and (2) times P^1."""
+    extended = [ambient_extend(hirzebruch(a), P1) for a in (1, 2)]
+    return standard_models() + [bundle_over_gr24(), hirzebruch(3), trivial_fibration(DOUBLED, P1), *extended]
+
+
+def extended_models():
+    """The other extensions of the standard models by a point, P^1 and P^2,
+    which the sweep runs on too."""
+    taken = {m.name for m in models()}
+    extended = [ambient_extend(m, projective_space(n)) for m in standard_models() for n in (0, 1, 2)]
+    return [m for m in extended if m.name not in taken]
+
+
 ENTRIES = {
-    "ring": RINGS,
+    "ring": {ring.name: ring for ring in PAIRED + SINGLE},
     "product": {ring.name: ring for ring in (
         kunneth_product(P1, P2),
         kunneth_product(point(), P2),
-        kunneth_product(grassmannian(2, 4), P1),
+        kunneth_product(point(), projective_space(3)),
+        kunneth_product(GR24, P1),
+        # Gr(2,4) holds an explicit empty entry, sigma_{1,1} * sigma_2 = 0
+        kunneth_product(P2, GR24),
         kunneth_product(kunneth_product(P1, P2), P1),
         kunneth_product(DOUBLED, P1),
         kunneth_product(degenerate_surface(), P1),
     )},
-    "model": {model.name: model for model in (
-        hirzebruch(1),
-        INDEPENDENCE_MODELS[1],
-        INDEPENDENCE_MODELS[2],
-        product_model(P2, P1),
-        resolve("pbundle:p2:h"),
-        trivial_fibration(DOUBLED, P1),
-    )},
+    "pair": {f"{a.name} -> {b.name}": (a, b) for a, b in pairs()},
+    "triple": {f"{a.name} => {b.name} => {c.name}": (a, b, c) for a, b, c in triples()},
+    "model": {model.name: model for model in models()},
+    "extended model": {model.name: model for model in extended_models()},
     "broken model": {model.name: model for model in INDEPENDENCE_MODELS[3:]},
     "morphism": {m.name: m for m in morphisms()},
 }
@@ -321,6 +368,26 @@ def perturbed_sweep(model, perturb):
         return model
 
     return build
+
+
+def perturbed_pi2():
+    """The lifted CK of hirzebruch(1), one entry of Pi_2 raised by one."""
+    model = hirzebruch(1)
+    ck = lift_ck(model, validate=False)
+    cols = ck.projectors[2]
+    col = cols[next(b for b in model.basis_keys(1) if b in cols)]
+    col[next(iter(col))] += 1
+    return ck
+
+
+def off_codim_image():
+    """The lifted CK of hirzebruch(1), Pi_0 sending its codim-0 basis element
+    into codim 1 as well."""
+    model = hirzebruch(1)
+    ck = lift_ck(model, validate=False)
+    (b,) = model.basis_keys(0)
+    ck.projectors[0][b][model.basis_keys(1)[0]] = 1
+    return ck
 
 
 def block_00_plus_identity(mp):

@@ -6,11 +6,14 @@ than from the kernel's plans, kept rows or key maps: the one table read is
 a plain ring's, as given; a Kunneth ring's rows, which the kernel builds on
 first read, are rebuilt from its factors' (``table_row``).  checks.py plays
 every kernel against its reference, on each corpus entry of its kind in
-test_differential.py and on the inputs of the other test files.  Unless a
-docstring says otherwise, a reference gives its entries in the kernel's
-order, each an int or a Fraction as the kernel's arithmetic leaves it.
+test_differential.py, and on the named witnesses of the layer test files.
+Unless a docstring says otherwise, a reference gives its entries in the
+kernel's order, each an int or a Fraction as the kernel's arithmetic leaves
+it.  One section keeps the routes three verifiers replaced, which their
+tests compare the verifiers against.
 """
 
+import random
 from fractions import Fraction
 
 from chowkit import (
@@ -18,6 +21,7 @@ from chowkit import (
     Cycle,
     KunnethRing,
     cellular_ck,
+    compose as compose_kernel,
     diagonal,
     dual_basis_cycles,
     external_product,
@@ -26,6 +30,10 @@ from chowkit import (
     tensor,
     zero_correspondence,
 )
+from chowkit import identities
+from chowkit.correspondences import action_columns as action_columns_kernel
+from chowkit.linalg import kron, matrix_sum
+from chowkit.sampling import random_correspondence
 from chowkit.schubert import fits_in_box
 
 
@@ -107,6 +115,16 @@ def rank(rows):
     return r
 
 
+def mat_mul(a, b):
+    """The dense matrix product a b, row by column."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
+    cols = range(len(b[0])) if b else ()
+    return tuple(
+        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols) for row in a
+    )
+
+
 # -- correspondences -------------------------------------------------------------
 
 
@@ -144,14 +162,10 @@ def action_columns(f):
 
 
 def action_matrix(f, p):
-    """action_matrix: the codim-p columns of the action map laid out densely."""
-    keys = f.source.basis_keys(p)
-    rows = [[0] * len(keys) for _ in range(f.target.rank(p + f.offset))]
-    columns = action_columns(f)
-    for j, k in enumerate(keys):
-        for (_, i), v in columns.get(k, {}).items():
-            rows[i - 1][j] = v
-    return tuple(tuple(row) for row in rows)
+    """action_matrix: column j the act reference on the j-th codim-p cell,
+    read off cell by cell, zeros included; ints where integral."""
+    images = [act(f, f.source.basis_cycle(c)) for c in f.source.cells_of_codim(p)]
+    return tuple(tuple(y.coefficient(c) for y in images) for c in f.target.cells_of_codim(p + f.offset))
 
 
 def compose(g, f):
@@ -356,6 +370,110 @@ def isomorphism_sides(model):
         {k: action_columns(p) for k, p in cellular_ck(ring, validate=False).projectors.items()},
         {g: action_columns(tensor(diagonal(model.base), cells[g])) for g in model.generators},
     )
+
+
+def kron_sides(model):
+    """pi_k and Delta_X (x) p_g as verify_motive_isomorphism builds them:
+    Kronecker products of the factors' actions, for isomorphism_sides to
+    check linalg.kron against."""
+    base, fiber = model.base, model.fiber
+    pk = kunneth_product(base, fiber)._pair_to_key
+    pi_x, pi_z = (cellular_ck(r, validate=False).columns() for r in (base, fiber))
+    pi = {
+        k: matrix_sum((1, kron(pi_x[i], pi_z[k - i], pk)) for i in pi_x if k - i in pi_z)
+        for k in range(2 * model.dimension + 1)
+    }
+    ident = {k: {k: 1} for k in base.basis_keys()}
+    cells = dict(zip(fiber.basis_keys(), fiber_projectors(fiber)))
+    return pi, {g: kron(ident, action_columns_kernel(cells[g]), pk) for g in model.generators}
+
+
+# -- the routes three verifiers replaced ---------------------------------------------
+
+
+SYSTEM_LABELS = ("degree preservation", "idempotence", "pairwise orthogonality", "completeness")
+
+
+def replay_failures(family):
+    """The failing system labels by the route verify_projector_family took
+    before it checked rho_g as sparse matrices: every nonzero piece {g: alpha}
+    of a basis element's sweep is swept once more and must come back as
+    itself alone, and the pieces must sum to the basis element."""
+    model = family.model
+    degree_fail, idem_fail, orth_fail, complete_fail = [], [], [], []
+    for g0, k in model.basis_keys():
+        y = model.cycle({g0: model.base.basis_cycle(k)})
+        p = y.codim()
+        coeffs = family.apply_all_with_coefficients(y)
+        for g, alpha in coeffs.items():
+            piece = model.cycle({g: alpha})
+            if piece.codims() != [p]:
+                degree_fail.append(f"rho{g} moved a codim-{p} cycle to {piece.codims()}")
+            replay = family.apply_all_with_coefficients(piece)
+            for h in family.order:
+                if h == g and replay.get(h) != alpha:
+                    idem_fail.append(f"rho{g} o rho{g} != rho{g} on {y!r}")
+                elif h != g and h in replay:
+                    orth_fail.append(f"rho{h} o rho{g} != 0 on {y!r}")
+        if model.cycle(coeffs) != y:
+            complete_fail.append(f"sum of projections differs from input on {y!r}")
+    fails = (degree_fail, idem_fail, orth_fail, complete_fail)
+    return {label for label, details in zip(SYSTEM_LABELS, fails) if details}
+
+
+def dense_battery_failures(rings, samples, seed):
+    """{check label: failures} of compose_oracle_battery as it was, with its
+    dense per-codim matrix loop, calling compose and compose_oracle through
+    the identities module so that a patch there reaches both."""
+    out = {}
+    for na, A in enumerate(rings):
+        for nb, B in enumerate(rings):
+            rng = random.Random(seed * 997 + 31 * na + nb)
+            fails = []
+            for s in range(samples):
+                f = random_correspondence(rng, A, B, offset=0)
+                g = random_correspondence(rng, B, A, offset=0)
+                comp = identities.compose(g, f)
+                if comp.cycle != identities.compose_oracle(g, f):
+                    fails.append(f"sample {s}: contraction differs from the oracle")
+                    continue
+                for p in range(A.dimension + 1):
+                    direct = action_matrix(comp, p)
+                    if B.rank(p):
+                        chained = mat_mul(action_matrix(g, p), action_matrix(f, p))
+                    else:
+                        chained = tuple((0,) * A.rank(p) for _ in range(A.rank(p)))
+                    if direct != chained:
+                        fails.append(f"sample {s}: matrices differ on codim {p}")
+                        break
+            out[f"{A.name} => {B.name} => {A.name}"] = fails
+    return out
+
+
+def compose_failures(ring, projs):
+    """Where {name: projector} fails, on the compose route: ([(k, p)] with
+    compose(P_k, P_k) - P_k nonzero, [(l, k, p)] with compose(P_l, P_k)
+    nonzero, [p] with the sum minus the diagonal nonzero), by source codim
+    p, in the order projector_system_failures names them.  A term a x b of
+    a degree-0 self-correspondence acts on CH^{n - codim a}, so each
+    cycle's failing codims are read off its terms."""
+    n = ring.dimension
+
+    def codims(f):
+        return sorted({n - f.ring._key_to_pair[key][0].codim for key in f.cycle.coeffs})
+
+    idem = [(k, p) for k, f in projs.items() for p in codims(compose_kernel(f, f) - f)]
+    orth = [
+        (l, k, p)
+        for k, f in projs.items()
+        for l, g in projs.items()
+        if l != k
+        for p in codims(compose_kernel(g, f))
+    ]
+    total = zero_correspondence(ring, ring, 0)
+    for f in projs.values():
+        total = total + f
+    return idem, orth, codims(total - diagonal(ring))
 
 
 # -- Schubert calculus ------------------------------------------------------------------

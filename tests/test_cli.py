@@ -262,13 +262,15 @@ def test_battery_must_name_rings(capsys):
     assert code == 2
     assert "is a model, not a ring" in err
     assert err.startswith("--battery entry 2 ('hirzebruch:1'): ")
-    # an empty entry, and a product cut in two by the list's own commas
+    # an empty list, an empty entry, and a product cut in two by the list's own commas
     for battery, where, message in (
+        ("", "--battery entry 1 (''): ", "unknown catalog name ''"),
         ("p1,,p2", "--battery entry 2 (''): ", "unknown catalog name ''"),
         ("point,product:p1,p1", "--battery entry 2 ('product:p1'): ", "product takes exactly two factor names"),
     ):
-        code, _, err = run(capsys, "verify", "--catalog", "p2", "--suite", "manin", "--battery", battery)
-        assert code == 2 and err.startswith(where + message)
+        for command, suite in (("verify", ["--suite", "manin"]), ("ck", [])):
+            code, _, err = run(capsys, command, "--catalog", "p2", *suite, "--battery", battery)
+            assert code == 2 and err.startswith(where + message), (command, battery)
 
 
 def test_decompose_text_and_json(capsys):

@@ -1,5 +1,6 @@
 """Correspondence algebra: act, compose, transpose, tensor, morphism data."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,16 @@ from chowkit import (
     zero_correspondence,
 )
 from chowkit.catalog import grassmannian, linear_embedding, point, projective_space
-from chowkit.identities import collapse_morphism
-from chowkit.rings import BasisCell, ChowRing
+from chowkit.correspondences import _action_map
+from chowkit.fileio import dump_ring, parse_ring
+from chowkit.identities import collapse_morphism, standard_morphisms
+from chowkit.rings import BasisCell, ChowRing, Cycle
+from chowkit.sampling import random_cycle
+
+import oracles
+from checks import same_action_map, same_correspondence
+from corpus import DOUBLED, REBASED, morphisms
+from oracles import entries
 
 
 def test_dual_basis_cycles_delta_ring():
@@ -367,3 +376,220 @@ def test_morphism_data_names_a_perturbed_entry(make):
             MorphismData(m.source, m.target, pull, push, name=m.name)
         assert (ring, label) in named_cells(m, str(failure.value)), (label, str(failure.value))
     assert perturbations > 0
+
+
+# -- kept plans, cancellation, degrees and morphism tables ----------------------------
+
+
+def test_cancelling_terms_leave_no_zero():
+    """Terms that cancel exactly, in compose and act (the rebased Gr(2,4)
+    test below cancels whole columns of _action_map)."""
+    p1, p2, g24 = projective_space(1), projective_space(2), grassmannian(2, 4)
+    s2, s11 = (2, 1), (2, 2)  # self-dual middle cells of Gr(2,4)
+    one = (0, 1)
+    fr, gr = kunneth_product(p1, g24), kunneth_product(g24, p2)
+    # 1 x s2 - 1 x s11 followed by s2 x 1 + s11 x 1: 1 x 1 - 1 x 1
+    f = Correspondence(p1, g24, Cycle(fr, {fr._pair_to_key[(one, s2)]: 1, fr._pair_to_key[(one, s11)]: -1}))
+    g = Correspondence(g24, p2, Cycle(gr, {gr._pair_to_key[(s2, one)]: 1, gr._pair_to_key[(s11, one)]: 1}))
+    assert compose(g, f).cycle.is_zero() and oracles.compose(g, f).cycle.is_zero()
+    assert compose(g, f).offset == f.offset + g.offset
+    # s2 x 1 - s11 x 1 sends s2 + s11 to 1 - 1
+    h = Correspondence(g24, p2, Cycle(gr, {gr._pair_to_key[(s2, one)]: 1, gr._pair_to_key[(s11, one)]: -1}))
+    x = g24.cycle({s2: 1, s11: 1})
+    assert act(h, x).is_zero() and oracles.act(h, x).is_zero()
+
+
+def test_homogeneity_is_checked_against_the_kept_key_set():
+    p1, p2 = projective_space(1), projective_space(2)
+    ring = kunneth_product(p1, p2)
+    mixed = ring.cycle({(1, 1): 1, (2, 1): 3})
+    for offset in (-2, -1, 0, 1, 2, 3):
+        with pytest.raises(ValueError, match=f"^cycle is not homogeneous of codim {1 + offset}$"):
+            Correspondence(p1, p2, mixed, offset)
+    for q in range(ring.dimension + 1):
+        f = Correspondence(p1, p2, random_cycle(random.Random(q), ring, codim=q), q - 1)
+        assert f.offset == q - 1
+    # the zero cycle is homogeneous of every codim, in range or not
+    for offset in (-5, 0, 9):
+        assert Correspondence(p1, p2, ring.zero(), offset).offset == offset
+    assert ring._key_sets[2] == frozenset(ring.basis_keys(2)) and ring._key_sets[-4] == frozenset()
+
+
+def test_a_sparse_correspondence_fills_only_the_plan_entries_it_reads():
+    p = parse_ring(dump_ring(projective_space(30)))  # private: no row or plan built yet
+    ring = kunneth_product(p, p)
+    f_pairs = (((10, 1), (20, 1)), ((15, 1), (15, 1)), ((30, 1), (0, 1)))
+    g_pairs = (((10, 1), (20, 1)), ((30, 1), (0, 1)), ((3, 1), (27, 1)))
+    f_keys = [ring._pair_to_key[pair] for pair in f_pairs]
+    g_keys = [ring._pair_to_key[pair] for pair in g_pairs]
+    f = Correspondence(p, p, Cycle(ring, dict.fromkeys(f_keys, 2)), 0)
+    g = Correspondence(p, p, Cycle(ring, dict.fromkeys(g_keys, -1)), 0)
+    assert set(ring._key_sets) == {30}
+    x = p.cycle({(20, 1): 1, (0, 1): 5})
+    assert act(f, x) == oracles.act(f, x) == p.cycle({(20, 1): 2, (0, 1): 10})
+    assert _action_map(g) == oracles.action_map(g)
+    assert set(ring._left_partners) == set(f_keys) | set(g_keys)
+    assert compose(g, f) == oracles.compose(g, f)
+    assert set(ring._right_partners) == set(f_keys)
+    assert set(ring._pair_keys) == set(g_keys)
+    assert set(ring._key_rows) == {a for a, _ in f_pairs}
+    assert len(ring._table) == 0
+
+
+def test_action_map_on_the_rebased_grassmannian_sums_and_cancels():
+    """A middle cell of the rebased Gr(2,4) has two partners, so two terms
+    meet in one entry, and their sum can cancel to a zero entry or an empty
+    column, neither of which the map keeps."""
+    one = (0, 1)
+    ring = kunneth_product(REBASED, projective_space(1))
+    t21, t22 = (ring._pair_to_key[(a, one)] for a in ((2, 1), (2, 2)))
+    # partners of s[2]: s[2] (1), s[2]+s[1,1] (1); of s[2]+s[1,1]: s[2] (1), itself (2):
+    # column (2, 1) cancels to nothing, column (2, 2) keeps -1
+    f = Correspondence(REBASED, projective_space(1), Cycle(ring, {t21: 1, t22: -1}))
+    assert _action_map(f) == oracles.action_map(f) == {(2, 2): {one: -1}}
+    g = Correspondence(REBASED, projective_space(1), Cycle(ring, {t21: 2, t22: -1}))
+    assert _action_map(g) == oracles.action_map(g) == {(2, 1): {one: 1}}
+    rng = random.Random("rebased sums")
+    cancelled = 0
+    for _ in range(160):
+        cycle = random_cycle(rng, ring, bound=1, codim=rng.choice((2, 3, 4)))
+        f = Correspondence(REBASED, projective_space(1), cycle)
+        for g in (f, f * Fraction(1, 2), f * Fraction(1, 3)):
+            same_action_map(g)
+        cancelled += any(0 in col.values() for col in oracles.action_map(f, zeros=True).values())
+    assert cancelled > 15  # sums that cancel are common here, not a corner case
+
+
+def test_action_map_of_zero_and_cancelling_correspondences():
+    for ring in (projective_space(2), REBASED, DOUBLED):
+        d = diagonal(ring)
+        for f in (d - d, d * 0, d + d * -1, zero_correspondence(ring, ring)):
+            assert f.is_zero()
+            assert _action_map(f) == oracles.action_map(f) == {}
+        same_action_map(d * Fraction(2, 3) - d * Fraction(1, 3))
+
+
+def test_action_map_on_the_doubled_plane_has_rational_entries():
+    d = diagonal(DOUBLED)
+    # the middle dual is h/2: the diagonal holds h x h/2
+    assert any(type(v) is Fraction for v in d.cycle.coeffs.values())
+    assert _action_map(d) == {(0, 1): {(0, 1): 1}, (1, 1): {(1, 1): 1}, (2, 1): {(2, 1): 1}}
+
+
+def test_multiplication_correspondence_degrees():
+    p2 = projective_space(2)
+    h = p2.basis_cycle("h")
+    assert multiplication_correspondence(p2, p2.zero()).offset == 0
+    assert multiplication_correspondence(p2, p2.unit()) == diagonal(p2)
+    assert multiplication_correspondence(p2, h).offset == 1
+    assert multiplication_correspondence(p2, p2.unit() + h).offset is None
+    with pytest.raises(ValueError, match="alpha must live in the ring being acted on"):
+        multiplication_correspondence(p2, projective_space(1).unit())
+
+
+def test_correspondence_from_action_on_a_morphism_graph():
+    m = linear_embedding(1, 3)
+    c, c_t = graph_from_morphism(m)
+    pull = oracles.from_action(m.target, m.source, lambda cell: m.pullback(m.target.basis_cycle(cell)), 0)
+    same_correspondence(c, pull)
+
+
+@pytest.mark.parametrize("action, offset, message", [
+    (lambda cell: projective_space(1).unit(), 0, "action must produce cycles on the target ring"),
+    (lambda cell: projective_space(2).basis_cycle("h"), 0, r"action of 1 has codim \[1\], expected 0"),
+    ({"h": projective_space(2).unit()}, 0, r"action of h has codim \[0\], expected 1"),
+    (lambda cell: projective_space(2).unit(), 5, r"action of 1 has codim \[0\], expected 5"),
+])
+def test_correspondence_from_action_refuses_as_before(action, offset, message):
+    p2 = projective_space(2)
+    with pytest.raises(ValueError, match=message):
+        correspondence_from_action(p2, p2, action, offset)
+
+
+@pytest.mark.parametrize("ring", [projective_space(1), projective_space(2), grassmannian(2, 4), DOUBLED],
+                         ids=lambda r: r.name)
+def test_a_cancelling_sum_keeps_its_degree(ring):
+    d = diagonal(ring)
+    zeros = {tuple((0,) * ring.rank(p) for _ in range(ring.rank(p))) for p in range(ring.dimension + 1)}
+    for f in (d - d, d + -d, d * 0, 0 * d, d * Fraction(1, 2) - d * Fraction(1, 2)):
+        assert f.is_zero() and f.offset == 0
+        for p in range(ring.dimension + 1):
+            assert f.matrix(p) == zero_correspondence(ring, ring, 0).matrix(p)
+            assert f.matrix(p) in zeros
+    h = multiplication_correspondence(ring, ring.basis_cycle(ring.cells_of_codim(1)[0]))
+    assert (h - h).offset == 1 and (h * 0).offset == 1 and (h * 3).offset == 1
+
+
+def test_a_sum_of_different_degrees_derives_its_degree():
+    p2 = projective_space(2)
+    d, h = diagonal(p2), multiplication_correspondence(p2, p2.basis_cycle("h"))
+    assert (d + h).offset is None and (d - h).offset is None
+    # a mixed sum that cancels back to one degree derives it again
+    assert ((d + h) - h).offset == 0
+    assert (d + zero_correspondence(p2, p2)).offset == 0
+    assert (zero_correspondence(p2, p2) + zero_correspondence(p2, p2)).offset is None
+    with pytest.raises(ValueError, match="action_matrix needs a homogeneous correspondence"):
+        (d + h).matrix(1)
+
+
+def test_correspondence_from_action_demotes_a_sum_that_turns_integral():
+    doubled = DOUBLED
+    # image of h is 4 pt, against the dual h/2: 2 (h x pt), integral again
+    action = {(1, 1): doubled.cycle({"pt": 4})}
+    got = correspondence_from_action(doubled, doubled, action, offset=1)
+    want = oracles.from_action(doubled, doubled, action, 1)
+    h_pt = kunneth_product(doubled, doubled)._pair_to_key[((1, 1), (2, 1))]
+    assert entries(got.cycle) == entries(want.cycle) == [(h_pt, 2, int)]
+    # only zero images: the zero correspondence
+    nothing = correspondence_from_action(doubled, doubled, {}, offset=0)
+    assert nothing.cycle.is_zero()
+
+
+def test_no_table_holds_an_empty_column():
+    p1 = projective_space(1)
+    ms = morphisms() + [
+        product_morphism(m1, m2)
+        for m1 in standard_morphisms()
+        for m2 in (identity_morphism(p1), collapse_morphism())
+    ]
+    for m in ms:
+        for table in (m._pull, m._push):
+            assert all(table.values()), m.name
+            assert all(all(col.values()) for col in table.values()), m.name
+    # the collapse kills h: a zero pullback is a missing column
+    collapse = collapse_morphism()
+    assert (1, 1) not in collapse._pull and collapse.pullback(p1.basis_cycle("h")).is_zero()
+    # the line misses the point class of the plane
+    assert (2, 1) not in linear_embedding(1, 2)._pull
+
+
+def test_the_public_constructor_always_validates():
+    p1, p2 = projective_space(1), projective_space(2)
+    emb = linear_embedding(1, 2)
+    pull = {c.key: emb.pullback(p2.basis_cycle(c)) for c in p2.cells}
+    push = {c.key: emb.pushforward(p1.basis_cycle(c)) for c in p1.cells}
+    with pytest.raises(TypeError):
+        MorphismData(p1, p2, pull, push, validate=False)
+    with pytest.raises(ValueError, match="pullback of h must live on P\\^1"):
+        MorphismData(p1, p2, {**pull, (1, 1): p2.basis_cycle("h")}, push)
+    with pytest.raises(ValueError, match="pushforward of h must live on P\\^2"):
+        MorphismData(p1, p2, pull, {**push, (1, 1): p1.basis_cycle("h")})
+    with pytest.raises(ValueError, match="pullback of h must preserve codim 1"):
+        MorphismData(p1, p2, {**pull, (1, 1): p1.unit()}, push)
+    with pytest.raises(ValueError, match="pushforward of 1 must have codim 1"):
+        MorphismData(p1, p2, pull, {**push, (0, 1): p2.unit()})
+    # the same tables, right: the matrices hold the cycles' coefficients
+    m = MorphismData(p1, p2, pull, push, name="line")
+    assert m._pull == emb._pull and m._push == emb._push
+
+
+def test_a_graph_acts_as_its_tables():
+    # act walks the cycle, independently of the action map that
+    # graph_from_morphism checks the tables against
+    # the thirds table breaks adjointness, so it has no graph
+    for m in [m for m in morphisms() if m.name != "thirds"]:
+        c, c_t = graph_from_morphism(m)
+        for table, f, ring in ((m._pull, c, m.target), (m._push, c_t, m.source)):
+            for cell in ring.cells:
+                got = act(f, ring.basis_cycle(cell))
+                assert got.coeffs == table.get(cell.key, {}), (m.name, cell.label)

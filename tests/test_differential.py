@@ -1,5 +1,7 @@
 """Every exact kernel against its one reference in oracles.py, through its
-check in checks.py, on every corpus entry of the kinds it takes."""
+check in checks.py, on every corpus entry of the kinds it takes.  This is
+the one place a kernel meets its reference on the corpus: a check takes one
+entry, or the rings of a pair or triple entry in order."""
 
 import random
 from fractions import Fraction
@@ -12,32 +14,38 @@ import checks
 import corpus
 from corpus import DOUBLED
 
-# {kernel: (corpus kinds, check(entry, rng))}
+# {kernel: (corpus kinds, check(*entry, rng))}
 KERNELS = {
     "ChowRing.multiply": (("ring", "product"), checks.check_multiply),
     "Kunneth row": (("product",), checks.check_kunneth_row),
     "random_cycle": (("ring", "product"), checks.check_random_cycle),
     "linalg.rank": (("ring",), checks.check_rank),
-    "act and the action map": (("ring",), checks.check_action),
-    "compose and compose_oracle": (("ring",), checks.check_compose),
-    "correspondence_from_action": (("ring",), checks.check_correspondence_from_action),
+    "act and the action map": (("pair",), checks.same_act),
+    "action_matrix": (("pair",), checks.same_action_matrix),
+    "action_columns": (("ring",), checks.same_columns),
+    "compose": (("pair",), checks.same_compose),
+    "compose_oracle": (("triple",), checks.same_compose_oracle),
+    "correspondence_from_action": (("pair",), checks.same_from_action),
     "multiplication_correspondence": (("ring",), checks.check_multiplication_correspondence),
     "pullback and pushforward": (("morphism",), checks.check_pullback_and_pushforward),
     "projection_morphism": (("product",), checks.check_projection_morphism),
     "product_morphism": (("morphism",), checks.check_product_morphism),
-    "apply_all_with_coefficients": (("model", "broken model"), checks.check_sweep),
+    "apply_all_with_coefficients": (("model", "extended model", "broken model"), checks.check_sweep),
     "placed_operators": (("model",), checks.check_placed_operators),
     "lifted_blocks": (("model",), checks.check_lifted_blocks),
     "lift_ck": (("model",), checks.check_lift_ck),
+    "linalg.kron": (("model",), checks.check_kron_sides),
 }
-# {(kernel, entry name): entry}, an entry of two kinds taken once
-CASES = {(kernel, name): entry for kernel, (kinds, _) in KERNELS.items()
+# {(kernel, entry name): the check's rings or model}, an entry of two kinds
+# taken once
+CASES = {(kernel, name): entry if isinstance(entry, tuple) else (entry,)
+         for kernel, (kinds, _) in KERNELS.items()
          for kind in kinds for name, entry in corpus.ENTRIES[kind].items()}
 
 
 @pytest.mark.parametrize("kernel, entry", list(CASES), ids=[f"{k}-{e}" for k, e in CASES])
 def test_kernel_matches_its_oracle(kernel, entry):
-    KERNELS[kernel][1](CASES[kernel, entry], random.Random(f"{kernel} on {entry}"))
+    KERNELS[kernel][1](*CASES[kernel, entry], random.Random(f"{kernel} on {entry}"))
 
 
 def test_the_rational_entries_carry_fractions():

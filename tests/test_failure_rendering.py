@@ -25,7 +25,6 @@ from chowkit import (
     decompose_motive,
     duality_report,
     hirzebruch,
-    lift_ck,
     manin_battery,
     point,
     projective_space,
@@ -46,7 +45,7 @@ from chowkit.motives import fiber_projectors
 from chowkit.murre import cellular_ck
 
 from corpus import collapsed_products, degenerate_surface_doc, flat_square, identity_added_to_block_00
-from corpus import nonassociative
+from corpus import nonassociative, off_codim_image, perturbed_pi2
 
 FAILING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "failing")
 
@@ -74,23 +73,6 @@ def duplicated(projs):
 
 def swapped(projs):
     projs[0], projs[2] = projs[2], projs[0]
-
-
-def perturbed_pi2():
-    model = hirzebruch(1)
-    ck = lift_ck(model, validate=False)
-    cols = ck.projectors[2]
-    col = cols[next(b for b in model.basis_keys(1) if b in cols)]
-    col[next(iter(col))] += 1
-    return ck
-
-
-def off_codim_image():
-    model = hirzebruch(1)
-    ck = lift_ck(model, validate=False)
-    (b,) = model.basis_keys(0)
-    ck.projectors[0][b][model.basis_keys(1)[0]] = 1
-    return ck
 
 
 def case_pairing(mp):

@@ -1,20 +1,36 @@
-"""Fibration models: module structure, duality, projector family, batteries."""
+"""Fibration models: module structure, duality, projector family, batteries.
+
+The peeling sweep ``ProjectorFamily.apply_all_with_coefficients`` meets its
+reference, the model-product route, in test_differential.py; here it runs
+on named witnesses, must not use the generic model product that
+``verify_projector_family`` compares it with, and runs only where the
+verifiers sample.  The replay of every piece of every basis element's sweep,
+which the verifier once ran (oracles.replay_failures), fails exactly on the
+model whose family refuses it, and ``validate_fibration`` names the entry
+of a perturbed table.
+"""
 
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowkit import (
     FibrationModel,
     ambient_extend,
     build_projector_family,
+    decompose_model,
     duality_report,
     duality_triple,
     external_product,
     kunneth_product,
+    lift_ck,
     manin_battery,
+    projective_bundle_model,
     trivial_fibration,
     validate_fibration,
+    verify_ck,
     verify_motive_isomorphism,
     verify_projector_family,
 )
@@ -24,9 +40,19 @@ from chowkit.catalog import (
     product_model,
     projective_space,
 )
+from chowkit.catalog import resolve
+from chowkit.cli import main
+from chowkit.fibrations import FiberedCycle, ProjectorFamily
+from chowkit.rings import Cycle
 from chowkit.sampling import random_cycle, random_fibered_cycle, seeded_rng
 
-from corpus import module_basis, standard_models
+import oracles
+from checks import same_sweep
+from corpus import A, B, ENTRIES, INDEPENDENCE_MODELS, UNIT, bundle_over_gr24, fibered_cycles, flat_square
+from corpus import fresh_hirzebruch, module_basis, nonassociative, standard_models, unpeeled
+
+# the models of the corpus that pass every law
+MODELS = [*ENTRIES["model"].values(), *ENTRIES["extended model"].values()]
 
 
 def test_fibered_cycle_basics():
@@ -350,3 +376,253 @@ def test_manin_battery_default_and_custom():
     assert [name for name, _ in rep.children] == ["point", "P^1", "P^2"]
     rep2 = manin_battery(hirzebruch(2), battery=[grassmannian(2, 4)], samples=3)
     assert rep2.passed and rep2.children[0][0] == "Gr(2,4)"
+
+
+# -- the peeling sweep -------------------------------------------------------------------
+
+
+def test_sweep_through_unpeeled_generators():
+    model = unpeeled()
+    one, h, pt = (model.base.basis_cycle(k) for k in ("1", "h", "h^2"))
+    same_sweep(model, [
+        model.cycle({A: pt * Fraction(1, 2), UNIT: one}),  # the rational term pt/2 * h vanishes
+        model.cycle({A: one * Fraction(1, 2), UNIT: -h * Fraction(1, 2)}),  # -h/2 + h/2 cancels
+        model.cycle({B: one}),  # T_a is peeled from a residual without T_a
+    ])
+
+
+def test_sweep_refuses_a_cycle_of_another_model():
+    model = hirzebruch(1)
+    for sweep in (ProjectorFamily(model).apply_all_with_coefficients, lambda y: oracles.sweep(model, y)):
+        with pytest.raises(ValueError, match=(
+            r"^apply_all_with_coefficients: cycle lives in hirzebruch\(2\), not hirzebruch\(1\)$"
+        )):
+            sweep(hirzebruch(2).unit())
+
+
+def test_sweep_does_not_use_the_model_product(monkeypatch):
+    cases = []
+    for model in INDEPENDENCE_MODELS:
+        family = ProjectorFamily(model)
+        cases += [(family, y, oracles.parts(oracles.sweep(model, y))) for y in fibered_cycles(seeded_rng(0), model)]
+
+    def refuse(model, y1, y2):
+        raise AssertionError("the sweep formed a model product")
+
+    monkeypatch.setattr(FibrationModel, "multiply", refuse)
+    for family, y, want in cases:
+        assert oracles.parts(family.apply_all_with_coefficients(y)) == want
+
+
+@pytest.mark.parametrize("model", INDEPENDENCE_MODELS[:3], ids=lambda m: m.name)
+def test_coefficient_extraction_forms_each_term_once(monkeypatch, model):
+    # s * m terms of the random cycles, one section-recovery product per base
+    # cell, and none in the sweeps
+    samples = 3
+    calls = []
+    multiply = FibrationModel.multiply
+    monkeypatch.setattr(
+        FibrationModel, "multiply", lambda m, y1, y2: calls.append(1) or multiply(m, y1, y2)
+    )
+    assert verify_projector_family(ProjectorFamily(model), samples=samples).passed
+    assert len(calls) == samples * len(model.generators) + len(model.base.cells)
+
+
+def test_coefficient_extraction_catches_a_dropped_residual_term(monkeypatch):
+    sweep = ProjectorFamily.apply_all_with_coefficients
+
+    def dropping(family, y):
+        # the residual the sweep starts from loses its last term
+        return sweep(family, FiberedCycle(family.model, dict(list(y.parts.items())[:-1])))
+
+    monkeypatch.setattr(ProjectorFamily, "apply_all_with_coefficients", dropping)
+    for model in INDEPENDENCE_MODELS[:3]:
+        report = verify_projector_family(ProjectorFamily(model), samples=3)
+        failed = {c.label for c in report.checks if not c.passed}
+        assert "coefficient extraction on random cycles" in failed, model.name
+
+
+def test_sweep_of_a_basis_element_is_its_coordinate():
+    # the README's coordinate-projection lemma: on a validated model the
+    # sweep of pi^*(x) * T_g is {g: x}, with no other key
+    for model in MODELS:
+        family = ProjectorFamily(model)
+        for y in module_basis(model):
+            assert oracles.parts(family.apply_all_with_coefficients(y)) == oracles.parts(y.parts), y
+
+
+@pytest.mark.parametrize("model", INDEPENDENCE_MODELS[:3], ids=lambda m: m.name)
+def test_verifier_sweeps_each_basis_element_once(monkeypatch, model):
+    # each basis element is one column of one rho_g, placed from its key and
+    # never swept; the verifier sweeps only its s samples
+    samples = 3
+    calls = []
+    sweep = ProjectorFamily.apply_all_with_coefficients
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "apply_all_with_coefficients",
+        lambda fam, y: calls.append(1) or sweep(fam, y),
+    )
+    family = ProjectorFamily(model)
+    assert verify_projector_family(family, samples=samples).passed
+    assert len(calls) == samples
+    columns = [b for rho in family.projectors().values() for b in rho]
+    assert sorted(columns) == sorted(model.basis_keys())
+
+
+def test_the_command_line_sweeps_only_the_sampled_cycles(monkeypatch, capsys):
+    # s random cycles for the model and for each of its three battery
+    # extensions, and no basis element
+    samples = 3
+    calls = []
+    sweep = ProjectorFamily.apply_all_with_coefficients
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "apply_all_with_coefficients",
+        lambda fam, y: calls.append(fam.model.name) or sweep(fam, y),
+    )
+    argv = ["verify", "--catalog", "hirzebruch:1", "--suite", "all", "--samples", str(samples)]
+    assert main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    names = ["hirzebruch(1)"] + [f"{t} x hirzebruch(1)" for t in ("point", "P^1", "P^2")]
+    assert sorted(calls) == sorted(names * samples)
+
+
+def test_sweeping_a_basis_constructs_no_fibered_cycle(monkeypatch):
+    model = resolve("product:p4,p4")
+    family = ProjectorFamily(model)
+    basis = module_basis(model)
+    built = []
+    init = FiberedCycle.__init__
+    monkeypatch.setattr(
+        FiberedCycle, "__init__", lambda y, m, parts: built.append(1) or init(y, m, parts)
+    )
+    sweeps = [family.apply_all_with_coefficients(y) for y in basis]
+    assert not built
+    assert [len(out) for out in sweeps] == [1] * len(basis) and len(basis) == 25
+
+
+def test_a_model_keeps_its_family():
+    model = fresh_hirzebruch()
+    family = build_projector_family(model)
+    assert build_projector_family(model) is family
+    extended = ambient_extend(model, projective_space(1))
+    assert build_projector_family(extended) is not family
+    assert build_projector_family(extended).model is extended
+
+
+# -- the replay route rho_g replaced (oracles.replay_failures) ----------------------
+
+
+def system_failures(family):
+    report = verify_projector_family(family, samples=1)
+    return {c.label for c in report.checks if not c.passed} & set(oracles.SYSTEM_LABELS)
+
+
+def test_rho_system_fails_where_the_replay_fails():
+    # the nonassociative table breaks no projector identity
+    for model in MODELS + [nonassociative()]:
+        assert oracles.replay_failures(ProjectorFamily(model)) == set(), model.name
+        assert system_failures(ProjectorFamily(model)) == set(), model.name
+    assert oracles.replay_failures(ProjectorFamily(flat_square())) == {"completeness"}
+    # the flat square's family refuses it at the law its sweep breaks
+    with pytest.raises(ValueError, match="^projector family on flat square: fiberwise duality fails: "):
+        system_failures(ProjectorFamily(flat_square()))
+
+
+def test_a_doubled_rho_entry_fails_idempotence(monkeypatch):
+    m = trivial_fibration(projective_space(2), projective_space(1))
+    b = ((0, 1), (1, 1))  # pi^*(h) * T_1
+    projectors = ProjectorFamily.projectors
+
+    def doubled(family):
+        rho = projectors(family)
+        rho[(0, 1)][b] = {b: 2}
+        return rho
+
+    monkeypatch.setattr(ProjectorFamily, "projectors", doubled)
+    report = verify_projector_family(ProjectorFamily(m), samples=2)
+    assert {c.label: c.details for c in report.checks if not c.passed} == {
+        "idempotence": ["rho (0, 1) is not idempotent on codim 1"],
+        "completeness": ["rho sum is not the identity on codim 1"],
+    }
+
+
+# -- random projective bundles ---------------------------------------------------
+
+
+BUNDLE_BASES = (projective_space(1), projective_space(2), grassmannian(2, 4))
+
+
+@st.composite
+def bundle_models(draw):
+    base = draw(st.sampled_from(BUNDLE_BASES))
+    rank = draw(st.integers(min_value=2, max_value=3))
+    chern = [
+        Cycle(base, {c.key: draw(st.integers(min_value=-3, max_value=3))
+                     for c in base.cells_of_codim(i)})
+        for i in range(1, rank + 1)
+    ]
+    return projective_bundle_model(base, chern, rank=rank)
+
+
+@settings(max_examples=8, deadline=None)
+@given(bundle_models())
+def test_random_bundles_pass_every_model_check(model):
+    assert validate_fibration(model).passed
+    family = build_projector_family(model)
+    assert verify_projector_family(family, samples=3).passed
+    assert verify_ck(lift_ck(model)).passed
+    assert decompose_model(model).report.passed
+    same_sweep(model, module_basis(model))
+
+
+# -- perturbed fibration tables ---------------------------------------------------
+
+
+def one_order_table(model):
+    return {
+        (g1, g2): dict(entry)
+        for g1, row in model._table.items()
+        for g2, entry in row.items()
+        if g1 <= g2
+    }
+
+
+def perturbed_copies(model):
+    """(g1, g2, fresh model) for every +1 on one base coefficient of one entry
+    T_g1 * T_g2 of non-unit generators (the unit row is fixed by construction)."""
+    unit = model.fiber.unit_cell.key
+    for (g1, g2), entry in one_order_table(model).items():
+        if unit in (g1, g2):
+            continue
+        for k in model.generators:
+            for cell in model.base.cells:
+                table = one_order_table(model)
+                bumped = dict(entry)
+                bumped[k] = entry.get(k, model.base.zero()) + model.base.basis_cycle(cell)
+                table[(g1, g2)] = bumped
+                yield g1, g2, FibrationModel(model.base, model.fiber, table, name="perturbed")
+
+
+def names(line, g1, g2):
+    # grading and duality lines name the entry T_g1*T_g2, associativity lines
+    # a triple through both generators: on a P^2 bundle (T_1*T_1)*T_2 reads
+    # the entry T_2*T_2
+    return str(g1) in line and str(g2) in line
+
+
+@pytest.mark.parametrize("model", [hirzebruch(1), bundle_over_gr24()], ids=lambda m: m.name)
+def test_validate_fibration_names_a_perturbed_entry(model):
+    legal = 0
+    for g1, g2, bad in perturbed_copies(model):
+        report = validate_fibration(bad)
+        if report.passed:
+            # moving the twist of hirzebruch(1) by one gives hirzebruch(0)
+            assert bad._table == hirzebruch(0)._table
+            legal += 1
+            continue
+        for check in report.checks:
+            if not check.passed:
+                assert any(names(d, g1, g2) for d in check.details), (g1, g2, check)
+    assert legal == (model is hirzebruch(1))

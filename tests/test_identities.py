@@ -1,22 +1,37 @@
-"""Composition identities and the triple-product composition oracle."""
+"""Composition identities and the triple-product composition oracle: its
+battery against the dense route it replaced (oracles.dense_battery_failures),
+the tables it reads and the maps it keeps."""
+
+import random
+import re
 
 import pytest
 
 from chowkit import (
+    ChowRing,
+    Correspondence,
     compose,
     compose_oracle,
     compose_oracle_battery,
     diagonal,
+    dump_ring,
+    fiber_projectors,
     graph_from_morphism,
     grassmannian,
+    kunneth_product,
     linear_embedding,
     multiplication_correspondence,
+    parse_ring,
     point,
     projective_space,
     run_identity_battery,
     standard_morphisms,
 )
+from chowkit import identities
 from chowkit.identities import collapse_morphism
+from chowkit.sampling import random_correspondence
+
+import oracles
 
 
 def test_standard_morphisms_validate_on_construction():
@@ -153,3 +168,117 @@ def test_oracle_battery_custom_rings_and_determinism():
     b = compose_oracle_battery(rings, samples=5, seed=2).to_dict()
     assert a == b
     assert len(a["checks"]) == 4
+
+
+# -- the oracle and its battery ----------------------------------------------------
+
+
+def test_oracle_battery_names_the_lowest_differing_codim(monkeypatch):
+    """compose and the oracle agree on a perturbed composition whose action
+    differs from g's after f's at two codims, on every other sample."""
+
+    def perturbed(g, f):
+        comp = compose(g, f)
+        A = comp.source
+        if sum(f.cycle.coeffs.values()) % 2:
+            return comp
+        # plus the rank-one projectors of the first cells of the top two codims
+        cell = dict(zip((c.key for c in A.cells), fiber_projectors(A)))
+        terms = comp.cycle + cell[(A.dimension, 1)].cycle + cell[(A.dimension - 1, 1)].cycle
+        return Correspondence(A, A, terms, 0)
+
+    monkeypatch.setattr(identities, "compose", perturbed)
+    monkeypatch.setattr(identities, "compose_oracle", lambda g, f: perturbed(g, f).cycle)
+    rings = (projective_space(1), projective_space(2), grassmannian(2, 4))
+    report = compose_oracle_battery(rings, samples=6, seed=3)
+    got = {check.label: check.details for check in report.checks}
+    want = oracles.dense_battery_failures(rings, 6, 3)
+    assert got == want
+    assert all(want.values()) and not all(len(fails) == 6 for fails in want.values())
+    assert {line.split(" codim ")[1] for fails in want.values() for line in fails} == {"0", "1", "3"}
+
+
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
+def test_oracle_does_not_use_the_middle_pairing(monkeypatch):
+    """The oracle reads neither B's pair_degree nor its partner index;
+    compose reads B's pairing, through the partners its kept plans hold."""
+    # private rings, so that no plan or partner index is filled yet
+    p1, p2, g24 = (parse_ring(dump_ring(r)) for r in (projective_space(1), projective_space(2), grassmannian(2, 4)))
+    rng = random.Random(5)
+    for A, B, C in ((p1, g24, p2), (p2, p2, p2)):
+        f = random_correspondence(rng, A, B, offset=0)
+        g = random_correspondence(rng, B, C, offset=0)
+        before = compose_oracle(g, f)
+        with monkeypatch.context() as m:
+            m.setattr(B, "pair_degree", _refuse("pair_degree"))
+            m.setattr(B, "partners", _refuse("partners"))
+            assert compose_oracle(g, f) == before
+            with pytest.raises(AssertionError, match="partners called"):
+                compose(g, f)
+        assert before == compose(g, f).cycle and not before.is_zero()
+        # with the kept plan and partner index cleared, compose reads B's
+        # pair_degree again
+        f.ring._right_partners.clear()
+        B._partners.clear()
+        with monkeypatch.context() as m:
+            m.setattr(B, "pair_degree", _refuse("pair_degree"))
+            assert compose_oracle(g, f) == before
+            with pytest.raises(AssertionError, match="pair_degree called"):
+                compose(g, f)
+        assert compose(g, f).cycle == before
+
+
+def test_oracle_battery_fails_on_one_corrupted_triple_table_entry():
+    """The oracle reads the triple product's table: scaling the B-point
+    coefficient of one entry in a built row of (P^1 x P^2) x P^1 fails the
+    battery on that ring pair, naming the samples, and on no other."""
+    # private rings, so that the corrupted row stays in this test
+    p1, p2 = (parse_ring(dump_ring(projective_space(n))) for n in (1, 2))
+    rng = random.Random(0)
+    compose_oracle(random_correspondence(rng, p2, p1), random_correspondence(rng, p1, p2))
+    AB, BC = kunneth_product(p1, p2), kunneth_product(p2, p1)
+    triple = kunneth_product(AB, p1)
+    up_f, up_g, down, _ = triple._oracle
+    h, unit = p2.cell("h").key, p1.unit_cell.key
+    # (1 x h) x 1 times (1 x h) x h is (1 x pt) x h: one term, on B's point class
+    row = triple._table[up_f[AB._pair_to_key[(unit, h)]]]
+    entry = row[up_g[BC._pair_to_key[(h, p1.cell("h").key)]]]
+    (point,) = [key for key in entry if key in down]
+    entry[point] *= 3
+    report = compose_oracle_battery((p1, p2), samples=6, seed=1)
+    got = {check.label: check.details for check in report.checks}
+    bad = got.pop("P^1 => P^2 => P^1")
+    assert bad and all(re.fullmatch(r"sample \d: contraction differs from the oracle", d) for d in bad)
+    assert not report.passed and not any(got.values())
+
+
+def test_oracle_maps_are_built_once_per_triple_and_kept_on_it(monkeypatch):
+    # private rings, so that no earlier test has built their maps
+    p1, p2 = (parse_ring(dump_ring(projective_space(n))) for n in (1, 2))
+    built = []
+    real = identities._oracle_maps
+    monkeypatch.setattr(identities, "_oracle_maps", lambda triple: built.append(triple) or real(triple))
+    # the oracle walks the triple product's table rows itself: no ring
+    # product and no contraction
+    calls = []
+    monkeypatch.setattr(ChowRing, "multiply", lambda *args: calls.append("multiply"))
+    monkeypatch.setattr(identities, "compose", lambda *args: calls.append("compose"))
+    rng = random.Random(7)
+    triples = [(p1, p2, p1), (p2, p1, p2), (p1, p2, p2)]
+    for _ in range(3):
+        for A, B, C in triples:
+            f = random_correspondence(rng, A, B, offset=0)
+            g = random_correspondence(rng, B, C, offset=0)
+            compose_oracle(g, f)
+    rings = [kunneth_product(kunneth_product(A, B), C) for A, B, C in triples]
+    assert built == rings  # one build per triple, on its first call
+    assert calls == []
+    for (A, B, C), ring in zip(triples, rings):
+        assert ring._oracle is not None and ring._oracle[-1] is kunneth_product(A, C)
+        assert kunneth_product(A, B)._oracle is None and kunneth_product(A, C)._oracle is None

@@ -1,5 +1,7 @@
 """Every name a chowkit module imports at top level is used in that module,
 and every function, class and method it defines is named somewhere else.
+The same holds for the test helpers (oracles.py, checks.py and corpus.py)
+among the tests, and no test module imports from another.
 
 The package's ``__init__`` re-exports what it imports and is left out, and
 so is ``from __future__``.  Imports inside a function are that function's
@@ -18,6 +20,8 @@ import chowkit
 PACKAGE = Path(chowkit.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]  # the repository: README.md, perfbench/
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+HELPERS = ["checks.py", "corpus.py", "oracles.py"]
 
 
 def unused_imports(source):
@@ -98,3 +102,39 @@ def test_an_unnamed_definition_is_named():
     # a self-call is not a use; a hooked "module.Class.method" string is
     assert unnamed_defs(sources, ["lib.py"]) == [("lib.py", 9, "planted"), ("lib.py", 17, "dropped")]
     assert unnamed_defs(sources, ["lib.py"], "The README names `dropped`.") == [("lib.py", 9, "planted")]
+
+
+def test_every_test_helper_is_named_by_the_tests():
+    """No helper that no test reaches: every definition of oracles.py,
+    checks.py and corpus.py is named by a test module or another helper."""
+    sources = {p.name: p.read_text() for p in TESTS.glob("*.py")}
+    assert unnamed_defs(sources, HELPERS) == []
+
+
+def imports_of_test_modules(sources):
+    """(module, line, imported module) of each import, at any depth, of one
+    test_* module by another."""
+    out = []
+    for module, code in sources.items():
+        for node in ast.walk(ast.parse(code)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            out += [(module, node.lineno, name) for name in names if name.startswith("test_")]
+    return out
+
+
+def test_no_test_module_imports_another():
+    """What two test modules share lives in a helper module."""
+    sources = {p.name: p.read_text() for p in TESTS.glob("test_*.py")}
+    assert imports_of_test_modules(sources) == []
+
+
+def test_an_import_of_a_test_module_is_named():
+    sources = {
+        "test_a.py": "import checks\nfrom test_b import helper\n\n\ndef f():\n    import test_c\n",
+        "test_b.py": "from corpus import P1\nimport oracles, test_a as a\n",
+    }
+    assert imports_of_test_modules(sources) == [
+        ("test_a.py", 2, "test_b"), ("test_a.py", 6, "test_c"), ("test_b.py", 2, "test_a"),
+    ]

@@ -1,4 +1,12 @@
-"""Motives: cell projectors, rank-one decompositions, the tensor identity."""
+"""Motives: cell projectors, rank-one decompositions, the tensor identity.
+
+Each ring keeps one cell-projector system: fiber_projectors(ring) and the
+action columns of each projector are built once per ring, and every suite,
+cellular_ck, decompose_model, lifted_blocks and verify_motive_isomorphism
+read the kept ones.
+"""
+
+import sys
 
 import pytest
 
@@ -19,11 +27,15 @@ from chowkit import (
     verify_projector_system,
     zero_correspondence,
 )
-from chowkit import correspondences, motives
-from chowkit.correspondences import act
+from chowkit import cli, correspondences, linalg, motives
+from chowkit.catalog import resolve
+from chowkit.correspondences import act, action_columns
 from chowkit.fibrations import ProjectorFamily
-from chowkit.fileio import dump_ring, parse_ring
-from chowkit.linalg import apply, combine, rank
+from chowkit.fileio import dump_ring, parse_ring, save_fibration, save_ring
+from chowkit.linalg import apply, block_rank, codim_blocks, combine, matrix_sum, rank
+from chowkit.murre import cellular_ck
+
+from corpus import DOUBLED, standard_rings
 
 
 def test_fiber_projectors_are_rank_one():
@@ -208,3 +220,139 @@ def test_tensor_identity_small_pairs():
     report = verify_motive_isomorphism(trivial_fibration(p1, p1))
     assert report.subject == "h(P^1 x P^1 (trivial)) = h(P^1) x h(P^1)"
     assert [c.count for c in report.checks] == [4, 4, 5, 2]
+
+
+# -- ranks and perturbed pieces ---------------------------------------------------------
+
+
+def count_ranks(monkeypatch):
+    """The matrices linalg.rank is called on, through every chowkit module's
+    binding of it."""
+    calls = []
+    rank = linalg.rank
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chowkit"):
+            for attr, value in list(vars(module).items()):
+                if value is rank:
+                    monkeypatch.setattr(module, attr, lambda a: calls.append(a) or rank(a))
+    return calls
+
+
+def test_decompose_model_ranks_each_piece_once(monkeypatch):
+    model = resolve("product:p4,p4")
+    calls = count_ranks(monkeypatch)
+    dec = decompose_model(model)
+    # one elimination per piece at most, where one per (piece, codim) made 225
+    assert len(dec.pieces) == 25
+    assert 0 < len(calls) <= len(dec.pieces)
+
+
+@pytest.mark.parametrize(
+    "ring", standard_rings() + [grassmannian(2, 6), DOUBLED], ids=lambda r: r.name
+)
+def test_motive_rank_table_matches_the_block_ranks(ring):
+    columns = {k: action_columns(p) for k, p in enumerate(fiber_projectors(ring))}
+    codim_of, blocks = codim_blocks(ring, columns)
+    want = {
+        p: tuple(block_rank(codim_of, b, p) for b in blocks.values())
+        for p in range(ring.dimension + 1)
+    }
+    dec = decompose_motive(ring)
+    assert dec.rank_table == want
+    assert dec.codim_profile() == tuple(
+        next(p for p in sorted(want) if want[p][k]) for k in range(len(columns))
+    )
+
+
+def test_decompose_model_catches_a_perturbed_piece(monkeypatch):
+    build = ProjectorFamily.placed_operators
+
+    def perturbed(family, maps):
+        ops = build(family, maps)
+        if "(T[h], 1)" in ops:
+            ops["(T[h], 1)"] = matrix_sum(((2, ops["(T[h], 1)"]),))
+        return ops
+
+    monkeypatch.setattr(ProjectorFamily, "placed_operators", perturbed)
+    with pytest.raises(ValueError) as err:
+        decompose_model(hirzebruch(1))
+    message = str(err.value)
+    assert "piece (T[h], 1) is not idempotent on codim 1" in message
+    assert "piece sum is not the identity on codim 1" in message
+
+
+# -- each ring keeps one cell-projector system --------------------------------------
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """(rings whose cell projectors were built, one entry per cell; the
+    correspondences whose action was walked; the unspied _action_map)."""
+    built, walked = [], []
+    external = motives.external_product
+    read = correspondences._action_map
+    monkeypatch.setattr(motives, "external_product", lambda a, b: built.append(a.ring) or external(a, b))
+    monkeypatch.setattr(correspondences, "_action_map", lambda f: walked.append(f) or read(f))
+    return built, walked, read
+
+
+def loaded(monkeypatch, name):
+    """The targets cli.<name> loads, recorded as they load."""
+    targets, load = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda path: targets.append(load(path)) or targets[-1])
+    return targets
+
+
+def assert_kept_once(ring, built, walked, read):
+    ps = fiber_projectors(ring)
+    assert sum(r is ring for r in built) == len(ring.cells)  # one build
+    assert [id(f) for f in walked if f.source is ring] == [id(p) for p in ps]  # one walk each
+    # no caller mutated the kept columns
+    assert all(action_columns(p) == read(p) for p in ps)
+
+
+def test_a_ring_verify_builds_its_cell_projectors_and_their_actions_once(
+    spies, monkeypatch, tmp_path, capsys
+):
+    # a ring read from a file is private, so no earlier test has kept its system
+    path = tmp_path / "gr24.json"
+    save_ring(grassmannian(2, 4), path)
+    rings = loaded(monkeypatch, "load_ring")
+    code = cli.main(["verify", "--ring-file", str(path), "--suite", "all", "--samples", "5"])
+    capsys.readouterr()
+    assert code == cli.EXIT_PASS
+    (ring,) = rings
+    assert_kept_once(ring, *spies)
+
+
+def test_a_model_verify_builds_each_factor_system_once(spies, monkeypatch, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    save_fibration(product_model(grassmannian(2, 4), projective_space(2)), path)
+    models = loaded(monkeypatch, "load_fibration")
+    argv = ["verify", "--fibration-file", str(path), "--suite", "all", "--samples", "5"]
+    assert cli.main(argv) == cli.EXIT_PASS
+    capsys.readouterr()
+    (model,) = models
+    assert verify_motive_isomorphism(model).passed
+    built, walked, read = spies
+    assert {id(r) for r in built} == {id(model.base), id(model.fiber)}
+    for ring in (model.base, model.fiber):
+        assert_kept_once(ring, *spies)
+
+
+def test_fiber_projectors_hands_out_a_fresh_list():
+    ring = projective_space(2)
+    ps = fiber_projectors(ring)
+    ps[0] = ps[0] * 2
+    again = fiber_projectors(ring)
+    assert again is not ps and again[0] is not ps[0]
+    assert all(a is b for a, b in zip(again[1:], ps[1:]))
+
+
+@pytest.mark.parametrize("ring", standard_rings(), ids=lambda r: r.name)
+def test_the_cellular_projectors_keep_their_own_action(ring):
+    # cellular_ck keeps the sum of the cell actions as each projector's
+    # action; it must be the action a fresh walk of the summed cycle reads
+    read = correspondences._action_map
+    for p in cellular_ck(ring).projectors.values():
+        assert action_columns(p) == read(p)

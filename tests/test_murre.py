@@ -1,20 +1,36 @@
-"""Chow-Kunneth decompositions: cellular construction, the lift, batteries."""
+"""Chow-Kunneth decompositions: cellular construction, the lift, batteries.
+
+The operators are written from keys (ProjectorFamily.placed_operators) and
+meet their reference in test_differential.py; here they also act on random
+cycles as the closure route does (sweep, peel, act, reassemble), hold no
+empty column, are built once per model, and the matrix checkers fail on
+perturbed ones.  Block ranks read only the block's own codim, against the
+dense rank the sparse layout replaced.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chowkit import (
     CKDecomposition,
+    KunnethRing,
     ambient_extend,
+    build_projector_family,
     cellular_ck,
     ck_battery,
     correspondence_from_action,
+    decompose_model,
     diagonal,
+    dump_ring,
     grassmannian,
     hirzebruch,
     kunneth_product,
-    lift_base_correspondence,
     lift_ck,
     lifted_blocks,
+    parse_ring,
     point,
     product_model,
     projective_bundle_model,
@@ -25,14 +41,23 @@ from chowkit import (
     verify_block_diagonality,
     verify_ck,
     verify_motive_isomorphism,
+    verify_projector_family,
     zero_correspondence,
 )
-from chowkit import murre
+from chowkit import fibrations, murre
 from chowkit.correspondences import act, action_columns
 from chowkit.fibrations import ProjectorFamily
-from chowkit.linalg import apply, matrix_sum
+from chowkit.linalg import after, apply, block_rank, codim_blocks, combine, matrix_sum, rank
+from chowkit.motives import fiber_projectors
+from chowkit.sampling import seeded_rng
 
-from corpus import bundle_over_gr24, flat_square, nonassociative, standard_models, standard_rings
+import oracles
+from corpus import ENTRIES, bundle_over_gr24, fibered_cycles, flat_square, fresh_hirzebruch
+from corpus import identity_added_to_block_00, nonassociative, off_codim_image, perturbed_pi2
+from corpus import standard_models, standard_rings
+
+# the models of the corpus that pass every law
+MODELS = [*ENTRIES["model"].values(), *ENTRIES["extended model"].values()]
 
 
 def projector_rank(action, k):
@@ -219,27 +244,6 @@ def test_projector_ranks_line_sums_each_degree(make):
     assert want in rep.lines()
 
 
-def test_lift_base_correspondence_odd_degree_is_zero():
-    m = hirzebruch(1)
-    d = diagonal(m.base)
-    op = lift_base_correspondence(m, d, 1)
-    y = m.cycle({(0, 1): m.base.cycle({"1": 2, "h": 3})})
-    assert op == {} and apply(op, y.vector()) == {}
-    with pytest.raises(ValueError, match="self-correspondence of the base"):
-        lift_base_correspondence(m, diagonal(projective_space(2)), 0)
-
-
-def test_lift_base_correspondence_even_degree_peels():
-    m = hirzebruch(1)
-    d = diagonal(m.base)
-    y = m.cycle({(0, 1): m.base.cycle({"1": 2, "h": 3}), (1, 1): m.base.cycle({"1": 5})})
-    # degree 0 keeps the T[1] slice, degree 2 the T[h] slice
-    low = m.cycle({(0, 1): m.base.cycle({"1": 2, "h": 3})})
-    assert apply(lift_base_correspondence(m, d, 0), y.vector()) == low.vector()
-    high = m.cycle({(1, 1): m.base.cycle({"1": 5})})
-    assert apply(lift_base_correspondence(m, d, 2), y.vector()) == high.vector()
-
-
 def test_lifted_blocks_partition_the_grid():
     model = hirzebruch(1)
     blocks = lifted_blocks(model)
@@ -392,3 +396,325 @@ def test_motive_isomorphism_on_the_failing_golden_models():
     (check,) = [c for c in validate_fibration(m).checks if not c.passed]
     assert check.label == "associativity on generators"
     assert "associativity fails at generators (1, 1), (1, 1), (2, 1)" in check.details
+
+
+# -- operators written from keys -------------------------------------------------------
+
+
+# the closure route sweeps each input through the reference once per
+# operator, so it keeps to the standard models and two more
+@pytest.mark.parametrize("model", standard_models() + [
+    ambient_extend(hirzebruch(1), projective_space(1)),
+    bundle_over_gr24(),
+], ids=lambda m: m.name)
+def test_matrices_match_the_closure_route(model):
+    # each operator applied to cycles, against the reference swept on each
+    blocks, slots = lifted_blocks(model), oracles.block_slots(model)
+    pairs = [(f"block {key}", blocks.get(key, {}), block) for key, block in slots.items()]
+    lifted = lift_ck(model)
+    pairs += [(f"Pi_{k}", lifted.projectors[k], [s for (i, j), b in slots.items() if i + j == k for s in b])
+              for k in range(2 * model.dimension + 1)]
+    base_ps = fiber_projectors(model.base)
+    dec = decompose_model(model)
+    expected = [(g, bp) for g in model.generators for bp in base_ps]
+    assert len(dec.pieces) == len(expected)
+    pairs += [(f"piece {label}", op, [slot]) for (label, _, op), slot in zip(dec.pieces, expected)]
+    for n, y in enumerate(fibered_cycles(seeded_rng(0), model)):
+        alphas = oracles.sweep(model, y)
+        for name, op, ref in pairs:
+            want = oracles.peeled(model, ref, alphas).vector()
+            assert apply(op, y.vector()) == want, f"{name} differs on input {n} of {model.name}"
+
+
+def count_sweeps(monkeypatch):
+    calls = []
+    sweep = ProjectorFamily.apply_all_with_coefficients
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "apply_all_with_coefficients",
+        lambda fam, y: calls.append(y) or sweep(fam, y),
+    )
+    return calls
+
+
+def count_builds(monkeypatch):
+    calls = []
+    build = ProjectorFamily.placed_operators
+    monkeypatch.setattr(
+        ProjectorFamily,
+        "placed_operators",
+        lambda fam, maps: calls.append(list(maps)) or build(fam, maps),
+    )
+    return calls
+
+
+def test_sweeps_run_once_per_basis_element(monkeypatch):
+    # at most once, and here never: the lift and the decomposition place
+    # every operator from keys
+    model = fresh_hirzebruch()
+    calls = count_sweeps(monkeypatch)
+    assert verify_ck(lift_ck(model)).passed
+    assert decompose_model(model).report.passed
+    assert calls == []
+
+
+def test_one_family_serves_every_operator_of_a_model(monkeypatch):
+    # the model's laws are checked once, by its one family, for every operator
+    model = fresh_hirzebruch()
+    checked = []
+    laws = fibrations._lemma_laws
+    monkeypatch.setattr(fibrations, "_lemma_laws", lambda m: checked.append(m) or laws(m))
+    lift_ck(model)
+    assert verify_block_diagonality(model).passed
+    decompose_model(model)
+    assert verify_projector_family(build_projector_family(model), samples=3).passed
+    assert verify_motive_isomorphism(model).passed
+    assert checked == [model]
+
+
+def test_blocks_are_built_once_per_model(monkeypatch):
+    model = fresh_hirzebruch()
+    builds = count_builds(monkeypatch)
+    base_checks = []
+    cellular = murre.cellular_ck
+    monkeypatch.setattr(murre, "cellular_ck", lambda ring: base_checks.append(ring) or cellular(ring))
+    first = lift_ck(model)
+    second = lift_ck(model)
+    assert verify_block_diagonality(model).passed
+    assert builds == [[(0, 0), (0, 2), (2, 0), (2, 2)]]
+    assert base_checks == [model.base]  # the base's cellular CK is built and checked once
+    assert build_projector_family(model).blocks is lifted_blocks(model)
+    # each lift sums the kept blocks into fresh matrices
+    assert first.projectors[2] == second.projectors[2]
+    assert first.projectors[2] is not second.projectors[2]
+    decompose_model(model)
+    assert len(builds) == 2 and len(builds[1]) == len(model.basis_keys())
+
+
+def count_products(monkeypatch):
+    calls = []
+    monkeypatch.setattr(murre, "apply", lambda op, vec: calls.append(op) or apply(op, vec))
+    return calls
+
+
+@pytest.mark.parametrize("model", [
+    hirzebruch(1),
+    bundle_over_gr24(),
+    product_model(projective_space(4), projective_space(3)),
+], ids=lambda m: m.name)
+def test_block_products_stay_within_the_touched_pairs(model, monkeypatch):
+    blocks = lifted_blocks(model)
+    owners = {}
+    for key, m in blocks.items():
+        for b in m:
+            owners.setdefault(b, set()).add(key)
+    # every block a block's image can reach, plus the block itself
+    bound = sum(
+        len({key}.union(*(owners.get(r, ()) for col in m.values() for r in col)))
+        for key, m in blocks.items()
+    )
+    samples = 3
+    calls = count_products(monkeypatch)
+    assert verify_block_diagonality(model, samples=samples, seed=1).passed
+    assert len(calls) <= samples * bound
+    assert samples * len(blocks) <= len(calls)  # the diagonal pairs
+    if len(blocks) > 4:
+        assert len(calls) < samples * len(blocks) ** 2
+
+
+# -- sparse operators hold no empty column ---------------------------------------------
+
+
+def assert_sparse(keys, columns, what):
+    """columns maps basis keys to nonempty columns of nonzero coefficients
+    on basis keys."""
+    for b, col in columns.items():
+        assert b in keys, f"{what}: {b!r} is not a basis key"
+        assert col, f"{what}: empty column at {b!r}"
+        assert all(r in keys and c for r, c in col.items()), f"{what}: column {b!r} is {col!r}"
+
+
+def test_no_model_operator_holds_an_empty_column():
+    for model in MODELS:
+        assert_sparse_operators(model)
+
+
+def assert_sparse_operators(model):
+    """The blocks, projectors and pieces of model, and sums and products of
+    the projectors, hold no empty column and no zero entry."""
+    keys = set(model.basis_keys())
+    ops = {f"block {key}": m for key, m in lifted_blocks(model).items()}
+    pis = lift_ck(model).projectors
+    ops.update((f"Pi_{k}", m) for k, m in pis.items())
+    ops.update((f"piece {label}", m) for label, _, m in decompose_model(model).pieces)
+    for k in range(len(pis) - 1):
+        ops[f"Pi_{k} + Pi_{k + 1}"] = matrix_sum(((1, pis[k]), (1, pis[k + 1])))
+        ops[f"Pi_{k} - Pi_{k}"] = matrix_sum(((1, pis[k]), (-1, pis[k])))
+        ops[f"Pi_{k} @ Pi_{k}"] = after(pis[k], pis[k])
+        ops[f"Pi_{k} @ Pi_{k + 1}"] = after(pis[k], pis[k + 1])
+    total = matrix_sum((1, m) for m in pis.values())
+    identity = {b: {b: 1} for b in model.basis_keys()}
+    ops["sum of Pi_k"] = total
+    ops["id - sum of Pi_k"] = matrix_sum(((1, identity), (-1, total)))
+    for what, m in ops.items():
+        assert_sparse(keys, m, f"{what} on {model.name}")
+    # zero results hold no column at all
+    assert ops["Pi_0 - Pi_0"] == {} and ops["id - sum of Pi_k"] == {}
+    assert total == identity
+
+
+@pytest.mark.parametrize("ring", standard_rings(), ids=lambda r: r.name)
+def test_no_action_holds_an_empty_column(ring):
+    keys = {cell.key for cell in ring.cells}
+    ps = list(cellular_ck(ring).projectors.values()) + fiber_projectors(ring)
+    for n, p in enumerate(ps):
+        assert_sparse(keys, action_columns(p), f"projector {n} on {ring.name}")
+    if ring.dimension:
+        assert action_columns(cellular_ck(ring).projectors[1]) == {}  # odd degree: zero
+
+
+def test_apply_drops_cancelled_terms():
+    f = {"x": {"b": 1}, "y": {"b": 1, "c": 2}, "z": {"b": Fraction(1, 2)}}
+    vecs = [{"x": 1, "y": -1}, {"x": 1, "z": -2}, {"x": 2, "y": 1}, {"w": 5}, {}, {"y": Fraction(1, 2)}]
+    for vec in vecs:
+        got = apply(f, vec)
+        assert got == combine((c, f[k]) for k, c in vec.items() if k in f)
+        assert all(got.values())
+    assert apply(f, {"x": 1, "z": -2}) == {}
+    # a column whose image cancels leaves no empty column after composition
+    assert after(f, {"p": {"x": 1, "z": -2}, "q": {"y": 1}}) == {"q": {"b": 1, "c": 2}}
+
+
+# -- block ranks count only the block's own codim ------------------------------------
+
+
+def dense_rank(space, columns, j):
+    """The rank of block (k, j) as the dense layout took it: linalg.rank of
+    the column_matrix of every codim-j column, whose rows are the block's
+    own codim-j keys."""
+    cols = {b: columns.get(b, {}) for b in space.basis_keys(j)}
+    return rank(tuple(tuple(col.get(r, 0) for col in cols.values()) for r in cols))
+
+
+def assert_window_matches(ck):
+    ranks = verify_action_window(ck).table["ranks"]
+    for k, m in ck.projectors.items():
+        for j in range(ck.space.dimension + 1):
+            want = dense_rank(ck.space, m, j)
+            assert ranks[k, j] == want, f"block ({k}, {j}) of {ck.name}"
+
+
+def test_lifted_block_ranks_match_the_dense_rank():
+    for model in MODELS:
+        assert_window_matches(lift_ck(model))
+
+
+@pytest.mark.parametrize("build", [perturbed_pi2, off_codim_image], ids=lambda f: f.__name__)
+def test_ill_graded_block_ranks_match_the_dense_rank(build):
+    assert_window_matches(build())
+
+
+# basis keys by codim of a small space for random blocks
+BASIS = {0: [("a", 1), ("a", 2)], 1: [("b", 1), ("b", 2), ("b", 3)], 2: [("c", 1), ("c", 2)]}
+SPACE = SimpleNamespace(dimension=2, basis_keys=BASIS.__getitem__)
+KEYS = [b for keys in BASIS.values() for b in keys]
+
+
+# columns of any codim with entries in rows of any codim
+sparse_matrices = st.dictionaries(
+    st.sampled_from(KEYS),
+    st.dictionaries(st.sampled_from(KEYS), st.integers(-2, 2).filter(bool), min_size=1),
+    max_size=len(KEYS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices)
+# only an off-codim entry: rank 0, not 1
+@example({("a", 1): {("b", 1): 1}})
+# equal on the codim-1 rows, apart only off codim: rank 1, not 2
+@example({("b", 1): {("b", 1): 1, ("a", 1): 1}, ("b", 2): {("b", 1): 1, ("c", 1): 1}})
+def test_random_block_ranks_match_the_dense_rank(columns):
+    codim_of, blocks = codim_blocks(SPACE, {"m": columns})
+    for j in BASIS:
+        assert block_rank(codim_of, blocks["m"], j) == dense_rank(SPACE, columns, j)
+
+
+# -- the matrix checkers can fail -------------------------------------------------
+
+
+def conditions(report):
+    return {c.label: (c.status, c.details) for c in report.checks}
+
+
+def test_verify_ck_catches_a_perturbed_entry():
+    status = conditions(verify_ck(perturbed_pi2()))
+    assert status["(a) idempotence"] == ("FAIL", ["projector 2 is not idempotent on codim 1"])
+    assert status["(a) completeness (sum = identity)"] == (
+        "FAIL", ["projector sum is not the identity on codim 1"]
+    )
+    assert status["grading (projectors preserve codimension)"][0] == "pass"
+
+
+def test_verify_ck_catches_an_off_codim_image():
+    report = verify_ck(off_codim_image())
+    assert not report.passed
+    assert conditions(report)["grading (projectors preserve codimension)"] == (
+        "FAIL", ["projector 0 moves codim 0 into codims [1]"]
+    )
+
+
+def test_block_diagonality_catches_a_perturbed_block(monkeypatch):
+    model = hirzebruch(1)
+    identity_added_to_block_00(monkeypatch, model)
+    report = verify_block_diagonality(model, samples=2, seed=3)
+    assert not report.passed
+    check = report.checks[0]
+    label, ok, details = check.label, check.passed, check.details
+    assert label == "2 random cycles, 9 blocks" and not ok
+    assert "sample 0: block (0, 0) after block (0, 0) is not the block itself" in details
+    assert "sample 1: block (0, 2) after block (0, 0) is not zero" in details
+
+
+def test_isomorphism_builds_no_product_of_x_times_z_with_itself(monkeypatch):
+    # private rings, so that no memoized product hides a build
+    x, z = (parse_ring(dump_ring(projective_space(4))) for _ in range(2))
+    model = product_model(x, z)
+    built = []
+    init = KunnethRing.__init__
+
+    def spy(ring, left, right):
+        built.append(left)
+        init(ring, left, right)
+
+    monkeypatch.setattr(KunnethRing, "__init__", spy)
+    assert verify_motive_isomorphism(model).passed
+    assert built  # the factors' own squares and X x Z
+    assert not any(left is kunneth_product(x, z) for left in built)
+
+
+def test_isomorphism_names_a_doubled_fiber_cell_projector(monkeypatch):
+    model = product_model(projective_space(2), grassmannian(2, 4))
+    fiber, g = model.fiber, (2, 2)
+    real = murre.fiber_projectors
+
+    def doubled(ring):
+        ps = real(ring)
+        if ring is fiber:
+            i = ring.basis_keys().index(g)
+            ps[i] = ps[i] * 2
+        return ps
+
+    # the blocks are rebuilt under the patch, which leaves the base's CK intact
+    monkeypatch.setattr(build_projector_family(model), "blocks", None)
+    monkeypatch.setattr(murre, "fiber_projectors", doubled)
+    lifted_blocks(model)
+    # pi_{4 + 2i} holds p_g crossed with the codim-i cell of P^2
+    assert failures(verify_motive_isomorphism(model)) == {
+        "F Pi_k = pi_k F": [
+            f"degree {4 + 2 * i}: first differs at basis key ({g}, ({i}, 1))" for i in range(3)
+        ],
+        "F rho_g = (Delta_X x p_g) F": [
+            f"generator {g}: first differs at basis key ({g}, (0, 1))"
+        ],
+    }

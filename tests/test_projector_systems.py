@@ -28,43 +28,18 @@ from chowkit import (
     zero_correspondence,
 )
 from chowkit import linalg
-from chowkit.correspondences import Correspondence, action_columns, compose
+from chowkit.correspondences import Correspondence, action_columns
 from chowkit.fileio import dump_ring, parse_ring
-from chowkit.linalg import invert, mat_mul, projector_system_failures
+from chowkit.linalg import invert, projector_system_failures
 from chowkit.motives import fiber_projectors
 
 from corpus import degenerate_surface_doc, standard_rings
+from oracles import compose_failures, mat_mul
 
 RINGS = standard_rings() + [kunneth_product(projective_space(1), grassmannian(2, 4))]
 
 
-# -- the compose-based cycle checks, kept here as the reference ------------------
-
-
-def compose_failures(ring, projs):
-    """Where {name: projector} fails, on the compose route: ([(k, p)] with
-    compose(P_k, P_k) - P_k nonzero, [(l, k, p)] with compose(P_l, P_k)
-    nonzero, [p] with the sum minus the diagonal nonzero), by source codim
-    p, in the order projector_system_failures names them.  A term a x b of
-    a degree-0 self-correspondence acts on CH^{n - codim a}, so each
-    cycle's failing codims are read off its terms."""
-    n = ring.dimension
-
-    def codims(f):
-        return sorted({n - f.ring._key_to_pair[key][0].codim for key in f.cycle.coeffs})
-
-    idem = [(k, p) for k, f in projs.items() for p in codims(compose(f, f) - f)]
-    orth = [
-        (l, k, p)
-        for k, f in projs.items()
-        for l, g in projs.items()
-        if l != k
-        for p in codims(compose(g, f))
-    ]
-    total = zero_correspondence(ring, ring, 0)
-    for f in projs.values():
-        total = total + f
-    return idem, orth, codims(total - diagonal(ring))
+# -- the compose-based cycle checks (oracles.compose_failures) -------------------
 
 
 def compose_details(ring, projs, labels):

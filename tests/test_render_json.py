@@ -1,12 +1,21 @@
-"""render_json writes every report byte for byte as json.dumps(indent=2)."""
+"""render_json writes every report byte for byte as json.dumps(indent=2).
 
+A list of flat int records renders through one row template (cli._records);
+every other list takes the general path.
+"""
+
+import enum
+import io
 import json
 import math
 import pathlib
+from collections import OrderedDict
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chowkit import cli
 from chowkit.cli import render_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -113,3 +122,83 @@ def test_nan_keys_and_values_still_match():
     # float keys go through json's float text; nan and infinities are allowed
     nan = float("nan")
     same({nan: nan, math.inf: -math.inf})
+
+
+# -- the record template -------------------------------------------------------------
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+class Key(str):
+    pass
+
+
+def _rows(*rows):
+    return [dict(r) for r in rows]
+
+
+TEMPLATED = {
+    "rank rows": _rows({"degree": 0, "codim": 0, "rank": 1}, {"degree": 1, "codim": 0, "rank": 0}),
+    "negative and 300 digits": _rows({"a": -7, "b": 10**300}, {"a": -(10**299), "b": 0}),
+    "one row": _rows({"rank": 3}),
+    "tuple of rows": tuple(_rows({"x": 1, "y": 2}, {"x": 3, "y": 4})),
+    "non-ascii and escaped keys": _rows(
+        {"é": 1, "日本": 2, '"q"': 3, "back\\slash": 4, "tab\t\n": 5, "\x00": 6, "\U0001f600": 7},
+        {"é": -1, "日本": -2, '"q"': -3, "back\\slash": -4, "tab\t\n": -5, "\x00": -6, "\U0001f600": -7},
+    ),
+    "percent keys": _rows({"50%": 1, "%d": 2, "%%s": 3, "%(x)s": 4}, {"50%": 5, "%d": 6, "%%s": 7, "%(x)s": 8}),
+    "empty key": _rows({"": 1}, {"": 2}),
+}
+
+
+UNTEMPLATED = {
+    "empty list": [],
+    "empty tuple": (),
+    "a True value": _rows({"a": 1, "b": True}, {"a": 2, "b": 3}),
+    "a False first value": _rows({"a": False}, {"a": 0}),
+    "an IntEnum value": _rows({"a": 1}, {"a": Small.ONE}),
+    "another key order": _rows({"a": 1, "b": 2}, {"b": 3, "a": 4}),
+    "another key set": _rows({"a": 1, "b": 2}, {"a": 3, "c": 4}),
+    "a shorter row": _rows({"a": 1, "b": 2}, {"a": 3}),
+    "a longer row": _rows({"a": 1}, {"a": 3, "b": 4}),
+    "empty rows": _rows({}, {}),
+    "a float value": _rows({"a": 1}, {"a": 1.0}),
+    "a None value": _rows({"a": None}, {"a": 1}),
+    "a str value": _rows({"a": "1"}, {"a": 1}),
+    "a nested list": _rows({"a": [1, 2]}, {"a": [3]}),
+    "a nested dict": _rows({"a": {"b": 1}}, {"a": {"b": 2}}),
+    "int keys": _rows({1: 2}, {1: 3}),
+    "a str subclass key": [{Key("a"): 1}, {Key("a"): 2}],
+    "a dict subclass row": [OrderedDict(a=1), OrderedDict(a=2)],
+    "a later dict subclass row": [{"a": 1}, OrderedDict(a=2)],
+    "a non-dict row": [{"a": 1}, [1]],
+    "a None row": [{"a": 1}, None],
+    "a bare int list": [1, 2, 3],
+}
+
+
+@pytest.mark.parametrize("rows", TEMPLATED.values(), ids=TEMPLATED.keys())
+def test_records_render_through_the_template_as_json_does(rows):
+    assert cli._records(rows, "\n  ") is not None
+    for obj in (rows, {"table": rows, "violations": []}, [rows, {"inner": [rows]}]):
+        assert cli.render_json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("rows", UNTEMPLATED.values(), ids=UNTEMPLATED.keys())
+def test_other_lists_take_the_general_path_as_json_does(rows):
+    assert cli._records(rows, "\n  ") is None
+    for obj in (rows, {"table": rows}, [[rows]]):
+        assert cli.render_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_the_ck_document_renders_as_json_does():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["ck", "--catalog", "p30", "--format", "json"]) == 0
+    doc = json.loads(out.getvalue())
+    table = doc["suites"][0]["data"]["action"]["table"]
+    # the dense rank table, zeros included: 61 degrees x 31 codims
+    assert len(table) == 61 * 31 and cli._records(table, "\n  ") is not None
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n" == cli.render_json(doc) + "\n"

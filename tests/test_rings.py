@@ -1,6 +1,7 @@
 """Ring layer: cells, exact cycles, products, pairing, Kunneth."""
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -29,9 +30,11 @@ from chowkit import (
 from chowkit.catalog import grassmannian, point, projective_space
 from chowkit import rings
 from chowkit.linalg import rank as linalg_rank
+from chowkit.sampling import random_correspondence, random_cycle
 
 import oracles
-from corpus import degenerate_surface
+from oracles import entries
+from corpus import REBASED, degenerate_surface, standard_rings
 
 
 def simple_p2():
@@ -639,3 +642,88 @@ def test_kunneth_cells_match_the_full_pair_scan(pair):
     assert {k: (a.key, b.key) for k, (a, b) in ring._key_to_pair.items()} == {
         key: pair_keys for key, _, pair_keys in want
     }
+
+
+# -- partners, unit products and random cycles --------------------------------------
+
+
+def test_partners_are_the_nonzero_pairing_entries():
+    p1, p2, g24 = projective_space(1), projective_space(2), grassmannian(2, 4)
+    rings = standard_rings() + [
+        kunneth_product(p1, p1),
+        kunneth_product(p1, p2),
+        kunneth_product(g24, p2),
+        REBASED,
+        kunneth_product(REBASED, p1),
+    ]
+    for ring in rings:
+        n = ring.dimension
+        for p in range(n + 1):
+            cols = ring.cells_of_codim(n - p)
+            for cell, row in zip(ring.cells_of_codim(p), ring.pairing_matrix(p)):
+                want = tuple((c.key, d) for c, d in zip(cols, row) if d)
+                assert ring.partners(cell.key) == want, (ring.name, cell.label)
+    assert REBASED.pairing_matrix(2) == ((1, 1), (1, 2))
+    assert REBASED.partners((2, 2)) == (((2, 1), 1), ((2, 2), 2))
+
+
+def test_kunneth_partners_build_no_row():
+    p = parse_ring(dump_ring(projective_space(3)))  # private, so no row is built elsewhere
+    ring = kunneth_product(p, p)
+    for cell in ring.cells:
+        [(key, d)] = ring.partners(cell.key)  # one dual, of the same index off the middle
+        assert key[0] == 6 - cell.codim and d == 1
+    assert len(ring._table) == 0
+
+
+def _private(ring):
+    """A copy of ring with its own Kunneth products, so that no row or plan
+    of them is built yet."""
+    return parse_ring(dump_ring(ring))
+
+
+def test_a_unit_factor_reads_no_row():
+    """unit * x and x * unit are x, as the table gives, on every standard
+    ring and on products, and build no Kunneth row; a multiple of the unit
+    still goes through the table."""
+    p1, p2, g24 = (_private(r) for r in (projective_space(1), projective_space(2), grassmannian(2, 4)))
+    products = [kunneth_product(p1, p1), kunneth_product(p1, p2), kunneth_product(p2, g24)]
+    products.append(kunneth_product(products[1], p1))
+    rng = random.Random("unit")
+    for ring in [_private(r) for r in standard_rings()] + products:
+        unit = ring.unit()
+        xs = [random_cycle(rng, ring, bound=2), random_cycle(rng, ring, bound=2) * Fraction(2, 3)]
+        xs += [ring.zero(), unit, unit * 2, ring.basis_cycle(ring.point_cell)]
+        got = [(ring.multiply(unit, x), ring.multiply(x, unit)) for x in xs]
+        if ring in products:
+            assert len(ring._table) == 0, ring.name
+        for x, (left, right) in zip(xs, got):
+            want = oracles.multiply(ring, unit, x)
+            assert entries(left) == entries(right) == entries(want) == entries(x)
+            assert left.coeffs is not x.coeffs and right.coeffs is not x.coeffs
+        for scale in (2, Fraction(1, 2)):
+            x = xs[0]
+            if ring in products:
+                ring._table.clear()
+            assert ring.multiply(unit * scale, x) == x * scale == ring.multiply(x, unit * scale)
+            if ring in products:
+                assert ring.unit_cell.key in ring._table  # read the unit's row
+
+
+@pytest.mark.parametrize("bound", [-1, -16, 1.0, Fraction(1), True, "3", None])
+def test_random_cycle_refuses_a_bad_bound_before_drawing(bound):
+    """randint raised on an empty range; a bare redraw loop over a width of
+    zero or less would never end.  A bad bound is refused before any draw."""
+
+    class Watched(random.Random):
+        def getrandbits(self, k):
+            raise AssertionError("drew before refusing the bound")
+
+    error = ValueError if type(bound) is int else TypeError
+    for rng in (Watched(3), random.Random(3)):
+        state = rng.getstate()
+        with pytest.raises(error, match="bound must be"):
+            random_cycle(rng, projective_space(2), bound)
+        with pytest.raises(error, match="bound must be"):
+            random_correspondence(rng, projective_space(1), projective_space(2), 0, bound)
+        assert rng.getstate() == state
