@@ -48,7 +48,6 @@ from .fibrations import (
     verify_projector_family,
 )
 from .motives import (
-    ModelMotiveDecomposition,
     Motive,
     MotiveDecomposition,
     decompose_model,

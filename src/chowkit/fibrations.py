@@ -50,34 +50,9 @@ class FiberedCycle:
         self.model = model
         self.parts = clean
 
-    def is_zero(self):
-        return not self.parts
-
-    def fiber_component(self, gkey):
-        """Base-cycle coefficient of one generator."""
-        gkey = tuple(gkey)
-        return self.parts.get(gkey, self.model.base.zero())
-
     def vector(self):
         """The cycle as a sparse vector {(generator key, base cell key): coefficient}."""
         return {(g, k): c for g, cyc in self.parts.items() for k, c in cyc.coeffs.items()}
-
-    def codims(self):
-        out = set()
-        for gkey, cyc in self.parts.items():
-            out.update(gkey[0] + p for p in cyc.codims())
-        return sorted(out)
-
-    def codim(self):
-        cs = self.codims()
-        if len(cs) != 1:
-            raise ValueError(f"fibered cycle is not homogeneous nonzero: {self!r}")
-        return cs[0]
-
-    def component(self, p):
-        """Total-codimension-p part."""
-        parts = {g: cyc.component(p - g[0]) for g, cyc in self.parts.items()}
-        return FiberedCycle(self.model, parts)
 
     def _require_same_model(self, other):
         if self.model is not other.model:
@@ -205,9 +180,6 @@ class FibrationModel:
     def generator(self, gkey):
         return FiberedCycle(self, {tuple(gkey): self.base.unit()})
 
-    def unit(self):
-        return self.generator(self.fiber.unit_cell.key)
-
     def cycle(self, parts):
         return FiberedCycle(self, parts)
 
@@ -219,10 +191,7 @@ class FibrationModel:
 
     def pushforward(self, y):
         """pi_*: the coefficient of the top fiber generator."""
-        return y.fiber_component(self.fiber.point_cell.key)
-
-    def degree(self, y):
-        return self.base.degree(self.pushforward(y))
+        return y.parts.get(self.fiber.point_cell.key, self.base.zero())
 
     def multiply(self, y1, y2):
         if y1.model is not self or y2.model is not self:

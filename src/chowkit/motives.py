@@ -9,6 +9,8 @@ murre.verify_motive_isomorphism checks that identity exactly.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .correspondences import (
     Correspondence,
     action_columns,
@@ -83,16 +85,17 @@ def verify_projector_system(projectors):
 
 
 class MotiveDecomposition:
-    """The rank-one motives of a cellular ring, with their rank bookkeeping."""
+    """The rank-one pieces of a cellular ring or a fibration model.
 
-    def __init__(self, pieces, rank_table, report):
+    A ring's pieces are Motives; a model's are (label, codim, sparse matrix)
+    operators.  The report holds the verified checks, and its table lists
+    each piece's codim and the ranks per codim.
+    """
+
+    def __init__(self, space, pieces, report):
+        self.space = space
         self.pieces = pieces
-        self.rank_table = rank_table  # codim -> tuple of per-piece ranks
-        self.report = report  # the verified checks; the table lists each piece's codim
-
-    def codim_profile(self):
-        """For each piece, the codimension where its image sits."""
-        return tuple(codim for _, codim in self.report.table["pieces"])
+        self.report = report
 
 
 def decompose_motive(ring):
@@ -123,28 +126,13 @@ def decompose_motive(ring):
         for cell, p in zip(ring.cells, ps)
     )
     # each image is its own cell: one rank in that cell's codim, none elsewhere
-    rank_table = {
-        p: tuple(int(cell.codim == p) for cell in ring.cells) for p in range(ring.dimension + 1)
-    }
     report = Report("ring-decomposition", ring.name, report.checks, table={
         "pieces": [(piece.name, cell.codim) for piece, cell in zip(pieces, ring.cells)],
-        "rank_table": rank_table,
+        "rank_table": {
+            p: tuple(int(cell.codim == p) for cell in ring.cells) for p in range(ring.dimension + 1)
+        },
     })
-    return MotiveDecomposition(pieces, rank_table, report)
-
-
-class ModelMotiveDecomposition:
-    """Rank-one operator pieces of a fibration model, one per pair of a
-    fiber generator and a base cell."""
-
-    def __init__(self, model, pieces, rank_table, report):
-        self.model = model
-        self.pieces = pieces  # (label, codim, sparse matrix)
-        self.rank_table = rank_table  # codim -> piece count
-        self.report = report  # the verified checks; the table lists the pieces
-
-    def rank_profile(self):
-        return tuple(self.report.table["rank_profile"])
+    return MotiveDecomposition(ring, pieces, report)
 
 
 def decompose_model(model):
@@ -179,11 +167,9 @@ def decompose_model(model):
     if not report.passed:
         raise ValueError("\n".join(report.lines()))
 
-    rank_table = {}
-    for _, codim, _ in pieces:
-        rank_table[codim] = rank_table.get(codim, 0) + 1
+    ranks = Counter(codim for _, codim, _ in pieces)
     report = Report("model-decomposition", model.name, report.checks, table={
         "pieces": [(label, codim) for label, codim, _ in pieces],
-        "rank_profile": [rank_table.get(p, 0) for p in range(model.dimension + 1)],
+        "rank_profile": [ranks[p] for p in range(model.dimension + 1)],
     })
-    return ModelMotiveDecomposition(model, tuple(pieces), rank_table, report)
+    return MotiveDecomposition(model, tuple(pieces), report)

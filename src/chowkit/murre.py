@@ -67,9 +67,6 @@ class CKDecomposition:
     def kind(self):
         return "cycle" if isinstance(self.space, ChowRing) else "operator"
 
-    def projector(self, k):
-        return self.projectors[k]
-
     def columns(self):
         """{degree: sparse matrix}; a cycle projector is read through its action."""
         if self.kind == "cycle":

@@ -396,6 +396,22 @@ def block_00_plus_identity(mp):
     return model
 
 
+def rho_column_doubled(mp):
+    """hirzebruch(1), with ProjectorFamily.projectors handing out rho of the
+    top generator with its first column doubled."""
+    projectors = ProjectorFamily.projectors
+
+    def doubled(family):
+        rho = projectors(family)
+        top = rho[family.order[0]]
+        b = next(iter(top))
+        top[b] = {r: 2 * c for r, c in top[b].items()}
+        return rho
+
+    mp.setattr(ProjectorFamily, "projectors", doubled)
+    return hirzebruch(1)
+
+
 # {row name: build(monkeypatch) -> the corrupted model}
 CORRUPTIONS = {
     "flat square": lambda mp: flat_square(),
@@ -407,4 +423,5 @@ CORRUPTIONS = {
         for perturb in (doubled_top, leaked_top, dropped_unit)
     },
     "block (0, 0) plus identity": block_00_plus_identity,
+    "rho column doubled": rho_column_doubled,
 }

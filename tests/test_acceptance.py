@@ -167,7 +167,7 @@ def test_criterion_05_fiber_projector_systems():
         dec = decompose_motive(ring)  # raises if any system check fails
         assert len(dec.pieces) == sum(ring.ranks)
         for p in range(ring.dimension + 1):
-            assert sum(dec.rank_table[p]) == ring.rank(p)
+            assert sum(dec.report.table["rank_table"][p]) == ring.rank(p)
 
 
 def test_criterion_06_operator_vs_cycle_projectors():

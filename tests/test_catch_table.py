@@ -100,6 +100,12 @@ CAUGHT = {
         "verify_block_diagonality": ["2 random cycles, 9 blocks"],
         "verify_motive_isomorphism": ["F Pi_k = pi_k F (lifted vs cellular CK)"],
     },
+    # the rho system checks fail only on a faulty rho; the laws and every
+    # other operator are untouched
+    "rho column doubled": {
+        "verify_projector_family": ["idempotence", "completeness"],
+        "verify_motive_isomorphism": ["F rho_g = (Delta_X x p_g) F (peeled vs cell projectors)"],
+    },
 }
 
 

@@ -329,7 +329,7 @@ def test_ck_point_projector_is_the_diagonal(capsys):
     code, out, _ = run(capsys, "ck", "--catalog", "point")
     assert code == 0
     # the single projector is the diagonal class itself
-    assert cellular_ck(point()).projector(0) == diagonal(point())
+    assert cellular_ck(point()).projectors[0] == diagonal(point())
 
 
 def test_ck_degenerate_ring_is_a_validation_error(capsys, tmp_path):
@@ -470,13 +470,21 @@ def test_zero_samples_is_a_parse_error(capsys, argv):
     assert "expected a positive integer, got 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_a_reader_closing_the_pipe_early_exits_141_quietly(fmt):
-    # the 2.2 MB p100 report outgrows any pipe buffer, so the writer is
-    # still writing when the reader stops after one line (as ``| head -1``)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("ck", "--catalog", "p100", "--format", "json"), id="json"),
+        pytest.param(("verify", "--catalog", "p100", "--suite", "all", "--format", "text"), id="text"),
+    ],
+)
+def test_a_reader_closing_the_pipe_early_exits_141_quietly(argv):
+    # each report is at least twice a 64 KiB pipe buffer (2.2 MB of JSON,
+    # 139 kB of text), so the writer is still writing when the reader stops
+    # after one line (as ``| head -1``), even after the reader's buffered
+    # readline has drained up to 8 KiB of it
     src = os.path.dirname(os.path.dirname(os.path.abspath(chowkit.__file__)))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "chowkit", "ck", "--catalog", "p100", "--format", fmt],
+        [sys.executable, "-m", "chowkit", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": src},
@@ -486,5 +494,5 @@ def test_a_reader_closing_the_pipe_early_exits_141_quietly(fmt):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
-    assert first in (b"{\n", b"chowkit ck: p100\n")
+    assert first in (b"{\n", b"chowkit verify: p100\n")
     assert err == b""

@@ -48,8 +48,9 @@ from chowkit.sampling import random_cycle, random_fibered_cycle, seeded_rng
 
 import oracles
 from checks import same_sweep
-from corpus import A, B, ENTRIES, INDEPENDENCE_MODELS, UNIT, bundle_over_gr24, fibered_cycles, flat_square
-from corpus import fresh_hirzebruch, module_basis, nonassociative, standard_models, unpeeled
+from corpus import A, B, ENTRIES, INDEPENDENCE_MODELS, UNIT, bundle_over_gr24, doubled_top, dropped_unit
+from corpus import fibered_cycles, flat_square, fresh_hirzebruch, leaked_top, module_basis, nonassociative
+from corpus import perturbed_sweep, rho_column_doubled, standard_models, unpeeled
 
 # the models of the corpus that pass every law
 MODELS = [*ENTRIES["model"].values(), *ENTRIES["extended model"].values()]
@@ -59,13 +60,12 @@ def test_fibered_cycle_basics():
     m = hirzebruch(1)
     p1 = m.base
     y = m.cycle({(0, 1): p1.basis_cycle("h"), (1, 1): p1.unit()})
-    assert y.codims() == [1]
-    assert y.codim() == 1
-    assert y.fiber_component((1, 1)) == p1.unit()
-    assert y.fiber_component((0, 1)) == p1.basis_cycle("h")
+    assert set(y.vector()) <= set(m.basis_keys(1))  # homogeneous of codim 1
+    assert y.parts[(1, 1)] == p1.unit()
+    assert y.parts[(0, 1)] == p1.basis_cycle("h")
     z = y - y
-    assert z.is_zero()
-    assert (2 * y).fiber_component((1, 1)) == 2 * p1.unit()
+    assert z.parts == {}
+    assert (2 * y).parts[(1, 1)] == 2 * p1.unit()
     with pytest.raises(ValueError, match="unknown generator"):
         m.cycle({(3, 1): p1.unit()})
     with pytest.raises(ValueError, match="must live on"):
@@ -76,8 +76,12 @@ def test_component_splits_total_codim():
     m = hirzebruch(1)
     p1 = m.base
     y = m.cycle({(0, 1): p1.unit() + p1.basis_cycle("h"), (1, 1): p1.unit()})
-    assert y.component(1) == m.cycle({(0, 1): p1.basis_cycle("h"), (1, 1): p1.unit()})
-    assert y.component(0) == m.unit()
+
+    def component(p):  # the entries of y on the codim-p basis keys
+        return {b: c for b, c in y.vector().items() if b in m.basis_keys(p)}
+
+    assert component(1) == m.cycle({(0, 1): p1.basis_cycle("h"), (1, 1): p1.unit()}).vector()
+    assert component(0) == m.pullback(p1.unit()).vector()
 
 
 def test_model_multiplication_uses_twist():
@@ -97,7 +101,7 @@ def test_pullback_pushforward_adjunction():
     assert m.pushforward(m.pullback(h)).is_zero()  # wrong fiber degree
     xi = m.generator((1, 1))
     assert m.pushforward(m.multiply(m.pullback(h), xi)) == h
-    assert m.degree(m.multiply(m.pullback(h), xi)) == 1
+    assert p1.degree(m.pushforward(m.multiply(m.pullback(h), xi))) == 1
 
 
 def test_rank_identity_all_models():
@@ -125,11 +129,12 @@ def test_coordinates_roundtrip():
     rng = seeded_rng(5)
     y = random_fibered_cycle(rng, m, codim=2)
     # the coordinates along the module basis are the cycle's sparse vector
-    coords = y.component(2).vector()
+    coords = y.vector()
+    assert set(coords) <= set(m.basis_keys(2))
     rebuilt = m.zero()
     for b, y_b in zip(m.basis_keys(2), module_basis(m, 2)):
         rebuilt = rebuilt + coords.get(b, 0) * y_b
-    assert rebuilt == y.component(2)
+    assert rebuilt == y
 
 
 def test_trivial_fibration_agrees_with_kunneth():
@@ -392,12 +397,12 @@ def test_sweep_through_unpeeled_generators():
 
 
 def test_sweep_refuses_a_cycle_of_another_model():
-    model = hirzebruch(1)
+    model, other = hirzebruch(1), hirzebruch(2)
     for sweep in (ProjectorFamily(model).apply_all_with_coefficients, lambda y: oracles.sweep(model, y)):
         with pytest.raises(ValueError, match=(
             r"^apply_all_with_coefficients: cycle lives in hirzebruch\(2\), not hirzebruch\(1\)$"
         )):
-            sweep(hirzebruch(2).unit())
+            sweep(other.pullback(other.base.unit()))
 
 
 def test_sweep_does_not_use_the_model_product(monkeypatch):
@@ -519,7 +524,7 @@ def system_failures(family):
     return {c.label for c in report.checks if not c.passed} & set(oracles.SYSTEM_LABELS)
 
 
-def test_rho_system_fails_where_the_replay_fails():
+def test_rho_system_fails_where_the_replay_fails(monkeypatch):
     # the nonassociative table breaks no projector identity
     for model in MODELS + [nonassociative()]:
         assert oracles.replay_failures(ProjectorFamily(model)) == set(), model.name
@@ -528,22 +533,23 @@ def test_rho_system_fails_where_the_replay_fails():
     # the flat square's family refuses it at the law its sweep breaks
     with pytest.raises(ValueError, match="^projector family on flat square: fiberwise duality fails: "):
         system_failures(ProjectorFamily(flat_square()))
+    # the catch table's linear sweep perturbations reach every branch of the replay
+    want = {
+        doubled_top: {"idempotence", "completeness"},
+        leaked_top: {"degree preservation", "pairwise orthogonality", "completeness"},
+        dropped_unit: {"completeness"},
+    }
+    for model in INDEPENDENCE_MODELS[:3]:
+        for perturb, labels in want.items():
+            with monkeypatch.context() as mp:
+                perturbed_sweep(model, perturb)(mp)
+                assert oracles.replay_failures(ProjectorFamily(model)) == labels, (model.name, perturb.__name__)
 
 
 def test_a_doubled_rho_entry_fails_idempotence(monkeypatch):
-    m = trivial_fibration(projective_space(2), projective_space(1))
-    b = ((0, 1), (1, 1))  # pi^*(h) * T_1
-    projectors = ProjectorFamily.projectors
-
-    def doubled(family):
-        rho = projectors(family)
-        rho[(0, 1)][b] = {b: 2}
-        return rho
-
-    monkeypatch.setattr(ProjectorFamily, "projectors", doubled)
-    report = verify_projector_family(ProjectorFamily(m), samples=2)
+    report = verify_projector_family(ProjectorFamily(rho_column_doubled(monkeypatch)), samples=2)
     assert {c.label: c.details for c in report.checks if not c.passed} == {
-        "idempotence": ["rho (0, 1) is not idempotent on codim 1"],
+        "idempotence": ["rho (1, 1) is not idempotent on codim 1"],
         "completeness": ["rho sum is not the identity on codim 1"],
     }
 

@@ -38,6 +38,11 @@ from chowkit.murre import cellular_ck
 from corpus import DOUBLED, standard_rings
 
 
+def codim_profile(dec):
+    """For each piece of a decomposition, the codim where its image sits."""
+    return tuple(codim for _, codim in dec.report.table["pieces"])
+
+
 def test_fiber_projectors_are_rank_one():
     p2 = projective_space(2)
     ps = fiber_projectors(p2)
@@ -109,7 +114,7 @@ def test_unit_motive_ranks():
 def test_decompose_p2():
     dec = decompose_motive(projective_space(2))
     assert len(dec.pieces) == 3
-    assert dec.codim_profile() == (0, 1, 2)
+    assert codim_profile(dec) == (0, 1, 2)
     assert [p.name for p in dec.pieces] == ["(P^2, 1)", "(P^2, h)", "(P^2, h^2)"]
     assert dec.report.passed
     assert dec.report.lines()[0] == "motive decomposition of P^2: 3 piece(s)"
@@ -126,7 +131,7 @@ def test_decompose_motive_reads_each_action_once(monkeypatch):
     read = correspondences._action_map
     monkeypatch.setattr(correspondences, "_action_map", lambda f: calls.append(f) or read(f))
     dec = decompose_motive(ring)
-    assert dec.rank_table == {p: tuple(int(k == p) for k in range(5)) for p in range(5)}
+    assert dec.report.table["rank_table"] == {p: tuple(int(k == p) for k in range(5)) for p in range(5)}
     assert len(calls) == 5  # one walk per cell projector
     decompose_motive(ring)
     assert len(calls) == 5  # the ring keeps its cell projectors and their actions
@@ -135,14 +140,14 @@ def test_decompose_motive_reads_each_action_once(monkeypatch):
 def test_decompose_point():
     dec = decompose_motive(point())
     assert len(dec.pieces) == 1
-    assert dec.codim_profile() == (0,)
+    assert codim_profile(dec) == (0,)
 
 
 def test_decompose_grassmannian():
     dec = decompose_motive(grassmannian(2, 4))
     assert len(dec.pieces) == 6
     # two middle cells: s[2] and s[1,1]
-    assert dec.codim_profile() == (0, 1, 2, 2, 3, 4)
+    assert codim_profile(dec) == (0, 1, 2, 2, 3, 4)
     assert dec.pieces[4].name == "(Gr(2,4), s[2,1])"
     for piece in dec.pieces:
         assert sum(rank(piece.projector.matrix(p)) for p in range(5)) == 1
@@ -151,7 +156,7 @@ def test_decompose_grassmannian():
 def test_decompose_model_hirzebruch():
     dec = decompose_model(hirzebruch(2))
     assert len(dec.pieces) == 4
-    assert dec.rank_profile() == (1, 2, 1)
+    assert tuple(dec.report.table["rank_profile"]) == (1, 2, 1)
     assert [(label, codim) for label, codim, _ in dec.pieces] == [
         ("(T[1], 1)", 0),
         ("(T[1], h)", 1),
@@ -177,7 +182,7 @@ def test_decompose_model_pieces_act_as_projections():
 def test_decompose_model_product():
     dec = decompose_model(product_model(projective_space(1), projective_space(2)))
     assert len(dec.pieces) == 6
-    assert dec.rank_profile() == (1, 2, 2, 1)
+    assert tuple(dec.report.table["rank_profile"]) == (1, 2, 2, 1)
 
 
 def test_decompose_model_ranks_each_piece_where_it_has_columns(monkeypatch):
@@ -258,8 +263,8 @@ def test_motive_rank_table_matches_the_block_ranks(ring):
         for p in range(ring.dimension + 1)
     }
     dec = decompose_motive(ring)
-    assert dec.rank_table == want
-    assert dec.codim_profile() == tuple(
+    assert dec.report.table["rank_table"] == want
+    assert codim_profile(dec) == tuple(
         next(p for p in sorted(want) if want[p][k]) for k in range(len(columns))
     )
 

@@ -69,7 +69,7 @@ def test_cellular_ck_point_is_the_diagonal():
     pt = point()
     ck = cellular_ck(pt)
     assert set(ck.projectors) == {0}
-    assert ck.projector(0) == diagonal(pt)
+    assert ck.projectors[0] == diagonal(pt)
     assert ck.report is not None and ck.report.passed
 
 
@@ -79,10 +79,10 @@ def test_cellular_ck_p2():
     assert ck.name == "cellular CK of P^2"
     assert set(ck.projectors) == {0, 1, 2, 3, 4}
     for k in (1, 3):
-        assert ck.projector(k).is_zero()
+        assert ck.projectors[k].is_zero()
     # even projector 2i acts as the identity on codim i and kills the rest
     for i in range(3):
-        proj = ck.projector(2 * i)
+        proj = ck.projectors[2 * i]
         for cell in p2.cells:
             want = p2.basis_cycle(cell) if cell.codim == i else p2.zero()
             assert act(proj, p2.basis_cycle(cell)) == want
