@@ -160,11 +160,7 @@ def projective_bundle_model(base, chern, rank=None, name=None):
             }
     from .fibrations import FibrationModel
 
-    model = FibrationModel(
-        base, fiber, table,
-        name=name or f"pbundle({base.name}; r={r})",
-        is_trivial=all(c.is_zero() for c in cs),
-    )
+    model = FibrationModel(base, fiber, table, name=name or f"pbundle({base.name}; r={r})")
     report = validate_fibration(model)
     if not report.passed:
         raise ValueError("\n".join(report.lines()))

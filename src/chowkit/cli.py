@@ -50,17 +50,6 @@ EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_FAILURE = 3
 EXIT_BROKEN_PIPE = 141
 
-SUITE_NAMES = (
-    "ck",
-    "duality",
-    "identities",
-    "manin",
-    "motives",
-    "murre",
-    "pairing",
-    "projectors",
-)
-
 
 class CliError(Exception):
     def __init__(self, message, code):
@@ -184,21 +173,14 @@ def _suite_projectors(target, config):
     family = build_projector_family(target)
     reports = [verify_projector_family(family, samples=config.samples, seed=config.seed)]
     if config.battery:
-        reports.append(
-            manin_battery(
-                target, battery=config.battery, samples=config.samples, seed=config.seed
-            )
-        )
+        reports.append(config.manin(target))
     return _wrap("projectors", *reports)
 
 
 def _suite_manin(target, config):
     if isinstance(target, ChowRing):
         return _skip("manin", "needs a fibration model")
-    return _wrap(
-        "manin",
-        manin_battery(target, battery=config.battery, samples=config.samples, seed=config.seed),
-    )
+    return _wrap("manin", config.manin(target))
 
 
 def _suite_motives(target, config):
@@ -264,7 +246,8 @@ class RunConfig:
     """Run parameters; the seed fully determines every randomized check.
 
     A run also keeps, per target and for itself only, the target's CK and
-    the action window its ck suite verified, which the murre suite renders.
+    the action window its ck suite verified, which the murre suite renders,
+    and its manin battery, which the projectors suite renders under --battery.
     """
 
     def __init__(self, battery=None, seed=0, samples=100):
@@ -273,6 +256,7 @@ class RunConfig:
         self.samples = samples
         self.cks = {}  # target -> its CK, built unverified
         self.windows = {}  # target -> the action window its ck suite verified
+        self.manins = {}  # target -> its manin battery report
 
     def ck(self, target):
         """The target's CK, built once per run; a failed hypothesis raises."""
@@ -280,6 +264,14 @@ class RunConfig:
             build = cellular_ck if isinstance(target, ChowRing) else lift_ck
             self.cks[target] = build(target, validate=False)
         return self.cks[target]
+
+    def manin(self, target):
+        """The target's manin battery report, run once per run."""
+        if target not in self.manins:
+            self.manins[target] = manin_battery(
+                target, battery=self.battery, samples=self.samples, seed=self.seed
+            )
+        return self.manins[target]
 
 
 # -- report rendering ----------------------------------------------------------
@@ -415,7 +407,7 @@ def _cmd_verify(args, started):
     config = RunConfig(
         battery=_parse_battery(args.battery), seed=args.seed, samples=args.samples
     )
-    wanted = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    wanted = _SUITES if args.suite == "all" else (args.suite,)
     suites = _run(target, sorted(wanted), config)
     return _finish(args, started, name, suites, seed=config.seed, samples=config.samples)
 
@@ -474,7 +466,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run verification suites on a ring or model")
     _add_target_flags(p)
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--battery", metavar="NAMES", help="comma-separated ambient catalog rings")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_positive, default=100)

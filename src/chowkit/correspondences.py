@@ -125,9 +125,6 @@ class Correspondence:
     def is_zero(self):
         return self.cycle.is_zero()
 
-    def matrix(self, p):
-        return action_matrix(self, p)
-
     def __repr__(self):
         r = "mixed" if self.offset is None else self.offset
         return f"<Correspondence {self.source.name} -> {self.target.name} deg={r} {self.cycle!r}>"

@@ -119,12 +119,11 @@ class FibrationModel:
     are checked by ``validate_fibration``, which returns a report.
     """
 
-    def __init__(self, base, fiber, t_table, name=None, is_trivial=False):
+    def __init__(self, base, fiber, t_table, name=None):
         self.base = base
         self.fiber = fiber
         self.name = name or f"fibration({fiber.name} over {base.name})"
         self.dimension = base.dimension + fiber.dimension
-        self.is_trivial = is_trivial
         self._gen_cells = {c.key: c for c in fiber.cells}
         self.generators = tuple(sorted(self._gen_cells))
         self._family = None  # see build_projector_family
@@ -167,6 +166,13 @@ class FibrationModel:
             table.setdefault(unit, {})[g] = expected
             table.setdefault(g, {})[unit] = expected
         self._table = table
+
+    @property
+    def is_trivial(self):
+        """Whether this is the product fibration: every entry of the table is
+        the fiber's own product times the base unit."""
+        product = _product_table(self.base, self.fiber)
+        return all(self.t_entry(*pair) == entry for pair, entry in product.items())
 
     # -- module structure ----------------------------------------------------
 
@@ -222,8 +228,8 @@ class FibrationModel:
         return f"<FibrationModel {self.name} dim={self.dimension}>"
 
 
-def trivial_fibration(base, fiber, name=None):
-    """The product fibration: structure constants are the fiber's own."""
+def _product_table(base, fiber):
+    """The product fibration's table: the fiber's own products times the base unit."""
     table = {}
     for c1 in fiber.cells:
         for c2 in fiber.cells:
@@ -233,11 +239,13 @@ def trivial_fibration(base, fiber, name=None):
             table[(c1.key, c2.key)] = {
                 k: base.unit() * v for k, v in prod.coeffs.items()
             }
-    return FibrationModel(
-        base, fiber, table,
-        name=name or f"{base.name} x {fiber.name} (trivial)",
-        is_trivial=True,
-    )
+    return table
+
+
+def trivial_fibration(base, fiber, name=None):
+    """The product fibration: structure constants are the fiber's own."""
+    name = name or f"{base.name} x {fiber.name} (trivial)"
+    return FibrationModel(base, fiber, _product_table(base, fiber), name=name)
 
 
 def duality_triple(model, alpha, left, right):
@@ -558,27 +566,29 @@ def ambient_extend(model, ambient):
             table[(g1, g2)] = {
                 gkey: external_product(unit, cyc) for gkey, cyc in entry.items()
             }
-    return FibrationModel(
-        new_base, model.fiber, table,
-        name=f"{ambient.name} x {model.name}",
-        is_trivial=model.is_trivial,
-    )
+    return FibrationModel(new_base, model.fiber, table, name=f"{ambient.name} x {model.name}")
+
+
+def _extensions(model, battery):
+    """(T, the model extended by T) for each ring T of the battery, one at a
+    time; the default battery is catalog.default_battery()."""
+    if battery is None:
+        from .catalog import default_battery
+
+        battery = default_battery()
+    for ambient in battery:
+        yield ambient, ambient_extend(model, ambient)
 
 
 def manin_battery(model, battery=None, samples=25, seed=0):
     """Re-verify the projector family after extending by each battery ring.
 
-    The default battery is catalog.default_battery(); extending by T and
-    checking the operator identities exactly on CH(T x Y) is the finite
-    surrogate for the identity principle's quantification over all T.
+    Extending by T and checking the operator identities exactly on CH(T x Y)
+    is the finite surrogate for the identity principle's quantification over
+    all T.
     """
-    if battery is None:
-        from .catalog import default_battery
-
-        battery = default_battery()
     report = Report("ambient-battery", model.name)
-    for ambient in battery:
-        extended = ambient_extend(model, ambient)
+    for ambient, extended in _extensions(model, battery):
         family = build_projector_family(extended)
         report.children.append((ambient.name, verify_projector_family(family, samples, seed)))
     return report

@@ -45,8 +45,8 @@ def collapse_morphism():
 def standard_morphisms():
     """Validated morphism data over the pair (P^1, P^2): identities,
     product projections, constants, a linear embedding and a collapse."""
-    from .catalog import linear_embedding, projective_space
-    from .correspondences import projection_morphism
+    from .catalog import linear_embedding, point, projective_space
+    from .correspondences import constant_morphism, projection_morphism
 
     p1, p2 = projective_space(1), projective_space(2)
     prod = kunneth_product(p1, p2)
@@ -55,18 +55,11 @@ def standard_morphisms():
         identity_morphism(p2),
         projection_morphism(prod, "left"),
         projection_morphism(prod, "right"),
-        constant_to_point(p1),
-        constant_to_point(p2),
+        constant_morphism(p1, point()),
+        constant_morphism(p2, point()),
         linear_embedding(1, 2),
         collapse_morphism(),
     )
-
-
-def constant_to_point(ring):
-    from .catalog import point
-    from .correspondences import constant_morphism
-
-    return constant_morphism(ring, point())
 
 
 def _random_offset(rng, source, target):
@@ -105,63 +98,43 @@ def run_identity_battery(left=None, right=None, samples=100, seed=0):
     into_X = [m for m in morphisms if m.target is X]
     graphs = {m.name: graph_from_morphism(m) for m in morphisms}
     product = _product_morphisms((X, Z, projective_space(1)))
-    # an identity with no morphism to draw is a skipped, 0-instance check
-    n_into_Z, n_from_Z, n_into_X = (samples if ms else 0 for ms in (into_Z, from_Z, into_X))
 
-    fails = []
-    for s in range(samples):
-        alpha = random_cycle(rng, Z, codim=_randint(rng, 0, Z.dimension))
-        phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
-        want = phi.cycle * external_product(X.unit(), alpha)
-        if compose(multiplication_correspondence(Z, alpha), phi).cycle != want:
-            fails.append(f"sample {s}: alpha {alpha!r}")
-    report.add("c_alpha o phi = (1 x alpha) . phi", fails, samples)
+    # label, the ring alpha lives on, and whether c_alpha acts first
+    for label, ring, first in (
+        ("c_alpha o phi = (1 x alpha) . phi", Z, False),
+        ("psi o c_alpha = (alpha x 1) . psi", X, True),
+    ):
+        fails = []
+        for s in range(samples):
+            alpha = random_cycle(rng, ring, codim=_randint(rng, 0, ring.dimension))
+            phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
+            c = multiplication_correspondence(ring, alpha)
+            factor = external_product(alpha, Z.unit()) if first else external_product(X.unit(), alpha)
+            if (compose(phi, c) if first else compose(c, phi)).cycle != factor * phi.cycle:
+                fails.append(f"sample {s}: alpha {alpha!r}")
+        report.add(label, fails, samples)
 
-    fails = []
-    for s in range(samples):
-        alpha = random_cycle(rng, X, codim=_randint(rng, 0, X.dimension))
-        psi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
-        want = external_product(alpha, Z.unit()) * psi.cycle
-        if compose(psi, multiplication_correspondence(X, alpha)).cycle != want:
-            fails.append(f"sample {s}: alpha {alpha!r}")
-    report.add("psi o c_alpha = (alpha x 1) . psi", fails, samples)
-
-    # graphs composed on the left: pullback and pushforward of the cycle
-    fails = []
-    for s in range(n_into_Z):
-        f = into_Z[s % len(into_Z)]
-        c, _ = graphs[f.name]
-        phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
-        if compose(c, phi).cycle != product(X, f).pullback(phi.cycle):
-            fails.append(f"sample {s}: morphism {f.name}")
-    report.add("c(f) o phi = (id x f)^* phi", fails, n_into_Z)
-
-    fails = []
-    for s in range(n_from_Z):
-        g = from_Z[s % len(from_Z)]
-        _, c_t = graphs[g.name]
-        phi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
-        if compose(c_t, phi).cycle != product(X, g).pushforward(phi.cycle):
-            fails.append(f"sample {s}: morphism {g.name}")
-    report.add("c(g)^t o phi = (id x g)_* phi", fails, n_from_Z)
-
-    fails = []
-    for s in range(n_into_X):
-        f = into_X[s % len(into_X)]
-        c, _ = graphs[f.name]
-        tau = random_correspondence(rng, f.source, Z, offset=_random_offset(rng, f.source, Z))
-        if compose(tau, c).cycle != product(f, Z).pushforward(tau.cycle):
-            fails.append(f"sample {s}: morphism {f.name}")
-    report.add("tau o c(f) = (f x id)_* tau", fails, n_into_X)
-
-    fails = []
-    for s in range(n_into_X):
-        f = into_X[s % len(into_X)]
-        _, c_t = graphs[f.name]
-        psi = random_correspondence(rng, X, Z, offset=_random_offset(rng, X, Z))
-        if compose(psi, c_t).cycle != product(f, Z).pullback(psi.cycle):
-            fails.append(f"sample {s}: morphism {f.name}")
-    report.add("psi o c(f)^t = (f x id)^* psi", fails, n_into_X)
+    # graphs: label, morphism pool, graph (0) or its transpose (1), whether
+    # the graph acts first, and the product morphism's map; phi starts where
+    # the graph ends when the graph acts first, at X otherwise
+    for label, pool, transpose, first, direction in (
+        ("c(f) o phi = (id x f)^* phi", into_Z, 0, False, "pullback"),
+        ("c(g)^t o phi = (id x g)_* phi", from_Z, 1, False, "pushforward"),
+        ("tau o c(f) = (f x id)_* tau", into_X, 0, True, "pushforward"),
+        ("psi o c(f)^t = (f x id)^* psi", into_X, 1, True, "pullback"),
+    ):
+        count = samples if pool else 0  # no morphism to draw: a skipped check
+        fails = []
+        for s in range(count):
+            f = pool[s % len(pool)]
+            c = graphs[f.name][transpose]
+            start = c.target if first else X
+            phi = random_correspondence(rng, start, Z, offset=_random_offset(rng, start, Z))
+            got = compose(phi, c) if first else compose(c, phi)
+            pm = product(f, Z) if first else product(X, f)
+            if got.cycle != getattr(pm, direction)(phi.cycle):
+                fails.append(f"sample {s}: morphism {f.name}")
+        report.add(label, fails, count)
 
     _graph_functoriality(report, morphisms, graphs, product)
     _associativity(report, rng, X, Z, samples)

@@ -15,7 +15,7 @@ the lifted decomposition to the cellular one of the product ring.
 from __future__ import annotations
 
 from .correspondences import _exact_columns, action_columns, zero_correspondence
-from .fibrations import add_system_checks, ambient_extend, build_projector_family
+from .fibrations import _extensions, add_system_checks, build_projector_family
 from .linalg import (
     after,
     apply,
@@ -238,16 +238,8 @@ def verify_block_diagonality(model, samples=20, seed=0):
 def ck_battery(model, battery=None):
     """Lift over the model itself and over its extension by each ambient
     factor, re-verifying every decomposition from scratch."""
-    if battery is None:
-        from .catalog import default_battery
-
-        battery = default_battery()
-    entries = []
-    lifted = lift_ck(model)
-    entries.append((model.name, lifted.report))
-    for ambient in battery:
-        extended = ambient_extend(model, ambient)
-        entries.append((extended.name, lift_ck(extended).report))
+    entries = [(model.name, lift_ck(model).report)]
+    entries += [(extended.name, lift_ck(extended).report) for _, extended in _extensions(model, battery)]
     return Report("ambient-battery", f"Chow-Kunneth battery for {model.name}", children=entries)
 
 

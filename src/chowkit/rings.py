@@ -98,13 +98,6 @@ class Cycle:
     def codims(self):
         return sorted({p for p, _ in self.coeffs})
 
-    def codim(self):
-        """Codimension of a homogeneous nonzero cycle."""
-        cs = self.codims()
-        if len(cs) != 1:
-            raise ValueError(f"cycle is not homogeneous nonzero: {self!r}")
-        return cs[0]
-
     def component(self, p):
         return _cycle(self.ring, {k: v for k, v in self.coeffs.items() if k[0] == p})
 

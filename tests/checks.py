@@ -41,6 +41,11 @@ def matrix_entries(m):
     return [[(v, type(v)) for v in row] for row in m]
 
 
+def projector_rank(action, k):
+    """Total rank of the degree-k projector over all codims of an action window."""
+    return sum(r for (k_, _), r in action.table["ranks"].items() if k_ == k)
+
+
 def cycles(rng, ring):
     """Integer, rational, unit, zero and basis cycles of ring."""
     x, unit = chowkit.random_cycle(rng, ring, bound=3), ring.unit()

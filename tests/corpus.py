@@ -412,6 +412,21 @@ def rho_column_doubled(mp):
     return hirzebruch(1)
 
 
+def piece_doubled(mp):
+    """hirzebruch(1), with the operator builder handing out its motive piece
+    (T[h], 1) doubled."""
+    build = ProjectorFamily.placed_operators
+
+    def doubled(family, maps):
+        ops = build(family, maps)
+        if "(T[h], 1)" in ops:
+            ops["(T[h], 1)"] = matrix_sum(((2, ops["(T[h], 1)"]),))
+        return ops
+
+    mp.setattr(ProjectorFamily, "placed_operators", doubled)
+    return hirzebruch(1)
+
+
 # {row name: build(monkeypatch) -> the corrupted model}
 CORRUPTIONS = {
     "flat square": lambda mp: flat_square(),
@@ -424,4 +439,5 @@ CORRUPTIONS = {
     },
     "block (0, 0) plus identity": block_00_plus_identity,
     "rho column doubled": rho_column_doubled,
+    "piece (T[h], 1) doubled": piece_doubled,
 }

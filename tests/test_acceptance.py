@@ -41,15 +41,11 @@ from chowkit.linalg import after
 from chowkit.sampling import random_cycle, seeded_rng
 from chowkit.schubert import lr_product, partitions_in_box
 
+from checks import projector_rank
 from corpus import module_basis, standard_models, standard_rings
 from oracles import pieri_product
 
 PRODUCT_FACTORS = (projective_space(1), projective_space(2), grassmannian(2, 4))
-
-
-def projector_rank(action, k):
-    """Total rank of the degree-k projector over all codims of an action window."""
-    return sum(r for (k_, _), r in action.table["ranks"].items() if k_ == k)
 
 
 def test_criterion_01_pairing():

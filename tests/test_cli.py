@@ -11,7 +11,7 @@ import pytest
 import chowkit
 from chowkit import ChowRing, diagonal, point, save_fibration, save_ring
 from chowkit.catalog import catalog_entries, hirzebruch, projective_space, resolve
-from chowkit import build_projector_family, cli, murre
+from chowkit import build_projector_family, cli, fibrations, murre
 from chowkit.cli import main, render_text
 from chowkit.fileio import dump_fibration, dump_ring, parse_fibration, parse_ring
 from chowkit.murre import cellular_ck
@@ -348,7 +348,7 @@ def test_verify_all_on_the_degenerate_ring_fails_suite_by_suite(capsys, tmp_path
     code, out, err = run(capsys, "verify", "--ring-file", str(rp), "--suite", "all", "--format", "json")
     assert code == 1 and err == ""
     suites = json.loads(out)["suites"]
-    assert [s["suite"] for s in suites] == list(cli.SUITE_NAMES)
+    assert [s["suite"] for s in suites] == list(cli._SUITES)
     by_name = {s["suite"]: s for s in suites}
     for name in ("ck", "motives", "murre", "projectors"):
         assert by_name[name]["passed"] is False
@@ -410,6 +410,24 @@ def test_ck_command_builds_the_ck_once(capsys, monkeypatch, target, build):
     builds, _ = count_builds_and_tables(monkeypatch)
     code, _, _ = run(capsys, "ck", "--catalog", target, "--format", "json")
     assert code == 0 and builds == [build]
+
+
+def test_verify_all_runs_the_manin_battery_once(capsys, monkeypatch):
+    # the projectors suite renders, under --battery, the manin suite's report
+    calls = []
+    for module, name in ((cli, "manin_battery"), (fibrations, "ambient_extend")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k))
+    code, out, _ = run(capsys, "verify", "--catalog", "hirzebruch:1", "--suite", "all",
+                       "--battery", "point,p1,p2", "--samples", "3", "--format", "json")
+    assert code == 0
+    # three extensions for the manin battery, three for the CK battery
+    assert calls.count("manin_battery") == 1 and calls.count("ambient_extend") == 6
+    suites = {s["suite"]: s for s in json.loads(out)["suites"]}
+    projectors, manin = suites["projectors"], suites["manin"]
+    assert projectors["data"][1] == manin["data"]
+    assert [e["ambient"] for e in manin["data"]["entries"]] == ["point", "P^1", "P^2"]
+    assert projectors["lines"][-len(manin["lines"]):] == manin["lines"]
 
 
 def test_identities_command_deterministic(capsys):

@@ -38,14 +38,12 @@ from chowkit import (
 )
 from chowkit import identities, motives
 from chowkit.cli import main
-from chowkit.fibrations import ProjectorFamily
 from chowkit.fileio import parse_ring
-from chowkit.linalg import matrix_sum
 from chowkit.motives import fiber_projectors
 from chowkit.murre import cellular_ck
 
 from corpus import collapsed_products, degenerate_surface_doc, flat_square, identity_added_to_block_00
-from corpus import nonassociative, off_codim_image, perturbed_pi2
+from corpus import nonassociative, off_codim_image, perturbed_pi2, piece_doubled
 
 FAILING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "failing")
 
@@ -139,16 +137,8 @@ def case_action_window(mp):
 
 
 def case_decompose_model(mp):
-    build = ProjectorFamily.placed_operators
-
-    def doubled(family, maps):
-        ops = build(family, maps)
-        if "(T[h], 1)" in ops:
-            ops["(T[h], 1)"] = matrix_sum(((2, ops["(T[h], 1)"]),))
-        return ops
-
-    mp.setattr(ProjectorFamily, "placed_operators", doubled)
-    return raised(lambda: decompose_model(hirzebruch(1)))
+    model = piece_doubled(mp)
+    return raised(lambda: decompose_model(model))
 
 
 def case_decompose_motive(mp):

@@ -244,22 +244,6 @@ def test_validate_fibration_catches_broken_duality():
     assert "grading" in names
 
 
-def test_validate_fibration_catches_nonassociative_table():
-    p2 = projective_space(2)
-    fiber = projective_space(2)
-    # u*u = v, u*v = pi^*(h^2) u: then (u*u)*v = 0 but u*(u*v) = pi^*(h^2) v
-    table = {
-        ((1, 1), (1, 1)): {(2, 1): p2.unit()},
-        ((1, 1), (2, 1)): {(1, 1): p2.cycle({"h^2": 1})},
-        ((2, 1), (2, 1)): {},
-    }
-    weird = FibrationModel(p2, fiber, table, name="nonassociative")
-    rep = validate_fibration(weird)
-    assert not rep.passed
-    failed = {c.label for c in rep.checks if not c.passed}
-    assert "associativity on generators" in failed
-
-
 @pytest.mark.parametrize("make, m", [
     (lambda: hirzebruch(1), 2),
     (lambda: product_model(projective_space(2), grassmannian(2, 4)), 6),

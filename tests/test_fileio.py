@@ -5,6 +5,7 @@ import json
 import pytest
 
 from chowkit import (
+    FibrationModel,
     FileFormatError,
     dump_fibration,
     dump_ring,
@@ -21,7 +22,7 @@ from chowkit import (
     trivial_fibration,
 )
 
-from corpus import standard_rings
+from corpus import ENTRIES, standard_rings
 
 
 def p2_doc():
@@ -170,6 +171,38 @@ def test_fibration_roundtrip_twisted():
             want = m.multiply(m.generator(g1), m.generator(g2))
             got = back.multiply(back.generator(g1), back.generator(g2))
             assert got.vector() == want.vector()
+
+
+def products(model):
+    """A model's table as plain data: {(g1, g2): {g: base coefficients}}."""
+    return {(g1, g2): {g: c.coeffs for g, c in model.t_entry(g1, g2).items()}
+            for g1 in model.generators for g2 in model.generators}
+
+
+CORPUS_MODELS = [m for kind in ("model", "extended model", "broken model") for m in ENTRIES[kind].values()]
+
+
+@pytest.mark.parametrize("model", CORPUS_MODELS, ids=lambda m: m.name)
+def test_is_trivial_is_read_off_the_table(model):
+    # the same table through the public constructor, and the product table
+    rebuilt = FibrationModel(model.base, model.fiber, {pair: model.t_entry(*pair) for pair in products(model)})
+    product = products(trivial_fibration(model.base, model.fiber))
+    assert model.is_trivial == rebuilt.is_trivial == (products(model) == product)
+
+
+def test_the_corpus_holds_trivial_and_twisted_models():
+    assert {m.is_trivial for m in CORPUS_MODELS} == {True, False}
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_a_table_from_the_public_constructor_survives_a_round_trip(a):
+    h = hirzebruch(a)
+    model = FibrationModel(h.base, h.fiber, {pair: h.t_entry(*pair) for pair in products(h)})
+    doc = dump_fibration(model)
+    # only the untwisted surface P^1 x P^1 is written as the trivial kind
+    assert doc.get("kind") == ("trivial" if a == 0 else None)
+    assert ("t_products" in doc) == (a != 0)
+    assert products(parse_fibration(json.loads(json.dumps(doc)))) == products(h)
 
 
 def test_fibration_roundtrip_with_catalog_refs():

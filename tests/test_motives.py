@@ -29,13 +29,13 @@ from chowkit import (
 )
 from chowkit import cli, correspondences, linalg, motives
 from chowkit.catalog import resolve
-from chowkit.correspondences import act, action_columns
+from chowkit.correspondences import act, action_columns, action_matrix
 from chowkit.fibrations import ProjectorFamily
 from chowkit.fileio import dump_ring, parse_ring, save_fibration, save_ring
-from chowkit.linalg import apply, block_rank, codim_blocks, combine, matrix_sum, rank
+from chowkit.linalg import apply, block_rank, codim_blocks, combine, rank
 from chowkit.murre import cellular_ck
 
-from corpus import DOUBLED, standard_rings
+from corpus import DOUBLED, piece_doubled, standard_rings
 
 
 def codim_profile(dec):
@@ -100,14 +100,14 @@ def test_motive_rejects_bad_projectors():
         Motive(p2, diagonal(p1))
     # the zero projector is allowed, whatever its nominal offset
     z = Motive(p2, zero_correspondence(p2, p2, 1), name="zero piece")
-    assert rank(z.projector.matrix(0)) == 0
+    assert rank(action_matrix(z.projector, 0)) == 0
 
 
 def test_unit_motive_ranks():
     g = grassmannian(2, 4)
     h = Motive(g, diagonal(g), name="h(Gr(2,4))")
     assert h.name == "h(Gr(2,4))"
-    assert tuple(rank(h.projector.matrix(p)) for p in range(5)) == g.ranks
+    assert tuple(rank(action_matrix(h.projector, p)) for p in range(5)) == g.ranks
     assert "Motive" in repr(h)
 
 
@@ -150,7 +150,7 @@ def test_decompose_grassmannian():
     assert codim_profile(dec) == (0, 1, 2, 2, 3, 4)
     assert dec.pieces[4].name == "(Gr(2,4), s[2,1])"
     for piece in dec.pieces:
-        assert sum(rank(piece.projector.matrix(p)) for p in range(5)) == 1
+        assert sum(rank(action_matrix(piece.projector, p)) for p in range(5)) == 1
 
 
 def test_decompose_model_hirzebruch():
@@ -270,17 +270,9 @@ def test_motive_rank_table_matches_the_block_ranks(ring):
 
 
 def test_decompose_model_catches_a_perturbed_piece(monkeypatch):
-    build = ProjectorFamily.placed_operators
-
-    def perturbed(family, maps):
-        ops = build(family, maps)
-        if "(T[h], 1)" in ops:
-            ops["(T[h], 1)"] = matrix_sum(((2, ops["(T[h], 1)"]),))
-        return ops
-
-    monkeypatch.setattr(ProjectorFamily, "placed_operators", perturbed)
+    model = piece_doubled(monkeypatch)
     with pytest.raises(ValueError) as err:
-        decompose_model(hirzebruch(1))
+        decompose_model(model)
     message = str(err.value)
     assert "piece (T[h], 1) is not idempotent on codim 1" in message
     assert "piece sum is not the identity on codim 1" in message

@@ -52,17 +52,13 @@ from chowkit.motives import fiber_projectors
 from chowkit.sampling import seeded_rng
 
 import oracles
+from checks import projector_rank
 from corpus import ENTRIES, bundle_over_gr24, fibered_cycles, flat_square, fresh_hirzebruch
 from corpus import identity_added_to_block_00, nonassociative, off_codim_image, perturbed_pi2
 from corpus import standard_models, standard_rings
 
 # the models of the corpus that pass every law
 MODELS = [*ENTRIES["model"].values(), *ENTRIES["extended model"].values()]
-
-
-def projector_rank(action, k):
-    """Total rank of the degree-k projector over all codims of an action window."""
-    return sum(r for (k_, _), r in action.table["ranks"].items() if k_ == k)
 
 
 def test_cellular_ck_point_is_the_diagonal():

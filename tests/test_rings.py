@@ -236,8 +236,6 @@ def test_homogeneity_helpers():
     x = r.unit() + r.basis_cycle("h")
     assert x.codims() == [0, 1]
     assert x.component(1) == r.basis_cycle("h")
-    with pytest.raises(ValueError):
-        x.codim()
 
 
 def test_degree_reads_point_coefficient():
