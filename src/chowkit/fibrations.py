@@ -127,6 +127,7 @@ class FibrationModel:
         self._gen_cells = {c.key: c for c in fiber.cells}
         self.generators = tuple(sorted(self._gen_cells))
         self._family = None  # see build_projector_family
+        self._extended = {}  # ambient ring -> this model extended by it, see _extensions
         keys = {}  # codim, or None for all of them -> basis keys in module order
         for g in self.generators:
             for cell in base.cells:
@@ -570,14 +571,17 @@ def ambient_extend(model, ambient):
 
 
 def _extensions(model, battery):
-    """(T, the model extended by T) for each ring T of the battery, one at a
-    time; the default battery is catalog.default_battery()."""
+    """(T, the model extended by T) for each ring T of the battery, each
+    extension built once and kept on the model, as its family is; the
+    default battery is catalog.default_battery()."""
     if battery is None:
         from .catalog import default_battery
 
         battery = default_battery()
     for ambient in battery:
-        yield ambient, ambient_extend(model, ambient)
+        if ambient not in model._extended:
+            model._extended[ambient] = ambient_extend(model, ambient)
+        yield ambient, model._extended[ambient]
 
 
 def manin_battery(model, battery=None, samples=25, seed=0):

@@ -1,8 +1,8 @@
 """Each exact kernel against its one reference in oracles.py, one check per
 kernel, run by test_differential.py on every corpus entry of the kinds it
 takes: a ring, a pair or triple of rings, a morphism or a model.  The layer
-test files run ``same_correspondence``, ``same_action_map`` and
-``same_sweep`` on their named witnesses.  Cycles, action maps, Kunneth rows and
+test files run ``same_correspondence`` and ``same_action_map`` on their
+named witnesses.  Cycles, action maps, Kunneth rows and
 tables built by key compare entry by entry in order, with their types;
 sparse operators, pullbacks and pushforwards (whose reference sums cycle by
 cycle) compare as mappings.  Every value a kernel returns is an int, or a

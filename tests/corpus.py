@@ -17,10 +17,12 @@ from pathlib import Path
 
 from chowkit import (
     BasisCell,
+    CKDecomposition,
     ChowRing,
     FibrationModel,
     ambient_extend,
     build_projector_family,
+    cellular_ck,
     grassmannian,
     hirzebruch,
     kunneth_product,
@@ -36,7 +38,7 @@ from chowkit import (
 )
 from chowkit.catalog import linear_embedding
 from chowkit.correspondences import _morphism, identity_morphism
-from chowkit.fibrations import ProjectorFamily
+from chowkit.fibrations import ProjectorFamily, _product_table
 from chowkit.fileio import dump_ring, load_ring, parse_ring
 from chowkit.identities import standard_morphisms
 from chowkit.linalg import matrix_sum
@@ -412,19 +414,71 @@ def rho_column_doubled(mp):
     return hirzebruch(1)
 
 
-def piece_doubled(mp):
-    """hirzebruch(1), with the operator builder handing out its motive piece
-    (T[h], 1) doubled."""
-    build = ProjectorFamily.placed_operators
+def piece_scaled(scale):
+    """A row: hirzebruch(1), with the operator builder handing out its motive
+    piece (T[h], 1) times scale."""
+    def build(mp):
+        placed = ProjectorFamily.placed_operators
 
-    def doubled(family, maps):
-        ops = build(family, maps)
-        if "(T[h], 1)" in ops:
-            ops["(T[h], 1)"] = matrix_sum(((2, ops["(T[h], 1)"]),))
+        def scaled(family, maps):
+            ops = placed(family, maps)
+            if "(T[h], 1)" in ops:
+                ops["(T[h], 1)"] = matrix_sum(((scale, ops["(T[h], 1)"]),))
+            return ops
+
+        mp.setattr(ProjectorFamily, "placed_operators", scaled)
+        return hirzebruch(1)
+
+    return build
+
+
+def leaked_operator(mp):
+    """hirzebruch(1), with the operator builder leaking, in every system it
+    hands out (rho, the lifted blocks, the motive pieces), the first column
+    of the first operator into the first image key of the last operator, a
+    key of another codim.  The model's family keeps its blocks, so they are
+    dropped for the run and restored after."""
+    placed = ProjectorFamily.placed_operators
+
+    def leaked(family, maps):
+        ops = placed(family, maps)
+        first, last = ops[next(iter(ops))], ops[list(ops)[-1]]
+        b = next(iter(first))
+        first[b] = {**first[b], next(iter(last)): 1}
         return ops
 
-    mp.setattr(ProjectorFamily, "placed_operators", doubled)
-    return hirzebruch(1)
+    model = hirzebruch(1)
+    mp.setattr(build_projector_family(model), "blocks", None)
+    mp.setattr(ProjectorFamily, "placed_operators", leaked)
+    return model
+
+
+def off_diagonal_top():
+    """P^1 x Gr(2,4) whose one fault is top component 1 on T_(2,1) * T_(2,2):
+    a pair of complementary fiber codims that are not duals, which exists
+    only when a fiber codim has two cells."""
+    p1, gr = projective_space(1), grassmannian(2, 4)
+    table = _product_table(p1, gr)
+    table[(2, 1), (2, 2)] = {(4, 1): p1.unit()}
+    return FibrationModel(p1, gr, table, name="off-diagonal top component")
+
+
+def shifted_ck():
+    """The cellular CK of P^2 with pi_1 := pi_2 and pi_2 := 0: still a
+    complete system of orthogonal idempotents inside the action window, but
+    pi_1 acts on CH^1, which no odd projector does on a cellular space."""
+    p2 = projective_space(2)
+    projectors = dict(cellular_ck(p2).projectors)
+    projectors[1], projectors[2] = projectors[2], zero_correspondence(p2, p2, 0)
+    return CKDecomposition(p2, projectors, name="shifted CK of P^2")
+
+
+def flag_bundle_c1_flipped():
+    """Fl(1,2;4) = P(Q^*) over P^3 has c(Q^*) = 1 - h + h^2 - h^3; this is the
+    bundle with c_1 = +h instead: a different, lawful model."""
+    p3 = projective_space(3)
+    chern = [{"h": 1}, {"h^2": 1}, {"h^3": -1}]
+    return projective_bundle_model(p3, chern, rank=3, name="flag bundle over P^3, c_1 flipped")
 
 
 # {row name: build(monkeypatch) -> the corrupted model}
@@ -439,5 +493,9 @@ CORRUPTIONS = {
     },
     "block (0, 0) plus identity": block_00_plus_identity,
     "rho column doubled": rho_column_doubled,
-    "piece (T[h], 1) doubled": piece_doubled,
+    "piece (T[h], 1) doubled": piece_scaled(2),
+    "piece (T[h], 1) zeroed": piece_scaled(0),
+    "first operator leaked": leaked_operator,
+    "off-diagonal top component": lambda mp: off_diagonal_top(),
+    "doubled-plane fiber": lambda mp: trivial_fibration(P1, DOUBLED, name="doubled-plane fiber"),
 }

@@ -309,11 +309,13 @@ def test_ck_command_prints_the_ck_suite(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "verify_ck", counted)
     monkeypatch.setattr(murre, "verify_ck", counted)
-    family = build_projector_family(resolve("product:p2,p1"))
+    model = resolve("product:p2,p1")
     docs = []
     for command in (["ck"], ["verify", "--suite", "ck"]):
-        # the model keeps its lifted blocks: drop them, so the base CK is checked again
-        monkeypatch.setattr(family, "blocks", None)
+        # the model keeps its lifted blocks and its extensions: drop them, so
+        # every base CK is checked again
+        monkeypatch.setattr(build_projector_family(model), "blocks", None)
+        monkeypatch.setattr(model, "_extended", {})
         del verified[:]
         code, out, _ = run(capsys, *command, *flags)
         assert code == 0 and len(verified) == 8 == len(set(verified))
@@ -418,11 +420,13 @@ def test_verify_all_runs_the_manin_battery_once(capsys, monkeypatch):
     for module, name in ((cli, "manin_battery"), (fibrations, "ambient_extend")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k))
+    # the model keeps its extensions, so an earlier run would have built them
+    monkeypatch.setattr(resolve("hirzebruch:1"), "_extended", {})
     code, out, _ = run(capsys, "verify", "--catalog", "hirzebruch:1", "--suite", "all",
                        "--battery", "point,p1,p2", "--samples", "3", "--format", "json")
     assert code == 0
-    # three extensions for the manin battery, three for the CK battery
-    assert calls.count("manin_battery") == 1 and calls.count("ambient_extend") == 6
+    # three extensions, which the CK battery and the manin battery share
+    assert calls.count("manin_battery") == 1 and calls.count("ambient_extend") == 3
     suites = {s["suite"]: s for s in json.loads(out)["suites"]}
     projectors, manin = suites["projectors"], suites["manin"]
     assert projectors["data"][1] == manin["data"]

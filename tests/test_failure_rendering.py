@@ -43,7 +43,7 @@ from chowkit.motives import fiber_projectors
 from chowkit.murre import cellular_ck
 
 from corpus import collapsed_products, degenerate_surface_doc, flat_square, identity_added_to_block_00
-from corpus import nonassociative, off_codim_image, perturbed_pi2, piece_doubled
+from corpus import nonassociative, off_codim_image, perturbed_pi2, piece_scaled
 
 FAILING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "failing")
 
@@ -137,7 +137,7 @@ def case_action_window(mp):
 
 
 def case_decompose_model(mp):
-    model = piece_doubled(mp)
+    model = piece_scaled(2)(mp)
     return raised(lambda: decompose_model(model))
 
 

@@ -14,24 +14,18 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from chowkit import (
     FibrationModel,
     ambient_extend,
     build_projector_family,
-    decompose_model,
     duality_report,
     duality_triple,
     external_product,
     kunneth_product,
-    lift_ck,
     manin_battery,
-    projective_bundle_model,
     trivial_fibration,
     validate_fibration,
-    verify_ck,
-    verify_motive_isomorphism,
     verify_projector_family,
 )
 from chowkit.catalog import (
@@ -43,7 +37,6 @@ from chowkit.catalog import (
 from chowkit.catalog import resolve
 from chowkit.cli import main
 from chowkit.fibrations import FiberedCycle, ProjectorFamily
-from chowkit.rings import Cycle
 from chowkit.sampling import random_cycle, random_fibered_cycle, seeded_rng
 
 import oracles
@@ -104,16 +97,6 @@ def test_pullback_pushforward_adjunction():
     assert p1.degree(m.pushforward(m.multiply(m.pullback(h), xi))) == 1
 
 
-def test_rank_identity_all_models():
-    for m in standard_models():
-        for p in range(m.dimension + 1):
-            want = sum(m.base.rank(p - g[0]) for g in m.generators)
-            assert m.rank(p) == want
-            assert len(m.basis_keys(p)) == m.rank(p)
-    total = sum(m.rank(p) for p in range(m.dimension + 1))
-    assert total == len(m.basis_keys())
-
-
 def test_basis_keys_are_computed_once_in_module_order():
     for m in standard_models():
         keys = m.basis_keys()
@@ -172,12 +155,6 @@ def test_duality_triple_warns_beyond_middle():
         warnings.simplefilter("always")
         duality_triple(m, m.base.unit(), (1, 1), (1, 1))
     assert caught and "only guaranteed" in str(caught[0].message)
-
-
-def test_duality_report_all_standard_models():
-    for m in standard_models():
-        rep = duality_report(m, samples=5)
-        assert rep.passed, rep.lines()
 
 
 def generic_duality_triple(model, alpha, left, right):
@@ -307,12 +284,6 @@ def test_projector_family_order_and_pieces():
     assert fam.apply_all_with_coefficients(m.zero()) == {}
 
 
-def test_projector_family_verifies_on_standard_models():
-    for m in standard_models():
-        rep = verify_projector_family(build_projector_family(m), samples=10)
-        assert rep.passed, rep.lines()
-
-
 def test_projector_family_with_zero_samples_is_not_passed():
     rep = verify_projector_family(build_projector_family(hirzebruch(1)), samples=0)
     assert not rep.passed
@@ -337,37 +308,12 @@ def test_ambient_extend_structure():
     assert entry[(1, 1)] == big.base.cycle({"(1,h)": -1})
 
 
-def test_motive_iso_pair_roundtrips():
-    # hirzebruch(0) and hirzebruch(2) share base and fiber, so the peeled
-    # coefficients of one model are a cycle of the other: transporting a
-    # cycle there and back is the identity on every basis element
-    h0, h2 = hirzebruch(0), hirzebruch(2)
-    for model in (h0, h2):
-        rep = verify_motive_isomorphism(model)
-        assert rep.passed, rep.lines()
-    f0, f2 = build_projector_family(h0), build_projector_family(h2)
-
-    def forward(y):
-        return h2.cycle(f0.apply_all_with_coefficients(y))
-
-    def backward(y):
-        return h0.cycle(f2.apply_all_with_coefficients(y))
-
-    for y in module_basis(h0):
-        assert backward(forward(y)) == y
-    for y in module_basis(h2):
-        assert forward(backward(y)) == y
-
-
 def test_manin_battery_default_and_custom():
     rep = manin_battery(hirzebruch(2), samples=5)
     assert rep.passed
     assert [name for name, _ in rep.children] == ["point", "P^1", "P^2"]
     rep2 = manin_battery(hirzebruch(2), battery=[grassmannian(2, 4)], samples=3)
     assert rep2.passed and rep2.children[0][0] == "Gr(2,4)"
-
-
-# -- the peeling sweep -------------------------------------------------------------------
 
 
 def test_sweep_through_unpeeled_generators():
@@ -378,6 +324,9 @@ def test_sweep_through_unpeeled_generators():
         model.cycle({A: one * Fraction(1, 2), UNIT: -h * Fraction(1, 2)}),  # -h/2 + h/2 cancels
         model.cycle({B: one}),  # T_a is peeled from a residual without T_a
     ])
+
+
+# -- the peeling sweep -------------------------------------------------------------------
 
 
 def test_sweep_refuses_a_cycle_of_another_model():
@@ -536,35 +485,6 @@ def test_a_doubled_rho_entry_fails_idempotence(monkeypatch):
         "idempotence": ["rho (1, 1) is not idempotent on codim 1"],
         "completeness": ["rho sum is not the identity on codim 1"],
     }
-
-
-# -- random projective bundles ---------------------------------------------------
-
-
-BUNDLE_BASES = (projective_space(1), projective_space(2), grassmannian(2, 4))
-
-
-@st.composite
-def bundle_models(draw):
-    base = draw(st.sampled_from(BUNDLE_BASES))
-    rank = draw(st.integers(min_value=2, max_value=3))
-    chern = [
-        Cycle(base, {c.key: draw(st.integers(min_value=-3, max_value=3))
-                     for c in base.cells_of_codim(i)})
-        for i in range(1, rank + 1)
-    ]
-    return projective_bundle_model(base, chern, rank=rank)
-
-
-@settings(max_examples=8, deadline=None)
-@given(bundle_models())
-def test_random_bundles_pass_every_model_check(model):
-    assert validate_fibration(model).passed
-    family = build_projector_family(model)
-    assert verify_projector_family(family, samples=3).passed
-    assert verify_ck(lift_ck(model)).passed
-    assert decompose_model(model).report.passed
-    same_sweep(model, module_basis(model))
 
 
 # -- perturbed fibration tables ---------------------------------------------------

@@ -60,6 +60,19 @@ def test_identity_battery_green():
     assert sum("(25 instances)" in l for l in labels) == 7
 
 
+def test_every_identity_check_can_fail(monkeypatch):
+    """compose doubled when its first map starts on P^1 breaks every check
+    but functoriality, which a doubled tensor breaks alone."""
+    compose, tensor, p1 = identities.compose, identities.tensor, projective_space(1)
+    with monkeypatch.context() as m:
+        m.setattr(identities, "compose", lambda g, f: compose(g, f) * (2 if f.source is p1 else 1))
+        failing = [c.label for c in run_identity_battery(samples=10).checks if not c.passed]
+    assert failing == [c.label for c in run_identity_battery(samples=1).checks if "ambient" not in c.label]
+    monkeypatch.setattr(identities, "tensor", lambda f, g: tensor(f, g) * 2)
+    failing = [c.label for c in run_identity_battery(samples=1).checks if not c.passed]
+    assert failing == ["graphs extend over an ambient factor"]
+
+
 def test_identity_battery_other_pairs():
     report = run_identity_battery(projective_space(2), projective_space(1), samples=10, seed=3)
     assert report.passed

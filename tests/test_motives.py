@@ -1,4 +1,4 @@
-"""Motives: cell projectors, rank-one decompositions, the tensor identity.
+"""Motives: cell projectors and rank-one decompositions.
 
 Each ring keeps one cell-projector system: fiber_projectors(ring) and the
 action columns of each projector are built once per ring, and every suite,
@@ -22,7 +22,6 @@ from chowkit import (
     point,
     product_model,
     projective_space,
-    trivial_fibration,
     verify_motive_isomorphism,
     verify_projector_system,
     zero_correspondence,
@@ -35,7 +34,7 @@ from chowkit.fileio import dump_ring, parse_ring, save_fibration, save_ring
 from chowkit.linalg import apply, block_rank, codim_blocks, combine, rank
 from chowkit.murre import cellular_ck
 
-from corpus import DOUBLED, piece_doubled, standard_rings
+from corpus import DOUBLED, piece_scaled, standard_rings
 
 
 def codim_profile(dec):
@@ -213,23 +212,6 @@ def test_decompose_model_names_a_piece_with_a_column_outside_its_codim(monkeypat
     assert "piece (T[h], 1) has unexpected rank on codim 0" in str(err.value)
 
 
-def test_tensor_identity_small_pairs():
-    # F rho_g = (Delta_X x p_g) F: the peeled projector of each fiber cell
-    # acts like the diagonal-tensor cycle, one instance per generator
-    p1, p2 = projective_space(1), projective_space(2)
-    for left, right in ((p1, p1), (p2, p1), (p1, p2)):
-        report = verify_motive_isomorphism(trivial_fibration(left, right))
-        assert report.passed, "\n".join(report.lines())
-        (check,) = [c for c in report.checks if c.label.startswith("F rho_g")]
-        assert check.count == len(right.cells)
-    report = verify_motive_isomorphism(trivial_fibration(p1, p1))
-    assert report.subject == "h(P^1 x P^1 (trivial)) = h(P^1) x h(P^1)"
-    assert [c.count for c in report.checks] == [4, 4, 5, 2]
-
-
-# -- ranks and perturbed pieces ---------------------------------------------------------
-
-
 def count_ranks(monkeypatch):
     """The matrices linalg.rank is called on, through every chowkit module's
     binding of it."""
@@ -252,6 +234,9 @@ def test_decompose_model_ranks_each_piece_once(monkeypatch):
     assert 0 < len(calls) <= len(dec.pieces)
 
 
+# -- ranks and perturbed pieces ---------------------------------------------------------
+
+
 @pytest.mark.parametrize(
     "ring", standard_rings() + [grassmannian(2, 6), DOUBLED], ids=lambda r: r.name
 )
@@ -270,7 +255,7 @@ def test_motive_rank_table_matches_the_block_ranks(ring):
 
 
 def test_decompose_model_catches_a_perturbed_piece(monkeypatch):
-    model = piece_doubled(monkeypatch)
+    model = piece_scaled(2)(monkeypatch)
     with pytest.raises(ValueError) as err:
         decompose_model(model)
     message = str(err.value)

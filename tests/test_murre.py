@@ -4,8 +4,8 @@ The operators are written from keys (ProjectorFamily.placed_operators) and
 meet their reference in test_differential.py; here they also act on random
 cycles as the closure route does (sweep, peel, act, reassemble), hold no
 empty column, are built once per model, and the matrix checkers fail on
-perturbed ones.  Block ranks read only the block's own codim, against the
-dense rank the sparse layout replaced.
+perturbed ones.  Block ranks read only the block's own codim, against the dense
+rank the sparse layout replaced.
 """
 
 from fractions import Fraction
@@ -61,6 +61,13 @@ from corpus import standard_models, standard_rings
 MODELS = [*ENTRIES["model"].values(), *ENTRIES["extended model"].values()]
 
 
+BASES = [
+    *standard_rings(),
+    grassmannian(2, 6),
+    kunneth_product(projective_space(1), projective_space(2)),
+]
+
+
 def test_cellular_ck_point_is_the_diagonal():
     pt = point()
     ck = cellular_ck(pt)
@@ -91,13 +98,6 @@ def test_cellular_ck_sums_to_diagonal():
     for p in ck.projectors.values():
         total = total + p
     assert total == diagonal(g)
-
-
-BASES = [
-    *standard_rings(),
-    grassmannian(2, 6),
-    kunneth_product(projective_space(1), projective_space(2)),
-]
 
 
 @pytest.mark.parametrize("ring", BASES, ids=[r.name for r in BASES])
@@ -670,6 +670,9 @@ def test_block_diagonality_catches_a_perturbed_block(monkeypatch):
     assert label == "2 random cycles, 9 blocks" and not ok
     assert "sample 0: block (0, 0) after block (0, 0) is not the block itself" in details
     assert "sample 1: block (0, 2) after block (0, 0) is not zero" in details
+
+
+# -- the motive isomorphism -------------------------------------------------------
 
 
 def test_isomorphism_builds_no_product_of_x_times_z_with_itself(monkeypatch):
