@@ -262,7 +262,7 @@ class RunConfig:
         """The target's CK, built once per run; a failed hypothesis raises."""
         if target not in self.cks:
             build = cellular_ck if isinstance(target, ChowRing) else lift_ck
-            self.cks[target] = build(target, validate=False)
+            self.cks[target] = build(target)
         return self.cks[target]
 
     def manin(self, target):

@@ -15,7 +15,7 @@ the correspondence pair acting as pullback and pushforward.
 from __future__ import annotations
 
 from .linalg import apply, invert, kron
-from .rings import Cycle, _cycle, _exact, kunneth_product
+from .rings import Cycle, _cycle, _exact, _kept, kunneth_product
 
 _AUTO = object()
 
@@ -25,11 +25,13 @@ def dual_basis_cycles(ring, p):
 
     Exists iff the pairing between CH^{n-p} and CH^p is perfect; for a
     delta-normalized ring e_j is just the same-index cell tau_{n-p,j}.
-    Cached per ring and codimension; a pairing that is not perfect raises on
-    every call.
+    Kept on the ring per codimension; a pairing that is not perfect raises
+    on every call.
     """
-    if p in ring._duals:
-        return ring._duals[p]
+    return _kept(ring, _dual_basis, p)
+
+
+def _dual_basis(ring, p):
     n = ring.dimension
     rows = ring.cells_of_codim(n - p)
     cols = ring.cells_of_codim(p)
@@ -41,10 +43,9 @@ def dual_basis_cycles(ring, p):
         dual = invert(ring.pairing_matrix(n - p))
     except ValueError:
         raise ValueError(f"{ring.name}: pairing at codim {p} is degenerate") from None
-    ring._duals[p] = tuple(
+    return tuple(
         Cycle(ring, {rows[i].key: dual[j][i] for i in range(len(rows))}) for j in range(len(cols))
     )
-    return ring._duals[p]
 
 
 class Correspondence:
@@ -55,7 +56,7 @@ class Correspondence:
     default derives it from the cycle.
     """
 
-    __slots__ = ("source", "target", "ring", "cycle", "offset", "_columns")
+    __slots__ = ("source", "target", "ring", "cycle", "offset", "_kept")
 
     def __init__(self, source, target, cycle, offset=_AUTO):
         ring = kunneth_product(source, target)
@@ -75,7 +76,7 @@ class Correspondence:
         self.ring = ring
         self.cycle = cycle
         self.offset = offset
-        self._columns = None  # action_columns(self), kept
+        self._kept = {}  # action_columns(self), see rings._kept
 
     # -- algebra -------------------------------------------------------------
 
@@ -135,7 +136,7 @@ def _correspondence(source, target, ring, cycle, offset):
     lies on ring, their product, homogeneous of codim dim(source) + offset
     unless offset is None: neither is looked up or checked."""
     f = object.__new__(Correspondence)
-    f.source, f.target, f.ring, f.cycle, f.offset, f._columns = source, target, ring, cycle, offset, None
+    f.source, f.target, f.ring, f.cycle, f.offset, f._kept = source, target, ring, cycle, offset, {}
     return f
 
 
@@ -352,19 +353,16 @@ def action_columns(f):
     pairing is perfect, since only then does the action determine the
     cycle.  Read once and kept on f, with integral entries as ints, so
     callers share it and must not mutate it."""
-    if f._columns is None:
-        ring = f.source
-        if f.target is not ring or not (f.is_zero() or f.offset == 0):
-            raise ValueError("action_columns needs a degree-0 self-correspondence")
-        for p in range(ring.dimension + 1):
-            dual_basis_cycles(ring, p)
-        f._columns = _exact_columns(_action_map(f))
-    return f._columns
+    return _kept(f, _columns)
 
 
-def _exact_columns(m):
-    """The sparse matrix m with each entry an int when integral, as in a cycle."""
-    return {b: {r: _exact(v) for r, v in col.items()} for b, col in m.items()}
+def _columns(f):
+    ring = f.source
+    if f.target is not ring or not (f.is_zero() or f.offset == 0):
+        raise ValueError("action_columns needs a degree-0 self-correspondence")
+    for p in range(ring.dimension + 1):
+        dual_basis_cycles(ring, p)
+    return {b: {r: _exact(v) for r, v in col.items()} for b, col in _action_map(f).items()}
 
 
 # -- morphism data -------------------------------------------------------------

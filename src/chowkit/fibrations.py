@@ -29,7 +29,7 @@ import warnings
 
 from .linalg import codim_blocks, projector_system_failures
 from .report import Report
-from .rings import _cycle, _sum, external_product, kunneth_product, verify_pairing
+from .rings import _cycle, _kept, _sum, external_product, kunneth_product, verify_pairing
 
 
 class FiberedCycle:
@@ -126,8 +126,7 @@ class FibrationModel:
         self.dimension = base.dimension + fiber.dimension
         self._gen_cells = {c.key: c for c in fiber.cells}
         self.generators = tuple(sorted(self._gen_cells))
-        self._family = None  # see build_projector_family
-        self._extended = {}  # ambient ring -> this model extended by it, see _extensions
+        self._kept = {}  # its projector family, lifted blocks and extensions, see rings._kept
         keys = {}  # codim, or None for all of them -> basis keys in module order
         for g in self.generators:
             for cell in base.cells:
@@ -373,17 +372,14 @@ class ProjectorFamily:
     which evaluates every projector honestly (each one sees exactly the
     residual its definition prescribes).  Operators built from the family
     (``projectors``, ``placed_operators``) are written from keys instead,
-    once ``_check_laws`` has passed.  A model's family is the one
-    build_projector_family keeps on it, so the check runs once per model,
-    and the lifted blocks (murre.lifted_blocks) are kept next to it.
+    once the model has passed ``_lawful``.  A model's family is the one
+    build_projector_family keeps on it, so the check runs once per model.
     """
 
     def __init__(self, model):
         self.model = model
         self.order = tuple(sorted(model.generators, reverse=True))
-        self._duals = None  # generator key -> its fiber dual's key, from the first sweep
-        self._lawful = False  # the model passed _check_laws
-        self.blocks = None  # see murre.lifted_blocks
+        self._kept = {}  # its duals and its law check, see rings._kept
 
     def apply_all_with_coefficients(self, y):
         """{generator key: alpha_g} over the nonzero peeled coefficients, in
@@ -402,13 +398,12 @@ class ProjectorFamily:
             raise ValueError(
                 f"apply_all_with_coefficients: cycle lives in {y.model.name}, not {model.name}"
             )
-        if self._duals is None:
-            self._duals = {g: model.fiber.dual_cell(g).key for g in self.order}
+        duals = _kept(self, _duals)
         base, top, rows = model.base, model.fiber.point_cell.key, model._table
         residual = {h: b.coeffs for h, b in y.parts.items()}  # replaced, never mutated
         out = {}
         for g in self.order:
-            row, alpha = rows.get(self._duals[g], {}), {}
+            row, alpha = rows.get(duals[g], {}), {}
             for h, b in residual.items():
                 t = row.get(h, {}).get(top)
                 if t is not None:
@@ -418,25 +413,13 @@ class ProjectorFamily:
                 residual[g] = _sum(residual.get(g, {}), alpha, -1)
         return out
 
-    def _check_laws(self):
-        """Raise a ValueError naming the first law of the coordinate-projection
-        lemma that the model fails, with its first witness.  Under the laws
-        the sweep of pi^*(x) * T_g is {g: x}; once passed, never checked again."""
-        if not self._lawful:
-            for law, witnesses in _lemma_laws(self.model).items():
-                if witnesses:
-                    raise ValueError(
-                        f"projector family on {self.model.name}: {law} fails: {witnesses[0].strip()}"
-                    )
-            self._lawful = True
-
     def placed_operators(self, maps):
         """{name: sparse matrix} for maps {name: {g: phi_g}}, phi_g a sparse
         matrix on the base's basis keys.  The operator named n is y -> sum
         over g of pi^*(phi_g(alpha_g)) * T_g, alpha_g the peeled coefficient
-        of y at T_g, which _check_laws makes y's own: so column (g, x) is
+        of y at T_g, which _lawful makes y's own: so column (g, x) is
         column x of phi_g placed on T_g."""
-        self._check_laws()
+        _kept(self, _lawful)
         return {
             name: {
                 (g, x): {(g, k): c for k, c in col.items()}
@@ -454,12 +437,26 @@ class ProjectorFamily:
         return self.placed_operators({g: {g: ident} for g in self.model.generators})
 
 
+def _duals(family):
+    """{generator key: its fiber dual's key}, read by every sweep."""
+    return {g: family.model.fiber.dual_cell(g).key for g in family.order}
+
+
+def _lawful(family):
+    """True, or a ValueError naming the first law of the coordinate-projection
+    lemma that the family's model fails, with its first witness.  Under the
+    laws the sweep of pi^*(x) * T_g is {g: x}; kept once passed, so never
+    checked again."""
+    for law, witnesses in _lemma_laws(family.model).items():
+        if witnesses:
+            raise ValueError(f"projector family on {family.model.name}: {law} fails: {witnesses[0].strip()}")
+    return True
+
+
 def build_projector_family(model):
     """The model's one projector family, built on first use and kept on the
-    model, so its law check and lifted blocks live as long as the model does."""
-    if model._family is None:
-        model._family = ProjectorFamily(model)
-    return model._family
+    model, so its law check lives as long as the model does."""
+    return _kept(model, ProjectorFamily)
 
 
 def add_system_checks(report, space, systems, noun, labels, count=None):
@@ -579,9 +576,7 @@ def _extensions(model, battery):
 
         battery = default_battery()
     for ambient in battery:
-        if ambient not in model._extended:
-            model._extended[ambient] = ambient_extend(model, ambient)
-        yield ambient, model._extended[ambient]
+        yield ambient, _kept(model, ambient_extend, ambient)
 
 
 def manin_battery(model, battery=None, samples=25, seed=0):

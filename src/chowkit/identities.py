@@ -27,7 +27,7 @@ from .correspondences import (
 )
 from .linalg import after
 from .report import Report
-from .rings import _cycle, external_product, kunneth_product
+from .rings import _cycle, _kept, external_product, kunneth_product
 from .sampling import _randint, random_correspondence, random_cycle, seeded_rng
 
 
@@ -192,9 +192,7 @@ def compose_oracle(g, f):
     if f.target is not g.source:
         raise ValueError("composition mismatch: f must land where g starts")
     triple = kunneth_product(f.ring, g.target)
-    if triple._oracle is None:
-        triple._oracle = _oracle_maps(triple)
-    up_f, up_g, down, AC = triple._oracle
+    up_f, up_g, down, AC = _kept(triple, _oracle_maps)
     table, lift_g = triple._table, [(up_g[k], c) for k, c in g.cycle.coeffs.items()]
     coeffs = {}
     for kf, cf in f.cycle.coeffs.items():

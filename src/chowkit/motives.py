@@ -20,7 +20,7 @@ from .correspondences import (
 from .fibrations import add_system_checks, build_projector_family
 from .linalg import block_rank, codim_blocks
 from .report import Report
-from .rings import Cycle, external_product
+from .rings import Cycle, _kept, external_product
 
 
 class Motive:
@@ -58,14 +58,15 @@ def fiber_projectors(ring):
     perfect).  Returned in the ring's cell order, as a fresh list of the
     ring's one system, kept on the ring so each action is read once.
     """
-    if ring._cell_projectors is None:
-        duals = {p: dual_basis_cycles(ring, p) for p in range(ring.dimension + 1)}
-        ring._cell_projectors = tuple(
-            Correspondence(ring, ring, external_product(
-                duals[cell.codim][cell.index - 1], ring.basis_cycle(cell)), 0)
-            for cell in ring.cells
-        )
-    return list(ring._cell_projectors)
+    return list(_kept(ring, _cell_projectors))
+
+
+def _cell_projectors(ring):
+    duals = {p: dual_basis_cycles(ring, p) for p in range(ring.dimension + 1)}
+    return tuple(
+        Correspondence(ring, ring, external_product(duals[cell.codim][cell.index - 1], ring.basis_cycle(cell)), 0)
+        for cell in ring.cells
+    )
 
 
 def verify_projector_system(projectors):

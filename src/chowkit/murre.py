@@ -14,7 +14,7 @@ the lifted decomposition to the cellular one of the product ring.
 
 from __future__ import annotations
 
-from .correspondences import _exact_columns, action_columns, zero_correspondence
+from .correspondences import action_columns, zero_correspondence
 from .fibrations import _extensions, add_system_checks, build_projector_family
 from .linalg import (
     after,
@@ -27,7 +27,7 @@ from .linalg import (
 )
 from .motives import fiber_projectors
 from .report import Check, Report
-from .rings import ChowRing, kunneth_product
+from .rings import ChowRing, _kept, kunneth_product
 from .sampling import random_fibered_cycle, seeded_rng
 
 
@@ -46,7 +46,6 @@ class CKDecomposition:
     def __init__(self, space, projectors, name=""):
         self.space = space
         self.projectors = projectors
-        self.report = None  # verify_ck's report, once _checked has run it
         expected = set(range(2 * space.dimension + 1))
         if set(projectors) != expected:
             raise ValueError("projectors must cover every degree 0..2*dim exactly once")
@@ -116,36 +115,29 @@ def verify_ck(ck):
     return report
 
 
+def _verified(ck):
+    """verify_ck(ck), raising with the full report when a check fails."""
+    report = verify_ck(ck)
+    if not report.passed:
+        raise ValueError("\n".join(report.lines()))
+    return report
+
+
 # -- cellular construction -----------------------------------------------------
 
 
-def cellular_ck(ring, validate=True):
+def cellular_ck(ring):
     """The diagonal split by codimension: the even projector 2i sums the
     cell projectors (fiber_projectors, each cell crossed with its dual) of
-    the codim-i cells, odd projectors vanish.
-
-    Self-verifies on construction and raises when any condition fails.
-    Each projector's action is the sum of its cell projectors' kept ones.
+    the codim-i cells, odd projectors vanish.  Unverified: verify_ck checks
+    it, and the cell projectors raise where a pairing is not perfect.
     """
     by_degree = {}
     for cell, p in zip(ring.cells, fiber_projectors(ring)):
         by_degree.setdefault(2 * cell.codim, []).append(p)
     zero = zero_correspondence(ring, ring, 0)
     projs = {k: sum(by_degree.get(k, ()), zero) for k in range(2 * ring.dimension + 1)}
-    for k, p in projs.items():
-        cells = by_degree.get(k, ())
-        p._columns = _exact_columns(matrix_sum((1, action_columns(c)) for c in cells))
-    return _checked(CKDecomposition(ring, projs, name=f"cellular CK of {ring.name}"), validate)
-
-
-def _checked(ck, validate):
-    """ck, carrying its verify_ck report when validate is set; a failed
-    check raises with the full report."""
-    if validate:
-        ck.report = verify_ck(ck)
-        if not ck.report.passed:
-            raise ValueError("\n".join(ck.report.lines()))
-    return ck
+    return CKDecomposition(ring, projs, name=f"cellular CK of {ring.name}")
 
 
 # -- the lift ------------------------------------------------------------------
@@ -153,26 +145,29 @@ def _checked(ck, validate):
 
 def lifted_blocks(model):
     """{(i, j): block} in (i, j) order, the lift of the base's cellular CK,
-    built and checked once per model and kept on its projector family.
-    Block (i, 2q) places base projector i on the generators of codim q, and
-    the degree-k lifted projector sums the blocks with i + j = k.  Zero
-    blocks (odd j, a zero base projector, no generator of codim j/2) are
-    left out; the rest are built in one pass."""
-    family = build_projector_family(model)
-    if family.blocks is None:
-        maps = {}
-        for i, phi in cellular_ck(model.base).columns().items():
-            if not phi:
-                continue
-            for q in range(model.fiber.dimension + 1):
-                slots = {g: phi for g in model.generators if g[0] == q}
-                if slots:
-                    maps[(i, 2 * q)] = slots
-        family.blocks = family.placed_operators(maps)
-    return family.blocks
+    built once per model, after the base's CK is verified, and kept on the
+    model.  Block (i, 2q) places base projector i on the generators of
+    codim q, and the degree-k lifted projector sums the blocks with
+    i + j = k.  Zero blocks (odd j, a zero base projector, no generator of
+    codim j/2) are left out; the rest are built in one pass."""
+    return _kept(model, _blocks)
 
 
-def lift_ck(model, *, validate=True):
+def _blocks(model):
+    base = cellular_ck(model.base)
+    _verified(base)
+    maps = {}
+    for i, phi in base.columns().items():
+        if not phi:
+            continue
+        for q in range(model.fiber.dimension + 1):
+            slots = {g: phi for g in model.generators if g[0] == q}
+            if slots:
+                maps[(i, 2 * q)] = slots
+    return build_projector_family(model).placed_operators(maps)
+
+
+def lift_ck(model):
     """Lift the base's cellular Chow-Kunneth decomposition across the
     fibration: Pi_k sums the lifted blocks (i, j) with i + j = k.
 
@@ -180,14 +175,13 @@ def lift_ck(model, *, validate=True):
     is fixed by its action (the pairings are perfect), and a genuine
     projector of degree 2j acts as the identity on CH^j and as zero on every
     other codim, as the cellular one does.  The base's CK is verified once
-    per model (lifted_blocks); with validate, the lifted one is verified
-    after assembly, and a failure raises with the full report.
+    per model (lifted_blocks); the lift is not: verify_ck checks it.
     """
     terms = {k: [] for k in range(2 * model.dimension + 1)}
     for (i, j), m in lifted_blocks(model).items():
         terms[i + j].append((1, m))
     projs = {k: matrix_sum(ts) for k, ts in terms.items()}
-    return _checked(CKDecomposition(model, projs, name=f"lifted CK of {model.name}"), validate)
+    return CKDecomposition(model, projs, name=f"lifted CK of {model.name}")
 
 
 def verify_block_diagonality(model, samples=20, seed=0):
@@ -238,8 +232,8 @@ def verify_block_diagonality(model, samples=20, seed=0):
 def ck_battery(model, battery=None):
     """Lift over the model itself and over its extension by each ambient
     factor, re-verifying every decomposition from scratch."""
-    entries = [(model.name, lift_ck(model).report)]
-    entries += [(extended.name, lift_ck(extended).report) for _, extended in _extensions(model, battery)]
+    entries = [(model.name, _verified(lift_ck(model)))]
+    entries += [(extended.name, _verified(lift_ck(extended))) for _, extended in _extensions(model, battery)]
     return Report("ambient-battery", f"Chow-Kunneth battery for {model.name}", children=entries)
 
 
@@ -277,8 +271,8 @@ def verify_motive_isomorphism(model):
     keys, cells = model.basis_keys(), [cell.key for cell in ring.cells]
     F = {(g, k): {pk[k, g]: 1} for g, k in keys}
     B = {pk[k, g]: {(g, k): 1} for g, k in keys}
-    Pi = lift_ck(model, validate=False).projectors
-    pi_x, pi_z = (cellular_ck(r, validate=False).columns() for r in (base, fiber))
+    Pi = lift_ck(model).projectors
+    pi_x, pi_z = (cellular_ck(r).columns() for r in (base, fiber))
     pi = {
         k: matrix_sum((1, kron(pi_x[i], pi_z[k - i], pk)) for i in pi_x if k - i in pi_z)
         for k in Pi

@@ -217,20 +217,26 @@ class ChowRing:
             self._validate_associativity()
 
     def _index(self, dimension, name, cells, by_key, by_label, by_codim):
-        """Keep a checked, sorted basis with its indexes; start the caches empty."""
+        """Keep a checked, sorted basis with its indexes; start the kept
+        values empty, each built on its first read."""
         self.dimension, self.name = dimension, name or f"ring(dim={dimension})"
         self.cells, self._by_key, self._by_label, self._by_codim = cells, by_key, by_label, by_codim
         self.ranks = tuple(len(by_codim[p]) for p in range(dimension + 1))
         self.unit_cell = by_codim[0][0]
         self.point_cell = by_codim[dimension][0]
-        self._pairings = {}  # codim p -> pairing_matrix(p)
-        self._duals = {}  # codim p -> correspondences.dual_basis_cycles(self, p)
-        self._partners = {}  # cell key -> partners(key)
-        self._cell_projectors = None  # motives.fiber_projectors(self), with kept actions
-        self._basis_keys = {}  # codim p, or None for all -> basis_keys(p)
-        self._kunneth = {}  # right factor -> kunneth_product(self, right)
         self._unit_coeffs = {self.unit_cell.key: 1}  # the unit's coeffs, for multiply
-        self._key_sets = _Kept(lambda p: frozenset(self.basis_keys(p)))  # codim p -> keys
+        self._kept = {}  # what other modules derive from this ring, see _kept
+        # codim p, or None for all -> basis_keys(p)
+        self._basis_keys = _Kept(lambda p: tuple(c.key for c in (cells if p is None else by_codim.get(p, ()))))
+        self._key_sets = _Kept(lambda p: frozenset(self._basis_keys[p]))
+        self._partners = _Kept(lambda key: tuple(  # cell key -> partners(key)
+            (c.key, d) for c in by_codim.get(dimension - key[0], ()) if (d := self.pair_degree(key, c.key))
+        ))
+        self._pairings = _Kept(lambda p: tuple(  # codim p -> pairing_matrix(p)
+            tuple(self.pair_degree(r.key, c.key) for c in by_codim.get(dimension - p, ()))
+            for r in by_codim.get(p, ())
+        ))
+        self._kunneth = _Kept(lambda right: KunnethRing(self, right))  # right factor -> self x right
 
     # -- construction helpers ----------------------------------------------
 
@@ -354,11 +360,7 @@ class ChowRing:
     def basis_keys(self, p=None):
         """The keys of the codim-p cells, or of every cell when p is None,
         in cell order; kept."""
-        keys = self._basis_keys.get(p)
-        if keys is None:
-            cells = self.cells if p is None else self._by_codim.get(p, ())
-            keys = self._basis_keys[p] = tuple(c.key for c in cells)
-        return keys
+        return self._basis_keys[p]
 
     def basis_cycle(self, spec):
         return _cycle(self, {self.cell(spec).key: 1})
@@ -425,22 +427,11 @@ class ChowRing:
         """((cell key, degree), ...) over the cells whose product with the
         cell ``key`` has a nonzero degree, in cell order; read off
         pair_degree on first use and kept."""
-        found = self._partners.get(key)
-        if found is None:
-            found = self._partners[key] = tuple(
-                (c.key, d)
-                for c in self._by_codim.get(self.dimension - key[0], ())
-                if (d := self.pair_degree(key, c.key))
-            )
-        return found
+        return self._partners[key]
 
     def pairing_matrix(self, p):
-        """Matrix of degree(tau_{p,i} * tau_{n-p,j}) over the cell orderings."""
-        if p not in self._pairings:
-            cols = self.cells_of_codim(self.dimension - p)
-            self._pairings[p] = tuple(
-                tuple(self.pair_degree(r.key, c.key) for c in cols) for r in self.cells_of_codim(p)
-            )
+        """Matrix of degree(tau_{p,i} * tau_{n-p,j}) over the cell orderings;
+        kept."""
         return self._pairings[p]
 
     def __repr__(self):
@@ -518,7 +509,6 @@ class KunnethRing(ChowRing):
                         pairs[cell.key] = (a, b)
             cells += group
         self._pair_to_key, self._key_to_pair = pk, pairs
-        self._oracle = None  # identities.compose_oracle's key maps, on a triple product
         self._pair_keys = _Kept(lambda k: (pairs[k][0].key, pairs[k][1].key))
         self._left_partners = _Kept(lambda k: (pairs[k][1].key, left.partners(pairs[k][0].key)))
         self._right_partners = _Kept(lambda k: (pairs[k][0].key, right.partners(pairs[k][1].key)))
@@ -541,8 +531,10 @@ class KunnethRing(ChowRing):
 
 class _Kept(dict):
     """A dict whose entry for a key is built by ``fill(key)`` on first read
-    (``kept[key]``; ``dict.get`` would miss unbuilt entries) and kept: a
-    Kunneth product's table rows and contraction plans, a ring's key sets."""
+    (``kept[key]``; ``dict.get`` would miss unbuilt entries) and kept: the
+    memos a ring fills itself, such as its basis keys, partners, pairings
+    and Kunneth products, and a Kunneth product's table rows and contraction
+    plans."""
 
     __slots__ = ("_fill",)
 
@@ -555,13 +547,22 @@ class _Kept(dict):
         return value
 
 
+def _kept(owner, build, *args):
+    """build(owner, *args), built on its first read and kept in owner._kept
+    under the build and its arguments for as long as owner lives: how a
+    value that another module derives from a ring, a model, a projector
+    family or a correspondence is kept.  A build that raises keeps nothing,
+    so the next read raises again."""
+    kept, key = owner._kept, (build, *args)
+    if key not in kept:
+        kept[key] = build(owner, *args)
+    return kept[key]
+
+
 def kunneth_product(left, right):
-    """The product ring of two cellular rings, memoized on the left factor
-    so that it is freed together with its factors."""
-    ring = left._kunneth.get(right)
-    if ring is None:
-        ring = left._kunneth[right] = KunnethRing(left, right)
-    return ring
+    """The product ring of two cellular rings, kept on the left factor so
+    that it is freed together with its factors."""
+    return left._kunneth[right]
 
 
 def external_product(a, b):

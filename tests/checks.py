@@ -2,7 +2,8 @@
 kernel, run by test_differential.py on every corpus entry of the kinds it
 takes: a ring, a pair or triple of rings, a morphism or a model.  The layer
 test files run ``same_correspondence`` and ``same_action_map`` on their
-named witnesses.  Cycles, action maps, Kunneth rows and
+named witnesses, ``spy`` to count calls and ``forget`` to drop what a
+cached target keeps.  Cycles, action maps, Kunneth rows and
 tables built by key compare entry by entry in order, with their types;
 sparse operators, pullbacks and pushforwards (whose reference sums cycle by
 cycle) compare as mappings.  Every value a kernel returns is an int, or a
@@ -15,6 +16,7 @@ from fractions import Fraction
 import chowkit
 from chowkit.correspondences import _action_map, action_columns
 from chowkit.linalg import rank
+from chowkit.rings import _Kept
 from chowkit.sampling import random_correspondence
 
 import corpus
@@ -51,6 +53,36 @@ def cycles(rng, ring):
     x, unit = chowkit.random_cycle(rng, ring, bound=3), ring.unit()
     return [x, x * Fraction(1, 2), chowkit.random_cycle(rng, ring, bound=1), unit, unit * 2, ring.zero(),
             *(ring.basis_cycle(c) for c in ring.cells)]
+
+
+# -- kept state and spies ------------------------------------------------------
+
+
+def forget(monkeypatch, owner):
+    """Drop, for one test, every value owner keeps: what rings._kept holds on
+    it and each of its _Kept fields.  Each is built again on its next read,
+    and monkeypatch restores the kept ones after the test, so a cached
+    catalog target leaves the test with what it came in with."""
+    monkeypatch.setattr(owner, "_kept", {})
+    for name, value in list(vars(owner).items()):
+        if isinstance(value, _Kept):
+            monkeypatch.setattr(owner, name, _Kept(value._fill))
+
+
+def spy(monkeypatch, owner, name, calls=None):
+    """Wrap owner.name, a function or a method, so that each call first
+    appends its positional arguments, as a tuple, to calls; returns calls,
+    a new list unless one is given, so that one list can count a function
+    through each module that binds it."""
+    calls = [] if calls is None else calls
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 # -- rings ---------------------------------------------------------------------
@@ -103,8 +135,8 @@ def check_rank(ring, rng):
 
 def same_correspondence(got, want):
     """A kernel's correspondence against the reference's: the same class,
-    rings and degree, the same entries in order, and no kept columns."""
-    assert type(got) is chowkit.Correspondence and got._columns is None
+    rings and degree, the same entries in order, and nothing kept."""
+    assert type(got) is chowkit.Correspondence and got._kept == {}
     assert (got.source, got.target, got.offset) == (want.source, want.target, want.offset)
     assert got.ring is want.ring and got.cycle.ring is want.cycle.ring
     assert entries(got.cycle) == entries(want.cycle)
@@ -286,7 +318,9 @@ def check_lifted_blocks(model, rng):
 
 
 def check_lift_ck(model, rng):
-    same_operators(chowkit.lift_ck(model).projectors, oracles.lifted_projectors(model))
+    ck = chowkit.lift_ck(model)
+    same_operators(ck.projectors, oracles.lifted_projectors(model))
+    assert chowkit.verify_ck(ck).passed
 
 
 def check_kron_sides(model, rng):

@@ -21,7 +21,6 @@ from chowkit import (
     ChowRing,
     FibrationModel,
     ambient_extend,
-    build_projector_family,
     cellular_ck,
     grassmannian,
     hirzebruch,
@@ -319,8 +318,10 @@ ENTRIES = {
 
 def identity_added_to_block_00(mp, model):
     """Patch the operator builder so that the lifted block (0, 0) of model
-    comes back with the identity added; the model's family keeps its
-    blocks, so they are dropped for the run and restored after."""
+    comes back with the identity added; the model keeps its blocks, so they
+    are dropped for the run and restored after."""
+    from checks import forget  # checks imports this module
+
     build = ProjectorFamily.placed_operators
 
     def perturbed(family, maps):
@@ -330,7 +331,7 @@ def identity_added_to_block_00(mp, model):
             ops[0, 0] = matrix_sum(((1, ops[0, 0]), (1, ident)))
         return ops
 
-    mp.setattr(build_projector_family(model), "blocks", None)
+    forget(mp, model)
     mp.setattr(ProjectorFamily, "placed_operators", perturbed)
 
 
@@ -375,7 +376,7 @@ def perturbed_sweep(model, perturb):
 def perturbed_pi2():
     """The lifted CK of hirzebruch(1), one entry of Pi_2 raised by one."""
     model = hirzebruch(1)
-    ck = lift_ck(model, validate=False)
+    ck = lift_ck(model)
     cols = ck.projectors[2]
     col = cols[next(b for b in model.basis_keys(1) if b in cols)]
     col[next(iter(col))] += 1
@@ -386,7 +387,7 @@ def off_codim_image():
     """The lifted CK of hirzebruch(1), Pi_0 sending its codim-0 basis element
     into codim 1 as well."""
     model = hirzebruch(1)
-    ck = lift_ck(model, validate=False)
+    ck = lift_ck(model)
     (b,) = model.basis_keys(0)
     ck.projectors[0][b][model.basis_keys(1)[0]] = 1
     return ck
@@ -436,8 +437,10 @@ def leaked_operator(mp):
     """hirzebruch(1), with the operator builder leaking, in every system it
     hands out (rho, the lifted blocks, the motive pieces), the first column
     of the first operator into the first image key of the last operator, a
-    key of another codim.  The model's family keeps its blocks, so they are
-    dropped for the run and restored after."""
+    key of another codim.  The model keeps its blocks, so they are dropped
+    for the run and restored after."""
+    from checks import forget  # checks imports this module
+
     placed = ProjectorFamily.placed_operators
 
     def leaked(family, maps):
@@ -448,7 +451,7 @@ def leaked_operator(mp):
         return ops
 
     model = hirzebruch(1)
-    mp.setattr(build_projector_family(model), "blocks", None)
+    forget(mp, model)
     mp.setattr(ProjectorFamily, "placed_operators", leaked)
     return model
 

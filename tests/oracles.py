@@ -367,7 +367,7 @@ def isomorphism_sides(model):
     ring = kunneth_product(model.base, model.fiber)
     cells = dict(zip(model.fiber.basis_keys(), fiber_projectors(model.fiber)))
     return (
-        {k: action_columns(p) for k, p in cellular_ck(ring, validate=False).projectors.items()},
+        {k: action_columns(p) for k, p in cellular_ck(ring).projectors.items()},
         {g: action_columns(tensor(diagonal(model.base), cells[g])) for g in model.generators},
     )
 
@@ -378,7 +378,7 @@ def kron_sides(model):
     check linalg.kron against."""
     base, fiber = model.base, model.fiber
     pk = kunneth_product(base, fiber)._pair_to_key
-    pi_x, pi_z = (cellular_ck(r, validate=False).columns() for r in (base, fiber))
+    pi_x, pi_z = (cellular_ck(r).columns() for r in (base, fiber))
     pi = {
         k: matrix_sum((1, kron(pi_x[i], pi_z[k - i], pk)) for i in pi_x if k - i in pi_z)
         for k in range(2 * model.dimension + 1)

@@ -32,6 +32,7 @@ from chowkit import (
     tensor,
     trivial_fibration,
     verify_action_window,
+    verify_ck,
     verify_motive_isomorphism,
     verify_pairing,
     verify_projector_family,
@@ -247,7 +248,8 @@ def test_criterion_09_ck_lift():
     ):
         ck = lift_ck(model)
         assert set(ck.projectors) == set(range(2 * model.dimension + 1))
-        assert ck.report.passed, "\n".join(ck.report.lines())
+        report = verify_ck(ck)
+        assert report.passed, "\n".join(report.lines())
         action = verify_action_window(ck)
         assert action.passed
         table = action.table["ranks"]

@@ -36,7 +36,7 @@ CHECKERS = {
     "validate_fibration": validate_fibration,
     "duality_report": lambda m: duality_report(m, samples=1),
     "verify_projector_family": lambda m: verify_projector_family(build_projector_family(m), samples=1),
-    "verify_ck": lambda m: verify_ck(lift_ck(m, validate=False)),
+    "verify_ck": lambda m: verify_ck(lift_ck(m)),
     "verify_block_diagonality": lambda m: verify_block_diagonality(m, samples=2),
     "decompose_model": lambda m: decompose_model(m).report,
     "verify_motive_isomorphism": verify_motive_isomorphism,

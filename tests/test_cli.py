@@ -11,11 +11,12 @@ import pytest
 import chowkit
 from chowkit import ChowRing, diagonal, point, save_fibration, save_ring
 from chowkit.catalog import catalog_entries, hirzebruch, projective_space, resolve
-from chowkit import build_projector_family, cli, fibrations, murre
+from chowkit import cli, fibrations, motives, murre
 from chowkit.cli import main, render_text
 from chowkit.fileio import dump_fibration, dump_ring, parse_fibration, parse_ring
 from chowkit.murre import cellular_ck
 
+from checks import forget, spy
 from corpus import degenerate_surface_doc
 
 
@@ -301,25 +302,20 @@ def test_ck_command_prints_the_ck_suite(capsys, monkeypatch):
     # the README's battery example; each command verifies each CK once: the
     # suite reports the battery's first entry, the model's own lift
     flags = ("--catalog", "product:p2,p1", "--battery", "point,p1,p2", "--format", "json")
-    verified, verify_ck = [], murre.verify_ck
-
-    def counted(ck):
-        verified.append(ck.name)
-        return verify_ck(ck)
-
-    monkeypatch.setattr(cli, "verify_ck", counted)
-    monkeypatch.setattr(murre, "verify_ck", counted)
+    verified = []
+    for module in (cli, murre):
+        spy(monkeypatch, module, "verify_ck", verified)
     model = resolve("product:p2,p1")
     docs = []
     for command in (["ck"], ["verify", "--suite", "ck"]):
         # the model keeps its lifted blocks and its extensions: drop them, so
         # every base CK is checked again
-        monkeypatch.setattr(build_projector_family(model), "blocks", None)
-        monkeypatch.setattr(model, "_extended", {})
+        forget(monkeypatch, model)
         del verified[:]
         code, out, _ = run(capsys, *command, *flags)
-        assert code == 0 and len(verified) == 8 == len(set(verified))
-        assert "lifted CK of P^2 x P^1" in verified
+        names = [ck.name for ck, in verified]
+        assert code == 0 and len(names) == 8 == len(set(names))
+        assert "lifted CK of P^2 x P^1" in names
         docs.append(json.loads(out))
     ck_doc, suite_doc = docs
     assert [s["suite"] for s in ck_doc["suites"]] == ["ck"]
@@ -362,21 +358,23 @@ def test_verify_all_on_the_degenerate_ring_fails_suite_by_suite(capsys, tmp_path
 
 
 def count_builds_and_tables(monkeypatch):
-    """([each CK the cli builds], [populated (degree, codim) blocks of each
-    action-window table that murre ranks])."""
-    builds, tables = [], []
-    for name in ("cellular_ck", "lift_ck"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, name=name, real=real, **k: builds.append(name) or real(*a, **k))
+    """({builder: [(target,) per CK the cli builds with it]}, [populated
+    (degree, codim) blocks of each action-window table that murre ranks])."""
+    builds, tables = {name: spy(monkeypatch, cli, name) for name in ("cellular_ck", "lift_ck")}, []
     real_blocks = murre.codim_blocks
 
-    def spy(space, columns):
+    def ranked(space, columns):
         codim_of, blocks = real_blocks(space, columns)
         tables.append(sum(map(len, blocks.values())))
         return codim_of, blocks
 
-    monkeypatch.setattr(murre, "codim_blocks", spy)
+    monkeypatch.setattr(murre, "codim_blocks", ranked)
     return builds, tables
+
+
+def built(builds):
+    """The builder of each CK build, cellular ones first."""
+    return [name for name, calls in builds.items() for _ in calls]
 
 
 @pytest.mark.parametrize("flag, save, build, tables", [
@@ -387,10 +385,10 @@ def count_builds_and_tables(monkeypatch):
 def test_verify_all_builds_and_ranks_each_ck_once(capsys, tmp_path, monkeypatch, flag, save, build, tables):
     path = tmp_path / "target.json"
     save(path)
-    counted = count_builds_and_tables(monkeypatch)
+    builds, got = count_builds_and_tables(monkeypatch)
     code, _, _ = run(capsys, "verify", flag, str(path), "--suite", "all", "--samples", "3", "--format", "json")
     assert code == 0
-    assert counted == ([build], tables)
+    assert (built(builds), got) == ([build], tables)
 
 
 @pytest.mark.parametrize("make, build, table", [
@@ -403,7 +401,7 @@ def test_no_ck_state_outlives_its_run(monkeypatch, make, build, table):
     cli._run(target, ["ck", "murre"], cli.RunConfig(samples=3))
     builds, tables = count_builds_and_tables(monkeypatch)
     docs = [cli._run(target, ["ck", "murre"], cli.RunConfig(samples=3)) for _ in range(2)]
-    assert builds == [build] * 2 and tables == [table] * 2
+    assert built(builds) == [build] * 2 and tables == [table] * 2
     assert docs[0] == docs[1] and all(doc["passed"] for doc in docs[0])
 
 
@@ -411,27 +409,57 @@ def test_no_ck_state_outlives_its_run(monkeypatch, make, build, table):
 def test_ck_command_builds_the_ck_once(capsys, monkeypatch, target, build):
     builds, _ = count_builds_and_tables(monkeypatch)
     code, _, _ = run(capsys, "ck", "--catalog", target, "--format", "json")
-    assert code == 0 and builds == [build]
+    assert code == 0 and built(builds) == [build]
 
 
 def test_verify_all_runs_the_manin_battery_once(capsys, monkeypatch):
     # the projectors suite renders, under --battery, the manin suite's report
-    calls = []
-    for module, name in ((cli, "manin_battery"), (fibrations, "ambient_extend")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k))
+    manins, extensions = spy(monkeypatch, cli, "manin_battery"), spy(monkeypatch, fibrations, "ambient_extend")
     # the model keeps its extensions, so an earlier run would have built them
-    monkeypatch.setattr(resolve("hirzebruch:1"), "_extended", {})
+    forget(monkeypatch, resolve("hirzebruch:1"))
     code, out, _ = run(capsys, "verify", "--catalog", "hirzebruch:1", "--suite", "all",
                        "--battery", "point,p1,p2", "--samples", "3", "--format", "json")
     assert code == 0
     # three extensions, which the CK battery and the manin battery share
-    assert calls.count("manin_battery") == 1 and calls.count("ambient_extend") == 3
+    assert len(manins) == 1 and len(extensions) == 3
     suites = {s["suite"]: s for s in json.loads(out)["suites"]}
     projectors, manin = suites["projectors"], suites["manin"]
     assert projectors["data"][1] == manin["data"]
     assert [e["ambient"] for e in manin["data"]["entries"]] == ["point", "P^1", "P^2"]
     assert projectors["lines"][-len(manin["lines"]):] == manin["lines"]
+
+
+# each module binding of the builds a model keeps, and of the CK check
+KEPT_BUILDS = [
+    *((module, "build_projector_family") for module in (cli, fibrations, motives, murre)),
+    (murre, "lifted_blocks"),
+    (fibrations, "ambient_extend"),
+    *((module, "verify_ck") for module in (cli, murre)),
+]
+
+
+def test_a_forgotten_catalog_model_runs_as_a_fresh_one(capsys, tmp_path, monkeypatch):
+    # the cached hirzebruch:1, with all it keeps dropped, is built and checked
+    # as often as a fresh copy, and reports the same suites
+    calls = {}
+    for module, name in KEPT_BUILDS:
+        spy(monkeypatch, module, name, calls.setdefault(name, []))
+    path = tmp_path / "h1.json"
+    save_fibration(hirzebruch(1), path)
+    flags = ("--suite", "all", "--battery", "point,p1,p2", "--samples", "3", "--format", "json")
+    run(capsys, "verify", "--catalog", "hirzebruch:1", *flags)  # what it keeps, forget drops
+    counts, docs = [], []
+    for target in (("--catalog", "hirzebruch:1"), ("--fibration-file", str(path))):
+        forget(monkeypatch, resolve("hirzebruch:1"))
+        for c in calls.values():
+            del c[:]
+        code, out, _ = run(capsys, "verify", *target, *flags)
+        assert code == 0
+        counts.append({name: len(c) for name, c in calls.items()})
+        docs.append(json.loads(out)["suites"])
+    assert counts[0] == counts[1] and all(counts[0].values())
+    assert counts[0]["ambient_extend"] == 3
+    assert docs[0] == docs[1]
 
 
 def test_identities_command_deterministic(capsys):

@@ -40,7 +40,7 @@ from chowkit.fibrations import FiberedCycle, ProjectorFamily
 from chowkit.sampling import random_cycle, random_fibered_cycle, seeded_rng
 
 import oracles
-from checks import same_sweep
+from checks import same_sweep, spy
 from corpus import A, B, ENTRIES, INDEPENDENCE_MODELS, UNIT, bundle_over_gr24, doubled_top, dropped_unit
 from corpus import fibered_cycles, flat_square, fresh_hirzebruch, leaked_top, module_basis, nonassociative
 from corpus import perturbed_sweep, rho_column_doubled, standard_models, unpeeled
@@ -228,9 +228,7 @@ def test_validate_fibration_catches_broken_duality():
 def test_validate_fibration_multiplies_each_generator_pair_once(make, m, monkeypatch):
     # the m x m table of T_a T_b, then (T_a T_b) T_c and T_a (T_b T_c) per triple
     model = make()
-    calls = []
-    real = FibrationModel.multiply
-    monkeypatch.setattr(FibrationModel, "multiply", lambda *a: calls.append(1) or real(*a))
+    calls = spy(monkeypatch, FibrationModel, "multiply")
     assert len(model.generators) == m
     assert validate_fibration(model).passed
     assert len(calls) == m * m + 2 * m ** 3
@@ -357,11 +355,7 @@ def test_coefficient_extraction_forms_each_term_once(monkeypatch, model):
     # s * m terms of the random cycles, one section-recovery product per base
     # cell, and none in the sweeps
     samples = 3
-    calls = []
-    multiply = FibrationModel.multiply
-    monkeypatch.setattr(
-        FibrationModel, "multiply", lambda m, y1, y2: calls.append(1) or multiply(m, y1, y2)
-    )
+    calls = spy(monkeypatch, FibrationModel, "multiply")
     assert verify_projector_family(ProjectorFamily(model), samples=samples).passed
     assert len(calls) == samples * len(model.generators) + len(model.base.cells)
 
@@ -394,13 +388,7 @@ def test_verifier_sweeps_each_basis_element_once(monkeypatch, model):
     # each basis element is one column of one rho_g, placed from its key and
     # never swept; the verifier sweeps only its s samples
     samples = 3
-    calls = []
-    sweep = ProjectorFamily.apply_all_with_coefficients
-    monkeypatch.setattr(
-        ProjectorFamily,
-        "apply_all_with_coefficients",
-        lambda fam, y: calls.append(1) or sweep(fam, y),
-    )
+    calls = spy(monkeypatch, ProjectorFamily, "apply_all_with_coefficients")
     family = ProjectorFamily(model)
     assert verify_projector_family(family, samples=samples).passed
     assert len(calls) == samples
@@ -412,29 +400,19 @@ def test_the_command_line_sweeps_only_the_sampled_cycles(monkeypatch, capsys):
     # s random cycles for the model and for each of its three battery
     # extensions, and no basis element
     samples = 3
-    calls = []
-    sweep = ProjectorFamily.apply_all_with_coefficients
-    monkeypatch.setattr(
-        ProjectorFamily,
-        "apply_all_with_coefficients",
-        lambda fam, y: calls.append(fam.model.name) or sweep(fam, y),
-    )
+    calls = spy(monkeypatch, ProjectorFamily, "apply_all_with_coefficients")
     argv = ["verify", "--catalog", "hirzebruch:1", "--suite", "all", "--samples", str(samples)]
     assert main(argv + ["--format", "json"]) == 0
     capsys.readouterr()
     names = ["hirzebruch(1)"] + [f"{t} x hirzebruch(1)" for t in ("point", "P^1", "P^2")]
-    assert sorted(calls) == sorted(names * samples)
+    assert sorted(family.model.name for family, _ in calls) == sorted(names * samples)
 
 
 def test_sweeping_a_basis_constructs_no_fibered_cycle(monkeypatch):
     model = resolve("product:p4,p4")
     family = ProjectorFamily(model)
     basis = module_basis(model)
-    built = []
-    init = FiberedCycle.__init__
-    monkeypatch.setattr(
-        FiberedCycle, "__init__", lambda y, m, parts: built.append(1) or init(y, m, parts)
-    )
+    built = spy(monkeypatch, FiberedCycle, "__init__")
     sweeps = [family.apply_all_with_coefficients(y) for y in basis]
     assert not built
     assert [len(out) for out in sweeps] == [1] * len(basis) and len(basis) == 25

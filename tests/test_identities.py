@@ -29,9 +29,11 @@ from chowkit import (
 )
 from chowkit import identities
 from chowkit.identities import collapse_morphism
+from chowkit.rings import _kept
 from chowkit.sampling import random_correspondence
 
 import oracles
+from checks import spy
 
 
 def test_standard_morphisms_validate_on_construction():
@@ -100,9 +102,7 @@ def test_identities_with_no_standard_morphism_are_skipped(left, right, monkeypat
     from chowkit import identities
 
     rings = {"P^1": projective_space(1), "Gr(2,4)": grassmannian(2, 4)}
-    drawn = []
-    draw = identities.random_correspondence
-    monkeypatch.setattr(identities, "random_correspondence", lambda *a, **k: drawn.append(a) or draw(*a, **k))
+    drawn = spy(monkeypatch, identities, "random_correspondence")
     report = run_identity_battery(rings[left], rings[right], samples=3, seed=4)
     skipped = [check.label for check in report.checks if check.count == 0]
     if left == "P^1":
@@ -124,9 +124,7 @@ def test_identity_battery_deterministic():
 def test_identity_battery_builds_each_graph_once(monkeypatch):
     from chowkit import identities
 
-    calls = []
-    build = identities.graph_from_morphism
-    monkeypatch.setattr(identities, "graph_from_morphism", lambda m: calls.append(m) or build(m))
+    calls = spy(monkeypatch, identities, "graph_from_morphism")
     assert run_identity_battery(samples=2, seed=1).passed
     assert len(calls) == len(standard_morphisms())
 
@@ -257,7 +255,7 @@ def test_oracle_battery_fails_on_one_corrupted_triple_table_entry():
     compose_oracle(random_correspondence(rng, p2, p1), random_correspondence(rng, p1, p2))
     AB, BC = kunneth_product(p1, p2), kunneth_product(p2, p1)
     triple = kunneth_product(AB, p1)
-    up_f, up_g, down, _ = triple._oracle
+    up_f, up_g, down, _ = _kept(triple, identities._oracle_maps)
     h, unit = p2.cell("h").key, p1.unit_cell.key
     # (1 x h) x 1 times (1 x h) x h is (1 x pt) x h: one term, on B's point class
     row = triple._table[up_f[AB._pair_to_key[(unit, h)]]]
@@ -274,9 +272,7 @@ def test_oracle_battery_fails_on_one_corrupted_triple_table_entry():
 def test_oracle_maps_are_built_once_per_triple_and_kept_on_it(monkeypatch):
     # private rings, so that no earlier test has built their maps
     p1, p2 = (parse_ring(dump_ring(projective_space(n))) for n in (1, 2))
-    built = []
-    real = identities._oracle_maps
-    monkeypatch.setattr(identities, "_oracle_maps", lambda triple: built.append(triple) or real(triple))
+    built = spy(monkeypatch, identities, "_oracle_maps")
     # the oracle walks the triple product's table rows itself: no ring
     # product and no contraction
     calls = []
@@ -290,8 +286,9 @@ def test_oracle_maps_are_built_once_per_triple_and_kept_on_it(monkeypatch):
             g = random_correspondence(rng, B, C, offset=0)
             compose_oracle(g, f)
     rings = [kunneth_product(kunneth_product(A, B), C) for A, B, C in triples]
-    assert built == rings  # one build per triple, on its first call
+    assert built == [(ring,) for ring in rings]  # one build per triple, on its first call
     assert calls == []
+    key = (identities._oracle_maps,)  # the spy, which built and keys the kept maps
     for (A, B, C), ring in zip(triples, rings):
-        assert ring._oracle is not None and ring._oracle[-1] is kunneth_product(A, C)
-        assert kunneth_product(A, B)._oracle is None and kunneth_product(A, C)._oracle is None
+        assert list(ring._kept) == [key] and ring._kept[key][-1] is kunneth_product(A, C)
+        assert kunneth_product(A, B)._kept == {} == kunneth_product(A, C)._kept

@@ -39,6 +39,7 @@ from chowkit.rings import Cycle
 from chowkit.sampling import _randint, random_correspondence, random_cycle, seeded_rng
 
 import oracles
+from checks import spy
 from corpus import DOUBLED_PLANE as DOUBLED, correspondences as samples, fibered_cycles, fresh_hirzebruch
 from corpus import module_basis, standard_models, standard_rings
 
@@ -264,9 +265,7 @@ def test_motive_refuses_a_non_idempotent_projector():
 def test_decompose_motive_composes_nothing(monkeypatch):
     # the pieces are built after verify_projector_system decided idempotence
     ring = parse_ring(dump_ring(projective_space(30)))
-    calls = []
-    real = motives.compose
-    monkeypatch.setattr(motives, "compose", lambda g, f: calls.append(1) or real(g, f))
+    calls = spy(monkeypatch, motives, "compose")
     dec = decompose_motive(ring)
     assert len(dec.pieces) == 31 and not calls
     assert all(piece.ring is ring and piece.projector is p
@@ -301,13 +300,6 @@ def test_graph_functoriality_names_each_cell_that_misses():
 # -- one action-window table per kept CK -------------------------------------------
 
 
-def count_ranks(monkeypatch):
-    calls = []
-    real = murre.block_rank
-    monkeypatch.setattr(murre, "block_rank", lambda *a: calls.append(1) or real(*a))
-    return calls
-
-
 def count_tables(monkeypatch):
     """[populated (degree, codim) blocks] per table that murre ranks."""
     tables = []
@@ -330,7 +322,7 @@ def count_tables(monkeypatch):
 def test_ck_and_murre_suites_rank_one_table(make, populated, monkeypatch):
     target = make()
     config = cli.RunConfig(samples=5)
-    tables, calls = count_tables(monkeypatch), count_ranks(monkeypatch)
+    tables, calls = count_tables(monkeypatch), spy(monkeypatch, murre, "block_rank")
     ck = cli._suite_ck(target, config)
     # the ck suite ranks the target's table, and a lift also its base's;
     # each ranks only the (degree, codim) blocks where a projector has a
@@ -355,7 +347,7 @@ def test_ck_and_murre_suites_rank_one_table(make, populated, monkeypatch):
 def test_a_mutated_ck_is_ranked_afresh(build, monkeypatch):
     ck = build()
     kept = verify_action_window(ck).table
-    calls = count_ranks(monkeypatch)
+    calls = spy(monkeypatch, murre, "block_rank")
     assert verify_action_window(ck).table == kept
     columns = ck.columns()
     # the degree-0 projector also acts on the codim-1 cells of degree 2

@@ -34,6 +34,7 @@ from chowkit.fileio import dump_ring, parse_ring, save_fibration, save_ring
 from chowkit.linalg import apply, block_rank, codim_blocks, combine, rank
 from chowkit.murre import cellular_ck
 
+from checks import spy
 from corpus import DOUBLED, piece_scaled, standard_rings
 
 
@@ -126,9 +127,7 @@ def test_decompose_p2():
 def test_decompose_motive_reads_each_action_once(monkeypatch):
     # a private ring, so that no earlier test has kept its cell projectors
     ring = parse_ring(dump_ring(projective_space(4)))
-    calls = []
-    read = correspondences._action_map
-    monkeypatch.setattr(correspondences, "_action_map", lambda f: calls.append(f) or read(f))
+    calls = spy(monkeypatch, correspondences, "_action_map")
     dec = decompose_motive(ring)
     assert dec.report.table["rank_table"] == {p: tuple(int(k == p) for k in range(5)) for p in range(5)}
     assert len(calls) == 5  # one walk per cell projector
@@ -187,13 +186,11 @@ def test_decompose_model_product():
 def test_decompose_model_ranks_each_piece_where_it_has_columns(monkeypatch):
     # a product piece has columns in its own codim only: one rank per piece,
     # where every codim of every piece was ranked before
-    calls = []
-    real = motives.block_rank
-    monkeypatch.setattr(motives, "block_rank", lambda *a: calls.append(a[2]) or real(*a))
+    calls = spy(monkeypatch, motives, "block_rank")
     p4 = projective_space(4)
     dec = decompose_model(product_model.__wrapped__(p4, p4))
     assert len(dec.pieces) == 25
-    assert calls == [codim for _, codim, _ in dec.pieces]
+    assert [p for _, _, p in calls] == [codim for _, codim, _ in dec.pieces]
 
 
 def test_decompose_model_names_a_piece_with_a_column_outside_its_codim(monkeypatch):
@@ -213,15 +210,14 @@ def test_decompose_model_names_a_piece_with_a_column_outside_its_codim(monkeypat
 
 
 def count_ranks(monkeypatch):
-    """The matrices linalg.rank is called on, through every chowkit module's
+    """The (matrix,) of each linalg.rank call, through every chowkit module's
     binding of it."""
-    calls = []
-    rank = linalg.rank
+    calls, rank = [], linalg.rank
     for name, module in list(sys.modules.items()):
         if name.startswith("chowkit"):
             for attr, value in list(vars(module).items()):
                 if value is rank:
-                    monkeypatch.setattr(module, attr, lambda a: calls.append(a) or rank(a))
+                    spy(monkeypatch, module, attr, calls)
     return calls
 
 
@@ -268,14 +264,10 @@ def test_decompose_model_catches_a_perturbed_piece(monkeypatch):
 
 @pytest.fixture
 def spies(monkeypatch):
-    """(rings whose cell projectors were built, one entry per cell; the
-    correspondences whose action was walked; the unspied _action_map)."""
-    built, walked = [], []
-    external = motives.external_product
+    """([(a, b)] per external product a x b, one per cell of each cell-projector
+    build; [(f,)] per action walk; the unspied _action_map)."""
     read = correspondences._action_map
-    monkeypatch.setattr(motives, "external_product", lambda a, b: built.append(a.ring) or external(a, b))
-    monkeypatch.setattr(correspondences, "_action_map", lambda f: walked.append(f) or read(f))
-    return built, walked, read
+    return spy(monkeypatch, motives, "external_product"), spy(monkeypatch, correspondences, "_action_map"), read
 
 
 def loaded(monkeypatch, name):
@@ -287,8 +279,13 @@ def loaded(monkeypatch, name):
 
 def assert_kept_once(ring, built, walked, read):
     ps = fiber_projectors(ring)
-    assert sum(r is ring for r in built) == len(ring.cells)  # one build
-    assert [id(f) for f in walked if f.source is ring] == [id(p) for p in ps]  # one walk each
+    assert sum(a.ring is ring for a, _ in built) == len(ring.cells)  # one build
+    cells = {id(p) for p in ps}
+    assert [id(f) for f, in walked if id(f) in cells] == [id(p) for p in ps]  # one walk each
+    # the other walks on ring read cellular CK projectors, sums of the cell
+    # projectors, each of which keeps its action too
+    others = [id(f) for f, in walked if f.source is ring and id(f) not in cells]
+    assert len(set(others)) == len(others)
     # no caller mutated the kept columns
     assert all(action_columns(p) == read(p) for p in ps)
 
@@ -317,7 +314,7 @@ def test_a_model_verify_builds_each_factor_system_once(spies, monkeypatch, tmp_p
     (model,) = models
     assert verify_motive_isomorphism(model).passed
     built, walked, read = spies
-    assert {id(r) for r in built} == {id(model.base), id(model.fiber)}
+    assert {id(a.ring) for a, _ in built} == {id(model.base), id(model.fiber)}
     for ring in (model.base, model.fiber):
         assert_kept_once(ring, *spies)
 
@@ -333,8 +330,8 @@ def test_fiber_projectors_hands_out_a_fresh_list():
 
 @pytest.mark.parametrize("ring", standard_rings(), ids=lambda r: r.name)
 def test_the_cellular_projectors_keep_their_own_action(ring):
-    # cellular_ck keeps the sum of the cell actions as each projector's
-    # action; it must be the action a fresh walk of the summed cycle reads
+    # each cellular projector keeps the action it reads off its summed
+    # cycle; it must be the action a fresh walk of that cycle reads
     read = correspondences._action_map
     for p in cellular_ck(ring).projectors.values():
         assert action_columns(p) == read(p)

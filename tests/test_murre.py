@@ -49,10 +49,11 @@ from chowkit.correspondences import act, action_columns
 from chowkit.fibrations import ProjectorFamily
 from chowkit.linalg import after, apply, block_rank, codim_blocks, combine, matrix_sum, rank
 from chowkit.motives import fiber_projectors
+from chowkit.rings import _kept
 from chowkit.sampling import seeded_rng
 
 import oracles
-from checks import projector_rank
+from checks import forget, projector_rank, spy
 from corpus import ENTRIES, bundle_over_gr24, fibered_cycles, flat_square, fresh_hirzebruch
 from corpus import identity_added_to_block_00, nonassociative, off_codim_image, perturbed_pi2
 from corpus import standard_models, standard_rings
@@ -73,13 +74,13 @@ def test_cellular_ck_point_is_the_diagonal():
     ck = cellular_ck(pt)
     assert set(ck.projectors) == {0}
     assert ck.projectors[0] == diagonal(pt)
-    assert ck.report is not None and ck.report.passed
+    assert verify_ck(ck).passed
 
 
 def test_cellular_ck_p2():
     p2 = projective_space(2)
     ck = cellular_ck(p2)
-    assert ck.name == "cellular CK of P^2"
+    assert ck.name == "cellular CK of P^2" and verify_ck(ck).passed
     assert set(ck.projectors) == {0, 1, 2, 3, 4}
     for k in (1, 3):
         assert ck.projectors[k].is_zero()
@@ -94,6 +95,7 @@ def test_cellular_ck_p2():
 def test_cellular_ck_sums_to_diagonal():
     g = grassmannian(2, 4)
     ck = cellular_ck(g)
+    assert verify_ck(ck).passed
     total = zero_correspondence(g, g, 0)
     for p in ck.projectors.values():
         total = total + p
@@ -106,6 +108,7 @@ def test_cellular_ck_is_the_only_ck_of_a_cellular_ring(ring):
     # zero elsewhere, and the pairings are perfect, so the action fixes it:
     # the cellular CK is the one CK lift_ck has to lift
     ck = cellular_ck(ring)
+    assert verify_ck(ck).passed
     for k, p in ck.projectors.items():
         cells = [c.key for c in ring.cells if 2 * c.codim == k]
         assert action_columns(p) == {c: {c: 1} for c in cells}
@@ -118,7 +121,7 @@ def test_lift_ck_takes_no_base_decomposition():
     model = hirzebruch(1)
     base_ck = cellular_ck(model.base)
     with pytest.raises(TypeError):
-        lift_ck(model, base_ck)  # validate is keyword-only
+        lift_ck(model, base_ck)  # the model is its one argument
     with pytest.raises(TypeError):
         lift_ck(model, base_ck=base_ck)
 
@@ -127,7 +130,8 @@ def test_decomposition_container_validation():
     p1 = projective_space(1)
     ck = cellular_ck(p1)
     plain = CKDecomposition(p1, ck.projectors)
-    assert plain.name == "CK(P^1)" and plain.report is None
+    # a CK keeps no report: verify_ck returns one
+    assert plain.name == "CK(P^1)" and set(vars(plain)) == {"space", "projectors", "name"}
     assert CKDecomposition(p1, ck.projectors, name="mine").name == "mine"
     missing = {k: v for k, v in ck.projectors.items() if k != 2}
     with pytest.raises(ValueError, match="every degree"):
@@ -158,16 +162,14 @@ def test_decomposition_kind_follows_the_space():
 
 
 def test_verify_ck_reads_the_columns_once(monkeypatch):
-    ck = cellular_ck(projective_space(3), validate=False)
-    calls = []
-    read = murre.action_columns
-    monkeypatch.setattr(murre, "action_columns", lambda f: calls.append(f) or read(f))
+    ck = cellular_ck(projective_space(3))
+    calls = spy(monkeypatch, murre, "action_columns")
     assert verify_ck(ck).passed
     assert len(calls) == len(ck.projectors) == 7
 
 
 def test_verify_ck_reports_conditions():
-    report = verify_ck(cellular_ck(projective_space(2), validate=False))
+    report = verify_ck(cellular_ck(projective_space(2)))
     assert report.passed
     names = [c.label for c in report.checks]
     assert "(a) idempotence" in names
@@ -256,7 +258,7 @@ def test_lift_ck_hirzebruch():
     ck = lift_ck(hirzebruch(1))
     assert ck.kind == "operator"
     assert ck.name == "lifted CK of hirzebruch(1)"
-    assert ck.report.passed
+    assert verify_ck(ck).passed
     rep = verify_action_window(ck)
     assert [projector_rank(rep, k) for k in range(5)] == [1, 0, 2, 0, 1]
     assert rep.passed
@@ -324,13 +326,7 @@ def test_motive_isomorphism_on_every_model():
 def test_motive_isomorphism_sweeps_each_basis_element_once(monkeypatch):
     # F and B are checked once on each basis element, and F is the key
     # relabeling, so no basis element is swept, with or without lifted blocks
-    sweeps = []
-    sweep = ProjectorFamily.apply_all_with_coefficients
-    monkeypatch.setattr(
-        ProjectorFamily,
-        "apply_all_with_coefficients",
-        lambda family, y: sweeps.append(1) or sweep(family, y),
-    )
+    sweeps = spy(monkeypatch, ProjectorFamily, "apply_all_with_coefficients")
     fresh, lifted = bundles_over_gr24()
     report = verify_motive_isomorphism(fresh)
     assert report.passed
@@ -422,33 +418,11 @@ def test_matrices_match_the_closure_route(model):
             assert apply(op, y.vector()) == want, f"{name} differs on input {n} of {model.name}"
 
 
-def count_sweeps(monkeypatch):
-    calls = []
-    sweep = ProjectorFamily.apply_all_with_coefficients
-    monkeypatch.setattr(
-        ProjectorFamily,
-        "apply_all_with_coefficients",
-        lambda fam, y: calls.append(y) or sweep(fam, y),
-    )
-    return calls
-
-
-def count_builds(monkeypatch):
-    calls = []
-    build = ProjectorFamily.placed_operators
-    monkeypatch.setattr(
-        ProjectorFamily,
-        "placed_operators",
-        lambda fam, maps: calls.append(list(maps)) or build(fam, maps),
-    )
-    return calls
-
-
 def test_sweeps_run_once_per_basis_element(monkeypatch):
     # at most once, and here never: the lift and the decomposition place
     # every operator from keys
     model = fresh_hirzebruch()
-    calls = count_sweeps(monkeypatch)
+    calls = spy(monkeypatch, ProjectorFamily, "apply_all_with_coefficients")
     assert verify_ck(lift_ck(model)).passed
     assert decompose_model(model).report.passed
     assert calls == []
@@ -457,40 +431,30 @@ def test_sweeps_run_once_per_basis_element(monkeypatch):
 def test_one_family_serves_every_operator_of_a_model(monkeypatch):
     # the model's laws are checked once, by its one family, for every operator
     model = fresh_hirzebruch()
-    checked = []
-    laws = fibrations._lemma_laws
-    monkeypatch.setattr(fibrations, "_lemma_laws", lambda m: checked.append(m) or laws(m))
+    checked = spy(monkeypatch, fibrations, "_lemma_laws")
     lift_ck(model)
     assert verify_block_diagonality(model).passed
     decompose_model(model)
     assert verify_projector_family(build_projector_family(model), samples=3).passed
     assert verify_motive_isomorphism(model).passed
-    assert checked == [model]
+    assert checked == [(model,)]
 
 
 def test_blocks_are_built_once_per_model(monkeypatch):
     model = fresh_hirzebruch()
-    builds = count_builds(monkeypatch)
-    base_checks = []
-    cellular = murre.cellular_ck
-    monkeypatch.setattr(murre, "cellular_ck", lambda ring: base_checks.append(ring) or cellular(ring))
+    builds = spy(monkeypatch, ProjectorFamily, "placed_operators")
+    base_checks = spy(monkeypatch, murre, "cellular_ck")
     first = lift_ck(model)
     second = lift_ck(model)
     assert verify_block_diagonality(model).passed
-    assert builds == [[(0, 0), (0, 2), (2, 0), (2, 2)]]
-    assert base_checks == [model.base]  # the base's cellular CK is built and checked once
-    assert build_projector_family(model).blocks is lifted_blocks(model)
+    assert [list(maps) for _, maps in builds] == [[(0, 0), (0, 2), (2, 0), (2, 2)]]
+    assert base_checks == [(model.base,)]  # the base's cellular CK is built and checked once
+    assert _kept(model, murre._blocks) is lifted_blocks(model)  # kept on the model
     # each lift sums the kept blocks into fresh matrices
     assert first.projectors[2] == second.projectors[2]
     assert first.projectors[2] is not second.projectors[2]
     decompose_model(model)
-    assert len(builds) == 2 and len(builds[1]) == len(model.basis_keys())
-
-
-def count_products(monkeypatch):
-    calls = []
-    monkeypatch.setattr(murre, "apply", lambda op, vec: calls.append(op) or apply(op, vec))
-    return calls
+    assert len(builds) == 2 and len(builds[1][1]) == len(model.basis_keys())
 
 
 @pytest.mark.parametrize("model", [
@@ -510,7 +474,7 @@ def test_block_products_stay_within_the_touched_pairs(model, monkeypatch):
         for key, m in blocks.items()
     )
     samples = 3
-    calls = count_products(monkeypatch)
+    calls = spy(monkeypatch, murre, "apply")
     assert verify_block_diagonality(model, samples=samples, seed=1).passed
     assert len(calls) <= samples * bound
     assert samples * len(blocks) <= len(calls)  # the diagonal pairs
@@ -679,17 +643,10 @@ def test_isomorphism_builds_no_product_of_x_times_z_with_itself(monkeypatch):
     # private rings, so that no memoized product hides a build
     x, z = (parse_ring(dump_ring(projective_space(4))) for _ in range(2))
     model = product_model(x, z)
-    built = []
-    init = KunnethRing.__init__
-
-    def spy(ring, left, right):
-        built.append(left)
-        init(ring, left, right)
-
-    monkeypatch.setattr(KunnethRing, "__init__", spy)
+    built = spy(monkeypatch, KunnethRing, "__init__")
     assert verify_motive_isomorphism(model).passed
     assert built  # the factors' own squares and X x Z
-    assert not any(left is kunneth_product(x, z) for left in built)
+    assert not any(left is kunneth_product(x, z) for _, left, _ in built)
 
 
 def test_isomorphism_names_a_doubled_fiber_cell_projector(monkeypatch):
@@ -705,7 +662,7 @@ def test_isomorphism_names_a_doubled_fiber_cell_projector(monkeypatch):
         return ps
 
     # the blocks are rebuilt under the patch, which leaves the base's CK intact
-    monkeypatch.setattr(build_projector_family(model), "blocks", None)
+    forget(monkeypatch, model)
     monkeypatch.setattr(murre, "fiber_projectors", doubled)
     lifted_blocks(model)
     # pi_{4 + 2i} holds p_g crossed with the codim-i cell of P^2

@@ -33,6 +33,7 @@ from chowkit.fileio import dump_ring, parse_ring
 from chowkit.linalg import invert, projector_system_failures
 from chowkit.motives import fiber_projectors
 
+from checks import spy
 from corpus import degenerate_surface_doc, standard_rings
 from oracles import compose_failures, mat_mul
 
@@ -90,7 +91,7 @@ def details(report, labels):
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 def test_verify_ck_matches_the_compose_checks(ring):
-    ck = cellular_ck(ring, validate=False)
+    ck = cellular_ck(ring)
     degrees = list(ck.projectors)
     for name, ps in mutants(list(ck.projectors.values()), top_joins_degree_0).items():
         mutant = CKDecomposition(ring, dict(zip(degrees, ps)), name=name)
@@ -223,35 +224,30 @@ def test_random_systems_agree_with_the_pairwise_loop():
 
 
 def count_products(monkeypatch):
-    calls = {"squarings": 0, "pairwise": 0}
-    after = linalg.after
-
-    def counted(f, g):
-        calls["squarings" if f is g else "pairwise"] += 1
-        return after(f, g)
-
-    monkeypatch.setattr(linalg, "after", counted)
-    return calls
+    """The squarings and pairwise products linalg.after makes from here on,
+    read when called."""
+    calls = spy(monkeypatch, linalg, "after")
+    return lambda: {"squarings": sum(f is g for f, g in calls), "pairwise": sum(f is not g for f, g in calls)}
 
 
 def test_a_passing_system_runs_no_pairwise_product(monkeypatch):
-    ck = lift_ck(hirzebruch(1), validate=False)
+    ck = lift_ck(hirzebruch(1))
     m = len(ck.projectors)
-    calls = count_products(monkeypatch)
+    products = count_products(monkeypatch)
     assert verify_ck(ck).passed
-    assert calls == {"squarings": m, "pairwise": 0}
+    assert products() == {"squarings": m, "pairwise": 0}
 
-    calls = count_products(monkeypatch)
+    products = count_products(monkeypatch)
     # a private ring, so that no earlier test has kept its cell projectors
     ps = fiber_projectors(parse_ring(dump_ring(projective_space(3))))
     assert verify_projector_system(ps).passed
-    assert calls == {"squarings": len(ps), "pairwise": 0}
+    assert products() == {"squarings": len(ps), "pairwise": 0}
 
-    calls = count_products(monkeypatch)
+    products = count_products(monkeypatch)
     # the repeat is a distinct object: a projector keeps its action columns,
     # so ps[0] itself would share them and count as a squaring
     assert not verify_projector_system(ps + [ps[0] * 1]).passed
-    assert calls == {"squarings": len(ps) + 1, "pairwise": (len(ps) + 1) * len(ps)}
+    assert products() == {"squarings": len(ps) + 1, "pairwise": (len(ps) + 1) * len(ps)}
 
 
 # -- refusals -------------------------------------------------------------------

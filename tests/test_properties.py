@@ -24,6 +24,7 @@ from chowkit import (
     transpose,
     trivial_fibration,
     validate_fibration,
+    verify_ck,
     verify_motive_isomorphism,
     verify_projector_family,
     Correspondence,
@@ -146,8 +147,8 @@ random_models = st.one_of(
 def test_random_models_pass_every_verifier(model):
     assert validate_fibration(model).passed
     assert verify_projector_family(build_projector_family(model), samples=2).passed
-    lift_ck(model)  # each of these raises on a failed check
-    decompose_model(model)
+    assert verify_ck(lift_ck(model)).passed
+    decompose_model(model)  # raises on a failed check
     report = verify_motive_isomorphism(model)
     assert report.passed, "\n".join(report.lines())
 

@@ -34,6 +34,7 @@ from chowkit.sampling import random_correspondence, random_cycle
 
 import oracles
 from oracles import entries
+from checks import spy
 from corpus import REBASED, degenerate_surface, standard_rings
 
 
@@ -77,9 +78,7 @@ def test_cell_refuses_a_foreign_cell_and_accepts_an_equal_copy():
 
 def test_cell_returns_the_rings_own_cell_without_comparing(monkeypatch):
     r = simple_p2()
-    compared = []
-    real = BasisCell.__eq__
-    monkeypatch.setattr(BasisCell, "__eq__", lambda a, b: compared.append(b) or real(a, b))
+    compared = spy(monkeypatch, BasisCell, "__eq__")
     for c in r.cells:
         assert r.cell(c) is c
     assert compared == []
@@ -455,9 +454,7 @@ def test_associativity_generators(make, labels):
 
 
 def test_associativity_of_p80_costs_a_generator_not_every_cell(monkeypatch):
-    calls = []
-    times = rings._times
-    monkeypatch.setattr(rings, "_times", lambda *args: calls.append(1) or times(*args))
+    calls = spy(monkeypatch, rings, "_times")
     ring = projective_space.__wrapped__(80)  # a fresh build, not the cached ring
     assert ring._generators() == [(1, 1)]
     # 3,003 triples (h, h^b, h^c) with 2 <= c and b + c <= 79, two products each;
