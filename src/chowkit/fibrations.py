@@ -29,7 +29,7 @@ import warnings
 
 from .linalg import codim_blocks, projector_system_failures
 from .report import Report
-from .rings import _cycle, _kept, _sum, external_product, kunneth_product, verify_pairing
+from .rings import _cycle, _kept, _sum, _symmetric_table, external_product, kunneth_product, verify_pairing
 
 
 class FiberedCycle:
@@ -133,15 +133,16 @@ class FibrationModel:
                 for p in (None, g[0] + cell.codim):
                     keys.setdefault(p, []).append((g, cell.key))
         self._basis_keys = {p: tuple(ks) for p, ks in keys.items()}
-        table = {}
+        self._table = _symmetric_table(
+            self._entries(t_table), fiber.unit_cell.key, self.generators, base.unit(),
+            lambda g1, g2: f"conflicting fibration products for T{g1} * T{g2}",
+            lambda g: f"unit generator law violated at T{g}",
+        )
 
-        def put(g1, g2, entry):
-            if g1 in table and g2 in table[g1]:
-                if table[g1][g2] != entry:
-                    raise ValueError(f"conflicting fibration products for T{g1} * T{g2}")
-                return
-            table.setdefault(g1, {})[g2] = entry
-
+    def _entries(self, t_table):
+        """(g1, g2, {generator key: base cycle}) for each pair of ``t_table``,
+        in order, each checked as it is read: known generators, coefficients
+        on the base; zero cycles are dropped."""
         for (g1, g2), raw in t_table.items():
             g1, g2 = tuple(g1), tuple(g2)
             for g in (g1, g2):
@@ -152,20 +153,11 @@ class FibrationModel:
                 gkey = tuple(gkey)
                 if gkey not in self._gen_cells:
                     raise ValueError(f"product T{g1} * T{g2} hits unknown generator {gkey!r}")
-                if cyc.ring is not base:
-                    raise ValueError(f"coefficients in the fibration table must live on {base.name}")
+                if cyc.ring is not self.base:
+                    raise ValueError(f"coefficients in the fibration table must live on {self.base.name}")
                 if not cyc.is_zero():
                     entry[gkey] = cyc
-            put(g1, g2, entry)
-            put(g2, g1, entry)
-        unit = fiber.unit_cell.key
-        for g in self.generators:
-            expected = {g: base.unit()}
-            if unit in table and g in table[unit] and table[unit][g] != expected:
-                raise ValueError(f"unit generator law violated at T{g}")
-            table.setdefault(unit, {})[g] = expected
-            table.setdefault(g, {})[unit] = expected
-        self._table = table
+            yield g1, g2, entry
 
     @property
     def is_trivial(self):
@@ -341,7 +333,7 @@ def validate_fibration(model):
     generators, and fiberwise duality.  The unit law and commutativity hold
     by construction: FibrationModel refuses a table that breaks them."""
     report = Report("fibration-model", model.name)
-    laws = _lemma_laws(model)
+    laws = _kept(model, _lemma_laws)
     report.add("fiber delta-normalization", laws["fiber delta-normalization"])
     report.add("grading", laws["grading"])
 
@@ -447,7 +439,7 @@ def _lawful(family):
     lemma that the family's model fails, with its first witness.  Under the
     laws the sweep of pi^*(x) * T_g is {g: x}; kept once passed, so never
     checked again."""
-    for law, witnesses in _lemma_laws(family.model).items():
+    for law, witnesses in _kept(family.model, _lemma_laws).items():
         if witnesses:
             raise ValueError(f"projector family on {family.model.name}: {law} fails: {witnesses[0].strip()}")
     return True

@@ -194,7 +194,7 @@ class ChowRing:
     unit are implied, and omitted entries are zero.
     """
 
-    def __init__(self, dimension, cells, products, name=None, validate=True):
+    def __init__(self, dimension, cells, products, name=None):
         if dimension < 0:
             raise ValueError("dimension must be nonnegative")
         cells = tuple(sorted(cells, key=lambda c: c.key))
@@ -212,9 +212,12 @@ class ChowRing:
         if len(by_codim[0]) != 1 or len(by_codim[dimension]) != 1:
             raise ValueError("need exactly one cell in codim 0 and one in top codim")
         self._index(dimension, name, cells, {c.key: c for c in cells}, by_label, by_codim)
-        self._table = self._build_table(products)
-        if validate:
-            self._validate_associativity()
+        self._table = _symmetric_table(
+            self._entries(products), self.unit_cell.key, [c.key for c in cells], 1,
+            lambda k1, k2: f"conflicting products for {k1} * {k2}",
+            lambda key: f"unit law violated at {self._by_key[key].label!r}",
+        )
+        self._validate_associativity()
 
     def _index(self, dimension, name, cells, by_key, by_label, by_codim):
         """Keep a checked, sorted basis with its indexes; start the kept
@@ -240,16 +243,9 @@ class ChowRing:
 
     # -- construction helpers ----------------------------------------------
 
-    def _build_table(self, products):
-        table = {}
-
-        def put(k1, k2, entry):
-            if k1 in table and k2 in table[k1]:
-                if table[k1][k2] != entry:
-                    raise ValueError(f"conflicting products for {k1} * {k2}")
-                return
-            table.setdefault(k1, {})[k2] = entry
-
+    def _entries(self, products):
+        """(k1, k2, {cell key: int}) for each pair of ``products``, in order,
+        each checked as it is read: known cells, integer constants, grading."""
         for (k1, k2), raw in products.items():
             k1, k2 = tuple(k1), tuple(k2)
             for k in (k1, k2):
@@ -273,18 +269,7 @@ class ChowRing:
                 entry[key] = value
             if total > self.dimension and entry:
                 raise ValueError(f"product {k1} * {k2} exceeds top codimension")
-            put(k1, k2, entry)
-            put(k2, k1, entry)
-
-        unit = self.unit_cell.key
-        for cell in self.cells:
-            expected = {cell.key: 1}
-            if unit in table and cell.key in table[unit]:
-                if table[unit][cell.key] != expected:
-                    raise ValueError(f"unit law violated at {cell.label!r}")
-            table.setdefault(unit, {})[cell.key] = expected
-            table.setdefault(cell.key, {})[unit] = expected
-        return table
+            yield k1, k2, entry
 
     def _generators(self):
         """Cell keys generating the ring as an algebra, codim by codim: at
@@ -308,7 +293,7 @@ class ChowRing:
         whose first factor is one of the ``_generators``.
 
         M = {x : (xy)z = x(yz) for all y, z} is a subspace holding 1 (the
-        unit law _build_table enforced), and sm is in M for s, m in M:
+        unit law _symmetric_table enforced), and sm is in M for s, m in M:
         ((sm)y)z = (s(my))z = s((my)z) = s(m(yz)) = (sm)(yz), the steps being
         (s, m, y), (s, my, z), m in M and (s, m, yz).  By induction on codim,
         every s * c with c of lower codim lies in M, and with the generators
@@ -317,7 +302,7 @@ class ChowRing:
         through the unit hold by the unit law, triples past the top codim
         are zero on both sides, and the symmetrized table makes (c, b, s)
         the negative of (s, b, c), so a generator c <= s is skipped."""
-        table, n = self._table, self.dimension
+        table, product, n = self._table, self._product, self.dimension
         gens = self._generators()
         skip = set()
         keys = [cell.key for cell in self.cells[1:]]  # sorted by codim, unit first
@@ -330,7 +315,8 @@ class ChowRing:
                         break
                     if c in skip:
                         continue
-                    if _times(table, sb, c) != _times(table, table[b].get(c, {}), s):
+                    left, right = product(sb, {c: 1}), product(table[b].get(c, {}), {s: 1})
+                    if left != right and _sum(left, right, -1):  # _product may keep zeros
                         s_, b_, c_ = (self._by_key[k].label for k in (s, b, c))
                         raise ValueError(f"associativity fails at ({s_}, {b_}, {c_})")
 
@@ -396,7 +382,7 @@ class ChowRing:
 
     def _product(self, a, b):
         """a * b on coefficient dicts, in a fresh dict that may hold zeros; by
-        the unit law _build_table enforces, a unit factor reads no row."""
+        the unit law _symmetric_table enforces, a unit factor reads no row."""
         if a == self._unit_coeffs:
             return dict(b)
         if b == self._unit_coeffs:
@@ -436,15 +422,6 @@ class ChowRing:
 
     def __repr__(self):
         return f"<ChowRing {self.name} dim={self.dimension} ranks={self.ranks}>"
-
-
-def _times(table, terms, key):
-    """{cell key: coeff} times the basis cell ``key``, zero terms dropped."""
-    out = {}
-    for k, v in terms.items():
-        for k2, w in table[k].get(key, {}).items():
-            out[k2] = out.get(k2, 0) + v * w
-    return {k: v for k, v in out.items() if v}
 
 
 def verify_pairing(ring):
@@ -527,6 +504,30 @@ class KunnethRing(ChowRing):
         """deg_A(ac) * deg_B(bd) for (a x b) and (c x d); builds no row."""
         (a, b), (c, d) = self._key_to_pair[k1], self._key_to_pair[k2]
         return self.left.pair_degree(a.key, c.key) * self.right.pair_degree(b.key, d.key)
+
+
+def _symmetric_table(entries, unit, keys, one, conflict, unit_law):
+    """The table of a commutative product with a unit, as a ring and a model
+    store it: {k1: {k2: entry}} with both orders of each (k1, k2, entry) of
+    ``entries``, read in order, and the unit's row and column {key: one}
+    at each of ``keys``.  Rows and entries keep their insertion order.  Two
+    different entries for one pair raise conflict(k1, k2), and an entry at
+    the unit that is not {key: one} raises unit_law(key)."""
+    table = {}
+    for k1, k2, entry in entries:
+        for a, b in ((k1, k2), (k2, k1)):
+            row = table.setdefault(a, {})
+            if b not in row:
+                row[b] = entry
+            elif row[b] != entry:
+                raise ValueError(conflict(a, b))
+    for key in keys:
+        expected = {key: one}
+        if key in table.get(unit, ()) and table[unit][key] != expected:
+            raise ValueError(unit_law(key))
+        table.setdefault(unit, {})[key] = expected
+        table.setdefault(key, {})[unit] = expected
+    return table
 
 
 class _Kept(dict):

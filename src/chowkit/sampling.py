@@ -20,6 +20,12 @@ def seeded_rng(seed):
 def random_cycle(rng, ring, bound=10, codim=None):
     """A random cycle, homogeneous of the given codim when one is passed,
     each coefficient drawn as ``rng.randint(-bound, bound)``."""
+    return _cycle(ring, _draw(rng, ring.basis_keys(codim), bound))
+
+
+def _draw(rng, keys, bound):
+    """{key: nonzero coefficient} over keys, in order, each coefficient drawn
+    as ``rng.randint(-bound, bound)``: the one draw of rings and models."""
     if type(bound) is not int:
         raise TypeError(f"random_cycle: bound must be an int, got {bound!r}")
     if bound < 0:
@@ -29,17 +35,17 @@ def random_cycle(rng, ring, bound=10, codim=None):
     # (CPython 3.10-3.13), without its two Python frames per coefficient
     width = 2 * bound + 1
     draw, k, coeffs = rng.getrandbits, width.bit_length(), {}
-    for key in ring.basis_keys(codim):
+    for key in keys:
         r = draw(k)
         while r >= width:
             r = draw(k)
         if r != bound:
             coeffs[key] = r - bound
-    return _cycle(ring, coeffs)
+    return coeffs
 
 
 def _randint(rng, low, high):
-    """rng.randint(low, high) by random_cycle's loop, same value and state;
+    """rng.randint(low, high) by _draw's loop, same value and state;
     an empty range is refused first, as getrandbits(0) is 0 forever."""
     width = high - low + 1
     if width <= 0:
@@ -52,16 +58,12 @@ def _randint(rng, low, high):
 
 
 def random_fibered_cycle(rng, model, bound=10, codim=None):
-    """A random element of a fibration model, optionally of pure total codim."""
+    """A random element of a fibration model, optionally of pure total codim:
+    one draw over the model's basis keys, regrouped by generator."""
     parts = {}
-    for g in model.generators:
-        if codim is None:
-            parts[g] = random_cycle(rng, model.base, bound)
-        else:
-            q = codim - g[0]
-            if 0 <= q <= model.base.dimension:
-                parts[g] = random_cycle(rng, model.base, bound, codim=q)
-    return model.cycle(parts)
+    for (g, key), c in _draw(rng, model.basis_keys(codim), bound).items():
+        parts.setdefault(g, {})[key] = c
+    return model.cycle({g: _cycle(model.base, coeffs) for g, coeffs in parts.items()})
 
 
 def random_correspondence(rng, source, target, offset=0, bound=10):

@@ -2,12 +2,12 @@
 kernel, run by test_differential.py on every corpus entry of the kinds it
 takes: a ring, a pair or triple of rings, a morphism or a model.  The layer
 test files run ``same_correspondence`` and ``same_action_map`` on their
-named witnesses, ``spy`` to count calls and ``forget`` to drop what a
-cached target keeps.  Cycles, action maps, Kunneth rows and
-tables built by key compare entry by entry in order, with their types;
-sparse operators, pullbacks and pushforwards (whose reference sums cycle by
-cycle) compare as mappings.  Every value a kernel returns is an int, or a
-Fraction only where it is not integral.
+named witnesses, ``spy`` to count calls, ``forget`` to drop what a cached
+target keeps and ``uncertified_ring`` to build a broken ring.  Cycles,
+action maps, Kunneth rows and tables built by key compare entry by entry
+in order, with their types; sparse operators, pullbacks and pushforwards
+(whose reference sums cycle by cycle) compare as mappings.  Every value a
+kernel returns is an int, or a Fraction only where it is not integral.
 """
 
 import random
@@ -16,7 +16,7 @@ from fractions import Fraction
 import chowkit
 from chowkit.correspondences import _action_map, action_columns
 from chowkit.linalg import rank
-from chowkit.rings import _Kept
+from chowkit.rings import ChowRing, _Kept
 from chowkit.sampling import random_correspondence
 
 import corpus
@@ -83,6 +83,18 @@ def spy(monkeypatch, owner, name, calls=None):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def uncertified_ring(dimension, cells, products):
+    """ChowRing(dimension, cells, products) with its associativity
+    certificate skipped for this one call: the input of a test that needs a
+    broken ring.  Every other check of the constructor still runs."""
+    certify = ChowRing._validate_associativity
+    ChowRing._validate_associativity = lambda ring: None
+    try:
+        return ChowRing(dimension, cells, products)
+    finally:
+        ChowRing._validate_associativity = certify
 
 
 # -- rings ---------------------------------------------------------------------

@@ -434,6 +434,7 @@ KEPT_BUILDS = [
     *((module, "build_projector_family") for module in (cli, fibrations, motives, murre)),
     (murre, "lifted_blocks"),
     (fibrations, "ambient_extend"),
+    (fibrations, "_lemma_laws"),
     *((module, "verify_ck") for module in (cli, murre)),
 ]
 
@@ -459,6 +460,9 @@ def test_a_forgotten_catalog_model_runs_as_a_fresh_one(capsys, tmp_path, monkeyp
         docs.append(json.loads(out)["suites"])
     assert counts[0] == counts[1] and all(counts[0].values())
     assert counts[0]["ambient_extend"] == 3
+    # the laws of each model, the file's validated one and its three
+    # extensions, are computed once
+    assert counts[0]["_lemma_laws"] == 4
     assert docs[0] == docs[1]
 
 

@@ -10,7 +10,8 @@ constructors, which re-check everything; both runs must agree in values,
 int/Fraction types and key order.  The peeling sweep on coefficient dicts is
 compared with its reference in oracles.py, run on the public route.  The
 public constructors must still refuse what they refused, and the draws of
-the identity battery must reproduce ``randint``.
+the identity battery must reproduce ``randint``, and one draw over a
+model's basis keys the loop over its generators it replaced.
 """
 
 import random
@@ -23,9 +24,11 @@ from chowkit import (
     act,
     compose,
     dump_ring,
+    grassmannian,
     hirzebruch,
     kunneth_product,
     parse_ring,
+    product_model,
     projective_space,
     tensor,
     transpose,
@@ -36,12 +39,12 @@ from chowkit.motives import Motive, decompose_motive
 from chowkit.murre import cellular_ck, lift_ck, verify_action_window
 from chowkit.report import Report
 from chowkit.rings import Cycle
-from chowkit.sampling import _randint, random_correspondence, random_cycle, seeded_rng
+from chowkit.sampling import _randint, random_correspondence, random_cycle, random_fibered_cycle, seeded_rng
 
 import oracles
 from checks import spy
-from corpus import DOUBLED_PLANE as DOUBLED, correspondences as samples, fibered_cycles, fresh_hirzebruch
-from corpus import module_basis, standard_models, standard_rings
+from corpus import DOUBLED_PLANE as DOUBLED, bundle_over_gr24, correspondences as samples, fibered_cycles
+from corpus import fresh_hirzebruch, module_basis, standard_models, standard_rings
 
 RINGS = standard_rings() + [DOUBLED]
 MODELS = standard_models()
@@ -392,3 +395,40 @@ def test_randint_refuses_an_empty_range_before_drawing(low, high):
         random.Random(0).randint(low, high)
     with pytest.raises(ValueError, match="empty range"):
         _randint(Watched(0), low, high)
+
+
+def fibered_cycle_by_generator(rng, model, bound, codim):
+    """random_fibered_cycle as a loop over the generators, one random_cycle
+    on the base each: the reference for its one draw over the basis keys."""
+    parts = {}
+    for g in model.generators:
+        if codim is None:
+            parts[g] = random_cycle(rng, model.base, bound)
+        else:
+            q = codim - g[0]
+            if 0 <= q <= model.base.dimension:
+                parts[g] = random_cycle(rng, model.base, bound, codim=q)
+    return model.cycle(parts)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hirzebruch(1),
+    lambda: hirzebruch(-2),
+    lambda: product_model(projective_space(2), grassmannian(2, 4)),
+    lambda: product_model(grassmannian(2, 4), projective_space(3)),
+    bundle_over_gr24,
+], ids=["hirzebruch(1)", "hirzebruch(-2)", "P^2 x Gr(2,4)", "Gr(2,4) x P^3", "bundle over Gr(2,4)"])
+def test_one_draw_over_a_model_draws_as_a_loop_over_its_generators(make):
+    # the same parts, in the same order, with the same entries, and the
+    # generator left in the same state, at every codim and past the top
+    model = make()
+    for codim in [None, *range(model.dimension + 2)]:
+        for seed in range(20):
+            for bound in (1, 5, 10):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got = random_fibered_cycle(rng, model, bound, codim)
+                want = fibered_cycle_by_generator(ref, model, bound, codim)
+                assert [(g, oracles.entries(c)) for g, c in got.parts.items()] == [
+                    (g, oracles.entries(c)) for g, c in want.parts.items()
+                ], (codim, seed, bound)
+                assert rng.getstate() == ref.getstate()

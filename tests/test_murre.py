@@ -429,14 +429,17 @@ def test_sweeps_run_once_per_basis_element(monkeypatch):
 
 
 def test_one_family_serves_every_operator_of_a_model(monkeypatch):
-    # the model's laws are checked once, by its one family, for every operator
+    # the model's laws are computed once and kept on it, for its validation,
+    # its one family and every operator
     model = fresh_hirzebruch()
     checked = spy(monkeypatch, fibrations, "_lemma_laws")
+    assert validate_fibration(model).passed
     lift_ck(model)
     assert verify_block_diagonality(model).passed
     decompose_model(model)
     assert verify_projector_family(build_projector_family(model), samples=3).passed
     assert verify_motive_isomorphism(model).passed
+    assert validate_fibration(model).passed
     assert checked == [(model,)]
 
 
