@@ -246,9 +246,8 @@ def resolve(name):
 class CatalogEntry:
     """A named catalog object and how to read its name."""
 
-    def __init__(self, name, kind, description):
+    def __init__(self, name, description):
         self.name = name
-        self.kind = kind  # "ring" | "model"
         self.description = description
 
     def build(self):
@@ -257,20 +256,20 @@ class CatalogEntry:
 
 def catalog_entries():
     entries = [
-        CatalogEntry("point", "ring", "zero-dimensional ring"),
-        CatalogEntry("p1", "ring", "projective line"),
-        CatalogEntry("p2", "ring", "projective plane"),
-        CatalogEntry("p3", "ring", "projective 3-space"),
-        CatalogEntry("p4", "ring", "projective 4-space"),
-        CatalogEntry("gr24", "ring", "Grassmannian of 2-planes in 4-space"),
-        CatalogEntry("gr25", "ring", "Grassmannian of 2-planes in 5-space"),
-        CatalogEntry("hirzebruch:0", "model", "trivial plane bundle over the line"),
-        CatalogEntry("hirzebruch:1", "model", "Hirzebruch surface of twist 1"),
-        CatalogEntry("hirzebruch:2", "model", "Hirzebruch surface of twist 2"),
-        CatalogEntry("product:p1,p1", "model", "trivial fibration, line over line"),
-        CatalogEntry("product:p2,p1", "model", "trivial fibration, line over plane"),
-        CatalogEntry("product:p1,p2", "model", "trivial fibration, plane over line"),
-        CatalogEntry("product:p2,gr24", "model", "trivial fibration, Gr(2,4) over plane"),
-        CatalogEntry("pbundle:p2:h", "model", "projective bundle over the plane"),
+        CatalogEntry("point", "zero-dimensional ring"),
+        CatalogEntry("p1", "projective line"),
+        CatalogEntry("p2", "projective plane"),
+        CatalogEntry("p3", "projective 3-space"),
+        CatalogEntry("p4", "projective 4-space"),
+        CatalogEntry("gr24", "Grassmannian of 2-planes in 4-space"),
+        CatalogEntry("gr25", "Grassmannian of 2-planes in 5-space"),
+        CatalogEntry("hirzebruch:0", "trivial plane bundle over the line"),
+        CatalogEntry("hirzebruch:1", "Hirzebruch surface of twist 1"),
+        CatalogEntry("hirzebruch:2", "Hirzebruch surface of twist 2"),
+        CatalogEntry("product:p1,p1", "trivial fibration, line over line"),
+        CatalogEntry("product:p2,p1", "trivial fibration, line over plane"),
+        CatalogEntry("product:p1,p2", "trivial fibration, plane over line"),
+        CatalogEntry("product:p2,gr24", "trivial fibration, Gr(2,4) over plane"),
+        CatalogEntry("pbundle:p2:h", "projective bundle over the plane"),
     ]
     return tuple(entries)

@@ -380,7 +380,7 @@ def _cmd_catalog(args, started):
         entries.append(
             {
                 "name": entry.name,
-                "kind": entry.kind,
+                "kind": "ring" if isinstance(thing, ChowRing) else "model",
                 "dimension": thing.dimension,
                 "ranks": [thing.rank(p) for p in range(thing.dimension + 1)],
                 "description": entry.description,

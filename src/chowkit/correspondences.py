@@ -69,7 +69,7 @@ class Correspondence:
             offset = cs[0] - source.dimension if len(cs) == 1 else None
         elif offset is not None:
             want = source.dimension + offset
-            if not cycle.coeffs.keys() <= ring._key_sets[want]:
+            if any(k[0] != want for k in cycle.coeffs):
                 raise ValueError(f"cycle is not homogeneous of codim {want}")
         self.source = source
         self.target = target
@@ -149,16 +149,15 @@ def act(f, x):
     """Apply a correspondence to a cycle of its source ring.
 
     Pull back, multiply, push forward; in coordinates the left factor a of
-    each term is contracted against x over a's partners in the source ring,
-    read off the product's kept left plan.
+    each term is contracted against x over a's partners in the source ring.
     """
     if x.ring is not f.source:
         raise ValueError(f"act: cycle lives in {x.ring.name}, not {f.source.name}")
-    plan, xs = f.ring._left_partners, x.coeffs
+    pairs, partners, xs = f.ring._key_to_pair, f.source._partners, x.coeffs
     coeffs = {}
     for key, c in f.cycle.coeffs.items():
-        b, partners = plan[key]
-        d = sum(xs[k] * e for k, e in partners if k in xs)
+        a, b = pairs[key]
+        d = sum(xs[k] * e for k, e in partners[a] if k in xs)
         if d:
             coeffs[b] = coeffs.get(b, 0) + c * d
     return _cycle(f.target, coeffs)
@@ -167,21 +166,21 @@ def act(f, x):
 def compose(g, f):
     """g after f: contract the middle factor through its degree pairing,
     each f-term a x b against the g-terms on b's partners in the middle
-    ring, read off the products' kept plans."""
+    ring."""
     if f.target is not g.source:
         raise ValueError(
             f"compose: {f.target.name} (target of f) differs from {g.source.name} (source of g)"
         )
     ring = kunneth_product(f.source, g.target)
-    split, gterms = g.ring._pair_keys, {}  # middle key -> [(target key, coefficient)]
+    pairs, gterms = g.ring._key_to_pair, {}  # middle key -> [(target key, coefficient)]
     for k, c in g.cycle.coeffs.items():
-        b2, c2 = split[k]
+        b2, c2 = pairs[k]
         gterms.setdefault(b2, []).append((c2, c))
-    plan, rows, coeffs = f.ring._right_partners, ring._key_rows, {}
+    pairs, partners, rows, coeffs = f.ring._key_to_pair, f.target._partners, ring._key_rows, {}
     for kf, cf in f.cycle.coeffs.items():
-        a, partners = plan[kf]
+        a, b = pairs[kf]
         row = rows[a]
-        for b2, d in partners:
+        for b2, d in partners[b]:
             for c2, cg in gterms.get(b2, ()):
                 key = row[c2]
                 coeffs[key] = coeffs.get(key, 0) + cf * cg * d
@@ -195,7 +194,7 @@ def transpose(f):
     coeffs = {}
     for key, c in f.cycle.coeffs.items():
         a, b = f.ring._key_to_pair[key]
-        coeffs[ring._pair_to_key[(b.key, a.key)]] = c
+        coeffs[ring._pair_to_key[(b, a)]] = c
     offset = None
     if f.offset is not None:
         offset = f.offset + f.source.dimension - f.target.dimension
@@ -216,9 +215,7 @@ def tensor(f, g):
         a, b = f.ring._key_to_pair[kf]
         for kg, cg in g.cycle.coeffs.items():
             c, d = g.ring._key_to_pair[kg]
-            key = big._pair_to_key[
-                (src._pair_to_key[(a.key, c.key)], tgt._pair_to_key[(b.key, d.key)])
-            ]
+            key = big._pair_to_key[(src._pair_to_key[(a, c)], tgt._pair_to_key[(b, d)])]
             coeffs[key] = cf * cg
     offset = None if f.offset is None or g.offset is None else f.offset + g.offset
     return _correspondence(src, tgt, big, _cycle(big, coeffs), offset)
@@ -303,13 +300,13 @@ def multiplication_correspondence(ring, alpha):
 def _action_map(f):
     """act(f, -) on the source cells, in one walk over f's terms: {source
     key: nonzero image {target key: coefficient}}.  A term c (a x b) sends
-    each partner k of a, with deg(k a) = d, to c d b, read off the
-    product's kept left plan.  Each entry is written once unless two terms
-    meet there: c and d are nonzero, so only such a sum can cancel."""
-    plan, columns, summed = f.ring._left_partners, {}, False
+    each partner k of a in the source ring, with deg(k a) = d, to c d b.
+    Each entry is written once unless two terms meet there: c and d are
+    nonzero, so only such a sum can cancel."""
+    pairs, partners, columns, summed = f.ring._key_to_pair, f.source._partners, {}, False
     for key, c in f.cycle.coeffs.items():
-        b, partners = plan[key]
-        for k, d in partners:
+        a, b = pairs[key]
+        for k, d in partners[a]:
             if (col := columns.get(k)) is None:
                 columns[k] = {b: c * d}
             elif b in col:

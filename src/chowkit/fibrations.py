@@ -41,7 +41,7 @@ class FiberedCycle:
         clean = {}
         for gkey, cyc in parts.items():
             gkey = tuple(gkey)
-            if gkey not in model._gen_cells:
+            if gkey not in model.fiber._by_key:
                 raise ValueError(f"unknown generator key {gkey!r} in {model.name}")
             if cyc.ring is not model.base:
                 raise ValueError(f"coefficient of T{gkey} must live on {model.base.name}")
@@ -95,7 +95,7 @@ class FiberedCycle:
             return "0"
         terms = []
         for g in sorted(self.parts):
-            label = self.model._gen_cells[g].label
+            label = self.model.fiber._by_key[g].label
             terms.append(f"pi*({self.parts[g]!r})*T[{label}]")
         return " + ".join(terms)
 
@@ -124,8 +124,7 @@ class FibrationModel:
         self.fiber = fiber
         self.name = name or f"fibration({fiber.name} over {base.name})"
         self.dimension = base.dimension + fiber.dimension
-        self._gen_cells = {c.key: c for c in fiber.cells}
-        self.generators = tuple(sorted(self._gen_cells))
+        self.generators = fiber.basis_keys()
         self._kept = {}  # its projector family, lifted blocks and extensions, see rings._kept
         keys = {}  # codim, or None for all of them -> basis keys in module order
         for g in self.generators:
@@ -146,12 +145,12 @@ class FibrationModel:
         for (g1, g2), raw in t_table.items():
             g1, g2 = tuple(g1), tuple(g2)
             for g in (g1, g2):
-                if g not in self._gen_cells:
+                if g not in self.fiber._by_key:
                     raise ValueError(f"fibration table mentions unknown generator {g!r}")
             entry = {}
             for gkey, cyc in raw.items():
                 gkey = tuple(gkey)
-                if gkey not in self._gen_cells:
+                if gkey not in self.fiber._by_key:
                     raise ValueError(f"product T{g1} * T{g2} hits unknown generator {gkey!r}")
                 if cyc.ring is not self.base:
                     raise ValueError(f"coefficients in the fibration table must live on {self.base.name}")
@@ -221,17 +220,15 @@ class FibrationModel:
 
 
 def _product_table(base, fiber):
-    """The product fibration's table: the fiber's own products times the base unit."""
-    table = {}
-    for c1 in fiber.cells:
-        for c2 in fiber.cells:
-            if c2.key < c1.key:
-                continue
-            prod = fiber.multiply(fiber.basis_cycle(c1), fiber.basis_cycle(c2))
-            table[(c1.key, c2.key)] = {
-                k: base.unit() * v for k, v in prod.coeffs.items()
-            }
-    return table
+    """The product fibration's table: the fiber's own products times the base
+    unit, one entry per pair k1 <= k2 of fiber keys, read off its table."""
+    unit, keys = base.unit(), fiber.basis_keys()
+    return {
+        (k1, k2): {k: unit * v for k, v in fiber._table[k1].get(k2, {}).items()}
+        for k1 in keys
+        for k2 in keys
+        if k1 <= k2
+    }
 
 
 def trivial_fibration(base, fiber, name=None):

@@ -231,7 +231,6 @@ class ChowRing:
         self._kept = {}  # what other modules derive from this ring, see _kept
         # codim p, or None for all -> basis_keys(p)
         self._basis_keys = _Kept(lambda p: tuple(c.key for c in (cells if p is None else by_codim.get(p, ()))))
-        self._key_sets = _Kept(lambda p: frozenset(self._basis_keys[p]))
         self._partners = _Kept(lambda key: tuple(  # cell key -> partners(key)
             (c.key, d) for c in by_codim.get(dimension - key[0], ()) if (d := self.pair_degree(key, c.key))
         ))
@@ -456,12 +455,11 @@ class KunnethRing(ChowRing):
     is the identity only when every middle cell is self-dual; in general no
     basis fixes this, the middle intersection form being indefinite.)
 
-    Table rows are built from the factor rows on first read; degrees come
-    from the factor degrees, so pairings and correspondences build no row.
-    The contraction plans of act and compose are kept the same way, one
-    entry per key on first read: {key: (a key, b key)}; {key: (b key,
-    left.partners(a))} and its mirror {key: (a key, right.partners(b))};
-    and {a key: {c key: key of a x c}}.
+    Each cell maps to its pair of factor keys, {key: (a key, b key)}, and
+    back; act and compose read that pair and the factors' partners.  Table
+    rows are built from the factor rows on first read; degrees come from
+    the factor degrees, so pairings and correspondences build no row.
+    compose's key rows {a key: {c key: key of a x c}} are kept the same way.
     """
 
     def __init__(self, left, right):
@@ -483,12 +481,9 @@ class KunnethRing(ChowRing):
                         by_label[cell.label] = by_key[cell.key] = cell
                         group.append(cell)
                         pk[a.key, b.key] = cell.key
-                        pairs[cell.key] = (a, b)
+                        pairs[cell.key] = (a.key, b.key)
             cells += group
         self._pair_to_key, self._key_to_pair = pk, pairs
-        self._pair_keys = _Kept(lambda k: (pairs[k][0].key, pairs[k][1].key))
-        self._left_partners = _Kept(lambda k: (pairs[k][1].key, left.partners(pairs[k][0].key)))
-        self._right_partners = _Kept(lambda k: (pairs[k][0].key, right.partners(pairs[k][1].key)))
         self._key_rows = _Kept(lambda a: {c: pk[(a, c)] for c in right.basis_keys()})
         self._index(dimension, f"{left.name} x {right.name}", tuple(cells), by_key, by_label, by_codim)
         # factor laws give the axioms componentwise; skip the cubic re-check
@@ -498,12 +493,12 @@ class KunnethRing(ChowRing):
         # (a x b) * (c x d) = (a * c) x (b * d): the row of a x b is the
         # Kronecker product of the factor rows of a and b
         a, b = self._key_to_pair[key]
-        return kron(self.left._table[a.key], self.right._table[b.key], self._pair_to_key)
+        return kron(self.left._table[a], self.right._table[b], self._pair_to_key)
 
     def pair_degree(self, k1, k2):
         """deg_A(ac) * deg_B(bd) for (a x b) and (c x d); builds no row."""
         (a, b), (c, d) = self._key_to_pair[k1], self._key_to_pair[k2]
-        return self.left.pair_degree(a.key, c.key) * self.right.pair_degree(b.key, d.key)
+        return self.left.pair_degree(a, c) * self.right.pair_degree(b, d)
 
 
 def _symmetric_table(entries, unit, keys, one, conflict, unit_law):
@@ -534,8 +529,7 @@ class _Kept(dict):
     """A dict whose entry for a key is built by ``fill(key)`` on first read
     (``kept[key]``; ``dict.get`` would miss unbuilt entries) and kept: the
     memos a ring fills itself, such as its basis keys, partners, pairings
-    and Kunneth products, and a Kunneth product's table rows and contraction
-    plans."""
+    and Kunneth products, and a Kunneth product's table rows and key rows."""
 
     __slots__ = ("_fill",)
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import chowkit
 from chowkit.correspondences import _action_map, action_columns
+from chowkit.fibrations import _product_table
 from chowkit.linalg import rank
 from chowkit.rings import ChowRing, _Kept
 from chowkit.sampling import random_correspondence
@@ -303,6 +304,15 @@ def same_sweep(model, ys):
     for y in ys:
         got, want = family.apply_all_with_coefficients(y), oracles.sweep(model, y)
         assert [(g, entries(a)) for g, a in got.items()] == [(g, entries(a)) for g, a in want.items()], y
+
+
+def check_product_table(fiber, rng):
+    """The product fibration's table over P^1, pair by pair in order, and
+    each entry's base cycles in order with their types."""
+    def typed_table(table):
+        return [(pair, [(g, entries(c)) for g, c in entry.items()]) for pair, entry in table.items()]
+
+    assert typed_table(_product_table(P1, fiber)) == typed_table(oracles.product_table(P1, fiber))
 
 
 def check_sweep(model, rng):

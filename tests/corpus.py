@@ -305,6 +305,8 @@ ENTRIES = {
         kunneth_product(DOUBLED, P1),
         kunneth_product(degenerate_surface(), P1),
     )},
+    # every pair entry's ring as the fiber of a product fibration over P^1
+    "fiber": {ring.name: ring for ring in PAIRED},
     "pair": {f"{a.name} -> {b.name}": (a, b) for a, b in pairs()},
     "triple": {f"{a.name} => {b.name} => {c.name}": (a, b, c) for a, b, c in triples()},
     "model": {model.name: model for model in models()},

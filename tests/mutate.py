@@ -6,11 +6,14 @@ Copies the repository's src/, tests/ and perfbench/ (with README.md and
 pyproject.toml) to a temporary directory, and checks there that each named
 killer passes on the unmutated tree.  Then, one mutant at a time, it
 replaces the mutant's old text there (it must occur exactly once) and runs
-its killer.  A killer that passes, or a known gap, is followed by tier-1
-with -x, which names the first failing test if any.  One line per mutant;
-the exit status is 1 when an expected kill survives, a known gap dies, or
-an entry's old text is not found exactly once or its mutant does not
-compile.  Standard library and pytest only; it takes no options.
+its killer.  Only a FAILED line of the named killer is a kill: a killer
+that cannot be collected or set up under the mutant (an ERROR line) is a
+collection error, reported as such.  A killer that passes, or a known gap,
+is followed by tier-1 with -x, which names the first failing test if any.
+One line per mutant; the exit status is 1 when an expected kill survives
+or is a collection error, a known gap dies, or an entry's old text is not
+found exactly once or its mutant does not compile.  Standard library and
+pytest only; it takes no options.
 """
 
 import os
@@ -27,11 +30,14 @@ from mutants import MUTANTS
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 GAP = "known gap: "
-FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)
+RESULT = re.compile(r"^(FAILED|ERROR) (.+?)(?: - .*)?$", re.M)
 
 
 def first_failure(tree, args):
-    """The first failing test of pytest -x on args in tree, or None."""
+    """None when pytest -x on args in tree passes, else (kind, where): kind
+    FAILED for a test that ran and failed, ERROR for a file or test that
+    could not be collected or set up, where the node id or file its line
+    names; ("exit", status) when no line names one."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run(
@@ -39,11 +45,24 @@ def first_failure(tree, args):
             cwd=tree, env=env, capture_output=True, text=True, timeout=300,
         )
     except subprocess.TimeoutExpired:
-        return "a run past 300 s"
+        return "exit", "a run past 300 s"
     if done.returncode == 0:
         return None
-    found = FAILED.search(done.stdout)
-    return found[1] if found else f"pytest exit {done.returncode}"
+    found = RESULT.search(done.stdout)
+    return (found[1], found[2]) if found else ("exit", f"pytest exit {done.returncode}")
+
+
+def described(result):
+    """A first_failure result as a line names it."""
+    kind, where = result
+    return {"FAILED": where, "ERROR": f"a collection error at {where}"}.get(kind, where)
+
+
+def killed_by(result, killer):
+    """Whether result is a FAILED line of the killer, or of one of its
+    parameters when the killer names a parametrized test without one."""
+    return result is not None and result[0] == "FAILED" and (
+        result[1] == killer or result[1].startswith(killer + "["))
 
 
 def sweep(tree):
@@ -51,7 +70,7 @@ def sweep(tree):
     killers = sorted({k for *_, k in MUTANTS if not k.startswith(GAP)})
     broken = first_failure(tree, killers)
     if broken:
-        print(f"a killer fails on the unmutated tree: {broken}")
+        print(f"a killer fails on the unmutated tree: {described(broken)}")
         return 1
     bad = 0
     for name, path, old, new, killer in MUTANTS:
@@ -71,12 +90,17 @@ def sweep(tree):
         target.write_text(text.replace(old, new))
         try:
             gap = killer.startswith(GAP)
-            if not gap and first_failure(tree, [killer]):
+            result = None if gap else first_failure(tree, [killer])
+            if killed_by(result, killer):
                 outcome = f"killed by {killer}"
+            elif result:
+                bad += 1
+                outcome = f"not a kill by {killer}: {described(result)}"
             elif not (other := first_failure(tree, [])) and gap:
                 outcome = killer
             else:
                 bad += 1
+                other = described(other) if other else None
                 outcome = f"a known gap, but {other} kills it" if gap else (
                     f"survived {killer}" + (f"; tier-1 kills it at {other}" if other else ""))
         finally:

@@ -83,7 +83,7 @@ def kunneth_row(ring, key):
     b, per pair of cells c, d; a pair with a zero side is left out."""
     a, b = ring._key_to_pair[key]
     left, right, pk = ring.left, ring.right, ring._pair_to_key
-    left_row, right_row, row = table_row(left, a.key), table_row(right, b.key), {}
+    left_row, right_row, row = table_row(left, a), table_row(right, b), {}
     for kc, ac in left_row.items():
         ac = Cycle(left, ac).coeffs
         for kd, bd in right_row.items():
@@ -134,9 +134,9 @@ def act(f, x):
     src, coeffs = f.source, {}
     for key, c in f.cycle.coeffs.items():
         a, b = f.ring._key_to_pair[key]
-        d = sum(cx * src.pair_degree(kx, a.key) for kx, cx in x.coeffs.items())
+        d = sum(cx * src.pair_degree(kx, a) for kx, cx in x.coeffs.items())
         if d:
-            coeffs[b.key] = coeffs.get(b.key, 0) + c * d
+            coeffs[b] = coeffs.get(b, 0) + c * d
     return Cycle(f.target, coeffs)
 
 
@@ -147,10 +147,10 @@ def action_map(f, zeros=False):
     src, columns = f.source, {}
     for key, c in f.cycle.coeffs.items():
         a, b = f.ring._key_to_pair[key]
-        for cell in src.cells_of_codim(src.dimension - a.codim):
-            if d := src.pair_degree(cell.key, a.key):
+        for cell in src.cells_of_codim(src.dimension - a[0]):
+            if d := src.pair_degree(cell.key, a):
                 col = columns.setdefault(cell.key, {})
-                col[b.key] = col.get(b.key, 0) + c * d
+                col[b] = col.get(b, 0) + c * d
     if zeros:
         return columns
     return {k: image for k, col in columns.items() if (image := {r: v for r, v in col.items() if v})}
@@ -176,8 +176,8 @@ def compose(g, f):
         a, b = f.ring._key_to_pair[kf]
         for kg, cg in g.cycle.coeffs.items():
             b2, e = g.ring._key_to_pair[kg]
-            if d := mid.pair_degree(b.key, b2.key):
-                key = ring._pair_to_key[a.key, e.key]
+            if d := mid.pair_degree(b, b2):
+                key = ring._pair_to_key[a, e]
                 coeffs[key] = coeffs.get(key, 0) + cf * cg * d
     offset = None if f.offset is None or g.offset is None else f.offset + g.offset
     return Correspondence(f.source, g.target, Cycle(ring, coeffs), offset)
@@ -193,14 +193,14 @@ def compose_oracle(g, f):
     lift_g = {}
     for key, coeff in g.cycle.coeffs.items():
         b, c = g.ring._key_to_pair[key]
-        lift_g[triple._pair_to_key[AB._pair_to_key[A.unit_cell.key, b.key], c.key]] = coeff
+        lift_g[triple._pair_to_key[AB._pair_to_key[A.unit_cell.key, b], c]] = coeff
     prod = external_product(f.cycle, C.unit()) * Cycle(triple, lift_g)
     coeffs = {}
     for key, coeff in prod.coeffs.items():
         ab, c = triple._key_to_pair[key]
-        a, b = AB._key_to_pair[ab.key]
-        if b.key == B.point_cell.key:
-            ac = AC._pair_to_key[a.key, c.key]
+        a, b = AB._key_to_pair[ab]
+        if b == B.point_cell.key:
+            ac = AC._pair_to_key[a, c]
             coeffs[ac] = coeffs.get(ac, 0) + coeff
     return Cycle(AC, coeffs)
 
@@ -286,6 +286,18 @@ def product_tables(m1, m2):
 
 
 # -- fibration models ----------------------------------------------------------------
+
+
+def product_table(base, fiber):
+    """_product_table: for each pair of fiber cells c1 <= c2, in cell order,
+    the product of their basis cycles, each coefficient times the base unit."""
+    unit, table = base.unit(), {}
+    for c1 in fiber.cells:
+        for c2 in fiber.cells:
+            if c1.key <= c2.key:
+                prod = multiply(fiber, fiber.basis_cycle(c1), fiber.basis_cycle(c2))
+                table[c1.key, c2.key] = {k: unit * v for k, v in prod.coeffs.items()}
+    return table
 
 
 def sweep(model, y):
@@ -464,7 +476,7 @@ def compose_failures(ring, projs):
     n = ring.dimension
 
     def codims(f):
-        return sorted({n - f.ring._key_to_pair[key][0].codim for key in f.cycle.coeffs})
+        return sorted({n - f.ring._key_to_pair[key][0][0] for key in f.cycle.coeffs})
 
     idem = [(k, p) for k, f in projs.items() for p in codims(compose_kernel(f, f) - f)]
     orth = [

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import chowkit
-from chowkit import ChowRing, diagonal, point, save_fibration, save_ring
+from chowkit import ChowRing, FibrationModel, diagonal, point, save_fibration, save_ring
 from chowkit.catalog import catalog_entries, hirzebruch, projective_space, resolve
 from chowkit import cli, fibrations, motives, murre
 from chowkit.cli import main, render_text
@@ -47,9 +47,11 @@ def test_catalog_reads_every_entry_through_dimension_and_rank(capsys):
         thing = entry.build()
         assert list(e) == ["name", "kind", "dimension", "ranks", "description"]
         assert e["name"] == entry.name and e["dimension"] == thing.dimension
+        assert e["description"] == entry.description
         if isinstance(thing, ChowRing):
-            assert e["ranks"] == list(thing.ranks)
+            assert e["kind"] == "ring" and e["ranks"] == list(thing.ranks)
         else:
+            assert isinstance(thing, FibrationModel) and e["kind"] == "model"
             assert e["ranks"] == [thing.rank(p) for p in range(thing.dimension + 1)]
 
 

@@ -399,24 +399,28 @@ def test_cancelling_terms_leave_no_zero():
     assert act(h, x).is_zero() and oracles.act(h, x).is_zero()
 
 
-def test_homogeneity_is_checked_against_the_kept_key_set():
+def test_homogeneity_is_checked_by_the_codim_of_each_key():
     p1, p2 = projective_space(1), projective_space(2)
     ring = kunneth_product(p1, p2)
+    # both cells have index 1, so only their codims tell them apart
     mixed = ring.cycle({(1, 1): 1, (2, 1): 3})
     for offset in (-2, -1, 0, 1, 2, 3):
         with pytest.raises(ValueError, match=f"^cycle is not homogeneous of codim {1 + offset}$"):
             Correspondence(p1, p2, mixed, offset)
     for q in range(ring.dimension + 1):
-        f = Correspondence(p1, p2, random_cycle(random.Random(q), ring, codim=q), q - 1)
-        assert f.offset == q - 1
+        x = random_cycle(random.Random(q), ring, codim=q)
+        assert Correspondence(p1, p2, x, q - 1).offset == q - 1
+        for offset in (-3, -2, -1, 0, 1, 2, 3):
+            if offset != q - 1:
+                with pytest.raises(ValueError, match=f"^cycle is not homogeneous of codim {1 + offset}$"):
+                    Correspondence(p1, p2, x, offset)
     # the zero cycle is homogeneous of every codim, in range or not
     for offset in (-5, 0, 9):
         assert Correspondence(p1, p2, ring.zero(), offset).offset == offset
-    assert ring._key_sets[2] == frozenset(ring.basis_keys(2)) and ring._key_sets[-4] == frozenset()
 
 
 def test_a_sparse_correspondence_fills_only_the_plan_entries_it_reads():
-    p = parse_ring(dump_ring(projective_space(30)))  # private: no row or plan built yet
+    p = parse_ring(dump_ring(projective_space(30)))  # private: no row, partner or plan built yet
     ring = kunneth_product(p, p)
     f_pairs = (((10, 1), (20, 1)), ((15, 1), (15, 1)), ((30, 1), (0, 1)))
     g_pairs = (((10, 1), (20, 1)), ((30, 1), (0, 1)), ((3, 1), (27, 1)))
@@ -424,14 +428,16 @@ def test_a_sparse_correspondence_fills_only_the_plan_entries_it_reads():
     g_keys = [ring._pair_to_key[pair] for pair in g_pairs]
     f = Correspondence(p, p, Cycle(ring, dict.fromkeys(f_keys, 2)), 0)
     g = Correspondence(p, p, Cycle(ring, dict.fromkeys(g_keys, -1)), 0)
-    assert set(ring._key_sets) == {30}
+    assert not p._partners
     x = p.cycle({(20, 1): 1, (0, 1): 5})
+    # act and the action map read the partners of each term's left factor
     assert act(f, x) == oracles.act(f, x) == p.cycle({(20, 1): 2, (0, 1): 10})
+    assert set(p._partners) == {a for a, _ in f_pairs}
     assert _action_map(g) == oracles.action_map(g)
-    assert set(ring._left_partners) == set(f_keys) | set(g_keys)
+    assert set(p._partners) == {a for a, _ in f_pairs + g_pairs}
+    # compose reads the partners of each f-term's middle factor
     assert compose(g, f) == oracles.compose(g, f)
-    assert set(ring._right_partners) == set(f_keys)
-    assert set(ring._pair_keys) == set(g_keys)
+    assert set(p._partners) == {k for pair in f_pairs for k in pair} | {a for a, _ in g_pairs}
     assert set(ring._key_rows) == {a for a, _ in f_pairs}
     assert len(ring._table) == 0
 

@@ -30,6 +30,7 @@ KERNELS = {
     "pullback and pushforward": (("morphism",), checks.check_pullback_and_pushforward),
     "projection_morphism": (("product",), checks.check_projection_morphism),
     "product_morphism": (("morphism",), checks.check_product_morphism),
+    "_product_table": (("fiber",), checks.check_product_table),
     "apply_all_with_coefficients": (("model", "extended model", "broken model"), checks.check_sweep),
     "placed_operators": (("model",), checks.check_placed_operators),
     "lifted_blocks": (("model",), checks.check_lifted_blocks),

@@ -29,7 +29,7 @@ from chowkit import (
 )
 from chowkit import identities
 from chowkit.identities import collapse_morphism
-from chowkit.rings import _kept
+from chowkit.rings import _Kept, _kept
 from chowkit.sampling import random_correspondence
 
 import oracles
@@ -218,8 +218,8 @@ def _refuse(name):
 
 def test_oracle_does_not_use_the_middle_pairing(monkeypatch):
     """The oracle reads neither B's pair_degree nor its partner index;
-    compose reads B's pairing, through the partners its kept plans hold."""
-    # private rings, so that no plan or partner index is filled yet
+    compose reads B's pairing, through B's partner index."""
+    # private rings, so that no partner index is filled yet
     p1, p2, g24 = (parse_ring(dump_ring(r)) for r in (projective_space(1), projective_space(2), grassmannian(2, 4)))
     rng = random.Random(5)
     for A, B, C in ((p1, g24, p2), (p2, p2, p2)):
@@ -228,14 +228,12 @@ def test_oracle_does_not_use_the_middle_pairing(monkeypatch):
         before = compose_oracle(g, f)
         with monkeypatch.context() as m:
             m.setattr(B, "pair_degree", _refuse("pair_degree"))
-            m.setattr(B, "partners", _refuse("partners"))
+            m.setattr(B, "_partners", _Kept(_refuse("partners")))
             assert compose_oracle(g, f) == before
             with pytest.raises(AssertionError, match="partners called"):
                 compose(g, f)
         assert before == compose(g, f).cycle and not before.is_zero()
-        # with the kept plan and partner index cleared, compose reads B's
-        # pair_degree again
-        f.ring._right_partners.clear()
+        # with the partner index cleared, compose reads B's pair_degree again
         B._partners.clear()
         with monkeypatch.context() as m:
             m.setattr(B, "pair_degree", _refuse("pair_degree"))

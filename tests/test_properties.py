@@ -109,7 +109,7 @@ def test_kunneth_coordinates_roundtrip(data):
     parts = {}
     for key, c in cyc.coeffs.items():
         a, g = product._key_to_pair[key]
-        parts.setdefault(g.key, {})[a.key] = c
+        parts.setdefault(g, {})[a] = c
     y = model.cycle({g: ring.cycle(cs) for g, cs in parts.items()})
     coeffs = build_projector_family(model).apply_all_with_coefficients(y)
     back = {product._pair_to_key[k, g]: c for g, a in coeffs.items() for k, c in a.coeffs.items()}

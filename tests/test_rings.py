@@ -308,8 +308,7 @@ def test_kunneth_is_memoized_and_splits():
     p1, p2 = projective_space(1), projective_space(2)
     r1 = kunneth_product(p1, p2)
     assert kunneth_product(p1, p2) is r1
-    a, b = r1._key_to_pair[r1.cell("(h,h^2)").key]
-    assert a is p1.cell("h") and b is p2.cell("h^2")
+    assert r1._key_to_pair[r1.cell("(h,h^2)").key] == (p1.cell("h").key, p2.cell("h^2").key)
 
 
 def test_external_product_bilinear():
@@ -634,9 +633,7 @@ def test_kunneth_cells_match_the_full_pair_scan(pair):
     assert [(c.key, c.label) for c in ring.cells] == [(key, label) for key, label, _ in want]
     assert all(c.key == (c.codim, c.index) for c in ring.cells)
     assert ring._pair_to_key == {pair_keys: key for key, _, pair_keys in want}
-    assert {k: (a.key, b.key) for k, (a, b) in ring._key_to_pair.items()} == {
-        key: pair_keys for key, _, pair_keys in want
-    }
+    assert ring._key_to_pair == {key: pair_keys for key, _, pair_keys in want}
 
 
 # -- partners, unit products and random cycles --------------------------------------
