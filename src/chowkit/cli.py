@@ -12,6 +12,8 @@ saved report re-summarizes identically.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 import time
@@ -49,6 +51,10 @@ EXIT_SUITE_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_FAILURE = 3
 EXIT_BROKEN_PIPE = 141
+
+# shutdown's collection walks the whole heap for cycles, and a run leaves
+# none but argparse's parser and a file target: freeze the heap first
+atexit.register(gc.freeze)
 
 
 class CliError(Exception):
@@ -499,9 +505,15 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    """Run one command; return its exit code.  argparse's refusals raise
+    SystemExit.  Nothing of a run dies in a reference cycle while it runs,
+    so the cyclic collector is paused, for the whole process, while main
+    runs; the caller's setting is restored on every way out."""
     started = time.perf_counter()
-    args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         code = _COMMANDS[args.command](args, started)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
         return code
@@ -514,6 +526,9 @@ def main(argv=None):
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -176,13 +176,12 @@ def compose(g, f):
     for k, c in g.cycle.coeffs.items():
         b2, c2 = pairs[k]
         gterms.setdefault(b2, []).append((c2, c))
-    pairs, partners, rows, coeffs = f.ring._key_to_pair, f.target._partners, ring._key_rows, {}
+    pairs, partners, pk, coeffs = f.ring._key_to_pair, f.target._partners, ring._pair_to_key, {}
     for kf, cf in f.cycle.coeffs.items():
         a, b = pairs[kf]
-        row = rows[a]
         for b2, d in partners[b]:
             for c2, cg in gterms.get(b2, ()):
-                key = row[c2]
+                key = pk[a, c2]
                 coeffs[key] = coeffs.get(key, 0) + cf * cg * d
     offset = None if f.offset is None or g.offset is None else f.offset + g.offset
     return _correspondence(f.source, g.target, ring, _cycle(ring, coeffs), offset)

@@ -459,7 +459,6 @@ class KunnethRing(ChowRing):
     back; act and compose read that pair and the factors' partners.  Table
     rows are built from the factor rows on first read; degrees come from
     the factor degrees, so pairings and correspondences build no row.
-    compose's key rows {a key: {c key: key of a x c}} are kept the same way.
     """
 
     def __init__(self, left, right):
@@ -484,7 +483,6 @@ class KunnethRing(ChowRing):
                         pairs[cell.key] = (a.key, b.key)
             cells += group
         self._pair_to_key, self._key_to_pair = pk, pairs
-        self._key_rows = _Kept(lambda a: {c: pk[(a, c)] for c in right.basis_keys()})
         self._index(dimension, f"{left.name} x {right.name}", tuple(cells), by_key, by_label, by_codim)
         # factor laws give the axioms componentwise; skip the cubic re-check
         self._table = _Kept(self._kron_row)
@@ -529,7 +527,7 @@ class _Kept(dict):
     """A dict whose entry for a key is built by ``fill(key)`` on first read
     (``kept[key]``; ``dict.get`` would miss unbuilt entries) and kept: the
     memos a ring fills itself, such as its basis keys, partners, pairings
-    and Kunneth products, and a Kunneth product's table rows and key rows."""
+    and Kunneth products, and a Kunneth product's table rows."""
 
     __slots__ = ("_fill",)
 

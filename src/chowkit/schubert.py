@@ -25,19 +25,22 @@ def partitions_in_box(rows, cols, size=None):
     With ``size`` given, only partitions of that weight.
     """
     acc = [()]
-
-    def grow(prefix, cap):
-        for part in range(1, cap + 1):
-            lam = prefix + (part,)
-            acc.append(lam)
-            if len(lam) < rows:
-                grow(lam, part)
-
     if rows > 0 and cols > 0:
-        grow((), cols)
+        _grow(acc, (), cols, rows)
     if size is not None:
         acc = [lam for lam in acc if sum(lam) == size]
     return sorted(acc, reverse=True)
+
+
+# the recursions are module functions, not closures: a closure that calls
+# itself holds itself through its cell, and the pair is cyclic garbage
+def _grow(acc, prefix, cap, rows):
+    """Append to acc every partition that extends prefix by parts <= cap."""
+    for part in range(1, cap + 1):
+        lam = prefix + (part,)
+        acc.append(lam)
+        if len(lam) < rows:
+            _grow(acc, lam, part, rows)
 
 
 def complement(lam, rows, cols):
@@ -65,30 +68,29 @@ def lr_coefficient(lam, mu, nu):
         return 0
     # cells in reverse reading order
     cells = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, padded[r] - 1, -1)]
-    nvals = len(mu)
-    counts = [0] * (nvals + 1)
-    grid = {}
+    return _fill(0, cells, nu, padded, mu, [0] * (len(mu) + 1), {})
 
-    def fill(pos):
-        if pos == len(cells):
-            return 1
-        r, c = cells[pos]
-        ceiling = grid[(r, c + 1)] if c + 1 < nu[r] else nvals
-        floor = grid[(r - 1, c)] + 1 if r > 0 and c >= padded[r - 1] else 1
-        total = 0
-        for v in range(floor, ceiling + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice condition would break at this prefix
-            counts[v] += 1
-            grid[(r, c)] = v
-            total += fill(pos + 1)
-            counts[v] -= 1
-            del grid[(r, c)]
-        return total
 
-    return fill(0)
+def _fill(pos, cells, nu, padded, mu, counts, grid):
+    """The lattice-word fillings of cells[pos:] given the values in grid,
+    with counts[v] the number of v's placed so far."""
+    if pos == len(cells):
+        return 1
+    r, c = cells[pos]
+    ceiling = grid[(r, c + 1)] if c + 1 < nu[r] else len(mu)
+    floor = grid[(r - 1, c)] + 1 if r > 0 and c >= padded[r - 1] else 1
+    total = 0
+    for v in range(floor, ceiling + 1):
+        if counts[v] >= mu[v - 1]:
+            continue
+        if v > 1 and counts[v] >= counts[v - 1]:
+            continue  # lattice condition would break at this prefix
+        counts[v] += 1
+        grid[(r, c)] = v
+        total += _fill(pos + 1, cells, nu, padded, mu, counts, grid)
+        counts[v] -= 1
+        del grid[(r, c)]
+    return total
 
 
 def lr_product(lam, mu, rows, cols):
